@@ -15,21 +15,17 @@ from .datagen import (ActionSpec, DatasetManifest, DatasetSplits, build_dataset,
                       generate_atomic, load_checkpoint, load_motion,
                       manifest_from_json, manifest_to_json, save_checkpoint,
                       save_motion)
-from .exits import (ExitDecision, FlopsReport, PolicyNetParams, TendencyStats,
-                    count_flops, gumbel_softmax_st, policy_forward,
-                    tendency_counts, tendency_loss)
+from .exits import FlopsReport, PolicyNetParams, count_flops
 from .motion import (MotionSequence, PartLayout, Skeleton, downsample,
                      merge_parts, remove_global_translation, split_parts)
 from .predictor import (Branch, GcBlock, GcLayer, MotionAttentionParams,
-                        PredictorConfig, PredictorParams, branch_forward_to_exit,
-                        gc_layer_forward, init_predictor, motion_attention,
-                        paper_scale_config, predict, self_attention)
+                        PredictorConfig, PredictorParams, init_predictor,
+                        paper_scale_config, predict)
 from .training import (AdamState, EvalReport, PredictorModel, TrainConfig,
                        TrainResult, adam_step, evaluate, init_predictor_model,
-                       mpjpe_loss, mpjpe_metric, total_loss, train_predictor,
+                       mpjpe_loss, mpjpe_metric, train_predictor,
                        zero_velocity_baseline)
-from .vae import (BodyMask, CagTrainConfig, LatentSample, VaeParams, elbo_loss,
-                  init_vae, masked_fuse, reconstruction_mpjpe, reparameterize,
-                  synthesize_composite, train_cag, vae_decode, vae_encode)
+from .vae import (BodyMask, CagTrainConfig, VaeParams, init_vae, masked_fuse,
+                  reconstruction_mpjpe, synthesize_composite, train_cag)
 
 __version__ = "0.1.0"

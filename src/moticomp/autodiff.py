@@ -63,16 +63,6 @@ class Node:
         self.macs = macs
 
 
-OP_KINDS = (
-    "matmul", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq",
-    "concat_lastdim", "slice_lastdim", "scale",
-    # extensions needed by the models; each has the same contract and
-    # finite-difference coverage as the core kinds
-    "exp", "sqrt", "div", "transpose", "repeat_rows", "reshape",
-    "scalar_mul", "straight_through",
-)
-
-
 class Tape:
     """Single-use recording of a forward computation. Not thread-safe."""
 
@@ -272,15 +262,6 @@ class Tape:
         return self._emit("straight_through", (soft,), hard, lambda g: (g,))
 
     # ------------------------------------------------------------------
-
-    def forward_op(self, kind: str, inputs: Sequence[Tensor], **kwargs) -> Tensor:
-        """Dispatch by kind name; the uniform entry point over all ops."""
-        if kind not in OP_KINDS:
-            raise ValueError(f"unknown op kind {kind!r}")
-        fn = getattr(self, kind)
-        if kind == "concat_lastdim":
-            return fn(inputs)
-        return fn(*inputs, **kwargs)
 
     def backward(self, loss: Tensor) -> None:
         """Reverse accumulation from a scalar loss produced on this tape.

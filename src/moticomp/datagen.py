@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -307,14 +307,19 @@ def default_manifest() -> DatasetManifest:
 # ----------------------------------------------------------------------
 # manifest JSON
 
-_MANIFEST_KEYS = {
-    "format", "version", "joint_parents", "joint_parts", "actions", "fps",
-    "sequence_length", "train_per_action", "val_per_atomic", "test_per_atomic",
-    "val_per_composite", "test_per_composite", "train_seed", "val_seed",
-    "test_seed",
-}
-_ACTION_KEYS = {"name", "part", "amplitude", "frequency", "phase", "drift",
-                "noise_std"}
+_MANIFEST_KEYS = {"format", "version", "joint_parents", "joint_parts",
+                  *(f.name for f in fields(DatasetManifest) if f.name != "skeleton")}
+_ACTION_KEYS = {f.name for f in fields(ActionSpec)}
+_REQUIRED_ACTION_KEYS = {f.name for f in fields(ActionSpec) if f.default is MISSING}
+
+
+def _field_values(obj) -> dict:
+    """A dataclass's fields in declaration order, tuples as JSON lists."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
@@ -323,23 +328,10 @@ def manifest_to_json(manifest: DatasetManifest) -> str:
         "version": MANIFEST_VERSION,
         "joint_parents": list(manifest.skeleton.parent),
         "joint_parts": list(manifest.skeleton.part_of),
-        "actions": [
-            {"name": a.name, "part": a.part, "amplitude": list(a.amplitude),
-             "frequency": list(a.frequency), "phase": list(a.phase),
-             "drift": list(a.drift), "noise_std": a.noise_std}
-            for a in manifest.actions
-        ],
-        "fps": manifest.fps,
-        "sequence_length": manifest.sequence_length,
-        "train_per_action": manifest.train_per_action,
-        "val_per_atomic": manifest.val_per_atomic,
-        "test_per_atomic": manifest.test_per_atomic,
-        "val_per_composite": manifest.val_per_composite,
-        "test_per_composite": manifest.test_per_composite,
-        "train_seed": manifest.train_seed,
-        "val_seed": manifest.val_seed,
-        "test_seed": manifest.test_seed,
+        **_field_values(manifest),
     }
+    del doc["skeleton"]
+    doc["actions"] = [_field_values(a) for a in manifest.actions]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -367,23 +359,14 @@ def manifest_from_json(text: str) -> DatasetManifest:
         unknown = set(entry) - _ACTION_KEYS
         if unknown:
             raise ManifestError(f"unknown action keys: {sorted(unknown)}")
-        actions.append(ActionSpec(
-            name=entry["name"], part=entry["part"],
-            amplitude=tuple(entry["amplitude"]), frequency=tuple(entry["frequency"]),
-            phase=tuple(entry["phase"]), drift=tuple(entry["drift"]),
-            noise_std=entry.get("noise_std", 0.0),
-        ))
-    return DatasetManifest(
-        skeleton=skeleton, actions=tuple(actions), fps=doc["fps"],
-        sequence_length=doc["sequence_length"],
-        train_per_action=doc["train_per_action"],
-        val_per_atomic=doc["val_per_atomic"],
-        test_per_atomic=doc["test_per_atomic"],
-        val_per_composite=doc["val_per_composite"],
-        test_per_composite=doc["test_per_composite"],
-        train_seed=doc["train_seed"], val_seed=doc["val_seed"],
-        test_seed=doc["test_seed"],
-    )
+        missing = _REQUIRED_ACTION_KEYS - set(entry)
+        if missing:
+            raise ManifestError(f"action {entry.get('name')!r} lacks keys: {sorted(missing)}")
+        actions.append(ActionSpec(**{k: tuple(v) if isinstance(v, list) else v
+                                     for k, v in entry.items()}))
+    scalars = {f.name: doc[f.name] for f in fields(DatasetManifest)
+               if f.name not in ("skeleton", "actions")}
+    return DatasetManifest(skeleton=skeleton, actions=tuple(actions), **scalars)
 
 
 # ----------------------------------------------------------------------
@@ -471,8 +454,27 @@ def _read_tensors(entries) -> dict[str, np.ndarray]:
     out = {}
     for entry in entries:
         arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"tensor {entry['name']} holds non-finite values")
         out[entry["name"]] = arr
     return out
+
+
+# JSON value types accepted for each PredictorConfig annotation
+_CONFIG_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float),
+                 "bool": (bool,)}
+
+
+def _predictor_config(config: dict) -> PredictorConfig:
+    """The PredictorConfig echoed in a checkpoint; KeyError or TypeError on a bad key."""
+    values = {f.name: config[f.name] for f in fields(PredictorConfig)}
+    for f in fields(PredictorConfig):
+        value = values[f.name]
+        if (not isinstance(value, _CONFIG_TYPES[f.type])
+                or isinstance(value, bool) != (f.type == "bool")
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise TypeError(f"config key {f.name!r} holds {value!r}, expected {f.type}")
+    return PredictorConfig(**values)
 
 
 def save_checkpoint(path, model: VaeParams | PredictorModel) -> None:
@@ -495,25 +497,12 @@ def save_checkpoint(path, model: VaeParams | PredictorModel) -> None:
             ),
         }
     elif isinstance(model, PredictorModel):
-        cfg = model.params.config
         doc = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "kind": "predictor",
             "config": {
-                "input_frames": cfg.input_frames,
-                "output_frames": cfg.output_frames,
-                "n_coeffs": cfg.n_coeffs,
-                "feature_width": cfg.feature_width,
-                "heads": cfg.heads,
-                "n_blocks": cfg.n_blocks,
-                "layers_per_block": cfg.layers_per_block,
-                "attention_every": cfg.attention_every,
-                "policy_hidden": cfg.policy_hidden,
-                "query_dim": cfg.query_dim,
-                "coeff_scale": cfg.coeff_scale,
-                "adjacency_noise": cfg.adjacency_noise,
-                "zero_output_decoders": cfg.zero_output_decoders,
+                **asdict(model.params.config),
                 "upper_dims": list(model.params.layout.upper_dims),
                 "lower_dims": list(model.params.layout.lower_dims),
             },
@@ -525,6 +514,7 @@ def save_checkpoint(path, model: VaeParams | PredictorModel) -> None:
 
 
 def load_checkpoint(path) -> VaeParams | PredictorModel:
+    """Rebuild a checkpointed model; CheckpointError names what is malformed."""
     try:
         doc = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -540,42 +530,28 @@ def load_checkpoint(path) -> VaeParams | PredictorModel:
         kind = doc["kind"]
         config = doc["config"]
         tensors = _read_tensors(doc["tensors"])
-    except (KeyError, TypeError, ValueError) as exc:
+        if kind == "cag_vae":
+            model = init_vae(np.random.default_rng(0),
+                             coeff_rows=config["coeff_rows"],
+                             coeff_cols=config["coeff_cols"],
+                             original_length=config["original_length"],
+                             latent_dim=config["latent_dim"],
+                             hidden_dims=tuple(config["hidden_dims"]))
+            model.input_offset = tensors.pop("norm.offset")
+            model.input_scale = tensors.pop("norm.scale").reshape(1, -1)
+        elif kind == "predictor":
+            layout = PartLayout(upper_dims=tuple(config["upper_dims"]),
+                                lower_dims=tuple(config["lower_dims"]))
+            model = init_predictor_model(np.random.default_rng(0), layout,
+                                         _predictor_config(config))
+        else:
+            raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
-
-    if kind == "cag_vae":
-        params = init_vae(np.random.default_rng(0),
-                          coeff_rows=config["coeff_rows"],
-                          coeff_cols=config["coeff_cols"],
-                          original_length=config["original_length"],
-                          latent_dim=config["latent_dim"],
-                          hidden_dims=tuple(config["hidden_dims"]))
-        params.input_offset = tensors.pop("norm.offset")
-        params.input_scale = tensors.pop("norm.scale").reshape(1, -1)
-        _fill_parameters(path, params.named_parameters(), tensors)
-        return params
-    if kind == "predictor":
-        layout = PartLayout(upper_dims=tuple(config["upper_dims"]),
-                            lower_dims=tuple(config["lower_dims"]))
-        pc = PredictorConfig(
-            input_frames=config["input_frames"],
-            output_frames=config["output_frames"],
-            n_coeffs=config["n_coeffs"],
-            feature_width=config["feature_width"],
-            heads=config["heads"],
-            n_blocks=config["n_blocks"],
-            layers_per_block=config["layers_per_block"],
-            attention_every=config["attention_every"],
-            policy_hidden=config["policy_hidden"],
-            query_dim=config["query_dim"],
-            coeff_scale=config["coeff_scale"],
-            adjacency_noise=config["adjacency_noise"],
-            zero_output_decoders=config["zero_output_decoders"],
-        )
-        model = init_predictor_model(np.random.default_rng(0), layout, pc)
-        _fill_parameters(path, model.named_parameters(), tensors)
-        return model
-    raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+    _fill_parameters(path, model.named_parameters(), tensors)
+    return model
 
 
 def _fill_parameters(path, named: dict[str, np.ndarray],

@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, ShapeError
-from .layers import bind, linear
+from .errors import ConfigError
+from .layers import linear
 from .predictor import Branch, PredictorConfig, PredictorParams
 
-SOFT_VAR_EPS = 1e-9  # keeps the tape-side coefficient of variation differentiable at balance
+SOFT_VAR_EPS = 1e-9  # keeps the coefficient of variation differentiable at balance
 
 
 @dataclass
@@ -60,104 +60,20 @@ def _policy_forward(tape: Tape, tensors: dict[str, Tensor], prefix: str,
     return linear(tape, hidden, tensors[f"{prefix}.w2"], tensors[f"{prefix}.b2"])
 
 
-def policy_forward(params: PolicyNetParams, x: np.ndarray) -> np.ndarray:
-    """Exit logits for one branch input of encoded features, shape (D,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
-        raise ShapeError(f"features {x.shape} do not match policy input "
-                         f"width {params.w1.shape[0]}")
-    tape = Tape()
-    tensors = bind(tape, {f"p.{k}": v for k, v in params.named_parameters().items()},
-                   trainable=False)
-    return _policy_forward(tape, tensors, "p", tape.constant(x)).values.reshape(-1).copy()
-
-
-@dataclass(frozen=True)
-class ExitDecision:
-    """One-hot exit choice plus the soft probabilities that produced it."""
-
-    b: np.ndarray
-    soft: np.ndarray
-    temperature: float
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        soft = np.asarray(self.soft, dtype=np.float64).reshape(-1)
-        if b.size != soft.size:
-            raise ShapeError("b and soft lengths differ")
-        if not (np.all((b == 0.0) | (b == 1.0)) and b.sum() == 1.0):
-            raise ValueError("b must be exactly one-hot")
-        if b[int(np.argmax(soft))] != 1.0:
-            raise ValueError("b does not select the argmax of soft")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "soft", soft)
-
-    @property
-    def exit_index(self) -> int:
-        """1-based exit index, matching branch_forward_to_exit."""
-        return int(np.argmax(self.b)) + 1
-
-
 def _gumbel_softmax_st(tape: Tape, logits: Tensor, temperature: float,
                        noise: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Tape-level straight-through draw; returns (hard one-hot, soft) tensors."""
+    """Straight-through draw over exits from explicit Gumbel noise.
+
+    Returns (hard one-hot, soft) tensors. Deterministic routing passes zeros
+    as noise, which selects the argmax of the logits; ties break toward the
+    lowest index.
+    """
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
     noise = np.asarray(noise, dtype=np.float64).reshape(logits.shape)
     perturbed = tape.add(logits, tape.constant(noise))
     soft = tape.softmax_lastdim(tape.scale(perturbed, 1.0 / temperature))
     return tape.straight_through(soft), soft
-
-
-def gumbel_softmax_st(logits: np.ndarray, temperature: float,
-                      gumbel_noise: np.ndarray) -> ExitDecision:
-    """One straight-through draw over exits from explicit Gumbel noise.
-
-    Eval mode passes zeros as noise (deterministic argmax of the logits);
-    ties break toward the lowest index.
-    """
-    logits = np.asarray(logits, dtype=np.float64).reshape(1, -1)
-    tape = Tape()
-    b, soft = _gumbel_softmax_st(tape, tape.constant(logits), temperature, gumbel_noise)
-    return ExitDecision(b=b.values, soft=soft.values, temperature=float(temperature))
-
-
-@dataclass
-class TendencyStats:
-    """Per-exit selection tallies across a batch and all branches."""
-
-    counts: np.ndarray
-    w_tendency: float = 1.0
-    soft_counts: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64).reshape(-1)
-        if self.counts.size < 1 or np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative with at least one exit")
-
-
-def tendency_counts(decisions: list[ExitDecision], w_tendency: float = 1.0) -> TendencyStats:
-    """Tally how many decisions picked each exit; includes soft expected tallies."""
-    if not decisions:
-        raise ValueError("cannot tally an empty batch of decisions")
-    n_exits = decisions[0].b.size
-    counts = np.zeros(n_exits, dtype=np.int64)
-    soft = np.zeros(n_exits)
-    for d in decisions:
-        if d.b.size != n_exits:
-            raise ShapeError("decisions have differing exit counts")
-        counts[d.exit_index - 1] += 1
-        soft += d.soft
-    return TendencyStats(counts=counts, w_tendency=w_tendency, soft_counts=soft)
-
-
-def tendency_loss(stats: TendencyStats) -> float:
-    """Scaled coefficient of variation (population) of the exit tallies."""
-    counts = stats.counts.astype(np.float64)
-    if counts.sum() <= 0:
-        raise ValueError("tendency loss needs at least one counted decision")
-    mean = counts.mean()
-    return stats.w_tendency * float(counts.std() / mean)
 
 
 def _tendency_loss_soft(tape: Tape, soft_sum: Tensor, w_tendency: float) -> Tensor:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .dct import DctCoeffs, dct_encode, idct_basis
+from .dct import dct_encode, idct_basis
 from .errors import ConfigError, ShapeError
 from .layers import LinearParams, bind, init_linear, linear, sigmoid
 from .motion import MotionSequence, PartLayout
@@ -327,14 +327,6 @@ def _branch_tail(tape: Tape, branch: Branch, tensors: dict[str, Tensor],
     return linear(tape, h, tensors[f"{p}.dec.w"], tensors[f"{p}.dec.b"])
 
 
-def _branch_forward(tape: Tape, branch: Branch, tensors: dict[str, Tensor],
-                    x: Tensor, exit_index: int) -> Tensor:
-    if x.shape[0] != branch.node_count:
-        raise ShapeError(f"input rows {x.shape[0]} != node count {branch.node_count}")
-    return _branch_tail(tape, branch, tensors, _branch_encode(tape, tensors, branch.kind, x),
-                        exit_index)
-
-
 def _motion_attention(tape: Tape, wq: Tensor, wk: Tensor, history: np.ndarray,
                       sub_len: int, out_frames: int, n_coeffs: int) -> Tensor:
     """Attention-enriched coefficients of the padded observation, shape (F, E).
@@ -429,62 +421,11 @@ def _forward_core(tape: Tape, params: PredictorParams, tensors: dict[str, Tensor
     if len(exits) != len(params.branches):
         raise ValueError("one exit index required per branch")
     inputs = _prepare_branch_inputs(tape, params, tensors, history)
-    outputs = {
-        branch.kind: _branch_forward(tape, branch, tensors, inputs[branch.kind], d)
-        for branch, d in zip(params.branches, exits)
-    }
+    outputs = {}
+    for branch, d in zip(params.branches, exits):
+        encoded = _branch_encode(tape, tensors, branch.kind, inputs[branch.kind])
+        outputs[branch.kind] = _branch_tail(tape, branch, tensors, encoded, d)
     return _assemble_prediction(tape, params, tensors, outputs, history)
-
-
-# ----------------------------------------------------------------------
-# public operations (evaluated on a fresh tape)
-
-def gc_layer_forward(h: np.ndarray, layer: GcLayer) -> np.ndarray:
-    """tanh(A @ H @ W) for one layer."""
-    tape = Tape()
-    out = _gc_layer(tape, tape.constant(h), tape.constant(layer.adjacency),
-                    tape.constant(layer.weight))
-    return out.values
-
-
-def self_attention(h: np.ndarray, heads: int, params: AttentionParams) -> np.ndarray:
-    """Multi-head scaled dot-product self-attention over node rows, residual added."""
-    if heads != params.heads:
-        raise ConfigError(f"requested {heads} heads but params carry {params.heads}")
-    tape = Tape()
-    tensors = {"a.wq": tape.constant(params.wq), "a.wk": tape.constant(params.wk),
-               "a.wv": tape.constant(params.wv), "a.wo": tape.constant(params.wo)}
-    return _self_attention(tape, tape.constant(h), tensors, "a", heads).values
-
-
-def motion_attention(params: MotionAttentionParams, history: MotionSequence,
-                     sub_len: int, n_coeffs: int, out_frames: int) -> DctCoeffs:
-    """Front-end coefficients for a history, enriched by sub-sequence attention."""
-    tape = Tape()
-    out = _motion_attention(tape, tape.constant(params.wq), tape.constant(params.wk),
-                            history.data, sub_len, out_frames, n_coeffs)
-    return DctCoeffs(coeffs=out.values, original_length=history.frames + out_frames)
-
-
-def branch_forward_to_exit(branch: Branch, x: np.ndarray, exit_index: int) -> np.ndarray:
-    """Compose the first exit_index blocks and decode; later blocks never run."""
-    tape = Tape()
-    tensors = {}
-    p = branch.kind
-    tensors[f"{p}.enc.w"] = tape.constant(branch.input_encoder.w)
-    tensors[f"{p}.enc.b"] = tape.constant(branch.input_encoder.b)
-    for k, block in enumerate(branch.blocks):
-        for i, layer in enumerate(block.layers):
-            tensors[f"{p}.blk{k}.gc{i}.adj"] = tape.constant(layer.adjacency)
-            tensors[f"{p}.blk{k}.gc{i}.wgt"] = tape.constant(layer.weight)
-        for a, attn in enumerate(block.attention):
-            tensors[f"{p}.blk{k}.attn{a}.wq"] = tape.constant(attn.wq)
-            tensors[f"{p}.blk{k}.attn{a}.wk"] = tape.constant(attn.wk)
-            tensors[f"{p}.blk{k}.attn{a}.wv"] = tape.constant(attn.wv)
-            tensors[f"{p}.blk{k}.attn{a}.wo"] = tape.constant(attn.wo)
-    tensors[f"{p}.dec.w"] = tape.constant(branch.output_decoder.w)
-    tensors[f"{p}.dec.b"] = tape.constant(branch.output_decoder.b)
-    return _branch_forward(tape, branch, tensors, tape.constant(x), exit_index).values
 
 
 def predict(params: PredictorParams, history: MotionSequence,

@@ -15,9 +15,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, NumericError, ShapeError
-from .exits import (PolicyNetParams, _gumbel_softmax_st, _policy_forward,
-                    _tendency_loss_soft, count_flops, init_policy,
-                    FlopsReport, TendencyStats, tendency_loss)
+from .exits import (FlopsReport, PolicyNetParams, _gumbel_softmax_st,
+                    _policy_forward, _tendency_loss_soft, count_flops, init_policy)
 from .layers import bind
 from .motion import MotionSequence, PartLayout
 from .predictor import (PredictorConfig, PredictorParams, _assemble_prediction,
@@ -60,13 +59,6 @@ def mpjpe_metric(pred: np.ndarray, gt: np.ndarray, frame_index: int) -> float:
         raise ValueError(f"frame index {frame_index} outside 0..{pred.shape[0] - 1}")
     diff = (pred[frame_index] - gt[frame_index]).reshape(-1, 3)
     return float(np.linalg.norm(diff, axis=1).mean())
-
-
-def total_loss(pred: np.ndarray, gt: np.ndarray, stats: TendencyStats,
-               in_constraint_phase: bool) -> float:
-    """Training objective: squared-error term plus the balance term when active."""
-    base = mpjpe_loss(pred, gt)
-    return base + (tendency_loss(stats) if in_constraint_phase else 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -202,26 +194,26 @@ def _check_dataset(dataset: list[MotionSequence], config: TrainConfig,
             )
 
 
-def _sampled_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor],
-                     history: np.ndarray, rng: np.random.Generator,
-                     temperature: float) -> tuple[Tensor, list[int], list[Tensor]]:
-    """Training-time forward: each branch runs to a sampled exit.
+def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor],
+                    history: np.ndarray, noise: np.ndarray,
+                    temperature: float) -> tuple[Tensor, list[int], list[Tensor]]:
+    """Each branch runs to the exit its policy draws under Gumbel noise.
 
-    The branch correction is multiplied by the selected entry of the hard
-    one-hot, which is 1 in the forward pass and routes straight-through
-    gradients to the policy logits in the backward pass.
+    noise holds one row per branch; training samples it, deterministic
+    routing passes zeros. The branch correction is multiplied by the
+    selected entry of the hard one-hot, which is 1 in the forward pass and
+    routes straight-through gradients to the policy logits in the backward
+    pass.
     """
     params = model.params
     inputs = _prepare_branch_inputs(tape, params, tensors, history)
-    n_exits = params.config.n_blocks
     outputs = {}
     chosen: list[int] = []
     softs: list[Tensor] = []
-    for branch in params.branches:
+    for branch, branch_noise in zip(params.branches, noise):
         encoded = _branch_encode(tape, tensors, branch.kind, inputs[branch.kind])
         logits = _policy_forward(tape, tensors, f"policy.{branch.kind}", encoded)
-        noise = rng.gumbel(size=(1, n_exits))
-        hard, soft = _gumbel_softmax_st(tape, logits, temperature, noise)
+        hard, soft = _gumbel_softmax_st(tape, logits, temperature, branch_noise)
         d = int(np.argmax(hard.values)) + 1
         y = _branch_tail(tape, branch, tensors, encoded, d)
         gate = tape.slice_lastdim(hard, d - 1, d)
@@ -232,30 +224,15 @@ def _sampled_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tenso
     return pred, chosen, softs
 
 
-def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor],
-                    history: np.ndarray) -> tuple[Tensor, tuple[int, ...]]:
-    """Deterministic forward: each branch exits at the argmax of its logits."""
-    params = model.params
-    inputs = _prepare_branch_inputs(tape, params, tensors, history)
-    outputs = {}
-    chosen = []
-    for branch in params.branches:
-        encoded = _branch_encode(tape, tensors, branch.kind, inputs[branch.kind])
-        logits = _policy_forward(tape, tensors, f"policy.{branch.kind}", encoded)
-        d = int(np.argmax(logits.values)) + 1
-        outputs[branch.kind] = _branch_tail(tape, branch, tensors, encoded, d)
-        chosen.append(d)
-    return _assemble_prediction(tape, params, tensors, outputs, history), tuple(chosen)
-
-
 def routed_prediction(model: PredictorModel,
                       history: MotionSequence) -> tuple[MotionSequence, tuple[int, ...]]:
     """Policy-routed deterministic prediction and the exits it used."""
     tape = Tape()
     tensors = bind(tape, model.named_parameters(), trainable=False)
-    pred, exits = _routed_forward(tape, model, tensors, history.data)
+    noise = np.zeros((len(model.params.branches), model.params.config.n_blocks))
+    pred, exits, _ = _routed_forward(tape, model, tensors, history.data, noise, 1.0)
     seq = MotionSequence(data=pred.values, fps=history.fps, label=history.label)
-    return seq, exits
+    return seq, tuple(exits)
 
 
 def _mean_future_error(model: PredictorModel, dataset: list[MotionSequence],
@@ -316,8 +293,9 @@ def train_predictor(model: PredictorModel, train_set: list[MotionSequence],
             batch_softs: list[Tensor] = []
             for idx in batch:
                 seq = train_set[idx]
-                pred, chosen, softs = _sampled_forward(
-                    tape, model, tensors, seq.data[:n_input], rng, config.temperature)
+                noise = rng.gumbel(size=(len(params.branches), n_exits))
+                pred, chosen, softs = _routed_forward(
+                    tape, model, tensors, seq.data[:n_input], noise, config.temperature)
                 for d in chosen:
                     exit_counts[d - 1] += 1
                 batch_softs.extend(softs)

@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .dct import DctCoeffs, dct_encode, idct_decode
 from .errors import ConfigError, ShapeError
-from .layers import LinearParams, bind, init_linear, linear
+from .layers import LinearParams, bind, init_linear, mlp
 from .motion import MotionSequence, PartLayout
 
 
@@ -89,21 +89,6 @@ def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
 
 
 @dataclass(frozen=True)
-class LatentSample:
-    """One reparameterized draw: z = mu + exp(log_var / 2) * noise."""
-
-    mu: np.ndarray
-    log_var: np.ndarray
-    z: np.ndarray
-    noise: np.ndarray
-
-    def __post_init__(self):
-        expected = self.mu + np.exp(self.log_var / 2.0) * self.noise
-        if not np.array_equal(expected, self.z):
-            raise ValueError("latent sample violates the reparameterization identity")
-
-
-@dataclass(frozen=True)
 class BodyMask:
     """Per-coordinate 0/1 selector; 1 takes from the first action of a fusion."""
 
@@ -133,7 +118,7 @@ class BodyMask:
 
 
 # ----------------------------------------------------------------------
-# tape-level forward passes (shared by the public ops and training)
+# tape-level forward passes (shared by synthesis and training)
 
 def _normalize(tape: Tape, params: VaeParams, x: Tensor) -> Tensor:
     shifted = tape.add(x, tape.constant(-params.input_offset))
@@ -147,25 +132,14 @@ def _denormalize(tape: Tape, params: VaeParams, x: Tensor) -> Tensor:
 
 def _encode(tape: Tape, params: VaeParams, tensors: dict[str, Tensor],
             x: Tensor) -> tuple[Tensor, Tensor]:
-    h = _normalize(tape, params, x)
-    last = len(params.encoder) - 1
-    for i in range(len(params.encoder)):
-        h = linear(tape, h, tensors[f"enc{i}.w"], tensors[f"enc{i}.b"])
-        if i < last:
-            h = tape.tanh(h)
+    h = mlp(tape, _normalize(tape, params, x), tensors, "enc", len(params.encoder))
     ld = params.latent_dim
     return tape.slice_lastdim(h, 0, ld), tape.slice_lastdim(h, ld, 2 * ld)
 
 
 def _decode(tape: Tape, params: VaeParams, tensors: dict[str, Tensor],
             z: Tensor) -> Tensor:
-    h = z
-    last = len(params.decoder) - 1
-    for i in range(len(params.decoder)):
-        h = linear(tape, h, tensors[f"dec{i}.w"], tensors[f"dec{i}.b"])
-        if i < last:
-            h = tape.tanh(h)
-    return _denormalize(tape, params, h)
+    return _denormalize(tape, params, mlp(tape, z, tensors, "dec", len(params.decoder)))
 
 
 def _reparameterize(tape: Tape, mu: Tensor, log_var: Tensor, noise: np.ndarray) -> Tensor:
@@ -195,51 +169,16 @@ def _check_coeffs(params: VaeParams, a: DctCoeffs) -> None:
         )
 
 
-def vae_encode(params: VaeParams, a: DctCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and log-variance of the latent posterior for one coefficient matrix."""
+def _reconstruct(params: VaeParams, a: DctCoeffs, noise: np.ndarray) -> np.ndarray:
+    """Encode, draw z = mu + exp(log_var / 2) * noise, decode, and invert the DCT."""
     _check_coeffs(params, a)
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
-    x = tape.constant(a.flat().reshape(1, -1))
-    mu, log_var = _encode(tape, params, tensors, x)
-    return mu.values.reshape(-1).copy(), log_var.values.reshape(-1).copy()
-
-
-def vae_decode(params: VaeParams, z: np.ndarray) -> DctCoeffs:
-    """Reconstruct an F x (3J) coefficient matrix from a latent vector."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    if z.size != params.latent_dim:
-        raise ShapeError(f"latent size {z.size} != latent_dim {params.latent_dim}")
-    tape = Tape()
-    tensors = bind(tape, params.named_parameters(), trainable=False)
-    out = _decode(tape, params, tensors, tape.constant(z.reshape(1, -1)))
-    coeffs = out.values.reshape(params.coeff_rows, params.coeff_cols)
-    return DctCoeffs(coeffs=coeffs, original_length=params.original_length)
-
-
-def reparameterize(mu: np.ndarray, log_var: np.ndarray, noise: np.ndarray) -> LatentSample:
-    """Draw z = mu + exp(log_var / 2) * noise from an explicit noise vector."""
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    log_var = np.asarray(log_var, dtype=np.float64).reshape(-1)
-    noise = np.asarray(noise, dtype=np.float64).reshape(-1)
-    if not mu.size == log_var.size == noise.size:
-        raise ShapeError("mu, log_var, and noise must have equal lengths")
-    z = mu + np.exp(log_var / 2.0) * noise
-    return LatentSample(mu=mu, log_var=log_var, z=z, noise=noise)
-
-
-def elbo_loss(a: DctCoeffs, a_prime: DctCoeffs, mu: np.ndarray, log_var: np.ndarray,
-              kl_weight: float = 1.0) -> float:
-    """Mean-squared reconstruction error plus weighted KL to the unit Gaussian."""
-    if a.coeffs.shape != a_prime.coeffs.shape:
-        raise ShapeError(f"coefficient shapes differ: {a.coeffs.shape} vs {a_prime.coeffs.shape}")
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    log_var = np.asarray(log_var, dtype=np.float64).reshape(-1)
-    if mu.size != log_var.size:
-        raise ShapeError("mu and log_var lengths differ")
-    recon = float(np.mean((a.coeffs - a_prime.coeffs) ** 2))
-    kl = -0.5 * float(np.sum(1.0 + log_var - mu * mu - np.exp(log_var)))
-    return recon + kl_weight * kl
+    mu, log_var = _encode(tape, params, tensors, tape.constant(a.flat().reshape(1, -1)))
+    recon = _decode(tape, params, tensors, _reparameterize(tape, mu, log_var, noise))
+    coeffs = DctCoeffs(coeffs=recon.values.reshape(params.coeff_rows, params.coeff_cols),
+                       original_length=params.original_length)
+    return idct_decode(coeffs, params.original_length)
 
 
 def masked_fuse(s_m: MotionSequence, s_n: MotionSequence, mask: BodyMask,
@@ -264,13 +203,10 @@ def synthesize_composite(params: VaeParams, s_m: MotionSequence, s_n: MotionSequ
     standard-normal vector drives the reparameterized draw.
     """
     fused = masked_fuse(s_m, s_n, mask, n_coeffs)
-    _check_coeffs(params, fused)
-    mu, log_var = vae_encode(params, fused)
-    if noise is None:
-        noise = np.zeros(params.latent_dim)
-    sample = reparameterize(mu, log_var, noise)
-    coeffs = vae_decode(params, sample.z)
-    data = idct_decode(coeffs, params.original_length)
+    noise = np.zeros(params.latent_dim) if noise is None else np.asarray(noise, dtype=np.float64)
+    if noise.size != params.latent_dim:
+        raise ShapeError(f"noise size {noise.size} != latent_dim {params.latent_dim}")
+    data = _reconstruct(params, fused, noise)
     if s_m.fps != s_n.fps:
         raise ValueError(f"fps differ: {s_m.fps} vs {s_n.fps}")
     return MotionSequence(data=data, fps=s_m.fps, label=f"{s_m.label}+{s_n.label}")
@@ -372,9 +308,7 @@ def reconstruction_mpjpe(params: VaeParams, dataset: list[MotionSequence],
     n_coeffs = n_coeffs if n_coeffs is not None else params.coeff_rows
     errors = []
     for seq in dataset:
-        a = dct_encode(seq.data, n_coeffs)
-        mu, _ = vae_encode(params, a)
-        recon = idct_decode(vae_decode(params, mu), params.original_length)
+        recon = _reconstruct(params, dct_encode(seq.data, n_coeffs), np.zeros(params.latent_dim))
         diff = (recon - seq.data).reshape(seq.frames, -1, 3)
         errors.append(float(np.linalg.norm(diff, axis=2).mean()))
     return float(np.mean(errors))

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+
+import numpy as np
 import pytest
 
 from moticomp.cli import dispatch
-from moticomp.datagen import default_manifest, load_split, manifest_to_json
+from moticomp.datagen import default_manifest, load_split, manifest_to_json, save_checkpoint
+from moticomp.motion import PartLayout
+from moticomp.predictor import PredictorConfig
+from moticomp.training import init_predictor_model
 
 
 @pytest.fixture()
@@ -48,6 +53,26 @@ def test_missing_input_exits_two(tmp_path):
     code = dispatch(["eval", "--model", str(tmp_path / "nope.json"),
                      "--data", str(tmp_path)])
     assert code == 2
+
+
+def test_eval_malformed_checkpoint_exits_two_with_named_error(tiny_manifest, tmp_path,
+                                                              capsys):
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
+    layout = PartLayout.from_skeleton(default_manifest().skeleton)
+    model = init_predictor_model(np.random.default_rng(0), layout,
+                                 PredictorConfig(feature_width=8, policy_hidden=4))
+    path = tmp_path / "pred.json"
+    save_checkpoint(path, model)
+    doc = json.loads(path.read_text())
+    del doc["config"]["heads"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["eval", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed checkpoint: missing key 'heads'" in err
+    assert "Traceback" not in err
 
 
 def test_gen_data_idempotent_except_timestamp(tiny_manifest, tmp_path):

@@ -13,6 +13,8 @@ from moticomp.dct import dct_encode
 from moticomp.errors import (CheckpointError, ConfigError, ManifestError,
                              ParseError)
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout
+from moticomp.predictor import PredictorConfig
+from moticomp.training import init_predictor_model
 from moticomp.vae import BodyMask, CagTrainConfig, masked_fuse, train_cag, \
     synthesize_composite
 
@@ -203,6 +205,54 @@ class TestCheckpoints:
             load_checkpoint(path)
 
 
+def saved_predictor(path):
+    """Write a small predictor checkpoint and return its JSON document."""
+    layout = PartLayout.from_skeleton(default_manifest().skeleton)
+    config = PredictorConfig(feature_width=8, heads=2, n_blocks=2, layers_per_block=2,
+                             attention_every=2, policy_hidden=4, query_dim=4)
+    save_checkpoint(path, init_predictor_model(np.random.default_rng(0), layout, config))
+    return json.loads(path.read_text())
+
+
+class TestPredictorCheckpointErrors:
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PredictorConfig)])
+    def test_missing_config_key(self, tmp_path, key):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        del doc["config"][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [("heads", "2"), ("heads", 2.0),
+                                           ("n_coeffs", True), ("coeff_scale", None),
+                                           ("zero_output_decoders", 1)])
+    def test_ill_typed_config_key(self, tmp_path, key, value):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"'{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tensor(self, tmp_path, bad):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        doc["tensors"][3]["values"][0] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_round_trip_keeps_config(self, tmp_path):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        loaded = load_checkpoint(path)
+        assert list(doc["config"])[:-2] == [f.name for f in dataclasses.fields(PredictorConfig)]
+        assert dataclasses.asdict(loaded.params.config) == {
+            k: v for k, v in doc["config"].items() if not k.endswith("_dims")}
+
+
 class TestBuildDataset:
     def test_default_split_composition(self):
         man = default_manifest()
@@ -238,6 +288,18 @@ class TestBuildDataset:
         del doc["fps"]
         with pytest.raises(ManifestError, match="missing"):
             manifest_from_json(json.dumps(doc))
+
+    def test_action_missing_keys_named(self):
+        doc = json.loads(manifest_to_json(default_manifest()))
+        del doc["actions"][1]["phase"]
+        del doc["actions"][1]["drift"]
+        with pytest.raises(ManifestError, match=r"'nod' lacks keys: \['drift', 'phase'\]"):
+            manifest_from_json(json.dumps(doc))
+
+    def test_action_noise_std_defaults_to_zero(self):
+        doc = json.loads(manifest_to_json(default_manifest()))
+        del doc["actions"][0]["noise_std"]
+        assert manifest_from_json(json.dumps(doc)).actions[0].noise_std == 0.0
 
     def test_overlapping_seed_ranges_rejected(self):
         man = default_manifest()

@@ -2,37 +2,50 @@ import numpy as np
 import pytest
 
 from moticomp.autodiff import Tape
-from moticomp.errors import ConfigError, ShapeError
-from moticomp.exits import (ExitDecision, FlopsReport, TendencyStats, branch_exit_macs, count_flops,
-                            gc_layer_macs, gumbel_softmax_st, init_policy,
-                            policy_forward, tendency_counts, tendency_loss,
-                            _policy_forward)
+from moticomp.errors import ConfigError, NumericError, ShapeError
+from moticomp.exits import (SOFT_VAR_EPS, FlopsReport, _gumbel_softmax_st, _policy_forward,
+                            _tendency_loss_soft, branch_exit_macs, count_flops,
+                            gc_layer_macs, init_policy)
 from moticomp.layers import bind
-from moticomp.motion import LOWER, UPPER, PartLayout, Skeleton
+from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import PredictorConfig, _branch_encode, init_predictor
+from moticomp.training import TrainConfig, init_predictor_model, train_predictor
+
+
+def toy_layout():
+    sk = Skeleton(parent=(0, 0, 0, 2), part_of=(LOWER, LOWER, UPPER, UPPER))
+    return PartLayout.from_skeleton(sk)
+
+
+def toy_config():
+    return PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
+                           heads=2, policy_hidden=6, query_dim=5, coeff_scale=10.0)
 
 
 def toy_predictor(seed=0):
-    sk = Skeleton(parent=(0, 0, 0, 2), part_of=(LOWER, LOWER, UPPER, UPPER))
-    layout = PartLayout.from_skeleton(sk)
-    config = PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
-                             heads=2, policy_hidden=6, query_dim=5,
-                             coeff_scale=10.0)
-    return init_predictor(np.random.default_rng(seed), layout, config)
+    return init_predictor(np.random.default_rng(seed), toy_layout(), toy_config())
+
+
+def policy_logits(params, x):
+    """Exit logits (D,) of one policy on features x, through the training forward."""
+    tape = Tape()
+    tensors = bind(tape, {f"p.{k}": v for k, v in params.named_parameters().items()},
+                   trainable=False)
+    return _policy_forward(tape, tensors, "p", tape.constant(x)).values.reshape(-1)
 
 
 class TestPolicyForward:
     def test_zero_head_gives_zero_logits(self):
         params = init_policy(np.random.default_rng(0), 8, 6, 3)
         x = np.random.default_rng(1).normal(size=(5, 8))
-        assert np.array_equal(policy_forward(params, x), np.zeros(3))
+        assert np.array_equal(policy_logits(params, x), np.zeros(3))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         params = init_policy(rng, 8, 6, 3)
         params.w2[:] = rng.normal(size=params.w2.shape)
         x = rng.normal(size=(5, 8))
-        assert np.array_equal(policy_forward(params, x), policy_forward(params, x))
+        assert np.array_equal(policy_logits(params, x), policy_logits(params, x))
 
     def test_matches_hand_rolled_mlp(self):
         rng = np.random.default_rng(3)
@@ -42,48 +55,57 @@ class TestPolicyForward:
         x = rng.normal(size=(6, 4))
         pooled = x.mean(axis=0, keepdims=True)
         expected = np.tanh(pooled @ params.w1 + params.b1) @ params.w2 + params.b2
-        assert np.allclose(policy_forward(params, x), expected.reshape(-1), atol=1e-12)
+        assert np.allclose(policy_logits(params, x), expected.reshape(-1), atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         params = init_policy(np.random.default_rng(4), 8, 6, 3)
         with pytest.raises(ShapeError):
-            policy_forward(params, np.zeros((5, 7)))
+            policy_logits(params, np.zeros((5, 7)))
+
+
+def draw(logits, temperature, noise):
+    """(hard, soft) rows of one straight-through draw."""
+    tape = Tape()
+    hard, soft = _gumbel_softmax_st(tape, tape.constant(np.reshape(logits, (1, -1))),
+                                    temperature, noise)
+    return hard.values.reshape(-1), soft.values.reshape(-1)
 
 
 class TestGumbelSoftmaxSt:
     def test_dominant_logit_selected(self):
-        decision = gumbel_softmax_st(np.array([10.0, 0.0, 0.0]), 1.0, np.zeros(3))
-        assert np.array_equal(decision.b, [1.0, 0.0, 0.0])
-        assert decision.exit_index == 1
+        hard, _ = draw(np.array([10.0, 0.0, 0.0]), 1.0, np.zeros(3))
+        assert np.array_equal(hard, [1.0, 0.0, 0.0])
+        assert int(np.argmax(hard)) + 1 == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        decision = gumbel_softmax_st(np.zeros(4), 1.0, np.zeros(4))
-        assert np.array_equal(decision.b, [1.0, 0.0, 0.0, 0.0])
+        hard, _ = draw(np.zeros(4), 1.0, np.zeros(4))
+        assert np.array_equal(hard, [1.0, 0.0, 0.0, 0.0])
 
     def test_noise_moves_selection(self):
         noise = np.array([0.0, 5.0, 0.0])
-        decision = gumbel_softmax_st(np.zeros(3), 1.0, noise)
-        assert decision.exit_index == 2
+        hard, _ = draw(np.zeros(3), 1.0, noise)
+        assert int(np.argmax(hard)) + 1 == 2
 
     def test_non_positive_temperature_rejected(self):
         with pytest.raises(ConfigError):
-            gumbel_softmax_st(np.zeros(3), 0.0, np.zeros(3))
+            draw(np.zeros(3), 0.0, np.zeros(3))
 
     def test_always_one_hot(self):
         rng = np.random.default_rng(5)
         for _ in range(10_000):
             logits = rng.normal(scale=3.0, size=4)
             noise = rng.gumbel(size=4)
-            decision = gumbel_softmax_st(logits, 1.0, noise)
-            assert decision.b.sum() == 1.0
-            assert np.all((decision.b == 0.0) | (decision.b == 1.0))
+            hard, soft = draw(logits, 1.0, noise)
+            assert hard.sum() == 1.0
+            assert np.all((hard == 0.0) | (hard == 1.0))
+            assert hard[int(np.argmax(soft))] == 1.0
 
     def test_temperature_limit_sharpens_soft(self):
         rng = np.random.default_rng(6)
         logits = rng.normal(size=5)
         noise = rng.gumbel(size=5)
-        decision = gumbel_softmax_st(logits, 1e-3, noise)
-        assert np.abs(decision.soft - decision.b).max() < 1e-6
+        hard, soft = draw(logits, 1e-3, noise)
+        assert np.abs(soft - hard).max() < 1e-6
 
     def test_selection_frequencies_near_uniform(self):
         rng = np.random.default_rng(7)
@@ -103,7 +125,6 @@ class TestGumbelSoftmaxSt:
         noise = rng.gumbel(size=(1, 3))
 
         def grads(hard_path: bool) -> np.ndarray:
-            from moticomp.exits import _gumbel_softmax_st
             tape = Tape()
             x = tape.leaf(logits, requires_grad=True)
             b, soft = _gumbel_softmax_st(tape, x, 1.0, noise)
@@ -115,72 +136,79 @@ class TestGumbelSoftmaxSt:
         assert np.array_equal(grads(True), grads(False))
 
 
-class TestTendency:
-    def make_decisions(self, indices, n_exits=3):
-        out = []
-        for idx in indices:
-            soft = np.full(n_exits, 0.1)
-            soft[idx] = 1.0
-            soft /= soft.sum()
-            b = np.zeros(n_exits)
-            b[idx] = 1.0
-            out.append(ExitDecision(b=b, soft=soft, temperature=1.0))
-        return out
+def forced_exit_counts(exits, n_train=6):
+    """Exit tallies of one training epoch whose branch policies always pick `exits`."""
+    rng = np.random.default_rng(20)
+    layout = toy_layout()
+    model = init_predictor_model(rng, layout, toy_config())
+    for policy, d in zip(model.policies, exits):
+        policy.b2[0, d - 1] = 1e3  # no Gumbel draw outweighs this logit margin
+    train = [MotionSequence(data=rng.normal(scale=10.0, size=(12, layout.size)),
+                            fps=10.0, label="a") for _ in range(n_train)]
+    config = TrainConfig(input_frames=8, output_frames=4, epochs=1, constrain_epochs=1,
+                         batch_size=3, seed=0)
+    return train_predictor(model, train, [], config).history[0].exit_counts
 
+
+def soft_tendency(counts, w_tendency=1.0):
+    tape = Tape()
+    tally = tape.constant(np.asarray(counts, dtype=np.float64).reshape(1, -1))
+    return _tendency_loss_soft(tape, tally, w_tendency).item()
+
+
+def closed_form_tendency(counts, w_tendency=1.0):
+    """w * sqrt(var + eps) / mean, with the population variance."""
+    counts = np.asarray(counts, dtype=np.float64)
+    mean = counts.mean()
+    return w_tendency * np.sqrt(((counts - mean) ** 2).mean() + SOFT_VAR_EPS) / mean
+
+
+class TestTendency:
     def test_all_first_exit(self):
-        batch, branches = 10, 3
-        decisions = self.make_decisions([0] * (batch * branches))
-        stats = tendency_counts(decisions)
-        assert np.array_equal(stats.counts, [30, 0, 0])
+        assert forced_exit_counts((1, 1, 1)) == (18, 0, 0)
 
     def test_balanced_counts(self):
-        decisions = self.make_decisions([0, 1, 2] * 5)
-        stats = tendency_counts(decisions)
-        assert np.array_equal(stats.counts, [5, 5, 5])
+        assert forced_exit_counts((1, 2, 3)) == (6, 6, 6)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(9)
-        indices = list(rng.integers(0, 3, size=200))
-        stats = tendency_counts(self.make_decisions(indices))
-        expected = [indices.count(d) for d in range(3)]
-        assert np.array_equal(stats.counts, expected)
-        assert stats.counts.sum() == 200
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            tendency_counts([])
+        for _ in range(4):
+            exits = tuple(int(d) for d in rng.integers(1, 4, size=3))
+            counts = forced_exit_counts(exits)
+            assert counts == tuple(6 * exits.count(d) for d in (1, 2, 3))
+            assert sum(counts) == 18
 
     def test_loss_zero_iff_equal(self):
-        assert tendency_loss(TendencyStats(counts=[10, 10, 10])) == 0.0
+        # zero up to the SOFT_VAR_EPS floor w * sqrt(eps) / mean, reached only at balance
+        assert soft_tendency([10, 10, 10]) == pytest.approx(
+            closed_form_tendency([10, 10, 10]), rel=1e-12)
         rng = np.random.default_rng(10)
         for _ in range(50):
             counts = rng.integers(0, 40, size=3)
             if counts.sum() == 0:
                 continue
-            loss = tendency_loss(TendencyStats(counts=counts))
+            loss = soft_tendency(counts)
+            floor = np.sqrt(SOFT_VAR_EPS) / counts.mean()
             if counts[0] == counts[1] == counts[2]:
-                assert loss == 0.0
+                assert loss == pytest.approx(floor, rel=1e-12)
             else:
-                assert loss > 0.0
+                assert loss > floor
 
     def test_concentrated_counts_closed_form(self):
-        # counts (3B, 0, 0): population std 10*sqrt(2) at B=10, mean 10, CV sqrt(2)
-        stats = TendencyStats(counts=[30, 0, 0], w_tendency=1.0)
-        assert tendency_loss(stats) == pytest.approx(np.sqrt(2.0), abs=1e-12)
-        stats_w = TendencyStats(counts=[30, 0, 0], w_tendency=0.5)
-        assert tendency_loss(stats_w) == pytest.approx(0.5 * np.sqrt(2.0), abs=1e-12)
+        # counts (3B, 0, 0): population variance 200 at B=10, mean 10, CV ~ sqrt(2)
+        expected = np.sqrt(200.0 + SOFT_VAR_EPS) / 10.0
+        assert soft_tendency([30, 0, 0], 1.0) == pytest.approx(expected, abs=1e-12)
+        assert soft_tendency([30, 0, 0], 0.5) == pytest.approx(0.5 * expected, abs=1e-12)
 
     def test_matches_spreadsheet_cv(self):
         rng = np.random.default_rng(11)
         counts = rng.integers(1, 50, size=4)
-        mean = counts.mean()
-        std = np.sqrt(((counts - mean) ** 2).mean())
-        stats = TendencyStats(counts=counts, w_tendency=0.5)
-        assert tendency_loss(stats) == pytest.approx(0.5 * std / mean, rel=1e-12)
+        assert soft_tendency(counts, 0.5) == pytest.approx(
+            closed_form_tendency(counts, 0.5), rel=1e-12)
 
     def test_all_zero_counts_rejected(self):
-        with pytest.raises(ValueError):
-            tendency_loss(TendencyStats(counts=[0, 0, 0]))
+        with pytest.raises(NumericError):
+            soft_tendency([0, 0, 0])
 
 
 class TestFlops:

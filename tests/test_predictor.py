@@ -7,10 +7,10 @@ from moticomp.errors import ConfigError, ShapeError
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (AttentionParams, GcLayer, MotionAttentionParams,
-                                PredictorConfig, _forward_core,
-                                branch_forward_to_exit, gc_layer_forward,
-                                init_predictor, motion_attention, pad_last_frame,
-                                paper_scale_config, predict, self_attention)
+                                PredictorConfig, _branch_encode, _branch_tail,
+                                _forward_core, _gc_layer, _motion_attention,
+                                _self_attention, init_predictor, pad_last_frame,
+                                paper_scale_config, predict)
 from moticomp.training import zero_velocity_baseline
 
 
@@ -28,6 +28,12 @@ def toy_config(**overrides):
 def toy_params(seed=0, **overrides):
     layout = PartLayout.from_skeleton(toy_skeleton())
     return init_predictor(np.random.default_rng(seed), layout, toy_config(**overrides))
+
+
+def gc_layer_forward(h, layer):
+    tape = Tape()
+    return _gc_layer(tape, tape.constant(h), tape.constant(layer.adjacency),
+                     tape.constant(layer.weight)).values
 
 
 class TestGcLayer:
@@ -61,6 +67,12 @@ class TestGcLayer:
     def test_adjacency_must_be_square(self):
         with pytest.raises(ShapeError):
             GcLayer(adjacency=np.zeros((3, 4)), weight=np.zeros((5, 5)))
+
+
+def self_attention(h, heads, params):
+    tape = Tape()
+    tensors = {f"a.{k}": tape.constant(getattr(params, k)) for k in ("wq", "wk", "wv", "wo")}
+    return _self_attention(tape, tape.constant(h), tensors, "a", heads).values
 
 
 class TestSelfAttention:
@@ -110,7 +122,13 @@ class TestSelfAttention:
         rng = np.random.default_rng(7)
         params = self.make_params(rng, 4, 2)
         with pytest.raises(ConfigError):
-            self_attention(rng.normal(size=(3, 4)), 4, params)
+            self_attention(rng.normal(size=(3, 4)), 3, params)
+
+
+def motion_attention(params, history, sub_len, n_coeffs, out_frames):
+    tape = Tape()
+    return _motion_attention(tape, tape.constant(params.wq), tape.constant(params.wk),
+                             history.data, sub_len, out_frames, n_coeffs).values
 
 
 class TestMotionAttention:
@@ -130,7 +148,7 @@ class TestMotionAttention:
                            for i in range(n_windows)])
         padded = pad_last_frame(history, t_out)
         expected = dct_encode(padded, n_coeffs).coeffs + values.mean(axis=0)
-        assert np.allclose(out.coeffs, expected, atol=1e-9)
+        assert np.allclose(out, expected, atol=1e-9)
 
     def test_single_window_weight_is_one(self):
         rng = np.random.default_rng(9)
@@ -141,7 +159,7 @@ class TestMotionAttention:
         out = motion_attention(params, seq, sub_len, n_coeffs, t_out)
         value = dct_encode(history[0:sub_len + t_out], n_coeffs).coeffs
         padded_dct = dct_encode(pad_last_frame(history, t_out), n_coeffs).coeffs
-        assert np.allclose(out.coeffs, padded_dct + value, atol=1e-12)
+        assert np.allclose(out, padded_dct + value, atol=1e-12)
 
     def test_weights_match_hand_computed_softmax(self):
         rng = np.random.default_rng(10)
@@ -160,7 +178,7 @@ class TestMotionAttention:
                     + np.tensordot(weights, values, axes=1))
         seq = MotionSequence(data=history, fps=10.0, label="w")
         out = motion_attention(params, seq, sub_len, n_coeffs, t_out)
-        assert np.allclose(out.coeffs, expected, atol=1e-10)
+        assert np.allclose(out, expected, atol=1e-10)
 
     def test_history_too_short_rejected(self):
         rng = np.random.default_rng(11)
@@ -170,15 +188,23 @@ class TestMotionAttention:
             motion_attention(params, seq, 4, 4, 4)
 
 
+def branch_forward_to_exit(params, branch, x, exit_index):
+    """Encode x, run the first exit_index blocks and decode, as training does."""
+    tape = Tape()
+    tensors = bind(tape, params.named_parameters(), trainable=False)
+    encoded = _branch_encode(tape, tensors, branch.kind, tape.constant(x))
+    return _branch_tail(tape, branch, tensors, encoded, exit_index).values
+
+
 class TestBranchForward:
     def test_full_depth_equals_exit_three(self):
         params = toy_params(seed=12, zero_output_decoders=False)
         branch = params.branches[2]
         rng = np.random.default_rng(13)
         x = rng.normal(size=(branch.node_count, params.config.resolved_n_coeffs))
-        full = branch_forward_to_exit(branch, x, 3)
+        full = branch_forward_to_exit(params, branch, x, 3)
         # run the blocks manually through exit 3: must be the same computation
-        again = branch_forward_to_exit(branch, x, 3)
+        again = branch_forward_to_exit(params, branch, x, 3)
         assert np.array_equal(full, again)
 
     def test_exit_skips_later_blocks(self):
@@ -186,12 +212,12 @@ class TestBranchForward:
         branch = params.branches[0]
         rng = np.random.default_rng(15)
         x = rng.normal(size=(branch.node_count, params.config.resolved_n_coeffs))
-        before = branch_forward_to_exit(branch, x, 2)
+        before = branch_forward_to_exit(params, branch, x, 2)
         # wreck block 3; exits 1 and 2 must not notice
         for layer in branch.blocks[2].layers:
             layer.adjacency[:] = 1e9
             layer.weight[:] = -1e9
-        after = branch_forward_to_exit(branch, x, 2)
+        after = branch_forward_to_exit(params, branch, x, 2)
         assert np.array_equal(before, after)
 
     def test_zero_input_zero_decoder_gives_zero_everywhere(self):
@@ -199,7 +225,7 @@ class TestBranchForward:
         branch = params.branches[1]
         x = np.zeros((branch.node_count, params.config.resolved_n_coeffs))
         for d in (1, 2, 3):
-            assert np.array_equal(branch_forward_to_exit(branch, x, d),
+            assert np.array_equal(branch_forward_to_exit(params, branch, x, d),
                                   np.zeros_like(x))
 
     def test_exit_out_of_range(self):
@@ -208,7 +234,7 @@ class TestBranchForward:
         x = np.zeros((branch.node_count, params.config.resolved_n_coeffs))
         for bad in (0, 4):
             with pytest.raises(ValueError):
-                branch_forward_to_exit(branch, x, bad)
+                branch_forward_to_exit(params, branch, x, bad)
 
     def test_strictly_fewer_macs_at_shallow_exit(self):
         from moticomp.exits import branch_exit_macs

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from moticomp.autodiff import Tape
 from moticomp.errors import ConfigError, ShapeError
-from moticomp.exits import TendencyStats
+from moticomp.exits import _policy_forward
+from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
-from moticomp.predictor import PredictorConfig
+from moticomp.predictor import PredictorConfig, _branch_encode, _prepare_branch_inputs
 from moticomp.training import (AdamState, TrainConfig, adam_step, evaluate,
                                init_predictor_model, mpjpe_loss, mpjpe_metric,
-                               routed_prediction, total_loss, train_predictor,
+                               routed_prediction, train_predictor,
                                zero_velocity_baseline)
 
 
@@ -73,24 +75,6 @@ class TestMpjpeMetric:
         assert mpjpe_loss(pred, gt) == pytest.approx(1.0, abs=1e-15)
         for f in range(4):
             assert mpjpe_metric(pred, gt, f) == pytest.approx(1.0, abs=1e-15)
-
-
-class TestTotalLoss:
-    def test_perfect_and_balanced(self):
-        x = np.zeros((3, 6))
-        stats = TendencyStats(counts=[4, 4, 4], w_tendency=1.0)
-        assert total_loss(x, x, stats, in_constraint_phase=True) == 0.0
-
-    def test_constraint_off_equals_mpjpe(self):
-        rng = np.random.default_rng(4)
-        pred, gt = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
-        stats = TendencyStats(counts=[12, 0, 0], w_tendency=1.0)
-        assert total_loss(pred, gt, stats, False) == mpjpe_loss(pred, gt)
-
-    def test_constraint_on_adds_cv(self):
-        x = np.zeros((3, 6))
-        stats = TendencyStats(counts=[30, 0, 0], w_tendency=1.0)
-        assert total_loss(x, x, stats, True) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 class TestAdam:
@@ -209,6 +193,26 @@ class TestTrainPredictor:
             train_predictor(model, [], val, tiny_train_config())
 
 
+class TestTotalLoss:
+    """The balance term joins the objective only in the constraint epochs."""
+
+    def test_constraint_on_adds_cv(self):
+        model, _, _, train, val = tiny_setup(seed=10)
+        result = train_predictor(model, train, val, tiny_train_config())
+        assert result.history[0].tendency > 0.0
+
+    def test_constraint_off_equals_mpjpe(self):
+        model, _, _, train, val = tiny_setup(seed=10)
+        result = train_predictor(model, train, val, tiny_train_config())
+        assert result.history[1].tendency == 0.0
+
+    def test_zero_weight_disables_tendency(self):
+        model, _, _, train, val = tiny_setup(seed=11)
+        config = tiny_train_config(epochs=3, constrain_epochs=3, w_tendency=0.0)
+        result = train_predictor(model, train, val, config)
+        assert [rec.tendency for rec in result.history] == [0.0, 0.0, 0.0]
+
+
 class TestBaselineAndEvaluate:
     def test_baseline_on_static_history(self):
         hist = MotionSequence(data=np.tile([1.0, 2, 3, 4, 5, 6], (5, 1)), fps=10,
@@ -255,3 +259,22 @@ class TestBaselineAndEvaluate:
         pred, exits = routed_prediction(model, hist)
         assert pred.data.shape == (12, model.params.layout.size)
         assert all(1 <= d <= config.n_blocks for d in exits)
+
+    def test_routed_exits_are_policy_argmax(self):
+        model, _, config, _, val = tiny_setup(seed=8)
+        rng = np.random.default_rng(30)
+        for policy in model.policies:
+            policy.w2[:] = rng.normal(size=policy.w2.shape)
+            policy.b2[:] = rng.normal(scale=0.1, size=policy.b2.shape)
+        for seq in val:
+            hist = MotionSequence(data=seq.data[:8], fps=10.0, label="x")
+            tape = Tape()
+            tensors = bind(tape, model.named_parameters(), trainable=False)
+            inputs = _prepare_branch_inputs(tape, model.params, tensors, hist.data)
+            expected = []
+            for branch in model.params.branches:
+                encoded = _branch_encode(tape, tensors, branch.kind, inputs[branch.kind])
+                logits = _policy_forward(tape, tensors, f"policy.{branch.kind}", encoded)
+                expected.append(int(np.argmax(logits.values)) + 1)
+            _, exits = routed_prediction(model, hist)
+            assert exits == tuple(expected)

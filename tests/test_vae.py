@@ -6,10 +6,9 @@ from moticomp.dct import DctCoeffs, dct_encode
 from moticomp.errors import ShapeError
 from moticomp.layers import bind
 from moticomp.motion import MotionSequence, PartLayout, Skeleton
-from moticomp.vae import (BodyMask, CagTrainConfig, _elbo, _encode,
-                          _reparameterize, elbo_loss, init_vae, masked_fuse,
-                          reparameterize, synthesize_composite, train_cag,
-                          vae_decode, vae_encode)
+from moticomp.vae import (BodyMask, CagTrainConfig, _decode, _elbo, _encode,
+                          _reparameterize, init_vae, masked_fuse,
+                          synthesize_composite, train_cag)
 
 F, COLS, LENGTH, LATENT = 4, 6, 8, 3
 
@@ -27,6 +26,20 @@ def small_params(rng, zero_encoder_head=False, zero_decoder=False):
 
 def random_coeffs(rng):
     return DctCoeffs(coeffs=rng.normal(size=(F, COLS)), original_length=LENGTH)
+
+
+def vae_encode(params, a):
+    tape = Tape()
+    tensors = bind(tape, params.named_parameters(), trainable=False)
+    mu, log_var = _encode(tape, params, tensors, tape.constant(a.flat().reshape(1, -1)))
+    return mu.values.reshape(-1), log_var.values.reshape(-1)
+
+
+def vae_decode(params, z):
+    tape = Tape()
+    tensors = bind(tape, params.named_parameters(), trainable=False)
+    out = _decode(tape, params, tensors, tape.constant(z.reshape(1, -1)))
+    return out.values.reshape(F, COLS)
 
 
 class TestEncodeDecode:
@@ -64,7 +77,7 @@ class TestEncodeDecode:
         params = small_params(rng, zero_decoder=True)
         bias = params.decoder[-1].b.reshape(F, COLS)
         out = vae_decode(params, rng.normal(size=LATENT))
-        assert np.array_equal(out.coeffs, bias)  # identity normalization by default
+        assert np.array_equal(out, bias)  # identity normalization by default
 
     def test_decode_matches_hand_rolled_trace(self):
         rng = np.random.default_rng(4)
@@ -75,27 +88,31 @@ class TestEncodeDecode:
         h = h @ params.decoder[1].w + params.decoder[1].b
         h = h * params.input_scale + params.input_offset
         out = vae_decode(params, z)
-        assert np.allclose(out.coeffs, h.reshape(F, COLS), atol=1e-12)
+        assert np.allclose(out, h.reshape(F, COLS), atol=1e-12)
 
     def test_encode_rejects_wrong_shape(self):
         rng = np.random.default_rng(5)
         params = small_params(rng)
-        bad = DctCoeffs(coeffs=np.zeros((F + 1, COLS)), original_length=LENGTH)
+        s_m, s_n = make_sequences(rng, 2)
         with pytest.raises(ShapeError):
-            vae_encode(params, bad)
+            synthesize_composite(params, s_m, s_n, BodyMask(m=np.ones(COLS)), F + 1)
+
+
+def reparameterize(mu, log_var, noise):
+    tape = Tape()
+    return _reparameterize(tape, tape.constant(mu.reshape(1, -1)),
+                           tape.constant(log_var.reshape(1, -1)), noise).values.reshape(-1)
 
 
 class TestReparameterize:
     def test_zero_noise_returns_mean(self):
         mu = np.array([1.0, -2.0, 3.0])
-        sample = reparameterize(mu, np.zeros(3), np.zeros(3))
-        assert np.array_equal(sample.z, mu)
+        assert np.array_equal(reparameterize(mu, np.zeros(3), np.zeros(3)), mu)
 
     def test_unit_sigma_adds_noise(self):
         mu = np.array([1.0, 2.0])
         noise = np.array([0.5, -0.25])
-        sample = reparameterize(mu, np.zeros(2), noise)
-        assert np.array_equal(sample.z, mu + noise)
+        assert np.array_equal(reparameterize(mu, np.zeros(2), noise), mu + noise)
 
     def test_gradient_wrt_log_var(self):
         # d sum(z) / d log_var = 0.5 * exp(log_var / 2) * noise
@@ -115,12 +132,20 @@ class TestReparameterize:
         tape.backward(tape.scale(tape.mean(z), z.size))
         assert np.allclose(lv.grad, 0.5 * np.exp(point / 2.0) * noise, atol=1e-12)
 
-    def test_identity_enforced(self):
-        with pytest.raises(ValueError):
-            # z inconsistent with mu/log_var/noise
-            from moticomp.vae import LatentSample
-            LatentSample(mu=np.zeros(2), log_var=np.zeros(2),
-                         z=np.ones(2), noise=np.zeros(2))
+    def test_draw_matches_identity(self):
+        # z = mu + exp(log_var / 2) * noise, bit for bit
+        rng = np.random.default_rng(20)
+        mu, log_var, noise = rng.normal(size=(3, 5))
+        expected = mu + np.exp(log_var / 2.0) * noise
+        assert np.array_equal(reparameterize(mu, log_var, noise), expected)
+
+
+def elbo_loss(a, a_prime, mu, log_var, kl_weight=1.0):
+    tape = Tape()
+    return _elbo(tape, tape.constant(a.flat().reshape(1, -1)),
+                 tape.constant(a_prime.flat().reshape(1, -1)),
+                 tape.constant(mu.reshape(1, -1)), tape.constant(log_var.reshape(1, -1)),
+                 kl_weight).item()
 
 
 class TestElbo:
@@ -176,7 +201,6 @@ class TestElbo:
             x = tape.constant(target)
             mu, log_var = _encode(tape, params, tensors, x)
             z = _reparameterize(tape, mu, log_var, noise)
-            from moticomp.vae import _decode
             recon = _decode(tape, params, tensors, z)
             return _elbo(tape, x, recon, mu, log_var, 1.0)
 
