@@ -15,11 +15,10 @@ from .datagen import (ActionSpec, DatasetManifest, DatasetSplits, build_dataset,
                       generate_atomic, load_checkpoint, load_motion,
                       manifest_from_json, manifest_to_json, save_checkpoint,
                       save_motion)
-from .exits import FlopsReport, PolicyNetParams, count_flops
+from .exits import FlopsReport, count_flops
 from .motion import (MotionSequence, PartLayout, Skeleton, downsample,
                      merge_parts, remove_global_translation, split_parts)
-from .predictor import (Branch, GcBlock, GcLayer, MotionAttentionParams,
-                        PredictorConfig, PredictorParams, init_predictor,
+from .predictor import (PredictorConfig, PredictorParams, init_predictor,
                         paper_scale_config, predict)
 from .training import (AdamState, EvalReport, PredictorModel, TrainConfig,
                        TrainResult, adam_step, evaluate, init_predictor_model,

@@ -28,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError
 from .motion import PartLayout
-from .predictor import PredictorConfig
-from .training import (TrainConfig, evaluate, init_predictor_model,
+from .predictor import BRANCH_KINDS, PredictorConfig
+from .training import (PredictorModel, TrainConfig, evaluate, init_predictor_model,
                        train_predictor)
-from .vae import BodyMask, CagTrainConfig, synthesize_composite, train_cag
+from .vae import BodyMask, CagTrainConfig, VaeParams, synthesize_composite, train_cag
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,6 +151,18 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
+_CHECKPOINT_KINDS = {PredictorModel: "predictor", VaeParams: "cag_vae"}
+
+
+def _load_checkpoint(path: str, expected: type):
+    """load_checkpoint, refusing a checkpoint of another kind than expected."""
+    model = datagen.load_checkpoint(path)
+    if not isinstance(model, expected):
+        raise CheckpointError(f"{path}: expected a {_CHECKPOINT_KINDS[expected]} "
+                              f"checkpoint, found {_CHECKPOINT_KINDS[type(model)]}")
+    return model
+
+
 def _cmd_gen_data(args) -> int:
     manifest = datagen.manifest_from_json(Path(args.manifest).read_text())
     if args.seed is not None:
@@ -189,7 +201,7 @@ def _cmd_train_cag(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    params = datagen.load_checkpoint(args.model)
+    params = _load_checkpoint(args.model, VaeParams)
     manifest = datagen.manifest_from_json(Path(args.manifest).read_text())
     layout = PartLayout.from_skeleton(manifest.skeleton)
     mask = BodyMask.from_layout(layout)
@@ -251,7 +263,7 @@ def _cmd_train_predictor(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = datagen.load_checkpoint(args.model)
+    model = _load_checkpoint(args.model, PredictorModel)
     test_set = datagen.load_split(Path(args.data) / "test")
     horizons = _parse_int_list(args.horizons, "--horizons")
     report = evaluate(model, test_set, horizons)
@@ -267,9 +279,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    model = datagen.load_checkpoint(args.model)
+    model = _load_checkpoint(args.model, PredictorModel)
     from .exits import count_flops  # local import keeps CLI startup light
-    n_branches = len(model.params.branches)
+    n_branches = len(BRANCH_KINDS)
     if args.exits is None:
         exits = (model.params.config.n_blocks,) * n_branches
     else:

@@ -312,6 +312,39 @@ _MANIFEST_KEYS = {"format", "version", "joint_parents", "joint_parts",
 _ACTION_KEYS = {f.name for f in fields(ActionSpec)}
 _REQUIRED_ACTION_KEYS = {f.name for f in fields(ActionSpec) if f.default is MISSING}
 
+# JSON value types accepted for each dataclass field annotation
+_JSON_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float),
+               "bool": (bool,), "str": (str,), "ActionSpec": (dict,)}
+
+
+def _field_types(cls) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls)}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotation: an int passes as a float, a
+    bool as nothing but a bool, a float only if finite; tuple[X, ...] is a list."""
+    if annotation.startswith("tuple["):
+        item = annotation[len("tuple["):-len(", ...]")]
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    return (isinstance(value, _JSON_TYPES[annotation])
+            and isinstance(value, bool) == (annotation == "bool")
+            and not (isinstance(value, float) and not math.isfinite(value)))
+
+
+def _check_types(values: dict, types: dict[str, str], context: str,
+                 error: type[Exception] = TypeError) -> None:
+    """Raise error naming the first key whose value does not fit its annotation."""
+    for key, annotation in types.items():
+        if key in values and not _fits(values[key], annotation):
+            raise error(f"{context} key {key!r} holds {values[key]!r}, expected {annotation}")
+
+
+_SKELETON_TYPES = _field_types(Skeleton)
+_MANIFEST_TYPES = {"joint_parents": _SKELETON_TYPES["parent"],
+                   "joint_parts": _SKELETON_TYPES["part_of"],
+                   **_field_types(DatasetManifest)}
+
 
 def _field_values(obj) -> dict:
     """A dataclass's fields in declaration order, tuples as JSON lists."""
@@ -352,6 +385,7 @@ def manifest_from_json(text: str) -> DatasetManifest:
         raise ManifestError(
             f"unsupported manifest format {doc['format']!r} v{doc['version']!r}"
         )
+    _check_types(doc, _MANIFEST_TYPES, "manifest", ManifestError)
     skeleton = Skeleton(parent=tuple(doc["joint_parents"]),
                         part_of=tuple(doc["joint_parts"]))
     actions = []
@@ -362,6 +396,8 @@ def manifest_from_json(text: str) -> DatasetManifest:
         missing = _REQUIRED_ACTION_KEYS - set(entry)
         if missing:
             raise ManifestError(f"action {entry.get('name')!r} lacks keys: {sorted(missing)}")
+        _check_types(entry, _field_types(ActionSpec), f"action {entry['name']!r}",
+                     ManifestError)
         actions.append(ActionSpec(**{k: tuple(v) if isinstance(v, list) else v
                                      for k, v in entry.items()}))
     scalars = {f.name: doc[f.name] for f in fields(DatasetManifest)
@@ -460,20 +496,10 @@ def _read_tensors(entries) -> dict[str, np.ndarray]:
     return out
 
 
-# JSON value types accepted for each PredictorConfig annotation
-_CONFIG_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float),
-                 "bool": (bool,)}
-
-
 def _predictor_config(config: dict) -> PredictorConfig:
     """The PredictorConfig echoed in a checkpoint; KeyError or TypeError on a bad key."""
     values = {f.name: config[f.name] for f in fields(PredictorConfig)}
-    for f in fields(PredictorConfig):
-        value = values[f.name]
-        if (not isinstance(value, _CONFIG_TYPES[f.type])
-                or isinstance(value, bool) != (f.type == "bool")
-                or isinstance(value, float) and not math.isfinite(value)):
-            raise TypeError(f"config key {f.name!r} holds {value!r}, expected {f.type}")
+    _check_types(values, _field_types(PredictorConfig), "config")
     return PredictorConfig(**values)
 
 
@@ -486,7 +512,7 @@ def save_checkpoint(path, model: VaeParams | PredictorModel) -> None:
             "kind": "cag_vae",
             "config": {
                 "latent_dim": model.latent_dim,
-                "hidden_dims": [lp.fan_out for lp in model.encoder[:-1]],
+                "hidden_dims": model.hidden_dims,
                 "coeff_rows": model.coeff_rows,
                 "coeff_cols": model.coeff_cols,
                 "original_length": model.original_length,

@@ -16,38 +16,21 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .errors import ConfigError
 from .layers import linear
-from .predictor import Branch, PredictorConfig, PredictorParams
+from .predictor import (BRANCH_KINDS, PredictorConfig, PredictorParams,
+                        branch_node_counts)
 
 SOFT_VAR_EPS = 1e-9  # keeps the coefficient of variation differentiable at balance
 
 
-@dataclass
-class PolicyNetParams:
-    """Small MLP from pooled branch features to one logit per exit."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @property
-    def n_exits(self) -> int:
-        return self.w2.shape[1]
-
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-
 def init_policy(rng: np.random.Generator, feature_width: int, hidden: int,
-                n_exits: int) -> PolicyNetParams:
+                n_exits: int) -> dict[str, np.ndarray]:
+    """Small MLP w1, b1, w2, b2 from pooled branch features to one logit per exit."""
     # zero logit head: untrained policies sample exits uniformly
     bound = 1.0 / np.sqrt(feature_width)
-    return PolicyNetParams(
-        w1=rng.uniform(-bound, bound, size=(feature_width, hidden)),
-        b1=np.zeros((1, hidden)),
-        w2=np.zeros((hidden, n_exits)),
-        b2=np.zeros((1, n_exits)),
-    )
+    return {"w1": rng.uniform(-bound, bound, size=(feature_width, hidden)),
+            "b1": np.zeros((1, hidden)),
+            "w2": np.zeros((hidden, n_exits)),
+            "b2": np.zeros((1, n_exits))}
 
 
 def _policy_forward(tape: Tape, tensors: dict[str, Tensor], prefix: str,
@@ -156,9 +139,8 @@ def policy_macs(node_count: int, width: int, hidden: int, n_exits: int) -> int:
     return node_count * width + width * hidden + hidden * n_exits
 
 
-def branch_exit_macs(branch: Branch, config: PredictorConfig) -> tuple[int, ...]:
-    """Cumulative MACs of one branch at each exit depth."""
-    n = branch.node_count
+def branch_exit_macs(n: int, config: PredictorConfig) -> tuple[int, ...]:
+    """Cumulative MACs at each exit depth of one branch of n nodes."""
     f = config.feature_width
     n_coeffs = config.resolved_n_coeffs
     fixed = (n * n_coeffs * f            # input encoder
@@ -172,15 +154,14 @@ def branch_exit_macs(branch: Branch, config: PredictorConfig) -> tuple[int, ...]
 def count_flops(params: PredictorParams, exit_indices: tuple[int, int, int]) -> FlopsReport:
     """Analytic MAC table for every (branch, exit), routed at the given exits."""
     config = params.config
-    names = tuple(b.kind for b in params.branches)
     counts = {}
     distribution = {}
-    for branch, chosen in zip(params.branches, exit_indices):
+    for (kind, n), chosen in zip(branch_node_counts(params.layout).items(), exit_indices):
         if not 1 <= chosen <= config.n_blocks:
             raise ValueError(f"exit index {chosen} outside 1..{config.n_blocks}")
-        counts[branch.kind] = branch_exit_macs(branch, config)
+        counts[kind] = branch_exit_macs(n, config)
         one_hot = [0.0] * config.n_blocks
         one_hot[chosen - 1] = 1.0
-        distribution[branch.kind] = tuple(one_hot)
-    return FlopsReport(branch_names=names, counts=counts,
+        distribution[kind] = tuple(one_hot)
+    return FlopsReport(branch_names=BRANCH_KINDS, counts=counts,
                        exit_distribution=distribution)

@@ -2,37 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tape, Tensor
 
 
-@dataclass
-class LinearParams:
-    """Weight (fan_in, fan_out) and bias (1, fan_out) of one affine layer."""
-
-    w: np.ndarray
-    b: np.ndarray
-
-    @property
-    def fan_in(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def fan_out(self) -> int:
-        return self.w.shape[1]
-
-
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
-                zero: bool = False) -> LinearParams:
-    """Fan-in-scaled uniform init; zero=True gives an all-zero layer."""
+                zero: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Fan-in-scaled uniform weight (fan_in, fan_out) and zero bias (1, fan_out);
+    zero=True gives an all-zero layer."""
     if zero:
-        return LinearParams(w=np.zeros((fan_in, fan_out)), b=np.zeros((1, fan_out)))
+        return np.zeros((fan_in, fan_out)), np.zeros((1, fan_out))
     bound = 1.0 / np.sqrt(fan_in)
-    return LinearParams(w=rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                        b=np.zeros((1, fan_out)))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros((1, fan_out))
 
 
 def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:

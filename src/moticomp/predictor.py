@@ -20,90 +20,10 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .dct import dct_encode, idct_basis
 from .errors import ConfigError, ShapeError
-from .layers import LinearParams, bind, init_linear, linear, sigmoid
+from .layers import bind, init_linear, linear, sigmoid
 from .motion import MotionSequence, PartLayout
 
 BRANCH_KINDS = ("upper", "lower", "whole")
-
-
-@dataclass
-class AttentionParams:
-    """Projection matrices of one multi-head self-attention module."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    heads: int
-
-    def __post_init__(self):
-        f = self.wq.shape[0]
-        for name in ("wq", "wk", "wv", "wo"):
-            if getattr(self, name).shape != (f, f):
-                raise ShapeError("attention projections must be square and equal-sized")
-        if self.heads < 1 or f % self.heads != 0:
-            raise ConfigError(f"feature width {f} not divisible by {self.heads} heads")
-
-
-@dataclass
-class GcLayer:
-    """One graph-conv layer: trainable adjacency (n, n) and weight (F, F_out)."""
-
-    adjacency: np.ndarray
-    weight: np.ndarray
-
-    def __post_init__(self):
-        if self.adjacency.ndim != 2 or self.adjacency.shape[0] != self.adjacency.shape[1]:
-            raise ShapeError(f"adjacency must be square, got {self.adjacency.shape}")
-
-
-@dataclass
-class GcBlock:
-    """A fixed stack of graph-conv layers with attention inserted between them.
-
-    attention_after lists 1-based layer positions; attention[i] runs after
-    layer attention_after[i].
-    """
-
-    layers: list[GcLayer]
-    attention: list[AttentionParams]
-    attention_after: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.attention) != len(self.attention_after):
-            raise ConfigError("one attention module required per insertion point")
-        for pos in self.attention_after:
-            if not 1 <= pos <= len(self.layers):
-                raise ConfigError(f"attention position {pos} outside 1..{len(self.layers)}")
-
-
-@dataclass
-class Branch:
-    kind: str
-    node_count: int
-    input_encoder: LinearParams
-    blocks: list[GcBlock]
-    output_decoder: LinearParams
-
-    def __post_init__(self):
-        if self.kind not in BRANCH_KINDS:
-            raise ConfigError(f"unknown branch kind {self.kind!r}")
-        for block in self.blocks:
-            for layer in block.layers:
-                if layer.adjacency.shape[0] != self.node_count:
-                    raise ShapeError("adjacency size does not match branch node count")
-
-
-@dataclass
-class MotionAttentionParams:
-    """Query/key projections over flattened history sub-sequences."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-
-    def __post_init__(self):
-        if self.wq.shape != self.wk.shape:
-            raise ShapeError("query and key projections must share a shape")
 
 
 def default_sub_len(input_frames: int) -> int:
@@ -168,89 +88,61 @@ def paper_scale_config(**overrides) -> PredictorConfig:
     return PredictorConfig(feature_width=128, **overrides)
 
 
+def branch_node_counts(layout: PartLayout) -> dict[str, int]:
+    """Graph nodes of each branch, one per coordinate of its body part."""
+    return dict(zip(BRANCH_KINDS, (layout.upper_size, layout.lower_size, layout.size)))
+
+
 @dataclass
 class PredictorParams:
-    """All trainable tensors of the three-branch predictor.
+    """All trainable arrays of the three-branch predictor, by name.
 
-    branches are ordered (upper, lower, whole); fusion_raw is the scalar
-    behind the sigmoid-constrained blend of part-assembled and whole-branch
-    outputs.
+    In insertion order, which checkpoints keep, for each kind in BRANCH_KINDS,
+    block k, graph-conv layer i and attention module a (which runs after
+    layer config.attention_positions[a] of its block):
+
+        mattn.wq, mattn.wk                    motion-attention projections
+        {kind}.enc.w, {kind}.enc.b            input encoder
+        {kind}.blk{k}.gc{i}.adj, .wgt         adjacency (nodes, nodes), weight (F, F)
+        {kind}.blk{k}.attn{a}.wq/.wk/.wv/.wo  self-attention projections (F, F)
+        {kind}.dec.w, {kind}.dec.b            output decoder shared by all exits
+        fusion.raw                            scalar behind the sigmoid blend of
+                                              part-assembled and whole-branch outputs
     """
 
-    branches: list[Branch]
-    motion_attention: MotionAttentionParams
-    fusion_raw: np.ndarray
+    arrays: dict[str, np.ndarray]
     layout: PartLayout
     config: PredictorConfig
 
-    def __post_init__(self):
-        kinds = tuple(b.kind for b in self.branches)
-        if kinds != BRANCH_KINDS:
-            raise ConfigError(f"branches must be ordered {BRANCH_KINDS}, got {kinds}")
-        up, lo, wh = (b.node_count for b in self.branches)
-        if up + lo != wh:
-            raise ShapeError(f"part node counts {up}+{lo} != whole {wh}")
-        if (up, lo) != (self.layout.upper_size, self.layout.lower_size):
-            raise ShapeError("branch node counts do not match the part layout")
-
     @property
     def fusion_weight(self) -> float:
-        return float(1.0 / (1.0 + np.exp(-self.fusion_raw.reshape(()))))
+        return float(1.0 / (1.0 + np.exp(-self.arrays["fusion.raw"].reshape(()))))
 
     def named_parameters(self) -> dict[str, np.ndarray]:
-        out = {"mattn.wq": self.motion_attention.wq,
-               "mattn.wk": self.motion_attention.wk}
-        for branch in self.branches:
-            p = branch.kind
-            out[f"{p}.enc.w"] = branch.input_encoder.w
-            out[f"{p}.enc.b"] = branch.input_encoder.b
-            for k, block in enumerate(branch.blocks):
-                for i, layer in enumerate(block.layers):
-                    out[f"{p}.blk{k}.gc{i}.adj"] = layer.adjacency
-                    out[f"{p}.blk{k}.gc{i}.wgt"] = layer.weight
-                for a, attn in enumerate(block.attention):
-                    out[f"{p}.blk{k}.attn{a}.wq"] = attn.wq
-                    out[f"{p}.blk{k}.attn{a}.wk"] = attn.wk
-                    out[f"{p}.blk{k}.attn{a}.wv"] = attn.wv
-                    out[f"{p}.blk{k}.attn{a}.wo"] = attn.wo
-            out[f"{p}.dec.w"] = branch.output_decoder.w
-            out[f"{p}.dec.b"] = branch.output_decoder.b
-        out["fusion.raw"] = self.fusion_raw
-        return out
-
-
-def _init_attention(rng: np.random.Generator, width: int, heads: int) -> AttentionParams:
-    bound = 1.0 / np.sqrt(width)
-    def mat():
-        return rng.uniform(-bound, bound, size=(width, width))
-    return AttentionParams(wq=mat(), wk=mat(), wv=mat(), wo=mat(), heads=heads)
+        return self.arrays
 
 
 def _init_branch(rng: np.random.Generator, kind: str, node_count: int,
-                 config: PredictorConfig) -> Branch:
+                 config: PredictorConfig) -> dict[str, np.ndarray]:
     f = config.feature_width
     wb = 1.0 / np.sqrt(f)
-    blocks = []
-    for _ in range(config.n_blocks):
-        layers = []
-        for _ in range(config.layers_per_block):
-            adj = np.eye(node_count) + rng.uniform(
+    blocks = {}
+    for k in range(config.n_blocks):
+        p = f"{kind}.blk{k}"
+        for i in range(config.layers_per_block):
+            blocks[f"{p}.gc{i}.adj"] = np.eye(node_count) + rng.uniform(
                 -config.adjacency_noise, config.adjacency_noise,
                 size=(node_count, node_count))
-            layers.append(GcLayer(adjacency=adj,
-                                  weight=rng.uniform(-wb, wb, size=(f, f))))
-        attention = [_init_attention(rng, f, config.heads)
-                     for _ in config.attention_positions]
-        blocks.append(GcBlock(layers=layers, attention=attention,
-                              attention_after=config.attention_positions))
-    return Branch(
-        kind=kind,
-        node_count=node_count,
-        input_encoder=init_linear(rng, config.resolved_n_coeffs, f),
-        blocks=blocks,
-        output_decoder=init_linear(rng, f, config.resolved_n_coeffs,
-                                   zero=config.zero_output_decoders),
-    )
+            blocks[f"{p}.gc{i}.wgt"] = rng.uniform(-wb, wb, size=(f, f))
+        for a in range(len(config.attention_positions)):
+            for m in ("wq", "wk", "wv", "wo"):
+                blocks[f"{p}.attn{a}.{m}"] = rng.uniform(-wb, wb, size=(f, f))
+    # the encoder and decoder are drawn after the blocks but named around them
+    enc_w, enc_b = init_linear(rng, config.resolved_n_coeffs, f)
+    dec_w, dec_b = init_linear(rng, f, config.resolved_n_coeffs,
+                               zero=config.zero_output_decoders)
+    return {f"{kind}.enc.w": enc_w, f"{kind}.enc.b": enc_b, **blocks,
+            f"{kind}.dec.w": dec_w, f"{kind}.dec.b": dec_b}
 
 
 def init_predictor(rng: np.random.Generator, layout: PartLayout,
@@ -258,17 +150,12 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
     qdim = config.query_dim
     in_dim = config.sub_len * layout.size
     qb = 1.0 / np.sqrt(in_dim)
-    mattn = MotionAttentionParams(
-        wq=rng.uniform(-qb, qb, size=(in_dim, qdim)),
-        wk=rng.uniform(-qb, qb, size=(in_dim, qdim)),
-    )
-    branches = [
-        _init_branch(rng, "upper", layout.upper_size, config),
-        _init_branch(rng, "lower", layout.lower_size, config),
-        _init_branch(rng, "whole", layout.size, config),
-    ]
-    return PredictorParams(branches=branches, motion_attention=mattn,
-                           fusion_raw=np.zeros((1, 1)), layout=layout, config=config)
+    arrays = {"mattn.wq": rng.uniform(-qb, qb, size=(in_dim, qdim)),
+              "mattn.wk": rng.uniform(-qb, qb, size=(in_dim, qdim))}
+    for kind, node_count in branch_node_counts(layout).items():
+        arrays.update(_init_branch(rng, kind, node_count, config))
+    arrays["fusion.raw"] = np.zeros((1, 1))
+    return PredictorParams(arrays=arrays, layout=layout, config=config)
 
 
 # ----------------------------------------------------------------------
@@ -298,16 +185,15 @@ def _self_attention(tape: Tape, h: Tensor, tensors: dict[str, Tensor],
     return tape.add(h, tape.matmul(ctx, tensors[f"{prefix}.wo"]))
 
 
-def _block_forward(tape: Tape, block: GcBlock, tensors: dict[str, Tensor],
+def _block_forward(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
                    prefix: str, h: Tensor) -> Tensor:
-    nxt = 0
-    for i in range(len(block.layers)):
+    positions = config.attention_positions
+    for i in range(config.layers_per_block):
         h = _gc_layer(tape, h, tensors[f"{prefix}.gc{i}.adj"],
                       tensors[f"{prefix}.gc{i}.wgt"])
-        if nxt < len(block.attention_after) and i + 1 == block.attention_after[nxt]:
-            h = _self_attention(tape, h, tensors, f"{prefix}.attn{nxt}",
-                                block.attention[nxt].heads)
-            nxt += 1
+        if i + 1 in positions:
+            h = _self_attention(tape, h, tensors,
+                                f"{prefix}.attn{positions.index(i + 1)}", config.heads)
     return h
 
 
@@ -316,15 +202,14 @@ def _branch_encode(tape: Tape, tensors: dict[str, Tensor], prefix: str,
     return linear(tape, x, tensors[f"{prefix}.enc.w"], tensors[f"{prefix}.enc.b"])
 
 
-def _branch_tail(tape: Tape, branch: Branch, tensors: dict[str, Tensor],
-                 h: Tensor, exit_index: int) -> Tensor:
+def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
+                 tensors: dict[str, Tensor], h: Tensor, exit_index: int) -> Tensor:
     """Run the first exit_index blocks from encoded features, then decode."""
-    if not 1 <= exit_index <= len(branch.blocks):
-        raise ValueError(f"exit index {exit_index} outside 1..{len(branch.blocks)}")
-    p = branch.kind
+    if not 1 <= exit_index <= config.n_blocks:
+        raise ValueError(f"exit index {exit_index} outside 1..{config.n_blocks}")
     for k in range(exit_index):
-        h = _block_forward(tape, branch.blocks[k], tensors, f"{p}.blk{k}", h)
-    return linear(tape, h, tensors[f"{p}.dec.w"], tensors[f"{p}.dec.b"])
+        h = _block_forward(tape, config, tensors, f"{kind}.blk{k}", h)
+    return linear(tape, h, tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"])
 
 
 def _motion_attention(tape: Tape, wq: Tensor, wk: Tensor, history: np.ndarray,
@@ -418,13 +303,13 @@ def _assemble_prediction(tape: Tape, params: PredictorParams,
 def _forward_core(tape: Tape, params: PredictorParams, tensors: dict[str, Tensor],
                   history: np.ndarray, exits: tuple[int, int, int]) -> Tensor:
     """Fixed-exit prediction on an existing tape; returns the (N+T, E) sequence."""
-    if len(exits) != len(params.branches):
+    if len(exits) != len(BRANCH_KINDS):
         raise ValueError("one exit index required per branch")
     inputs = _prepare_branch_inputs(tape, params, tensors, history)
     outputs = {}
-    for branch, d in zip(params.branches, exits):
-        encoded = _branch_encode(tape, tensors, branch.kind, inputs[branch.kind])
-        outputs[branch.kind] = _branch_tail(tape, branch, tensors, encoded, d)
+    for kind, d in zip(BRANCH_KINDS, exits):
+        encoded = _branch_encode(tape, tensors, kind, inputs[kind])
+        outputs[kind] = _branch_tail(tape, kind, params.config, tensors, encoded, d)
     return _assemble_prediction(tape, params, tensors, outputs, history)
 
 

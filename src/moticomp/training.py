@@ -15,13 +15,13 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, NumericError, ShapeError
-from .exits import (FlopsReport, PolicyNetParams, _gumbel_softmax_st,
-                    _policy_forward, _tendency_loss_soft, count_flops, init_policy)
+from .exits import (FlopsReport, _gumbel_softmax_st, _policy_forward,
+                    _tendency_loss_soft, count_flops, init_policy)
 from .layers import bind
 from .motion import MotionSequence, PartLayout
-from .predictor import (PredictorConfig, PredictorParams, _assemble_prediction,
-                        _branch_encode, _branch_tail, _prepare_branch_inputs,
-                        init_predictor, pad_last_frame)
+from .predictor import (BRANCH_KINDS, PredictorConfig, PredictorParams,
+                        _assemble_prediction, _branch_encode, _branch_tail,
+                        _prepare_branch_inputs, init_predictor, pad_last_frame)
 
 DEFAULT_W_TENDENCY = 1000.0  # hand-tuned so exit balance competes with the mm^2 loss
 
@@ -102,29 +102,24 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 @dataclass
 class PredictorModel:
-    """Predictor parameters plus one exit policy network per branch."""
+    """Predictor parameters plus one exit policy network per branch, whose
+    arrays policies holds as policy.{kind}.w1, .b1, .w2 and .b2."""
 
     params: PredictorParams
-    policies: list[PolicyNetParams]
-
-    def __post_init__(self):
-        if len(self.policies) != len(self.params.branches):
-            raise ConfigError("one policy network required per branch")
+    policies: dict[str, np.ndarray]
 
     def named_parameters(self) -> dict[str, np.ndarray]:
-        out = self.params.named_parameters()
-        for branch, policy in zip(self.params.branches, self.policies):
-            for key, arr in policy.named_parameters().items():
-                out[f"policy.{branch.kind}.{key}"] = arr
-        return out
+        return {**self.params.arrays, **self.policies}
 
 
 def init_predictor_model(rng: np.random.Generator, layout: PartLayout,
                          config: PredictorConfig) -> PredictorModel:
     params = init_predictor(rng, layout, config)
-    policies = [init_policy(rng, config.feature_width, config.policy_hidden,
-                            config.n_blocks)
-                for _ in params.branches]
+    policies = {}
+    for kind in BRANCH_KINDS:
+        policy = init_policy(rng, config.feature_width, config.policy_hidden,
+                             config.n_blocks)
+        policies.update({f"policy.{kind}.{name}": arr for name, arr in policy.items()})
     return PredictorModel(params=params, policies=policies)
 
 
@@ -210,14 +205,14 @@ def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor
     outputs = {}
     chosen: list[int] = []
     softs: list[Tensor] = []
-    for branch, branch_noise in zip(params.branches, noise):
-        encoded = _branch_encode(tape, tensors, branch.kind, inputs[branch.kind])
-        logits = _policy_forward(tape, tensors, f"policy.{branch.kind}", encoded)
+    for kind, branch_noise in zip(BRANCH_KINDS, noise):
+        encoded = _branch_encode(tape, tensors, kind, inputs[kind])
+        logits = _policy_forward(tape, tensors, f"policy.{kind}", encoded)
         hard, soft = _gumbel_softmax_st(tape, logits, temperature, branch_noise)
         d = int(np.argmax(hard.values)) + 1
-        y = _branch_tail(tape, branch, tensors, encoded, d)
+        y = _branch_tail(tape, kind, params.config, tensors, encoded, d)
         gate = tape.slice_lastdim(hard, d - 1, d)
-        outputs[branch.kind] = tape.scalar_mul(y, gate)
+        outputs[kind] = tape.scalar_mul(y, gate)
         chosen.append(d)
         softs.append(soft)
     pred = _assemble_prediction(tape, params, tensors, outputs, history)
@@ -229,7 +224,7 @@ def routed_prediction(model: PredictorModel,
     """Policy-routed deterministic prediction and the exits it used."""
     tape = Tape()
     tensors = bind(tape, model.named_parameters(), trainable=False)
-    noise = np.zeros((len(model.params.branches), model.params.config.n_blocks))
+    noise = np.zeros((len(BRANCH_KINDS), model.params.config.n_blocks))
     pred, exits, _ = _routed_forward(tape, model, tensors, history.data, noise, 1.0)
     seq = MotionSequence(data=pred.values, fps=history.fps, label=history.label)
     return seq, tuple(exits)
@@ -293,7 +288,7 @@ def train_predictor(model: PredictorModel, train_set: list[MotionSequence],
             batch_softs: list[Tensor] = []
             for idx in batch:
                 seq = train_set[idx]
-                noise = rng.gumbel(size=(len(params.branches), n_exits))
+                noise = rng.gumbel(size=(len(BRANCH_KINDS), n_exits))
                 pred, chosen, softs = _routed_forward(
                     tape, model, tensors, seq.data[:n_input], noise, config.temperature)
                 for d in chosen:
@@ -413,7 +408,7 @@ def evaluate(model: PredictorModel, test_set: list[MotionSequence],
     base_by_action: dict[str, list[np.ndarray]] = {}
     all_rows: list[np.ndarray] = []
     base_rows: list[np.ndarray] = []
-    exit_tallies = {b.kind: np.zeros(cfg.n_blocks) for b in model.params.branches}
+    exit_tallies = {kind: np.zeros(cfg.n_blocks) for kind in BRANCH_KINDS}
     for seq in test_set:
         hist = MotionSequence(data=seq.data[:n_input], fps=seq.fps, label=seq.label)
         gt_tail = seq.data[n_input:]
@@ -427,8 +422,8 @@ def evaluate(model: PredictorModel, test_set: list[MotionSequence],
         base_by_action.setdefault(seq.label, []).append(base_row)
         all_rows.append(row)
         base_rows.append(base_row)
-        for branch, d in zip(model.params.branches, exits):
-            exit_tallies[branch.kind][d - 1] += 1
+        for kind, d in zip(BRANCH_KINDS, exits):
+            exit_tallies[kind][d - 1] += 1
 
     def _mean(rows: list[np.ndarray]) -> tuple[float, ...]:
         return tuple(float(x) for x in np.mean(rows, axis=0))

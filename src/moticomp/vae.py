@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .dct import DctCoeffs, dct_encode, idct_decode
 from .errors import ConfigError, ShapeError
-from .layers import LinearParams, bind, init_linear, mlp
+from .layers import bind, init_linear, mlp
 from .motion import MotionSequence, PartLayout
 
 
@@ -25,14 +25,15 @@ class VaeParams:
 
     The encoder maps a flattened F x (3J) coefficient matrix to mean and
     log-variance heads of width latent_dim each; the decoder maps a latent
-    vector back to the flattened coefficient matrix. Inputs are shifted by
-    input_offset and divided element-wise by input_scale before the first
-    layer, and the decoder output is mapped back through the same affine
-    transform. Both normalization arrays are fitted constants, not trained.
+    vector back to the flattened coefficient matrix. arrays holds their
+    affine layers in order, enc{i}.w, enc{i}.b, then dec{i}.w, dec{i}.b.
+    Inputs are shifted by input_offset and divided element-wise by
+    input_scale before the first layer, and the decoder output is mapped
+    back through the same affine transform. Both normalization arrays are
+    fitted constants, not trained.
     """
 
-    encoder: list[LinearParams]
-    decoder: list[LinearParams]
+    arrays: dict[str, np.ndarray]
     latent_dim: int
     coeff_rows: int
     coeff_cols: int
@@ -42,14 +43,6 @@ class VaeParams:
 
     def __post_init__(self):
         d_in = self.coeff_rows * self.coeff_cols
-        if self.encoder[0].fan_in != d_in:
-            raise ShapeError("encoder input width does not match coefficient size")
-        if self.encoder[-1].fan_out != 2 * self.latent_dim:
-            raise ShapeError("encoder must end in mean and log-variance heads")
-        if self.decoder[0].fan_in != self.latent_dim:
-            raise ShapeError("decoder input width does not match latent_dim")
-        if self.decoder[-1].fan_out != d_in:
-            raise ShapeError("decoder output width does not match coefficient size")
         if self.input_offset is None:
             self.input_offset = np.zeros((1, d_in))
         self.input_offset = np.asarray(self.input_offset, dtype=np.float64).reshape(1, d_in)
@@ -64,15 +57,16 @@ class VaeParams:
     def input_dim(self) -> int:
         return self.coeff_rows * self.coeff_cols
 
+    def n_layers(self, prefix: str) -> int:
+        """Number of affine layers named {prefix}{i}.w, {prefix}{i}.b."""
+        return sum(name.startswith(prefix) and name.endswith(".w") for name in self.arrays)
+
+    @property
+    def hidden_dims(self) -> list[int]:
+        return [self.arrays[f"enc{i}.w"].shape[1] for i in range(self.n_layers("enc") - 1)]
+
     def named_parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, lp in enumerate(self.encoder):
-            out[f"enc{i}.w"] = lp.w
-            out[f"enc{i}.b"] = lp.b
-        for i, lp in enumerate(self.decoder):
-            out[f"dec{i}.w"] = lp.w
-            out[f"dec{i}.b"] = lp.b
-        return out
+        return self.arrays
 
 
 def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
@@ -81,9 +75,11 @@ def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
     d_in = coeff_rows * coeff_cols
     enc_dims = (d_in, *hidden_dims, 2 * latent_dim)
     dec_dims = (latent_dim, *hidden_dims, d_in)
-    encoder = [init_linear(rng, a, b) for a, b in zip(enc_dims, enc_dims[1:])]
-    decoder = [init_linear(rng, a, b) for a, b in zip(dec_dims, dec_dims[1:])]
-    return VaeParams(encoder=encoder, decoder=decoder, latent_dim=latent_dim,
+    arrays = {}
+    for prefix, dims in (("enc", enc_dims), ("dec", dec_dims)):
+        for i, (a, b) in enumerate(zip(dims, dims[1:])):
+            arrays[f"{prefix}{i}.w"], arrays[f"{prefix}{i}.b"] = init_linear(rng, a, b)
+    return VaeParams(arrays=arrays, latent_dim=latent_dim,
                      coeff_rows=coeff_rows, coeff_cols=coeff_cols,
                      original_length=original_length)
 
@@ -132,14 +128,14 @@ def _denormalize(tape: Tape, params: VaeParams, x: Tensor) -> Tensor:
 
 def _encode(tape: Tape, params: VaeParams, tensors: dict[str, Tensor],
             x: Tensor) -> tuple[Tensor, Tensor]:
-    h = mlp(tape, _normalize(tape, params, x), tensors, "enc", len(params.encoder))
+    h = mlp(tape, _normalize(tape, params, x), tensors, "enc", params.n_layers("enc"))
     ld = params.latent_dim
     return tape.slice_lastdim(h, 0, ld), tape.slice_lastdim(h, ld, 2 * ld)
 
 
 def _decode(tape: Tape, params: VaeParams, tensors: dict[str, Tensor],
             z: Tensor) -> Tensor:
-    return _denormalize(tape, params, mlp(tape, z, tensors, "dec", len(params.decoder)))
+    return _denormalize(tape, params, mlp(tape, z, tensors, "dec", params.n_layers("dec")))
 
 
 def _reparameterize(tape: Tape, mu: Tensor, log_var: Tensor, noise: np.ndarray) -> Tensor:

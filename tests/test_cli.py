@@ -9,6 +9,7 @@ from moticomp.datagen import default_manifest, load_split, manifest_to_json, sav
 from moticomp.motion import PartLayout
 from moticomp.predictor import PredictorConfig
 from moticomp.training import init_predictor_model
+from moticomp.vae import init_vae
 
 
 @pytest.fixture()
@@ -162,3 +163,32 @@ def test_seed_override_changes_gen_data(tiny_manifest, tmp_path):
     a0 = (out_a / "train").glob("*.txt")
     b0 = (out_b / "train").glob("*.txt")
     assert next(iter(sorted(a0))).read_text() != next(iter(sorted(b0))).read_text()
+
+
+def wrong_kind_checkpoints(tmp_path):
+    """A small VAE checkpoint and a small predictor checkpoint."""
+    layout = PartLayout.from_skeleton(default_manifest().skeleton)
+    vae_path, pred_path = tmp_path / "cag.json", tmp_path / "pred.json"
+    save_checkpoint(vae_path, init_vae(np.random.default_rng(0), coeff_rows=30,
+                                       coeff_cols=layout.size, original_length=30,
+                                       latent_dim=3, hidden_dims=(8,)))
+    save_checkpoint(pred_path, init_predictor_model(
+        np.random.default_rng(0), layout, PredictorConfig(feature_width=8, policy_hidden=4)))
+    return vae_path, pred_path
+
+
+@pytest.mark.parametrize("command", ["eval", "flops", "synth"])
+def test_wrong_checkpoint_kind_exits_two(tiny_manifest, tmp_path, capsys, command):
+    vae_path, pred_path = wrong_kind_checkpoints(tmp_path)
+    args = {"eval": ["eval", "--model", str(vae_path), "--data", str(tmp_path)],
+            "flops": ["flops", "--model", str(vae_path)],
+            "synth": ["synth", "--model", str(pred_path),
+                      "--manifest", str(tiny_manifest)]}[command]
+    capsys.readouterr()
+    assert dispatch(args + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    expected, found = ("cag_vae", "predictor") if command == "synth" else ("predictor",
+                                                                            "cag_vae")
+    assert f"expected a {expected} checkpoint, found {found}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from moticomp.errors import (CheckpointError, ConfigError, ManifestError,
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout
 from moticomp.predictor import PredictorConfig
 from moticomp.training import init_predictor_model
-from moticomp.vae import BodyMask, CagTrainConfig, masked_fuse, train_cag, \
+from moticomp.vae import BodyMask, CagTrainConfig, init_vae, masked_fuse, train_cag, \
     synthesize_composite
 
 
@@ -253,6 +254,67 @@ class TestPredictorCheckpointErrors:
             k: v for k, v in doc["config"].items() if not k.endswith("_dims")}
 
 
+class TestCheckpointTensors:
+    """load_checkpoint fills the model's arrays only from tensors of matching name and shape."""
+
+    def test_mis_shaped_predictor_tensor_named(self, tmp_path):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        entry = next(e for e in doc["tensors"] if e["name"] == "upper.blk0.gc0.adj")
+        entry["shape"] = [1, 225]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=r"tensor upper\.blk0\.gc0\.adj has shape "
+                                                  r"\(1, 225\), expected \(15, 15\)"):
+            load_checkpoint(path)
+
+    def test_renamed_predictor_tensor_named(self, tmp_path):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        entry = next(e for e in doc["tensors"] if e["name"] == "lower.dec.w")
+        entry["name"] = "lower.decoder.w"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=r"missing \['lower\.dec\.w'\], "
+                                                  r"unexpected \['lower\.decoder\.w'\]"):
+            load_checkpoint(path)
+
+    def test_mis_shaped_vae_tensor_named(self, tmp_path):
+        path = tmp_path / "v.json"
+        save_checkpoint(path, init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,
+                                       original_length=8, latent_dim=3, hidden_dims=(10,)))
+        doc = json.loads(path.read_text())
+        entry = next(e for e in doc["tensors"] if e["name"] == "dec0.w")
+        entry["shape"] = [10, 3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError,
+                           match=r"tensor dec0\.w has shape \(10, 3\), expected \(3, 10\)"):
+            load_checkpoint(path)
+
+
+def checkpoint_digest(path, model):
+    save_checkpoint(path, model)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSeededInitGolden:
+    """Checkpoint bytes of freshly initialised models, pinned across refactors.
+
+    They change if the order of RNG draws, the parameter names or their
+    insertion order change.
+    """
+
+    def test_default_predictor(self, tmp_path):
+        layout = PartLayout.from_skeleton(default_skeleton())
+        model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
+        assert checkpoint_digest(tmp_path / "p.json", model) == (
+            "d712b023da1fd62a33c796cf5ff7b2bcec84fb3d63fe73de696a051c570cb68a")
+
+    def test_small_vae(self, tmp_path):
+        params = init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,
+                          original_length=8, latent_dim=3, hidden_dims=(10,))
+        assert checkpoint_digest(tmp_path / "v.json", params) == (
+            "24845308526ba30d90680c758ac5a922c875eaeacf62f4152822bf44b46ed9b5")
+
+
 class TestBuildDataset:
     def test_default_split_composition(self):
         man = default_manifest()
@@ -295,6 +357,28 @@ class TestBuildDataset:
         del doc["actions"][1]["drift"]
         with pytest.raises(ManifestError, match=r"'nod' lacks keys: \['drift', 'phase'\]"):
             manifest_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key,value", [("actions", [1]), ("joint_parents", 5),
+                                           ("fps", "10"), ("train_per_action", 2.5),
+                                           ("train_seed", True)])
+    def test_ill_typed_manifest_value_named(self, key, value):
+        doc = json.loads(manifest_to_json(default_manifest()))
+        doc[key] = value
+        with pytest.raises(ManifestError, match=f"manifest key '{key}' holds"):
+            manifest_from_json(json.dumps(doc))
+
+    def test_non_numeric_amplitude_named(self):
+        doc = json.loads(manifest_to_json(default_manifest()))
+        doc["actions"][1]["amplitude"][2] = "big"
+        with pytest.raises(ManifestError, match="action 'nod' key 'amplitude' holds"):
+            manifest_from_json(json.dumps(doc))
+
+    def test_integer_fps_loads(self):
+        doc = json.loads(manifest_to_json(default_manifest()))
+        doc["fps"] = 10
+        man = manifest_from_json(json.dumps(doc))
+        assert man.fps == 10.0
+        assert len(build_dataset(man).train) == 200
 
     def test_action_noise_std_defaults_to_zero(self):
         doc = json.loads(manifest_to_json(default_manifest()))

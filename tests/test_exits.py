@@ -8,7 +8,8 @@ from moticomp.exits import (SOFT_VAR_EPS, FlopsReport, _gumbel_softmax_st, _poli
                             gc_layer_macs, init_policy)
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
-from moticomp.predictor import PredictorConfig, _branch_encode, init_predictor
+from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
+                                branch_node_counts, init_predictor)
 from moticomp.training import TrainConfig, init_predictor_model, train_predictor
 
 
@@ -29,8 +30,7 @@ def toy_predictor(seed=0):
 def policy_logits(params, x):
     """Exit logits (D,) of one policy on features x, through the training forward."""
     tape = Tape()
-    tensors = bind(tape, {f"p.{k}": v for k, v in params.named_parameters().items()},
-                   trainable=False)
+    tensors = bind(tape, {f"p.{k}": v for k, v in params.items()}, trainable=False)
     return _policy_forward(tape, tensors, "p", tape.constant(x)).values.reshape(-1)
 
 
@@ -43,18 +43,19 @@ class TestPolicyForward:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         params = init_policy(rng, 8, 6, 3)
-        params.w2[:] = rng.normal(size=params.w2.shape)
+        params["w2"][:] = rng.normal(size=params["w2"].shape)
         x = rng.normal(size=(5, 8))
         assert np.array_equal(policy_logits(params, x), policy_logits(params, x))
 
     def test_matches_hand_rolled_mlp(self):
         rng = np.random.default_rng(3)
         params = init_policy(rng, 4, 5, 3)
-        params.w2[:] = rng.normal(size=params.w2.shape)
-        params.b2[:] = rng.normal(size=params.b2.shape)
+        params["w2"][:] = rng.normal(size=params["w2"].shape)
+        params["b2"][:] = rng.normal(size=params["b2"].shape)
         x = rng.normal(size=(6, 4))
         pooled = x.mean(axis=0, keepdims=True)
-        expected = np.tanh(pooled @ params.w1 + params.b1) @ params.w2 + params.b2
+        expected = (np.tanh(pooled @ params["w1"] + params["b1"]) @ params["w2"]
+                    + params["b2"])
         assert np.allclose(policy_logits(params, x), expected.reshape(-1), atol=1e-12)
 
     def test_width_mismatch_rejected(self):
@@ -141,8 +142,8 @@ def forced_exit_counts(exits, n_train=6):
     rng = np.random.default_rng(20)
     layout = toy_layout()
     model = init_predictor_model(rng, layout, toy_config())
-    for policy, d in zip(model.policies, exits):
-        policy.b2[0, d - 1] = 1e3  # no Gumbel draw outweighs this logit margin
+    for kind, d in zip(BRANCH_KINDS, exits):
+        model.policies[f"policy.{kind}.b2"][0, d - 1] = 1e3  # outweighs any Gumbel draw
     train = [MotionSequence(data=rng.normal(scale=10.0, size=(12, layout.size)),
                             fps=10.0, label="a") for _ in range(n_train)]
     config = TrainConfig(input_frames=8, output_frames=4, epochs=1, constrain_epochs=1,
@@ -217,8 +218,8 @@ class TestFlops:
 
     def test_monotone_in_exit_depth(self):
         params = toy_predictor()
-        for branch in params.branches:
-            counts = branch_exit_macs(branch, params.config)
+        for n in branch_node_counts(params.layout).values():
+            counts = branch_exit_macs(n, params.config)
             assert counts[0] < counts[1] < counts[2]
 
     def test_exit_one_cheaper_than_exit_three(self):
@@ -234,27 +235,25 @@ class TestFlops:
         rng = np.random.default_rng(12)
         policy = init_policy(rng, params.config.feature_width,
                              params.config.policy_hidden, params.config.n_blocks)
-        for branch in params.branches:
-            analytic = branch_exit_macs(branch, params.config)
+        for kind, n in branch_node_counts(params.layout).items():
+            analytic = branch_exit_macs(n, params.config)
             for exit_index in (1, 2, 3):
                 tape = Tape()
                 tensors = bind(tape, params.named_parameters(), trainable=False)
-                tensors.update(bind(
-                    tape, {f"pol.{k}": v for k, v in policy.named_parameters().items()},
-                    trainable=False))
-                x = tape.constant(rng.normal(
-                    size=(branch.node_count, params.config.resolved_n_coeffs)))
-                encoded = _branch_encode(tape, tensors, branch.kind, x)
+                tensors.update(bind(tape, {f"pol.{k}": v for k, v in policy.items()},
+                                    trainable=False))
+                x = tape.constant(rng.normal(size=(n, params.config.resolved_n_coeffs)))
+                encoded = _branch_encode(tape, tensors, kind, x)
                 _policy_forward(tape, tensors, "pol", encoded)
                 from moticomp.predictor import _branch_tail
-                _branch_tail(tape, branch, tensors, encoded, exit_index)
+                _branch_tail(tape, kind, params.config, tensors, encoded, exit_index)
                 counted = 0
                 for node in tape.nodes:
                     if node.kind == "matmul":
                         a = tape.tensors[node.input_ids[0]]
                         b = tape.tensors[node.input_ids[1]]
                         counted += a.shape[0] * a.shape[1] * b.shape[1]
-                assert counted == analytic[exit_index - 1], (branch.kind, exit_index)
+                assert counted == analytic[exit_index - 1], (kind, exit_index)
 
     def test_report_validates_monotonicity(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,11 @@ from moticomp.dct import dct_encode
 from moticomp.errors import ConfigError, ShapeError
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
-from moticomp.predictor import (AttentionParams, GcLayer, MotionAttentionParams,
-                                PredictorConfig, _branch_encode, _branch_tail,
-                                _forward_core, _gc_layer, _motion_attention,
-                                _self_attention, init_predictor, pad_last_frame,
-                                paper_scale_config, predict)
+from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
+                                _branch_tail, _forward_core, _gc_layer,
+                                _motion_attention, _self_attention, branch_node_counts,
+                                init_predictor, pad_last_frame, paper_scale_config,
+                                predict)
 from moticomp.training import zero_velocity_baseline
 
 
@@ -30,23 +30,23 @@ def toy_params(seed=0, **overrides):
     return init_predictor(np.random.default_rng(seed), layout, toy_config(**overrides))
 
 
-def gc_layer_forward(h, layer):
+def gc_layer_forward(h, adjacency, weight):
     tape = Tape()
-    return _gc_layer(tape, tape.constant(h), tape.constant(layer.adjacency),
-                     tape.constant(layer.weight)).values
+    return _gc_layer(tape, tape.constant(h), tape.constant(adjacency),
+                     tape.constant(weight)).values
 
 
 class TestGcLayer:
     def test_zero_input_gives_zero(self):
-        layer = GcLayer(adjacency=np.random.default_rng(0).normal(size=(4, 4)),
-                        weight=np.random.default_rng(1).normal(size=(5, 5)))
-        assert np.array_equal(gc_layer_forward(np.zeros((4, 5)), layer),
+        adjacency = np.random.default_rng(0).normal(size=(4, 4))
+        weight = np.random.default_rng(1).normal(size=(5, 5))
+        assert np.array_equal(gc_layer_forward(np.zeros((4, 5)), adjacency, weight),
                               np.zeros((4, 5)))
 
     def test_identity_matrices_reduce_to_tanh(self):
         h = np.random.default_rng(2).normal(scale=0.1, size=(3, 3))
-        layer = GcLayer(adjacency=np.eye(3), weight=np.eye(3))
-        assert np.allclose(gc_layer_forward(h, layer), np.tanh(h), atol=1e-12)
+        assert np.allclose(gc_layer_forward(h, np.eye(3), np.eye(3)), np.tanh(h),
+                           atol=1e-12)
 
     def test_matches_hand_expanded_triple_product(self):
         rng = np.random.default_rng(3)
@@ -61,17 +61,13 @@ class TestGcLayer:
                     for l in range(5):
                         acc += a[i, k] * h[k, l] * w[l, j]
                 expected[i, j] = np.tanh(acc)
-        out = gc_layer_forward(h, GcLayer(adjacency=a, weight=w))
+        out = gc_layer_forward(h, a, w)
         assert np.abs(out - expected).max() < 1e-12
-
-    def test_adjacency_must_be_square(self):
-        with pytest.raises(ShapeError):
-            GcLayer(adjacency=np.zeros((3, 4)), weight=np.zeros((5, 5)))
 
 
 def self_attention(h, heads, params):
     tape = Tape()
-    tensors = {f"a.{k}": tape.constant(getattr(params, k)) for k in ("wq", "wk", "wv", "wo")}
+    tensors = {f"a.{k}": tape.constant(v) for k, v in params.items()}
     return _self_attention(tape, tape.constant(h), tensors, "a", heads).values
 
 
@@ -80,7 +76,7 @@ class TestSelfAttention:
         def mat():
             return rng.normal(scale=0.3, size=(width, width))
         wo = np.zeros((width, width)) if zero_output else mat()
-        return AttentionParams(wq=mat(), wk=mat(), wv=mat(), wo=wo, heads=heads)
+        return {"wq": mat(), "wk": mat(), "wv": mat(), "wo": wo}
 
     def test_zero_output_projection_is_residual_only(self):
         rng = np.random.default_rng(4)
@@ -93,7 +89,7 @@ class TestSelfAttention:
         params = self.make_params(rng, 4, 1)
         h = rng.normal(size=(1, 4))
         # softmax over a singleton is exactly 1, so context = value projection
-        expected = h + (h @ params.wv) @ params.wo
+        expected = h + (h @ params["wv"]) @ params["wo"]
         assert np.allclose(self_attention(h, 1, params), expected, atol=1e-12)
 
     def test_matches_per_head_brute_force(self):
@@ -101,7 +97,7 @@ class TestSelfAttention:
         heads, n, width = 2, 3, 6
         params = self.make_params(rng, width, heads)
         h = rng.normal(size=(n, width))
-        q, k, v = h @ params.wq, h @ params.wk, h @ params.wv
+        q, k, v = h @ params["wq"], h @ params["wk"], h @ params["wv"]
         dh = width // heads
         ctx = np.zeros((n, width))
         for hd in range(heads):
@@ -110,13 +106,12 @@ class TestSelfAttention:
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             attn = e / e.sum(axis=1, keepdims=True)
             ctx[:, sl] = attn @ v[:, sl]
-        expected = h + ctx @ params.wo
+        expected = h + ctx @ params["wo"]
         assert np.allclose(self_attention(h, heads, params), expected, atol=1e-12)
 
     def test_indivisible_width_rejected(self):
         with pytest.raises(ConfigError):
-            AttentionParams(wq=np.zeros((5, 5)), wk=np.zeros((5, 5)),
-                            wv=np.zeros((5, 5)), wo=np.zeros((5, 5)), heads=2)
+            PredictorConfig(feature_width=5, heads=2)
 
     def test_head_count_mismatch_rejected(self):
         rng = np.random.default_rng(7)
@@ -127,14 +122,16 @@ class TestSelfAttention:
 
 def motion_attention(params, history, sub_len, n_coeffs, out_frames):
     tape = Tape()
-    return _motion_attention(tape, tape.constant(params.wq), tape.constant(params.wk),
+    wq, wk = params
+    return _motion_attention(tape, tape.constant(wq), tape.constant(wk),
                              history.data, sub_len, out_frames, n_coeffs).values
 
 
 class TestMotionAttention:
     def make_params(self, rng, sub_len, width, qdim=4):
-        return MotionAttentionParams(wq=rng.normal(size=(sub_len * width, qdim)),
-                                     wk=rng.normal(size=(sub_len * width, qdim)))
+        """Query and key projections (sub_len * width, qdim)."""
+        return (rng.normal(size=(sub_len * width, qdim)),
+                rng.normal(size=(sub_len * width, qdim)))
 
     def test_constant_motion_gives_uniform_weights(self):
         rng = np.random.default_rng(8)
@@ -166,10 +163,11 @@ class TestMotionAttention:
         width, sub_len, t_out, n_coeffs = 3, 2, 2, 3
         history = rng.normal(size=(8, width))  # windows start at 0..4
         params = self.make_params(rng, sub_len, width, qdim=3)
-        q = history[-sub_len:].reshape(1, -1) @ params.wq
+        wq, wk = params
+        q = history[-sub_len:].reshape(1, -1) @ wq
         n_windows = 8 - sub_len - t_out + 1
         keys = np.stack([history[i:i + sub_len].reshape(-1) for i in range(n_windows)])
-        scores = (q @ (keys @ params.wk).T).reshape(-1)
+        scores = (q @ (keys @ wk).T).reshape(-1)
         weights = np.exp(scores - scores.max())
         weights /= weights.sum()
         values = np.stack([dct_encode(history[i:i + sub_len + t_out], n_coeffs).coeffs
@@ -188,58 +186,58 @@ class TestMotionAttention:
             motion_attention(params, seq, 4, 4, 4)
 
 
-def branch_forward_to_exit(params, branch, x, exit_index):
+def branch_forward_to_exit(params, kind, x, exit_index):
     """Encode x, run the first exit_index blocks and decode, as training does."""
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
-    encoded = _branch_encode(tape, tensors, branch.kind, tape.constant(x))
-    return _branch_tail(tape, branch, tensors, encoded, exit_index).values
+    encoded = _branch_encode(tape, tensors, kind, tape.constant(x))
+    return _branch_tail(tape, kind, params.config, tensors, encoded, exit_index).values
+
+
+def branch_input_shape(params, kind):
+    return (branch_node_counts(params.layout)[kind], params.config.resolved_n_coeffs)
 
 
 class TestBranchForward:
     def test_full_depth_equals_exit_three(self):
         params = toy_params(seed=12, zero_output_decoders=False)
-        branch = params.branches[2]
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(branch.node_count, params.config.resolved_n_coeffs))
-        full = branch_forward_to_exit(params, branch, x, 3)
+        x = rng.normal(size=branch_input_shape(params, "whole"))
+        full = branch_forward_to_exit(params, "whole", x, 3)
         # run the blocks manually through exit 3: must be the same computation
-        again = branch_forward_to_exit(params, branch, x, 3)
+        again = branch_forward_to_exit(params, "whole", x, 3)
         assert np.array_equal(full, again)
 
     def test_exit_skips_later_blocks(self):
         params = toy_params(seed=14, zero_output_decoders=False)
-        branch = params.branches[0]
         rng = np.random.default_rng(15)
-        x = rng.normal(size=(branch.node_count, params.config.resolved_n_coeffs))
-        before = branch_forward_to_exit(params, branch, x, 2)
+        x = rng.normal(size=branch_input_shape(params, "upper"))
+        before = branch_forward_to_exit(params, "upper", x, 2)
         # wreck block 3; exits 1 and 2 must not notice
-        for layer in branch.blocks[2].layers:
-            layer.adjacency[:] = 1e9
-            layer.weight[:] = -1e9
-        after = branch_forward_to_exit(params, branch, x, 2)
+        for i in range(params.config.layers_per_block):
+            params.arrays[f"upper.blk2.gc{i}.adj"][:] = 1e9
+            params.arrays[f"upper.blk2.gc{i}.wgt"][:] = -1e9
+        after = branch_forward_to_exit(params, "upper", x, 2)
         assert np.array_equal(before, after)
 
     def test_zero_input_zero_decoder_gives_zero_everywhere(self):
         params = toy_params(seed=16)  # zero decoders by default
-        branch = params.branches[1]
-        x = np.zeros((branch.node_count, params.config.resolved_n_coeffs))
+        x = np.zeros(branch_input_shape(params, "lower"))
         for d in (1, 2, 3):
-            assert np.array_equal(branch_forward_to_exit(params, branch, x, d),
+            assert np.array_equal(branch_forward_to_exit(params, "lower", x, d),
                                   np.zeros_like(x))
 
     def test_exit_out_of_range(self):
         params = toy_params(seed=17)
-        branch = params.branches[0]
-        x = np.zeros((branch.node_count, params.config.resolved_n_coeffs))
+        x = np.zeros(branch_input_shape(params, "upper"))
         for bad in (0, 4):
             with pytest.raises(ValueError):
-                branch_forward_to_exit(params, branch, x, bad)
+                branch_forward_to_exit(params, "upper", x, bad)
 
     def test_strictly_fewer_macs_at_shallow_exit(self):
         from moticomp.exits import branch_exit_macs
         params = toy_params(seed=18)
-        counts = branch_exit_macs(params.branches[0], params.config)
+        counts = branch_exit_macs(params.layout.upper_size, params.config)
         assert counts[0] < counts[1] < counts[2]
 
 
@@ -260,13 +258,13 @@ class TestPredict:
 
     def test_fusion_weight_one_ignores_part_branches(self):
         params = toy_params(seed=21, zero_output_decoders=False)
-        params.fusion_raw[:] = 1000.0  # sigmoid saturates to exactly 1.0
+        params.arrays["fusion.raw"][:] = 1000.0  # sigmoid saturates to exactly 1.0
         rng = np.random.default_rng(22)
         hist = make_history(rng, params.config, params.layout)
         before = predict(params, hist, (2, 2, 2))
-        for branch in params.branches[:2]:  # wreck both part branches
-            branch.output_decoder.w[:] = 123.0
-            branch.output_decoder.b[:] = -7.0
+        for kind in ("upper", "lower"):  # wreck both part branches
+            params.arrays[f"{kind}.dec.w"][:] = 123.0
+            params.arrays[f"{kind}.dec.b"][:] = -7.0
         after = predict(params, hist, (2, 2, 2))
         assert np.array_equal(before.data, after.data)
 
@@ -293,7 +291,8 @@ class TestPredict:
             parts = tuple(UPPER if i >= upper_from else LOWER for i in range(4))
             layout = PartLayout.from_skeleton(Skeleton(parent=parents, part_of=parts))
             params = init_predictor(np.random.default_rng(27), layout, toy_config())
-            up, lo, wh = (b.node_count for b in params.branches)
+            up, lo, wh = (params.arrays[f"{kind}.blk0.gc0.adj"].shape[0]
+                          for kind in BRANCH_KINDS)
             assert up + lo == wh == layout.size
 
 

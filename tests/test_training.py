@@ -6,7 +6,8 @@ from moticomp.errors import ConfigError, ShapeError
 from moticomp.exits import _policy_forward
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
-from moticomp.predictor import PredictorConfig, _branch_encode, _prepare_branch_inputs
+from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
+                                _prepare_branch_inputs)
 from moticomp.training import (AdamState, TrainConfig, adam_step, evaluate,
                                init_predictor_model, mpjpe_loss, mpjpe_metric,
                                routed_prediction, train_predictor,
@@ -263,18 +264,19 @@ class TestBaselineAndEvaluate:
     def test_routed_exits_are_policy_argmax(self):
         model, _, config, _, val = tiny_setup(seed=8)
         rng = np.random.default_rng(30)
-        for policy in model.policies:
-            policy.w2[:] = rng.normal(size=policy.w2.shape)
-            policy.b2[:] = rng.normal(scale=0.1, size=policy.b2.shape)
+        for kind in BRANCH_KINDS:
+            w2, b2 = model.policies[f"policy.{kind}.w2"], model.policies[f"policy.{kind}.b2"]
+            w2[:] = rng.normal(size=w2.shape)
+            b2[:] = rng.normal(scale=0.1, size=b2.shape)
         for seq in val:
             hist = MotionSequence(data=seq.data[:8], fps=10.0, label="x")
             tape = Tape()
             tensors = bind(tape, model.named_parameters(), trainable=False)
             inputs = _prepare_branch_inputs(tape, model.params, tensors, hist.data)
             expected = []
-            for branch in model.params.branches:
-                encoded = _branch_encode(tape, tensors, branch.kind, inputs[branch.kind])
-                logits = _policy_forward(tape, tensors, f"policy.{branch.kind}", encoded)
+            for kind in BRANCH_KINDS:
+                encoded = _branch_encode(tape, tensors, kind, inputs[kind])
+                logits = _policy_forward(tape, tensors, f"policy.{kind}", encoded)
                 expected.append(int(np.argmax(logits.values)) + 1)
             _, exits = routed_prediction(model, hist)
             assert exits == tuple(expected)

@@ -17,10 +17,10 @@ def small_params(rng, zero_encoder_head=False, zero_decoder=False):
     params = init_vae(rng, coeff_rows=F, coeff_cols=COLS, original_length=LENGTH,
                       latent_dim=LATENT, hidden_dims=(10,))
     if zero_encoder_head:
-        params.encoder[-1].w[:] = 0.0
-        params.encoder[-1].b[:] = 0.0
+        params.arrays["enc1.w"][:] = 0.0
+        params.arrays["enc1.b"][:] = 0.0
     if zero_decoder:
-        params.decoder[-1].w[:] = 0.0
+        params.arrays["dec1.w"][:] = 0.0
     return params
 
 
@@ -66,8 +66,9 @@ class TestEncodeDecode:
         # oracle: explicit numpy forward through the same weights
         h = a.flat().reshape(1, -1)
         h = (h - params.input_offset) / params.input_scale
-        h = np.tanh(h @ params.encoder[0].w + params.encoder[0].b)
-        h = h @ params.encoder[1].w + params.encoder[1].b
+        w = params.arrays
+        h = np.tanh(h @ w["enc0.w"] + w["enc0.b"])
+        h = h @ w["enc1.w"] + w["enc1.b"]
         mu, log_var = vae_encode(params, a)
         assert np.allclose(mu, h[0, :LATENT], atol=1e-12)
         assert np.allclose(log_var, h[0, LATENT:], atol=1e-12)
@@ -75,7 +76,7 @@ class TestEncodeDecode:
     def test_decode_zero_weights_returns_bias(self):
         rng = np.random.default_rng(3)
         params = small_params(rng, zero_decoder=True)
-        bias = params.decoder[-1].b.reshape(F, COLS)
+        bias = params.arrays["dec1.b"].reshape(F, COLS)
         out = vae_decode(params, rng.normal(size=LATENT))
         assert np.array_equal(out, bias)  # identity normalization by default
 
@@ -84,8 +85,9 @@ class TestEncodeDecode:
         params = small_params(rng)
         z = rng.normal(size=LATENT)
         h = z.reshape(1, -1)
-        h = np.tanh(h @ params.decoder[0].w + params.decoder[0].b)
-        h = h @ params.decoder[1].w + params.decoder[1].b
+        w = params.arrays
+        h = np.tanh(h @ w["dec0.w"] + w["dec0.b"])
+        h = h @ w["dec1.w"] + w["dec1.b"]
         h = h * params.input_scale + params.input_offset
         out = vae_decode(params, z)
         assert np.allclose(out, h.reshape(F, COLS), atol=1e-12)
@@ -193,7 +195,7 @@ class TestElbo:
         target = rng.normal(size=(1, F * COLS))
         noise = rng.normal(size=(1, LATENT))
         named = params.named_parameters()
-        flat_w = params.encoder[0].w.copy()
+        flat_w = params.arrays["enc0.w"].copy()
 
         def f(tape, w0):
             tensors = bind(tape, named, trainable=False)
