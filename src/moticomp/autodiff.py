@@ -22,15 +22,15 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A dense float64 array bound to the tape that produced it."""
+    """A dense float64 array at index tid of the tape that produced it. It holds
+    no reference to the tape, so reference counting alone frees a tape."""
 
-    __slots__ = ("values", "requires_grad", "grad", "tape", "tid")
+    __slots__ = ("values", "requires_grad", "grad", "tid")
 
-    def __init__(self, values: Array, requires_grad: bool, tape: "Tape", tid: int):
+    def __init__(self, values: Array, requires_grad: bool, tid: int):
         self.values = values
         self.requires_grad = requires_grad
         self.grad: Array | None = None
-        self.tape = tape
         self.tid = tid
 
     @property
@@ -80,7 +80,7 @@ class Tape:
             v = np.ascontiguousarray(v)
         if not np.all(np.isfinite(v)):
             raise NumericError("leaf tensor contains non-finite values")
-        t = Tensor(v, requires_grad, self, len(self.tensors))
+        t = Tensor(v, requires_grad, len(self.tensors))
         self.tensors.append(t)
         return t
 
@@ -90,12 +90,12 @@ class Tape:
     def _emit(self, kind: str, inputs: Sequence[Tensor], values: Array,
               backward_fn: Callable, macs: int = 0) -> Tensor:
         for t in inputs:
-            if t.tape is not self:
+            if not (t.tid < len(self.tensors) and self.tensors[t.tid] is t):
                 raise ValueError(f"{kind}: input tensor belongs to a different tape")
         if not np.all(np.isfinite(values)):
             raise NumericError(f"{kind} produced non-finite values")
         rg = any(t.requires_grad for t in inputs)
-        out = Tensor(values, rg, self, len(self.tensors))
+        out = Tensor(values, rg, len(self.tensors))
         self.tensors.append(out)
         self.nodes.append(Node(kind, tuple(t.tid for t in inputs), out.tid,
                                backward_fn, macs))
@@ -269,7 +269,7 @@ class Tape:
         Populates .grad on every requires_grad tensor; tensors with no path
         to the loss get zeros.
         """
-        if loss.tape is not self:
+        if not (loss.tid < len(self.tensors) and self.tensors[loss.tid] is loss):
             raise ValueError("loss tensor was not produced on this tape")
         if loss.values.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")

@@ -103,7 +103,7 @@ def _read_json_config(path: str) -> dict:
 
 
 def _split_config(doc: dict, path: str, *classes) -> list:
-    """Build one dataclass instance per class from a flat key/value dict."""
+    """Build one type-checked dataclass instance per class from a flat key/value dict."""
     fields = {}
     for cls in classes:
         fields.update({f.name: cls for f in dataclasses.fields(cls)})
@@ -112,11 +112,9 @@ def _split_config(doc: dict, path: str, *classes) -> list:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
     out = []
     for cls in classes:
-        names = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in doc.items() if k in names}
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
-        out.append(cls(**kwargs))
+        types = datagen._field_types(cls)
+        kwargs = {k: v for k, v in doc.items() if k in types}
+        out.append(cls(**datagen._check_types(kwargs, types, f"{path}: config", ConfigError)))
     return out
 
 

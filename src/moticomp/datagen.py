@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -333,11 +333,13 @@ def _fits(value, annotation: str) -> bool:
 
 
 def _check_types(values: dict, types: dict[str, str], context: str,
-                 error: type[Exception] = TypeError) -> None:
-    """Raise error naming the first key whose value does not fit its annotation."""
+                 error: type[Exception] = TypeError) -> dict:
+    """Raise error naming the first key whose value does not fit its annotation;
+    return the values, JSON lists as tuples."""
     for key, annotation in types.items():
         if key in values and not _fits(values[key], annotation):
             raise error(f"{context} key {key!r} holds {values[key]!r}, expected {annotation}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
 
 
 _SKELETON_TYPES = _field_types(Skeleton)
@@ -396,10 +398,8 @@ def manifest_from_json(text: str) -> DatasetManifest:
         missing = _REQUIRED_ACTION_KEYS - set(entry)
         if missing:
             raise ManifestError(f"action {entry.get('name')!r} lacks keys: {sorted(missing)}")
-        _check_types(entry, _field_types(ActionSpec), f"action {entry['name']!r}",
-                     ManifestError)
-        actions.append(ActionSpec(**{k: tuple(v) if isinstance(v, list) else v
-                                     for k, v in entry.items()}))
+        actions.append(ActionSpec(**_check_types(entry, _field_types(ActionSpec),
+                                                 f"action {entry['name']!r}", ManifestError)))
     scalars = {f.name: doc[f.name] for f in fields(DatasetManifest)
                if f.name not in ("skeleton", "actions")}
     return DatasetManifest(skeleton=skeleton, actions=tuple(actions), **scalars)
@@ -496,11 +496,22 @@ def _read_tensors(entries) -> dict[str, np.ndarray]:
     return out
 
 
-def _predictor_config(config: dict) -> PredictorConfig:
-    """The PredictorConfig echoed in a checkpoint; KeyError or TypeError on a bad key."""
-    values = {f.name: config[f.name] for f in fields(PredictorConfig)}
-    _check_types(values, _field_types(PredictorConfig), "config")
-    return PredictorConfig(**values)
+def _config_values(config: dict, types: dict[str, str]) -> dict:
+    """The config entries named in types; KeyError or TypeError on a bad key."""
+    return _check_types({name: config[name] for name in types}, types, "config")
+
+
+def _vae_params(path, config: dict, tensors: dict[str, np.ndarray]) -> VaeParams:
+    """The VAE a checkpoint describes, built with its normalization so VaeParams checks it."""
+    types = {k: v for k, v in init_vae.__annotations__.items() if k not in ("rng", "return")}
+    values = _config_values(config, types)
+    if not 1 <= values["coeff_rows"] <= values["original_length"]:
+        raise ValueError(f"config key 'coeff_rows' holds {values['coeff_rows']}, expected "
+                         f"1..original_length ({values['original_length']})")
+    model = init_vae(np.random.default_rng(0), **values)
+    norm = {"norm.offset": model.input_offset, "norm.scale": model.input_scale}
+    _fill_parameters(path, norm, {name: tensors.pop(name) for name in norm})
+    return replace(model, input_offset=norm["norm.offset"], input_scale=norm["norm.scale"])
 
 
 def save_checkpoint(path, model: VaeParams | PredictorModel) -> None:
@@ -557,19 +568,12 @@ def load_checkpoint(path) -> VaeParams | PredictorModel:
         config = doc["config"]
         tensors = _read_tensors(doc["tensors"])
         if kind == "cag_vae":
-            model = init_vae(np.random.default_rng(0),
-                             coeff_rows=config["coeff_rows"],
-                             coeff_cols=config["coeff_cols"],
-                             original_length=config["original_length"],
-                             latent_dim=config["latent_dim"],
-                             hidden_dims=tuple(config["hidden_dims"]))
-            model.input_offset = tensors.pop("norm.offset")
-            model.input_scale = tensors.pop("norm.scale").reshape(1, -1)
+            model = _vae_params(path, config, tensors)
         elif kind == "predictor":
             layout = PartLayout(upper_dims=tuple(config["upper_dims"]),
                                 lower_dims=tuple(config["lower_dims"]))
-            model = init_predictor_model(np.random.default_rng(0), layout,
-                                         _predictor_config(config))
+            model_config = PredictorConfig(**_config_values(config, _field_types(PredictorConfig)))
+            model = init_predictor_model(np.random.default_rng(0), layout, model_config)
         else:
             raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
     except KeyError as exc:

@@ -8,7 +8,7 @@ encoder/decoder, and restores a time-domain sequence with the inverse DCT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,18 +38,13 @@ class VaeParams:
     coeff_rows: int
     coeff_cols: int
     original_length: int
-    input_offset: np.ndarray | None = None
+    input_offset: np.ndarray | float = 0.0
     input_scale: np.ndarray | float = 1.0
 
     def __post_init__(self):
-        d_in = self.coeff_rows * self.coeff_cols
-        if self.input_offset is None:
-            self.input_offset = np.zeros((1, d_in))
-        self.input_offset = np.asarray(self.input_offset, dtype=np.float64).reshape(1, d_in)
-        scale = np.asarray(self.input_scale, dtype=np.float64)
-        if scale.size == 1:
-            scale = np.full((1, d_in), float(scale.reshape(())))
-        self.input_scale = scale.reshape(1, d_in)
+        row = (1, self.input_dim)  # a scalar normalization fills the whole row
+        self.input_offset = np.broadcast_to(np.asarray(self.input_offset, np.float64), row).copy()
+        self.input_scale = np.broadcast_to(np.asarray(self.input_scale, np.float64), row).copy()
         if not np.all(self.input_scale > 0):
             raise ConfigError("input_scale entries must be positive")
 
@@ -114,16 +109,20 @@ class BodyMask:
 
 
 # ----------------------------------------------------------------------
-# tape-level forward passes (shared by synthesis and training)
+# tape-level forward passes, shared by synthesis and training: one row per sample
+
+def _rows(tape: Tape, row: np.ndarray, x: Tensor) -> Tensor:
+    return tape.constant(np.repeat(row, x.shape[0], axis=0))  # row once per row of x
+
 
 def _normalize(tape: Tape, params: VaeParams, x: Tensor) -> Tensor:
-    shifted = tape.add(x, tape.constant(-params.input_offset))
-    return tape.hadamard(shifted, tape.constant(1.0 / params.input_scale))
+    shifted = tape.add(x, _rows(tape, -params.input_offset, x))
+    return tape.hadamard(shifted, _rows(tape, 1.0 / params.input_scale, x))
 
 
 def _denormalize(tape: Tape, params: VaeParams, x: Tensor) -> Tensor:
-    return tape.add(tape.hadamard(x, tape.constant(params.input_scale)),
-                    tape.constant(params.input_offset))
+    return tape.add(tape.hadamard(x, _rows(tape, params.input_scale, x)),
+                    _rows(tape, params.input_offset, x))
 
 
 def _encode(tape: Tape, params: VaeParams, tensors: dict[str, Tensor],
@@ -145,36 +144,34 @@ def _reparameterize(tape: Tape, mu: Tensor, log_var: Tensor, noise: np.ndarray) 
 
 def _elbo(tape: Tape, target_flat: Tensor, recon_flat: Tensor, mu: Tensor,
           log_var: Tensor, kl_weight: float) -> Tensor:
+    """Mean over rows of each row's reconstruction MSE plus kl_weight x its KL."""
     diff = tape.add(recon_flat, tape.scale(target_flat, -1.0))
     recon = tape.scale(tape.sum_sq(diff), 1.0 / diff.size)
     ones = tape.constant(np.ones(mu.shape))
     inside = tape.add(tape.add(ones, log_var),
                       tape.scale(tape.add(tape.hadamard(mu, mu), tape.exp(log_var)), -1.0))
-    kl = tape.scale(tape.mean(inside), -0.5 * inside.size)
+    kl = tape.scale(tape.mean(inside), -0.5 * inside.shape[1])
     return tape.add(recon, tape.scale(kl, kl_weight))
 
 
 # ----------------------------------------------------------------------
 # public operations
 
-def _check_coeffs(params: VaeParams, a: DctCoeffs) -> None:
-    if a.coeffs.shape != (params.coeff_rows, params.coeff_cols):
-        raise ShapeError(
-            f"coefficients {a.coeffs.shape} do not match model "
-            f"({params.coeff_rows}, {params.coeff_cols})"
-        )
-
-
-def _reconstruct(params: VaeParams, a: DctCoeffs, noise: np.ndarray) -> np.ndarray:
-    """Encode, draw z = mu + exp(log_var / 2) * noise, decode, and invert the DCT."""
-    _check_coeffs(params, a)
+def _reconstruct(params: VaeParams, coeffs: list[DctCoeffs],
+                 noise: np.ndarray) -> list[np.ndarray]:
+    """Encode each set as one row, draw z = mu + exp(log_var / 2) * noise with
+    one noise row per set, decode, and invert the DCT of each decoded row."""
+    shape, length = (params.coeff_rows, params.coeff_cols), params.original_length
+    for a in coeffs:
+        if a.coeffs.shape != shape:
+            raise ShapeError(f"coefficients {a.coeffs.shape} do not match model {shape}")
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
-    mu, log_var = _encode(tape, params, tensors, tape.constant(a.flat().reshape(1, -1)))
+    x = tape.constant(np.stack([a.flat() for a in coeffs]))
+    mu, log_var = _encode(tape, params, tensors, x)
     recon = _decode(tape, params, tensors, _reparameterize(tape, mu, log_var, noise))
-    coeffs = DctCoeffs(coeffs=recon.values.reshape(params.coeff_rows, params.coeff_cols),
-                       original_length=params.original_length)
-    return idct_decode(coeffs, params.original_length)
+    return [idct_decode(DctCoeffs(coeffs=row.reshape(shape), original_length=length), length)
+            for row in recon.values]
 
 
 def masked_fuse(s_m: MotionSequence, s_n: MotionSequence, mask: BodyMask,
@@ -202,7 +199,7 @@ def synthesize_composite(params: VaeParams, s_m: MotionSequence, s_n: MotionSequ
     noise = np.zeros(params.latent_dim) if noise is None else np.asarray(noise, dtype=np.float64)
     if noise.size != params.latent_dim:
         raise ShapeError(f"noise size {noise.size} != latent_dim {params.latent_dim}")
-    data = _reconstruct(params, fused, noise)
+    (data,) = _reconstruct(params, [fused], noise.reshape(1, -1))
     if s_m.fps != s_n.fps:
         raise ValueError(f"fps differ: {s_m.fps} vs {s_n.fps}")
     return MotionSequence(data=data, fps=s_m.fps, label=f"{s_m.label}+{s_n.label}")
@@ -244,8 +241,8 @@ class CagTrainResult:
 def train_cag(dataset: list[MotionSequence], config: CagTrainConfig) -> CagTrainResult:
     """Fit the VAE to reconstruct the given atomic actions.
 
-    Runs config.epochs of Adam over mini-batches of the per-sample loss;
-    returns the fitted parameters and the per-epoch mean loss curve.
+    Runs config.epochs of Adam over mini-batches of the per-sample loss, one
+    tape per mini-batch; returns the fitted parameters and per-epoch mean loss.
     """
     from .training import AdamState, adam_step
 
@@ -264,9 +261,9 @@ def train_cag(dataset: list[MotionSequence], config: CagTrainConfig) -> CagTrain
                       hidden_dims=config.hidden_dims)
 
     flats = np.stack([dct_encode(seq.data, n_coeffs).flat() for seq in dataset])
-    params.input_offset = flats.mean(axis=0, keepdims=True)
     scale = max(float(flats.std()), 1e-6) * config.normalization_margin
-    params.input_scale = np.full((1, flats.shape[1]), scale)
+    params = replace(params, input_offset=flats.mean(axis=0, keepdims=True),
+                     input_scale=np.full((1, flats.shape[1]), scale))
 
     named = params.named_parameters()
     state = AdamState.for_params(named)
@@ -278,16 +275,12 @@ def train_cag(dataset: list[MotionSequence], config: CagTrainConfig) -> CagTrain
             batch = order[start:start + config.batch_size]
             tape = Tape()
             tensors = bind(tape, named, trainable=True)
-            total = None
-            for idx in batch:
-                x = tape.constant(flats[idx].reshape(1, -1))
-                mu, log_var = _encode(tape, params, tensors, x)
-                noise = rng.standard_normal(config.latent_dim)
-                z = _reparameterize(tape, mu, log_var, noise)
-                recon = _decode(tape, params, tensors, z)
-                loss = _elbo(tape, x, recon, mu, log_var, config.kl_weight)
-                total = loss if total is None else tape.add(total, loss)
-            batch_loss = tape.scale(total, 1.0 / len(batch))
+            x = tape.constant(flats[batch])
+            mu, log_var = _encode(tape, params, tensors, x)
+            noise = rng.standard_normal((len(batch), config.latent_dim))
+            z = _reparameterize(tape, mu, log_var, noise)
+            recon = _decode(tape, params, tensors, z)
+            batch_loss = _elbo(tape, x, recon, mu, log_var, config.kl_weight)
             tape.backward(batch_loss)
             grads = {name: tensors[name].grad for name in named}
             adam_step(named, grads, state, config.lr)
@@ -296,15 +289,12 @@ def train_cag(dataset: list[MotionSequence], config: CagTrainConfig) -> CagTrain
     return CagTrainResult(params=params, loss_history=history)
 
 
-def reconstruction_mpjpe(params: VaeParams, dataset: list[MotionSequence],
-                         n_coeffs: int | None = None) -> float:
+def reconstruction_mpjpe(params: VaeParams, dataset: list[MotionSequence]) -> float:
     """Mean per-joint Euclidean error of deterministic reconstructions, in mm."""
     if not dataset:
         raise ValueError("dataset is empty")
-    n_coeffs = n_coeffs if n_coeffs is not None else params.coeff_rows
-    errors = []
-    for seq in dataset:
-        recon = _reconstruct(params, dct_encode(seq.data, n_coeffs), np.zeros(params.latent_dim))
-        diff = (recon - seq.data).reshape(seq.frames, -1, 3)
-        errors.append(float(np.linalg.norm(diff, axis=2).mean()))
+    recons = _reconstruct(params, [dct_encode(seq.data, params.coeff_rows) for seq in dataset],
+                          np.zeros((len(dataset), params.latent_dim)))
+    errors = [np.linalg.norm((recon - seq.data).reshape(seq.frames, -1, 3), axis=2).mean()
+              for recon, seq in zip(recons, dataset)]
     return float(np.mean(errors))

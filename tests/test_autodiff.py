@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,34 @@ class TestBackward:
         loss = tape1.mean(x)
         with pytest.raises(ValueError):
             tape2.backward(loss)
+
+    def test_input_from_other_tape_rejected(self):
+        tape1, tape2 = Tape(), Tape()
+        x = tape1.leaf(np.ones(2))
+        with pytest.raises(ValueError, match="tanh: input tensor belongs to a different tape"):
+            tape2.tanh(x)  # tid 0 lies outside tape2
+        own = tape2.leaf(np.ones(2))  # tid 0 on tape2, like x on tape1
+        with pytest.raises(ValueError, match="add: input tensor belongs to a different tape"):
+            tape2.add(own, x)
+        assert len(tape2.nodes) == 0
+
+
+def test_tape_freed_by_reference_counting():
+    # Tensors hold no reference to their tape, so no cycle keeps a used tape
+    # alive for the cyclic garbage collector to find.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.leaf(np.ones((2, 2)), requires_grad=True)
+        tape.backward(tape.sum_sq(tape.tanh(tape.matmul(x, x))))
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+        assert x.grad.shape == (2, 2)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestGradCheck:

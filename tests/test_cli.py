@@ -153,6 +153,24 @@ def test_bad_config_key_exits_two(tiny_manifest, tmp_path):
                      "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("train-cag", "epochs", "5"), ("train-cag", "epochs", 2.5),
+    ("train-cag", "hidden_dims", 5), ("train-cag", "batch_size", True),
+    ("train-predictor", "epochs", "5"), ("train-predictor", "lr", None),
+    ("train-predictor", "heads", 2.0), ("train-predictor", "zero_output_decoders", 1)])
+def test_ill_typed_config_value_exits_two_naming_file_and_key(tmp_path, capsys, command,
+                                                              key, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    # the data directory does not exist: the config fails before any data loads
+    assert dispatch([command, "--config", str(cfg), "--data", str(tmp_path / "none"),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: config key '{key}' holds {value!r}, expected " in err
+    assert "Traceback" not in err
+
+
 def test_seed_override_changes_gen_data(tiny_manifest, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

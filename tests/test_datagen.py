@@ -290,6 +290,64 @@ class TestCheckpointTensors:
             load_checkpoint(path)
 
 
+def saved_vae(path):
+    """Write a small VAE checkpoint (4 x 6 coefficients) and return its JSON document."""
+    save_checkpoint(path, init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,
+                                   original_length=8, latent_dim=3, hidden_dims=(10,)))
+    return json.loads(path.read_text())
+
+
+class TestVaeCheckpointErrors:
+    """A malformed VAE checkpoint fails at load with an error naming the key or
+    tensor, not later when the model is used."""
+
+    def load_edited(self, tmp_path, edit):
+        path = tmp_path / "v.json"
+        doc = saved_vae(path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return load_checkpoint(path)
+
+    def test_fractional_original_length(self, tmp_path):
+        with pytest.raises(CheckpointError,
+                           match=r"config key 'original_length' holds 2\.5, expected int"):
+            self.load_edited(tmp_path, lambda doc: doc["config"].update(original_length=2.5))
+
+    def test_original_length_below_coeff_rows(self, tmp_path):
+        with pytest.raises(CheckpointError, match=r"config key 'coeff_rows' holds 4, "
+                                                  r"expected 1\.\.original_length \(2\)"):
+            self.load_edited(tmp_path, lambda doc: doc["config"].update(original_length=2))
+
+    def test_string_coeff_rows(self, tmp_path):
+        with pytest.raises(CheckpointError,
+                           match=r"config key 'coeff_rows' holds '4', expected int"):
+            self.load_edited(tmp_path, lambda doc: doc["config"].update(coeff_rows="4"))
+
+    def test_non_positive_norm_scale(self, tmp_path):
+        def negate(doc):
+            entry = next(e for e in doc["tensors"] if e["name"] == "norm.scale")
+            entry["values"] = [-1.0] * len(entry["values"])
+
+        with pytest.raises(CheckpointError, match="input_scale entries must be positive"):
+            self.load_edited(tmp_path, negate)
+
+    def test_mis_shaped_norm_offset(self, tmp_path):
+        def shrink(doc):
+            entry = next(e for e in doc["tensors"] if e["name"] == "norm.offset")
+            entry["shape"], entry["values"] = [1, 6], entry["values"][:6]
+
+        with pytest.raises(CheckpointError,
+                           match=r"tensor norm\.offset has shape \(1, 6\), expected \(1, 24\)"):
+            self.load_edited(tmp_path, shrink)
+
+    def test_missing_norm_tensor(self, tmp_path):
+        def drop(doc):
+            doc["tensors"] = [e for e in doc["tensors"] if e["name"] != "norm.scale"]
+
+        with pytest.raises(CheckpointError, match="missing key 'norm.scale'"):
+            self.load_edited(tmp_path, drop)
+
+
 def checkpoint_digest(path, model):
     save_checkpoint(path, model)
     return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from moticomp.dct import DctCoeffs, dct_encode
 from moticomp.errors import ShapeError
 from moticomp.layers import bind
 from moticomp.motion import MotionSequence, PartLayout, Skeleton
+from moticomp.training import AdamState, adam_step
 from moticomp.vae import (BodyMask, CagTrainConfig, _decode, _elbo, _encode,
                           _reparameterize, init_vae, masked_fuse,
-                          synthesize_composite, train_cag)
+                          reconstruction_mpjpe, synthesize_composite, train_cag)
 
 F, COLS, LENGTH, LATENT = 4, 6, 8, 3
 
@@ -207,6 +210,101 @@ class TestElbo:
             return _elbo(tape, x, recon, mu, log_var, 1.0)
 
         assert grad_check(f, flat_w, 1e-4) < 1e-4
+
+
+def batch_elbo(params, rows, noise, kl_weight=0.5):
+    """The ELBO of rows through the whole VAE on one tape, and its gradients."""
+    tape = Tape()
+    tensors = bind(tape, params.named_parameters(), trainable=True)
+    x = tape.constant(rows)
+    mu, log_var = _encode(tape, params, tensors, x)
+    recon = _decode(tape, params, tensors, _reparameterize(tape, mu, log_var, noise))
+    loss = _elbo(tape, x, recon, mu, log_var, kl_weight)
+    tape.backward(loss)
+    return loss.item(), {name: t.grad for name, t in tensors.items()}
+
+
+def assert_close(actual, expected, rel=1e-10):
+    """Equal to rel, relative to the largest magnitude of expected."""
+    np.testing.assert_allclose(actual, expected, rtol=rel,
+                               atol=rel * float(np.max(np.abs(expected))))
+
+
+class TestBatchedRows:
+    """A minibatch is one block of rows on one tape; it must equal the mean of
+    one-row passes up to the order of floating-point sums."""
+
+    def test_elbo_of_rows_is_mean_of_row_elbos(self):
+        rng = np.random.default_rng(21)
+        params = dataclasses.replace(small_params(rng),
+                                     input_offset=rng.normal(size=(1, F * COLS)),
+                                     input_scale=rng.uniform(0.5, 2.0, size=(1, F * COLS)))
+        rows = rng.normal(size=(5, F * COLS))
+        noise = rng.normal(size=(5, LATENT))
+        loss, grads = batch_elbo(params, rows, noise)
+        singles = [batch_elbo(params, rows[i:i + 1], noise[i:i + 1]) for i in range(5)]
+        assert_close(loss, np.mean([value for value, _ in singles]))
+        assert set(grads) == set(params.named_parameters())
+        for name, grad in grads.items():
+            assert_close(grad, np.mean([g[name] for _, g in singles], axis=0))
+
+    def test_train_cag_matches_per_sample_reference(self):
+        rng = np.random.default_rng(22)
+        data = make_sequences(rng, 7)
+        config = CagTrainConfig(epochs=2, batch_size=3, latent_dim=LATENT, hidden_dims=(10,),
+                                n_coeffs=F, kl_weight=0.5, seed=3)
+        ref_params, ref_history = per_sample_train_cag(data, config)
+        result = train_cag(data, config)
+        assert_close(result.loss_history, ref_history)
+        for name, arr in ref_params.named_parameters().items():
+            assert_close(result.params.named_parameters()[name], arr)
+        assert np.array_equal(result.params.input_offset, ref_params.input_offset)
+        assert np.array_equal(result.params.input_scale, ref_params.input_scale)
+
+    def test_reconstruction_mpjpe_is_mean_over_sequences(self):
+        rng = np.random.default_rng(23)
+        data = make_sequences(rng, 5)
+        params = train_cag(data, CagTrainConfig(epochs=2, batch_size=2, latent_dim=LATENT,
+                                                hidden_dims=(10,), n_coeffs=F)).params
+        one_by_one = np.mean([reconstruction_mpjpe(params, [seq]) for seq in data])
+        assert_close(reconstruction_mpjpe(params, data), one_by_one)
+
+
+def per_sample_train_cag(dataset, config):
+    """train_cag with one encode/decode chain per sample, summed per mini-batch."""
+    rng = np.random.default_rng(config.seed)
+    n_frames, n_cols = dataset[0].data.shape
+    params = init_vae(rng, coeff_rows=config.n_coeffs, coeff_cols=n_cols,
+                      original_length=n_frames, latent_dim=config.latent_dim,
+                      hidden_dims=config.hidden_dims)
+    flats = np.stack([dct_encode(seq.data, config.n_coeffs).flat() for seq in dataset])
+    scale = max(float(flats.std()), 1e-6) * config.normalization_margin
+    params = dataclasses.replace(params, input_offset=flats.mean(axis=0, keepdims=True),
+                                 input_scale=scale)
+    named = params.named_parameters()
+    state = AdamState.for_params(named)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(dataset))
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            tape = Tape()
+            tensors = bind(tape, named, trainable=True)
+            total = None
+            for idx in batch:
+                x = tape.constant(flats[idx].reshape(1, -1))
+                mu, log_var = _encode(tape, params, tensors, x)
+                noise = rng.standard_normal(config.latent_dim)
+                recon = _decode(tape, params, tensors, _reparameterize(tape, mu, log_var, noise))
+                loss = _elbo(tape, x, recon, mu, log_var, config.kl_weight)
+                total = loss if total is None else tape.add(total, loss)
+            batch_loss = tape.scale(total, 1.0 / len(batch))
+            tape.backward(batch_loss)
+            adam_step(named, {name: tensors[name].grad for name in named}, state, config.lr)
+            epoch_loss += batch_loss.item() * len(batch)
+        history.append(epoch_loss / len(dataset))
+    return params, history
 
 
 def make_sequences(rng, n, length=LENGTH, cols=COLS):
