@@ -2,9 +2,20 @@
 
 A Tape records every forward operation in construction order (which is a
 topological order by construction) and replays it backwards to accumulate
-gradients. Shapes must match exactly; the only broadcasting anywhere is
-scalar * tensor (the `scale` and `scalar_mul` kinds). Every forward output
-is checked finite.
+gradients. Every forward output is checked finite.
+
+A minibatch is one tensor with a leading batch axis: B samples of shape
+(rows, cols) form a (B, rows, cols) tensor, and one sample may go without
+the axis. Shapes must match exactly, with one broadcasting rule: an operand
+of `add` or `matmul` that lacks the batch axis of the other (a shared
+parameter or constant) is used by every batch row, and its gradient is
+summed over the batch. `scalar_mul` scales by one element, or by one
+element per batch row (shape (B, 1, 1)), and `scale` by a Python float.
+`transpose` swaps the last two axes; `softmax_lastdim`, `slice_lastdim`,
+`concat_lastdim` and `straight_through` act on the last axis. Two kinds work
+along the batch axis itself: `gather_rows` picks rows of one or more tensors
+stacked along axis 0, with a scatter-add gradient, and `sum_rows` sums over
+axis 0.
 
 Matmul nodes carry their multiply-accumulate count, so a tape doubles as
 an instrumented operation counter for cost accounting.
@@ -19,6 +30,17 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 Array = np.ndarray
+
+
+def _shares_batch(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Equal shapes, or one of them is the other less its leading batch axis."""
+    return a == b or a == b[1:] or b == a[1:]
+
+
+def _sum_batch(g: Array, shape: tuple[int, ...]) -> Array:
+    """Gradient g for an operand of this shape: summed over the leading batch
+    axis when the operand lacked it."""
+    return g if g.shape == shape else g.sum(axis=0)
 
 
 class Tensor:
@@ -106,22 +128,26 @@ class Tape:
     # operations
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not conform")
+        """Matrix product over the last two axes of (m, k) or (B, m, k) operands."""
         av, bv = a.values, b.values
+        if (av.ndim not in (2, 3) or bv.ndim not in (2, 3) or av.shape[-1] != bv.shape[-2]
+                or (av.ndim == bv.ndim == 3 and av.shape[0] != bv.shape[0])):
+            raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not conform")
         na, nb = a.requires_grad, b.requires_grad
 
         def bwd(g):
-            return (g @ bv.T if na else None, av.T @ g if nb else None)
+            return (_sum_batch(g @ np.swapaxes(bv, -1, -2), av.shape) if na else None,
+                    _sum_batch(np.swapaxes(av, -1, -2) @ g, bv.shape) if nb else None)
 
-        m, k = a.shape
-        n = b.shape[1]
-        return self._emit("matmul", (a, b), av @ bv, bwd, macs=m * k * n)
+        out = av @ bv
+        return self._emit("matmul", (a, b), out, bwd, macs=out.size * av.shape[-1])
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
+        if not _shares_batch(a.shape, b.shape):
             raise ShapeError(f"add shapes {a.shape} vs {b.shape}")
-        return self._emit("add", (a, b), a.values + b.values, lambda g: (g, g))
+        sa, sb = a.shape, b.shape
+        return self._emit("add", (a, b), a.values + b.values,
+                          lambda g: (_sum_batch(g, sa), _sum_batch(g, sb)))
 
     def hadamard(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -158,15 +184,19 @@ class Tape:
         return self._emit("scale", (a,), a.values * c, lambda g: (g * c,))
 
     def scalar_mul(self, a: Tensor, s: Tensor) -> Tensor:
-        """Multiply a tensor by a one-element tensor (the allowed broadcast)."""
-        if s.values.size != 1:
-            raise ShapeError(f"scalar_mul scalar has shape {s.shape}")
+        """Multiply a tensor by a one-element tensor, or each batch row of a
+        by its own element of s of shape (B, 1, ..., 1)."""
         av = a.values
-        sv = float(s.values.reshape(()))
         s_shape = s.shape
+        if s.values.size == 1:
+            sv, axes = float(s.values.reshape(())), None
+        elif s_shape == av.shape[:1] + (1,) * (av.ndim - 1):
+            sv, axes = s.values, tuple(range(1, av.ndim))
+        else:
+            raise ShapeError(f"scalar_mul scalar has shape {s_shape} for {a.shape}")
 
         def bwd(g):
-            return (g * sv, np.sum(g * av).reshape(s_shape))
+            return (g * sv, np.sum(g * av, axis=axes).reshape(s_shape))
 
         return self._emit("scalar_mul", (a, s), av * sv, bwd)
 
@@ -228,10 +258,12 @@ class Tape:
         return self._emit("slice_lastdim", (a,), values, bwd)
 
     def transpose(self, a: Tensor) -> Tensor:
-        if a.values.ndim != 2:
-            raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-        return self._emit("transpose", (a,), np.ascontiguousarray(a.values.T),
-                          lambda g: (np.ascontiguousarray(g.T),))
+        """Swap the last two axes of a (m, n) or (B, m, n) tensor."""
+        if a.values.ndim not in (2, 3):
+            raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got {a.shape}")
+        return self._emit("transpose", (a,),
+                          np.ascontiguousarray(np.swapaxes(a.values, -1, -2)),
+                          lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
 
     def repeat_rows(self, a: Tensor, n: int) -> Tensor:
         if a.values.ndim != 2 or a.shape[0] != 1:
@@ -249,17 +281,47 @@ class Tape:
                           lambda g: (g.reshape(old),))
 
     def straight_through(self, soft: Tensor) -> Tensor:
-        """Row-wise one-hot of the argmax; backward passes gradients through.
+        """One-hot of the argmax over the last axis; backward passes gradients through.
 
         Ties break toward the lowest index. The output is the hard vector in
         the forward pass while the backward pass treats it as the soft input.
         """
         x = soft.values
-        if x.ndim != 2:
-            raise ShapeError(f"straight_through expects 2-D rows, got {x.shape}")
+        if x.ndim < 2:
+            raise ShapeError(f"straight_through expects rows, got {x.shape}")
         hard = np.zeros_like(x)
-        hard[np.arange(x.shape[0]), np.argmax(x, axis=1)] = 1.0
+        np.put_along_axis(hard, np.argmax(x, axis=-1)[..., None], 1.0, axis=-1)
         return self._emit("straight_through", (soft,), hard, lambda g: (g,))
+
+    def gather_rows(self, parts: Sequence[Tensor], index) -> Tensor:
+        """Rows index of the parts stacked along axis 0; the gradient adds each
+        output row back into the row it came from."""
+        if not parts or any(p.values.ndim < 2 or p.shape[1:] != parts[0].shape[1:]
+                            for p in parts):
+            raise ShapeError("gather_rows needs parts whose rows have one shape")
+        sizes = [p.shape[0] for p in parts]
+        total, row_shape = sum(sizes), parts[0].shape[1:]
+        index = np.asarray(index, dtype=np.intp)
+        if index.ndim != 1 or index.size == 0 or not (
+                0 <= index.min() and index.max() < total):
+            raise ShapeError(f"gather_rows index outside 0..{total - 1} or empty")
+
+        def bwd(g):
+            full = np.zeros((total,) + row_shape)
+            np.add.at(full, index, g)
+            return tuple(np.split(full, np.cumsum(sizes)[:-1]))
+
+        stacked = (parts[0].values if len(parts) == 1
+                   else np.concatenate([p.values for p in parts]))
+        return self._emit("gather_rows", tuple(parts), stacked[index], bwd)
+
+    def sum_rows(self, a: Tensor) -> Tensor:
+        """Sum over the leading (batch) axis."""
+        if a.values.ndim < 2:
+            raise ShapeError(f"sum_rows expects a batch of rows, got {a.shape}")
+        shape = a.shape
+        return self._emit("sum_rows", (a,), a.values.sum(axis=0),
+                          lambda g: (np.broadcast_to(g, shape),))
 
     # ------------------------------------------------------------------
 

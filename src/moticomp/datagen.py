@@ -570,8 +570,7 @@ def load_checkpoint(path) -> VaeParams | PredictorModel:
         if kind == "cag_vae":
             model = _vae_params(path, config, tensors)
         elif kind == "predictor":
-            layout = PartLayout(upper_dims=tuple(config["upper_dims"]),
-                                lower_dims=tuple(config["lower_dims"]))
+            layout = PartLayout(**_config_values(config, _field_types(PartLayout)))
             model_config = PredictorConfig(**_config_values(config, _field_types(PredictorConfig)))
             model = init_predictor_model(np.random.default_rng(0), layout, model_config)
         else:

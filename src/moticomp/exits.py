@@ -35,8 +35,9 @@ def init_policy(rng: np.random.Generator, feature_width: int, hidden: int,
 
 def _policy_forward(tape: Tape, tensors: dict[str, Tensor], prefix: str,
                     h: Tensor) -> Tensor:
-    """Logits (1, D) from encoded branch features (nodes, F): mean-pool then MLP."""
-    n = h.shape[0]
+    """Logits (B, 1, D) from encoded branch features (B, nodes, F), or (1, D)
+    from (nodes, F): mean-pool over the nodes, then MLP."""
+    n = h.shape[-2]
     pooled = tape.matmul(tape.constant(np.full((1, n), 1.0 / n)), h)
     hidden = tape.tanh(linear(tape, pooled, tensors[f"{prefix}.w1"],
                               tensors[f"{prefix}.b1"]))
@@ -47,9 +48,9 @@ def _gumbel_softmax_st(tape: Tape, logits: Tensor, temperature: float,
                        noise: np.ndarray) -> tuple[Tensor, Tensor]:
     """Straight-through draw over exits from explicit Gumbel noise.
 
-    Returns (hard one-hot, soft) tensors. Deterministic routing passes zeros
-    as noise, which selects the argmax of the logits; ties break toward the
-    lowest index.
+    Returns (hard one-hot, soft) tensors of the shape of logits, one draw per
+    row over the last axis. Deterministic routing passes zeros as noise, which
+    selects the argmax of the logits; ties break toward the lowest index.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")

@@ -49,6 +49,8 @@ class PredictorConfig:
     def __post_init__(self):
         if self.input_frames < 2 or self.output_frames < 1:
             raise ConfigError("need >= 2 input frames and >= 1 output frame")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.feature_width % self.heads != 0:
             raise ConfigError(
                 f"feature width {self.feature_width} not divisible by {self.heads} heads"
@@ -167,7 +169,7 @@ def _gc_layer(tape: Tape, h: Tensor, adj: Tensor, wgt: Tensor) -> Tensor:
 
 def _self_attention(tape: Tape, h: Tensor, tensors: dict[str, Tensor],
                     prefix: str, heads: int) -> Tensor:
-    n, f = h.shape
+    f = h.shape[-1]
     if f % heads != 0:
         raise ConfigError(f"feature width {f} not divisible by {heads} heads")
     dh = f // heads
@@ -203,25 +205,57 @@ def _branch_encode(tape: Tape, tensors: dict[str, Tensor], prefix: str,
 
 
 def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
-                 tensors: dict[str, Tensor], h: Tensor, exit_index: int) -> Tensor:
-    """Run the first exit_index blocks from encoded features, then decode."""
-    if not 1 <= exit_index <= config.n_blocks:
-        raise ValueError(f"exit index {exit_index} outside 1..{config.n_blocks}")
-    for k in range(exit_index):
+                 tensors: dict[str, Tensor], h: Tensor, exits,
+                 hard: Tensor | None = None) -> Tensor:
+    """Decode each sample of encoded features h (B, nodes, F) after its first
+    exits[b] blocks; exits may also be one index for the whole batch.
+
+    Block k runs only on the samples whose exit lies deeper than k; they are
+    gathered when some samples have already left. Given hard, the (B, 1, D)
+    one-hot the exits were drawn from, each sample's output is scaled by its
+    own entry of hard, which is 1 in the forward pass and passes a
+    straight-through gradient to that sample's chosen logit alone. When every
+    sample takes the same exit no gather is recorded, so one sample, or one
+    (nodes, F) matrix, records only the blocks up to its exit and the decoder.
+    """
+    exits = np.broadcast_to(exits, h.shape[:-2]).reshape(-1)
+    bad = exits[(exits < 1) | (exits > config.n_blocks)]
+    if bad.size:
+        raise ValueError(f"exit index {bad[0]} outside 1..{config.n_blocks}")
+    rows = np.arange(exits.size)  # the samples h holds, in batch order
+    outputs, output_rows = [], []
+    for k in range(int(exits.max())):
         h = _block_forward(tape, config, tensors, f"{kind}.blk{k}", h)
-    return linear(tape, h, tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"])
+        leaving = exits[rows] == k + 1
+        if not leaving.any():
+            continue
+        y = h if leaving.all() else tape.gather_rows([h], np.flatnonzero(leaving))
+        y = linear(tape, y, tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"])
+        left = rows[leaving]
+        if hard is not None:
+            gate = hard if left.size == exits.size else tape.gather_rows([hard], left)
+            y = tape.scalar_mul(y, tape.slice_lastdim(gate, k, k + 1))
+        outputs.append(y)
+        output_rows.append(left)
+        if not leaving.all():
+            h = tape.gather_rows([h], np.flatnonzero(~leaving))
+            rows = rows[~leaving]
+    if len(outputs) == 1:
+        return outputs[0]
+    return tape.gather_rows(outputs, np.argsort(np.concatenate(output_rows)))
 
 
 def _motion_attention(tape: Tape, wq: Tensor, wk: Tensor, history: np.ndarray,
                       sub_len: int, out_frames: int, n_coeffs: int) -> Tensor:
-    """Attention-enriched coefficients of the padded observation, shape (F, E).
+    """Attention-enriched coefficients of each padded observation of a batch of
+    histories (B, N, E), shape (B, F, E).
 
     Query: projection of the newest sub_len frames. Keys: projections of each
     complete historical sub_len window whose out_frames extension also fits.
     Values: DCT coefficients of those extended windows. The result adds the
     softmax-weighted value sum to the DCT of the last-frame-padded history.
     """
-    n, width = history.shape
+    batch, n, width = history.shape
     if n < 2 * sub_len:
         raise ValueError(f"history of {n} frames < 2 * sub_len ({sub_len})")
     n_windows = n - sub_len - out_frames + 1
@@ -229,24 +263,26 @@ def _motion_attention(tape: Tape, wq: Tensor, wk: Tensor, history: np.ndarray,
         raise ValueError(
             f"history of {n} frames has no {sub_len}+{out_frames}-frame value window"
         )
-    query = tape.matmul(tape.constant(history[n - sub_len:].reshape(1, -1)), wq)
-    keys_raw = np.stack([history[i:i + sub_len].reshape(-1) for i in range(n_windows)])
+    query = tape.matmul(
+        tape.constant(history[:, n - sub_len:].reshape(batch, 1, -1)), wq)
+    keys_raw = np.stack([history[:, i:i + sub_len].reshape(batch, -1)
+                         for i in range(n_windows)], axis=1)
     keys = tape.matmul(tape.constant(keys_raw), wk)
     weights = tape.softmax_lastdim(tape.matmul(query, tape.transpose(keys)))
-    values = np.stack([
-        dct_encode(history[i:i + sub_len + out_frames], n_coeffs).flat()
-        for i in range(n_windows)
-    ])
+    values = np.array([[dct_encode(past[i:i + sub_len + out_frames], n_coeffs).flat()
+                        for i in range(n_windows)] for past in history])
     context = tape.reshape(tape.matmul(weights, tape.constant(values)),
-                           (n_coeffs, width))
+                           (batch, n_coeffs, width))
     padded = pad_last_frame(history, out_frames)
-    base = tape.constant(dct_encode(padded, n_coeffs).coeffs)
+    base = tape.constant(np.array([dct_encode(p, n_coeffs).coeffs for p in padded]))
     return tape.add(base, context)
 
 
 def pad_last_frame(history: np.ndarray, out_frames: int) -> np.ndarray:
-    """Extend a (N, E) history by repeating its last frame out_frames times."""
-    return np.vstack([history, np.repeat(history[-1:], out_frames, axis=0)])
+    """Extend a (N, E) history, or each of a batch (B, N, E), by repeating its
+    last frame out_frames times."""
+    return np.concatenate([history, np.repeat(history[..., -1:, :], out_frames, axis=-2)],
+                          axis=-2)
 
 
 def _selection_matrix(dims: tuple[int, ...], total: int) -> np.ndarray:
@@ -258,12 +294,13 @@ def _selection_matrix(dims: tuple[int, ...], total: int) -> np.ndarray:
 def _prepare_branch_inputs(tape: Tape, params: PredictorParams,
                            tensors: dict[str, Tensor],
                            history: np.ndarray) -> dict[str, Tensor]:
-    """Attention front end plus per-branch (nodes, F) input extraction."""
+    """Attention front end plus per-branch (B, nodes, F) input extraction from
+    a batch of histories (B, N, E)."""
     cfg = params.config
-    if history.shape != (cfg.input_frames, params.layout.size):
+    if history.ndim != 3 or history.shape[1:] != (cfg.input_frames, params.layout.size):
         raise ShapeError(
-            f"history shape {history.shape} != "
-            f"({cfg.input_frames}, {params.layout.size})"
+            f"history batch shape {history.shape} != "
+            f"(B, {cfg.input_frames}, {params.layout.size})"
         )
     n_coeffs = cfg.resolved_n_coeffs
     ctx = _motion_attention(tape, tensors["mattn.wq"], tensors["mattn.wk"],
@@ -280,7 +317,8 @@ def _prepare_branch_inputs(tape: Tape, params: PredictorParams,
 def _assemble_prediction(tape: Tape, params: PredictorParams,
                          tensors: dict[str, Tensor], outputs: dict[str, Tensor],
                          history: np.ndarray) -> Tensor:
-    """Merge part corrections, blend with the whole branch, decode, add residual."""
+    """Merge part corrections, blend with the whole branch, decode, add residual;
+    one (N+T, E) sequence per history of the batch."""
     cfg = params.config
     layout = params.layout
     parts = tape.add(
@@ -302,7 +340,8 @@ def _assemble_prediction(tape: Tape, params: PredictorParams,
 
 def _forward_core(tape: Tape, params: PredictorParams, tensors: dict[str, Tensor],
                   history: np.ndarray, exits: tuple[int, int, int]) -> Tensor:
-    """Fixed-exit prediction on an existing tape; returns the (N+T, E) sequence."""
+    """Fixed-exit prediction of a batch of histories (B, N, E) on an existing
+    tape; returns the (B, N+T, E) sequences."""
     if len(exits) != len(BRANCH_KINDS):
         raise ValueError("one exit index required per branch")
     inputs = _prepare_branch_inputs(tape, params, tensors, history)
@@ -322,5 +361,5 @@ def predict(params: PredictorParams, history: MotionSequence,
     """
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
-    out = _forward_core(tape, params, tensors, history.data, tuple(exits))
-    return MotionSequence(data=out.values, fps=history.fps, label=history.label)
+    out = _forward_core(tape, params, tensors, history.data[None], tuple(exits))
+    return MotionSequence(data=out.values[0], fps=history.fps, label=history.label)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,9 +42,10 @@ def mpjpe_loss(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def _mpjpe_loss_t(tape: Tape, pred: Tensor, gt: np.ndarray) -> Tensor:
-    frames, width = gt.shape
+    """mpjpe_loss averaged over a batch of sequences gt (B, frames, 3J)."""
+    batch, frames, width = gt.shape
     diff = tape.add(pred, tape.constant(-gt))
-    return tape.scale(tape.sum_sq(diff), 3.0 / (width * frames))
+    return tape.scale(tape.sum_sq(diff), 3.0 / (width * frames * batch))
 
 
 def mpjpe_metric(pred: np.ndarray, gt: np.ndarray, frame_index: int) -> float:
@@ -191,32 +193,33 @@ def _check_dataset(dataset: list[MotionSequence], config: TrainConfig,
 
 def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor],
                     history: np.ndarray, noise: np.ndarray,
-                    temperature: float) -> tuple[Tensor, list[int], list[Tensor]]:
-    """Each branch runs to the exit its policy draws under Gumbel noise.
+                    temperature: float) -> tuple[Tensor, np.ndarray, list[Tensor]]:
+    """Each branch of each history (B, N, E) runs to the exit its policy draws
+    under Gumbel noise.
 
-    noise holds one row per branch; training samples it, deterministic
-    routing passes zeros. The branch correction is multiplied by the
-    selected entry of the hard one-hot, which is 1 in the forward pass and
-    routes straight-through gradients to the policy logits in the backward
-    pass.
+    noise (B, branches, D) holds one row per history and branch; training
+    samples it, deterministic routing passes zeros. Each branch correction is
+    multiplied by the selected entry of its hard one-hot, which is 1 in the
+    forward pass and routes straight-through gradients to the policy logits in
+    the backward pass. Returns the (B, N+T, E) predictions, the (B, branches)
+    exits taken and each branch's (B, 1, D) soft draws.
     """
     params = model.params
     inputs = _prepare_branch_inputs(tape, params, tensors, history)
     outputs = {}
-    chosen: list[int] = []
+    chosen = []
     softs: list[Tensor] = []
-    for kind, branch_noise in zip(BRANCH_KINDS, noise):
+    for i, kind in enumerate(BRANCH_KINDS):
         encoded = _branch_encode(tape, tensors, kind, inputs[kind])
         logits = _policy_forward(tape, tensors, f"policy.{kind}", encoded)
-        hard, soft = _gumbel_softmax_st(tape, logits, temperature, branch_noise)
-        d = int(np.argmax(hard.values)) + 1
-        y = _branch_tail(tape, kind, params.config, tensors, encoded, d)
-        gate = tape.slice_lastdim(hard, d - 1, d)
-        outputs[kind] = tape.scalar_mul(y, gate)
-        chosen.append(d)
+        hard, soft = _gumbel_softmax_st(tape, logits, temperature, noise[:, i])
+        exits = np.argmax(hard.values, axis=-1).reshape(-1) + 1
+        outputs[kind] = _branch_tail(tape, kind, params.config, tensors, encoded,
+                                     exits, hard)
+        chosen.append(exits)
         softs.append(soft)
     pred = _assemble_prediction(tape, params, tensors, outputs, history)
-    return pred, chosen, softs
+    return pred, np.stack(chosen, axis=1), softs
 
 
 def routed_prediction(model: PredictorModel,
@@ -224,10 +227,10 @@ def routed_prediction(model: PredictorModel,
     """Policy-routed deterministic prediction and the exits it used."""
     tape = Tape()
     tensors = bind(tape, model.named_parameters(), trainable=False)
-    noise = np.zeros((len(BRANCH_KINDS), model.params.config.n_blocks))
-    pred, exits, _ = _routed_forward(tape, model, tensors, history.data, noise, 1.0)
-    seq = MotionSequence(data=pred.values, fps=history.fps, label=history.label)
-    return seq, tuple(exits)
+    noise = np.zeros((1, len(BRANCH_KINDS), model.params.config.n_blocks))
+    pred, exits, _ = _routed_forward(tape, model, tensors, history.data[None], noise, 1.0)
+    seq = MotionSequence(data=pred.values[0], fps=history.fps, label=history.label)
+    return seq, tuple(int(d) for d in exits[0])
 
 
 def _mean_future_error(model: PredictorModel, dataset: list[MotionSequence],
@@ -249,7 +252,8 @@ def train_predictor(model: PredictorModel, train_set: list[MotionSequence],
                     val_set: list[MotionSequence], config: TrainConfig) -> TrainResult:
     """Train with per-sample exit sampling and the balance constraint phase.
 
-    The exit-usage constraint is active for the first constrain_epochs epochs;
+    Each minibatch runs as one batched forward and backward on one tape. The
+    exit-usage constraint is active for the first constrain_epochs epochs;
     the learning rate is multiplied by lr_decay_per_epoch after every epoch.
     Validation (deterministic exits) runs each epoch; the best-by-validation
     snapshot is returned alongside the final model.
@@ -264,6 +268,7 @@ def train_predictor(model: PredictorModel, train_set: list[MotionSequence],
     _check_dataset(val_set, config, params, "val")
 
     n_input = config.input_frames
+    sequences = np.stack([seq.data for seq in train_set])
     rng = np.random.default_rng(config.seed)
     named = model.named_parameters()
     state = AdamState.for_params(named)
@@ -281,28 +286,19 @@ def train_predictor(model: PredictorModel, train_set: list[MotionSequence],
         exit_counts = np.zeros(n_exits, dtype=np.int64)
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = sequences[order[start:start + config.batch_size]]
             tape = Tape()
             tensors = bind(tape, named, trainable=True)
-            total = None
-            batch_softs: list[Tensor] = []
-            for idx in batch:
-                seq = train_set[idx]
-                noise = rng.gumbel(size=(len(BRANCH_KINDS), n_exits))
-                pred, chosen, softs = _routed_forward(
-                    tape, model, tensors, seq.data[:n_input], noise, config.temperature)
-                for d in chosen:
-                    exit_counts[d - 1] += 1
-                batch_softs.extend(softs)
-                loss = _mpjpe_loss_t(tape, pred, seq.data)
-                total = loss if total is None else tape.add(total, loss)
-            batch_loss = tape.scale(total, 1.0 / len(batch))
+            # the same draws, in the same order, as one (branches, D) draw per sample
+            noise = rng.gumbel(size=(len(batch), len(BRANCH_KINDS), n_exits))
+            pred, chosen, softs = _routed_forward(
+                tape, model, tensors, batch[:, :n_input], noise, config.temperature)
+            exit_counts += np.bincount(chosen.reshape(-1) - 1, minlength=n_exits)
+            batch_loss = _mpjpe_loss_t(tape, pred, batch)
             objective = batch_loss
             batch_tendency = 0.0
             if in_constraint and config.w_tendency != 0.0:
-                soft_sum = batch_softs[0]
-                for s in batch_softs[1:]:
-                    soft_sum = tape.add(soft_sum, s)
+                soft_sum = tape.sum_rows(reduce(tape.add, softs))
                 t_loss = _tendency_loss_soft(tape, soft_sum, config.w_tendency)
                 batch_tendency = t_loss.item()
                 objective = tape.add(batch_loss, t_loss)

@@ -12,7 +12,7 @@ OP_KINDS = (
     "matmul", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq",
     "concat_lastdim", "slice_lastdim", "scale",
     "exp", "sqrt", "div", "transpose", "repeat_rows", "reshape",
-    "scalar_mul", "straight_through",
+    "scalar_mul", "straight_through", "gather_rows", "sum_rows",
 )
 
 
@@ -220,6 +220,15 @@ def _kind_checks(kind: str):
         return f, lambda rng: rng_point(rng, (1, 5))
     if kind == "straight_through":
         return None  # piecewise-constant forward; covered by the ST property test
+    if kind == "gather_rows":
+        def f(t, x):
+            # rows of two parts, one of them picked twice: the gradient adds up
+            parts = [x, t.tanh(x)]
+            return t.sum_sq(t.gather_rows(parts, [4, 0, 0, 2, 5]))
+        return f, lambda rng: rng_point(rng, (3, 2))
+    if kind == "sum_rows":
+        return (lambda t, x: t.sum_sq(t.sum_rows(t.tanh(x)))), \
+            lambda rng: rng_point(rng, (4, 2, 3))
     raise AssertionError(f"no finite-difference coverage for kind {kind}")
 
 
@@ -229,6 +238,110 @@ def test_every_kind_passes_finite_differences(kind):
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         assert grad_check(f, make_point(rng), 1e-4) < 1e-5, f"{kind} seed {seed}"
+
+
+def _batched_checks(case: str):
+    """Scalar-valued functions over batched operands (leading axis of 3), plus
+    the shape of the differentiated point."""
+    c3 = np.linspace(-1, 1, 24).reshape(3, 2, 4)
+    if case == "matmul_batch_by_shared":
+        return (lambda t, x: t.sum_sq(t.matmul(x, t.constant(np.linspace(-1, 1, 12)
+                                                             .reshape(4, 3))))), (3, 2, 4)
+    if case == "matmul_shared_weight":  # x is used by every row: gradient summed
+        return (lambda t, x: t.sum_sq(t.matmul(t.constant(c3), x))), (4, 3)
+    if case == "matmul_shared_left":  # as an adjacency times node features
+        return (lambda t, x: t.sum_sq(t.tanh(t.matmul(x, t.constant(c3))))), (2, 2)
+    if case == "matmul_two_batched":
+        return (lambda t, x: t.sum_sq(t.matmul(x, t.transpose(x)))), (3, 2, 4)
+    if case == "add_shared":
+        return (lambda t, x: t.sum_sq(t.tanh(t.add(t.constant(c3), x)))), (2, 4)
+    if case == "add_batch":
+        return (lambda t, x: t.sum_sq(t.tanh(t.add(x, t.constant(c3[0]))))), (3, 2, 4)
+    if case == "scalar_mul_per_row":
+        def f(t, x):
+            mat = t.reshape(t.slice_lastdim(x, 0, 6), (3, 2, 3))
+            s = t.reshape(t.slice_lastdim(x, 6, 7), (3, 1, 1))
+            return t.sum_sq(t.scalar_mul(mat, s))
+        return f, (3, 7)
+    raise AssertionError(case)
+
+
+BATCHED_CASES = ("matmul_batch_by_shared", "matmul_shared_weight", "matmul_shared_left",
+                 "matmul_two_batched", "add_shared", "add_batch", "scalar_mul_per_row")
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_batched_operands_pass_finite_differences(case):
+    f, shape = _batched_checks(case)
+    for seed in range(5):
+        point = np.random.default_rng(2000 + seed).normal(size=shape)
+        assert grad_check(f, point, 1e-4) < 1e-5, f"{case} seed {seed}"
+
+
+class TestBatchAxis:
+    """A batched op computes, row by row, what the op computes on one sample."""
+
+    def test_rows_equal_single_sample_ops(self):
+        rng = np.random.default_rng(11)
+        x, w, adj = rng.normal(size=(4, 3, 5)), rng.normal(size=(5, 2)), rng.normal(size=(3, 3))
+        s = rng.normal(size=(4, 1, 1))
+        tape = Tape()
+        xt, wt, at = tape.constant(x), tape.constant(w), tape.constant(adj)
+        outs = {"xw": tape.matmul(xt, wt), "ax": tape.matmul(at, xt),
+                "xxt": tape.matmul(xt, tape.transpose(xt)), "xt": tape.transpose(xt),
+                "st": tape.straight_through(xt),
+                "sx": tape.scalar_mul(xt, tape.constant(s))}
+        for b in range(4):
+            one = Tape()
+            xb = one.constant(x[b])
+            expected = {"xw": one.matmul(xb, one.constant(w)),
+                        "ax": one.matmul(one.constant(adj), xb),
+                        "xxt": one.matmul(xb, one.transpose(xb)), "xt": one.transpose(xb),
+                        "st": one.straight_through(xb),
+                        "sx": one.scalar_mul(xb, one.constant(s[b]))}
+            for name, out in outs.items():
+                assert np.array_equal(out.values[b], expected[name].values), (name, b)
+
+    def test_batched_matmul_counts_every_row(self):
+        tape = Tape()
+        tape.matmul(tape.constant(np.zeros((6, 3, 4))), tape.constant(np.zeros((4, 5))))
+        assert tape.mac_count == 6 * 3 * 4 * 5
+        tape.matmul(tape.constant(np.zeros((6, 3, 4))), tape.constant(np.zeros((6, 4, 2))))
+        assert tape.mac_count == 6 * 3 * 4 * 5 + 6 * 3 * 4 * 2
+
+    def test_gather_rows_picks_rows_of_stacked_parts(self):
+        tape = Tape()
+        a = tape.constant(np.arange(6.0).reshape(3, 2))
+        b = tape.constant(-np.arange(4.0).reshape(2, 2))
+        out = tape.gather_rows([a, b], [3, 0, 4])
+        assert np.array_equal(out.values, [[-0.0, -1.0], [0.0, 1.0], [-2.0, -3.0]])
+        assert np.array_equal(tape.sum_rows(out).values, [-2.0, -3.0])
+
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (3, 4, 2)), ((2, 3), (4, 2, 3))])
+    def test_matmul_batch_or_inner_mismatch_rejected(self, shapes):
+        tape = Tape()
+        with pytest.raises(ShapeError):
+            tape.matmul(tape.constant(np.zeros(shapes[0])), tape.constant(np.zeros(shapes[1])))
+
+    def test_add_broadcasts_only_over_a_leading_batch_axis(self):
+        tape = Tape()
+        with pytest.raises(ShapeError):
+            tape.add(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros((1, 3))))
+        with pytest.raises(ShapeError):
+            tape.add(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros((4, 1, 3))))
+
+    def test_scalar_mul_needs_one_element_per_row(self):
+        tape = Tape()
+        with pytest.raises(ShapeError):
+            tape.scalar_mul(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.ones((4, 1, 3))))
+        with pytest.raises(ShapeError):
+            tape.scalar_mul(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.ones((2, 1, 1))))
+
+    @pytest.mark.parametrize("index", [[], [3], [-1], [[0]]])
+    def test_gather_rows_index_checked(self, index):
+        tape = Tape()
+        with pytest.raises(ShapeError):
+            tape.gather_rows([tape.constant(np.zeros((3, 2)))], index)
 
 
 def test_straight_through_gradient_equals_soft_gradient():

@@ -171,6 +171,17 @@ def test_ill_typed_config_value_exits_two_naming_file_and_key(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+def test_zero_heads_exits_two_naming_heads(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"heads": 0}))
+    capsys.readouterr()
+    assert dispatch(["train-predictor", "--config", str(cfg), "--data",
+                     str(tmp_path / "none"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "heads must be >= 1, got 0" in err
+    assert "Traceback" not in err
+
+
 def test_seed_override_changes_gen_data(tiny_manifest, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -236,6 +236,24 @@ class TestPredictorCheckpointErrors:
         with pytest.raises(CheckpointError, match=f"'{key}'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", [("upper_dims", "0123"), ("lower_dims", [0.5]),
+                                           ("upper_dims", None), ("lower_dims", [True])])
+    def test_ill_typed_part_dims(self, tmp_path, key, value):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"config key '{key}' holds"):
+            load_checkpoint(path)
+
+    def test_zero_heads_named(self, tmp_path):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        doc["config"]["heads"] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="heads must be >= 1, got 0"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_tensor(self, tmp_path, bad):
         path = tmp_path / "p.json"

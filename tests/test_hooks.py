@@ -114,3 +114,40 @@ def test_patched_global_is_called(monkeypatch, module, attr, case):
     monkeypatch.setattr(owner, attr, counted)
     call()
     assert calls, f"{case.__name__} bypassed {module}.{attr}"
+
+
+# perfbench's step clock times one optimizer step from a trainable bind to the
+# adam_step after it, and its trace sums validation from routed_prediction calls.
+
+def count_calls(monkeypatch, owner, attr, keep=lambda *args, **kwargs: True):
+    original = getattr(owner, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_one_trainable_bind_and_adam_step_per_minibatch(monkeypatch):
+    model, seqs = predictor_setup()
+    train = seqs * 3  # 9 sequences at batch size 2: 5 steps per epoch
+    config = training.TrainConfig(input_frames=8, output_frames=4, epochs=2,
+                                  constrain_epochs=1, batch_size=2)
+    binds = count_calls(monkeypatch, training, "bind",
+                        lambda tape, named, trainable: trainable)
+    steps = count_calls(monkeypatch, training, "adam_step")
+    training.train_predictor(model, train, [], config)
+    assert len(binds) == len(steps) == 2 * 5
+
+
+def test_validation_routes_each_val_history_once(monkeypatch):
+    model, seqs = predictor_setup()
+    config = training.TrainConfig(input_frames=8, output_frames=4, epochs=2,
+                                  constrain_epochs=1, batch_size=2)
+    calls = count_calls(monkeypatch, training, "routed_prediction")
+    training.train_predictor(model, seqs[:1], seqs * 2, config)
+    assert len(calls) == 2 * 6

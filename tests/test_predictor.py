@@ -113,6 +113,11 @@ class TestSelfAttention:
         with pytest.raises(ConfigError):
             PredictorConfig(feature_width=5, heads=2)
 
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_non_positive_heads_rejected(self, heads):
+        with pytest.raises(ConfigError, match=f"heads must be >= 1, got {heads}"):
+            PredictorConfig(heads=heads)
+
     def test_head_count_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         params = self.make_params(rng, 4, 2)
@@ -124,7 +129,7 @@ def motion_attention(params, history, sub_len, n_coeffs, out_frames):
     tape = Tape()
     wq, wk = params
     return _motion_attention(tape, tape.constant(wq), tape.constant(wk),
-                             history.data, sub_len, out_frames, n_coeffs).values
+                             history.data[None], sub_len, out_frames, n_coeffs).values[0]
 
 
 class TestMotionAttention:
@@ -311,8 +316,8 @@ class TestGradientFlow:
         tape = Tape()
         named = params.named_parameters()
         tensors = bind(tape, named, trainable=True)
-        pred = _forward_core(tape, params, tensors, hist, (3, 3, 3))
-        diff = tape.add(pred, tape.constant(-gt))
+        pred = _forward_core(tape, params, tensors, hist[None], (3, 3, 3))
+        diff = tape.add(pred, tape.constant(-gt[None]))
         tape.backward(tape.sum_sq(diff))
         dead = [name for name in named
                 if float(np.abs(tensors[name].grad).max()) == 0.0]

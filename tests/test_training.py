@@ -1,16 +1,19 @@
+import copy
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from moticomp.autodiff import Tape
 from moticomp.errors import ConfigError, ShapeError
-from moticomp.exits import _policy_forward
+from moticomp.exits import _policy_forward, _tendency_loss_soft
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
                                 _prepare_branch_inputs)
-from moticomp.training import (AdamState, TrainConfig, adam_step, evaluate,
-                               init_predictor_model, mpjpe_loss, mpjpe_metric,
-                               routed_prediction, train_predictor,
+from moticomp.training import (AdamState, TrainConfig, _mpjpe_loss_t, _routed_forward,
+                               adam_step, evaluate, init_predictor_model, mpjpe_loss,
+                               mpjpe_metric, routed_prediction, train_predictor,
                                zero_velocity_baseline)
 
 
@@ -153,12 +156,15 @@ class TestTrainPredictor:
         assert result.history == []
 
     def test_seeded_determinism(self):
-        histories = []
+        histories, params = [], []
         for _ in range(2):
             model, _, _, train, val = tiny_setup(seed=1)
             result = train_predictor(model, train, val, tiny_train_config())
-            histories.append([rec.loss for rec in result.history])
+            histories.append(result.history_csv())
+            params.append(result.model.named_parameters())
         assert histories[0] == histories[1]
+        for name, arr in params[0].items():
+            assert np.array_equal(arr, params[1][name]), name
 
     def test_exit_histogram_conservation(self):
         model, _, _, train, val = tiny_setup(seed=2)
@@ -272,7 +278,7 @@ class TestBaselineAndEvaluate:
             hist = MotionSequence(data=seq.data[:8], fps=10.0, label="x")
             tape = Tape()
             tensors = bind(tape, model.named_parameters(), trainable=False)
-            inputs = _prepare_branch_inputs(tape, model.params, tensors, hist.data)
+            inputs = _prepare_branch_inputs(tape, model.params, tensors, hist.data[None])
             expected = []
             for kind in BRANCH_KINDS:
                 encoded = _branch_encode(tape, tensors, kind, inputs[kind])
@@ -280,3 +286,143 @@ class TestBaselineAndEvaluate:
                 expected.append(int(np.argmax(logits.values)) + 1)
             _, exits = routed_prediction(model, hist)
             assert exits == tuple(expected)
+
+
+# ----------------------------------------------------------------------
+# one batched tape per minibatch against the per-sample computation
+
+REL_TOL = 1e-10  # the batch sums in another order, so bits may differ
+
+
+def assert_close(actual, expected, what):
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= REL_TOL * scale, what
+
+
+def routed_model(seed, n_seqs=12):
+    """A model with live decoders, two motion-attention windows and policies
+    whose logits vary, so every parameter trains and a batch takes different
+    exits; plus n_seqs random (16, E) sequences."""
+    layout = PartLayout.from_skeleton(Skeleton(parent=(0, 0, 0, 2),
+                                               part_of=(LOWER, LOWER, UPPER, UPPER)))
+    config = PredictorConfig(input_frames=12, output_frames=4, feature_width=8, heads=2,
+                             policy_hidden=6, query_dim=5, coeff_scale=10.0,
+                             zero_output_decoders=False)
+    model = init_predictor_model(np.random.default_rng(seed), layout, config)
+    rng = np.random.default_rng(seed + 50)
+    for kind in BRANCH_KINDS:
+        model.policies[f"policy.{kind}.w2"][:] = rng.normal(size=(6, config.n_blocks))
+    return model, config, rng.normal(scale=10.0, size=(n_seqs, 16, layout.size))
+
+
+def training_objective(model, data, noise, n_input=12, w_tendency=1000.0):
+    """The training objective of sequences data (B, N+T, E) on one tape, as
+    train_predictor builds it: (tape, loss, tendency, gradients, exits)."""
+    tape = Tape()
+    named = model.named_parameters()
+    tensors = bind(tape, named, trainable=True)
+    pred, exits, softs = _routed_forward(tape, model, tensors, data[:, :n_input], noise, 1.0)
+    loss = _mpjpe_loss_t(tape, pred, data)
+    soft_sum = tape.sum_rows(reduce(tape.add, softs))
+    tendency = _tendency_loss_soft(tape, soft_sum, w_tendency)
+    tape.backward(tape.add(loss, tendency))
+    return tape, loss.item(), tendency.item(), {n: tensors[n].grad for n in named}, exits
+
+
+def per_sample_objective(model, data, noise, n_input=12, w_tendency=1000.0):
+    """The same objective from one B = 1 forward per sample, summed on one tape."""
+    tape = Tape()
+    named = model.named_parameters()
+    tensors = bind(tape, named, trainable=True)
+    total = soft_sum = None
+    exits = []
+    for row, row_noise in zip(data, noise):
+        pred, ex, softs = _routed_forward(tape, model, tensors, row[None, :n_input],
+                                          row_noise[None], 1.0)
+        loss = _mpjpe_loss_t(tape, pred, row[None])
+        total = loss if total is None else tape.add(total, loss)
+        for soft in softs:
+            soft_sum = soft if soft_sum is None else tape.add(soft_sum, soft)
+        exits.append(ex[0])
+    loss = tape.scale(total, 1.0 / len(data))
+    tendency = _tendency_loss_soft(tape, soft_sum, w_tendency)
+    tape.backward(tape.add(loss, tendency))
+    return loss.item(), tendency.item(), {n: tensors[n].grad for n in named}, np.array(exits)
+
+
+class TestBatchedTraining:
+    def test_batched_step_matches_per_sample_loop(self):
+        model, config, data = routed_model(seed=40)
+        noise = np.random.default_rng(41).gumbel(size=(len(data), 3, config.n_blocks))
+        _, loss, tendency, grads, exits = training_objective(model, data, noise)
+        ref_loss, ref_tendency, ref_grads, ref_exits = per_sample_objective(model, data,
+                                                                            noise)
+        # every branch routes rows to every exit, so the batch gathers and regroups
+        assert all(set(exits[:, i]) == {1, 2, 3} for i in range(3))
+        assert np.array_equal(exits, ref_exits)
+        assert_close(loss, ref_loss, "loss")
+        assert_close(tendency, ref_tendency, "tendency")
+        for name, g in ref_grads.items():
+            assert float(np.abs(g).max()) > 0.0, name
+            assert_close(grads[name], g, name)
+
+    def test_routing_skips_compute(self):
+        # MACs add up over the samples exactly. Against one sample at full depth,
+        # a batch that uses all D exits adds per branch, for each of the D - 1
+        # shallower exit groups, a gather of its features, a decoder (3 nodes), a
+        # gather of its gates, a slice, a gate product and a gather of the samples
+        # that go on; then a gather of the deepest group's gates and one to
+        # regroup: 8 (D - 1) + 2 nodes, whatever the batch size.
+        model, config, data = routed_model(seed=42, n_seqs=32)
+        noise = np.random.default_rng(43).gumbel(size=(32, 3, config.n_blocks))
+        batched, *_, exits = training_objective(model, data, noise)
+        assert all(set(exits[:, i]) == {1, 2, 3} for i in range(3))
+        singles = [training_objective(model, data[b:b + 1], noise[b:b + 1])[0]
+                   for b in range(32)]
+        assert batched.mac_count == sum(t.mac_count for t in singles)
+        deepest = singles[int(np.flatnonzero((exits == 3).all(axis=1))[0])]
+        per_branch = 8 * (config.n_blocks - 1) + 2
+        assert len(batched.nodes) <= len(deepest.nodes) + 3 * per_branch
+
+    def test_train_predictor_matches_per_sample_reference(self):
+        model, _, data = routed_model(seed=44)
+        train = [MotionSequence(data=d, fps=10.0, label="r") for d in data]
+        reference = copy.deepcopy(model)
+        tc = tiny_train_config(input_frames=12, epochs=1, constrain_epochs=1, batch_size=5)
+        result = train_predictor(model, train, [], tc)
+        loss, tendency, counts = reference_epoch(reference, train, tc)
+        assert result.history[0].exit_counts == counts
+        assert_close(result.history[0].loss, loss, "epoch loss")
+        assert_close(result.history[0].tendency, tendency, "epoch tendency")
+        for name, arr in reference.named_parameters().items():
+            assert_close(model.named_parameters()[name], arr, name)
+
+    def test_batch_draw_is_the_per_sample_draw_stream(self):
+        batch = np.random.default_rng(45).gumbel(size=(7, 3, 4))
+        rng = np.random.default_rng(45)
+        assert np.array_equal(batch, np.stack([rng.gumbel(size=(3, 4)) for _ in range(7)]))
+
+
+def reference_epoch(model, train, config):
+    """One epoch of per-sample training: per minibatch, one (branches, D) Gumbel
+    draw and one B = 1 forward per sample, summed on one tape, then Adam."""
+    rng = np.random.default_rng(config.seed)
+    named = model.named_parameters()
+    state = AdamState.for_params(named)
+    n_exits = model.params.config.n_blocks
+    counts = np.zeros(n_exits, dtype=np.int64)
+    epoch_loss = epoch_tendency = 0.0
+    order = rng.permutation(len(train))
+    starts = range(0, len(order), config.batch_size)
+    for start in starts:
+        batch = np.stack([train[i].data for i in order[start:start + config.batch_size]])
+        noise = np.stack([rng.gumbel(size=(3, n_exits)) for _ in batch])
+        loss, tendency, grads, exits = per_sample_objective(model, batch, noise,
+                                                            config.input_frames,
+                                                            config.w_tendency)
+        adam_step(named, grads, state, config.lr)
+        counts += np.bincount(exits.reshape(-1) - 1, minlength=n_exits)
+        epoch_loss += loss * len(batch)
+        epoch_tendency += tendency
+    return (epoch_loss / len(train), epoch_tendency / len(starts),
+            tuple(int(c) for c in counts))
