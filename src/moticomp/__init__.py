@@ -8,7 +8,7 @@ pick early exits per sample. Everything runs on a small built-in
 reverse-mode autodiff engine, CPU only, deterministic under fixed seeds.
 """
 
-from .autodiff import Tape, Tensor, grad_check
+from .autodiff import Tape, Tensor
 from .dct import DctCoeffs, dct_encode, idct_decode
 from .datagen import (ActionSpec, DatasetManifest, DatasetSplits, build_dataset,
                       compose_oracle, default_manifest, default_skeleton,
@@ -16,14 +16,11 @@ from .datagen import (ActionSpec, DatasetManifest, DatasetSplits, build_dataset,
                       manifest_from_json, manifest_to_json, save_checkpoint,
                       save_motion)
 from .exits import FlopsReport, count_flops
-from .motion import (MotionSequence, PartLayout, Skeleton, downsample,
-                     merge_parts, remove_global_translation, split_parts)
-from .predictor import (PredictorConfig, PredictorParams, init_predictor,
-                        paper_scale_config, predict)
+from .motion import MotionSequence, PartLayout, Skeleton
+from .predictor import PredictorConfig, PredictorParams, init_predictor, predict
 from .training import (AdamState, EvalReport, PredictorModel, TrainConfig,
                        TrainResult, adam_step, evaluate, init_predictor_model,
-                       mpjpe_loss, mpjpe_metric, train_predictor,
-                       zero_velocity_baseline)
+                       mpjpe_metric, train_predictor, zero_velocity_baseline)
 from .vae import (BodyMask, CagTrainConfig, VaeParams, init_vae, masked_fuse,
                   reconstruction_mpjpe, synthesize_composite, train_cag)
 

@@ -6,11 +6,14 @@ gradients. Every forward output is checked finite.
 
 A minibatch is one tensor with a leading batch axis: B samples of shape
 (rows, cols) form a (B, rows, cols) tensor, and one sample may go without
-the axis. Shapes must match exactly, with one broadcasting rule: an operand
-of `add` or `matmul` that lacks the batch axis of the other (a shared
-parameter or constant) is used by every batch row, and its gradient is
-summed over the batch. `scalar_mul` scales by one element, or by one
-element per batch row (shape (B, 1, 1)), and `scale` by a Python float.
+the axis. Shapes must match exactly, with one broadcasting rule, shared by
+`add` and `hadamard`: an operand that lacks the other's leading batch axis
+(a shared parameter or constant) is used by every batch row, and a 2-D
+(1, F) row is used by every row of a (rows, F) or (B, rows, F) operand. A
+broadcast operand's gradient is summed over the batch axis first, then over
+the rows. `matmul` broadcasts a 2-D operand over the batch the same way.
+`scalar_mul` scales by one element, or by one element per batch row (shape
+(B, 1, 1)), and `scale` by a Python float.
 `transpose` swaps the last two axes; `softmax_lastdim`, `slice_lastdim`,
 `concat_lastdim` and `straight_through` act on the last axis. Two kinds work
 along the batch axis itself: `gather_rows` picks rows of one or more tensors
@@ -32,15 +35,20 @@ from .errors import NumericError, ShapeError
 Array = np.ndarray
 
 
-def _shares_batch(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Equal shapes, or one of them is the other less its leading batch axis."""
-    return a == b or a == b[1:] or b == a[1:]
+def _broadcasts(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Equal shapes, or one of them is the other less its leading batch axis,
+    or one is a 2-D (1, F) row and the other has F columns."""
+    return (a == b or a == b[1:] or b == a[1:]
+            or (len(a) == 2 and a[0] == 1 and len(b) in (2, 3) and a[1] == b[-1])
+            or (len(b) == 2 and b[0] == 1 and len(a) in (2, 3) and b[1] == a[-1]))
 
 
-def _sum_batch(g: Array, shape: tuple[int, ...]) -> Array:
-    """Gradient g for an operand of this shape: summed over the leading batch
-    axis when the operand lacked it."""
-    return g if g.shape == shape else g.sum(axis=0)
+def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
+    """Gradient g for a broadcast operand of this shape: summed over the leading
+    batch axis when the operand lacked it, then over the rows when it is a row."""
+    if g.ndim > len(shape):
+        g = g.sum(axis=0)
+    return g if g.shape == shape else g.sum(axis=0, keepdims=True)
 
 
 class Tensor:
@@ -100,7 +108,7 @@ class Tape:
         v = np.asarray(values, dtype=np.float64)
         if v.ndim > 0:  # ascontiguousarray would promote 0-d scalars to 1-d
             v = np.ascontiguousarray(v)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NumericError("leaf tensor contains non-finite values")
         t = Tensor(v, requires_grad, len(self.tensors))
         self.tensors.append(t)
@@ -114,7 +122,7 @@ class Tape:
         for t in inputs:
             if not (t.tid < len(self.tensors) and self.tensors[t.tid] is t):
                 raise ValueError(f"{kind}: input tensor belongs to a different tape")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NumericError(f"{kind} produced non-finite values")
         rg = any(t.requires_grad for t in inputs)
         out = Tensor(values, rg, len(self.tensors))
@@ -136,24 +144,26 @@ class Tape:
         na, nb = a.requires_grad, b.requires_grad
 
         def bwd(g):
-            return (_sum_batch(g @ np.swapaxes(bv, -1, -2), av.shape) if na else None,
-                    _sum_batch(np.swapaxes(av, -1, -2) @ g, bv.shape) if nb else None)
+            return (_sum_to(g @ np.swapaxes(bv, -1, -2), av.shape) if na else None,
+                    _sum_to(np.swapaxes(av, -1, -2) @ g, bv.shape) if nb else None)
 
         out = av @ bv
         return self._emit("matmul", (a, b), out, bwd, macs=out.size * av.shape[-1])
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if not _shares_batch(a.shape, b.shape):
+        if not _broadcasts(a.shape, b.shape):
             raise ShapeError(f"add shapes {a.shape} vs {b.shape}")
         sa, sb = a.shape, b.shape
         return self._emit("add", (a, b), a.values + b.values,
-                          lambda g: (_sum_batch(g, sa), _sum_batch(g, sb)))
+                          lambda g: (_sum_to(g, sa), _sum_to(g, sb)))
 
     def hadamard(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
+        if not _broadcasts(a.shape, b.shape):
             raise ShapeError(f"hadamard shapes {a.shape} vs {b.shape}")
         av, bv = a.values, b.values
-        return self._emit("hadamard", (a, b), av * bv, lambda g: (g * bv, g * av))
+        return self._emit("hadamard", (a, b), av * bv,
+                          lambda g: (_sum_to(g * bv, av.shape),
+                                     _sum_to(g * av, bv.shape)))
 
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.values)
@@ -265,14 +275,6 @@ class Tape:
                           np.ascontiguousarray(np.swapaxes(a.values, -1, -2)),
                           lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
 
-    def repeat_rows(self, a: Tensor, n: int) -> Tensor:
-        if a.values.ndim != 2 or a.shape[0] != 1:
-            raise ShapeError(f"repeat_rows expects shape (1, d), got {a.shape}")
-        if n < 1:
-            raise ShapeError(f"repeat count must be >= 1, got {n}")
-        return self._emit("repeat_rows", (a,), np.repeat(a.values, n, axis=0),
-                          lambda g: (g.sum(axis=0, keepdims=True),))
-
     def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
         if int(np.prod(shape, dtype=np.int64)) != a.values.size:
             raise ShapeError(f"cannot reshape {a.shape} to {shape}")
@@ -350,38 +352,3 @@ class Tape:
             if t.requires_grad:
                 g = grads[t.tid]
                 t.grad = np.zeros_like(t.values) if g is None else np.asarray(g)
-
-
-def grad_check(f: Callable[[Tape, Tensor], Tensor], point, epsilon: float = 1e-4) -> float:
-    """Max relative error between backward gradients and central differences.
-
-    f maps (tape, tensor) to a scalar tensor. The relative error denominator
-    is max(1, |analytic|, |numeric|) per coordinate.
-    """
-    if not 1e-6 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
-    point = np.asarray(point, dtype=np.float64)
-    tape = Tape()
-    x = tape.leaf(point, requires_grad=True)
-    out = f(tape, x)
-    if out.values.size != 1:
-        raise ShapeError("grad_check target must be scalar-valued")
-    tape.backward(out)
-    analytic = x.grad.reshape(-1)
-
-    def evaluate(vals: Array) -> float:
-        t = Tape()
-        return f(t, t.leaf(vals)).item()
-
-    flat = point.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + epsilon
-        hi = evaluate(bumped.reshape(point.shape))
-        bumped[i] = flat[i] - epsilon
-        lo = evaluate(bumped.reshape(point.shape))
-        numeric = (hi - lo) / (2.0 * epsilon)
-        denom = max(1.0, abs(analytic[i]), abs(numeric))
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst

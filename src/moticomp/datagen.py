@@ -455,7 +455,10 @@ def load_motion(path) -> MotionSequence:
             data[i] = [float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(f"{path}: line {i + 2}: non-numeric value") from exc
-    return MotionSequence(data=data, fps=fps, label=label)
+    try:
+        return MotionSequence(data=data, fps=fps, label=label)
+    except ValueError as exc:  # too few frames, non-finite values or fps
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_split(directory, sequences: list[MotionSequence]) -> list[Path]:

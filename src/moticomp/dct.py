@@ -50,10 +50,6 @@ class DctCoeffs:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def truncated(self) -> bool:
-        return self.coeffs.shape[0] < self.original_length
-
     def flat(self) -> np.ndarray:
         return self.coeffs.reshape(-1)
 

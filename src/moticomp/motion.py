@@ -1,4 +1,4 @@
-"""Skeleton topology, motion sequences, and the preprocessing transforms.
+"""Skeleton topology, motion sequences, and the body-part column layout.
 
 Coordinates are stored frame-major with x,y,z contiguous per joint, so a
 pose row has width 3*J and column 3*j+c is coordinate c of joint j.
@@ -59,12 +59,6 @@ class Skeleton:
     def joint_count(self) -> int:
         return len(self.parent)
 
-    @property
-    def coord_count(self) -> int:
-        return 3 * len(self.parent)
-
-    def joints_of(self, part: str) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.part_of) if p == part)
 
 
 @dataclass(frozen=True)
@@ -83,8 +77,8 @@ class MotionSequence:
             raise ShapeError(f"pose width {data.shape[1]} is not a positive multiple of 3")
         if not np.all(np.isfinite(data)):
             raise ValueError("motion data contains non-finite values")
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < np.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         object.__setattr__(self, "data", data)
 
     @property
@@ -139,52 +133,3 @@ class PartLayout:
     def size(self) -> int:
         return self.upper_size + self.lower_size
 
-
-def remove_global_translation(seq: MotionSequence, skeleton: Skeleton) -> MotionSequence:
-    """Subtract the root joint's coordinates from every joint, per frame.
-
-    The root joint becomes the origin in every frame; all inter-joint
-    differences are preserved exactly. Idempotent.
-    """
-    if seq.data.shape[1] != skeleton.coord_count:
-        raise ShapeError(
-            f"sequence width {seq.data.shape[1]} != skeleton coords {skeleton.coord_count}"
-        )
-    root = 0  # skeleton invariant pins the root at joint 0
-    root_xyz = seq.data[:, 3 * root : 3 * root + 3]
-    j = skeleton.joint_count
-    centered = seq.data - np.tile(root_xyz, (1, j))
-    return seq.with_data(centered)
-
-
-def downsample(seq: MotionSequence, factor: int) -> MotionSequence:
-    """Keep every factor-th frame starting at frame 0; fps is divided by factor."""
-    if factor < 1:
-        raise ValueError(f"downsample factor must be >= 1, got {factor}")
-    if factor > seq.frames:
-        raise ValueError(f"factor {factor} exceeds frame count {seq.frames}")
-    return MotionSequence(data=seq.data[::factor], fps=seq.fps / factor, label=seq.label)
-
-
-def split_parts(seq: MotionSequence, layout: PartLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Select the upper- and lower-part columns as two matrices."""
-    if seq.data.shape[1] != layout.size:
-        raise ShapeError(f"sequence width {seq.data.shape[1]} != layout size {layout.size}")
-    return seq.data[:, list(layout.upper_dims)], seq.data[:, list(layout.lower_dims)]
-
-
-def merge_parts(upper: np.ndarray, lower: np.ndarray, layout: PartLayout) -> np.ndarray:
-    """Scatter part columns back to their original positions (inverse of split)."""
-    upper = np.asarray(upper, dtype=np.float64)
-    lower = np.asarray(lower, dtype=np.float64)
-    if upper.ndim != 2 or lower.ndim != 2 or upper.shape[0] != lower.shape[0]:
-        raise ShapeError(f"part row counts differ: {upper.shape} vs {lower.shape}")
-    if upper.shape[1] != layout.upper_size or lower.shape[1] != layout.lower_size:
-        raise ShapeError(
-            f"part widths {upper.shape[1]}/{lower.shape[1]} do not match layout "
-            f"{layout.upper_size}/{layout.lower_size}"
-        )
-    out = np.empty((upper.shape[0], layout.size), dtype=np.float64)
-    out[:, list(layout.upper_dims)] = upper
-    out[:, list(layout.lower_dims)] = lower
-    return out

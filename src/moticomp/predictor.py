@@ -85,11 +85,6 @@ class PredictorConfig:
                                       self.attention_every))
 
 
-def paper_scale_config(**overrides) -> PredictorConfig:
-    """The full-scale preset: 128-wide features, otherwise the defaults."""
-    return PredictorConfig(feature_width=128, **overrides)
-
-
 def branch_node_counts(layout: PartLayout) -> dict[str, int]:
     """Graph nodes of each branch, one per coordinate of its body part."""
     return dict(zip(BRANCH_KINDS, (layout.upper_size, layout.lower_size, layout.size)))
@@ -115,10 +110,6 @@ class PredictorParams:
     arrays: dict[str, np.ndarray]
     layout: PartLayout
     config: PredictorConfig
-
-    @property
-    def fusion_weight(self) -> float:
-        return float(1.0 / (1.0 + np.exp(-self.arrays["fusion.raw"].reshape(()))))
 
     def named_parameters(self) -> dict[str, np.ndarray]:
         return self.arrays

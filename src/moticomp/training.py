@@ -30,19 +30,9 @@ DEFAULT_W_TENDENCY = 1000.0  # hand-tuned so exit balance competes with the mm^2
 # ----------------------------------------------------------------------
 # losses and metrics
 
-def mpjpe_loss(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean squared per-joint position error over all joints and frames."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] % 3 != 0:
-        raise ShapeError(f"incompatible shapes {pred.shape} vs {gt.shape}")
-    frames, width = pred.shape
-    joints = width // 3
-    return float(np.sum((pred - gt) ** 2) / (joints * frames))
-
-
 def _mpjpe_loss_t(tape: Tape, pred: Tensor, gt: np.ndarray) -> Tensor:
-    """mpjpe_loss averaged over a batch of sequences gt (B, frames, 3J)."""
+    """Mean squared per-joint position error over all joints and frames,
+    averaged over a batch of sequences gt (B, frames, 3J)."""
     batch, frames, width = gt.shape
     diff = tape.add(pred, tape.constant(-gt))
     return tape.scale(tape.sum_sq(diff), 3.0 / (width * frames * batch))
@@ -89,7 +79,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         g = grads[name]
         if g is None or g.shape != p.shape:
             raise ShapeError(f"gradient of {name} missing or mis-shaped")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
@@ -163,9 +153,6 @@ class TrainResult:
     model: PredictorModel
     best: PredictorModel
     history: list[EpochRecord]
-
-    def loss_history(self) -> list[float]:
-        return [rec.loss for rec in self.history]
 
     def history_csv(self) -> str:
         n_exits = len(self.history[0].exit_counts) if self.history else 0

@@ -111,18 +111,14 @@ class BodyMask:
 # ----------------------------------------------------------------------
 # tape-level forward passes, shared by synthesis and training: one row per sample
 
-def _rows(tape: Tape, row: np.ndarray, x: Tensor) -> Tensor:
-    return tape.constant(np.repeat(row, x.shape[0], axis=0))  # row once per row of x
-
-
 def _normalize(tape: Tape, params: VaeParams, x: Tensor) -> Tensor:
-    shifted = tape.add(x, _rows(tape, -params.input_offset, x))
-    return tape.hadamard(shifted, _rows(tape, 1.0 / params.input_scale, x))
+    shifted = tape.add(x, tape.constant(-params.input_offset))
+    return tape.hadamard(shifted, tape.constant(1.0 / params.input_scale))
 
 
 def _denormalize(tape: Tape, params: VaeParams, x: Tensor) -> Tensor:
-    return tape.add(tape.hadamard(x, _rows(tape, params.input_scale, x)),
-                    _rows(tape, params.input_offset, x))
+    return tape.add(tape.hadamard(x, tape.constant(params.input_scale)),
+                    tape.constant(params.input_offset))
 
 
 def _encode(tape: Tape, params: VaeParams, tensors: dict[str, Tensor],
@@ -147,7 +143,7 @@ def _elbo(tape: Tape, target_flat: Tensor, recon_flat: Tensor, mu: Tensor,
     """Mean over rows of each row's reconstruction MSE plus kl_weight x its KL."""
     diff = tape.add(recon_flat, tape.scale(target_flat, -1.0))
     recon = tape.scale(tape.sum_sq(diff), 1.0 / diff.size)
-    ones = tape.constant(np.ones(mu.shape))
+    ones = tape.constant(np.ones((1, mu.shape[1])))
     inside = tape.add(tape.add(ones, log_var),
                       tape.scale(tape.add(tape.hadamard(mu, mu), tape.exp(log_var)), -1.0))
     kl = tape.scale(tape.mean(inside), -0.5 * inside.shape[1])
@@ -195,13 +191,13 @@ def synthesize_composite(params: VaeParams, s_m: MotionSequence, s_n: MotionSequ
     noise=None uses the latent mean (deterministic); otherwise the provided
     standard-normal vector drives the reparameterized draw.
     """
+    if s_m.fps != s_n.fps:
+        raise ValueError(f"fps differ: {s_m.fps} vs {s_n.fps}")
     fused = masked_fuse(s_m, s_n, mask, n_coeffs)
     noise = np.zeros(params.latent_dim) if noise is None else np.asarray(noise, dtype=np.float64)
     if noise.size != params.latent_dim:
         raise ShapeError(f"noise size {noise.size} != latent_dim {params.latent_dim}")
     (data,) = _reconstruct(params, [fused], noise.reshape(1, -1))
-    if s_m.fps != s_n.fps:
-        raise ValueError(f"fps differ: {s_m.fps} vs {s_n.fps}")
     return MotionSequence(data=data, fps=s_m.fps, label=f"{s_m.label}+{s_n.label}")
 
 

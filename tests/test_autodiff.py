@@ -4,14 +4,17 @@ import weakref
 import numpy as np
 import pytest
 
-from moticomp.autodiff import Tape, grad_check
+from gradcheck import TestGradCheck, grad_check  # noqa: F401 (TestGradCheck runs here)
+from moticomp import predictor, training, vae
+from moticomp.autodiff import Tape
 from moticomp.errors import NumericError, ShapeError
+from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 
 # every operation kind a Tape records; each has its finite-difference check below
 OP_KINDS = (
     "matmul", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq",
     "concat_lastdim", "slice_lastdim", "scale",
-    "exp", "sqrt", "div", "transpose", "repeat_rows", "reshape",
+    "exp", "sqrt", "div", "transpose", "reshape",
     "scalar_mul", "straight_through", "gather_rows", "sum_rows",
 )
 
@@ -38,15 +41,27 @@ class TestForward:
         with pytest.raises(ShapeError):
             tape.matmul(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))))
 
-    def test_add_requires_exact_shapes(self):
-        tape = Tape()
-        with pytest.raises(ShapeError):
-            tape.add(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((1, 3))))
+    def test_add_broadcasts_a_row_over_every_row(self):
+        x = np.arange(24.0).reshape(4, 2, 3)
+        row = np.array([[10.0, -20.0, 30.0]])
+        for big in (x[0], x):
+            tape = Tape()
+            bt, rt = tape.leaf(big, requires_grad=True), tape.leaf(row, requires_grad=True)
+            out = tape.add(rt, bt)
+            assert np.array_equal(out.values, big + row)
+            tape.backward(tape.sum_sq(out))
+            g = 2.0 * (big + row)
+            # summed over the batch axis first, then over the rows
+            expected = (g.sum(axis=0) if g.ndim == 3 else g).sum(axis=0, keepdims=True)
+            assert np.array_equal(rt.grad, expected)
+            assert np.array_equal(bt.grad, g)
 
     def test_non_finite_output_raises(self):
         tape = Tape()
         with pytest.raises(NumericError):
             tape.sqrt(tape.constant(np.array([-1.0])))
+        with pytest.raises(NumericError, match="exp"):  # overflow
+            tape.exp(tape.constant(np.array([[1.0, 710.0]])))
 
     def test_non_finite_leaf_raises(self):
         tape = Tape()
@@ -132,21 +147,6 @@ def test_tape_freed_by_reference_counting():
             gc.enable()
 
 
-class TestGradCheck:
-    def test_linear_is_exact(self):
-        rng = np.random.default_rng(2)
-        assert grad_check(lambda t, x: t.mean(x), rng.normal(size=(3, 3))) < 1e-10
-
-    def test_epsilon_range_enforced(self):
-        with pytest.raises(ValueError):
-            grad_check(lambda t, x: t.mean(x), np.ones(2), epsilon=1e-2)
-
-    def test_tanh_chain(self):
-        rng = np.random.default_rng(3)
-        err = grad_check(lambda t, x: t.sum_sq(t.tanh(x)), rng.normal(size=(2, 3)), 1e-4)
-        assert err < 1e-5
-
-
 # ----------------------------------------------------------------------
 # finite-difference coverage of every op kind
 
@@ -206,9 +206,6 @@ def _kind_checks(kind: str):
             c = t.constant(np.linspace(-1, 1, 6).reshape(2, 3))
             return t.sum_sq(t.matmul(t.transpose(x), c))
         return f, lambda rng: rng_point(rng, (2, 4))
-    if kind == "repeat_rows":
-        return (lambda t, x: t.sum_sq(t.tanh(t.repeat_rows(x, 3)))), \
-            lambda rng: rng_point(rng, (1, 4))
     if kind == "reshape":
         return (lambda t, x: t.sum_sq(t.tanh(t.reshape(x, (2, 6))))), \
             lambda rng: rng_point(rng, (3, 4))
@@ -257,6 +254,13 @@ def _batched_checks(case: str):
         return (lambda t, x: t.sum_sq(t.tanh(t.add(t.constant(c3), x)))), (2, 4)
     if case == "add_batch":
         return (lambda t, x: t.sum_sq(t.tanh(t.add(x, t.constant(c3[0]))))), (3, 2, 4)
+    if case == "add_row_to_rows":  # x (1, F) is added to every row
+        return (lambda t, x: t.sum_sq(t.tanh(t.add(t.constant(c3[0]), x)))), (1, 4)
+    if case == "add_row_to_batch":
+        return (lambda t, x: t.sum_sq(t.tanh(t.add(x, t.constant(c3))))), (1, 4)
+    if case == "hadamard_row":  # x is both the broadcast row and part of the other side
+        return (lambda t, x: t.sum_sq(t.hadamard(t.tanh(t.add(t.constant(c3), x)), x))), \
+            (1, 4)
     if case == "scalar_mul_per_row":
         def f(t, x):
             mat = t.reshape(t.slice_lastdim(x, 0, 6), (3, 2, 3))
@@ -267,7 +271,8 @@ def _batched_checks(case: str):
 
 
 BATCHED_CASES = ("matmul_batch_by_shared", "matmul_shared_weight", "matmul_shared_left",
-                 "matmul_two_batched", "add_shared", "add_batch", "scalar_mul_per_row")
+                 "matmul_two_batched", "add_shared", "add_batch", "add_row_to_rows",
+                 "add_row_to_batch", "hadamard_row", "scalar_mul_per_row")
 
 
 @pytest.mark.parametrize("case", BATCHED_CASES)
@@ -323,12 +328,14 @@ class TestBatchAxis:
         with pytest.raises(ShapeError):
             tape.matmul(tape.constant(np.zeros(shapes[0])), tape.constant(np.zeros(shapes[1])))
 
-    def test_add_broadcasts_only_over_a_leading_batch_axis(self):
+    def test_add_and_hadamard_refuse_shapes_outside_the_rule(self):
+        # a (rows, 1) column, a row of the wrong width, and a 3-D (B, 1, F) row
         tape = Tape()
-        with pytest.raises(ShapeError):
-            tape.add(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros((1, 3))))
-        with pytest.raises(ShapeError):
-            tape.add(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.zeros((4, 1, 3))))
+        for op in (tape.add, tape.hadamard):
+            for a, b in (((2, 3), (2, 1)), ((2, 3), (1, 4)), ((4, 2, 3), (4, 1, 3))):
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(ShapeError):
+                        op(tape.constant(np.zeros(x)), tape.constant(np.zeros(y)))
 
     def test_scalar_mul_needs_one_element_per_row(self):
         tape = Tape()
@@ -393,3 +400,42 @@ def test_matmul_mac_counting():
     assert tape.mac_count == 3 * 4 * 5
     tape.tanh(a)  # activations contribute nothing
     assert tape.mac_count == 3 * 4 * 5
+
+
+def test_op_kinds_cover_every_kind_the_pipeline_records(monkeypatch):
+    """Every kind recorded by a predict tape, a batched training tape that takes
+    every exit and a VAE training step is in OP_KINDS, so it has a
+    finite-difference check above; every entry names a Tape method."""
+    tapes = []
+    init = Tape.__init__
+
+    def recording_init(self):
+        init(self)
+        tapes.append(self)
+
+    layout = PartLayout.from_skeleton(Skeleton(parent=(0, 0, 0, 2),
+                                               part_of=(LOWER, LOWER, UPPER, UPPER)))
+    config = predictor.PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
+                                       heads=2, policy_hidden=4, query_dim=4,
+                                       coeff_scale=10.0, zero_output_decoders=False)
+    model = training.init_predictor_model(np.random.default_rng(0), layout, config)
+    rng = np.random.default_rng(1)
+    seqs = [MotionSequence(data=rng.normal(scale=10.0, size=(12, layout.size)),
+                           fps=10.0, label="a") for _ in range(8)]
+    monkeypatch.setattr(Tape, "__init__", recording_init)
+    kinds = {}
+    predictor.predict(model.params, MotionSequence(data=seqs[0].data[:8], fps=10.0),
+                      (3, 3, 3))
+    kinds["predict"] = {node.kind for tape in tapes for node in tape.nodes}
+    tapes.clear()
+    result = training.train_predictor(model, seqs, [], training.TrainConfig(
+        input_frames=8, output_frames=4, epochs=1, constrain_epochs=1, batch_size=8))
+    assert min(result.history[0].exit_counts) > 0
+    kinds["train"] = {node.kind for tape in tapes for node in tape.nodes}
+    tapes.clear()
+    vae.train_cag([MotionSequence(data=s.data[:, :6], fps=10.0) for s in seqs[:2]],
+                  vae.CagTrainConfig(epochs=1, batch_size=2, latent_dim=2, hidden_dims=(4,)))
+    kinds["train_cag"] = {node.kind for tape in tapes for node in tape.nodes}
+    for source, recorded in kinds.items():
+        assert recorded and recorded <= set(OP_KINDS), (source, recorded - set(OP_KINDS))
+    assert all(callable(getattr(Tape, kind, None)) for kind in OP_KINDS)

@@ -76,6 +76,31 @@ def test_eval_malformed_checkpoint_exits_two_with_named_error(tiny_manifest, tmp
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fault", ["fps=nan", "nan value"])
+def test_eval_invalid_motion_file_exits_two_naming_it(tiny_manifest, tmp_path, capsys,
+                                                      fault):
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
+    layout = PartLayout.from_skeleton(default_manifest().skeleton)
+    model = init_predictor_model(np.random.default_rng(0), layout,
+                                 PredictorConfig(feature_width=8, policy_hidden=4))
+    save_checkpoint(tmp_path / "pred.json", model)
+    bad = sorted((data / "test").glob("*.txt"))[1]
+    lines = bad.read_text().splitlines()
+    if fault == "fps=nan":
+        lines[0] = lines[0].replace("fps=10.0", "fps=nan")
+    else:
+        lines[3] = "nan " + lines[3].split(" ", 1)[1]
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert dispatch(["eval", "--model", str(tmp_path / "pred.json"), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval" / "report.csv").exists()
+
+
 def test_gen_data_idempotent_except_timestamp(tiny_manifest, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

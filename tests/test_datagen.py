@@ -59,7 +59,7 @@ class TestGenerateAtomic:
         assert np.abs(seq.data[:, 3 * joint] - expected).max() < 1e-12
         # joints outside the moving part hold their rest position exactly
         assert np.all(seq.data[:, 0:3] == 0.0)
-        for other in sk.joints_of(LOWER):
+        for other in (j for j, part in enumerate(sk.part_of) if part == LOWER):
             cols = slice(3 * other, 3 * other + 3)
             assert np.all(seq.data[:, cols] == rest[cols])
 
@@ -144,6 +144,21 @@ class TestMotionFiles:
         path.write_text("champlite v2 J=1 fps=10 frames=2 label=x\n1 2 3\n1 2 3\n")
         with pytest.raises(ParseError, match="line 1"):
             load_motion(path)
+
+    @pytest.mark.parametrize("header,rows,reason", [
+        ("fps=10.0 frames=2", ["0 0 0", "0 nan 0"], "non-finite values"),
+        ("fps=nan frames=2", ["0 0 0", "0 0 0"], "fps"),
+        ("fps=inf frames=2", ["0 0 0", "0 0 0"], "fps"),
+        ("fps=0 frames=2", ["0 0 0", "0 0 0"], "fps"),
+        ("fps=10.0 frames=1", ["0 0 0"], "2 frames"),
+    ], ids=["nan-value", "fps-nan", "fps-inf", "fps-zero", "one-frame"])
+    def test_invalid_motion_is_a_parse_error_naming_the_file(self, tmp_path, header,
+                                                             rows, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join([f"champlite v1 J=1 {header} label=x", *rows]) + "\n")
+        with pytest.raises(ParseError, match=reason) as info:
+            load_motion(path)
+        assert str(path) in str(info.value)
 
     def test_split_round_trip(self, tmp_path):
         man = default_manifest()

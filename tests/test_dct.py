@@ -32,11 +32,6 @@ class TestEncode:
         coeffs = dct_encode(x, 8)
         assert np.abs(coeffs.coeffs - brute_force_dct(x)).max() < 1e-10
 
-    def test_truncation_flag(self):
-        x = np.random.default_rng(1).normal(size=(10, 2))
-        assert not dct_encode(x, 10).truncated
-        assert dct_encode(x, 4).truncated
-
     def test_too_many_coeffs_rejected(self):
         with pytest.raises(ValueError):
             dct_encode(np.zeros((5, 2)), 6)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from moticomp.errors import ShapeError
-from moticomp.motion import (LOWER, UPPER, MotionSequence, PartLayout, Skeleton,
-                             downsample, merge_parts, remove_global_translation,
-                             split_parts)
+from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 
 
 def chain_skeleton(joints: int, upper_from: int) -> Skeleton:
@@ -12,11 +10,6 @@ def chain_skeleton(joints: int, upper_from: int) -> Skeleton:
     parents = tuple(max(i - 1, 0) for i in range(joints))
     parts = tuple(UPPER if i >= upper_from else LOWER for i in range(joints))
     return Skeleton(parent=parents, part_of=parts)
-
-
-def random_sequence(rng, frames, joints, fps=10.0, label="test"):
-    return MotionSequence(data=rng.normal(scale=50.0, size=(frames, 3 * joints)),
-                          fps=fps, label=label)
 
 
 class TestSkeleton:
@@ -31,11 +24,6 @@ class TestSkeleton:
     def test_unknown_part_label_rejected(self):
         with pytest.raises(ValueError):
             Skeleton(parent=(0, 0), part_of=(LOWER, "arms"))
-
-    def test_joints_of(self):
-        sk = chain_skeleton(5, upper_from=2)
-        assert sk.joints_of(UPPER) == (2, 3, 4)
-        assert sk.joints_of(LOWER) == (0, 1)
 
 
 class TestPartLayout:
@@ -58,136 +46,6 @@ class TestPartLayout:
                 seen = sorted(layout.upper_dims + layout.lower_dims)
                 assert seen == list(range(3 * joints))
                 assert not set(layout.upper_dims) & set(layout.lower_dims)
-
-
-class TestRemoveGlobalTranslation:
-    def test_constant_offset_preserved(self):
-        # all joints at (5,5,5) from the root in every frame
-        sk = chain_skeleton(3, upper_from=1)
-        root = np.arange(12, dtype=float).reshape(4, 3)
-        data = np.hstack([root, root + 5.0, root + 5.0])
-        out = remove_global_translation(MotionSequence(data=data, fps=10, label=""), sk)
-        assert np.array_equal(out.data[:, 0:3], np.zeros((4, 3)))
-        assert np.array_equal(out.data[:, 3:6], np.full((4, 3), 5.0))
-        assert np.array_equal(out.data[:, 6:9], np.full((4, 3), 5.0))
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(7)
-        sk = chain_skeleton(4, upper_from=2)
-        once = remove_global_translation(random_sequence(rng, 6, 4), sk)
-        twice = remove_global_translation(once, sk)
-        assert np.array_equal(once.data, twice.data)
-
-    def test_matches_per_frame_subtraction_oracle(self):
-        rng = np.random.default_rng(11)
-        sk = chain_skeleton(3, upper_from=1)
-        seq = random_sequence(rng, 4, 3)
-        out = remove_global_translation(seq, sk)
-        # oracle: subtract the root triple from each joint, frame by frame
-        expected = seq.data.copy()
-        for f in range(4):
-            for j in range(3):
-                expected[f, 3 * j:3 * j + 3] -= seq.data[f, 0:3]
-        assert np.array_equal(out.data, expected)
-        assert np.all(out.data[:, 0:3] == 0.0)
-
-    def test_preserves_pairwise_differences(self):
-        rng = np.random.default_rng(13)
-        sk = chain_skeleton(5, upper_from=2)
-        seq = random_sequence(rng, 8, 5)
-        out = remove_global_translation(seq, sk)
-        for a in range(5):
-            for b in range(5):
-                before = seq.data[:, 3 * a:3 * a + 3] - seq.data[:, 3 * b:3 * b + 3]
-                after = out.data[:, 3 * a:3 * a + 3] - out.data[:, 3 * b:3 * b + 3]
-                assert np.allclose(before, after, atol=1e-12, rtol=0)
-
-    def test_width_mismatch_raises(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ShapeError):
-            remove_global_translation(random_sequence(rng, 4, 3),
-                                      chain_skeleton(4, upper_from=1))
-
-
-class TestDownsample:
-    def test_factor_one_is_identity(self):
-        rng = np.random.default_rng(5)
-        seq = random_sequence(rng, 10, 2)
-        out = downsample(seq, 1)
-        assert np.array_equal(out.data, seq.data)
-        assert out.fps == seq.fps
-
-    def test_keeps_every_other_frame(self):
-        rng = np.random.default_rng(6)
-        seq = random_sequence(rng, 10, 2)
-        out = downsample(seq, 2)
-        assert np.array_equal(out.data, seq.data[[0, 2, 4, 6, 8]])
-        assert out.fps == seq.fps / 2
-
-    def test_ramp_indices_oracle(self):
-        ramp = np.arange(50, dtype=float)[:, None] * np.ones((1, 6))
-        seq = MotionSequence(data=ramp, fps=25.0, label="ramp")
-        out = downsample(seq, 5)
-        assert out.frames == 10
-        assert np.array_equal(out.data[:, 0], np.arange(0, 50, 5, dtype=float))
-        assert out.fps == 5.0
-
-    def test_factor_exceeding_frames_raises(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError):
-            downsample(random_sequence(rng, 10, 2), 11)
-
-
-class TestSplitMerge:
-    def test_all_upper_degenerate(self):
-        rng = np.random.default_rng(9)
-        sk = chain_skeleton(3, upper_from=0)
-        layout = PartLayout.from_skeleton(sk)
-        seq = random_sequence(rng, 4, 3)
-        upper, lower = split_parts(seq, layout)
-        assert np.array_equal(upper, seq.data)
-        assert lower.shape == (4, 0)
-
-    def test_two_joint_definition(self):
-        sk = Skeleton(parent=(0, 0), part_of=(UPPER, LOWER))
-        layout = PartLayout.from_skeleton(sk)
-        rng = np.random.default_rng(10)
-        seq = random_sequence(rng, 3, 2)
-        upper, lower = split_parts(seq, layout)
-        assert np.array_equal(upper, seq.data[:, 0:3])
-        assert np.array_equal(lower, seq.data[:, 3:6])
-
-    def test_scatter_oracle(self):
-        sk = Skeleton(parent=(0, 0), part_of=(UPPER, LOWER))
-        layout = PartLayout.from_skeleton(sk)
-        merged = merge_parts(np.ones((2, 3)), np.full((2, 3), 2.0), layout)
-        assert np.array_equal(merged, np.tile([1.0, 1, 1, 2, 2, 2], (2, 1)))
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(12)
-        for frames in (2, 5, 17, 64):
-            for joints in (2, 7, 32):
-                upper_from = int(rng.integers(1, joints))
-                layout = PartLayout.from_skeleton(chain_skeleton(joints, upper_from))
-                seq = random_sequence(rng, frames, joints)
-                upper, lower = split_parts(seq, layout)
-                assert np.array_equal(merge_parts(upper, lower, layout), seq.data)
-
-    def test_zero_parts_merge_to_zero(self):
-        layout = PartLayout.from_skeleton(chain_skeleton(2, upper_from=1))
-        assert np.array_equal(merge_parts(np.zeros((3, 3)), np.zeros((3, 3)), layout),
-                              np.zeros((3, 6)))
-
-    def test_row_count_mismatch_raises(self):
-        layout = PartLayout.from_skeleton(chain_skeleton(2, upper_from=1))
-        with pytest.raises(ShapeError):
-            merge_parts(np.zeros((3, 3)), np.zeros((4, 3)), layout)
-
-    def test_layout_width_mismatch_raises(self):
-        rng = np.random.default_rng(14)
-        layout = PartLayout.from_skeleton(chain_skeleton(2, upper_from=1))
-        with pytest.raises(ShapeError):
-            split_parts(random_sequence(rng, 4, 3), layout)
 
 
 class TestMotionSequence:

@@ -9,8 +9,7 @@ from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
                                 _branch_tail, _forward_core, _gc_layer,
                                 _motion_attention, _self_attention, branch_node_counts,
-                                init_predictor, pad_last_frame, paper_scale_config,
-                                predict)
+                                init_predictor, pad_last_frame, predict)
 from moticomp.training import zero_velocity_baseline
 
 
@@ -323,9 +322,3 @@ class TestGradientFlow:
                 if float(np.abs(tensors[name].grad).max()) == 0.0]
         assert dead == []
 
-
-def test_paper_scale_preset():
-    config = paper_scale_config()
-    assert config.feature_width == 128
-    assert config.n_blocks == 3
-    assert config.layers_per_block == 8

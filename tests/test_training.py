@@ -12,22 +12,27 @@ from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
                                 _prepare_branch_inputs)
 from moticomp.training import (AdamState, TrainConfig, _mpjpe_loss_t, _routed_forward,
-                               adam_step, evaluate, init_predictor_model, mpjpe_loss,
-                               mpjpe_metric, routed_prediction, train_predictor,
-                               zero_velocity_baseline)
+                               adam_step, evaluate, init_predictor_model, mpjpe_metric,
+                               routed_prediction, train_predictor, zero_velocity_baseline)
+
+
+def tape_loss(pred: np.ndarray, gt: np.ndarray) -> float:
+    """The training loss of one (frames, 3J) prediction, as a number."""
+    tape = Tape()
+    return _mpjpe_loss_t(tape, tape.constant(pred[None]), gt[None]).item()
 
 
 class TestMpjpeLoss:
     def test_perfect_prediction(self):
         x = np.random.default_rng(0).normal(size=(5, 6))
-        assert mpjpe_loss(x, x) == 0.0
+        assert tape_loss(x, x) == 0.0
 
     def test_single_error_closed_form(self):
         # J=2, frames=5, one joint off by (3,0,0): 9 / (2*5) = 0.9
         gt = np.zeros((5, 6))
         pred = gt.copy()
         pred[2, 0] += 3.0
-        assert mpjpe_loss(pred, gt) == pytest.approx(0.9, abs=1e-15)
+        assert tape_loss(pred, gt) == pytest.approx(0.9, abs=1e-15)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -39,11 +44,11 @@ class TestMpjpeLoss:
             for j in range(joints):
                 err = pred[t, 3 * j:3 * j + 3] - gt[t, 3 * j:3 * j + 3]
                 acc += float(err @ err)
-        assert mpjpe_loss(pred, gt) == pytest.approx(acc / (joints * frames), rel=1e-12)
+        assert tape_loss(pred, gt) == pytest.approx(acc / (joints * frames), rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mpjpe_loss(np.zeros((3, 6)), np.zeros((4, 6)))
+            tape_loss(np.zeros((3, 6)), np.zeros((4, 6)))
 
 
 class TestMpjpeMetric:
@@ -76,7 +81,7 @@ class TestMpjpeMetric:
         gt = np.zeros((4, 6))
         pred = gt.copy()
         pred[:, 0::3] = 1.0  # x-offset of 1 on both joints, all frames
-        assert mpjpe_loss(pred, gt) == pytest.approx(1.0, abs=1e-15)
+        assert tape_loss(pred, gt) == pytest.approx(1.0, abs=1e-15)
         for f in range(4):
             assert mpjpe_metric(pred, gt, f) == pytest.approx(1.0, abs=1e-15)
 

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from moticomp.autodiff import Tape, grad_check
+from gradcheck import grad_check
+from moticomp import vae
+from moticomp.autodiff import Tape
 from moticomp.dct import DctCoeffs, dct_encode
 from moticomp.errors import ShapeError
 from moticomp.layers import bind
@@ -367,6 +369,17 @@ class TestSynthesis:
         out = synthesize_composite(params, s_m, s_n, mask, F)
         assert out.data.shape == (LENGTH, COLS)
         assert out.fps == s_m.fps
+
+    def test_fps_mismatch_raises_before_the_model_runs(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        params = small_params(rng)
+        s_m, s_n = make_sequences(rng, 2)
+        s_n = MotionSequence(data=s_n.data, fps=25.0, label=s_n.label)
+        binds = []
+        monkeypatch.setattr(vae, "bind", lambda *args, **kwargs: binds.append(args))
+        with pytest.raises(ValueError, match="fps differ"):
+            synthesize_composite(params, s_m, s_n, BodyMask(m=np.ones(COLS)), F)
+        assert binds == []
 
 
 class TestTrainCag:
