@@ -419,7 +419,7 @@ def save_motion(path, seq: MotionSequence) -> None:
     Values are written with 17 significant digits, which round-trips IEEE
     doubles exactly.
     """
-    lines = [f"{MOTION_MAGIC} J={seq.joint_count} fps={seq.fps!r} "
+    lines = [f"{MOTION_MAGIC} J={seq.joint_count} fps={float(seq.fps)!r} "
              f"frames={seq.frames} label={seq.label}"]
     for row in seq.data:
         lines.append(" ".join(f"{x:.17g}" for x in row))

@@ -101,6 +101,32 @@ def test_eval_invalid_motion_file_exits_two_naming_it(tiny_manifest, tmp_path, c
     assert not (tmp_path / "eval" / "report.csv").exists()
 
 
+@pytest.mark.parametrize("fault", ["25 frames", "fps=20.0"])
+def test_eval_inconsistent_test_set_exits_two_naming_the_sequence(tiny_manifest, tmp_path,
+                                                                  capsys, fault):
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
+    layout = PartLayout.from_skeleton(default_manifest().skeleton)
+    model = init_predictor_model(np.random.default_rng(0), layout,
+                                 PredictorConfig(feature_width=8, policy_hidden=4))
+    save_checkpoint(tmp_path / "pred.json", model)
+    bad = sorted((data / "test").glob("*.txt"))[1]
+    lines = bad.read_text().splitlines()
+    label = lines[0].split("label=")[1]
+    if fault == "fps=20.0":
+        lines[0] = lines[0].replace("fps=10.0", "fps=20.0")
+    else:
+        lines = [lines[0].replace("frames=30", "frames=25")] + lines[1:26]
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert dispatch(["eval", "--model", str(tmp_path / "pred.json"), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"test sequence 1 ({label!r})" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval" / "report.csv").exists()
+
+
 def test_gen_data_idempotent_except_timestamp(tiny_manifest, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

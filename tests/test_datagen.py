@@ -110,14 +110,15 @@ class TestComposeOracle:
 class TestMotionFiles:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        seq = MotionSequence(data=rng.normal(scale=123.456, size=(7, 6)),
-                             fps=12.5, label="wave+squat")
-        path = tmp_path / "m.txt"
-        save_motion(path, seq)
-        back = load_motion(path)
-        assert np.array_equal(back.data, seq.data)
-        assert back.fps == seq.fps
-        assert back.label == seq.label
+        data = rng.normal(scale=123.456, size=(7, 6))
+        for fps in (12.5, np.float64(12.5)):  # a numpy fps is written as a plain number
+            seq = MotionSequence(data=data, fps=fps, label="wave+squat")
+            path = tmp_path / "m.txt"
+            save_motion(path, seq)
+            back = load_motion(path)
+            assert np.array_equal(back.data, seq.data)
+            assert back.fps == seq.fps
+            assert back.label == seq.label
 
     def test_wrong_column_count_cites_line(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -84,8 +84,8 @@ HOOKS = [
     ("training", "bind", train_predictor),
     ("training", "adam_step", train_predictor),
     ("training", "adam_step", train_cag),
-    ("training", "routed_prediction", validation),
-    ("training", "routed_prediction", evaluate),
+    ("training", "_routed_batch", validation),
+    ("training", "_routed_batch", evaluate),
     ("vae", "bind", train_cag),
     ("vae", "bind", synthesize_composite),
     ("vae", "bind", reconstruction_mpjpe),
@@ -117,7 +117,8 @@ def test_patched_global_is_called(monkeypatch, module, attr, case):
 
 
 # perfbench's step clock times one optimizer step from a trainable bind to the
-# adam_step after it, and its trace sums validation from routed_prediction calls.
+# adam_step after it; validation and evaluate route through _routed_batch, so a
+# span around it times them.
 
 def count_calls(monkeypatch, owner, attr, keep=lambda *args, **kwargs: True):
     original = getattr(owner, attr)
@@ -148,6 +149,7 @@ def test_validation_routes_each_val_history_once(monkeypatch):
     model, seqs = predictor_setup()
     config = training.TrainConfig(input_frames=8, output_frames=4, epochs=2,
                                   constrain_epochs=1, batch_size=2)
-    calls = count_calls(monkeypatch, training, "routed_prediction")
+    calls = count_calls(monkeypatch, training, "_routed_batch")
     training.train_predictor(model, seqs[:1], seqs * 2, config)
-    assert len(calls) == 2 * 6
+    # all 6 val histories in one call, every epoch
+    assert len(calls) == 2

@@ -1,9 +1,12 @@
 import copy
+import hashlib
+import math
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from moticomp import training
 from moticomp.autodiff import Tape
 from moticomp.errors import ConfigError, ShapeError
 from moticomp.exits import _policy_forward, _tendency_loss_soft
@@ -11,8 +14,9 @@ from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
                                 _prepare_branch_inputs)
-from moticomp.training import (AdamState, TrainConfig, _mpjpe_loss_t, _routed_forward,
-                               adam_step, evaluate, init_predictor_model, mpjpe_metric,
+from moticomp.training import (AdamState, TrainConfig, _mean_future_error,
+                               _mpjpe_loss_t, _routed_batch, _routed_forward, adam_step,
+                               evaluate, init_predictor_model, mpjpe_metric,
                                routed_prediction, train_predictor, zero_velocity_baseline)
 
 
@@ -265,6 +269,22 @@ class TestBaselineAndEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, val, (1, 5))
 
+    def test_wrong_length_sequence_named(self):
+        model, _, _, _, val = tiny_setup(seed=9)
+        val[2] = MotionSequence(data=val[2].data[:10], fps=10.0, label="short")
+        with pytest.raises(ShapeError,
+                           match=r"test sequence 2 \('short'\) has shape \(10, 12\), "
+                                 r"expected \(12, 12\)"):
+            evaluate(model, val, (1,))
+
+    def test_mixed_fps_named(self):
+        model, _, _, _, val = tiny_setup(seed=10)
+        val[3] = MotionSequence(data=val[3].data, fps=20.0, label="fast")
+        with pytest.raises(ValueError,
+                           match=r"test sequence 3 \('fast'\) has fps 20.0, "
+                                 r"sequence 0 has 10.0"):
+            evaluate(model, val, (1,))
+
     def test_routed_prediction_returns_valid_exits(self):
         model, _, config, _, val = tiny_setup(seed=7)
         hist = MotionSequence(data=val[0].data[:8], fps=10.0, label="x")
@@ -431,3 +451,106 @@ def reference_epoch(model, train, config):
         epoch_tendency += tendency
     return (epoch_loss / len(train), epoch_tendency / len(starts),
             tuple(int(c) for c in counts))
+
+
+# ----------------------------------------------------------------------
+# batched inference against one tape per history
+
+def labelled(data):
+    return [MotionSequence(data=d, fps=10.0, label=f"act{i % 3}") for i, d in enumerate(data)]
+
+
+def reference_evaluation(model, seqs, horizons, n_input=12):
+    """evaluate's figures and the validation error, from one routed_prediction
+    per history: (report fields, exit distribution, mean future error)."""
+    fields = {"per_action": {}, "baseline_per_action": {}}
+    rows, base_rows = [], []
+    tallies = np.zeros((len(BRANCH_KINDS), model.params.config.n_blocks))
+    total, count = 0.0, 0
+    for seq in seqs:
+        hist = MotionSequence(data=seq.data[:n_input], fps=seq.fps, label=seq.label)
+        gt = seq.data[n_input:]
+        pred, exits = routed_prediction(model, hist)
+        tail = pred.data[n_input:]
+        base = zero_velocity_baseline(hist, len(gt)).data[n_input:]
+        row = np.array([mpjpe_metric(tail, gt, h - 1) for h in horizons])
+        base_row = np.array([mpjpe_metric(base, gt, h - 1) for h in horizons])
+        fields["per_action"].setdefault(seq.label, []).append(row)
+        fields["baseline_per_action"].setdefault(seq.label, []).append(base_row)
+        rows.append(row)
+        base_rows.append(base_row)
+        for f in range(len(gt)):
+            total += mpjpe_metric(tail, gt, f)
+            count += 1
+        for i, d in enumerate(exits):
+            tallies[i, d - 1] += 1
+
+    def mean(r):
+        return tuple(float(x) for x in np.mean(r, axis=0))
+
+    for key in ("per_action", "baseline_per_action"):
+        fields[key] = {a: mean(r) for a, r in fields[key].items()}
+    fields["overall"] = mean(rows)
+    fields["baseline_overall"] = mean(base_rows)
+    distribution = {kind: tuple(float(x) for x in t / t.sum())
+                    for kind, t in zip(BRANCH_KINDS, tallies)}
+    return fields, distribution, total / count
+
+
+class TestBatchedInference:
+    """More histories than one inference tape holds (32), with exits that differ
+    between histories; the batch must equal one tape per history bit for bit."""
+
+    def test_routed_batch_matches_per_history_loop(self, monkeypatch):
+        n = 40
+        model, _, data = routed_model(seed=46, n_seqs=n)
+        reference = [routed_prediction(model, MotionSequence(data=d[:12], fps=10.0,
+                                                             label="r"))
+                     for d in data]
+        binds = []
+        original = training.bind
+
+        def counted(tape, named, trainable):
+            binds.append(trainable)
+            return original(tape, named, trainable)
+
+        monkeypatch.setattr(training, "bind", counted)
+        pred, exits = _routed_batch(model, data[:, :12])
+        assert binds == [False] * math.ceil(n / 32)
+        assert all(set(exits[:, i]) == {1, 2, 3} for i in range(3))
+        assert np.array_equal(exits, np.array([ex for _, ex in reference]))
+        assert np.array_equal(pred, np.stack([p.data for p, _ in reference]))
+
+    def test_evaluate_and_validation_match_per_history_loop(self):
+        model, _, data = routed_model(seed=47, n_seqs=40)
+        seqs = labelled(data)
+        fields, distribution, val_error = reference_evaluation(model, seqs, (1, 2, 4))
+        assert all(sum(share > 0 for share in d) > 1 for d in distribution.values())
+        report = evaluate(model, seqs, (1, 2, 4))
+        for name, expected in fields.items():
+            assert getattr(report, name) == expected, name
+        assert report.flops.exit_distribution == distribution
+        assert _mean_future_error(model, seqs, 12) == val_error
+
+
+class TestTrainAndEvaluateGolden:
+    """Bytes of a seeded train_predictor + evaluate whose policies take mixed
+    exits, pinned at the commit before inference was batched. They change if
+    routing, the error metric, or the order of its sums change."""
+
+    def test_history_report_and_flops(self):
+        model, _, data = routed_model(seed=46, n_seqs=82)
+        seqs = labelled(data)
+        result = train_predictor(model, seqs[:12], seqs[12:46],
+                                 tiny_train_config(input_frames=12, epochs=2, batch_size=5))
+        report = evaluate(model, seqs[46:], (1, 2, 4))
+        assert all(sum(share > 0 for share in d) > 1
+                   for d in report.flops.exit_distribution.values())
+        digests = [hashlib.sha256(text.encode()).hexdigest()
+                   for text in (result.history_csv(), report.to_csv(),
+                                report.flops.to_csv())]
+        assert digests == [
+            "e43cb030f25f42aa917ed1db86c434c1803573335118c6c19024d719b90b0e72",
+            "1395c43fce4de1689b0e894a518a8f60f826022c75564085692317b2933d50b7",
+            "6db71e36ec13477b4ebcf9915645126d722d8f60d20b4398e94b207200691007",
+        ]
