@@ -20,7 +20,7 @@ from .motion import MotionSequence, PartLayout, Skeleton
 from .predictor import PredictorConfig, PredictorParams, init_predictor, predict
 from .training import (AdamState, EvalReport, PredictorModel, TrainConfig,
                        TrainResult, adam_step, evaluate, init_predictor_model,
-                       mpjpe_metric, train_predictor, zero_velocity_baseline)
+                       mpjpe_metric, train_predictor)
 from .vae import (BodyMask, CagTrainConfig, VaeParams, init_vae, masked_fuse,
                   reconstruction_mpjpe, synthesize_composite, train_cag)
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import datagen
 from .errors import CheckpointError, ConfigError
+from .exits import count_flops
 from .motion import PartLayout
 from .predictor import BRANCH_KINDS, PredictorConfig
 from .training import (PredictorModel, TrainConfig, evaluate, init_predictor_model,
@@ -206,19 +207,10 @@ def _cmd_synth(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = _out_dir(args)
     sequences = []
-    seed_counter = args.seed
-    for upper_spec, lower_spec in manifest.composite_pairs:
-        for _ in range(args.count):
-            seq_u = datagen.generate_atomic(upper_spec, manifest.skeleton,
-                                            manifest.sequence_length, manifest.fps,
-                                            seed_counter)
-            seq_l = datagen.generate_atomic(lower_spec, manifest.skeleton,
-                                            manifest.sequence_length, manifest.fps,
-                                            seed_counter + 1)
-            seed_counter += 2
-            noise = None if args.deterministic else rng.standard_normal(params.latent_dim)
-            sequences.append(synthesize_composite(
-                params, seq_u, seq_l, mask, params.coeff_rows, noise))
+    for seq_u, seq_l in datagen.composite_sources(manifest, args.count, args.seed):
+        noise = None if args.deterministic else rng.standard_normal(params.latent_dim)
+        sequences.append(synthesize_composite(
+            params, seq_u, seq_l, mask, params.coeff_rows, noise))
     datagen.save_split(out / "synth", sequences)
     _write_run_info(out, "synth", args.seed,
                     {"model": str(args.model), "count": args.count,
@@ -278,7 +270,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_flops(args) -> int:
     model = _load_checkpoint(args.model, PredictorModel)
-    from .exits import count_flops  # local import keeps CLI startup light
     n_branches = len(BRANCH_KINDS)
     if args.exits is None:
         exits = (model.params.config.n_blocks,) * n_branches

@@ -222,34 +222,35 @@ class DatasetSplits:
     test: list[MotionSequence]
 
 
+def composite_sources(manifest: DatasetManifest, count: int,
+                      seed: int) -> list[tuple[MotionSequence, MotionSequence]]:
+    """count (upper, lower) atomic sequence pairs for each composite pair of the
+    manifest, in pair order; each takes the next two seeds counting from seed."""
+    m = manifest
+    pairs = [pair for pair in m.composite_pairs for _ in range(count)]
+    return [(generate_atomic(upper, m.skeleton, m.sequence_length, m.fps, seed + 2 * i),
+             generate_atomic(lower, m.skeleton, m.sequence_length, m.fps, seed + 2 * i + 1))
+            for i, (upper, lower) in enumerate(pairs)]
+
+
 def build_dataset(manifest: DatasetManifest) -> DatasetSplits:
     """Generate all three splits; a pure function of the manifest."""
     m = manifest
     layout = PartLayout.from_skeleton(m.skeleton)
     mask = BodyMask.from_layout(layout)
 
-    def atomic(spec: ActionSpec, seed: int) -> MotionSequence:
-        return generate_atomic(spec, m.skeleton, m.sequence_length, m.fps, seed)
-
-    train = [atomic(spec, m.train_seed + i * m.train_per_action + k)
-             for i, spec in enumerate(m.actions)
-             for k in range(m.train_per_action)]
+    def atomics(base_seed: int, per_action: int) -> list[MotionSequence]:
+        """per_action sequences of each action, on consecutive seeds."""
+        return [generate_atomic(spec, m.skeleton, m.sequence_length, m.fps,
+                                base_seed + i * per_action + k)
+                for i, spec in enumerate(m.actions) for k in range(per_action)]
 
     def held_out(base_seed: int, per_atomic: int, per_composite: int) -> list[MotionSequence]:
-        out = []
-        counter = base_seed
-        for spec in m.actions:
-            for _ in range(per_atomic):
-                out.append(atomic(spec, counter))
-                counter += 1
-        for upper_spec, lower_spec in m.composite_pairs:
-            for _ in range(per_composite):
-                seq_u = atomic(upper_spec, counter)
-                seq_l = atomic(lower_spec, counter + 1)
-                counter += 2
-                out.append(compose_oracle(seq_u, seq_l, mask))
-        return out
+        sources = composite_sources(m, per_composite, base_seed + per_atomic * len(m.actions))
+        return atomics(base_seed, per_atomic) + [compose_oracle(u, l, mask)
+                                                 for u, l in sources]
 
+    train = atomics(m.train_seed, m.train_per_action)
     val = held_out(m.val_seed, m.val_per_atomic, m.val_per_composite)
     test = held_out(m.test_seed, m.test_per_atomic, m.test_per_composite)
     return DatasetSplits(train=train, val=val, test=test)
@@ -485,13 +486,15 @@ def load_split(directory) -> list[MotionSequence]:
 
 def _tensor_entries(named: dict[str, np.ndarray]) -> list[dict]:
     return [{"name": name, "shape": list(arr.shape),
-             "values": [float(x) for x in np.asarray(arr, dtype=np.float64).reshape(-1)]}
+             "values": np.asarray(arr, dtype=np.float64).ravel().tolist()}
             for name, arr in named.items()]
 
 
 def _read_tensors(entries) -> dict[str, np.ndarray]:
     out = {}
     for entry in entries:
+        if entry["name"] in out:
+            raise ValueError(f"tensor {entry['name']} appears more than once")
         arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"tensor {entry['name']} holds non-finite values")

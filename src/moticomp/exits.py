@@ -9,7 +9,7 @@ against an instrumented forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,9 +110,6 @@ class FlopsReport:
         full = self.full_depth_total()
         return 100.0 * (1.0 - self.weighted_average_total() / full)
 
-    def with_distribution(self, distribution: dict[str, tuple[float, ...]]) -> "FlopsReport":
-        return replace(self, exit_distribution=dict(distribution))
-
     def to_csv(self) -> str:
         n_exits = len(next(iter(self.counts.values())))
         header = "branch," + ",".join(f"exit_{d}" for d in range(1, n_exits + 1))
@@ -152,17 +149,23 @@ def branch_exit_macs(n: int, config: PredictorConfig) -> tuple[int, ...]:
     return tuple(fixed + (d + 1) * per_block for d in range(config.n_blocks))
 
 
-def count_flops(params: PredictorParams, exit_indices: tuple[int, int, int]) -> FlopsReport:
-    """Analytic MAC table for every (branch, exit), routed at the given exits."""
+def count_flops(params: PredictorParams, exits) -> FlopsReport:
+    """Analytic MAC table for every (branch, exit), weighted by the exits
+    taken: one (upper, lower, whole) triple, or one per sample as a (B, 3)
+    array."""
     config = params.config
+    exits = np.atleast_2d(exits)
+    if exits.ndim != 2 or exits.shape[1] != len(BRANCH_KINDS) or not exits.size:
+        raise ValueError(f"need one exit per branch, or a (B, {len(BRANCH_KINDS)}) "
+                         f"array of them; got shape {exits.shape}")
+    bad = exits[(exits < 1) | (exits > config.n_blocks)]
+    if bad.size:
+        raise ValueError(f"exit index {bad[0]} outside 1..{config.n_blocks}")
     counts = {}
     distribution = {}
-    for (kind, n), chosen in zip(branch_node_counts(params.layout).items(), exit_indices):
-        if not 1 <= chosen <= config.n_blocks:
-            raise ValueError(f"exit index {chosen} outside 1..{config.n_blocks}")
+    for i, (kind, n) in enumerate(branch_node_counts(params.layout).items()):
         counts[kind] = branch_exit_macs(n, config)
-        one_hot = [0.0] * config.n_blocks
-        one_hot[chosen - 1] = 1.0
-        distribution[kind] = tuple(one_hot)
+        tally = np.bincount(exits[:, i] - 1, minlength=config.n_blocks)
+        distribution[kind] = tuple(float(x) for x in tally / tally.sum())
     return FlopsReport(branch_names=BRANCH_KINDS, counts=counts,
                        exit_distribution=distribution)

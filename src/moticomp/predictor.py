@@ -196,18 +196,14 @@ def _branch_encode(tape: Tape, tensors: dict[str, Tensor], prefix: str,
 
 
 def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
-                 tensors: dict[str, Tensor], h: Tensor, exits,
-                 hard: Tensor | None = None) -> Tensor:
+                 tensors: dict[str, Tensor], h: Tensor, exits) -> Tensor:
     """Decode each sample of encoded features h (B, nodes, F) after its first
     exits[b] blocks; exits may also be one index for the whole batch.
 
     Block k runs only on the samples whose exit lies deeper than k; they are
-    gathered when some samples have already left. Given hard, the (B, 1, D)
-    one-hot the exits were drawn from, each sample's output is scaled by its
-    own entry of hard, which is 1 in the forward pass and passes a
-    straight-through gradient to that sample's chosen logit alone. When every
-    sample takes the same exit no gather is recorded, so one sample, or one
-    (nodes, F) matrix, records only the blocks up to its exit and the decoder.
+    gathered when some samples have already left. When every sample takes the
+    same exit no gather is recorded, so one sample, or one (nodes, F) matrix,
+    records only the blocks up to its exit and the decoder.
     """
     exits = np.broadcast_to(exits, h.shape[:-2]).reshape(-1)
     bad = exits[(exits < 1) | (exits > config.n_blocks)]
@@ -221,13 +217,8 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
         if not leaving.any():
             continue
         y = h if leaving.all() else tape.gather_rows([h], np.flatnonzero(leaving))
-        y = linear(tape, y, tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"])
-        left = rows[leaving]
-        if hard is not None:
-            gate = hard if left.size == exits.size else tape.gather_rows([hard], left)
-            y = tape.scalar_mul(y, tape.slice_lastdim(gate, k, k + 1))
-        outputs.append(y)
-        output_rows.append(left)
+        outputs.append(linear(tape, y, tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"]))
+        output_rows.append(rows[leaving])
         if not leaving.all():
             h = tape.gather_rows([h], np.flatnonzero(~leaving))
             rows = rows[~leaving]

@@ -129,8 +129,6 @@ class TrainConfig:
     epochs: int = 50
     constrain_epochs: int = 20
     w_tendency: float = DEFAULT_W_TENDENCY
-    input_frames: int = 20
-    output_frames: int = 10
     temperature: float = 1.0
     seed: int = 0
 
@@ -194,11 +192,12 @@ def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor
     under Gumbel noise.
 
     noise (B, branches, D) holds one row per history and branch; training
-    samples it, deterministic routing passes zeros. Each branch correction is
-    multiplied by the selected entry of its hard one-hot, which is 1 in the
-    forward pass and routes straight-through gradients to the policy logits in
-    the backward pass. Returns the (B, N+T, E) predictions, the (B, branches)
-    exits taken and each branch's (B, 1, D) soft draws.
+    samples it, deterministic routing passes zeros. Each sample's branch
+    correction is multiplied by the chosen entry of its hard one-hot, which is
+    1 in the forward pass and routes a straight-through gradient to that
+    sample's chosen logit alone in the backward pass. Returns the (B, N+T, E)
+    predictions, the (B, branches) exits taken and each branch's (B, 1, D)
+    soft draws.
     """
     params = model.params
     inputs = _prepare_branch_inputs(tape, params, tensors, history)
@@ -210,8 +209,11 @@ def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor
         logits = _policy_forward(tape, tensors, f"policy.{kind}", encoded)
         hard, soft = _gumbel_softmax_st(tape, logits, temperature, noise[:, i])
         exits = np.argmax(hard.values, axis=-1).reshape(-1) + 1
-        outputs[kind] = _branch_tail(tape, kind, params.config, tensors, encoded,
-                                     exits, hard)
+        out = _branch_tail(tape, kind, params.config, tensors, encoded, exits)
+        batch, n_exits = hard.shape[0], hard.shape[-1]
+        gate = tape.gather_rows([tape.reshape(hard, (batch * n_exits, 1, 1))],
+                                np.arange(batch) * n_exits + exits - 1)
+        outputs[kind] = tape.scalar_mul(out, gate)
         chosen.append(exits)
         softs.append(soft)
     pred = _assemble_prediction(tape, params, tensors, outputs, history)
@@ -273,14 +275,11 @@ def train_predictor(model: PredictorModel, train_set: list[MotionSequence],
     if not train_set:
         raise ValueError("training set is empty")
     params = model.params
-    if (config.input_frames, config.output_frames) != (
-            params.config.input_frames, params.config.output_frames):
-        raise ConfigError("train config frame counts do not match the model")
-    frames = config.input_frames + config.output_frames
+    n_input = params.config.input_frames
+    frames = n_input + params.config.output_frames
     _check_dataset(train_set, frames, params, "train")
     _check_dataset(val_set, frames, params, "val")
 
-    n_input = config.input_frames
     sequences = np.stack([seq.data for seq in train_set])
     rng = np.random.default_rng(config.seed)
     named = model.named_parameters()
@@ -340,13 +339,6 @@ def train_predictor(model: PredictorModel, train_set: list[MotionSequence],
 
 # ----------------------------------------------------------------------
 # baseline and evaluation
-
-def zero_velocity_baseline(history: MotionSequence, out_frames: int) -> MotionSequence:
-    """Repeat the last observed pose; the canonical sanity baseline."""
-    if out_frames < 1:
-        raise ValueError(f"out_frames must be >= 1, got {out_frames}")
-    return history.with_data(pad_last_frame(history.data, out_frames))
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -434,11 +426,6 @@ def evaluate(model: PredictorModel, test_set: list[MotionSequence],
     def _mean(rows: list[np.ndarray]) -> tuple[float, ...]:
         return tuple(float(x) for x in np.mean(rows, axis=0))
 
-    distribution = {}
-    for i, kind in enumerate(BRANCH_KINDS):
-        tally = np.bincount(exits[:, i] - 1, minlength=cfg.n_blocks)
-        distribution[kind] = tuple(float(x) for x in tally / tally.sum())
-    flops = count_flops(model.params, (1,) * 3).with_distribution(distribution)
     return EvalReport(
         horizon_frames=horizon_frames,
         ms_per_frame=1000.0 / test_set[0].fps,
@@ -447,5 +434,5 @@ def evaluate(model: PredictorModel, test_set: list[MotionSequence],
         baseline_per_action={a: _mean(rows) for a, rows in base_by_action.items()},
         baseline_overall=_mean(base_rows),
         sequence_count=len(test_set),
-        flops=flops,
+        flops=count_flops(model.params, exits),
     )

@@ -429,7 +429,7 @@ def test_op_kinds_cover_every_kind_the_pipeline_records(monkeypatch):
     kinds["predict"] = {node.kind for tape in tapes for node in tape.nodes}
     tapes.clear()
     result = training.train_predictor(model, seqs, [], training.TrainConfig(
-        input_frames=8, output_frames=4, epochs=1, constrain_epochs=1, batch_size=8))
+        epochs=1, constrain_epochs=1, batch_size=8))
     assert min(result.history[0].exit_counts) > 0
     kinds["train"] = {node.kind for tape in tapes for node in tape.nodes}
     tapes.clear()

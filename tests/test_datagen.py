@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from moticomp.datagen import (ActionSpec, CHECKPOINT_VERSION, build_dataset, compose_oracle, default_manifest,
-                              default_skeleton, generate_atomic, load_checkpoint,
-                              load_motion, load_split, manifest_from_json,
+                              composite_sources, default_skeleton, generate_atomic,
+                              load_checkpoint, load_motion, load_split, manifest_from_json,
                               manifest_to_json, rest_pose, save_checkpoint,
                               save_motion, save_split)
 from moticomp.dct import dct_encode
@@ -311,6 +311,14 @@ class TestCheckpointTensors:
                                                   r"unexpected \['lower\.decoder\.w'\]"):
             load_checkpoint(path)
 
+    def test_duplicated_predictor_tensor_named(self, tmp_path):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        doc["tensors"].append({"name": "fusion.raw", "shape": [1, 1], "values": [7.0]})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=r"tensor fusion\.raw appears more than once"):
+            load_checkpoint(path)
+
     def test_mis_shaped_vae_tensor_named(self, tmp_path):
         path = tmp_path / "v.json"
         save_checkpoint(path, init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,
@@ -481,6 +489,17 @@ class TestBuildDataset:
         man = default_manifest()
         with pytest.raises(ManifestError, match="overlap"):
             dataclasses.replace(man, val_seed=man.train_seed + 1)
+
+    def test_composite_sources_take_consecutive_seeds(self):
+        man = default_manifest()
+        sources = composite_sources(man, 2, 50)
+        assert len(sources) == 2 * len(man.composite_pairs)
+        for i, (seq_u, seq_l) in enumerate(sources):
+            upper, lower = man.composite_pairs[i // 2]
+            for spec, seq, seed in ((upper, seq_u, 50 + 2 * i), (lower, seq_l, 51 + 2 * i)):
+                ref = generate_atomic(spec, man.skeleton, man.sequence_length, man.fps, seed)
+                assert seq.label == spec.name
+                assert np.array_equal(seq.data, ref.data)
 
     def test_still_class_present_in_test(self):
         splits = build_dataset(default_manifest())

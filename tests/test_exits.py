@@ -146,8 +146,7 @@ def forced_exit_counts(exits, n_train=6):
         model.policies[f"policy.{kind}.b2"][0, d - 1] = 1e3  # outweighs any Gumbel draw
     train = [MotionSequence(data=rng.normal(scale=10.0, size=(12, layout.size)),
                             fps=10.0, label="a") for _ in range(n_train)]
-    config = TrainConfig(input_frames=8, output_frames=4, epochs=1, constrain_epochs=1,
-                         batch_size=3, seed=0)
+    config = TrainConfig(epochs=1, constrain_epochs=1, batch_size=3, seed=0)
     return train_predictor(model, train, [], config).history[0].exit_counts
 
 
@@ -269,7 +268,30 @@ class TestFlops:
         assert lines[-1].startswith("weighted_average,")
 
     def test_distribution_must_sum_to_one(self):
-        params = toy_predictor()
-        report = count_flops(params, (1, 1, 1))
         with pytest.raises(ValueError):
-            report.with_distribution({k: (0.5, 0.0, 0.0) for k in report.branch_names})
+            FlopsReport(branch_names=("a",), counts={"a": (4, 5, 6)},
+                        exit_distribution={"a": (0.5, 0.0, 0.0)})
+
+    def test_triple_gives_one_hot_distribution(self):
+        params = toy_predictor()
+        report = count_flops(params, (1, 2, 3))
+        assert [report.exit_distribution[k] for k in BRANCH_KINDS] == [
+            (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        assert count_flops(params, np.array([[1, 2, 3]])) == report
+
+    def test_batch_of_exits_tallies_per_branch(self):
+        params = toy_predictor()
+        exits = np.random.default_rng(3).integers(1, 4, size=(7, 3))
+        exits[0] = (1, 2, 3)  # one sample takes a different exit in each branch
+        report = count_flops(params, exits)
+        for i, kind in enumerate(BRANCH_KINDS):
+            tally = np.bincount(exits[:, i] - 1, minlength=3)
+            assert report.exit_distribution[kind] == tuple(tally / tally.sum())
+            assert report.branch_average(kind) == pytest.approx(
+                np.mean([report.counts[kind][d - 1] for d in exits[:, i]]), rel=1e-12)
+
+    @pytest.mark.parametrize("exits", [(1, 2), (1, 2, 3, 1), np.zeros((0, 3), int),
+                                       (0, 1, 1), (1, 4, 1), [[1, 1, 1], [2, 2, 9]]])
+    def test_bad_exits_rejected(self, exits):
+        with pytest.raises(ValueError):
+            count_flops(toy_predictor(), exits)

@@ -26,8 +26,7 @@ def predictor_setup():
 
 
 def train_config():
-    return training.TrainConfig(input_frames=8, output_frames=4, epochs=1,
-                                constrain_epochs=1, batch_size=2)
+    return training.TrainConfig(epochs=1, constrain_epochs=1, batch_size=2)
 
 
 # Each case builds its inputs unpatched and returns the call to observe.
@@ -136,8 +135,7 @@ def count_calls(monkeypatch, owner, attr, keep=lambda *args, **kwargs: True):
 def test_one_trainable_bind_and_adam_step_per_minibatch(monkeypatch):
     model, seqs = predictor_setup()
     train = seqs * 3  # 9 sequences at batch size 2: 5 steps per epoch
-    config = training.TrainConfig(input_frames=8, output_frames=4, epochs=2,
-                                  constrain_epochs=1, batch_size=2)
+    config = training.TrainConfig(epochs=2, constrain_epochs=1, batch_size=2)
     binds = count_calls(monkeypatch, training, "bind",
                         lambda tape, named, trainable: trainable)
     steps = count_calls(monkeypatch, training, "adam_step")
@@ -147,8 +145,7 @@ def test_one_trainable_bind_and_adam_step_per_minibatch(monkeypatch):
 
 def test_validation_routes_each_val_history_once(monkeypatch):
     model, seqs = predictor_setup()
-    config = training.TrainConfig(input_frames=8, output_frames=4, epochs=2,
-                                  constrain_epochs=1, batch_size=2)
+    config = training.TrainConfig(epochs=2, constrain_epochs=1, batch_size=2)
     calls = count_calls(monkeypatch, training, "_routed_batch")
     training.train_predictor(model, seqs[:1], seqs * 2, config)
     # all 6 val histories in one call, every epoch

@@ -8,16 +8,16 @@ import pytest
 
 from moticomp import training
 from moticomp.autodiff import Tape
-from moticomp.errors import ConfigError, ShapeError
+from moticomp.errors import ShapeError
 from moticomp.exits import _policy_forward, _tendency_loss_soft
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
-                                _prepare_branch_inputs)
+                                _prepare_branch_inputs, pad_last_frame)
 from moticomp.training import (AdamState, TrainConfig, _mean_future_error,
                                _mpjpe_loss_t, _routed_batch, _routed_forward, adam_step,
                                evaluate, init_predictor_model, mpjpe_metric,
-                               routed_prediction, train_predictor, zero_velocity_baseline)
+                               routed_prediction, train_predictor)
 
 
 def tape_loss(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -148,8 +148,7 @@ def tiny_setup(seed=0, n_train=12, n_val=4):
 
 
 def tiny_train_config(**overrides):
-    defaults = dict(input_frames=8, output_frames=4, epochs=2, constrain_epochs=1,
-                    batch_size=4, seed=9)
+    defaults = dict(epochs=2, constrain_epochs=1, batch_size=4, seed=9)
     defaults.update(overrides)
     return TrainConfig(**defaults)
 
@@ -189,12 +188,6 @@ class TestTrainPredictor:
             assert rec.lr == pytest.approx(config.lr * config.lr_decay_per_epoch ** k,
                                            rel=1e-15)
 
-    def test_frame_count_mismatch_rejected(self):
-        model, _, _, train, val = tiny_setup()
-        with pytest.raises(ConfigError):
-            train_predictor(model, train, val,
-                            tiny_train_config(input_frames=10, output_frames=2))
-
     def test_paper_defaults_echo(self):
         config = TrainConfig()
         assert config.batch_size == 32
@@ -233,11 +226,11 @@ class TestBaselineAndEvaluate:
     def test_baseline_on_static_history(self):
         hist = MotionSequence(data=np.tile([1.0, 2, 3, 4, 5, 6], (5, 1)), fps=10,
                               label="s")
-        base = zero_velocity_baseline(hist, 3)
-        assert base.data.shape == (8, 6)
-        assert np.array_equal(base.data[5:], np.tile(hist.data[-1], (3, 1)))
+        base = pad_last_frame(hist.data, 3)
+        assert base.shape == (8, 6)
+        assert np.array_equal(base[5:], np.tile(hist.data[-1], (3, 1)))
         gt_tail = np.tile(hist.data[-1], (3, 1))
-        assert mpjpe_metric(base.data[5:], gt_tail, 2) == 0.0
+        assert mpjpe_metric(base[5:], gt_tail, 2) == 0.0
 
     def test_baseline_error_grows_linearly_with_speed(self):
         v = np.array([0.6, 0.8, 0.0])  # |v| = 1 per frame, every joint
@@ -245,9 +238,9 @@ class TestBaselineAndEvaluate:
         data = np.hstack([frames * v[None, :]] * 2)
         seq = MotionSequence(data=data, fps=10, label="lin")
         hist = MotionSequence(data=seq.data[:6], fps=10, label="lin")
-        base = zero_velocity_baseline(hist, 4)
+        base = pad_last_frame(hist.data, 4)
         for h in range(4):
-            err = mpjpe_metric(base.data[6:], seq.data[6:], h)
+            err = mpjpe_metric(base[6:], seq.data[6:], h)
             assert err == pytest.approx((h + 1) * 1.0, rel=1e-12)
 
     def test_untrained_model_report_equals_baseline(self):
@@ -413,7 +406,7 @@ class TestBatchedTraining:
         model, _, data = routed_model(seed=44)
         train = [MotionSequence(data=d, fps=10.0, label="r") for d in data]
         reference = copy.deepcopy(model)
-        tc = tiny_train_config(input_frames=12, epochs=1, constrain_epochs=1, batch_size=5)
+        tc = tiny_train_config(epochs=1, constrain_epochs=1, batch_size=5)
         result = train_predictor(model, train, [], tc)
         loss, tendency, counts = reference_epoch(reference, train, tc)
         assert result.history[0].exit_counts == counts
@@ -443,7 +436,7 @@ def reference_epoch(model, train, config):
         batch = np.stack([train[i].data for i in order[start:start + config.batch_size]])
         noise = np.stack([rng.gumbel(size=(3, n_exits)) for _ in batch])
         loss, tendency, grads, exits = per_sample_objective(model, batch, noise,
-                                                            config.input_frames,
+                                                            model.params.config.input_frames,
                                                             config.w_tendency)
         adam_step(named, grads, state, config.lr)
         counts += np.bincount(exits.reshape(-1) - 1, minlength=n_exits)
@@ -472,7 +465,7 @@ def reference_evaluation(model, seqs, horizons, n_input=12):
         gt = seq.data[n_input:]
         pred, exits = routed_prediction(model, hist)
         tail = pred.data[n_input:]
-        base = zero_velocity_baseline(hist, len(gt)).data[n_input:]
+        base = pad_last_frame(hist.data, len(gt))[n_input:]
         row = np.array([mpjpe_metric(tail, gt, h - 1) for h in horizons])
         base_row = np.array([mpjpe_metric(base, gt, h - 1) for h in horizons])
         fields["per_action"].setdefault(seq.label, []).append(row)
@@ -542,7 +535,7 @@ class TestTrainAndEvaluateGolden:
         model, _, data = routed_model(seed=46, n_seqs=82)
         seqs = labelled(data)
         result = train_predictor(model, seqs[:12], seqs[12:46],
-                                 tiny_train_config(input_frames=12, epochs=2, batch_size=5))
+                                 tiny_train_config(epochs=2, batch_size=5))
         report = evaluate(model, seqs[46:], (1, 2, 4))
         assert all(sum(share > 0 for share in d) > 1
                    for d in report.flops.exit_distribution.values())
