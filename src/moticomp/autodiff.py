@@ -2,7 +2,8 @@
 
 A Tape records every forward operation in construction order (which is a
 topological order by construction) and replays it backwards to accumulate
-gradients. Every forward output is checked finite.
+gradients. Every forward output is finite: each kind checks the values it
+could make non-finite, and leaves and scale factors are checked on entry.
 
 A minibatch is one tensor with a leading batch axis: B samples of shape
 (rows, cols) form a (B, rows, cols) tensor, and one sample may go without
@@ -14,14 +15,24 @@ broadcast operand's gradient is summed over the batch axis first, then over
 the rows. `matmul` broadcasts a 2-D operand over the batch the same way.
 `scalar_mul` scales by one element, or by one element per batch row (shape
 (B, 1, 1)), and `scale` by a Python float.
-`transpose` swaps the last two axes; `softmax_lastdim`, `slice_lastdim`,
-`concat_lastdim` and `straight_through` act on the last axis. Two kinds work
-along the batch axis itself: `gather_rows` picks rows of one or more tensors
-stacked along axis 0, with a scatter-add gradient, and `sum_rows` sums over
-axis 0.
+`transpose` swaps the last two axes; `softmax_lastdim`, `slice_lastdim` and
+`straight_through` act on the last axis. Two kinds work along the batch axis
+itself: `gather_rows` picks rows of one or more tensors stacked along axis 0,
+with a scatter-add gradient, and `sum_rows` sums over axis 0.
 
-Matmul nodes carry their multiply-accumulate count, so a tape doubles as
-an instrumented operation counter for cost accounting.
+Two kinds record a predictor layer as one node: `gc_layer`, tanh((adj @ h)
+@ wgt), and `self_attention`, the residual multi-head attention. Each runs the
+numpy ops of the primitive composition it replaces in the same order, forward
+and backward, so values and gradients match it bit for bit.
+
+Kinds that only move or select values (`slice_lastdim`, `transpose`,
+`reshape`, `gather_rows`, `straight_through`) skip the re-check. The layer
+kinds check only where tanh or softmax's exp could hide an overflow: the
+pre-tanh product, each head's scaled scores, and the attention output; a
+non-finite value anywhere else reaches one of these checks.
+
+Nodes carry the multiply-accumulate count of their matrix products, so a
+tape doubles as an instrumented operation counter for cost accounting.
 """
 
 from __future__ import annotations
@@ -49,6 +60,36 @@ def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
     if g.ndim > len(shape):
         g = g.sum(axis=0)
     return g if g.shape == shape else g.sum(axis=0, keepdims=True)
+
+
+def _check_matmul(kind: str, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """The matmul rule: (m, k) or (B, m, k) operands that agree on k, and on B
+    when both have it."""
+    if (len(a) not in (2, 3) or len(b) not in (2, 3) or a[-1] != b[-2]
+            or (len(a) == len(b) == 3 and a[0] != b[0])):
+        raise ShapeError(f"{kind} shapes {a} x {b} do not conform")
+
+
+def _matmul_grads(g: Array, av: Array, bv: Array, na: bool, nb: bool):
+    """Gradients of av @ bv for the operands that need one, else None."""
+    return (_sum_to(g @ np.swapaxes(bv, -1, -2), av.shape) if na else None,
+            _sum_to(np.swapaxes(av, -1, -2) @ g, bv.shape) if nb else None)
+
+
+def _softmax(x: Array) -> Array:
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: Array, y: Array) -> Array:
+    dot = np.sum(g * y, axis=-1, keepdims=True)
+    return y * (g - dot)
+
+
+def _require_finite(values: Array, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise NumericError(f"{what} produced non-finite values")
 
 
 class Tensor:
@@ -118,12 +159,13 @@ class Tape:
         return self.leaf(values, requires_grad=False)
 
     def _emit(self, kind: str, inputs: Sequence[Tensor], values: Array,
-              backward_fn: Callable, macs: int = 0) -> Tensor:
+              backward_fn: Callable, macs: int = 0, check: bool = True) -> Tensor:
+        """Record one node; check=False where finite inputs give finite values."""
         for t in inputs:
             if not (t.tid < len(self.tensors) and self.tensors[t.tid] is t):
                 raise ValueError(f"{kind}: input tensor belongs to a different tape")
-        if not np.isfinite(values).all():
-            raise NumericError(f"{kind} produced non-finite values")
+        if check:
+            _require_finite(values, kind)
         rg = any(t.requires_grad for t in inputs)
         out = Tensor(values, rg, len(self.tensors))
         self.tensors.append(out)
@@ -138,17 +180,12 @@ class Tape:
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         """Matrix product over the last two axes of (m, k) or (B, m, k) operands."""
         av, bv = a.values, b.values
-        if (av.ndim not in (2, 3) or bv.ndim not in (2, 3) or av.shape[-1] != bv.shape[-2]
-                or (av.ndim == bv.ndim == 3 and av.shape[0] != bv.shape[0])):
-            raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not conform")
+        _check_matmul("matmul", av.shape, bv.shape)
         na, nb = a.requires_grad, b.requires_grad
-
-        def bwd(g):
-            return (_sum_to(g @ np.swapaxes(bv, -1, -2), av.shape) if na else None,
-                    _sum_to(np.swapaxes(av, -1, -2) @ g, bv.shape) if nb else None)
-
         out = av @ bv
-        return self._emit("matmul", (a, b), out, bwd, macs=out.size * av.shape[-1])
+        return self._emit("matmul", (a, b), out,
+                          lambda g: _matmul_grads(g, av, bv, na, nb),
+                          macs=out.size * av.shape[-1])
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if not _broadcasts(a.shape, b.shape):
@@ -211,16 +248,8 @@ class Tape:
         return self._emit("scalar_mul", (a, s), av * sv, bwd)
 
     def softmax_lastdim(self, a: Tensor) -> Tensor:
-        x = a.values
-        shifted = x - np.max(x, axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / np.sum(e, axis=-1, keepdims=True)
-
-        def bwd(g):
-            dot = np.sum(g * y, axis=-1, keepdims=True)
-            return (y * (g - dot),)
-
-        return self._emit("softmax_lastdim", (a,), y, bwd)
+        y = _softmax(a.values)
+        return self._emit("softmax_lastdim", (a,), y, lambda g: (_softmax_grad(g, y),))
 
     def mean(self, a: Tensor) -> Tensor:
         n = a.values.size
@@ -236,23 +265,6 @@ class Tape:
         return self._emit("sum_sq", (a,), np.asarray(np.sum(av * av)),
                           lambda g: (2.0 * float(g) * av,))
 
-    def concat_lastdim(self, parts: Sequence[Tensor]) -> Tensor:
-        if not parts:
-            raise ShapeError("concat_lastdim of zero tensors")
-        lead = parts[0].shape[:-1]
-        for p in parts:
-            if p.shape[:-1] != lead:
-                raise ShapeError("concat_lastdim leading dimensions differ")
-        widths = [p.shape[-1] for p in parts]
-        splits = np.cumsum(widths)[:-1]
-
-        def bwd(g):
-            return tuple(np.ascontiguousarray(piece)
-                         for piece in np.split(g, splits, axis=-1))
-
-        values = np.concatenate([p.values for p in parts], axis=-1)
-        return self._emit("concat_lastdim", tuple(parts), values, bwd)
-
     def slice_lastdim(self, a: Tensor, start: int, stop: int) -> Tensor:
         width = a.shape[-1]
         if not 0 <= start < stop <= width:
@@ -265,7 +277,7 @@ class Tape:
             return (full,)
 
         values = np.ascontiguousarray(a.values[..., start:stop])
-        return self._emit("slice_lastdim", (a,), values, bwd)
+        return self._emit("slice_lastdim", (a,), values, bwd, check=False)
 
     def transpose(self, a: Tensor) -> Tensor:
         """Swap the last two axes of a (m, n) or (B, m, n) tensor."""
@@ -273,14 +285,15 @@ class Tape:
             raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got {a.shape}")
         return self._emit("transpose", (a,),
                           np.ascontiguousarray(np.swapaxes(a.values, -1, -2)),
-                          lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),))
+                          lambda g: (np.ascontiguousarray(np.swapaxes(g, -1, -2)),),
+                          check=False)
 
     def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
         if int(np.prod(shape, dtype=np.int64)) != a.values.size:
             raise ShapeError(f"cannot reshape {a.shape} to {shape}")
         old = a.shape
         return self._emit("reshape", (a,), a.values.reshape(shape),
-                          lambda g: (g.reshape(old),))
+                          lambda g: (g.reshape(old),), check=False)
 
     def straight_through(self, soft: Tensor) -> Tensor:
         """One-hot of the argmax over the last axis; backward passes gradients through.
@@ -293,7 +306,7 @@ class Tape:
             raise ShapeError(f"straight_through expects rows, got {x.shape}")
         hard = np.zeros_like(x)
         np.put_along_axis(hard, np.argmax(x, axis=-1)[..., None], 1.0, axis=-1)
-        return self._emit("straight_through", (soft,), hard, lambda g: (g,))
+        return self._emit("straight_through", (soft,), hard, lambda g: (g,), check=False)
 
     def gather_rows(self, parts: Sequence[Tensor], index) -> Tensor:
         """Rows index of the parts stacked along axis 0; the gradient adds each
@@ -315,7 +328,7 @@ class Tape:
 
         stacked = (parts[0].values if len(parts) == 1
                    else np.concatenate([p.values for p in parts]))
-        return self._emit("gather_rows", tuple(parts), stacked[index], bwd)
+        return self._emit("gather_rows", tuple(parts), stacked[index], bwd, check=False)
 
     def sum_rows(self, a: Tensor) -> Tensor:
         """Sum over the leading (batch) axis."""
@@ -324,6 +337,93 @@ class Tape:
         shape = a.shape
         return self._emit("sum_rows", (a,), a.values.sum(axis=0),
                           lambda g: (np.broadcast_to(g, shape),))
+
+    # ------------------------------------------------------------------
+    # predictor layers, one node each
+
+    def gc_layer(self, h: Tensor, adj: Tensor, wgt: Tensor) -> Tensor:
+        """Graph convolution tanh((adj @ h) @ wgt), operands as in matmul."""
+        hv, av, wv = h.values, adj.values, wgt.values
+        _check_matmul("gc_layer", av.shape, hv.shape)
+        ah = av @ hv
+        _check_matmul("gc_layer", ah.shape, wv.shape)
+        pre = ah @ wv
+        _require_finite(pre, "gc_layer pre-tanh product")
+        y = np.tanh(pre)
+        nh, na, nw = h.requires_grad, adj.requires_grad, wgt.requires_grad
+
+        def bwd(g):
+            g_ah, g_w = _matmul_grads(g * (1.0 - y * y), ah, wv, na or nh, nw)
+            if g_ah is None:
+                return None, None, g_w
+            g_adj, g_h = _matmul_grads(g_ah, av, hv, na, nh)
+            return g_h, g_adj, g_w
+
+        macs = ah.size * av.shape[-1] + pre.size * wv.shape[-2]
+        return self._emit("gc_layer", (h, adj, wgt), y, bwd, macs, check=False)
+
+    def self_attention(self, h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                       wo: Tensor, heads: int) -> Tensor:
+        """Residual multi-head self-attention over the rows of h (n, F) or
+        (B, n, F) with (F, F) projections: q, k, v = h @ wq, h @ wk, h @ wv
+        split into heads of width dh = F / heads along the last axis, then
+        h + concat_i(softmax(q_i k_i^T / sqrt(dh)) v_i) @ wo."""
+        hv = h.values
+        f = hv.shape[-1]
+        if hv.ndim not in (2, 3) or heads < 1 or f % heads:
+            raise ShapeError(f"self_attention of {h.shape} in {heads} heads")
+        weights = (wq, wk, wv, wo)
+        if any(w.shape != (f, f) for w in weights):
+            raise ShapeError(f"self_attention projections must be ({f}, {f})")
+        dh = f // heads
+        c = float(1.0 / np.sqrt(dh))
+        q, k, v = (hv @ w.values for w in weights[:3])
+        macs = 3 * q.size * f
+        saved = []
+        for i in range(heads):
+            qs, ks, vs = (np.ascontiguousarray(m[..., i * dh:(i + 1) * dh]) for m in (q, k, v))
+            ks_t = np.ascontiguousarray(np.swapaxes(ks, -1, -2))
+            raw = qs @ ks_t
+            scores = raw * c
+            _require_finite(scores, f"self_attention head {i} scores")
+            attn = _softmax(scores)
+            saved.append((qs, ks_t, vs, attn, attn @ vs))
+            macs += raw.size * dh + saved[-1][4].size * attn.shape[-1]
+        ctx = np.concatenate([head[4] for head in saved], axis=-1)
+        wov = wo.values
+        proj = ctx @ wov
+        macs += proj.size * f
+        need_h, *need_w = (t.requires_grad for t in (h, *weights))
+
+        def bwd(g):
+            g_ctx, g_wo = _matmul_grads(g, ctx, wov, need_h or any(need_w[:3]), need_w[3])
+            if g_ctx is None:
+                return None, None, None, None, g_wo
+            # heads in reverse; with several heads, each head's gradient adds
+            # into zeros, as the sum of the slice gradients did
+            g_qkv = [None] * 3 if heads == 1 else [np.zeros(q.shape) for _ in range(3)]
+            for i in reversed(range(heads)):
+                sl = slice(i * dh, (i + 1) * dh)
+                qs, ks_t, vs, attn, _ = saved[i]
+                g_attn, g_vs = _matmul_grads(np.ascontiguousarray(g_ctx[..., sl]), attn, vs,
+                                             True, True)
+                g_qs, g_ks_t = _matmul_grads(_softmax_grad(g_attn, attn) * c, qs, ks_t,
+                                             True, True)
+                g_ks = np.ascontiguousarray(np.swapaxes(g_ks_t, -1, -2))
+                for j, piece in enumerate((g_qs, g_ks, g_vs)):
+                    if heads == 1:
+                        g_qkv[j] = piece
+                    else:
+                        g_qkv[j][..., sl] += piece
+            g_h, g_w = g, [None] * 3  # into h: the residual first, then v, k and q
+            for j in (2, 1, 0):
+                g_hj, g_w[j] = _matmul_grads(g_qkv[j], hv, weights[j].values, need_h,
+                                             need_w[j])
+                if need_h:
+                    g_h = g_h + g_hj
+            return g_h, *g_w, g_wo
+
+        return self._emit("self_attention", (h, *weights), hv + proj, bwd, macs)
 
     # ------------------------------------------------------------------
 

@@ -44,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="moticomp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -64,7 +74,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="synthesize composite actions from a trained VAE")
     p.add_argument("--model", required=True, help="VAE checkpoint")
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
-    p.add_argument("--count", type=int, default=1, help="composites per action pair")
+    p.add_argument("--count", type=_positive_int, default=1,
+                   help="composites per action pair (>= 1)")
     p.add_argument("--deterministic", action="store_true",
                    help="use the latent mean instead of sampling")
     p.add_argument("--out", default="out")

@@ -24,6 +24,7 @@ from .layers import bind, init_linear, linear, sigmoid
 from .motion import MotionSequence, PartLayout
 
 BRANCH_KINDS = ("upper", "lower", "whole")
+ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")  # in the order Tape.self_attention takes them
 
 
 def default_sub_len(input_frames: int) -> int:
@@ -128,7 +129,7 @@ def _init_branch(rng: np.random.Generator, kind: str, node_count: int,
                 size=(node_count, node_count))
             blocks[f"{p}.gc{i}.wgt"] = rng.uniform(-wb, wb, size=(f, f))
         for a in range(len(config.attention_positions)):
-            for m in ("wq", "wk", "wv", "wo"):
+            for m in ATTENTION_WEIGHTS:
                 blocks[f"{p}.attn{a}.{m}"] = rng.uniform(-wb, wb, size=(f, f))
     # the encoder and decoder are drawn after the blocks but named around them
     enc_w, enc_b = init_linear(rng, config.resolved_n_coeffs, f)
@@ -154,39 +155,15 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
 # ----------------------------------------------------------------------
 # tape-level forward passes
 
-def _gc_layer(tape: Tape, h: Tensor, adj: Tensor, wgt: Tensor) -> Tensor:
-    return tape.tanh(tape.matmul(tape.matmul(adj, h), wgt))
-
-
-def _self_attention(tape: Tape, h: Tensor, tensors: dict[str, Tensor],
-                    prefix: str, heads: int) -> Tensor:
-    f = h.shape[-1]
-    if f % heads != 0:
-        raise ConfigError(f"feature width {f} not divisible by {heads} heads")
-    dh = f // heads
-    q = tape.matmul(h, tensors[f"{prefix}.wq"])
-    k = tape.matmul(h, tensors[f"{prefix}.wk"])
-    v = tape.matmul(h, tensors[f"{prefix}.wv"])
-    contexts = []
-    for i in range(heads):
-        qs = tape.slice_lastdim(q, i * dh, (i + 1) * dh)
-        ks = tape.slice_lastdim(k, i * dh, (i + 1) * dh)
-        vs = tape.slice_lastdim(v, i * dh, (i + 1) * dh)
-        scores = tape.scale(tape.matmul(qs, tape.transpose(ks)), 1.0 / np.sqrt(dh))
-        contexts.append(tape.matmul(tape.softmax_lastdim(scores), vs))
-    ctx = contexts[0] if heads == 1 else tape.concat_lastdim(contexts)
-    return tape.add(h, tape.matmul(ctx, tensors[f"{prefix}.wo"]))
-
-
 def _block_forward(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
                    prefix: str, h: Tensor) -> Tensor:
     positions = config.attention_positions
     for i in range(config.layers_per_block):
-        h = _gc_layer(tape, h, tensors[f"{prefix}.gc{i}.adj"],
-                      tensors[f"{prefix}.gc{i}.wgt"])
+        h = tape.gc_layer(h, tensors[f"{prefix}.gc{i}.adj"], tensors[f"{prefix}.gc{i}.wgt"])
         if i + 1 in positions:
-            h = _self_attention(tape, h, tensors,
-                                f"{prefix}.attn{positions.index(i + 1)}", config.heads)
+            attn = f"{prefix}.attn{positions.index(i + 1)}"
+            h = tape.self_attention(h, *(tensors[f"{attn}.{m}"] for m in ATTENTION_WEIGHTS),
+                                    config.heads)
     return h
 
 

@@ -13,9 +13,10 @@ from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 # every operation kind a Tape records; each has its finite-difference check below
 OP_KINDS = (
     "matmul", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq",
-    "concat_lastdim", "slice_lastdim", "scale",
+    "slice_lastdim", "scale",
     "exp", "sqrt", "div", "transpose", "reshape",
     "scalar_mul", "straight_through", "gather_rows", "sum_rows",
+    "gc_layer", "self_attention",
 )
 
 
@@ -178,12 +179,6 @@ def _kind_checks(kind: str):
         return (lambda t, x: t.mean(t.hadamard(x, x))), lambda rng: rng_point(rng, (3, 2))
     if kind == "sum_sq":
         return (lambda t, x: t.sum_sq(x)), lambda rng: rng_point(rng, (2, 3))
-    if kind == "concat_lastdim":
-        def f(t, x):
-            parts = [t.scale(t.slice_lastdim(x, 0, 2), 2.0),
-                     t.tanh(t.slice_lastdim(x, 2, 5))]
-            return t.sum_sq(t.concat_lastdim(parts))
-        return f, lambda rng: rng_point(rng, (2, 5))
     if kind == "slice_lastdim":
         return (lambda t, x: t.sum_sq(t.slice_lastdim(x, 1, 3))), \
             lambda rng: rng_point(rng, (2, 4))
@@ -226,6 +221,9 @@ def _kind_checks(kind: str):
     if kind == "sum_rows":
         return (lambda t, x: t.sum_sq(t.sum_rows(t.tanh(x)))), \
             lambda rng: rng_point(rng, (4, 2, 3))
+    if kind in ("gc_layer", "self_attention"):
+        f, shapes = _layer_check(kind, (3, 4), heads=2)
+        return f, lambda rng: rng_point(rng, (1, _width(shapes)))
     raise AssertionError(f"no finite-difference coverage for kind {kind}")
 
 
@@ -235,6 +233,43 @@ def test_every_kind_passes_finite_differences(kind):
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         assert grad_check(f, make_point(rng), 1e-4) < 1e-5, f"{kind} seed {seed}"
+
+
+def _width(shapes) -> int:
+    return sum(int(np.prod(shape)) for shape in shapes)
+
+
+def _cut(t, x, shapes):
+    """Tensors of these shapes cut, in order, from the last axis of a (1, W) x."""
+    out, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        out.append(t.reshape(t.slice_lastdim(x, start, stop), shape))
+        start = stop
+    return out
+
+
+def _layer_shapes(kind: str, h_shape: tuple[int, ...]):
+    """Operand shapes of a layer kind on h (n, F) or (B, n, F): h, then (n, n)
+    adj and (F, F) wgt, or four (F, F) projections."""
+    n, f = h_shape[-2:]
+    return (h_shape, (n, n), (f, f)) if kind == "gc_layer" else (h_shape,) + ((f, f),) * 4
+
+
+def _layer_check(kind: str, h_shape: tuple[int, ...], heads: int = 1):
+    """A scalar function of a flat x holding every operand of one layer kind,
+    the projections scaled down to keep the softmax away from saturation.
+    Returns it with the operand shapes."""
+    shapes = _layer_shapes(kind, h_shape)
+    if kind == "gc_layer":
+        return (lambda t, x: t.sum_sq(t.gc_layer(*_cut(t, x, shapes)))), shapes
+
+    def attention(t, x):
+        h, *weights = _cut(t, x, shapes)
+        out = t.self_attention(h, *(t.scale(w, 0.5) for w in weights), heads)
+        return t.sum_sq(out)
+
+    return attention, shapes
 
 
 def _batched_checks(case: str):
@@ -267,12 +302,19 @@ def _batched_checks(case: str):
             s = t.reshape(t.slice_lastdim(x, 6, 7), (3, 1, 1))
             return t.sum_sq(t.scalar_mul(mat, s))
         return f, (3, 7)
+    if case == "gc_layer_shared_weights":  # adj and wgt are used by every row
+        f, shapes = _layer_check("gc_layer", (3, 2, 4))
+        return f, (1, _width(shapes))
+    if case.startswith("self_attention_heads"):
+        f, shapes = _layer_check("self_attention", (3, 2, 4), heads=int(case[-1]))
+        return f, (1, _width(shapes))
     raise AssertionError(case)
 
 
 BATCHED_CASES = ("matmul_batch_by_shared", "matmul_shared_weight", "matmul_shared_left",
                  "matmul_two_batched", "add_shared", "add_batch", "add_row_to_rows",
-                 "add_row_to_batch", "hadamard_row", "scalar_mul_per_row")
+                 "add_row_to_batch", "hadamard_row", "scalar_mul_per_row",
+                 "gc_layer_shared_weights", "self_attention_heads1", "self_attention_heads2")
 
 
 @pytest.mark.parametrize("case", BATCHED_CASES)
@@ -281,6 +323,125 @@ def test_batched_operands_pass_finite_differences(case):
     for seed in range(5):
         point = np.random.default_rng(2000 + seed).normal(size=shape)
         assert grad_check(f, point, 1e-4) < 1e-5, f"{case} seed {seed}"
+
+
+# ----------------------------------------------------------------------
+# the one-node layer kinds against the primitive compositions they replace
+
+def gc_layer_reference(t, h, adj, wgt):
+    return t.tanh(t.matmul(t.matmul(adj, h), wgt))
+
+
+def _concat_lastdim_reference(t, parts):
+    """Parts (n, w_i) or (B, n, w_i) joined along the last axis by copies only:
+    each transposed part as (B * w_i, n) rows, gathered in output order."""
+    lead, n = parts[0].shape[:-2], parts[0].shape[-2]
+    b = int(np.prod(lead, dtype=int))
+    widths = [p.shape[-1] for p in parts]
+    rows = [t.reshape(t.transpose(p), (b * w, n)) for p, w in zip(parts, widths)]
+    offsets = np.cumsum([0] + [b * w for w in widths])
+    index = [offsets[i] + s * w + j for s in range(b)
+             for i, w in enumerate(widths) for j in range(w)]
+    stacked = t.reshape(t.gather_rows(rows, index), lead + (sum(widths), n))
+    return t.transpose(stacked)
+
+
+def self_attention_reference(t, h, wq, wk, wv, wo, heads):
+    dh = h.shape[-1] // heads
+    q, k, v = t.matmul(h, wq), t.matmul(h, wk), t.matmul(h, wv)
+    contexts = []
+    for i in range(heads):
+        qs = t.slice_lastdim(q, i * dh, (i + 1) * dh)
+        ks = t.slice_lastdim(k, i * dh, (i + 1) * dh)
+        vs = t.slice_lastdim(v, i * dh, (i + 1) * dh)
+        scores = t.scale(t.matmul(qs, t.transpose(ks)), 1.0 / np.sqrt(dh))
+        contexts.append(t.matmul(t.softmax_lastdim(scores), vs))
+    ctx = contexts[0] if heads == 1 else _concat_lastdim_reference(t, contexts)
+    return t.add(h, t.matmul(ctx, wo))
+
+
+LAYER_CASES = [("gc_layer", (5, 4), 1), ("gc_layer", (3, 5, 4), 1),
+               ("self_attention", (5, 4), 1), ("self_attention", (5, 4), 2),
+               ("self_attention", (3, 5, 4), 1), ("self_attention", (3, 5, 8), 2),
+               ("self_attention", (3, 5, 8), 4)]
+
+
+def _run_layer(kind, operands, heads, fused):
+    """Values, input gradients and the tape of one layer kind, or of its
+    primitive composition, under a loss that weights every output element."""
+    t = Tape()
+    xs = [t.leaf(v, requires_grad=True) for v in operands]
+    if kind == "gc_layer":
+        out = t.gc_layer(*xs) if fused else gc_layer_reference(t, *xs)
+    elif fused:
+        out = t.self_attention(*xs, heads)
+    else:
+        out = self_attention_reference(t, *xs, heads)
+    weight = np.random.default_rng(5).normal(size=out.shape)
+    t.backward(t.sum_sq(t.hadamard(out, t.constant(weight))))
+    return out.values, [x.grad for x in xs], t
+
+
+@pytest.mark.parametrize("kind,h_shape,heads", LAYER_CASES)
+def test_layer_kind_equals_its_composition_bit_for_bit(kind, h_shape, heads):
+    rng = np.random.default_rng(17)
+    operands = [rng.normal(scale=0.7, size=shape) for shape in _layer_shapes(kind, h_shape)]
+    out, grads, tape = _run_layer(kind, operands, heads, fused=True)
+    ref_out, ref_grads, ref_tape = _run_layer(kind, operands, heads, fused=False)
+    assert np.array_equal(out, ref_out)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+    layer = tape.nodes[-3]  # under hadamard and sum_sq
+    assert layer.kind == kind
+    assert layer.macs == tape.mac_count == ref_tape.mac_count > 0
+
+
+def test_gc_layer_raises_on_an_overflow_tanh_would_hide():
+    h, adj = np.full((2, 3), 1e307), np.eye(2)
+    wgt = np.full((3, 3), 10.0)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.tanh(adj @ h @ wgt)).all()  # tanh(inf) is 1
+    tape = Tape()
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_layer pre-tanh"):
+        tape.gc_layer(tape.constant(h), tape.constant(adj), tape.constant(wgt))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_layer pre-tanh"):
+        # adj @ h overflows before the weight is applied
+        tape.gc_layer(tape.constant(h), tape.constant(np.full((2, 2), 1e10)),
+                      tape.constant(np.eye(3)))
+    assert tape.nodes == []
+
+
+def test_self_attention_raises_on_an_infinite_score_exp_would_hide():
+    # node 0's query meets its own key at -inf and node 1's key at 0: the
+    # softmax of [-inf, 0] is [0, 1], so every output element stays finite
+    h = np.array([[1e155, 0.0], [0.0, 1.0]])
+    wq, wk, wv, wo = np.eye(2), np.diag([-1.0, 1.0]), np.eye(2), np.eye(2)
+    with np.errstate(all="ignore"):
+        scores = (h @ wq) @ (h @ wk).T
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        assert np.isneginf(scores[0, 0])
+        assert np.isfinite(h + (e / e.sum(axis=-1, keepdims=True)) @ (h @ wv) @ wo).all()
+    tape = Tape()
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="head 0 scores"):
+        tape.self_attention(*(tape.constant(m) for m in (h, wq, wk, wv, wo)), 1)
+
+
+def test_self_attention_checks_its_output():
+    tape = Tape()
+    # q, k and v are finite; the output projection overflows
+    h, wo = tape.constant(np.full((2, 2), 1e200)), tape.constant(np.eye(2) * 1e200)
+    zero, one = tape.constant(np.zeros((2, 2))), tape.constant(np.eye(2))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="self_attention produced"):
+        tape.self_attention(h, zero, zero, one, wo, 1)
+
+
+@pytest.mark.parametrize("h_shape,w_shape", [((3, 4), (4, 2)), ((4,), (4, 4))])
+def test_self_attention_shapes_checked(h_shape, w_shape):
+    # a width the heads do not divide: tests/test_predictor.py
+    tape = Tape()
+    with pytest.raises(ShapeError):
+        tape.self_attention(tape.constant(np.zeros(h_shape)),
+                            *(tape.constant(np.zeros(w_shape)),) * 4, 1)
 
 
 class TestBatchAxis:

@@ -272,3 +272,14 @@ def test_wrong_checkpoint_kind_exits_two(tiny_manifest, tmp_path, capsys, comman
     assert f"expected a {expected} checkpoint, found {found}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", ["-1", "0", "two"])
+def test_synth_count_below_one_is_a_usage_error(tiny_manifest, tmp_path, capsys, count):
+    vae_path, _ = wrong_kind_checkpoints(tmp_path)
+    capsys.readouterr()
+    assert dispatch(["synth", "--model", str(vae_path), "--manifest", str(tiny_manifest),
+                     "--count", count, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --count: must be an integer >= 1, got '{count}'" in err
+    assert not (tmp_path / "out").exists()

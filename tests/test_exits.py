@@ -229,7 +229,8 @@ class TestFlops:
         assert deep.weighted_average_total() == deep.full_depth_total()
 
     def test_analytic_matches_instrumented_tape(self):
-        # oracle: replay the branch forward and recount MACs from node shapes
+        # oracle: replay the branch forward and add up the MACs of its nodes;
+        # test_autodiff pins each kind's node MACs to its matmul shapes
         params = toy_predictor(seed=1)
         rng = np.random.default_rng(12)
         policy = init_policy(rng, params.config.feature_width,
@@ -246,12 +247,7 @@ class TestFlops:
                 _policy_forward(tape, tensors, "pol", encoded)
                 from moticomp.predictor import _branch_tail
                 _branch_tail(tape, kind, params.config, tensors, encoded, exit_index)
-                counted = 0
-                for node in tape.nodes:
-                    if node.kind == "matmul":
-                        a = tape.tensors[node.input_ids[0]]
-                        b = tape.tensors[node.input_ids[1]]
-                        counted += a.shape[0] * a.shape[1] * b.shape[1]
+                counted = sum(node.macs for node in tape.nodes)
                 assert counted == analytic[exit_index - 1], (kind, exit_index)
 
     def test_report_validates_monotonicity(self):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from moticomp.autodiff import Tape
+from moticomp.datagen import default_skeleton
 from moticomp.dct import dct_encode
 from moticomp.errors import ConfigError, ShapeError
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
-from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
-                                _branch_tail, _forward_core, _gc_layer,
-                                _motion_attention, _self_attention, branch_node_counts,
+from moticomp.predictor import (ATTENTION_WEIGHTS, BRANCH_KINDS, PredictorConfig,
+                                _block_forward, _branch_encode, _branch_tail,
+                                _forward_core, _motion_attention, branch_node_counts,
                                 init_predictor, pad_last_frame, predict)
 
 
@@ -30,8 +31,8 @@ def toy_params(seed=0, **overrides):
 
 def gc_layer_forward(h, adjacency, weight):
     tape = Tape()
-    return _gc_layer(tape, tape.constant(h), tape.constant(adjacency),
-                     tape.constant(weight)).values
+    return tape.gc_layer(tape.constant(h), tape.constant(adjacency),
+                         tape.constant(weight)).values
 
 
 class TestGcLayer:
@@ -65,8 +66,8 @@ class TestGcLayer:
 
 def self_attention(h, heads, params):
     tape = Tape()
-    tensors = {f"a.{k}": tape.constant(v) for k, v in params.items()}
-    return _self_attention(tape, tape.constant(h), tensors, "a", heads).values
+    weights = (tape.constant(params[m]) for m in ATTENTION_WEIGHTS)
+    return tape.self_attention(tape.constant(h), *weights, heads).values
 
 
 class TestSelfAttention:
@@ -117,9 +118,10 @@ class TestSelfAttention:
             PredictorConfig(heads=heads)
 
     def test_head_count_mismatch_rejected(self):
+        # PredictorConfig refuses such a width; the tape kind refuses the shapes
         rng = np.random.default_rng(7)
         params = self.make_params(rng, 4, 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError, match=r"self_attention of \(3, 4\) in 3 heads"):
             self_attention(rng.normal(size=(3, 4)), 3, params)
 
 
@@ -237,6 +239,22 @@ class TestBranchForward:
             with pytest.raises(ValueError):
                 branch_forward_to_exit(params, "upper", x, bad)
 
+    @pytest.mark.parametrize("overrides", [{}, dict(layers_per_block=5, attention_every=2,
+                                                    heads=1)])
+    def test_block_records_one_node_per_layer_and_attention(self, overrides):
+        params = toy_params(seed=30, **overrides)
+        cfg = params.config
+        tape = Tape()
+        tensors = bind(tape, params.named_parameters(), trainable=True)
+        h = tape.constant(np.random.default_rng(31).normal(
+            size=(3, branch_node_counts(params.layout)["whole"], cfg.feature_width)))
+        _block_forward(tape, cfg, tensors, "whole.blk0", h)
+        expected = []
+        for i in range(cfg.layers_per_block):
+            expected += ["gc_layer"] + ["self_attention"] * (i + 1 in cfg.attention_positions)
+        assert len(expected) == cfg.layers_per_block + len(cfg.attention_positions)
+        assert [node.kind for node in tape.nodes] == expected
+
     def test_strictly_fewer_macs_at_shallow_exit(self):
         from moticomp.exits import branch_exit_macs
         params = toy_params(seed=18)
@@ -279,6 +297,17 @@ class TestPredict:
         cfg = params.config
         assert pred.data.shape == (cfg.input_frames + cfg.output_frames,
                                    params.layout.size)
+
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 71), ((3, 3, 3), 131)])
+    def test_default_model_node_budget(self, exits, budget):
+        # as predict records it: one node per graph-conv layer and attention module
+        layout = PartLayout.from_skeleton(default_skeleton())
+        params = init_predictor(np.random.default_rng(32), layout, PredictorConfig())
+        hist = make_history(np.random.default_rng(33), params.config, layout)
+        tape = Tape()
+        tensors = bind(tape, params.named_parameters(), trainable=False)
+        _forward_core(tape, params, tensors, hist.data[None], exits)
+        assert len(tape.nodes) <= budget
 
     def test_history_length_must_match(self):
         params = toy_params(seed=25)
