@@ -21,9 +21,10 @@ itself: `gather_rows` picks rows of one or more tensors stacked along axis 0,
 with a scatter-add gradient, and `sum_rows` sums over axis 0.
 
 Two kinds record a predictor layer as one node: `gc_layer`, tanh((adj @ h)
-@ wgt), and `self_attention`, the residual multi-head attention. Each runs the
-numpy ops of the primitive composition it replaces in the same order, forward
-and backward, so values and gradients match it bit for bit.
+@ wgt), and `self_attention`, the residual multi-head attention, which runs
+all heads as one stacked axis of each product. Values, gradients and MACs
+match the primitive composition each replaces bit for bit, as the tests pin
+at the default model's sizes; the ops need not run in the composition's order.
 
 Kinds that only move or select values (`slice_lastdim`, `transpose`,
 `reshape`, `gather_rows`, `straight_through`) skip the re-check. The layer
@@ -377,44 +378,33 @@ class Tape:
             raise ShapeError(f"self_attention projections must be ({f}, {f})")
         dh = f // heads
         c = float(1.0 / np.sqrt(dh))
-        q, k, v = (hv @ w.values for w in weights[:3])
-        macs = 3 * q.size * f
-        saved = []
-        for i in range(heads):
-            qs, ks, vs = (np.ascontiguousarray(m[..., i * dh:(i + 1) * dh]) for m in (q, k, v))
-            ks_t = np.ascontiguousarray(np.swapaxes(ks, -1, -2))
-            raw = qs @ ks_t
-            scores = raw * c
-            _require_finite(scores, f"self_attention head {i} scores")
-            attn = _softmax(scores)
-            saved.append((qs, ks_t, vs, attn, attn @ vs))
-            macs += raw.size * dh + saved[-1][4].size * attn.shape[-1]
-        ctx = np.concatenate([head[4] for head in saved], axis=-1)
+
+        def split(m):  # (..., n, F) -> (..., heads, n, dh)
+            return np.ascontiguousarray(m.reshape(*m.shape[:-1], heads, dh).swapaxes(-2, -3))
+
+        def join(m):  # the inverse; every matmul operand here is C-contiguous
+            return np.ascontiguousarray(np.swapaxes(m, -2, -3)).reshape(hv.shape)
+
+        q, k, v = (split(hv @ w.values) for w in weights[:3])
+        k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+        scores = (q @ k_t) * c
+        if not np.isfinite(scores).all():  # name the first head that overflowed
+            for i in range(heads):
+                _require_finite(scores[..., i, :, :], f"self_attention head {i} scores")
+        attn = _softmax(scores)
+        ctx = join(attn @ v)
         wov = wo.values
         proj = ctx @ wov
-        macs += proj.size * f
+        macs = 3 * hv.size * f + scores.size * dh + ctx.size * attn.shape[-1] + proj.size * f
         need_h, *need_w = (t.requires_grad for t in (h, *weights))
 
         def bwd(g):
             g_ctx, g_wo = _matmul_grads(g, ctx, wov, need_h or any(need_w[:3]), need_w[3])
             if g_ctx is None:
                 return None, None, None, None, g_wo
-            # heads in reverse; with several heads, each head's gradient adds
-            # into zeros, as the sum of the slice gradients did
-            g_qkv = [None] * 3 if heads == 1 else [np.zeros(q.shape) for _ in range(3)]
-            for i in reversed(range(heads)):
-                sl = slice(i * dh, (i + 1) * dh)
-                qs, ks_t, vs, attn, _ = saved[i]
-                g_attn, g_vs = _matmul_grads(np.ascontiguousarray(g_ctx[..., sl]), attn, vs,
-                                             True, True)
-                g_qs, g_ks_t = _matmul_grads(_softmax_grad(g_attn, attn) * c, qs, ks_t,
-                                             True, True)
-                g_ks = np.ascontiguousarray(np.swapaxes(g_ks_t, -1, -2))
-                for j, piece in enumerate((g_qs, g_ks, g_vs)):
-                    if heads == 1:
-                        g_qkv[j] = piece
-                    else:
-                        g_qkv[j][..., sl] += piece
+            g_attn, g_v = _matmul_grads(split(g_ctx), attn, v, True, True)
+            g_q, g_k_t = _matmul_grads(_softmax_grad(g_attn, attn) * c, q, k_t, True, True)
+            g_qkv = (join(g_q), join(np.swapaxes(g_k_t, -1, -2)), join(g_v))
             g_h, g_w = g, [None] * 3  # into h: the residual first, then v, k and q
             for j in (2, 1, 0):
                 g_hj, g_w[j] = _matmul_grads(g_qkv[j], hv, weights[j].values, need_h,

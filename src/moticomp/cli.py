@@ -271,8 +271,7 @@ def _cmd_eval(args) -> int:
     out = _out_dir(args)
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(report.summary())
-    if report.flops is not None:
-        (out / "flops.csv").write_text(report.flops.to_csv())
+    (out / "flops.csv").write_text(report.flops.to_csv())
     _write_run_info(out, "eval", None,
                     {"model": str(args.model), "horizons": list(horizons)})
     print(report.summary(), end="")
@@ -281,13 +280,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_flops(args) -> int:
     model = _load_checkpoint(args.model, PredictorModel)
-    n_branches = len(BRANCH_KINDS)
     if args.exits is None:
-        exits = (model.params.config.n_blocks,) * n_branches
+        exits = (model.params.config.n_blocks,) * len(BRANCH_KINDS)
     else:
         exits = _parse_int_list(args.exits, "--exits")
-        if len(exits) != n_branches:
-            raise ConfigError(f"--exits needs {n_branches} values, got {len(exits)}")
     report = count_flops(model.params, exits)
     out = _out_dir(args)
     (out / "flops.csv").write_text(report.to_csv())

@@ -177,6 +177,9 @@ class DatasetManifest:
         if "+" in "".join(names):
             raise ManifestError("atomic action names must not contain '+'")
         for a in self.actions:
+            # a name is part of a file name and of a one-line header
+            if "/" in a.name or "".join(a.name.splitlines()) != a.name:
+                raise ManifestError(f"action name {a.name!r} holds '/' or a line break")
             if a.joint_count != self.skeleton.joint_count:
                 raise ManifestError(f"action {a.name!r} joint count mismatch")
         if self.sequence_length < 2:

@@ -16,7 +16,7 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .errors import ConfigError
 from .layers import linear
-from .predictor import (BRANCH_KINDS, PredictorConfig, PredictorParams,
+from .predictor import (BRANCH_KINDS, PredictorConfig, PredictorParams, _exit_array,
                         branch_node_counts)
 
 SOFT_VAR_EPS = 1e-9  # keeps the coefficient of variation differentiable at balance
@@ -154,13 +154,7 @@ def count_flops(params: PredictorParams, exits) -> FlopsReport:
     taken: one (upper, lower, whole) triple, or one per sample as a (B, 3)
     array."""
     config = params.config
-    exits = np.atleast_2d(exits)
-    if exits.ndim != 2 or exits.shape[1] != len(BRANCH_KINDS) or not exits.size:
-        raise ValueError(f"need one exit per branch, or a (B, {len(BRANCH_KINDS)}) "
-                         f"array of them; got shape {exits.shape}")
-    bad = exits[(exits < 1) | (exits > config.n_blocks)]
-    if bad.size:
-        raise ValueError(f"exit index {bad[0]} outside 1..{config.n_blocks}")
+    exits = _exit_array(exits, config.n_blocks)
     counts = {}
     distribution = {}
     for i, (kind, n) in enumerate(branch_node_counts(params.layout).items()):

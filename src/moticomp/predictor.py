@@ -172,6 +172,21 @@ def _branch_encode(tape: Tape, tensors: dict[str, Tensor], prefix: str,
     return linear(tape, x, tensors[f"{prefix}.enc.w"], tensors[f"{prefix}.enc.b"])
 
 
+def _exit_array(exits, n_blocks: int) -> np.ndarray:
+    """Exits taken as a (B, 3) integer array, from one (upper, lower, whole)
+    triple or a (B, 3) array of them, each an integer in 1..n_blocks."""
+    arr = np.atleast_2d(np.asarray(exits))
+    if arr.ndim != 2 or arr.shape[1] != len(BRANCH_KINDS) or not arr.size:
+        raise ValueError(f"need one exit per branch, or a (B, {len(BRANCH_KINDS)}) "
+                         f"array of them; got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"exit indices must be integers, got {arr.dtype} {arr.tolist()}")
+    bad = arr[(arr < 1) | (arr > n_blocks)]
+    if bad.size:
+        raise ValueError(f"exit index {bad[0]} outside 1..{n_blocks}")
+    return arr
+
+
 def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
                  tensors: dict[str, Tensor], h: Tensor, exits) -> Tensor:
     """Decode each sample of encoded features h (B, nodes, F) after its first
@@ -183,9 +198,6 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
     records only the blocks up to its exit and the decoder.
     """
     exits = np.broadcast_to(exits, h.shape[:-2]).reshape(-1)
-    bad = exits[(exits < 1) | (exits > config.n_blocks)]
-    if bad.size:
-        raise ValueError(f"exit index {bad[0]} outside 1..{config.n_blocks}")
     rows = np.arange(exits.size)  # the samples h holds, in batch order
     outputs, output_rows = [], []
     for k in range(int(exits.max())):
@@ -300,9 +312,7 @@ def _assemble_prediction(tape: Tape, params: PredictorParams,
 def _forward_core(tape: Tape, params: PredictorParams, tensors: dict[str, Tensor],
                   history: np.ndarray, exits: tuple[int, int, int]) -> Tensor:
     """Fixed-exit prediction of a batch of histories (B, N, E) on an existing
-    tape; returns the (B, N+T, E) sequences."""
-    if len(exits) != len(BRANCH_KINDS):
-        raise ValueError("one exit index required per branch")
+    tape, at one checked exit per branch; returns the (B, N+T, E) sequences."""
     inputs = _prepare_branch_inputs(tape, params, tensors, history)
     outputs = {}
     for kind, d in zip(BRANCH_KINDS, exits):
@@ -318,7 +328,10 @@ def predict(params: PredictorParams, history: MotionSequence,
     The last output_frames rows are the forecast; the prefix reconstructs the
     observation. History must be root-centered and exactly input_frames long.
     """
+    exits = _exit_array(exits, params.config.n_blocks)
+    if len(exits) != 1:
+        raise ValueError(f"predict takes one exit triple, got {len(exits)}")
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
-    out = _forward_core(tape, params, tensors, history.data[None], tuple(exits))
+    out = _forward_core(tape, params, tensors, history.data[None], exits[0])
     return MotionSequence(data=out.values[0], fps=history.fps, label=history.label)

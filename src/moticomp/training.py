@@ -351,7 +351,7 @@ class EvalReport:
     baseline_per_action: dict[str, tuple[float, ...]]
     baseline_overall: tuple[float, ...]
     sequence_count: int
-    flops: FlopsReport | None = None
+    flops: FlopsReport
 
     def __post_init__(self):
         if list(self.horizon_frames) != sorted(set(self.horizon_frames)):
@@ -383,9 +383,8 @@ class EvalReport:
         for col, err, base in zip(self._columns(), self.overall, self.baseline_overall):
             verdict = "beats" if err < base else "trails"
             lines.append(f"  {col}: {err:.3f} mm vs baseline {base:.3f} mm ({verdict})")
-        if self.flops is not None:
-            lines.append(f"  routed MACs/sample: {self.flops.weighted_average_total():.0f} "
-                         f"({self.flops.percent_saved():.2f}% below full depth)")
+        lines.append(f"  routed MACs/sample: {self.flops.weighted_average_total():.0f} "
+                     f"({self.flops.percent_saved():.2f}% below full depth)")
         return "\n".join(lines) + "\n"
 
 

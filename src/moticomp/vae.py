@@ -161,6 +161,9 @@ def _reconstruct(params: VaeParams, coeffs: list[DctCoeffs],
     for a in coeffs:
         if a.coeffs.shape != shape:
             raise ShapeError(f"coefficients {a.coeffs.shape} do not match model {shape}")
+        if a.original_length != length:
+            raise ShapeError(f"sequence of {a.original_length} frames does not match "
+                             f"the model's {length}")
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
     x = tape.constant(np.stack([a.flat() for a in coeffs]))

@@ -363,7 +363,12 @@ def self_attention_reference(t, h, wq, wk, wv, wo, heads):
 LAYER_CASES = [("gc_layer", (5, 4), 1), ("gc_layer", (3, 5, 4), 1),
                ("self_attention", (5, 4), 1), ("self_attention", (5, 4), 2),
                ("self_attention", (3, 5, 4), 1), ("self_attention", (3, 5, 8), 2),
-               ("self_attention", (3, 5, 8), 4)]
+               ("self_attention", (3, 5, 8), 4),
+               # the default model's sizes: a batch of 32 whole-body branches of
+               # 24 nodes at feature width 32, where a strided operand in the
+               # backward changes the last bits
+               ("self_attention", (32, 24, 32), 1), ("self_attention", (32, 24, 32), 2),
+               ("self_attention", (32, 24, 32), 4), ("self_attention", (24, 32), 2)]
 
 
 def _run_layer(kind, operands, heads, fused):

@@ -283,3 +283,42 @@ def test_synth_count_below_one_is_a_usage_error(tiny_manifest, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"argument --count: must be an integer >= 1, got '{count}'" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_synth_rejects_atomics_of_another_length_than_the_model(tiny_manifest, tmp_path,
+                                                               capsys):
+    vae_path, _ = wrong_kind_checkpoints(tmp_path)  # fitted on 30-frame sequences
+    doc = json.loads(tiny_manifest.read_text())
+    doc["sequence_length"] = 40
+    tiny_manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["synth", "--model", str(vae_path), "--manifest", str(tiny_manifest),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "sequence of 40 frames does not match the model's 30" in err
+    assert not (tmp_path / "out" / "synth").exists()
+
+
+@pytest.mark.parametrize("name", ["wave\nx", "wave\rx", "wave\u2028x", "wa/ve"])
+def test_gen_data_rejects_an_action_name_a_file_cannot_hold(tiny_manifest, tmp_path, capsys,
+                                                            name):
+    doc = json.loads(tiny_manifest.read_text())
+    doc["actions"][0]["name"] = name
+    tiny_manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"action name {name!r} holds '/' or a line break" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exits,message", [("1,2", "need one exit per branch"),
+                                           ("1,4,1", "exit index 4 outside 1..3")])
+def test_flops_bad_exits_exit_two_naming_them(tmp_path, capsys, exits, message):
+    _, pred_path = wrong_kind_checkpoints(tmp_path)
+    capsys.readouterr()
+    assert dispatch(["flops", "--model", str(pred_path), "--exits", exits,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -13,6 +13,18 @@ from moticomp.predictor import (BRANCH_KINDS, PredictorConfig, _branch_encode,
 from moticomp.training import TrainConfig, init_predictor_model, train_predictor
 
 
+# exits that predict and count_flops reject, with the message each names;
+# toy_config has three blocks
+BAD_EXITS = [((1, 2), r"need one exit per branch.*got shape \(1, 2\)"),
+             ((1, 2, 3, 1), r"got shape \(1, 4\)"),
+             (np.zeros((0, 3), int), r"got shape \(0, 3\)"),
+             ((0, 1, 1), "exit index 0 outside 1..3"),
+             ((1, 4, 1), "exit index 4 outside 1..3"),
+             ([[1, 1, 1], [2, 2, 9]], "exit index 9 outside 1..3"),
+             ((2.0, 1, 1), r"exit indices must be integers, got float64 \[\[2.0, 1.0"),
+             ((1.5, 1, 1), r"exit indices must be integers, got float64 \[\[1.5, 1.0")]
+
+
 def toy_layout():
     sk = Skeleton(parent=(0, 0, 0, 2), part_of=(LOWER, LOWER, UPPER, UPPER))
     return PartLayout.from_skeleton(sk)
@@ -286,8 +298,8 @@ class TestFlops:
             assert report.branch_average(kind) == pytest.approx(
                 np.mean([report.counts[kind][d - 1] for d in exits[:, i]]), rel=1e-12)
 
-    @pytest.mark.parametrize("exits", [(1, 2), (1, 2, 3, 1), np.zeros((0, 3), int),
-                                       (0, 1, 1), (1, 4, 1), [[1, 1, 1], [2, 2, 9]]])
-    def test_bad_exits_rejected(self, exits):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("exits,match", BAD_EXITS,
+                             ids=[f"exits{i}" for i in range(len(BAD_EXITS))])
+    def test_bad_exits_rejected(self, exits, match):
+        with pytest.raises(ValueError, match=match):
             count_flops(toy_predictor(), exits)

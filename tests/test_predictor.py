@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from test_exits import BAD_EXITS
 from moticomp.autodiff import Tape
 from moticomp.datagen import default_skeleton
 from moticomp.dct import dct_encode
@@ -232,13 +233,6 @@ class TestBranchForward:
             assert np.array_equal(branch_forward_to_exit(params, "lower", x, d),
                                   np.zeros_like(x))
 
-    def test_exit_out_of_range(self):
-        params = toy_params(seed=17)
-        x = np.zeros(branch_input_shape(params, "upper"))
-        for bad in (0, 4):
-            with pytest.raises(ValueError):
-                branch_forward_to_exit(params, "upper", x, bad)
-
     @pytest.mark.parametrize("overrides", [{}, dict(layers_per_block=5, attention_every=2,
                                                     heads=1)])
     def test_block_records_one_node_per_layer_and_attention(self, overrides):
@@ -308,6 +302,15 @@ class TestPredict:
         tensors = bind(tape, params.named_parameters(), trainable=False)
         _forward_core(tape, params, tensors, hist.data[None], exits)
         assert len(tape.nodes) <= budget
+
+    @pytest.mark.parametrize("exits,match", BAD_EXITS + [
+        ([[1, 1, 1], [2, 2, 2]], "predict takes one exit triple, got 2")],
+        ids=[f"exits{i}" for i in range(len(BAD_EXITS) + 1)])
+    def test_bad_exits_rejected(self, exits, match):
+        params = toy_params(seed=17)
+        hist = make_history(np.random.default_rng(26), params.config, params.layout)
+        with pytest.raises(ValueError, match=match):
+            predict(params, hist, exits)
 
     def test_history_length_must_match(self):
         params = toy_params(seed=25)

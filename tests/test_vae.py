@@ -271,6 +271,14 @@ class TestBatchedRows:
         one_by_one = np.mean([reconstruction_mpjpe(params, [seq]) for seq in data])
         assert_close(reconstruction_mpjpe(params, data), one_by_one)
 
+    def test_reconstruction_mpjpe_rejects_another_length(self):
+        rng = np.random.default_rng(24)
+        params = small_params(rng)
+        data = make_sequences(rng, 2) + make_sequences(rng, 1, length=LENGTH - 1)
+        with pytest.raises(ShapeError, match="sequence of 7 frames does not match "
+                                             "the model's 8"):
+            reconstruction_mpjpe(params, data)
+
 
 def per_sample_train_cag(dataset, config):
     """train_cag with one encode/decode chain per sample, summed per mini-batch."""
@@ -369,6 +377,14 @@ class TestSynthesis:
         out = synthesize_composite(params, s_m, s_n, mask, F)
         assert out.data.shape == (LENGTH, COLS)
         assert out.fps == s_m.fps
+
+    def test_atomics_of_another_length_than_the_model_rejected(self):
+        rng = np.random.default_rng(18)
+        params = small_params(rng)
+        s_m, s_n = make_sequences(rng, 2, length=LENGTH + 2)
+        with pytest.raises(ShapeError, match="sequence of 10 frames does not match "
+                                             "the model's 8"):
+            synthesize_composite(params, s_m, s_n, BodyMask(m=np.ones(COLS)), F)
 
     def test_fps_mismatch_raises_before_the_model_runs(self, monkeypatch):
         rng = np.random.default_rng(17)
