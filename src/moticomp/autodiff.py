@@ -4,6 +4,12 @@ A Tape records every forward operation in construction order (which is a
 topological order by construction) and replays it backwards to accumulate
 gradients. Every forward output is finite: each kind checks the values it
 could make non-finite, and leaves and scale factors are checked on entry.
+One kind of leaf is not re-checked: `frozen_leaf` shares an array that
+`freeze` made (read-only, C-contiguous float64) as a constant, as `bind`
+does with a loaded model's parameters. `freeze` checked it finite, and being
+read-only it cannot have changed since. Should a NaN be forced into one
+anyway, every kind that reads a leaf checks its output or feeds one that
+does, so the NaN still raises before anything is returned.
 
 A minibatch is one tensor with a leading batch axis: B samples of shape
 (rows, cols) form a (B, rows, cols) tensor, and one sample may go without
@@ -93,6 +99,17 @@ def _require_finite(values: Array, what: str) -> None:
         raise NumericError(f"{what} produced non-finite values")
 
 
+def freeze(values, what: str) -> Array:
+    """values as a C-contiguous float64 array, checked finite, then made
+    read-only: the array itself when it already has that form, else a copy.
+    Raises ValueError naming what on a non-finite value."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError(f"non-finite values in {what}")
+    v.flags.writeable = False
+    return v
+
+
 class Tensor:
     """A dense float64 array at index tid of the tape that produced it. It holds
     no reference to the tape, so reference counting alone frees a tape."""
@@ -152,12 +169,24 @@ class Tape:
             v = np.ascontiguousarray(v)
         if not np.isfinite(v).all():
             raise NumericError("leaf tensor contains non-finite values")
-        t = Tensor(v, requires_grad, len(self.tensors))
-        self.tensors.append(t)
-        return t
+        return self._push(v, requires_grad)
+
+    def frozen_leaf(self, values: Array) -> Tensor:
+        """A constant leaf sharing an array `freeze` made, neither copied nor
+        re-checked; any other array goes through `leaf`."""
+        flags = values.flags
+        if flags.writeable or not flags.c_contiguous or values.dtype != np.float64:
+            return self.leaf(values)
+        return self._push(values, False)
 
     def constant(self, values) -> Tensor:
         return self.leaf(values, requires_grad=False)
+
+    def _push(self, values: Array, requires_grad: bool) -> Tensor:
+        """Append a tensor at the next tid."""
+        t = Tensor(values, requires_grad, len(self.tensors))
+        self.tensors.append(t)
+        return t
 
     def _emit(self, kind: str, inputs: Sequence[Tensor], values: Array,
               backward_fn: Callable, macs: int = 0, check: bool = True) -> Tensor:
@@ -167,9 +196,7 @@ class Tape:
                 raise ValueError(f"{kind}: input tensor belongs to a different tape")
         if check:
             _require_finite(values, kind)
-        rg = any(t.requires_grad for t in inputs)
-        out = Tensor(values, rg, len(self.tensors))
-        self.tensors.append(out)
+        out = self._push(values, any(t.requires_grad for t in inputs))
         self.nodes.append(Node(kind, tuple(t.tid for t in inputs), out.tid,
                                backward_fn, macs))
         self.mac_count += macs

@@ -216,12 +216,12 @@ def _cmd_synth(args) -> int:
     layout = PartLayout.from_skeleton(manifest.skeleton)
     mask = BodyMask.from_layout(layout)
     rng = np.random.default_rng(args.seed)
-    out = _out_dir(args)
     sequences = []
     for seq_u, seq_l in datagen.composite_sources(manifest, args.count, args.seed):
         noise = None if args.deterministic else rng.standard_normal(params.latent_dim)
         sequences.append(synthesize_composite(
             params, seq_u, seq_l, mask, params.coeff_rows, noise))
+    out = _out_dir(args)  # only once every composite is made
     datagen.save_split(out / "synth", sequences)
     _write_run_info(out, "synth", args.seed,
                     {"model": str(args.model), "count": args.count,

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import freeze
 from .errors import CheckpointError, ConfigError, ManifestError, ParseError, ShapeError
 from .motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from .predictor import PredictorConfig
@@ -498,10 +499,7 @@ def _read_tensors(entries) -> dict[str, np.ndarray]:
     for entry in entries:
         if entry["name"] in out:
             raise ValueError(f"tensor {entry['name']} appears more than once")
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"tensor {entry['name']} holds non-finite values")
-        out[entry["name"]] = arr
+        out[entry["name"]] = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
     return out
 
 
@@ -518,7 +516,7 @@ def _vae_params(path, config: dict, tensors: dict[str, np.ndarray]) -> VaeParams
         raise ValueError(f"config key 'coeff_rows' holds {values['coeff_rows']}, expected "
                          f"1..original_length ({values['original_length']})")
     model = init_vae(np.random.default_rng(0), **values)
-    norm = {"norm.offset": model.input_offset, "norm.scale": model.input_scale}
+    norm = {"norm.offset": model.input_offset.copy(), "norm.scale": model.input_scale.copy()}
     _fill_parameters(path, norm, {name: tensors.pop(name) for name in norm})
     return replace(model, input_offset=norm["norm.offset"], input_scale=norm["norm.scale"])
 
@@ -584,16 +582,18 @@ def load_checkpoint(path) -> VaeParams | PredictorModel:
             model = init_predictor_model(np.random.default_rng(0), layout, model_config)
         else:
             raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+        _fill_parameters(path, model.named_parameters(), tensors)
     except KeyError as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
-    _fill_parameters(path, model.named_parameters(), tensors)
     return model
 
 
 def _fill_parameters(path, named: dict[str, np.ndarray],
                      tensors: dict[str, np.ndarray]) -> None:
+    """Fill each array of named from the tensor of its name, then freeze it:
+    its one finiteness check (ValueError), after which inference shares it."""
     if set(named) != set(tensors):
         raise CheckpointError(
             f"{path}: tensor names do not match the model "
@@ -607,3 +607,4 @@ def _fill_parameters(path, named: dict[str, np.ndarray],
                 f"{path}: tensor {name} has shape {loaded.shape}, expected {arr.shape}"
             )
         arr[...] = loaded
+        freeze(arr, f"tensor {name}")

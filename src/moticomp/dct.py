@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .autodiff import freeze
 from .errors import ShapeError
 
 
@@ -26,8 +27,7 @@ def dct_matrix(n: int) -> np.ndarray:
     basis = np.cos(np.pi * (2.0 * t[None, :] + 1.0) * k / (2.0 * n))
     basis *= np.sqrt(2.0 / n)
     basis[0] *= np.sqrt(0.5)
-    basis.flags.writeable = False
-    return basis
+    return freeze(basis, "DCT basis")
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,14 @@ class DctCoeffs:
     original_length: int
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
+        c = np.asarray(self.coeffs, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] < 1:
             raise ShapeError(f"coefficients must be a 2-D matrix, got shape {c.shape}")
         if not 1 <= c.shape[0] <= self.original_length:
             raise ValueError(
                 f"coefficient count {c.shape[0]} outside 1..{self.original_length}"
             )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients contain non-finite values")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", freeze(c, "coefficients"))
 
     def flat(self) -> np.ndarray:
         return self.coeffs.reshape(-1)
@@ -78,6 +75,4 @@ def idct_decode(coeffs: DctCoeffs, out_length: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def idct_basis(n: int, n_coeffs: int) -> np.ndarray:
     """Matrix mapping the first n_coeffs coefficients back to n samples."""
-    basis = np.ascontiguousarray(dct_matrix(n)[:n_coeffs].T)
-    basis.flags.writeable = False
-    return basis
+    return freeze(dct_matrix(n)[:n_coeffs].T, "inverse DCT basis")

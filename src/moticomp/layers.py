@@ -42,6 +42,13 @@ def sigmoid(tape: Tape, x: Tensor) -> Tensor:
 
 def bind(tape: Tape, named: dict[str, np.ndarray],
          trainable: bool) -> dict[str, Tensor]:
-    """Register a parameter dict on a tape, optionally as gradient leaves."""
-    return {name: tape.leaf(arr, requires_grad=trainable)
-            for name, arr in named.items()}
+    """Register a parameter dict on a tape, optionally as gradient leaves.
+    Frozen arrays (`autodiff.freeze`), such as a loaded model's, are shared as
+    they are; training them raises ValueError naming the first one."""
+    if not trainable:
+        return {name: tape.frozen_leaf(arr) for name, arr in named.items()}
+    frozen = next((name for name, arr in named.items() if not arr.flags.writeable), None)
+    if frozen is not None:
+        raise ValueError(f"parameter {frozen} is read-only, as a loaded model's are; "
+                         "train a copy.deepcopy of the model instead")
+    return {name: tape.leaf(arr, requires_grad=True) for name, arr in named.items()}

@@ -11,16 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import freeze
 from .errors import ShapeError
 
 UPPER = "upper"
 LOWER = "lower"
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -70,13 +65,12 @@ class MotionSequence:
     label: str = ""
 
     def __post_init__(self):
-        data = _readonly(self.data)
+        data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] < 2:
             raise ShapeError(f"motion data must be 2-D with >= 2 frames, got {data.shape}")
         if data.shape[1] % 3 != 0 or data.shape[1] == 0:
             raise ShapeError(f"pose width {data.shape[1]} is not a positive multiple of 3")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("motion data contains non-finite values")
+        data = freeze(data, "motion data")
         if not 0 < self.fps < np.inf:
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
         object.__setattr__(self, "data", data)

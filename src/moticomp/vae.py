@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, freeze
 from .dct import DctCoeffs, dct_encode, idct_decode
 from .errors import ConfigError, ShapeError
 from .layers import bind, init_linear, mlp
@@ -43,8 +43,8 @@ class VaeParams:
 
     def __post_init__(self):
         row = (1, self.input_dim)  # a scalar normalization fills the whole row
-        self.input_offset = np.broadcast_to(np.asarray(self.input_offset, np.float64), row).copy()
-        self.input_scale = np.broadcast_to(np.asarray(self.input_scale, np.float64), row).copy()
+        self.input_offset = freeze(np.broadcast_to(self.input_offset, row).copy(), "input_offset")
+        self.input_scale = freeze(np.broadcast_to(self.input_scale, row).copy(), "input_scale")
         if not np.all(self.input_scale > 0):
             raise ConfigError("input_scale entries must be positive")
 
@@ -94,8 +94,7 @@ class BodyMask:
         triples = m.reshape(-1, 3)
         if not np.all(triples == triples[:, :1]):
             raise ValueError("the three coordinates of a joint must share one mask value")
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", freeze(m, "mask"))
 
     @classmethod
     def from_layout(cls, layout: PartLayout) -> "BodyMask":

@@ -296,7 +296,7 @@ def test_synth_rejects_atomics_of_another_length_than_the_model(tiny_manifest, t
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "sequence of 40 frames does not match the model's 30" in err
-    assert not (tmp_path / "out" / "synth").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["wave\nx", "wave\rx", "wave\u2028x", "wa/ve"])

@@ -390,6 +390,39 @@ class TestVaeCheckpointErrors:
             self.load_edited(tmp_path, drop)
 
 
+class TestFrozenCheckpoints:
+    """A loaded model's arrays are checked finite once, at load, and are then
+    read-only, so inference can share them unchecked."""
+
+    @staticmethod
+    def assert_frozen(named):
+        for name, arr in named.items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0.0
+
+    def test_loaded_predictor_arrays_are_read_only(self, tmp_path):
+        saved_predictor(tmp_path / "p.json")
+        loaded = load_checkpoint(tmp_path / "p.json")
+        self.assert_frozen(loaded.named_parameters())  # the policies' too
+
+    def test_loaded_vae_arrays_are_read_only(self, tmp_path):
+        saved_vae(tmp_path / "v.json")
+        loaded = load_checkpoint(tmp_path / "v.json")
+        self.assert_frozen({**loaded.named_parameters(), "norm.offset": loaded.input_offset,
+                            "norm.scale": loaded.input_scale})
+
+    @pytest.mark.parametrize("name", ["enc0.w", "dec0.b", "norm.offset", "norm.scale"])
+    def test_non_finite_vae_tensor_named(self, tmp_path, name):
+        path = tmp_path / "v.json"
+        doc = saved_vae(path)
+        next(e for e in doc["tensors"] if e["name"] == name)["values"][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError,
+                           match=rf"malformed checkpoint: non-finite values in tensor {name}"):
+            load_checkpoint(path)
+
+
 def checkpoint_digest(path, model):
     save_checkpoint(path, model)
     return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,17 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from test_exits import BAD_EXITS
 from moticomp.autodiff import Tape
-from moticomp.datagen import default_skeleton
+from moticomp.datagen import default_skeleton, load_checkpoint, save_checkpoint
 from moticomp.dct import dct_encode
-from moticomp.errors import ConfigError, ShapeError
+from moticomp.errors import ConfigError, NumericError, ShapeError
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (ATTENTION_WEIGHTS, BRANCH_KINDS, PredictorConfig,
                                 _block_forward, _branch_encode, _branch_tail,
                                 _forward_core, _motion_attention, branch_node_counts,
                                 init_predictor, pad_last_frame, predict)
+from moticomp.training import _routed_batch, init_predictor_model
 
 
 def toy_skeleton():
@@ -353,3 +356,85 @@ class TestGradientFlow:
                 if float(np.abs(tensors[name].grad).max()) == 0.0]
         assert dead == []
 
+
+
+def fresh_and_loaded(tmp_path, seed=40):
+    """A live toy model and its save/load copy, whose arrays are frozen."""
+    layout = PartLayout.from_skeleton(toy_skeleton())
+    model = init_predictor_model(np.random.default_rng(seed), layout,
+                                 toy_config(zero_output_decoders=False))
+    save_checkpoint(tmp_path / "p.json", model)
+    return model, load_checkpoint(tmp_path / "p.json")
+
+
+class TestFrozenParameters:
+    """Inference shares a loaded model's read-only arrays instead of re-checking
+    them per request; outputs do not change by a bit."""
+
+    def test_bind_shares_frozen_arrays(self, tmp_path):
+        _, loaded = fresh_and_loaded(tmp_path)
+        named = loaded.named_parameters()
+        tensors = bind(Tape(), named, trainable=False)
+        assert all(tensors[k].values is arr for k, arr in named.items())
+        arr = named["fusion.raw"]  # nor re-checked: a NaN forced in binds unseen
+        arr.flags.writeable = True
+        arr[0, 0] = np.nan
+        arr.flags.writeable = False
+        assert bind(Tape(), named, trainable=False)["fusion.raw"].values is arr
+
+    def test_writeable_nan_still_raises(self, tmp_path):
+        model, _ = fresh_and_loaded(tmp_path)
+        named = model.named_parameters()
+        named["fusion.raw"][0, 0] = np.nan
+        with pytest.raises(NumericError, match="leaf tensor contains non-finite values"):
+            bind(Tape(), named, trainable=False)
+
+    def test_nan_forced_behind_the_freeze_still_raises(self, tmp_path):
+        # into each array in turn; at (3, 3, 3) predict reads every one of them
+        _, loaded = fresh_and_loaded(tmp_path)
+        hist = make_history(np.random.default_rng(41), loaded.params.config,
+                            loaded.params.layout)
+        returned = []
+        for name, arr in loaded.params.arrays.items():
+            kept = arr.flat[0]
+            arr.flags.writeable = True
+            arr.flat[0] = np.nan
+            arr.flags.writeable = False
+            try:
+                predict(loaded.params, hist, (3, 3, 3))
+                returned.append(name)
+            except NumericError:
+                pass
+            arr.flags.writeable = True
+            arr.flat[0] = kept
+            arr.flags.writeable = False
+        assert returned == []
+
+    def test_training_a_frozen_array_is_named(self, tmp_path):
+        model, loaded = fresh_and_loaded(tmp_path)
+        named = model.named_parameters()
+        frozen = list(named)[5]
+        named[frozen] = loaded.named_parameters()[frozen]
+        with pytest.raises(ValueError, match=rf"parameter {frozen} is read-only"):
+            bind(Tape(), named, trainable=True)
+
+    def test_predict_is_bit_identical_at_every_exit_triple(self, tmp_path):
+        model, loaded = fresh_and_loaded(tmp_path)
+        hist = make_history(np.random.default_rng(42), model.params.config,
+                            model.params.layout)
+        outputs = set()
+        for exits in itertools.product((1, 2, 3), repeat=3):
+            fresh = predict(model.params, hist, exits).data
+            assert fresh.tobytes() == predict(loaded.params, hist, exits).data.tobytes()
+            outputs.add(fresh.tobytes())
+        assert len(outputs) == 27  # every triple takes its own path
+
+    def test_routed_batch_is_bit_identical(self, tmp_path):
+        model, loaded = fresh_and_loaded(tmp_path)
+        cfg = model.params.config
+        histories = np.stack([make_history(np.random.default_rng(43 + i), cfg,
+                                           model.params.layout).data for i in range(6)])
+        pred, exits = _routed_batch(model, histories)
+        pred_loaded, exits_loaded = _routed_batch(loaded, histories)
+        assert pred.tobytes() == pred_loaded.tobytes()
+        assert exits.tobytes() == exits_loaded.tobytes()

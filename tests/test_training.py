@@ -8,6 +8,7 @@ import pytest
 
 from moticomp import training
 from moticomp.autodiff import Tape
+from moticomp.datagen import load_checkpoint, save_checkpoint
 from moticomp.errors import ShapeError
 from moticomp.exits import _policy_forward, _tendency_loss_soft
 from moticomp.layers import bind
@@ -195,6 +196,23 @@ class TestTrainPredictor:
         assert config.lr_decay_per_epoch == 0.96
         assert config.epochs == 50
         assert config.constrain_epochs == 20
+
+    def test_loaded_model_is_not_trained_in_place(self, tmp_path):
+        model, _, _, train, val = tiny_setup(seed=4)
+        save_checkpoint(tmp_path / "p.json", model)
+        loaded = load_checkpoint(tmp_path / "p.json")
+        named = loaded.named_parameters()
+        before = {name: arr.copy() for name, arr in named.items()}
+        first = next(iter(named))
+        with pytest.raises(ValueError, match=rf"parameter {first} is read-only, as a "
+                                             "loaded model's are"):
+            train_predictor(loaded, train, val, tiny_train_config())
+        for name, arr in named.items():
+            assert np.array_equal(arr, before[name]), name
+        # a deep copy is writeable and trains as the model it was saved from
+        config = tiny_train_config(epochs=1)
+        result = train_predictor(copy.deepcopy(loaded), train, val, config)
+        assert result.history_csv() == train_predictor(model, train, val, config).history_csv()
 
     def test_empty_train_set_rejected(self):
         model, _, _, _, val = tiny_setup()
