@@ -102,7 +102,9 @@ def _require_finite(values: Array, what: str) -> None:
 def freeze(values, what: str) -> Array:
     """values as a C-contiguous float64 array, checked finite, then made
     read-only: the array itself when it already has that form, else a copy.
-    Raises ValueError naming what on a non-finite value."""
+    So it freezes in place an array its caller owns, such as a model's
+    parameter or a computed basis; a constructor keeping a caller's array
+    freezes a copy of it. Raises ValueError naming what on a non-finite value."""
     v = np.ascontiguousarray(values, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError(f"non-finite values in {what}")

@@ -173,17 +173,21 @@ def _load_checkpoint(path: str, expected: type):
     return model
 
 
+_SPLITS = ("train", "val", "test")
+
+
 def _cmd_gen_data(args) -> int:
     manifest = datagen.manifest_from_json(Path(args.manifest).read_text())
     if args.seed is not None:
         manifest = dataclasses.replace(
             manifest, train_seed=args.seed, val_seed=args.seed + 10 ** 6,
             test_seed=args.seed + 2 * 10 ** 6)
+    for name in _SPLITS:  # every split, before any is written
+        datagen.check_split_target(Path(args.out) / name)
     splits = datagen.build_dataset(manifest)
     out = _out_dir(args)
-    for name, seqs in (("train", splits.train), ("val", splits.val),
-                       ("test", splits.test)):
-        datagen.save_split(out / name, seqs)
+    for name in _SPLITS:
+        datagen.save_split(out / name, getattr(splits, name))
     (out / "manifest.json").write_text(datagen.manifest_to_json(manifest))
     _write_run_info(out, "gen-data", args.seed,
                     json.loads(datagen.manifest_to_json(manifest)))
@@ -212,6 +216,7 @@ def _cmd_train_cag(args) -> int:
 
 def _cmd_synth(args) -> int:
     params = _load_checkpoint(args.model, VaeParams)
+    datagen.check_split_target(Path(args.out) / "synth")
     manifest = datagen.manifest_from_json(Path(args.manifest).read_text())
     layout = PartLayout.from_skeleton(manifest.skeleton)
     mask = BodyMask.from_layout(layout)

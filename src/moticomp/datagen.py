@@ -466,9 +466,20 @@ def load_motion(path) -> MotionSequence:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def check_split_target(directory) -> None:
+    """Raise FileExistsError if directory already holds motion files: load_split
+    reads every one, so a split written beside them would mix in theirs."""
+    found = sorted(Path(directory).glob("*.txt"))
+    if found:
+        raise FileExistsError(f"split directory {directory} already holds "
+                              f"{len(found)} motion files, such as {found[0].name}")
+
+
 def save_split(directory, sequences: list[MotionSequence]) -> list[Path]:
-    """Write one numbered motion file per sequence into a directory."""
+    """Write one numbered motion file per sequence into a directory that holds
+    none yet (see check_split_target)."""
     directory = Path(directory)
+    check_split_target(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, seq in enumerate(sequences):

@@ -38,7 +38,7 @@ class DctCoeffs:
     original_length: int
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
+        c = np.array(self.coeffs, dtype=np.float64, order="C")  # ours to freeze
         if c.ndim != 2 or c.shape[0] < 1:
             raise ShapeError(f"coefficients must be a 2-D matrix, got shape {c.shape}")
         if not 1 <= c.shape[0] <= self.original_length:

@@ -65,7 +65,7 @@ class MotionSequence:
     label: str = ""
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.array(self.data, dtype=np.float64, order="C")  # ours to freeze
         if data.ndim != 2 or data.shape[0] < 2:
             raise ShapeError(f"motion data must be 2-D with >= 2 frames, got {data.shape}")
         if data.shape[1] % 3 != 0 or data.shape[1] == 0:

@@ -27,10 +27,6 @@ BRANCH_KINDS = ("upper", "lower", "whole")
 ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")  # in the order Tape.self_attention takes them
 
 
-def default_sub_len(input_frames: int) -> int:
-    return min(input_frames // 2, 10)
-
-
 @dataclass(frozen=True)
 class PredictorConfig:
     input_frames: int = 20
@@ -61,7 +57,7 @@ class PredictorConfig:
         if self.coeff_scale <= 0:
             raise ConfigError("coeff_scale must be positive")
         n, t = self.input_frames, self.output_frames
-        if n < 2 * self.sub_len or n < self.sub_len + t:
+        if self.n_windows < 1:
             raise ConfigError(
                 f"input span {n} too short for sub-sequences of {self.sub_len} "
                 f"frames extended by {t}"
@@ -71,7 +67,12 @@ class PredictorConfig:
 
     @property
     def sub_len(self) -> int:
-        return default_sub_len(self.input_frames)
+        return min(self.input_frames // 2, 10)
+
+    @property
+    def n_windows(self) -> int:
+        """Sub_len windows of the input whose output_frames extension fits too."""
+        return self.input_frames - self.sub_len - self.output_frames + 1
 
     @property
     def resolved_n_coeffs(self) -> int:
@@ -99,7 +100,8 @@ class PredictorParams:
     block k, graph-conv layer i and attention module a (which runs after
     layer config.attention_positions[a] of its block):
 
-        mattn.wq, mattn.wk                    motion-attention projections
+        mattn.wq, mattn.wk                    motion-attention query/key projections,
+                                              only when config.n_windows > 1
         {kind}.enc.w, {kind}.enc.b            input encoder
         {kind}.blk{k}.gc{i}.adj, .wgt         adjacency (nodes, nodes), weight (F, F)
         {kind}.blk{k}.attn{a}.wq/.wk/.wv/.wo  self-attention projections (F, F)
@@ -144,8 +146,10 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
     qdim = config.query_dim
     in_dim = config.sub_len * layout.size
     qb = 1.0 / np.sqrt(in_dim)
-    arrays = {"mattn.wq": rng.uniform(-qb, qb, size=(in_dim, qdim)),
-              "mattn.wk": rng.uniform(-qb, qb, size=(in_dim, qdim))}
+    # drawn even for one window, which weighs nothing, so that a seed gives every
+    # other array the same values whatever the window count
+    wq, wk = (rng.uniform(-qb, qb, size=(in_dim, qdim)) for _ in range(2))
+    arrays = {"mattn.wq": wq, "mattn.wk": wk} if config.n_windows > 1 else {}
     for kind, node_count in branch_node_counts(layout).items():
         arrays.update(_init_branch(rng, kind, node_count, config))
     arrays["fusion.raw"] = np.zeros((1, 1))
@@ -216,34 +220,32 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
     return tape.gather_rows(outputs, np.argsort(np.concatenate(output_rows)))
 
 
-def _motion_attention(tape: Tape, wq: Tensor, wk: Tensor, history: np.ndarray,
-                      sub_len: int, out_frames: int, n_coeffs: int) -> Tensor:
+def _motion_attention(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
+                      history: np.ndarray) -> Tensor:
     """Attention-enriched coefficients of each padded observation of a batch of
     histories (B, N, E), shape (B, F, E).
 
-    Query: projection of the newest sub_len frames. Keys: projections of each
-    complete historical sub_len window whose out_frames extension also fits.
-    Values: DCT coefficients of those extended windows. The result adds the
-    softmax-weighted value sum to the DCT of the last-frame-padded history.
+    Values: DCT coefficients of the config.n_windows extended windows. Query:
+    projection of the newest sub_len frames; keys: of each window's first
+    sub_len. The result adds the softmax-weighted value sum, or the one value
+    whose weight would be exactly 1.0, to the DCT of the padded history.
     """
     batch, n, width = history.shape
-    if n < 2 * sub_len:
-        raise ValueError(f"history of {n} frames < 2 * sub_len ({sub_len})")
-    n_windows = n - sub_len - out_frames + 1
-    if n_windows < 1:
-        raise ValueError(
-            f"history of {n} frames has no {sub_len}+{out_frames}-frame value window"
-        )
-    query = tape.matmul(
-        tape.constant(history[:, n - sub_len:].reshape(batch, 1, -1)), wq)
-    keys_raw = np.stack([history[:, i:i + sub_len].reshape(batch, -1)
-                         for i in range(n_windows)], axis=1)
-    keys = tape.matmul(tape.constant(keys_raw), wk)
-    weights = tape.softmax_lastdim(tape.matmul(query, tape.transpose(keys)))
+    sub_len, out_frames = config.sub_len, config.output_frames
+    n_windows, n_coeffs = config.n_windows, config.resolved_n_coeffs
     values = np.array([[dct_encode(past[i:i + sub_len + out_frames], n_coeffs).flat()
                         for i in range(n_windows)] for past in history])
-    context = tape.reshape(tape.matmul(weights, tape.constant(values)),
-                           (batch, n_coeffs, width))
+    if n_windows == 1:
+        context = tape.constant(values.reshape(batch, n_coeffs, width))
+    else:
+        query = tape.matmul(tape.constant(history[:, n - sub_len:].reshape(batch, 1, -1)),
+                            tensors["mattn.wq"])
+        keys_raw = np.stack([history[:, i:i + sub_len].reshape(batch, -1)
+                             for i in range(n_windows)], axis=1)
+        keys = tape.matmul(tape.constant(keys_raw), tensors["mattn.wk"])
+        weights = tape.softmax_lastdim(tape.matmul(query, tape.transpose(keys)))
+        context = tape.reshape(tape.matmul(weights, tape.constant(values)),
+                               (batch, n_coeffs, width))
     padded = pad_last_frame(history, out_frames)
     base = tape.constant(np.array([dct_encode(p, n_coeffs).coeffs for p in padded]))
     return tape.add(base, context)
@@ -273,10 +275,7 @@ def _prepare_branch_inputs(tape: Tape, params: PredictorParams,
             f"history batch shape {history.shape} != "
             f"(B, {cfg.input_frames}, {params.layout.size})"
         )
-    n_coeffs = cfg.resolved_n_coeffs
-    ctx = _motion_attention(tape, tensors["mattn.wq"], tensors["mattn.wk"],
-                            history / cfg.coeff_scale, cfg.sub_len,
-                            cfg.output_frames, n_coeffs)
+    ctx = _motion_attention(tape, cfg, tensors, history / cfg.coeff_scale)
     inputs = {"whole": tape.transpose(ctx)}
     for kind, dims in (("upper", params.layout.upper_dims),
                        ("lower", params.layout.lower_dims)):

@@ -86,7 +86,7 @@ class BodyMask:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64).reshape(-1)
+        m = np.array(self.m, dtype=np.float64).reshape(-1)  # ours to freeze
         if m.size % 3 != 0 or m.size == 0:
             raise ShapeError(f"mask length {m.size} is not a positive multiple of 3")
         if not np.all((m == 0.0) | (m == 1.0)):

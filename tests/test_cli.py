@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from test_datagen import with_one_window_projections
 from moticomp.cli import dispatch
 from moticomp.datagen import default_manifest, load_split, manifest_to_json, save_checkpoint
 from moticomp.motion import PartLayout
@@ -73,6 +75,24 @@ def test_eval_malformed_checkpoint_exits_two_with_named_error(tiny_manifest, tmp
                      "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert "malformed checkpoint: missing key 'heads'" in err
+    assert "Traceback" not in err
+
+
+def test_eval_refuses_one_window_projections(tiny_manifest, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
+    layout = PartLayout.from_skeleton(default_manifest().skeleton)
+    model = init_predictor_model(np.random.default_rng(0), layout,
+                                 PredictorConfig(feature_width=8, policy_hidden=4))
+    path = tmp_path / "pred.json"
+    save_checkpoint(path, model)
+    path.write_text(json.dumps(with_one_window_projections(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert dispatch(["eval", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert ("tensor names do not match the model "
+            "(missing [], unexpected ['mattn.wk', 'mattn.wq'])") in err
     assert "Traceback" not in err
 
 
@@ -322,3 +342,46 @@ def test_flops_bad_exits_exit_two_naming_them(tmp_path, capsys, exits, message):
                      "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_gen_data_refuses_an_out_holding_splits(tiny_manifest, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(out)]) == 0
+    doc = json.loads(tiny_manifest.read_text())
+    doc["train_per_action"] = 2  # a smaller re-run would have left stale files
+    tiny_manifest.write_text(json.dumps(doc))
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"split directory {out / 'train'} already holds 16 motion files" in err
+    assert "Traceback" not in err
+    assert tree_bytes(out) == before
+    # every split is checked before any is written
+    shutil.rmtree(out / "train")
+    shutil.rmtree(out / "val")
+    before = tree_bytes(out)
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(out)]) == 2
+    assert f"split directory {out / 'test'} already holds" in capsys.readouterr().err
+    assert tree_bytes(out) == before
+    assert not (out / "train").exists()
+
+
+def test_synth_refuses_an_out_holding_composites(tiny_manifest, tmp_path, capsys):
+    vae_path, _ = wrong_kind_checkpoints(tmp_path)
+    out = tmp_path / "out"
+    synth = ["synth", "--model", str(vae_path), "--manifest", str(tiny_manifest),
+             "--out", str(out)]
+    assert dispatch(synth + ["--count", "2"]) == 0  # 2 per upper x lower pair
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert dispatch(synth + ["--count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"split directory {out / 'synth'} already holds 4 motion files" in err
+    assert "Traceback" not in err
+    assert tree_bytes(out) == before

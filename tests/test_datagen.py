@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ class TestMotionFiles:
             assert np.array_equal(a.data, b.data)
             assert a.label == b.label
 
+    def test_split_refuses_a_directory_holding_motion_files(self, tmp_path):
+        man = default_manifest()
+        seqs = [generate_atomic(man.actions[i], man.skeleton, 30, 10.0, i)
+                for i in range(3)]
+        save_split(tmp_path / "train", seqs)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "train").iterdir()}
+        with pytest.raises(FileExistsError, match="already holds 3 motion files"):
+            save_split(tmp_path / "train", seqs[:2])
+        assert {p.name: p.read_bytes() for p in (tmp_path / "train").iterdir()} == before
+        assert [s.label for s in load_split(tmp_path / "train")] == [
+            s.label for s in seqs]
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / "notes.md").write_text("not a motion file\n")
+        assert len(save_split(tmp_path / "other", seqs[:2])) == 2
+
 
 class TestCheckpoints:
     def trained_vae(self):
@@ -231,6 +247,17 @@ def saved_predictor(path):
     return json.loads(path.read_text())
 
 
+def with_one_window_projections(doc):
+    """A one-window predictor checkpoint document as written when such models
+    still held motion-attention projections: mattn.wq and mattn.wk first."""
+    config = doc["config"]
+    rows = min(config["input_frames"] // 2, 10) * (len(config["upper_dims"])
+                                                    + len(config["lower_dims"]))
+    stale = [{"name": f"mattn.{m}", "shape": [rows, config["query_dim"]],
+              "values": [0.0] * (rows * config["query_dim"])} for m in ("wq", "wk")]
+    return {**doc, "tensors": stale + doc["tensors"]}
+
+
 class TestPredictorCheckpointErrors:
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PredictorConfig)])
     def test_missing_config_key(self, tmp_path, key):
@@ -260,6 +287,14 @@ class TestPredictorCheckpointErrors:
         doc["config"][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=f"config key '{key}' holds"):
+            load_checkpoint(path)
+
+    def test_one_window_projections_refused(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(with_one_window_projections(saved_predictor(path))))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "tensor names do not match the model "
+                "(missing [], unexpected ['mattn.wk', 'mattn.wq'])")):
             load_checkpoint(path)
 
     def test_zero_heads_named(self, tmp_path):
@@ -439,7 +474,7 @@ class TestSeededInitGolden:
         layout = PartLayout.from_skeleton(default_skeleton())
         model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
         assert checkpoint_digest(tmp_path / "p.json", model) == (
-            "d712b023da1fd62a33c796cf5ff7b2bcec84fb3d63fe73de696a051c570cb68a")
+            "3933080c20c83803a3b713da2f9dd21418ce64a6fc1a93eb1779bae6f8887e2d")
 
     def test_small_vae(self, tmp_path):
         params = init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,

@@ -102,3 +102,13 @@ class TestProperties:
         for n in (1, 2, 7, 32):
             d = dct_matrix(n)
             assert np.allclose(d @ d.T, np.eye(n), atol=1e-12)
+
+
+class TestDctCoeffs:
+    def test_callers_array_stays_writeable(self):
+        c = np.zeros((2, 6))
+        coeffs = DctCoeffs(coeffs=c, original_length=4)
+        assert c.flags.writeable
+        c[0, 0] = 1.0
+        assert coeffs.coeffs[0, 0] == 0.0
+        assert not coeffs.coeffs.flags.writeable

@@ -63,3 +63,10 @@ class TestMotionSequence:
         seq = MotionSequence(data=np.zeros((2, 6)), fps=10, label="")
         with pytest.raises(ValueError):
             seq.data[0, 0] = 1.0
+
+    def test_callers_array_stays_writeable(self):
+        data = np.zeros((3, 6))
+        seq = MotionSequence(data=data, fps=10, label="")
+        assert data.flags.writeable
+        data[0, 0] = 1.0
+        assert seq.data[0, 0] == 0.0

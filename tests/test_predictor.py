@@ -8,6 +8,7 @@ from moticomp.autodiff import Tape
 from moticomp.datagen import default_skeleton, load_checkpoint, save_checkpoint
 from moticomp.dct import dct_encode
 from moticomp.errors import ConfigError, NumericError, ShapeError
+from moticomp.exits import count_flops
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (ATTENTION_WEIGHTS, BRANCH_KINDS, PredictorConfig,
@@ -129,11 +130,14 @@ class TestSelfAttention:
             self_attention(rng.normal(size=(3, 4)), 3, params)
 
 
-def motion_attention(params, history, sub_len, n_coeffs, out_frames):
+def motion_attention(history, projections=None, **config):
+    """The front end of a config with history's frame count, on that one history;
+    returns its (F, E) output and the tape."""
     tape = Tape()
-    wq, wk = params
-    return _motion_attention(tape, tape.constant(wq), tape.constant(wk),
-                             history.data[None], sub_len, out_frames, n_coeffs).values[0]
+    tensors = {name: tape.constant(w) for name, w in zip(("mattn.wq", "mattn.wk"),
+                                                        projections or ())}
+    cfg = PredictorConfig(input_frames=len(history), **config)
+    return _motion_attention(tape, cfg, tensors, history[None]).values[0], tape
 
 
 class TestMotionAttention:
@@ -144,11 +148,10 @@ class TestMotionAttention:
 
     def test_constant_motion_gives_uniform_weights(self):
         rng = np.random.default_rng(8)
-        width, sub_len, t_out, n_coeffs = 6, 3, 2, 4
+        width, sub_len, t_out, n_coeffs = 6, 6, 2, 4
         history = np.tile(rng.normal(size=(1, width)), (12, 1))
         params = self.make_params(rng, sub_len, width)
-        seq = MotionSequence(data=history, fps=10.0, label="c")
-        out = motion_attention(params, seq, sub_len, n_coeffs, t_out)
+        out, _ = motion_attention(history, params, output_frames=t_out, n_coeffs=n_coeffs)
         n_windows = 12 - sub_len - t_out + 1
         values = np.stack([dct_encode(history[i:i + sub_len + t_out], n_coeffs).coeffs
                            for i in range(n_windows)])
@@ -157,20 +160,20 @@ class TestMotionAttention:
         assert np.allclose(out, expected, atol=1e-9)
 
     def test_single_window_weight_is_one(self):
+        # one window needs no projections and records only the residual add
         rng = np.random.default_rng(9)
         width, sub_len, t_out, n_coeffs = 6, 4, 4, 6
         history = rng.normal(size=(8, width))  # exactly one value window
-        params = self.make_params(rng, sub_len, width)
-        seq = MotionSequence(data=history, fps=10.0, label="s")
-        out = motion_attention(params, seq, sub_len, n_coeffs, t_out)
+        out, tape = motion_attention(history, output_frames=t_out, n_coeffs=n_coeffs)
         value = dct_encode(history[0:sub_len + t_out], n_coeffs).coeffs
         padded_dct = dct_encode(pad_last_frame(history, t_out), n_coeffs).coeffs
-        assert np.allclose(out, padded_dct + value, atol=1e-12)
+        assert np.array_equal(out, padded_dct + value)
+        assert [node.kind for node in tape.nodes] == ["add"]
 
     def test_weights_match_hand_computed_softmax(self):
         rng = np.random.default_rng(10)
-        width, sub_len, t_out, n_coeffs = 3, 2, 2, 3
-        history = rng.normal(size=(8, width))  # windows start at 0..4
+        width, sub_len, t_out, n_coeffs = 3, 4, 2, 3
+        history = rng.normal(size=(8, width))  # windows start at 0..2
         params = self.make_params(rng, sub_len, width, qdim=3)
         wq, wk = params
         q = history[-sub_len:].reshape(1, -1) @ wq
@@ -183,16 +186,28 @@ class TestMotionAttention:
                            for i in range(n_windows)])
         expected = (dct_encode(pad_last_frame(history, t_out), n_coeffs).coeffs
                     + np.tensordot(weights, values, axes=1))
-        seq = MotionSequence(data=history, fps=10.0, label="w")
-        out = motion_attention(params, seq, sub_len, n_coeffs, t_out)
+        out, _ = motion_attention(history, params, output_frames=t_out, n_coeffs=n_coeffs)
         assert np.allclose(out, expected, atol=1e-10)
 
     def test_history_too_short_rejected(self):
-        rng = np.random.default_rng(11)
-        params = self.make_params(rng, 4, 3)
-        seq = MotionSequence(data=rng.normal(size=(7, 3)), fps=10.0, label="x")
-        with pytest.raises(ValueError):
-            motion_attention(params, seq, 4, 4, 4)
+        # 8 frames: sub_len 4, so 5 output frames leave no value window
+        with pytest.raises(ConfigError, match="input span 8 too short for "
+                                              "sub-sequences of 4 frames extended by 5"):
+            toy_config(input_frames=8, output_frames=5)
+        assert toy_config(input_frames=8, output_frames=4).n_windows == 1
+
+    def test_projections_exist_only_with_several_windows(self):
+        layout = PartLayout.from_skeleton(default_skeleton())
+        default = init_predictor(np.random.default_rng(0), layout, PredictorConfig())
+        assert default.config.n_windows == 1
+        assert not [name for name in default.arrays if name.startswith("mattn.")]
+        several = toy_params(input_frames=12, output_frames=4)
+        assert several.config.n_windows == 3
+        sub_len = several.config.sub_len
+        assert [(name, arr.shape) for name, arr in several.arrays.items()
+                if name.startswith("mattn.")] == [
+            ("mattn.wq", (sub_len * several.layout.size, 5)),
+            ("mattn.wk", (sub_len * several.layout.size, 5))]
 
 
 def branch_forward_to_exit(params, kind, x, exit_index):
@@ -295,16 +310,32 @@ class TestPredict:
         assert pred.data.shape == (cfg.input_frames + cfg.output_frames,
                                    params.layout.size)
 
-    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 71), ((3, 3, 3), 131)])
-    def test_default_model_node_budget(self, exits, budget):
-        # as predict records it: one node per graph-conv layer and attention module
+    @staticmethod
+    def default_model_tape(exits):
+        """A default-config model and the tape predict records on it at exits."""
         layout = PartLayout.from_skeleton(default_skeleton())
         params = init_predictor(np.random.default_rng(32), layout, PredictorConfig())
         hist = make_history(np.random.default_rng(33), params.config, layout)
         tape = Tape()
         tensors = bind(tape, params.named_parameters(), trainable=False)
         _forward_core(tape, params, tensors, hist.data[None], exits)
+        return params, tape
+
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 64), ((3, 3, 3), 124)])
+    def test_default_model_node_budget(self, exits, budget):
+        # one node per graph-conv layer and attention module, none for the
+        # one-window motion attention's projections
+        _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) <= budget
+
+    def test_default_model_mac_offset(self):
+        # the front end and assembly, which count_flops leaves out, cost the same
+        # at every exit triple: no query/key work with one window
+        offsets = set()
+        for exits in itertools.product((1, 2, 3), repeat=3):
+            params, tape = self.default_model_tape(exits)
+            offsets.add(tape.mac_count - count_flops(params, exits).weighted_average_total())
+        assert offsets == {34224}
 
     @pytest.mark.parametrize("exits,match", BAD_EXITS + [
         ([[1, 1, 1], [2, 2, 2]], "predict takes one exit triple, got 2")],
@@ -352,6 +383,7 @@ class TestGradientFlow:
         pred = _forward_core(tape, params, tensors, hist[None], (3, 3, 3))
         diff = tape.add(pred, tape.constant(-gt[None]))
         tape.backward(tape.sum_sq(diff))
+        assert {"mattn.wq", "mattn.wk"} <= set(named)
         dead = [name for name in named
                 if float(np.abs(tensors[name].grad).max()) == 0.0]
         assert dead == []

@@ -357,6 +357,14 @@ class TestMaskedFuse:
         with pytest.raises(ValueError):
             BodyMask(m=np.full(6, 0.5))
 
+    def test_callers_array_stays_writeable(self):
+        m = np.zeros(6)
+        mask = BodyMask(m=m)
+        assert m.flags.writeable
+        m[:] = 1.0
+        assert not mask.m.any()
+        assert not mask.m.flags.writeable
+
 
 class TestSynthesis:
     def test_deterministic_at_zero_noise(self):
