@@ -21,10 +21,12 @@ broadcast operand's gradient is summed over the batch axis first, then over
 the rows. `matmul` broadcasts a 2-D operand over the batch the same way.
 `scalar_mul` scales by one element, or by one element per batch row (shape
 (B, 1, 1)), and `scale` by a Python float.
-`transpose` swaps the last two axes; `softmax_lastdim`, `slice_lastdim` and
-`straight_through` act on the last axis. Two kinds work along the batch axis
-itself: `gather_rows` picks rows of one or more tensors stacked along axis 0,
-with a scatter-add gradient, and `sum_rows` sums over axis 0.
+`transpose` swaps the last two axes; `softmax_lastdim` and `straight_through`
+act on the last axis, and `sum_rows` sums over the batch axis. `gather` is the
+one kind that selects: it picks entries along any one axis of one or more
+tensors joined along that axis, with a scatter-add gradient. It regroups a
+batch (axis 0), splits and merges body parts (the node axis) and splits the
+VAE encoder's output into mean and log-variance (the last axis).
 
 Two kinds record a predictor layer as one node: `gc_layer`, tanh((adj @ h)
 @ wgt), and `self_attention`, the residual multi-head attention, which runs
@@ -32,11 +34,11 @@ all heads as one stacked axis of each product. Values, gradients and MACs
 match the primitive composition each replaces bit for bit, as the tests pin
 at the default model's sizes; the ops need not run in the composition's order.
 
-Kinds that only move or select values (`slice_lastdim`, `transpose`,
-`reshape`, `gather_rows`, `straight_through`) skip the re-check. The layer
-kinds check only where tanh or softmax's exp could hide an overflow: the
-pre-tanh product, each head's scaled scores, and the attention output; a
-non-finite value anywhere else reaches one of these checks.
+Kinds that only move or select values (`gather`, `transpose`, `reshape`,
+`straight_through`) skip the re-check. The layer kinds check only where tanh
+or softmax's exp could hide an overflow: the pre-tanh product, each head's
+scaled scores, and the attention output; a non-finite value anywhere else
+reaches one of these checks.
 
 Nodes carry the multiply-accumulate count of their matrix products, so a
 tape doubles as an instrumented operation counter for cost accounting.
@@ -295,20 +297,6 @@ class Tape:
         return self._emit("sum_sq", (a,), np.asarray(np.sum(av * av)),
                           lambda g: (2.0 * float(g) * av,))
 
-    def slice_lastdim(self, a: Tensor, start: int, stop: int) -> Tensor:
-        width = a.shape[-1]
-        if not 0 <= start < stop <= width:
-            raise ShapeError(f"slice [{start}:{stop}] outside width {width}")
-        shape = a.shape
-
-        def bwd(g):
-            full = np.zeros(shape)
-            full[..., start:stop] = g
-            return (full,)
-
-        values = np.ascontiguousarray(a.values[..., start:stop])
-        return self._emit("slice_lastdim", (a,), values, bwd, check=False)
-
     def transpose(self, a: Tensor) -> Tensor:
         """Swap the last two axes of a (m, n) or (B, m, n) tensor."""
         if a.values.ndim not in (2, 3):
@@ -338,27 +326,35 @@ class Tape:
         np.put_along_axis(hard, np.argmax(x, axis=-1)[..., None], 1.0, axis=-1)
         return self._emit("straight_through", (soft,), hard, lambda g: (g,), check=False)
 
-    def gather_rows(self, parts: Sequence[Tensor], index) -> Tensor:
-        """Rows index of the parts stacked along axis 0; the gradient adds each
-        output row back into the row it came from."""
-        if not parts or any(p.values.ndim < 2 or p.shape[1:] != parts[0].shape[1:]
-                            for p in parts):
-            raise ShapeError("gather_rows needs parts whose rows have one shape")
-        sizes = [p.shape[0] for p in parts]
-        total, row_shape = sum(sizes), parts[0].shape[1:]
+    def gather(self, parts: Sequence[Tensor], index, axis: int = 0) -> Tensor:
+        """Entries index along axis of the parts joined along that axis, as
+        np.take of their concatenation; the gradient adds each output entry
+        back into the entry it came from."""
+        shapes = [p.shape for p in parts]
+        ndim = len(shapes[0]) if shapes else 0
+        if not -ndim <= axis < ndim:
+            raise ShapeError(f"gather along axis {axis} of parts {shapes}")
+        axis %= ndim
+        if any(len(s) != ndim for s in shapes) or len({s[:axis] + s[axis + 1:]
+                                                       for s in shapes}) > 1:
+            raise ShapeError(f"gather needs parts that differ only along axis {axis}, "
+                             f"got {shapes}")
+        sizes = [s[axis] for s in shapes]
         index = np.asarray(index, dtype=np.intp)
         if index.ndim != 1 or index.size == 0 or not (
-                0 <= index.min() and index.max() < total):
-            raise ShapeError(f"gather_rows index outside 0..{total - 1} or empty")
+                0 <= index.min() and index.max() < sum(sizes)):
+            raise ShapeError(f"gather index outside 0..{sum(sizes) - 1} or empty")
+        joined = (parts[0].values if len(parts) == 1
+                  else np.concatenate([p.values for p in parts], axis=axis))
+        shape = joined.shape
 
         def bwd(g):
-            full = np.zeros((total,) + row_shape)
-            np.add.at(full, index, g)
-            return tuple(np.split(full, np.cumsum(sizes)[:-1]))
+            full = np.zeros(shape)
+            np.add.at(full, (slice(None),) * axis + (index,), g)
+            return tuple(np.split(full, np.cumsum(sizes)[:-1], axis=axis))
 
-        stacked = (parts[0].values if len(parts) == 1
-                   else np.concatenate([p.values for p in parts]))
-        return self._emit("gather_rows", tuple(parts), stacked[index], bwd, check=False)
+        return self._emit("gather", tuple(parts), np.take(joined, index, axis=axis), bwd,
+                          check=False)
 
     def sum_rows(self, a: Tensor) -> Tensor:
         """Sum over the leading (batch) axis."""

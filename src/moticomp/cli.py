@@ -161,15 +161,13 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-_CHECKPOINT_KINDS = {PredictorModel: "predictor", VaeParams: "cag_vae"}
-
-
 def _load_checkpoint(path: str, expected: type):
     """load_checkpoint, refusing a checkpoint of another kind than expected."""
     model = datagen.load_checkpoint(path)
     if not isinstance(model, expected):
-        raise CheckpointError(f"{path}: expected a {_CHECKPOINT_KINDS[expected]} "
-                              f"checkpoint, found {_CHECKPOINT_KINDS[type(model)]}")
+        kinds = datagen.CHECKPOINT_KINDS
+        raise CheckpointError(f"{path}: expected a {kinds[expected]} "
+                              f"checkpoint, found {kinds[type(model)]}")
     return model
 
 

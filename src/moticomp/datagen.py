@@ -185,6 +185,8 @@ class DatasetManifest:
                 raise ManifestError(f"action {a.name!r} joint count mismatch")
         if self.sequence_length < 2:
             raise ManifestError("sequence_length must be >= 2")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ManifestError(f"manifest fps must be positive and finite, got {self.fps}")
         counts = (self.train_per_action, self.val_per_atomic, self.test_per_atomic,
                   self.val_per_composite, self.test_per_composite)
         if any(c < 0 for c in counts):
@@ -519,9 +521,15 @@ def _config_values(config: dict, types: dict[str, str]) -> dict:
     return _check_types({name: config[name] for name in types}, types, "config")
 
 
+# the kind a checkpoint of each model type is written and loaded as
+CHECKPOINT_KINDS = {PredictorModel: "predictor", VaeParams: "cag_vae"}
+# a VAE checkpoint's config keys, in file order: init_vae's arguments less its rng
+_VAE_CONFIG_KEYS = ("latent_dim", "hidden_dims", "coeff_rows", "coeff_cols", "original_length")
+
+
 def _vae_params(path, config: dict, tensors: dict[str, np.ndarray]) -> VaeParams:
     """The VAE a checkpoint describes, built with its normalization so VaeParams checks it."""
-    types = {k: v for k, v in init_vae.__annotations__.items() if k not in ("rng", "return")}
+    types = {k: init_vae.__annotations__[k] for k in _VAE_CONFIG_KEYS}
     values = _config_values(config, types)
     if not 1 <= values["coeff_rows"] <= values["original_length"]:
         raise ValueError(f"config key 'coeff_rows' holds {values['coeff_rows']}, expected "
@@ -534,37 +542,20 @@ def _vae_params(path, config: dict, tensors: dict[str, np.ndarray]) -> VaeParams
 
 def save_checkpoint(path, model: VaeParams | PredictorModel) -> None:
     """Self-describing JSON container; round-trips float64 values bit-exactly."""
-    if isinstance(model, VaeParams):
-        doc = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "kind": "cag_vae",
-            "config": {
-                "latent_dim": model.latent_dim,
-                "hidden_dims": model.hidden_dims,
-                "coeff_rows": model.coeff_rows,
-                "coeff_cols": model.coeff_cols,
-                "original_length": model.original_length,
-            },
-            "tensors": _tensor_entries(
-                {**model.named_parameters(), "norm.offset": model.input_offset,
-                 "norm.scale": model.input_scale}
-            ),
-        }
-    elif isinstance(model, PredictorModel):
-        doc = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "kind": "predictor",
-            "config": {
-                **asdict(model.params.config),
-                "upper_dims": list(model.params.layout.upper_dims),
-                "lower_dims": list(model.params.layout.lower_dims),
-            },
-            "tensors": _tensor_entries(model.named_parameters()),
-        }
-    else:
+    if type(model) not in CHECKPOINT_KINDS:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
+    if isinstance(model, VaeParams):
+        config = {k: getattr(model, k) for k in _VAE_CONFIG_KEYS}
+        tensors = {**model.named_parameters(), "norm.offset": model.input_offset,
+                   "norm.scale": model.input_scale}
+    else:
+        layout = model.params.layout
+        config = {**asdict(model.params.config), "upper_dims": list(layout.upper_dims),
+                  "lower_dims": list(layout.lower_dims)}
+        tensors = model.named_parameters()
+    doc = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+           "kind": CHECKPOINT_KINDS[type(model)], "config": config,
+           "tensors": _tensor_entries(tensors)}
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
@@ -585,9 +576,9 @@ def load_checkpoint(path) -> VaeParams | PredictorModel:
         kind = doc["kind"]
         config = doc["config"]
         tensors = _read_tensors(doc["tensors"])
-        if kind == "cag_vae":
+        if kind == CHECKPOINT_KINDS[VaeParams]:
             model = _vae_params(path, config, tensors)
-        elif kind == "predictor":
+        elif kind == CHECKPOINT_KINDS[PredictorModel]:
             layout = PartLayout(**_config_values(config, _field_types(PartLayout)))
             model_config = PredictorConfig(**_config_values(config, _field_types(PredictorConfig)))
             model = init_predictor_model(np.random.default_rng(0), layout, model_config)

@@ -31,7 +31,7 @@ ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")  # in the order Tape.self_attention
 class PredictorConfig:
     input_frames: int = 20
     output_frames: int = 10
-    n_coeffs: int | None = None  # None: min(sub_len + T, N + T)
+    n_coeffs: int | None = None  # None: sub_len + T
     feature_width: int = 32
     heads: int = 2
     n_blocks: int = 3
@@ -62,7 +62,7 @@ class PredictorConfig:
                 f"input span {n} too short for sub-sequences of {self.sub_len} "
                 f"frames extended by {t}"
             )
-        if not 1 <= self.resolved_n_coeffs <= min(self.sub_len + t, n + t):
+        if not 1 <= self.resolved_n_coeffs <= self.sub_len + t:
             raise ConfigError(f"n_coeffs {self.resolved_n_coeffs} out of range")
 
     @property
@@ -76,10 +76,7 @@ class PredictorConfig:
 
     @property
     def resolved_n_coeffs(self) -> int:
-        if self.n_coeffs is not None:
-            return self.n_coeffs
-        return min(self.sub_len + self.output_frames,
-                   self.input_frames + self.output_frames)
+        return self.sub_len + self.output_frames if self.n_coeffs is None else self.n_coeffs
 
     @property
     def attention_positions(self) -> tuple[int, ...]:
@@ -209,15 +206,15 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
         leaving = exits[rows] == k + 1
         if not leaving.any():
             continue
-        y = h if leaving.all() else tape.gather_rows([h], np.flatnonzero(leaving))
+        y = h if leaving.all() else tape.gather([h], np.flatnonzero(leaving))
         outputs.append(linear(tape, y, tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"]))
         output_rows.append(rows[leaving])
         if not leaving.all():
-            h = tape.gather_rows([h], np.flatnonzero(~leaving))
+            h = tape.gather([h], np.flatnonzero(~leaving))
             rows = rows[~leaving]
     if len(outputs) == 1:
         return outputs[0]
-    return tape.gather_rows(outputs, np.argsort(np.concatenate(output_rows)))
+    return tape.gather(outputs, np.argsort(np.concatenate(output_rows)))
 
 
 def _motion_attention(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
@@ -258,12 +255,6 @@ def pad_last_frame(history: np.ndarray, out_frames: int) -> np.ndarray:
                           axis=-2)
 
 
-def _selection_matrix(dims: tuple[int, ...], total: int) -> np.ndarray:
-    sel = np.zeros((total, len(dims)))
-    sel[list(dims), np.arange(len(dims))] = 1.0
-    return sel
-
-
 def _prepare_branch_inputs(tape: Tape, params: PredictorParams,
                            tensors: dict[str, Tensor],
                            history: np.ndarray) -> dict[str, Tensor]:
@@ -275,13 +266,10 @@ def _prepare_branch_inputs(tape: Tape, params: PredictorParams,
             f"history batch shape {history.shape} != "
             f"(B, {cfg.input_frames}, {params.layout.size})"
         )
-    ctx = _motion_attention(tape, cfg, tensors, history / cfg.coeff_scale)
-    inputs = {"whole": tape.transpose(ctx)}
-    for kind, dims in (("upper", params.layout.upper_dims),
-                       ("lower", params.layout.lower_dims)):
-        sel = tape.constant(_selection_matrix(dims, params.layout.size))
-        inputs[kind] = tape.transpose(tape.matmul(ctx, sel))
-    return inputs
+    whole = tape.transpose(_motion_attention(tape, cfg, tensors, history / cfg.coeff_scale))
+    return {"upper": tape.gather([whole], params.layout.upper_dims, axis=-2),
+            "lower": tape.gather([whole], params.layout.lower_dims, axis=-2),
+            "whole": whole}
 
 
 def _assemble_prediction(tape: Tape, params: PredictorParams,
@@ -291,12 +279,8 @@ def _assemble_prediction(tape: Tape, params: PredictorParams,
     one (N+T, E) sequence per history of the batch."""
     cfg = params.config
     layout = params.layout
-    parts = tape.add(
-        tape.matmul(tape.constant(_selection_matrix(layout.upper_dims, layout.size)),
-                    outputs["upper"]),
-        tape.matmul(tape.constant(_selection_matrix(layout.lower_dims, layout.size)),
-                    outputs["lower"]),
-    )
+    parts = tape.gather([outputs["upper"], outputs["lower"]],
+                        np.argsort(layout.upper_dims + layout.lower_dims), axis=-2)
     fw = sigmoid(tape, tensors["fusion.raw"])
     fw_c = tape.add(tape.constant(np.ones((1, 1))), tape.scale(fw, -1.0))
     blend = tape.add(tape.scalar_mul(outputs["whole"], fw),

@@ -211,8 +211,8 @@ def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor
         exits = np.argmax(hard.values, axis=-1).reshape(-1) + 1
         out = _branch_tail(tape, kind, params.config, tensors, encoded, exits)
         batch, n_exits = hard.shape[0], hard.shape[-1]
-        gate = tape.gather_rows([tape.reshape(hard, (batch * n_exits, 1, 1))],
-                                np.arange(batch) * n_exits + exits - 1)
+        gate = tape.gather([tape.reshape(hard, (batch * n_exits, 1, 1))],
+                           np.arange(batch) * n_exits + exits - 1)
         outputs[kind] = tape.scalar_mul(out, gate)
         chosen.append(exits)
         softs.append(soft)

@@ -123,8 +123,8 @@ def _denormalize(tape: Tape, params: VaeParams, x: Tensor) -> Tensor:
 def _encode(tape: Tape, params: VaeParams, tensors: dict[str, Tensor],
             x: Tensor) -> tuple[Tensor, Tensor]:
     h = mlp(tape, _normalize(tape, params, x), tensors, "enc", params.n_layers("enc"))
-    ld = params.latent_dim
-    return tape.slice_lastdim(h, 0, ld), tape.slice_lastdim(h, ld, 2 * ld)
+    mean = np.arange(params.latent_dim)
+    return tape.gather([h], mean, axis=-1), tape.gather([h], mean + params.latent_dim, axis=-1)
 
 
 def _decode(tape: Tape, params: VaeParams, tensors: dict[str, Tensor],

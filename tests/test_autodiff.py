@@ -12,12 +12,13 @@ from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 
 # every operation kind a Tape records; each has its finite-difference check below
 OP_KINDS = (
-    "matmul", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq",
-    "slice_lastdim", "scale",
+    "matmul", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq", "scale",
     "exp", "sqrt", "div", "transpose", "reshape",
-    "scalar_mul", "straight_through", "gather_rows", "sum_rows",
+    "scalar_mul", "straight_through", "gather", "sum_rows",
     "gc_layer", "self_attention",
 )
+# the public Tape methods that are not operations: they make leaves or run the tape
+NOT_OPS = ("leaf", "frozen_leaf", "constant", "backward")
 
 
 class TestForward:
@@ -179,9 +180,6 @@ def _kind_checks(kind: str):
         return (lambda t, x: t.mean(t.hadamard(x, x))), lambda rng: rng_point(rng, (3, 2))
     if kind == "sum_sq":
         return (lambda t, x: t.sum_sq(x)), lambda rng: rng_point(rng, (2, 3))
-    if kind == "slice_lastdim":
-        return (lambda t, x: t.sum_sq(t.slice_lastdim(x, 1, 3))), \
-            lambda rng: rng_point(rng, (2, 4))
     if kind == "scale":
         return (lambda t, x: t.sum_sq(t.scale(x, -1.7))), lambda rng: rng_point(rng, (3,))
     if kind == "exp":
@@ -191,8 +189,8 @@ def _kind_checks(kind: str):
             lambda rng: np.abs(rng_point(rng, (2, 3))) + 0.5
     if kind == "div":
         def f(t, x):
-            num = t.slice_lastdim(x, 0, 2)
-            den = t.slice_lastdim(x, 2, 4)
+            num = t.gather([x], [0, 1], axis=-1)
+            den = t.gather([x], [2, 3], axis=-1)
             return t.sum_sq(t.div(num, den))
         return f, lambda rng: np.hstack([rng.normal(size=(2, 2)),
                                          rng.uniform(0.5, 2.0, size=(2, 2))])
@@ -206,18 +204,14 @@ def _kind_checks(kind: str):
             lambda rng: rng_point(rng, (3, 4))
     if kind == "scalar_mul":
         def f(t, x):
-            mat = t.reshape(t.slice_lastdim(x, 0, 4), (2, 2))
-            s = t.reshape(t.slice_lastdim(x, 4, 5), (1, 1))
+            mat = t.reshape(t.gather([x], range(4), axis=-1), (2, 2))
+            s = t.reshape(t.gather([x], [4], axis=-1), (1, 1))
             return t.sum_sq(t.scalar_mul(mat, s))
         return f, lambda rng: rng_point(rng, (1, 5))
     if kind == "straight_through":
         return None  # piecewise-constant forward; covered by the ST property test
-    if kind == "gather_rows":
-        def f(t, x):
-            # rows of two parts, one of them picked twice: the gradient adds up
-            parts = [x, t.tanh(x)]
-            return t.sum_sq(t.gather_rows(parts, [4, 0, 0, 2, 5]))
-        return f, lambda rng: rng_point(rng, (3, 2))
+    if kind == "gather":  # along the other axes: TestGather
+        return _gather_check(0), lambda rng: rng_point(rng, (3, 2))
     if kind == "sum_rows":
         return (lambda t, x: t.sum_sq(t.sum_rows(t.tanh(x)))), \
             lambda rng: rng_point(rng, (4, 2, 3))
@@ -225,6 +219,15 @@ def _kind_checks(kind: str):
         f, shapes = _layer_check(kind, (3, 4), heads=2)
         return f, lambda rng: rng_point(rng, (1, _width(shapes)))
     raise AssertionError(f"no finite-difference coverage for kind {kind}")
+
+
+def _gather_check(axis: int):
+    """A scalar function of x gathering along axis from two parts, x and tanh(x),
+    with one entry picked twice: its gradient adds up."""
+    def f(t, x):
+        n = x.shape[axis]
+        return t.sum_sq(t.gather([x, t.tanh(x)], [n + 1, 0, 0, n - 1, 2 * n - 1], axis))
+    return f
 
 
 @pytest.mark.parametrize("kind", [k for k in OP_KINDS if k != "straight_through"])
@@ -244,7 +247,7 @@ def _cut(t, x, shapes):
     out, start = [], 0
     for shape in shapes:
         stop = start + int(np.prod(shape))
-        out.append(t.reshape(t.slice_lastdim(x, start, stop), shape))
+        out.append(t.reshape(t.gather([x], range(start, stop), axis=-1), shape))
         start = stop
     return out
 
@@ -298,8 +301,8 @@ def _batched_checks(case: str):
             (1, 4)
     if case == "scalar_mul_per_row":
         def f(t, x):
-            mat = t.reshape(t.slice_lastdim(x, 0, 6), (3, 2, 3))
-            s = t.reshape(t.slice_lastdim(x, 6, 7), (3, 1, 1))
+            mat = t.reshape(t.gather([x], range(6), axis=-1), (3, 2, 3))
+            s = t.reshape(t.gather([x], [6], axis=-1), (3, 1, 1))
             return t.sum_sq(t.scalar_mul(mat, s))
         return f, (3, 7)
     if case == "gc_layer_shared_weights":  # adj and wgt are used by every row
@@ -332,31 +335,16 @@ def gc_layer_reference(t, h, adj, wgt):
     return t.tanh(t.matmul(t.matmul(adj, h), wgt))
 
 
-def _concat_lastdim_reference(t, parts):
-    """Parts (n, w_i) or (B, n, w_i) joined along the last axis by copies only:
-    each transposed part as (B * w_i, n) rows, gathered in output order."""
-    lead, n = parts[0].shape[:-2], parts[0].shape[-2]
-    b = int(np.prod(lead, dtype=int))
-    widths = [p.shape[-1] for p in parts]
-    rows = [t.reshape(t.transpose(p), (b * w, n)) for p, w in zip(parts, widths)]
-    offsets = np.cumsum([0] + [b * w for w in widths])
-    index = [offsets[i] + s * w + j for s in range(b)
-             for i, w in enumerate(widths) for j in range(w)]
-    stacked = t.reshape(t.gather_rows(rows, index), lead + (sum(widths), n))
-    return t.transpose(stacked)
-
-
 def self_attention_reference(t, h, wq, wk, wv, wo, heads):
-    dh = h.shape[-1] // heads
+    f = h.shape[-1]
+    dh = f // heads
     q, k, v = t.matmul(h, wq), t.matmul(h, wk), t.matmul(h, wv)
     contexts = []
     for i in range(heads):
-        qs = t.slice_lastdim(q, i * dh, (i + 1) * dh)
-        ks = t.slice_lastdim(k, i * dh, (i + 1) * dh)
-        vs = t.slice_lastdim(v, i * dh, (i + 1) * dh)
+        qs, ks, vs = (t.gather([m], range(i * dh, (i + 1) * dh), axis=-1) for m in (q, k, v))
         scores = t.scale(t.matmul(qs, t.transpose(ks)), 1.0 / np.sqrt(dh))
         contexts.append(t.matmul(t.softmax_lastdim(scores), vs))
-    ctx = contexts[0] if heads == 1 else _concat_lastdim_reference(t, contexts)
+    ctx = t.gather(contexts, range(f), axis=-1)  # the heads joined along the last axis
     return t.add(h, t.matmul(ctx, wo))
 
 
@@ -449,6 +437,60 @@ def test_self_attention_shapes_checked(h_shape, w_shape):
                             *(tape.constant(np.zeros(w_shape)),) * 4, 1)
 
 
+GATHER_AXES = (0, -2, -1)  # the batch, node and last axes the pipeline gathers along
+GATHER_BAD_INDICES = ([], [3], [-1], [[0]])  # empty, past the end, negative, not 1-D
+
+
+class TestGather:
+    @pytest.mark.parametrize("n_parts", [1, 3])
+    @pytest.mark.parametrize("axis", GATHER_AXES)
+    def test_values_equal_take_of_the_concatenation(self, axis, n_parts):
+        rng = np.random.default_rng(3)
+        arrays = []
+        for i in range(n_parts):
+            shape = [2, 3, 4]
+            shape[axis] = i + 2
+            arrays.append(rng.normal(size=shape))
+        joined = np.concatenate(arrays, axis=axis)
+        index = rng.integers(0, joined.shape[axis], size=7)  # with repeats
+        tape = Tape()
+        out = tape.gather([tape.constant(a) for a in arrays], index, axis)
+        assert np.array_equal(out.values, np.take(joined, index, axis=axis))
+        assert out.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("axis", GATHER_AXES[1:])  # axis 0: the kind's check above
+    def test_passes_finite_differences(self, axis):
+        for seed in range(5):
+            point = np.random.default_rng(3000 + seed).normal(size=(2, 3, 4))
+            assert grad_check(_gather_check(axis), point, 1e-4) < 1e-5, (axis, seed)
+
+    @pytest.mark.parametrize("index", GATHER_BAD_INDICES)
+    @pytest.mark.parametrize("axis", GATHER_AXES[1:])  # axis 0: TestBatchAxis
+    def test_index_checked(self, axis, index):
+        tape = Tape()
+        with pytest.raises(ShapeError, match="gather index"):
+            tape.gather([tape.constant(np.zeros((2, 3, 3)))], index, axis)
+
+    @pytest.mark.parametrize("axis", GATHER_AXES)
+    def test_parts_must_differ_only_along_the_axis(self, axis):
+        tape = Tape()
+        a = tape.constant(np.zeros((2, 3, 4)))
+        shape = [2, 3, 4]
+        shape[(axis + 1) % 3] += 1
+        for parts in ([a, tape.constant(np.zeros(shape))],  # another size off the axis
+                      [a, tape.constant(np.zeros((3, 4)))]):  # another number of axes
+            with pytest.raises(ShapeError, match="gather needs parts"):
+                tape.gather(parts, [0], axis)
+        assert tape.nodes == []
+
+    def test_no_parts_or_an_axis_they_lack_rejected(self):
+        tape = Tape()
+        a = tape.constant(np.zeros((2, 3, 4)))
+        for parts, axis in (([], 0), ([a], 3), ([a], -4)):
+            with pytest.raises(ShapeError, match="gather along axis"):
+                tape.gather(parts, [0], axis)
+
+
 class TestBatchAxis:
     """A batched op computes, row by row, what the op computes on one sample."""
 
@@ -484,7 +526,7 @@ class TestBatchAxis:
         tape = Tape()
         a = tape.constant(np.arange(6.0).reshape(3, 2))
         b = tape.constant(-np.arange(4.0).reshape(2, 2))
-        out = tape.gather_rows([a, b], [3, 0, 4])
+        out = tape.gather([a, b], [3, 0, 4])  # along axis 0
         assert np.array_equal(out.values, [[-0.0, -1.0], [0.0, 1.0], [-2.0, -3.0]])
         assert np.array_equal(tape.sum_rows(out).values, [-2.0, -3.0])
 
@@ -510,11 +552,11 @@ class TestBatchAxis:
         with pytest.raises(ShapeError):
             tape.scalar_mul(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.ones((2, 1, 1))))
 
-    @pytest.mark.parametrize("index", [[], [3], [-1], [[0]]])
+    @pytest.mark.parametrize("index", GATHER_BAD_INDICES)
     def test_gather_rows_index_checked(self, index):
         tape = Tape()
-        with pytest.raises(ShapeError):
-            tape.gather_rows([tape.constant(np.zeros((3, 2)))], index)
+        with pytest.raises(ShapeError, match="gather index"):
+            tape.gather([tape.constant(np.zeros((3, 2)))], index)
 
 
 def test_straight_through_gradient_equals_soft_gradient():
@@ -569,9 +611,11 @@ def test_matmul_mac_counting():
 
 
 def test_op_kinds_cover_every_kind_the_pipeline_records(monkeypatch):
-    """Every kind recorded by a predict tape, a batched training tape that takes
-    every exit and a VAE training step is in OP_KINDS, so it has a
-    finite-difference check above; every entry names a Tape method."""
+    """OP_KINDS is the set of kinds recorded by a predict tape, a batched
+    training tape that takes every exit and a VAE training step: each recorded
+    kind has a finite-difference check above, and each listed kind has a caller
+    in the pipeline. It is also the set of public Tape methods less NOT_OPS, so
+    an operation that nothing records fails here."""
     tapes = []
     init = Tape.__init__
 
@@ -604,4 +648,8 @@ def test_op_kinds_cover_every_kind_the_pipeline_records(monkeypatch):
     kinds["train_cag"] = {node.kind for tape in tapes for node in tape.nodes}
     for source, recorded in kinds.items():
         assert recorded and recorded <= set(OP_KINDS), (source, recorded - set(OP_KINDS))
-    assert all(callable(getattr(Tape, kind, None)) for kind in OP_KINDS)
+    unused = set(OP_KINDS) - set().union(*kinds.values())
+    assert not unused, unused
+    public = {name for name, attr in vars(Tape).items()
+              if callable(attr) and not name.startswith("_")}
+    assert public - set(NOT_OPS) == set(OP_KINDS)

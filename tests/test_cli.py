@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,23 @@ def test_eval_inconsistent_test_set_exits_two_naming_the_sequence(tiny_manifest,
     assert f"test sequence 1 ({label!r})" in err
     assert "Traceback" not in err
     assert not (tmp_path / "eval" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("fps", [0, -25.0])
+def test_gen_data_non_positive_fps_exits_two_naming_fps(tmp_path, capsys, fps):
+    doc = json.loads(manifest_to_json(default_manifest()))
+    doc["fps"] = fps
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(["gen-data", "--manifest", str(manifest), "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"manifest fps must be positive and finite, got {fps}" in err
+    assert not caught and "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_gen_data_idempotent_except_timestamp(tiny_manifest, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 
@@ -385,6 +386,11 @@ class TestVaeCheckpointErrors:
         path.write_text(json.dumps(doc))
         return load_checkpoint(path)
 
+    def test_config_holds_every_init_vae_argument(self, tmp_path):
+        # one written less would load as init_vae's default
+        doc = saved_vae(tmp_path / "v.json")
+        assert set(doc["config"]) == set(inspect.signature(init_vae).parameters) - {"rng"}
+
     def test_fractional_original_length(self, tmp_path):
         with pytest.raises(CheckpointError,
                            match=r"config key 'original_length' holds 2\.5, expected int"):
@@ -547,6 +553,16 @@ class TestBuildDataset:
         man = manifest_from_json(json.dumps(doc))
         assert man.fps == 10.0
         assert len(build_dataset(man).train) == 200
+
+    @pytest.mark.parametrize("fps", [0, -25.0])
+    def test_non_positive_fps_named(self, fps):
+        doc = json.loads(manifest_to_json(default_manifest()))
+        doc["fps"] = fps
+        message = "manifest fps must be positive and finite, got"
+        with pytest.raises(ManifestError, match=f"{message} {fps}"):
+            manifest_from_json(json.dumps(doc))
+        with pytest.raises(ManifestError, match=f"{message} inf"):
+            dataclasses.replace(default_manifest(), fps=float("inf"))  # JSON holds no inf
 
     def test_action_noise_std_defaults_to_zero(self):
         doc = json.loads(manifest_to_json(default_manifest()))

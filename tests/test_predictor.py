@@ -8,7 +8,7 @@ from moticomp.autodiff import Tape
 from moticomp.datagen import default_skeleton, load_checkpoint, save_checkpoint
 from moticomp.dct import dct_encode
 from moticomp.errors import ConfigError, NumericError, ShapeError
-from moticomp.exits import count_flops
+from moticomp.exits import count_flops, policy_macs
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (ATTENTION_WEIGHTS, BRANCH_KINDS, PredictorConfig,
@@ -321,21 +321,28 @@ class TestPredict:
         _forward_core(tape, params, tensors, hist.data[None], exits)
         return params, tape
 
-    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 64), ((3, 3, 3), 124)])
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 60), ((3, 3, 3), 120)])
     def test_default_model_node_budget(self, exits, budget):
-        # one node per graph-conv layer and attention module, none for the
-        # one-window motion attention's projections
+        # one node per graph-conv layer and attention module, one gather per part
+        # split and one for the merge, none for the one-window motion
+        # attention's projections
         _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) <= budget
 
     def test_default_model_mac_offset(self):
-        # the front end and assembly, which count_flops leaves out, cost the same
-        # at every exit triple: no query/key work with one window
+        # the same at every exit triple: the IDCT of the blended correction, which
+        # count_flops leaves out, less the exit policies, which it counts and
+        # predict does not run; the part split and merge are gathers, with no
+        # MACs, and one-window motion attention has no query/key work
         offsets = set()
         for exits in itertools.product((1, 2, 3), repeat=3):
             params, tape = self.default_model_tape(exits)
             offsets.add(tape.mac_count - count_flops(params, exits).weighted_average_total())
-        assert offsets == {34224}
+        cfg = params.config
+        idct = (cfg.input_frames + cfg.output_frames) * cfg.resolved_n_coeffs * params.layout.size
+        policies = sum(policy_macs(n, cfg.feature_width, cfg.policy_hidden, cfg.n_blocks)
+                       for n in branch_node_counts(params.layout).values())
+        assert offsets == {idct - policies} == {11184}
 
     @pytest.mark.parametrize("exits,match", BAD_EXITS + [
         ([[1, 1, 1], [2, 2, 2]], "predict takes one exit triple, got 2")],
