@@ -4,12 +4,15 @@ A Tape records every forward operation in construction order (which is a
 topological order by construction) and replays it backwards to accumulate
 gradients. Every forward output is finite: each kind checks the values it
 could make non-finite, and leaves and scale factors are checked on entry.
-One kind of leaf is not re-checked: `frozen_leaf` shares an array that
-`freeze` made (read-only, C-contiguous float64) as a constant, as `bind`
-does with a loaded model's parameters. `freeze` checked it finite, and being
-read-only it cannot have changed since. Should a NaN be forced into one
-anyway, every kind that reads a leaf checks its output or feeds one that
-does, so the NaN still raises before anything is returned.
+
+One kind of constant is not re-checked, and belongs to no tape:
+`shared_constant` wraps an array that `freeze` made (read-only, C-contiguous
+float64) once, and any tape may read it, as `bind` does with a loaded
+model's parameters. `freeze` checked it finite, and being read-only it cannot
+have changed since. Should a NaN be forced into one anyway, every kind that
+reads a constant checks its output or feeds one that does, so the NaN still
+raises before anything is returned. A tensor of another tape still raises,
+and `backward` gives a shared constant no gradient.
 
 A minibatch is one tensor with a leading batch axis: B samples of shape
 (rows, cols) form a (B, rows, cols) tensor, and one sample may go without
@@ -28,17 +31,19 @@ tensors joined along that axis, with a scatter-add gradient. It regroups a
 batch (axis 0), splits and merges body parts (the node axis) and splits the
 VAE encoder's output into mean and log-variance (the last axis).
 
-Two kinds record a predictor layer as one node: `gc_layer`, tanh((adj @ h)
-@ wgt), and `self_attention`, the residual multi-head attention, which runs
-all heads as one stacked axis of each product. Values, gradients and MACs
-match the primitive composition each replaces bit for bit, as the tests pin
+One kind records a whole predictor block as one node: `gc_block`, a sequence
+of graph-conv layers tanh((adj @ h) @ wgt) and residual multi-head
+attentions, which run all heads as one stacked axis of each product. Its
+backward runs each layer's backward in reverse. Values, gradients and MACs
+match the primitive composition it replaces bit for bit, as the tests pin
 at the default model's sizes; the ops need not run in the composition's order.
 
 Kinds that only move or select values (`gather`, `transpose`, `reshape`,
-`straight_through`) skip the re-check. The layer kinds check only where tanh
-or softmax's exp could hide an overflow: the pre-tanh product, each head's
-scaled scores, and the attention output; a non-finite value anywhere else
-reaches one of these checks.
+`straight_through`) skip the re-check. `gc_block` checks only where tanh or
+softmax's exp could hide an overflow: each layer's pre-tanh product, each
+head's scaled scores, and each attention's output, naming the layer (gc0,
+gc1, ..., attn0, ...); a non-finite value anywhere else reaches one of these
+checks.
 
 Nodes carry the multiply-accumulate count of their matrix products, so a
 tape doubles as an instrumented operation counter for cost accounting.
@@ -86,9 +91,10 @@ def _matmul_grads(g: Array, av: Array, bv: Array, na: bool, nb: bool):
 
 
 def _softmax(x: Array) -> Array:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)  # a new array, so exp and divide in place
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(g: Array, y: Array) -> Array:
@@ -99,6 +105,78 @@ def _softmax_grad(g: Array, y: Array) -> Array:
 def _require_finite(values: Array, what: str) -> None:
     if not np.isfinite(values).all():
         raise NumericError(f"{what} produced non-finite values")
+
+
+def _gc_layer(name: str, hv: Array, av: Array, wv: Array, need_h: bool, na: bool,
+              nw: bool):
+    """The graph convolution tanh((adj @ h) @ wgt): its value, a backward that
+    maps the output gradient to those of h, adj and wgt (None where not
+    needed), and its MACs. Checks the pre-tanh product, which tanh would hide."""
+    _check_matmul(name, av.shape, hv.shape)
+    ah = av @ hv
+    _check_matmul(name, ah.shape, wv.shape)
+    pre = ah @ wv
+    _require_finite(pre, f"{name} pre-tanh product")
+    y = np.tanh(pre)
+
+    def bwd(g):
+        g_ah, g_w = _matmul_grads(g * (1.0 - y * y), ah, wv, na or need_h, nw)
+        if g_ah is None:
+            return None, None, g_w
+        g_adj, g_h = _matmul_grads(g_ah, av, hv, na, need_h)
+        return g_h, g_adj, g_w
+
+    return y, bwd, ah.size * av.shape[-1] + pre.size * wv.shape[-2]
+
+
+def _attention(name: str, hv: Array, ws: Sequence[Array], heads: int, need_h: bool,
+               need_w: Sequence[bool]):
+    """Residual multi-head self-attention for ws = (wq, wk, wv, wo), with the
+    heads on one stacked axis of each product: its value, a backward that maps
+    the output gradient to those of h and the four projections (None where not
+    needed), and its MACs. Checks each head's scaled scores and the output."""
+    f = hv.shape[-1]
+    if hv.ndim not in (2, 3) or heads < 1 or f % heads:
+        raise ShapeError(f"{name} of {hv.shape} in {heads} heads")
+    if any(w.shape != (f, f) for w in ws):
+        raise ShapeError(f"{name} projections must be ({f}, {f})")
+    dh = f // heads
+    c = float(1.0 / np.sqrt(dh))
+
+    def split(m):  # (..., n, F) -> (..., heads, n, dh)
+        return np.ascontiguousarray(m.reshape(*m.shape[:-1], heads, dh).swapaxes(-2, -3))
+
+    def join(m):  # the inverse; every matmul operand here is C-contiguous
+        return np.ascontiguousarray(np.swapaxes(m, -2, -3)).reshape(hv.shape)
+
+    q, k, v = (split(hv @ w) for w in ws[:3])
+    k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    scores = (q @ k_t) * c
+    if not np.isfinite(scores).all():  # name the first head that overflowed
+        for i in range(heads):
+            _require_finite(scores[..., i, :, :], f"{name} head {i} scores")
+    attn = _softmax(scores)
+    ctx = join(attn @ v)
+    wov = ws[3]
+    out = hv + ctx @ wov
+    _require_finite(out, f"{name} output")
+    macs = 3 * hv.size * f + scores.size * dh + ctx.size * attn.shape[-1] + out.size * f
+
+    def bwd(g):
+        g_ctx, g_wo = _matmul_grads(g, ctx, wov, need_h or any(need_w[:3]), need_w[3])
+        if g_ctx is None:
+            return None, None, None, None, g_wo
+        g_attn, g_v = _matmul_grads(split(g_ctx), attn, v, True, True)
+        g_q, g_k_t = _matmul_grads(_softmax_grad(g_attn, attn) * c, q, k_t, True, True)
+        g_qkv = (join(g_q), join(np.swapaxes(g_k_t, -1, -2)), join(g_v))
+        g_h, g_w = g, [None] * 3  # into h: the residual first, then v, k and q
+        for j in (2, 1, 0):
+            g_hj, g_w[j] = _matmul_grads(g_qkv[j], hv, ws[j], need_h, need_w[j])
+            if need_h:
+                g_h = g_h + g_hj
+        return g_h, *g_w, g_wo
+
+    return out, bwd, macs
 
 
 def freeze(values, what: str) -> Array:
@@ -114,9 +192,28 @@ def freeze(values, what: str) -> Array:
     return v
 
 
+def is_frozen(values: Array) -> bool:
+    """Whether values has the form `freeze` gives: read-only, C-contiguous float64."""
+    flags = values.flags
+    return not flags.writeable and flags.c_contiguous and values.dtype == np.float64
+
+
+SHARED = -1  # the tid of a constant that belongs to no tape
+
+
+def shared_constant(values: Array) -> Tensor:
+    """A constant that belongs to no tape, so that any tape may read it: an
+    array `freeze` made, shared as it is, neither copied nor re-checked.
+    Raises ValueError for any other array."""
+    if not is_frozen(values):
+        raise ValueError("a shared constant needs an array that freeze made")
+    return Tensor(values, False, SHARED)
+
+
 class Tensor:
-    """A dense float64 array at index tid of the tape that produced it. It holds
-    no reference to the tape, so reference counting alone frees a tape."""
+    """A dense float64 array at index tid of the tape that produced it, or a
+    constant shared by every tape (tid SHARED). It holds no reference to a
+    tape, so reference counting alone frees a tape."""
 
     __slots__ = ("values", "requires_grad", "grad", "tid")
 
@@ -175,14 +272,6 @@ class Tape:
             raise NumericError("leaf tensor contains non-finite values")
         return self._push(v, requires_grad)
 
-    def frozen_leaf(self, values: Array) -> Tensor:
-        """A constant leaf sharing an array `freeze` made, neither copied nor
-        re-checked; any other array goes through `leaf`."""
-        flags = values.flags
-        if flags.writeable or not flags.c_contiguous or values.dtype != np.float64:
-            return self.leaf(values)
-        return self._push(values, False)
-
     def constant(self, values) -> Tensor:
         return self.leaf(values, requires_grad=False)
 
@@ -194,9 +283,11 @@ class Tape:
 
     def _emit(self, kind: str, inputs: Sequence[Tensor], values: Array,
               backward_fn: Callable, macs: int = 0, check: bool = True) -> Tensor:
-        """Record one node; check=False where finite inputs give finite values."""
+        """Record one node; check=False where finite inputs give finite values.
+        Each input is this tape's or a shared constant."""
         for t in inputs:
-            if not (t.tid < len(self.tensors) and self.tensors[t.tid] is t):
+            if t.tid != SHARED and not (t.tid < len(self.tensors)
+                                        and self.tensors[t.tid] is t):
                 raise ValueError(f"{kind}: input tensor belongs to a different tape")
         if check:
             _require_finite(values, kind)
@@ -350,7 +441,11 @@ class Tape:
 
         def bwd(g):
             full = np.zeros(shape)
-            np.add.at(full, (slice(None),) * axis + (index,), g)
+            at = (slice(None),) * axis + (index,)
+            if np.bincount(index).max() == 1:  # no repeats: += adds 0.0 + g once each
+                full[at] += g
+            else:
+                np.add.at(full, at, g)
             return tuple(np.split(full, np.cumsum(sizes)[:-1], axis=axis))
 
         return self._emit("gather", tuple(parts), np.take(joined, index, axis=axis), bwd,
@@ -365,80 +460,48 @@ class Tape:
                           lambda g: (np.broadcast_to(g, shape),))
 
     # ------------------------------------------------------------------
-    # predictor layers, one node each
+    # a predictor block, one node
 
-    def gc_layer(self, h: Tensor, adj: Tensor, wgt: Tensor) -> Tensor:
-        """Graph convolution tanh((adj @ h) @ wgt), operands as in matmul."""
-        hv, av, wv = h.values, adj.values, wgt.values
-        _check_matmul("gc_layer", av.shape, hv.shape)
-        ah = av @ hv
-        _check_matmul("gc_layer", ah.shape, wv.shape)
-        pre = ah @ wv
-        _require_finite(pre, "gc_layer pre-tanh product")
-        y = np.tanh(pre)
-        nh, na, nw = h.requires_grad, adj.requires_grad, wgt.requires_grad
+    def gc_block(self, h: Tensor, steps: Sequence[Sequence[Tensor]], heads: int) -> Tensor:
+        """One block of predictor layers over the rows of h (n, F) or (B, n, F),
+        in the order of steps: a step (adj, wgt) is a graph convolution
+        tanh((adj @ h) @ wgt), operands as in matmul; a step (wq, wk, wv, wo) of
+        (F, F) projections is the residual multi-head self-attention: q, k, v =
+        h @ wq, h @ wk, h @ wv split into heads of width dh = F / heads along the
+        last axis, then h + concat_i(softmax(q_i k_i^T / sqrt(dh)) v_i) @ wo.
+        Graph convolutions are named gc0, gc1, ... and attentions attn0, ... in
+        their order, as a block's parameters are, and every error names one."""
+        if not steps:
+            raise ShapeError("gc_block needs at least one step")
+        inputs, backs = [h], []
+        hv, need, macs = h.values, h.requires_grad, 0
+        n_gc = n_attn = 0
+        for step in steps:
+            ws = [w.values for w in step]
+            needs = [w.requires_grad for w in step]
+            if len(step) == 2:
+                hv, back, m = _gc_layer(f"gc_block gc{n_gc}", hv, *ws, need, *needs)
+                n_gc += 1
+            elif len(step) == 4:
+                hv, back, m = _attention(f"gc_block attn{n_attn}", hv, ws, heads, need, needs)
+                n_attn += 1
+            else:
+                raise ShapeError(f"gc_block step of {len(step)} operands; a graph "
+                                 "convolution takes 2 and an attention 4")
+            inputs += step
+            backs.append((back, len(step)))
+            need = need or any(needs)
+            macs += m
 
-        def bwd(g):
-            g_ah, g_w = _matmul_grads(g * (1.0 - y * y), ah, wv, na or nh, nw)
-            if g_ah is None:
-                return None, None, g_w
-            g_adj, g_h = _matmul_grads(g_ah, av, hv, na, nh)
-            return g_h, g_adj, g_w
+        def bwd(g):  # each step's backward, last step first
+            g_ops = []  # the gradients of the steps' operands, in order
+            for back, n in reversed(backs):
+                # g is None once nothing before this step needs a gradient
+                g, *g_step = back(g) if g is not None else (None,) * (1 + n)
+                g_ops[:0] = g_step
+            return g, *g_ops
 
-        macs = ah.size * av.shape[-1] + pre.size * wv.shape[-2]
-        return self._emit("gc_layer", (h, adj, wgt), y, bwd, macs, check=False)
-
-    def self_attention(self, h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                       wo: Tensor, heads: int) -> Tensor:
-        """Residual multi-head self-attention over the rows of h (n, F) or
-        (B, n, F) with (F, F) projections: q, k, v = h @ wq, h @ wk, h @ wv
-        split into heads of width dh = F / heads along the last axis, then
-        h + concat_i(softmax(q_i k_i^T / sqrt(dh)) v_i) @ wo."""
-        hv = h.values
-        f = hv.shape[-1]
-        if hv.ndim not in (2, 3) or heads < 1 or f % heads:
-            raise ShapeError(f"self_attention of {h.shape} in {heads} heads")
-        weights = (wq, wk, wv, wo)
-        if any(w.shape != (f, f) for w in weights):
-            raise ShapeError(f"self_attention projections must be ({f}, {f})")
-        dh = f // heads
-        c = float(1.0 / np.sqrt(dh))
-
-        def split(m):  # (..., n, F) -> (..., heads, n, dh)
-            return np.ascontiguousarray(m.reshape(*m.shape[:-1], heads, dh).swapaxes(-2, -3))
-
-        def join(m):  # the inverse; every matmul operand here is C-contiguous
-            return np.ascontiguousarray(np.swapaxes(m, -2, -3)).reshape(hv.shape)
-
-        q, k, v = (split(hv @ w.values) for w in weights[:3])
-        k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
-        scores = (q @ k_t) * c
-        if not np.isfinite(scores).all():  # name the first head that overflowed
-            for i in range(heads):
-                _require_finite(scores[..., i, :, :], f"self_attention head {i} scores")
-        attn = _softmax(scores)
-        ctx = join(attn @ v)
-        wov = wo.values
-        proj = ctx @ wov
-        macs = 3 * hv.size * f + scores.size * dh + ctx.size * attn.shape[-1] + proj.size * f
-        need_h, *need_w = (t.requires_grad for t in (h, *weights))
-
-        def bwd(g):
-            g_ctx, g_wo = _matmul_grads(g, ctx, wov, need_h or any(need_w[:3]), need_w[3])
-            if g_ctx is None:
-                return None, None, None, None, g_wo
-            g_attn, g_v = _matmul_grads(split(g_ctx), attn, v, True, True)
-            g_q, g_k_t = _matmul_grads(_softmax_grad(g_attn, attn) * c, q, k_t, True, True)
-            g_qkv = (join(g_q), join(np.swapaxes(g_k_t, -1, -2)), join(g_v))
-            g_h, g_w = g, [None] * 3  # into h: the residual first, then v, k and q
-            for j in (2, 1, 0):
-                g_hj, g_w[j] = _matmul_grads(g_qkv[j], hv, weights[j].values, need_h,
-                                             need_w[j])
-                if need_h:
-                    g_h = g_h + g_hj
-            return g_h, *g_w, g_wo
-
-        return self._emit("self_attention", (h, *weights), hv + proj, bwd, macs)
+        return self._emit("gc_block", inputs, hv, bwd, macs, check=False)
 
     # ------------------------------------------------------------------
 
@@ -446,9 +509,9 @@ class Tape:
         """Reverse accumulation from a scalar loss produced on this tape.
 
         Populates .grad on every requires_grad tensor; tensors with no path
-        to the loss get zeros.
+        to the loss get zeros. Shared constants get none.
         """
-        if not (loss.tid < len(self.tensors) and self.tensors[loss.tid] is loss):
+        if not (0 <= loss.tid < len(self.tensors) and self.tensors[loss.tid] is loss):
             raise ValueError("loss tensor was not produced on this tape")
         if loss.values.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -459,7 +522,7 @@ class Tape:
             if g is None:
                 continue
             for tid, ig in zip(node.input_ids, node.backward_fn(g)):
-                if ig is None or not self.tensors[tid].requires_grad:
+                if ig is None or tid == SHARED or not self.tensors[tid].requires_grad:
                     continue
                 # accumulation never mutates in place, so views are safe
                 grads[tid] = ig if grads[tid] is None else grads[tid] + ig

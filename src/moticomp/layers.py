@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, is_frozen, shared_constant
 
 
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -43,12 +43,38 @@ def sigmoid(tape: Tape, x: Tensor) -> Tensor:
 def bind(tape: Tape, named: dict[str, np.ndarray],
          trainable: bool) -> dict[str, Tensor]:
     """Register a parameter dict on a tape, optionally as gradient leaves.
-    Frozen arrays (`autodiff.freeze`), such as a loaded model's, are shared as
-    they are; training them raises ValueError naming the first one."""
+    For inference, a dict whose arrays are all frozen (`autodiff.freeze`), such
+    as a loaded model's, binds as shared constants that any tape may read,
+    built once and reused while the dict holds the same arrays; any other dict
+    binds as checked constants of this tape. Training a frozen array raises
+    ValueError naming the first one."""
     if not trainable:
-        return {name: tape.frozen_leaf(arr) for name, arr in named.items()}
+        shared = _shared_constants(named)
+        return shared if shared is not None else {
+            name: tape.leaf(arr) for name, arr in named.items()}
     frozen = next((name for name, arr in named.items() if not arr.flags.writeable), None)
     if frozen is not None:
         raise ValueError(f"parameter {frozen} is read-only, as a loaded model's are; "
                          "train a copy.deepcopy of the model instead")
     return {name: tape.leaf(arr, requires_grad=True) for name, arr in named.items()}
+
+
+# The shared constants of the last all-frozen dict bound, by name: one dict's
+# at most, so that binding model after model does not grow memory.
+_shared: dict[str, Tensor] = {}
+
+
+def _shared_constants(named: dict[str, np.ndarray]) -> dict[str, Tensor] | None:
+    """Shared constants of named's arrays, or None when one is not frozen. A
+    constant of the last all-frozen dict is reused for the array it holds."""
+    global _shared
+    last, fresh = _shared, {}
+    for name, arr in named.items():
+        t = last.get(name)
+        if t is None or t.values is not arr:
+            if not is_frozen(arr):
+                return None
+            t = shared_constant(arr)
+        fresh[name] = t
+    _shared = fresh
+    return dict(fresh)  # the caller's to extend

@@ -24,7 +24,7 @@ from .layers import bind, init_linear, linear, sigmoid
 from .motion import MotionSequence, PartLayout
 
 BRANCH_KINDS = ("upper", "lower", "whole")
-ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")  # in the order Tape.self_attention takes them
+ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")  # in the order a gc_block attention step takes them
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,16 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
 
 def _block_forward(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
                    prefix: str, h: Tensor) -> Tensor:
+    """The block named prefix as one node: its graph-conv layers, each followed
+    by an attention when its position is in config.attention_positions."""
     positions = config.attention_positions
+    steps = []
     for i in range(config.layers_per_block):
-        h = tape.gc_layer(h, tensors[f"{prefix}.gc{i}.adj"], tensors[f"{prefix}.gc{i}.wgt"])
+        steps.append((tensors[f"{prefix}.gc{i}.adj"], tensors[f"{prefix}.gc{i}.wgt"]))
         if i + 1 in positions:
             attn = f"{prefix}.attn{positions.index(i + 1)}"
-            h = tape.self_attention(h, *(tensors[f"{attn}.{m}"] for m in ATTENTION_WEIGHTS),
-                                    config.heads)
-    return h
+            steps.append(tuple(tensors[f"{attn}.{m}"] for m in ATTENTION_WEIGHTS))
+    return tape.gc_block(h, steps, config.heads)
 
 
 def _branch_encode(tape: Tape, tensors: dict[str, Tensor], prefix: str,

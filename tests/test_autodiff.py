@@ -6,7 +6,7 @@ import pytest
 
 from gradcheck import TestGradCheck, grad_check  # noqa: F401 (TestGradCheck runs here)
 from moticomp import predictor, training, vae
-from moticomp.autodiff import Tape
+from moticomp.autodiff import SHARED, Tape, freeze, shared_constant
 from moticomp.errors import NumericError, ShapeError
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 
@@ -14,11 +14,10 @@ from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 OP_KINDS = (
     "matmul", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq", "scale",
     "exp", "sqrt", "div", "transpose", "reshape",
-    "scalar_mul", "straight_through", "gather", "sum_rows",
-    "gc_layer", "self_attention",
+    "scalar_mul", "straight_through", "gather", "sum_rows", "gc_block",
 )
 # the public Tape methods that are not operations: they make leaves or run the tape
-NOT_OPS = ("leaf", "frozen_leaf", "constant", "backward")
+NOT_OPS = ("leaf", "constant", "backward")
 
 
 class TestForward:
@@ -215,8 +214,8 @@ def _kind_checks(kind: str):
     if kind == "sum_rows":
         return (lambda t, x: t.sum_sq(t.sum_rows(t.tanh(x)))), \
             lambda rng: rng_point(rng, (4, 2, 3))
-    if kind in ("gc_layer", "self_attention"):
-        f, shapes = _layer_check(kind, (3, 4), heads=2)
+    if kind == "gc_block":  # more layouts: test_batched_operands_pass_finite_differences
+        f, shapes = _block_check("gag", (3, 4), heads=2)
         return f, lambda rng: rng_point(rng, (1, _width(shapes)))
     raise AssertionError(f"no finite-difference coverage for kind {kind}")
 
@@ -252,27 +251,42 @@ def _cut(t, x, shapes):
     return out
 
 
-def _layer_shapes(kind: str, h_shape: tuple[int, ...]):
-    """Operand shapes of a layer kind on h (n, F) or (B, n, F): h, then (n, n)
-    adj and (F, F) wgt, or four (F, F) projections."""
+# A block layout is a string of steps: "g" a graph convolution with operands
+# (n, n) adj and (F, F) wgt, "a" an attention with four (F, F) projections.
+LAYERS = {"gc_layer": "g", "self_attention": "a"}
+
+
+def _block_shapes(layout: str, h_shape: tuple[int, ...]):
+    """Operand shapes of a gc_block of this layout on h (n, F) or (B, n, F):
+    h, then each step's operands in order."""
     n, f = h_shape[-2:]
-    return (h_shape, (n, n), (f, f)) if kind == "gc_layer" else (h_shape,) + ((f, f),) * 4
+    step = {"g": ((n, n), (f, f)), "a": ((f, f),) * 4}
+    return (h_shape,) + tuple(shape for s in layout for shape in step[s])
 
 
-def _layer_check(kind: str, h_shape: tuple[int, ...], heads: int = 1):
-    """A scalar function of a flat x holding every operand of one layer kind,
-    the projections scaled down to keep the softmax away from saturation.
-    Returns it with the operand shapes."""
-    shapes = _layer_shapes(kind, h_shape)
-    if kind == "gc_layer":
-        return (lambda t, x: t.sum_sq(t.gc_layer(*_cut(t, x, shapes)))), shapes
+def _steps(layout: str, operands):
+    """The operands after h grouped into the steps of layout."""
+    steps, start = [], 0
+    for s in layout:
+        stop = start + (2 if s == "g" else 4)
+        steps.append(tuple(operands[start:stop]))
+        start = stop
+    return steps
 
-    def attention(t, x):
-        h, *weights = _cut(t, x, shapes)
-        out = t.self_attention(h, *(t.scale(w, 0.5) for w in weights), heads)
-        return t.sum_sq(out)
 
-    return attention, shapes
+def _block_check(layout: str, h_shape: tuple[int, ...], heads: int = 1):
+    """A scalar function of a flat x holding every operand of a gc_block of this
+    layout, the projections scaled down to keep the softmax away from
+    saturation. Returns it with the operand shapes."""
+    shapes = _block_shapes(layout, h_shape)
+
+    def block(t, x):
+        h, *operands = _cut(t, x, shapes)
+        steps = [step if len(step) == 2 else tuple(t.scale(w, 0.5) for w in step)
+                 for step in _steps(layout, operands)]
+        return t.sum_sq(t.gc_block(h, steps, heads))
+
+    return block, shapes
 
 
 def _batched_checks(case: str):
@@ -306,10 +320,14 @@ def _batched_checks(case: str):
             return t.sum_sq(t.scalar_mul(mat, s))
         return f, (3, 7)
     if case == "gc_layer_shared_weights":  # adj and wgt are used by every row
-        f, shapes = _layer_check("gc_layer", (3, 2, 4))
+        f, shapes = _block_check("g", (3, 2, 4))
         return f, (1, _width(shapes))
     if case.startswith("self_attention_heads"):
-        f, shapes = _layer_check("self_attention", (3, 2, 4), heads=int(case[-1]))
+        f, shapes = _block_check("a", (3, 2, 4), heads=int(case[-1]))
+        return f, (1, _width(shapes))
+    if case.startswith("gc_block_"):  # gc_block_{layout}_heads{n}
+        _, _, layout, heads = case.split("_")
+        f, shapes = _block_check(layout, (3, 2, 4), heads=int(heads[-1]))
         return f, (1, _width(shapes))
     raise AssertionError(case)
 
@@ -317,7 +335,8 @@ def _batched_checks(case: str):
 BATCHED_CASES = ("matmul_batch_by_shared", "matmul_shared_weight", "matmul_shared_left",
                  "matmul_two_batched", "add_shared", "add_batch", "add_row_to_rows",
                  "add_row_to_batch", "hadamard_row", "scalar_mul_per_row",
-                 "gc_layer_shared_weights", "self_attention_heads1", "self_attention_heads2")
+                 "gc_layer_shared_weights", "self_attention_heads1", "self_attention_heads2",
+                 "gc_block_gg_heads1", "gc_block_gaga_heads2", "gc_block_agg_heads4")
 
 
 @pytest.mark.parametrize("case", BATCHED_CASES)
@@ -329,7 +348,7 @@ def test_batched_operands_pass_finite_differences(case):
 
 
 # ----------------------------------------------------------------------
-# the one-node layer kinds against the primitive compositions they replace
+# the one-node block against the primitive composition it replaces
 
 def gc_layer_reference(t, h, adj, wgt):
     return t.tanh(t.matmul(t.matmul(adj, h), wgt))
@@ -348,6 +367,14 @@ def self_attention_reference(t, h, wq, wk, wv, wo, heads):
     return t.add(h, t.matmul(ctx, wo))
 
 
+def gc_block_reference(t, h, steps, heads):
+    for step in steps:
+        h = (gc_layer_reference(t, h, *step) if len(step) == 2
+             else self_attention_reference(t, h, *step, heads))
+    return h
+
+
+# a one-layer block of each layer kind
 LAYER_CASES = [("gc_layer", (5, 4), 1), ("gc_layer", (3, 5, 4), 1),
                ("self_attention", (5, 4), 1), ("self_attention", (5, 4), 2),
                ("self_attention", (3, 5, 4), 1), ("self_attention", (3, 5, 8), 2),
@@ -357,36 +384,63 @@ LAYER_CASES = [("gc_layer", (5, 4), 1), ("gc_layer", (3, 5, 4), 1),
                # backward changes the last bits
                ("self_attention", (32, 24, 32), 1), ("self_attention", (32, 24, 32), 2),
                ("self_attention", (32, 24, 32), 4), ("self_attention", (24, 32), 2)]
+DEFAULT_BLOCK = "ggggagggga"  # PredictorConfig(): attention after layers 4 and 8
+BLOCK_CASES = [("gg", (5, 4), 1), ("gg", (3, 5, 4), 1), ("ga", (5, 4), 2),
+               ("ag", (3, 5, 8), 4), ("gaga", (3, 5, 8), 2), ("gaga", (5, 8), 4),
+               ("gag", (3, 5, 8), 1),
+               (DEFAULT_BLOCK, (32, 24, 32), 2), (DEFAULT_BLOCK, (24, 32), 2),
+               (DEFAULT_BLOCK, (32, 24, 32), 1), (DEFAULT_BLOCK, (32, 24, 32), 4)]
 
 
-def _run_layer(kind, operands, heads, fused):
-    """Values, input gradients and the tape of one layer kind, or of its
-    primitive composition, under a loss that weights every output element."""
+def _run_block(layout, operands, heads, fused, trainable=None):
+    """Values, input gradients and the tape of a gc_block, or of its primitive
+    composition, under a loss that weights every output element. trainable
+    flags which operands are gradient leaves (all by default); the others are
+    constants and get no gradient."""
     t = Tape()
-    xs = [t.leaf(v, requires_grad=True) for v in operands]
-    if kind == "gc_layer":
-        out = t.gc_layer(*xs) if fused else gc_layer_reference(t, *xs)
-    elif fused:
-        out = t.self_attention(*xs, heads)
-    else:
-        out = self_attention_reference(t, *xs, heads)
+    trainable = trainable or [True] * len(operands)
+    xs = [t.leaf(v, requires_grad=r) for v, r in zip(operands, trainable)]
+    steps = _steps(layout, xs[1:])
+    out = (t.gc_block(xs[0], steps, heads) if fused
+           else gc_block_reference(t, xs[0], steps, heads))
     weight = np.random.default_rng(5).normal(size=out.shape)
     t.backward(t.sum_sq(t.hadamard(out, t.constant(weight))))
     return out.values, [x.grad for x in xs], t
 
 
-@pytest.mark.parametrize("kind,h_shape,heads", LAYER_CASES)
-def test_layer_kind_equals_its_composition_bit_for_bit(kind, h_shape, heads):
+def _assert_block_equals_composition(layout, h_shape, heads, trainable=None):
     rng = np.random.default_rng(17)
-    operands = [rng.normal(scale=0.7, size=shape) for shape in _layer_shapes(kind, h_shape)]
-    out, grads, tape = _run_layer(kind, operands, heads, fused=True)
-    ref_out, ref_grads, ref_tape = _run_layer(kind, operands, heads, fused=False)
+    operands = [rng.normal(scale=0.7, size=shape) for shape in _block_shapes(layout, h_shape)]
+    out, grads, tape = _run_block(layout, operands, heads, True, trainable)
+    ref_out, ref_grads, ref_tape = _run_block(layout, operands, heads, False, trainable)
     assert np.array_equal(out, ref_out)
     for g, ref in zip(grads, ref_grads):
-        assert np.array_equal(g, ref)
-    layer = tape.nodes[-3]  # under hadamard and sum_sq
-    assert layer.kind == kind
-    assert layer.macs == tape.mac_count == ref_tape.mac_count > 0
+        assert (g is None and ref is None) or np.array_equal(g, ref)
+    block = tape.nodes[-3]  # under hadamard and sum_sq
+    assert block.kind == "gc_block"
+    assert block.macs == tape.mac_count == ref_tape.mac_count > 0
+    return grads
+
+
+@pytest.mark.parametrize("kind,h_shape,heads", LAYER_CASES)
+def test_layer_kind_equals_its_composition_bit_for_bit(kind, h_shape, heads):
+    _assert_block_equals_composition(LAYERS[kind], h_shape, heads)
+
+
+@pytest.mark.parametrize("layout,h_shape,heads", BLOCK_CASES)
+def test_gc_block_equals_its_composition_bit_for_bit(layout, h_shape, heads):
+    _assert_block_equals_composition(layout, h_shape, heads)
+
+
+def test_gc_block_computes_only_the_gradients_needed():
+    # h and the first two steps are constants: no gradient reaches them, and
+    # the later steps' gradients still equal the composition's
+    layout = "gaga"
+    trainable = [False] * 7 + [True] * 6
+    assert len(trainable) == len(_block_shapes(layout, (3, 5, 8)))
+    grads = _assert_block_equals_composition(layout, (3, 5, 8), 2, trainable)
+    assert grads[:7] == [None] * 7
+    assert all(g is not None for g in grads[7:])
 
 
 def test_gc_layer_raises_on_an_overflow_tanh_would_hide():
@@ -395,12 +449,13 @@ def test_gc_layer_raises_on_an_overflow_tanh_would_hide():
     with np.errstate(over="ignore"):
         assert np.isfinite(np.tanh(adj @ h @ wgt)).all()  # tanh(inf) is 1
     tape = Tape()
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_layer pre-tanh"):
-        tape.gc_layer(tape.constant(h), tape.constant(adj), tape.constant(wgt))
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_layer pre-tanh"):
-        # adj @ h overflows before the weight is applied
-        tape.gc_layer(tape.constant(h), tape.constant(np.full((2, 2), 1e10)),
-                      tape.constant(np.eye(3)))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_block gc0 pre-tanh"):
+        tape.gc_block(tape.constant(h), [(tape.constant(adj), tape.constant(wgt))], 1)
+    identity = (tape.constant(np.eye(2)), tape.constant(np.eye(3)))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_block gc1 pre-tanh"):
+        # the second layer's adj @ h overflows before its weight is applied
+        tape.gc_block(tape.constant(np.ones((2, 3))),
+                      [identity, (tape.constant(np.full((2, 2), 1.5e308)), identity[1])], 1)
     assert tape.nodes == []
 
 
@@ -415,8 +470,13 @@ def test_self_attention_raises_on_an_infinite_score_exp_would_hide():
         assert np.isneginf(scores[0, 0])
         assert np.isfinite(h + (e / e.sum(axis=-1, keepdims=True)) @ (h @ wv) @ wo).all()
     tape = Tape()
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="head 0 scores"):
-        tape.self_attention(*(tape.constant(m) for m in (h, wq, wk, wv, wo)), 1)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="attn0 head 0 scores"):
+        tape.gc_block(tape.constant(h), [tuple(tape.constant(m) for m in (wq, wk, wv, wo))], 1)
+    # behind an attention that adds nothing, the error names the second one
+    zero = tape.constant(np.zeros((2, 2)))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="attn1 head 0 scores"):
+        tape.gc_block(tape.constant(h), [(zero,) * 4] + [
+            tuple(tape.constant(m) for m in (wq, wk, wv, wo))], 1)
 
 
 def test_self_attention_checks_its_output():
@@ -424,8 +484,9 @@ def test_self_attention_checks_its_output():
     # q, k and v are finite; the output projection overflows
     h, wo = tape.constant(np.full((2, 2), 1e200)), tape.constant(np.eye(2) * 1e200)
     zero, one = tape.constant(np.zeros((2, 2))), tape.constant(np.eye(2))
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="self_attention produced"):
-        tape.self_attention(h, zero, zero, one, wo, 1)
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match="gc_block attn0 output produced non-finite values"):
+        tape.gc_block(h, [(zero, zero, one, wo)], 1)
 
 
 @pytest.mark.parametrize("h_shape,w_shape", [((3, 4), (4, 2)), ((4,), (4, 4))])
@@ -433,8 +494,20 @@ def test_self_attention_shapes_checked(h_shape, w_shape):
     # a width the heads do not divide: tests/test_predictor.py
     tape = Tape()
     with pytest.raises(ShapeError):
-        tape.self_attention(tape.constant(np.zeros(h_shape)),
-                            *(tape.constant(np.zeros(w_shape)),) * 4, 1)
+        tape.gc_block(tape.constant(np.zeros(h_shape)),
+                      [(tape.constant(np.zeros(w_shape)),) * 4], 1)
+
+
+def test_gc_block_steps_checked():
+    tape = Tape()
+    h, m = tape.constant(np.zeros((3, 4))), tape.constant(np.zeros((4, 4)))
+    with pytest.raises(ShapeError, match="gc_block needs at least one step"):
+        tape.gc_block(h, [], 1)
+    with pytest.raises(ShapeError, match="gc_block step of 3 operands"):
+        tape.gc_block(h, [(m, m, m)], 1)
+    with pytest.raises(ShapeError, match=r"gc_block gc1 shapes \(4, 4\) x \(3, 4\)"):
+        tape.gc_block(h, [(tape.constant(np.eye(3)), m), (m, m)], 1)
+    assert tape.nodes == []
 
 
 GATHER_AXES = (0, -2, -1)  # the batch, node and last axes the pipeline gathers along
@@ -489,6 +562,67 @@ class TestGather:
         for parts, axis in (([], 0), ([a], 3), ([a], -4)):
             with pytest.raises(ShapeError, match="gather along axis"):
                 tape.gather(parts, [0], axis)
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    @pytest.mark.parametrize("axis", GATHER_AXES)
+    def test_gradient_bytes_equal_add_at(self, axis, repeats):
+        # unique indices scatter by assignment, repeated ones by np.add.at;
+        # both give np.add.at's bytes, where a -0.0 gradient entry lands as +0.0
+        rng = np.random.default_rng(5)
+        parts = [rng.normal(size=(4, 5, 6)) for _ in range(2)]
+        n = 2 * parts[0].shape[axis]
+        index = rng.permutation(n)[:n - 2]
+        if repeats:
+            index[-1] = index[0]
+        tape = Tape()
+        out = tape.gather([tape.leaf(p, requires_grad=True) for p in parts], index, axis)
+        g = rng.normal(size=out.shape)
+        g.flat[::3] = -0.0
+        grads = tape.nodes[-1].backward_fn(g)
+        full = np.zeros(np.concatenate(parts, axis=axis).shape)
+        np.add.at(full, (slice(None),) * (axis % 3) + (index,), g)
+        expected = np.split(full, 2, axis=axis)
+        for got, want in zip(grads, expected, strict=True):
+            assert got.tobytes() == want.tobytes()
+            assert not np.signbit(got[got == 0.0]).any()
+
+
+class TestSharedConstants:
+    """A constant that belongs to no tape: every tape reads it, none owns it."""
+
+    def test_every_tape_reads_it_and_none_gives_it_a_grad(self):
+        c = shared_constant(freeze(np.arange(6.0).reshape(2, 3), "c"))
+        assert c.tid == SHARED and not c.requires_grad
+        for _ in range(2):
+            tape = Tape()
+            x = tape.leaf(np.ones((2, 3)), requires_grad=True)
+            loss = tape.sum_sq(tape.hadamard(x, c))
+            tape.backward(loss)
+            assert np.array_equal(x.grad, 2.0 * c.values * c.values)
+            assert c.grad is None
+            assert loss.grad.shape == () and loss.grad == 1.0  # its tid indexes nothing
+            assert all(t is not c for t in tape.tensors)
+
+    def test_a_tensor_of_another_tape_still_raises(self):
+        c = shared_constant(freeze(np.ones(2), "c"))
+        tape1, tape2 = Tape(), Tape()
+        x = tape1.leaf(np.ones(2))
+        with pytest.raises(ValueError, match="add: input tensor belongs to a different tape"):
+            tape2.add(c, x)
+        with pytest.raises(ValueError, match="loss tensor was not produced on this tape"):
+            tape2.backward(c)  # on an empty tape
+        tape2.leaf(np.ones(1))
+        with pytest.raises(ValueError, match="loss tensor was not produced on this tape"):
+            tape2.backward(c)  # its tid is not an index into the tape's tensors
+
+    def test_only_a_frozen_array_is_shared(self):
+        # read-only, but strided or not float64
+        for values in (freeze(np.zeros((3, 2)), "m").T, np.zeros(3, dtype=np.float32)):
+            values.flags.writeable = False
+            with pytest.raises(ValueError, match="needs an array that freeze made"):
+                shared_constant(values)
+        with pytest.raises(ValueError, match="needs an array that freeze made"):
+            shared_constant(np.zeros(3))  # writeable
 
 
 class TestBatchAxis:

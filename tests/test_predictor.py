@@ -1,10 +1,12 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from test_exits import BAD_EXITS
-from moticomp.autodiff import Tape
+from moticomp.autodiff import SHARED, Tape, freeze
 from moticomp.datagen import default_skeleton, load_checkpoint, save_checkpoint
 from moticomp.dct import dct_encode
 from moticomp.errors import ConfigError, NumericError, ShapeError
@@ -36,8 +38,8 @@ def toy_params(seed=0, **overrides):
 
 def gc_layer_forward(h, adjacency, weight):
     tape = Tape()
-    return tape.gc_layer(tape.constant(h), tape.constant(adjacency),
-                         tape.constant(weight)).values
+    return tape.gc_block(tape.constant(h), [(tape.constant(adjacency),
+                                             tape.constant(weight))], 1).values
 
 
 class TestGcLayer:
@@ -71,8 +73,8 @@ class TestGcLayer:
 
 def self_attention(h, heads, params):
     tape = Tape()
-    weights = (tape.constant(params[m]) for m in ATTENTION_WEIGHTS)
-    return tape.self_attention(tape.constant(h), *weights, heads).values
+    weights = tuple(tape.constant(params[m]) for m in ATTENTION_WEIGHTS)
+    return tape.gc_block(tape.constant(h), [weights], heads).values
 
 
 class TestSelfAttention:
@@ -126,7 +128,7 @@ class TestSelfAttention:
         # PredictorConfig refuses such a width; the tape kind refuses the shapes
         rng = np.random.default_rng(7)
         params = self.make_params(rng, 4, 2)
-        with pytest.raises(ShapeError, match=r"self_attention of \(3, 4\) in 3 heads"):
+        with pytest.raises(ShapeError, match=r"gc_block attn0 of \(3, 4\) in 3 heads"):
             self_attention(rng.normal(size=(3, 4)), 3, params)
 
 
@@ -253,7 +255,9 @@ class TestBranchForward:
 
     @pytest.mark.parametrize("overrides", [{}, dict(layers_per_block=5, attention_every=2,
                                                     heads=1)])
-    def test_block_records_one_node_per_layer_and_attention(self, overrides):
+    def test_block_records_one_node(self, overrides):
+        # its operands: h, then each layer's adj and wgt, each followed by an
+        # attention's projections where config.attention_positions puts one
         params = toy_params(seed=30, **overrides)
         cfg = params.config
         tape = Tape()
@@ -261,11 +265,15 @@ class TestBranchForward:
         h = tape.constant(np.random.default_rng(31).normal(
             size=(3, branch_node_counts(params.layout)["whole"], cfg.feature_width)))
         _block_forward(tape, cfg, tensors, "whole.blk0", h)
-        expected = []
+        expected = [h]
         for i in range(cfg.layers_per_block):
-            expected += ["gc_layer"] + ["self_attention"] * (i + 1 in cfg.attention_positions)
-        assert len(expected) == cfg.layers_per_block + len(cfg.attention_positions)
-        assert [node.kind for node in tape.nodes] == expected
+            expected += [tensors[f"whole.blk0.gc{i}.{m}"] for m in ("adj", "wgt")]
+            if i + 1 in cfg.attention_positions:
+                a = cfg.attention_positions.index(i + 1)
+                expected += [tensors[f"whole.blk0.attn{a}.{m}"] for m in ATTENTION_WEIGHTS]
+        assert len(expected) == 1 + 2 * cfg.layers_per_block + 4 * len(cfg.attention_positions)
+        assert [node.kind for node in tape.nodes] == ["gc_block"]
+        assert tape.nodes[0].input_ids == tuple(t.tid for t in expected)
 
     def test_strictly_fewer_macs_at_shallow_exit(self):
         from moticomp.exits import branch_exit_macs
@@ -321,11 +329,10 @@ class TestPredict:
         _forward_core(tape, params, tensors, hist.data[None], exits)
         return params, tape
 
-    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 60), ((3, 3, 3), 120)])
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 33), ((3, 3, 3), 39)])
     def test_default_model_node_budget(self, exits, budget):
-        # one node per graph-conv layer and attention module, one gather per part
-        # split and one for the merge, none for the one-window motion
-        # attention's projections
+        # one node per block, one gather per part split and one for the merge,
+        # none for the one-window motion attention's projections
         _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) <= budget
 
@@ -477,3 +484,44 @@ class TestFrozenParameters:
         pred_loaded, exits_loaded = _routed_batch(loaded, histories)
         assert pred.tobytes() == pred_loaded.tobytes()
         assert exits.tobytes() == exits_loaded.tobytes()
+
+
+class TestBindOnce:
+    """Inference binds a dict of frozen arrays as constants that belong to no
+    tape, built once and reused while the dict holds the same arrays."""
+
+    def test_same_frozen_dict_bound_twice_gives_the_same_constants(self, tmp_path):
+        _, loaded = fresh_and_loaded(tmp_path)
+        named = loaded.named_parameters()
+        first, second = (bind(Tape(), named, trainable=False) for _ in range(2))
+        assert first is not second  # each caller may extend its own dict
+        assert first.keys() == second.keys() == named.keys()
+        assert all(second[k] is t and t.tid == SHARED for k, t in first.items())
+
+    def test_replacing_one_array_gives_a_fresh_constant_for_it(self, tmp_path):
+        _, loaded = fresh_and_loaded(tmp_path)
+        named = loaded.params.named_parameters()
+        first = bind(Tape(), named, trainable=False)
+        named["fusion.raw"] = freeze(np.ones((1, 1)), "fusion.raw")
+        second = bind(Tape(), named, trainable=False)
+        assert second["fusion.raw"] is not first["fusion.raw"]
+        assert second["fusion.raw"].values is named["fusion.raw"]
+        assert all(second[k] is first[k] for k in named if k != "fusion.raw")
+
+    def test_a_writeable_array_binds_the_dict_to_the_tape(self, tmp_path):
+        _, loaded = fresh_and_loaded(tmp_path)
+        named = {**loaded.params.named_parameters(), "fusion.raw": np.zeros((1, 1))}
+        tape = Tape()
+        tensors = bind(tape, named, trainable=False)
+        assert all(tape.tensors[t.tid] is t for t in tensors.values())
+
+    def test_only_the_last_frozen_dict_is_kept(self, tmp_path):
+        # binding model after model keeps no earlier model's arrays alive
+        _, first = fresh_and_loaded(tmp_path, seed=50)
+        kept = weakref.ref(first.params.arrays["fusion.raw"])
+        bind(Tape(), first.params.named_parameters(), trainable=False)
+        _, second = fresh_and_loaded(tmp_path, seed=51)
+        bind(Tape(), second.params.named_parameters(), trainable=False)
+        del first
+        gc.collect()
+        assert kept() is None
