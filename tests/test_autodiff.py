@@ -151,6 +151,12 @@ def test_tape_freed_by_reference_counting():
 # ----------------------------------------------------------------------
 # finite-difference coverage of every op kind
 
+# A block layout is a string of steps: "g" a graph convolution with operands
+# (n, n) adj and (F, F) wgt, "a" an attention with four (F, F) projections.
+# Each step kind is also checked on its own, as a one-step gc_block.
+LAYERS = {"gc_layer": "g", "self_attention": "a"}
+
+
 def _kind_checks(kind: str):
     """Scalar-valued functions exercising one kind, plus a point factory."""
     rng_point = lambda rng, shape: rng.normal(size=shape)
@@ -217,6 +223,9 @@ def _kind_checks(kind: str):
     if kind == "gc_block":  # more layouts: test_batched_operands_pass_finite_differences
         f, shapes = _block_check("gag", (3, 4), heads=2)
         return f, lambda rng: rng_point(rng, (1, _width(shapes)))
+    if kind in LAYERS:  # one step of a gc_block on its own
+        f, shapes = _block_check(LAYERS[kind], (3, 4), heads=2)
+        return f, lambda rng: rng_point(rng, (1, _width(shapes)))
     raise AssertionError(f"no finite-difference coverage for kind {kind}")
 
 
@@ -229,7 +238,8 @@ def _gather_check(axis: int):
     return f
 
 
-@pytest.mark.parametrize("kind", [k for k in OP_KINDS if k != "straight_through"])
+@pytest.mark.parametrize("kind", [k for k in OP_KINDS if k != "straight_through"]
+                         + list(LAYERS))
 def test_every_kind_passes_finite_differences(kind):
     f, make_point = _kind_checks(kind)
     for seed in range(20):
@@ -249,11 +259,6 @@ def _cut(t, x, shapes):
         out.append(t.reshape(t.gather([x], range(start, stop), axis=-1), shape))
         start = stop
     return out
-
-
-# A block layout is a string of steps: "g" a graph convolution with operands
-# (n, n) adj and (F, F) wgt, "a" an attention with four (F, F) projections.
-LAYERS = {"gc_layer": "g", "self_attention": "a"}
 
 
 def _block_shapes(layout: str, h_shape: tuple[int, ...]):
