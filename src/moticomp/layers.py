@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .autodiff import Tape, Tensor, is_frozen, shared_constant
+from .autodiff import Tape, Tensor, freeze, is_frozen, shared_constant
 
 
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -34,10 +36,16 @@ def mlp(tape: Tape, x: Tensor, tensors: dict[str, Tensor], prefix: str,
     return h
 
 
+@lru_cache(maxsize=16)
+def shared_full(shape: tuple[int, ...], value: float) -> Tensor:
+    """A shared constant of shape holding value everywhere, built once."""
+    return shared_constant(freeze(np.full(shape, value), "a filled constant"))
+
+
 def sigmoid(tape: Tape, x: Tensor) -> Tensor:
     # sigmoid(x) = 0.5 * tanh(x / 2) + 0.5, composed from existing kinds
     half = tape.scale(tape.tanh(tape.scale(x, 0.5)), 0.5)
-    return tape.add(half, tape.constant(np.full(x.shape, 0.5)))
+    return tape.add(half, shared_full(x.shape, 0.5))
 
 
 def bind(tape: Tape, named: dict[str, np.ndarray],
@@ -52,11 +60,16 @@ def bind(tape: Tape, named: dict[str, np.ndarray],
         shared = _shared_constants(named)
         return shared if shared is not None else {
             name: tape.leaf(arr) for name, arr in named.items()}
-    frozen = next((name for name, arr in named.items() if not arr.flags.writeable), None)
-    if frozen is not None:
-        raise ValueError(f"parameter {frozen} is read-only, as a loaded model's are; "
-                         "train a copy.deepcopy of the model instead")
+    for name, arr in named.items():
+        require_writeable(name, arr)
     return {name: tape.leaf(arr, requires_grad=True) for name, arr in named.items()}
+
+
+def require_writeable(name: str, arr: np.ndarray) -> None:
+    """Raise ValueError naming the parameter arr when it is read-only."""
+    if not arr.flags.writeable:
+        raise ValueError(f"parameter {name} is read-only, as a loaded model's are; "
+                         "train a copy.deepcopy of the model instead")
 
 
 # The shared constants of the last all-frozen dict bound, by name: one dict's

@@ -14,13 +14,14 @@ predicts zero velocity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, shared_constant
 from .dct import dct_encode, idct_basis
 from .errors import ConfigError, ShapeError
-from .layers import bind, init_linear, linear, sigmoid
+from .layers import bind, init_linear, linear, shared_full, sigmoid
 from .motion import MotionSequence, PartLayout
 
 BRANCH_KINDS = ("upper", "lower", "whole")
@@ -156,17 +157,25 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
 # ----------------------------------------------------------------------
 # tape-level forward passes
 
-def _block_forward(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
-                   prefix: str, h: Tensor) -> Tensor:
-    """The block named prefix as one node: its graph-conv layers, each followed
-    by an attention when its position is in config.attention_positions."""
+@lru_cache(maxsize=64)
+def _block_step_names(config: PredictorConfig, prefix: str) -> tuple[tuple[str, ...], ...]:
+    """Parameter names of each step of the block named prefix: its graph-conv
+    layers, each followed by an attention when its position is in
+    config.attention_positions."""
     positions = config.attention_positions
     steps = []
     for i in range(config.layers_per_block):
-        steps.append((tensors[f"{prefix}.gc{i}.adj"], tensors[f"{prefix}.gc{i}.wgt"]))
+        steps.append((f"{prefix}.gc{i}.adj", f"{prefix}.gc{i}.wgt"))
         if i + 1 in positions:
             attn = f"{prefix}.attn{positions.index(i + 1)}"
-            steps.append(tuple(tensors[f"{attn}.{m}"] for m in ATTENTION_WEIGHTS))
+            steps.append(tuple(f"{attn}.{m}" for m in ATTENTION_WEIGHTS))
+    return tuple(steps)
+
+
+def _block_forward(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
+                   prefix: str, h: Tensor) -> Tensor:
+    """The block named prefix as one node."""
+    steps = [tuple(tensors[n] for n in names) for names in _block_step_names(config, prefix)]
     return tape.gc_block(h, steps, config.heads)
 
 
@@ -284,11 +293,11 @@ def _assemble_prediction(tape: Tape, params: PredictorParams,
     parts = tape.gather([outputs["upper"], outputs["lower"]],
                         np.argsort(layout.upper_dims + layout.lower_dims), axis=-2)
     fw = sigmoid(tape, tensors["fusion.raw"])
-    fw_c = tape.add(tape.constant(np.ones((1, 1))), tape.scale(fw, -1.0))
+    fw_c = tape.add(shared_full((1, 1), 1.0), tape.scale(fw, -1.0))
     blend = tape.add(tape.scalar_mul(outputs["whole"], fw),
                      tape.scalar_mul(parts, fw_c))
     total = cfg.input_frames + cfg.output_frames
-    correction = tape.matmul(tape.constant(idct_basis(total, cfg.resolved_n_coeffs)),
+    correction = tape.matmul(shared_constant(idct_basis(total, cfg.resolved_n_coeffs)),
                              tape.transpose(blend))
     padded = tape.constant(pad_last_frame(history, cfg.output_frames))
     return tape.add(padded, tape.scale(correction, cfg.coeff_scale))

@@ -18,7 +18,7 @@ from .autodiff import Tape, Tensor
 from .errors import ConfigError, NumericError, ShapeError
 from .exits import (FlopsReport, _gumbel_softmax_st, _policy_forward,
                     _tendency_loss_soft, count_flops, init_policy)
-from .layers import bind
+from .layers import bind, require_writeable
 from .motion import MotionSequence, PartLayout
 from .predictor import (BRANCH_KINDS, PredictorConfig, PredictorParams,
                         _assemble_prediction, _branch_encode, _branch_tail,
@@ -62,36 +62,119 @@ def mpjpe_metric(pred: np.ndarray, gt: np.ndarray, frame_index: int) -> float:
 # ----------------------------------------------------------------------
 # optimizer
 
-@dataclass
+_ADAM_CHUNK = 16_384  # elements per in-place pass: two 128 KB scratch chunks stay in cache
+
+
+def _check_param(name: str, p: np.ndarray) -> None:
+    """Raise ValueError naming p unless writes to its flat view reach it."""
+    require_writeable(name, p)
+    if not (p.dtype == np.float64 and p.flags.c_contiguous):
+        raise ValueError(f"parameter {name} is not a C-contiguous float64 array, "
+                         "so an in-place update would not reach it")
+
+
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
+    """Adam's step count and moments for one parameter dict.
+
+    m and v are one flat float64 buffer each, in the dict's order; m[name] and
+    v[name] are views of them. The flat space is cut once into chunks of at
+    most _ADAM_CHUNK elements, each array into pieces of at most that many and
+    consecutive pieces grouped while they fit, which adam_step updates one by
+    one through two chunk-sized scratch buffers."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        sizes = [int(np.prod(shape)) for shape in shapes.values()]
+        offsets = np.cumsum([0, *sizes]).tolist()
+        self._m, self._v = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+        spans = list(zip(shapes.items(), offsets, sizes))
+        self.m = {name: self._m[o:o + n].reshape(shape) for (name, shape), o, n in spans}
+        self.v = {name: self._v[o:o + n].reshape(shape) for (name, shape), o, n in spans}
+        self.step = 0
+        # (start, stop) in the flat space, and the (name, lo, hi) element
+        # ranges of the pieces it holds, in order
+        self._chunks: list[tuple[int, int, tuple[tuple[str, int, int], ...]]] = []
+        for (name, _), start, n in spans:
+            for lo in range(0, n, _ADAM_CHUNK):
+                hi = min(lo + _ADAM_CHUNK, n)
+                if self._chunks and start + hi - self._chunks[-1][0] <= _ADAM_CHUNK:
+                    first, _, pieces = self._chunks.pop()
+                    self._chunks.append((first, start + hi, (*pieces, (name, lo, hi))))
+                else:
+                    self._chunks.append((start + lo, start + hi, ((name, lo, hi),)))
+        width = max((stop - start for start, stop, _ in self._chunks), default=0)
+        self._scratch = np.empty((2, width))
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(m={k: np.zeros_like(v) for k, v in params.items()},
-                   v={k: np.zeros_like(v) for k, v in params.items()})
+        """Zero moments for params, each a writeable, C-contiguous float64
+        array; ValueError names the first that is not."""
+        for name, p in params.items():
+            _check_param(name, p)
+        return cls({name: p.shape for name, p in params.items()})
+
+
+def _chunk_grad(grads: dict[str, np.ndarray],
+                pieces: tuple[tuple[str, int, int], ...], out: np.ndarray) -> np.ndarray:
+    """One chunk's gradient: a view of its one piece, or its pieces joined into out."""
+    if len(pieces) == 1:
+        name, lo, hi = pieces[0]
+        return grads[name].reshape(-1)[lo:hi]
+    return np.concatenate([grads[name].reshape(-1)[lo:hi] for name, lo, hi in pieces],
+                          out=out)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected update, in place. Returns (params, state)."""
+    """One bias-corrected update, in place. Returns (params, state).
+
+    Nothing changes unless params holds exactly the state's names and shapes
+    and every gradient is present, of its parameter's shape and finite. Each
+    chunk runs the per-array formula's IEEE operations in its order, so the
+    result is bit-identical to updating array by array."""
+    if params.keys() != state.m.keys():
+        raise ShapeError(f"parameters {sorted(params.keys() ^ state.m.keys())} "
+                         "are not the ones the Adam state was made for")
+    for name, m in state.m.items():
+        p, g = params[name], grads.get(name)
+        if p.shape != m.shape:
+            raise ShapeError(f"parameter {name} has shape {p.shape}, its Adam state {m.shape}")
+        if g is None or g.shape != m.shape:
+            raise ShapeError(f"gradient of {name} missing or mis-shaped")
+        _check_param(name, p)
+    g_buf, t_buf = state._scratch
+    for start, stop, pieces in state._chunks:
+        if not np.isfinite(_chunk_grad(grads, pieces, g_buf[:stop - start])).all():
+            bad = next(name for name, _, _ in pieces if not np.isfinite(grads[name]).all())
+            raise NumericError(f"non-finite gradient for {bad}")
+
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g is None or g.shape != p.shape:
-            raise ShapeError(f"gradient of {name} missing or mis-shaped")
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for start, stop, pieces in state._chunks:
+        n = stop - start
+        g = _chunk_grad(grads, pieces, g_buf[:n])
+        m, v, t, u = state._m[start:stop], state._v[start:stop], t_buf[:n], g_buf[:n]
+        # m += (1 - beta1) * (g - m)
+        np.subtract(g, m, out=t)
+        t *= 1.0 - beta1
+        m += t
+        # v += (1 - beta2) * (g * g - v)
+        np.multiply(g, g, out=t)
+        t -= v
+        t *= 1.0 - beta2
+        v += t
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps); u may overwrite g now
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += eps
+        np.divide(m, bc1, out=u)
+        u *= lr
+        u /= t
+        at = 0
+        for name, lo, hi in pieces:
+            params[name].reshape(-1)[lo:hi] -= u[at:at + hi - lo]
+            at += hi - lo
     return params, state
 
 

@@ -336,6 +336,14 @@ class TestPredict:
         _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) <= budget
 
+    def test_default_model_tape_copies_only_what_the_history_gives(self):
+        # the motion-attention values, the DCT of the padded history and the
+        # padded history; the IDCT basis, the fusion's 1 and the sigmoid's 0.5
+        # are shared constants, built once
+        params, tape = self.default_model_tape((1, 1, 1))
+        leaves = len(tape.tensors) - len(tape.nodes) - len(params.named_parameters())
+        assert leaves == 3
+
     def test_default_model_mac_offset(self):
         # the same at every exit triple: the IDCT of the blended correction, which
         # count_flops leaves out, less the exit policies, which it counts and

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from moticomp import training
 from moticomp.autodiff import Tape
 from moticomp.datagen import load_checkpoint, save_checkpoint
-from moticomp.errors import ShapeError
+from moticomp.errors import NumericError, ShapeError
 from moticomp.exits import _policy_forward, _tendency_loss_soft
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
@@ -19,6 +20,7 @@ from moticomp.training import (AdamState, TrainConfig, _mean_future_error,
                                _mpjpe_loss_t, _routed_batch, _routed_forward, adam_step,
                                evaluate, init_predictor_model, mpjpe_metric,
                                routed_prediction, train_predictor)
+from moticomp.vae import init_vae
 
 
 def tape_loss(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -121,11 +123,114 @@ class TestAdam:
         assert norms[-1] < 1e-2 * start
 
     def test_nan_gradient_aborts(self):
-        from moticomp.errors import NumericError
         params = {"w": np.zeros(2)}
         state = AdamState.for_params(params)
         with pytest.raises(NumericError):
             adam_step(params, {"w": np.array([np.nan, 0.0])}, state, lr=0.1)
+
+    def test_bit_identical_to_the_per_array_formula(self):
+        chunk = training._ADAM_CHUNK
+        shapes = {"fusion": (1, 1), **{f"small{i}": (8, 16) for i in range(30)},
+                  "exact": (128, chunk // 128), "wide": (600, 256), "bias": (1, 256)}
+        assert 600 * 256 % chunk  # the wide array's last piece is short
+        rng = np.random.default_rng(81)
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        ref_params = {name: p.copy() for name, p in params.items()}
+        state = AdamState.for_params(params)
+        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        plan = [[name for name, _, _ in pieces] for _, _, pieces in state._chunks]
+        assert plan == [["fusion", *[f"small{i}" for i in range(30)]], ["exact"],
+                        *[["wide"]] * (600 * 256 // chunk), ["wide", "bias"]]
+        for step in range(1, 7):
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                     for name, shape in shapes.items()}
+            adam_step(params, grads, state, lr=0.003)
+            reference_adam_step(ref_params, grads, ref_m, ref_v, step, lr=0.003)
+        assert state.step == 6
+        for name in shapes:
+            for got, want in ((params, ref_params), (state.m, ref_m), (state.v, ref_v)):
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_failed_check_changes_nothing(self):
+        rng = np.random.default_rng(82)
+        params = {"a": rng.normal(size=(3, 4)), "wide": rng.normal(size=(300, 100)),
+                  "last": rng.normal(size=(2, 2))}
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        state = AdamState.for_params(params)
+        for _ in range(2):
+            adam_step(params, grads, state, lr=0.01)
+        snapshot = [params[n].tobytes() + state.m[n].tobytes() + state.v[n].tobytes()
+                    for n in params]
+        nan_last = {**grads, "last": np.array([[1.0, 0.0], [np.nan, 0.0]])}
+        with pytest.raises(NumericError, match="non-finite gradient for last"):
+            adam_step(params, nan_last, state, lr=0.01)
+        inf_wide = {**grads, "wide": grads["wide"].copy()}
+        inf_wide["wide"][-1, -1] = np.inf
+        with pytest.raises(NumericError, match="non-finite gradient for wide"):
+            adam_step(params, inf_wide, state, lr=0.01)
+        missing = {n: g for n, g in grads.items() if n != "last"}
+        with pytest.raises(ShapeError, match="gradient of last missing"):
+            adam_step(params, missing, state, lr=0.01)
+        with pytest.raises(ShapeError, match=r"\['extra'\]"):
+            adam_step({**params, "extra": np.zeros(2)}, grads, state, lr=0.01)
+        with pytest.raises(ShapeError, match=r"\['last'\]"):
+            adam_step({n: p for n, p in params.items() if n != "last"}, grads, state, lr=0.01)
+        with pytest.raises(ShapeError, match="parameter a has shape"):
+            adam_step({**params, "a": np.zeros((4, 3))}, grads, state, lr=0.01)
+        assert state.step == 2
+        assert snapshot == [params[n].tobytes() + state.m[n].tobytes() + state.v[n].tobytes()
+                            for n in params]
+
+    def test_parameter_an_update_would_miss_refused(self):
+        w = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="parameter wt is not a C-contiguous"):
+            AdamState.for_params({"b": np.zeros(3), "wt": w.T})
+        state = AdamState.for_params({"w": w})
+        with pytest.raises(ValueError, match="parameter w is not a C-contiguous"):
+            adam_step({"w": np.zeros((3, 4)).T}, {"w": np.ones((4, 3))}, state, lr=0.1)
+        assert state.step == 0
+
+    def test_non_contiguous_gradient_accepted(self):
+        rng = np.random.default_rng(83)
+        params = {"w": rng.normal(size=(200, 90)), "b": rng.normal(size=(1, 90))}
+        twin = {name: p.copy() for name, p in params.items()}
+        state, twin_state = AdamState.for_params(params), AdamState.for_params(twin)
+        for _ in range(3):
+            g = rng.normal(size=(90, 200))
+            adam_step(params, {"w": g.T, "b": g[:1, :90]}, state, lr=0.01)
+            adam_step(twin, {"w": g.T.copy(), "b": g[:1, :90].copy()}, twin_state, lr=0.01)
+        for name in params:
+            assert params[name].tobytes() == twin[name].tobytes()
+            assert state.m[name].tobytes() == twin_state.m[name].tobytes()
+
+    def test_vae_sized_step_allocates_no_parameter_sized_temporary(self):
+        # 452 216 parameters, the largest 600 x 256; the per-array formula
+        # peaked at 3.6 MB of temporaries
+        rng = np.random.default_rng(84)
+        params = init_vae(rng, coeff_rows=25, coeff_cols=24, original_length=30).named_parameters()
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        state = AdamState.for_params(params)
+        adam_step(params, grads, state, lr=1e-3)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def reference_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam array by array, with fresh temporaries: the formula adam_step runs
+    chunk by chunk in place."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for name, p in params.items():
+        g = grads[name]
+        m[name] += (1.0 - beta1) * (g - m[name])
+        v[name] += (1.0 - beta2) * (g * g - v[name])
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
 
 
 def tiny_setup(seed=0, n_train=12, n_val=4):
