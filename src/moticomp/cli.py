@@ -11,9 +11,10 @@
     moticomp flops           --model pred.json [--exits 3,3,3] [--out DIR]
 
 Exit codes: 0 success, 1 usage error, 2 runtime/numeric error. Every run
-writes run-info.json (config echo, seed, format versions) next to its
-outputs; given identical inputs and seeds, outputs are bit-identical except
-for the timestamp in run-info.
+writes run-info.json (config echo, seed, format versions, Python, numpy and
+moticomp versions, wall seconds) next to its outputs; given identical inputs
+and seeds, outputs are bit-identical except for the wall seconds and the
+timestamp in run-info.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import platform
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import datagen
+from . import __version__, datagen
 from .errors import CheckpointError, ConfigError
 from .exits import count_flops
 from .motion import PartLayout
@@ -130,9 +133,9 @@ def _split_config(doc: dict, path: str, *classes) -> list:
     return out
 
 
-def _write_run_info(out_dir: Path, command: str, seed, config_echo: dict) -> None:
+def _write_run_info(out_dir: Path, args, seed, config_echo: dict) -> None:
     info = {
-        "command": command,
+        "command": args.command,
         "seed": seed,
         "config": config_echo,
         "format_versions": {
@@ -140,6 +143,9 @@ def _write_run_info(out_dir: Path, command: str, seed, config_echo: dict) -> Non
             "manifest": datagen.MANIFEST_VERSION,
             "checkpoint": datagen.CHECKPOINT_VERSION,
         },
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "moticomp": __version__},
+        "wall_s": round(time.perf_counter() - args.started, 3),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     (out_dir / "run-info.json").write_text(json.dumps(info, indent=2) + "\n")
@@ -187,7 +193,7 @@ def _cmd_gen_data(args) -> int:
     for name in _SPLITS:
         datagen.save_split(out / name, getattr(splits, name))
     (out / "manifest.json").write_text(datagen.manifest_to_json(manifest))
-    _write_run_info(out, "gen-data", args.seed,
+    _write_run_info(out, args, args.seed,
                     json.loads(datagen.manifest_to_json(manifest)))
     print(f"wrote {len(splits.train)}/{len(splits.val)}/{len(splits.test)} "
           f"train/val/test sequences to {out}")
@@ -205,7 +211,7 @@ def _cmd_train_cag(args) -> int:
     datagen.save_checkpoint(out / "cag.json", result.params)
     curve = "\n".join(f"{i},{loss!r}" for i, loss in enumerate(result.loss_history))
     (out / "cag_loss.csv").write_text("epoch,loss\n" + curve + "\n")
-    _write_run_info(out, "train-cag", config.seed, dataclasses.asdict(config))
+    _write_run_info(out, args, config.seed, dataclasses.asdict(config))
     final = result.loss_history[-1] if result.loss_history else float("nan")
     print(f"trained CAG for {config.epochs} epochs, final loss {final:.4f}; "
           f"checkpoint at {out / 'cag.json'}")
@@ -226,7 +232,7 @@ def _cmd_synth(args) -> int:
             params, seq_u, seq_l, mask, params.coeff_rows, noise))
     out = _out_dir(args)  # only once every composite is made
     datagen.save_split(out / "synth", sequences)
-    _write_run_info(out, "synth", args.seed,
+    _write_run_info(out, args, args.seed,
                     {"model": str(args.model), "count": args.count,
                      "deterministic": args.deterministic})
     print(f"synthesized {len(sequences)} composite sequences to {out / 'synth'}")
@@ -259,7 +265,7 @@ def _cmd_train_predictor(args) -> int:
     datagen.save_checkpoint(out / "predictor.json", result.model)
     datagen.save_checkpoint(out / "predictor_best.json", result.best)
     (out / "train_history.csv").write_text(result.history_csv())
-    _write_run_info(out, "train-predictor", train_config.seed, doc)
+    _write_run_info(out, args, train_config.seed, doc)
     final = result.history[-1].loss if result.history else float("nan")
     print(f"trained predictor for {train_config.epochs} epochs, final loss "
           f"{final:.4f}; checkpoints at {out}")
@@ -275,7 +281,7 @@ def _cmd_eval(args) -> int:
     (out / "report.csv").write_text(report.to_csv())
     (out / "report.txt").write_text(report.summary())
     (out / "flops.csv").write_text(report.flops.to_csv())
-    _write_run_info(out, "eval", None,
+    _write_run_info(out, args, None,
                     {"model": str(args.model), "horizons": list(horizons)})
     print(report.summary(), end="")
     return 0
@@ -290,7 +296,7 @@ def _cmd_flops(args) -> int:
     report = count_flops(model.params, exits)
     out = _out_dir(args)
     (out / "flops.csv").write_text(report.to_csv())
-    _write_run_info(out, "flops", None,
+    _write_run_info(out, args, None,
                     {"model": str(args.model), "exits": list(exits)})
     print(report.to_csv(), end="")
     return 0
@@ -308,11 +314,13 @@ _COMMANDS = {
 
 def dispatch(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
+    started = time.perf_counter()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.started = started  # run-info's wall_s counts from the start of dispatch
     try:
         return _COMMANDS[args.command](args)
     except (KeyboardInterrupt, SystemExit):

@@ -9,8 +9,10 @@ is a pure function of (manifest, seed).
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 import re
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -28,7 +30,7 @@ MOTION_MAGIC = "champlite v1"
 MANIFEST_FORMAT = "moticomp-manifest"
 CHECKPOINT_FORMAT = "moticomp-checkpoint"
 MANIFEST_VERSION = 1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 STILL = "still"
 ACTION_PARTS = (UPPER, LOWER, STILL)
@@ -502,17 +504,34 @@ def load_split(directory) -> list[MotionSequence]:
 # checkpoints
 
 def _tensor_entries(named: dict[str, np.ndarray]) -> list[dict]:
+    """One entry per tensor: its name, its shape, and its values as base64 of
+    their little-endian float64 bytes in C order."""
     return [{"name": name, "shape": list(arr.shape),
-             "values": np.asarray(arr, dtype=np.float64).ravel().tolist()}
+             "values": base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")}
             for name, arr in named.items()]
 
 
 def _read_tensors(entries) -> dict[str, np.ndarray]:
+    """The arrays of _tensor_entries' entries; ValueError names a repeated
+    tensor, a shape that is not a list of non-negative integers, values that
+    are not base64, or a byte count other than 8 x the shape's product."""
     out = {}
     for entry in entries:
-        if entry["name"] in out:
-            raise ValueError(f"tensor {entry['name']} appears more than once")
-        out[entry["name"]] = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+        name, shape = entry["name"], entry["shape"]
+        if name in out:
+            raise ValueError(f"tensor {name} appears more than once")
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"tensor {name} has shape {shape!r}, expected a list of "
+                             f"non-negative integers")
+        try:
+            raw = base64.b64decode(entry["values"], validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise ValueError(f"tensor {name} values are not base64: {exc}") from exc
+        count = math.prod(shape)
+        if len(raw) != 8 * count:
+            raise ValueError(f"tensor {name} holds {len(raw)} bytes, expected "
+                             f"{8 * count} for shape {tuple(shape)}")
+        out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     return out
 
 
@@ -541,7 +560,11 @@ def _vae_params(path, config: dict, tensors: dict[str, np.ndarray]) -> VaeParams
 
 
 def save_checkpoint(path, model: VaeParams | PredictorModel) -> None:
-    """Self-describing JSON container; round-trips float64 values bit-exactly."""
+    """Self-describing JSON container; round-trips float64 values bit-exactly.
+
+    The file is written beside path under a temporary name and then renamed
+    over path, so a save that fails leaves what path held before unchanged.
+    """
     if type(model) not in CHECKPOINT_KINDS:
         raise CheckpointError(f"cannot checkpoint object of type {type(model).__name__}")
     if isinstance(model, VaeParams):
@@ -556,7 +579,13 @@ def save_checkpoint(path, model: VaeParams | PredictorModel) -> None:
     doc = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
            "kind": CHECKPOINT_KINDS[type(model)], "config": config,
            "tensors": _tensor_entries(tensors)}
-    Path(path).write_text(json.dumps(doc) + "\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> VaeParams | PredictorModel:

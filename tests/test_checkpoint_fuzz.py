@@ -1,0 +1,140 @@
+"""Fuzzed predictor checkpoints: `moticomp eval` exits 2 with the
+CheckpointError of load_checkpoint, which names the file and, where the fault
+lies in one tensor, that tensor; it never prints a traceback."""
+
+import base64
+import json
+
+import numpy as np
+import pytest
+
+from test_datagen import edit_values, saved_predictor
+from moticomp.cli import dispatch
+from moticomp.datagen import default_manifest, load_checkpoint, manifest_to_json
+from moticomp.errors import CheckpointError
+
+# the fuzzed tensor: one in the middle of the file, 2-D, so a shape has two entries
+TENSOR = "whole.blk0.gc0.wgt"
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    """A test split for eval to score, had the checkpoint loaded."""
+    root = tmp_path_factory.mktemp("fuzz")
+    manifest = root / "manifest.json"
+    manifest.write_text(manifest_to_json(default_manifest()))
+    assert dispatch(["gen-data", "--manifest", str(manifest), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """The text of a sound small predictor checkpoint."""
+    path = tmp_path_factory.mktemp("sound") / "p.json"
+    saved_predictor(path)
+    return path.read_text()
+
+
+def tensor(doc, name=TENSOR):
+    return next(e for e in doc["tensors"] if e["name"] == name)
+
+
+def edited(saved, edit):
+    """The checkpoint text after edit(doc) changes its JSON document in place."""
+    doc = json.loads(saved)
+    edit(doc)
+    return json.dumps(doc)
+
+
+def assert_eval_refuses(tmp_path, capsys, data, text, *named):
+    """eval exits 2 printing load_checkpoint's CheckpointError, which holds
+    the file name and every string of named, and no traceback."""
+    path = tmp_path / "fuzzed.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError) as caught:
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert dispatch(["eval", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"moticomp eval: error: {caught.value}" in err
+    for part in (str(path), *named):
+        assert part in str(caught.value)
+    assert "Traceback" not in err
+
+
+def test_sound_checkpoint_evaluates(tmp_path, capsys, data, saved):
+    path = tmp_path / "p.json"
+    path.write_text(saved)
+    assert tensor(json.loads(saved))["shape"] == [8, 8]
+    assert dispatch(["eval", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 0
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.001, 0.25, 0.5, 0.75, 0.999])
+def test_truncated(tmp_path, capsys, data, saved, fraction):
+    cut = saved[:int(fraction * (len(saved) - 2))]  # even the last is short of its "}"
+    assert_eval_refuses(tmp_path, capsys, data, cut, "unreadable or truncated checkpoint")
+
+
+@pytest.mark.parametrize("char", ["!", "-", " ", "\n", "é"])
+def test_non_base64_character(tmp_path, capsys, data, saved, char):
+    def corrupt(doc):
+        values = tensor(doc)["values"]
+        tensor(doc)["values"] = values[:5] + char + values[6:]
+
+    assert_eval_refuses(tmp_path, capsys, data, edited(saved, corrupt),
+                        f"tensor {TENSOR} values are not base64")
+
+
+@pytest.mark.parametrize("change,count", [(lambda flat: flat[:-1], 63),
+                                          (lambda flat: np.r_[flat, 0.0], 65)],
+                         ids=["one_short", "one_long"])
+def test_payload_one_float_off(tmp_path, capsys, data, saved, change, count):
+    assert_eval_refuses(tmp_path, capsys, data,
+                        edited(saved, lambda doc: edit_values(tensor(doc), change)),
+                        f"tensor {TENSOR} holds {8 * count} bytes, expected 512 for shape (8, 8)")
+
+
+@pytest.mark.parametrize("shape", [[-8, -8], [8, -1], [8.0, 8], [4.5, 16], ["8", 8],
+                                   [True, 64], "8,8", None])
+def test_bad_shape(tmp_path, capsys, data, saved, shape):
+    assert_eval_refuses(tmp_path, capsys, data,
+                        edited(saved, lambda doc: tensor(doc).update(shape=shape)),
+                        f"tensor {TENSOR} has shape {shape!r}, expected a list of "
+                        f"non-negative integers")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 31, 63])
+def test_non_finite_bytes(tmp_path, capsys, data, saved, bad, where):
+    def poison(flat):
+        flat = flat.copy()
+        flat[where] = bad
+        return flat
+
+    assert_eval_refuses(tmp_path, capsys, data,
+                        edited(saved, lambda doc: edit_values(tensor(doc), poison)),
+                        f"non-finite values in tensor {TENSOR}")
+
+
+def as_decimal_list(entry):
+    """Store a tensor entry's values as version 1 did: a JSON list of floats."""
+    entry["values"] = np.frombuffer(base64.b64decode(entry["values"]), "<f8").tolist()
+
+
+def test_values_as_a_decimal_list(tmp_path, capsys, data, saved):
+    assert_eval_refuses(tmp_path, capsys, data,
+                        edited(saved, lambda doc: as_decimal_list(tensor(doc))),
+                        f"tensor {TENSOR} values are not base64")
+
+
+def test_v1_file(tmp_path, capsys, data, saved):
+    """The file a version-1 writer made of the same model."""
+    def as_v1(doc):
+        doc["version"] = 1
+        for entry in doc["tensors"]:
+            as_decimal_list(entry)
+
+    assert_eval_refuses(tmp_path, capsys, data, edited(saved, as_v1),
+                        "checkpoint version 1 is not supported (expected 2)")

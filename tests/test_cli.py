@@ -33,7 +33,10 @@ def test_gen_data_writes_splits_and_run_info(tiny_manifest, tmp_path):
     out = tmp_path / "data"
     code = dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(out)])
     assert code == 0
-    assert (out / "run-info.json").exists()
+    info = json.loads((out / "run-info.json").read_text())
+    assert set(info["versions"]) == {"python", "numpy", "moticomp"}
+    assert info["versions"]["numpy"] == np.__version__
+    assert 0 < info["wall_s"] < 60
     train = load_split(out / "train")
     assert len(train) == 16  # 4 actions x 4
     assert all("+" not in s.label for s in train)
@@ -178,8 +181,9 @@ def test_gen_data_idempotent_except_timestamp(tiny_manifest, tmp_path):
             assert fa.read_text() == fb.read_text()
     info_a = json.loads((out_a / "run-info.json").read_text())
     info_b = json.loads((out_b / "run-info.json").read_text())
-    info_a.pop("timestamp")
-    info_b.pop("timestamp")
+    for info in (info_a, info_b):
+        info.pop("timestamp")
+        info.pop("wall_s")
     assert info_a == info_b
 
 

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import inspect
@@ -238,6 +239,61 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("model", [
+        init_predictor_model(np.random.default_rng(3), PartLayout.from_skeleton(default_skeleton()),
+                             PredictorConfig(zero_output_decoders=False)),
+        init_vae(np.random.default_rng(0), coeff_rows=25, coeff_cols=24, original_length=30)],
+        ids=["default_predictor", "vae_600_wide"])
+    def test_round_trip_keeps_every_byte(self, tmp_path, model):
+        save_checkpoint(tmp_path / "m.json", model)
+        before, after = model.named_parameters(), load_checkpoint(tmp_path / "m.json").named_parameters()
+        assert list(after) == list(before)
+        for name, arr in before.items():
+            assert after[name].shape == arr.shape and after[name].tobytes() == arr.tobytes(), name
+
+    def test_default_predictor_size(self, tmp_path):
+        """base64 costs 4/3 of the 8 bytes per value; names, shapes and config
+        fit in 64 KiB."""
+        model = init_predictor_model(np.random.default_rng(0),
+                                     PartLayout.from_skeleton(default_skeleton()), PredictorConfig())
+        n_params = sum(arr.size for arr in model.named_parameters().values())
+        save_checkpoint(tmp_path / "p.json", model)
+        assert (tmp_path / "p.json").stat().st_size <= 4 / 3 * 8 * n_params + 64 * 1024
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
+        """A save that the file system cuts off part way (here by a file-size
+        limit on this process, as a full disk would) leaves the old file's
+        bytes and no temporary file."""
+        resource = pytest.importorskip("resource")
+        signal = pytest.importorskip("signal")
+        path = tmp_path / "v.json"
+        saved_vae(path)
+        before = path.read_bytes()
+        other = init_vae(np.random.default_rng(1), coeff_rows=4, coeff_cols=6,
+                         original_length=8, latent_dim=3, hidden_dims=(10,))
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # EFBIG instead of death
+        resource.setrlimit(resource.RLIMIT_FSIZE, (len(before) // 2, limits[1]))
+        try:
+            with pytest.raises(OSError):
+                save_checkpoint(path, other)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
+
+
+def b64_values(values) -> str:
+    """A checkpoint tensor's values as stored: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def edit_values(entry, edit):
+    """Decode a checkpoint tensor entry's values to a flat float64 array and
+    store in their place the array that edit returns for it."""
+    entry["values"] = b64_values(edit(np.frombuffer(base64.b64decode(entry["values"]), "<f8")))
+
 
 def saved_predictor(path):
     """Write a small predictor checkpoint and return its JSON document."""
@@ -255,7 +311,8 @@ def with_one_window_projections(doc):
     rows = min(config["input_frames"] // 2, 10) * (len(config["upper_dims"])
                                                     + len(config["lower_dims"]))
     stale = [{"name": f"mattn.{m}", "shape": [rows, config["query_dim"]],
-              "values": [0.0] * (rows * config["query_dim"])} for m in ("wq", "wk")]
+              "values": b64_values([0.0] * (rows * config["query_dim"]))}
+             for m in ("wq", "wk")]
     return {**doc, "tensors": stale + doc["tensors"]}
 
 
@@ -310,7 +367,7 @@ class TestPredictorCheckpointErrors:
     def test_non_finite_tensor(self, tmp_path, bad):
         path = tmp_path / "p.json"
         doc = saved_predictor(path)
-        doc["tensors"][3]["values"][0] = bad
+        edit_values(doc["tensors"][3], lambda flat: np.r_[bad, flat[1:]])
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
@@ -350,7 +407,8 @@ class TestCheckpointTensors:
     def test_duplicated_predictor_tensor_named(self, tmp_path):
         path = tmp_path / "p.json"
         doc = saved_predictor(path)
-        doc["tensors"].append({"name": "fusion.raw", "shape": [1, 1], "values": [7.0]})
+        doc["tensors"].append({"name": "fusion.raw", "shape": [1, 1],
+                               "values": b64_values([7.0])})
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=r"tensor fusion\.raw appears more than once"):
             load_checkpoint(path)
@@ -409,7 +467,7 @@ class TestVaeCheckpointErrors:
     def test_non_positive_norm_scale(self, tmp_path):
         def negate(doc):
             entry = next(e for e in doc["tensors"] if e["name"] == "norm.scale")
-            entry["values"] = [-1.0] * len(entry["values"])
+            edit_values(entry, lambda flat: np.full_like(flat, -1.0))
 
         with pytest.raises(CheckpointError, match="input_scale entries must be positive"):
             self.load_edited(tmp_path, negate)
@@ -417,7 +475,8 @@ class TestVaeCheckpointErrors:
     def test_mis_shaped_norm_offset(self, tmp_path):
         def shrink(doc):
             entry = next(e for e in doc["tensors"] if e["name"] == "norm.offset")
-            entry["shape"], entry["values"] = [1, 6], entry["values"][:6]
+            entry["shape"] = [1, 6]
+            edit_values(entry, lambda flat: flat[:6])
 
         with pytest.raises(CheckpointError,
                            match=r"tensor norm\.offset has shape \(1, 6\), expected \(1, 24\)"):
@@ -457,7 +516,8 @@ class TestFrozenCheckpoints:
     def test_non_finite_vae_tensor_named(self, tmp_path, name):
         path = tmp_path / "v.json"
         doc = saved_vae(path)
-        next(e for e in doc["tensors"] if e["name"] == name)["values"][0] = float("nan")
+        edit_values(next(e for e in doc["tensors"] if e["name"] == name),
+                    lambda flat: np.r_[np.nan, flat[1:]])
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError,
                            match=rf"malformed checkpoint: non-finite values in tensor {name}"):
@@ -480,13 +540,13 @@ class TestSeededInitGolden:
         layout = PartLayout.from_skeleton(default_skeleton())
         model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
         assert checkpoint_digest(tmp_path / "p.json", model) == (
-            "3933080c20c83803a3b713da2f9dd21418ce64a6fc1a93eb1779bae6f8887e2d")
+            "94c397b4ebf4cc1e5c3be5541066826ca18b40453f7e7979689d3c7c9edc1284")
 
     def test_small_vae(self, tmp_path):
         params = init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,
                           original_length=8, latent_dim=3, hidden_dims=(10,))
         assert checkpoint_digest(tmp_path / "v.json", params) == (
-            "24845308526ba30d90680c758ac5a922c875eaeacf62f4152822bf44b46ed9b5")
+            "23ee1369b6b867fe1ec1e7d2bc83ab8b127df01be05746060273bb7cc357f4c0")
 
 
 class TestBuildDataset:
