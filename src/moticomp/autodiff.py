@@ -22,8 +22,8 @@ the axis. Shapes must match exactly, with one broadcasting rule, shared by
 (1, F) row is used by every row of a (rows, F) or (B, rows, F) operand. A
 broadcast operand's gradient is summed over the batch axis first, then over
 the rows. `matmul` broadcasts a 2-D operand over the batch the same way.
-`scalar_mul` scales by one element, or by one element per batch row (shape
-(B, 1, 1)), and `scale` by a Python float.
+`scalar_mul` scales each batch row by its own element (shape (B, 1, 1)), and
+`scale` scales by a Python float.
 `transpose` swaps the last two axes; `softmax_lastdim` and `straight_through`
 act on the last axis, and `sum_rows` sums over the batch axis. `gather` is the
 one kind that selects: it picks entries along any one axis of one or more
@@ -354,21 +354,14 @@ class Tape:
         return self._emit("scale", (a,), a.values * c, lambda g: (g * c,))
 
     def scalar_mul(self, a: Tensor, s: Tensor) -> Tensor:
-        """Multiply a tensor by a one-element tensor, or each batch row of a
-        by its own element of s of shape (B, 1, ..., 1)."""
-        av = a.values
-        s_shape = s.shape
-        if s.values.size == 1:
-            sv, axes = float(s.values.reshape(())), None
-        elif s_shape == av.shape[:1] + (1,) * (av.ndim - 1):
-            sv, axes = s.values, tuple(range(1, av.ndim))
-        else:
-            raise ShapeError(f"scalar_mul scalar has shape {s_shape} for {a.shape}")
-
-        def bwd(g):
-            return (g * sv, np.sum(g * av, axis=axes).reshape(s_shape))
-
-        return self._emit("scalar_mul", (a, s), av * sv, bwd)
+        """Multiply each batch row of a by its own element of s, of shape
+        (B, 1, ..., 1)."""
+        av, sv = a.values, s.values
+        if s.shape != av.shape[:1] + (1,) * (av.ndim - 1):
+            raise ShapeError(f"scalar_mul scalar has shape {s.shape} for {a.shape}")
+        axes = tuple(range(1, av.ndim))
+        return self._emit("scalar_mul", (a, s), av * sv,
+                          lambda g: (g * sv, np.sum(g * av, axis=axes, keepdims=True)))
 
     def softmax_lastdim(self, a: Tensor) -> Tensor:
         y = _softmax(a.values)

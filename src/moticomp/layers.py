@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .autodiff import Tape, Tensor, freeze, is_frozen, shared_constant
+from .autodiff import Tape, Tensor, is_frozen, shared_constant
 
 
 def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -34,18 +32,6 @@ def mlp(tape: Tape, x: Tensor, tensors: dict[str, Tensor], prefix: str,
         if i < n_layers - 1:
             h = tape.tanh(h)
     return h
-
-
-@lru_cache(maxsize=16)
-def shared_full(shape: tuple[int, ...], value: float) -> Tensor:
-    """A shared constant of shape holding value everywhere, built once."""
-    return shared_constant(freeze(np.full(shape, value), "a filled constant"))
-
-
-def sigmoid(tape: Tape, x: Tensor) -> Tensor:
-    # sigmoid(x) = 0.5 * tanh(x / 2) + 0.5, composed from existing kinds
-    half = tape.scale(tape.tanh(tape.scale(x, 0.5)), 0.5)
-    return tape.add(half, shared_full(x.shape, 0.5))
 
 
 def bind(tape: Tape, named: dict[str, np.ndarray],

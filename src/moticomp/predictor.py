@@ -5,10 +5,11 @@ or the whole skeleton) as graph nodes carrying DCT-coefficient features.
 A branch is a linear input encoder, a stack of blocks of graph-conv layers
 tanh(A @ H @ W) with trainable adjacency A, multi-head self-attention after
 every few layers, and a linear output decoder shared by all exits. An
-attention front end over historical sub-sequences enriches the input, and
-the final prediction adds the network's decoded correction to the
-last-frame-padded observation, so an untrained model with zeroed decoders
-predicts zero velocity.
+attention front end over historical sub-sequences enriches the input. The
+network's correction is the mean of the whole branch's output and the upper
+and lower branches' outputs merged into one skeleton; the final prediction
+adds its inverse DCT to the last-frame-padded observation, so an untrained
+model with zeroed decoders predicts zero velocity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .autodiff import Tape, Tensor, shared_constant
 from .dct import dct_encode, idct_basis
 from .errors import ConfigError, ShapeError
-from .layers import bind, init_linear, linear, shared_full, sigmoid
+from .layers import bind, init_linear, linear
 from .motion import MotionSequence, PartLayout
 
 BRANCH_KINDS = ("upper", "lower", "whole")
@@ -47,8 +48,12 @@ class PredictorConfig:
     def __post_init__(self):
         if self.input_frames < 2 or self.output_frames < 1:
             raise ConfigError("need >= 2 input frames and >= 1 output frame")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        for key in ("heads", "feature_width", "policy_hidden", "query_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not (np.isfinite(self.adjacency_noise) and self.adjacency_noise >= 0):
+            raise ConfigError(
+                f"adjacency_noise must be finite and >= 0, got {self.adjacency_noise}")
         if self.feature_width % self.heads != 0:
             raise ConfigError(
                 f"feature width {self.feature_width} not divisible by {self.heads} heads"
@@ -104,8 +109,6 @@ class PredictorParams:
         {kind}.blk{k}.gc{i}.adj, .wgt         adjacency (nodes, nodes), weight (F, F)
         {kind}.blk{k}.attn{a}.wq/.wk/.wv/.wo  self-attention projections (F, F)
         {kind}.dec.w, {kind}.dec.b            output decoder shared by all exits
-        fusion.raw                            scalar behind the sigmoid blend of
-                                              part-assembled and whole-branch outputs
     """
 
     arrays: dict[str, np.ndarray]
@@ -150,7 +153,6 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
     arrays = {"mattn.wq": wq, "mattn.wk": wk} if config.n_windows > 1 else {}
     for kind, node_count in branch_node_counts(layout).items():
         arrays.update(_init_branch(rng, kind, node_count, config))
-    arrays["fusion.raw"] = np.zeros((1, 1))
     return PredictorParams(arrays=arrays, layout=layout, config=config)
 
 
@@ -284,18 +286,14 @@ def _prepare_branch_inputs(tape: Tape, params: PredictorParams,
 
 
 def _assemble_prediction(tape: Tape, params: PredictorParams,
-                         tensors: dict[str, Tensor], outputs: dict[str, Tensor],
-                         history: np.ndarray) -> Tensor:
-    """Merge part corrections, blend with the whole branch, decode, add residual;
-    one (N+T, E) sequence per history of the batch."""
+                         outputs: dict[str, Tensor], history: np.ndarray) -> Tensor:
+    """Merge part corrections, take their mean with the whole branch's, decode,
+    add residual; one (N+T, E) sequence per history of the batch."""
     cfg = params.config
     layout = params.layout
     parts = tape.gather([outputs["upper"], outputs["lower"]],
                         np.argsort(layout.upper_dims + layout.lower_dims), axis=-2)
-    fw = sigmoid(tape, tensors["fusion.raw"])
-    fw_c = tape.add(shared_full((1, 1), 1.0), tape.scale(fw, -1.0))
-    blend = tape.add(tape.scalar_mul(outputs["whole"], fw),
-                     tape.scalar_mul(parts, fw_c))
+    blend = tape.scale(tape.add(outputs["whole"], parts), 0.5)
     total = cfg.input_frames + cfg.output_frames
     correction = tape.matmul(shared_constant(idct_basis(total, cfg.resolved_n_coeffs)),
                              tape.transpose(blend))
@@ -312,7 +310,7 @@ def _forward_core(tape: Tape, params: PredictorParams, tensors: dict[str, Tensor
     for kind, d in zip(BRANCH_KINDS, exits):
         encoded = _branch_encode(tape, tensors, kind, inputs[kind])
         outputs[kind] = _branch_tail(tape, kind, params.config, tensors, encoded, d)
-    return _assemble_prediction(tape, params, tensors, outputs, history)
+    return _assemble_prediction(tape, params, outputs, history)
 
 
 def predict(params: PredictorParams, history: MotionSequence,

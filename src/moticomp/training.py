@@ -299,7 +299,7 @@ def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor
         outputs[kind] = tape.scalar_mul(out, gate)
         chosen.append(exits)
         softs.append(soft)
-    pred = _assemble_prediction(tape, params, tensors, outputs, history)
+    pred = _assemble_prediction(tape, params, outputs, history)
     return pred, np.stack(chosen, axis=1), softs
 
 

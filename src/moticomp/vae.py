@@ -67,6 +67,12 @@ class VaeParams:
 def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
              original_length: int, latent_dim: int = 16,
              hidden_dims: tuple[int, ...] = (256, 256)) -> VaeParams:
+    sizes = {"coeff_rows": coeff_rows, "coeff_cols": coeff_cols, "latent_dim": latent_dim}
+    for key, size in sizes.items():
+        if size < 1:
+            raise ConfigError(f"{key} must be >= 1, got {size}")
+    if any(h < 1 for h in hidden_dims):
+        raise ConfigError(f"hidden_dims entries must be >= 1, got {list(hidden_dims)}")
     d_in = coeff_rows * coeff_cols
     enc_dims = (d_in, *hidden_dims, 2 * latent_dim)
     dec_dims = (latent_dim, *hidden_dims, d_in)

@@ -209,10 +209,10 @@ def _kind_checks(kind: str):
             lambda rng: rng_point(rng, (3, 4))
     if kind == "scalar_mul":
         def f(t, x):
-            mat = t.reshape(t.gather([x], range(4), axis=-1), (2, 2))
-            s = t.reshape(t.gather([x], [4], axis=-1), (1, 1))
+            mat = t.reshape(t.gather([x], range(4), axis=-1), (2, 1, 2))
+            s = t.reshape(t.gather([x], [4, 5], axis=-1), (2, 1, 1))
             return t.sum_sq(t.scalar_mul(mat, s))
-        return f, lambda rng: rng_point(rng, (1, 5))
+        return f, lambda rng: rng_point(rng, (1, 6))
     if kind == "straight_through":
         return None  # piecewise-constant forward; covered by the ST property test
     if kind == "gather":  # along the other axes: TestGather
@@ -650,7 +650,8 @@ class TestBatchAxis:
                         "ax": one.matmul(one.constant(adj), xb),
                         "xxt": one.matmul(xb, one.transpose(xb)), "xt": one.transpose(xb),
                         "st": one.straight_through(xb),
-                        "sx": one.scalar_mul(xb, one.constant(s[b]))}
+                        "sx": one.reshape(one.scalar_mul(one.constant(x[b:b + 1]),
+                                                         one.constant(s[b:b + 1])), (3, 5))}
             for name, out in outs.items():
                 assert np.array_equal(out.values[b], expected[name].values), (name, b)
 
@@ -690,6 +691,8 @@ class TestBatchAxis:
             tape.scalar_mul(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.ones((4, 1, 3))))
         with pytest.raises(ShapeError):
             tape.scalar_mul(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.ones((2, 1, 1))))
+        with pytest.raises(ShapeError):  # one element for the whole batch
+            tape.scalar_mul(tape.constant(np.zeros((4, 2, 3))), tape.constant(np.ones((1, 1))))
 
     @pytest.mark.parametrize("index", GATHER_BAD_INDICES)
     def test_gather_rows_index_checked(self, index):

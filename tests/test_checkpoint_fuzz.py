@@ -1,17 +1,20 @@
-"""Fuzzed predictor checkpoints: `moticomp eval` exits 2 with the
-CheckpointError of load_checkpoint, which names the file and, where the fault
-lies in one tensor, that tensor; it never prints a traceback."""
+"""Fuzzed checkpoints: load_checkpoint raises a CheckpointError that names the
+file and, where the fault lies in one tensor, that tensor. For a predictor,
+`moticomp eval` exits 2 printing that error, and never a traceback."""
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from test_datagen import edit_values, saved_predictor
+from test_datagen import b64_values, edit_values, saved_predictor
 from moticomp.cli import dispatch
-from moticomp.datagen import default_manifest, load_checkpoint, manifest_to_json
+from moticomp.datagen import default_manifest, load_checkpoint, manifest_to_json, save_checkpoint
 from moticomp.errors import CheckpointError
+from moticomp.predictor import PredictorConfig
+from moticomp.vae import init_vae
 
 # the fuzzed tensor: one in the middle of the file, 2-D, so a shape has two entries
 TENSOR = "whole.blk0.gc0.wgt"
@@ -138,3 +141,52 @@ def test_v1_file(tmp_path, capsys, data, saved):
 
     assert_eval_refuses(tmp_path, capsys, data, edited(saved, as_v1),
                         "checkpoint version 1 is not supported (expected 2)")
+
+
+def test_pre_blend_fusion_tensor(tmp_path, capsys, data, saved):
+    """A checkpoint saved while the branches were blended by a learned weight."""
+    def add_fusion(doc):
+        doc["tensors"].append({"name": "fusion.raw", "shape": [1, 1],
+                               "values": b64_values([0.0])})
+
+    assert_eval_refuses(tmp_path, capsys, data, edited(saved, add_fusion),
+                        "unexpected ['fusion.raw']")
+
+
+PREDICTOR_INT_KEYS = [f.name for f in dataclasses.fields(PredictorConfig)
+                      if f.type.startswith("int")]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", PREDICTOR_INT_KEYS)
+def test_non_positive_predictor_config_value(tmp_path, capsys, data, saved, key, value):
+    assert_eval_refuses(tmp_path, capsys, data,
+                        edited(saved, lambda doc: doc["config"].update({key: value})),
+                        "malformed checkpoint")
+
+
+@pytest.fixture(scope="module")
+def saved_vae(tmp_path_factory):
+    """The text of a sound small VAE checkpoint."""
+    path = tmp_path_factory.mktemp("sound_vae") / "v.json"
+    save_checkpoint(path, init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,
+                                   original_length=8, latent_dim=3, hidden_dims=(10,)))
+    return path.read_text()
+
+
+VAE_SIZES = [("latent_dim", 0), ("latent_dim", -1), ("coeff_rows", 0), ("coeff_rows", -1),
+             ("coeff_cols", 0), ("coeff_cols", -1), ("original_length", 0),
+             ("original_length", -1), ("hidden_dims", [0]), ("hidden_dims", [-1])]
+
+
+@pytest.mark.parametrize("key,value", VAE_SIZES)
+def test_non_positive_vae_config_value(tmp_path, capsys, saved_vae, key, value):
+    """Loads, or fails with a CheckpointError naming the file; no other
+    exception, warning (an error under this suite) or output."""
+    path = tmp_path / "fuzzed.json"
+    path.write_text(edited(saved_vae, lambda doc: doc["config"].update({key: value})))
+    try:
+        load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
+    assert capsys.readouterr() == ("", "")

@@ -275,6 +275,21 @@ def test_zero_heads_exits_two_naming_heads(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("policy_hidden", 0, "policy_hidden must be >= 1, got 0"),
+    ("query_dim", 0, "query_dim must be >= 1, got 0"),
+    ("adjacency_noise", -0.1, "adjacency_noise must be finite and >= 0, got -0.1")])
+def test_bad_model_size_exits_two_naming_key(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value, "input_frames": 22, "output_frames": 8}))
+    capsys.readouterr()
+    assert dispatch(["train-predictor", "--config", str(cfg), "--data",
+                     str(tmp_path / "none"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_seed_override_changes_gen_data(tiny_manifest, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

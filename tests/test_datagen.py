@@ -407,10 +407,11 @@ class TestCheckpointTensors:
     def test_duplicated_predictor_tensor_named(self, tmp_path):
         path = tmp_path / "p.json"
         doc = saved_predictor(path)
-        doc["tensors"].append({"name": "fusion.raw", "shape": [1, 1],
-                               "values": b64_values([7.0])})
+        entry = dict(next(e for e in doc["tensors"] if e["name"] == "whole.dec.b"))
+        edit_values(entry, lambda v: np.full_like(v, 7.0))
+        doc["tensors"].append(entry)
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=r"tensor fusion\.raw appears more than once"):
+        with pytest.raises(CheckpointError, match=r"tensor whole\.dec\.b appears more than once"):
             load_checkpoint(path)
 
     def test_mis_shaped_vae_tensor_named(self, tmp_path):
@@ -540,7 +541,7 @@ class TestSeededInitGolden:
         layout = PartLayout.from_skeleton(default_skeleton())
         model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
         assert checkpoint_digest(tmp_path / "p.json", model) == (
-            "94c397b4ebf4cc1e5c3be5541066826ca18b40453f7e7979689d3c7c9edc1284")
+            "a57ae480ca34837cb723f313ffb3456a769e5ab4391e06ea523eb44a13572560")
 
     def test_small_vae(self, tmp_path):
         params = init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,

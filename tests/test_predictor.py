@@ -8,15 +8,15 @@ import pytest
 from test_exits import BAD_EXITS
 from moticomp.autodiff import SHARED, Tape, freeze
 from moticomp.datagen import default_skeleton, load_checkpoint, save_checkpoint
-from moticomp.dct import dct_encode
+from moticomp.dct import dct_encode, idct_basis
 from moticomp.errors import ConfigError, NumericError, ShapeError
 from moticomp.exits import count_flops, policy_macs
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (ATTENTION_WEIGHTS, BRANCH_KINDS, PredictorConfig,
                                 _block_forward, _branch_encode, _branch_tail,
-                                _forward_core, _motion_attention, branch_node_counts,
-                                init_predictor, pad_last_frame, predict)
+                                _forward_core, _motion_attention, _prepare_branch_inputs,
+                                branch_node_counts, init_predictor, pad_last_frame, predict)
 from moticomp.training import _routed_batch, init_predictor_model
 
 
@@ -123,6 +123,17 @@ class TestSelfAttention:
     def test_non_positive_heads_rejected(self, heads):
         with pytest.raises(ConfigError, match=f"heads must be >= 1, got {heads}"):
             PredictorConfig(heads=heads)
+
+    @pytest.mark.parametrize("key", ["feature_width", "policy_hidden", "query_dim"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_non_positive_sizes_rejected(self, key, size):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {size}"):
+            PredictorConfig(**{key: size})
+
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_adjacency_noise_rejected(self, noise):
+        with pytest.raises(ConfigError, match="adjacency_noise must be finite and >= 0"):
+            PredictorConfig(adjacency_noise=noise)
 
     def test_head_count_mismatch_rejected(self):
         # PredictorConfig refuses such a width; the tape kind refuses the shapes
@@ -297,17 +308,24 @@ class TestPredict:
         base = pad_last_frame(hist.data, params.config.output_frames)
         assert np.array_equal(pred.data, base)
 
-    def test_fusion_weight_one_ignores_part_branches(self):
+    def test_correction_is_the_mean_of_whole_and_parts(self):
         params = toy_params(seed=21, zero_output_decoders=False)
-        params.arrays["fusion.raw"][:] = 1000.0  # sigmoid saturates to exactly 1.0
-        rng = np.random.default_rng(22)
-        hist = make_history(rng, params.config, params.layout)
-        before = predict(params, hist, (2, 2, 2))
-        for kind in ("upper", "lower"):  # wreck both part branches
-            params.arrays[f"{kind}.dec.w"][:] = 123.0
-            params.arrays[f"{kind}.dec.b"][:] = -7.0
-        after = predict(params, hist, (2, 2, 2))
-        assert np.array_equal(before.data, after.data)
+        cfg, layout = params.config, params.layout
+        hist = make_history(np.random.default_rng(22), cfg, layout)
+        tape = Tape()
+        tensors = bind(tape, params.named_parameters(), trainable=False)
+        inputs = _prepare_branch_inputs(tape, params, tensors, hist.data[None])
+        out = {kind: _branch_tail(tape, kind, cfg, tensors,
+                                  _branch_encode(tape, tensors, kind, inputs[kind]), 2).values
+               for kind in BRANCH_KINDS}  # each (1, nodes, coefficients)
+        parts = np.empty_like(out["whole"])
+        parts[:, list(layout.upper_dims)] = out["upper"]
+        parts[:, list(layout.lower_dims)] = out["lower"]
+        blend = 0.5 * (out["whole"] + parts)
+        basis = idct_basis(cfg.input_frames + cfg.output_frames, cfg.resolved_n_coeffs)
+        correction = (basis @ blend.transpose(0, 2, 1))[0]
+        expected = pad_last_frame(hist.data, cfg.output_frames) + correction * cfg.coeff_scale
+        assert np.array_equal(predict(params, hist, (2, 2, 2)).data, expected)
 
     def test_output_shape_and_prefix(self):
         params = toy_params(seed=23, zero_output_decoders=False)
@@ -329,7 +347,7 @@ class TestPredict:
         _forward_core(tape, params, tensors, hist.data[None], exits)
         return params, tape
 
-    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 33), ((3, 3, 3), 39)])
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 26), ((3, 3, 3), 32)])
     def test_default_model_node_budget(self, exits, budget):
         # one node per block, one gather per part split and one for the merge,
         # none for the one-window motion attention's projections
@@ -338,8 +356,7 @@ class TestPredict:
 
     def test_default_model_tape_copies_only_what_the_history_gives(self):
         # the motion-attention values, the DCT of the padded history and the
-        # padded history; the IDCT basis, the fusion's 1 and the sigmoid's 0.5
-        # are shared constants, built once
+        # padded history; the IDCT basis is a shared constant, built once
         params, tape = self.default_model_tape((1, 1, 1))
         leaves = len(tape.tensors) - len(tape.nodes) - len(params.named_parameters())
         assert leaves == 3
@@ -430,16 +447,16 @@ class TestFrozenParameters:
         named = loaded.named_parameters()
         tensors = bind(Tape(), named, trainable=False)
         assert all(tensors[k].values is arr for k, arr in named.items())
-        arr = named["fusion.raw"]  # nor re-checked: a NaN forced in binds unseen
+        arr = named["whole.dec.b"]  # nor re-checked: a NaN forced in binds unseen
         arr.flags.writeable = True
         arr[0, 0] = np.nan
         arr.flags.writeable = False
-        assert bind(Tape(), named, trainable=False)["fusion.raw"].values is arr
+        assert bind(Tape(), named, trainable=False)["whole.dec.b"].values is arr
 
     def test_writeable_nan_still_raises(self, tmp_path):
         model, _ = fresh_and_loaded(tmp_path)
         named = model.named_parameters()
-        named["fusion.raw"][0, 0] = np.nan
+        named["whole.dec.b"][0, 0] = np.nan
         with pytest.raises(NumericError, match="leaf tensor contains non-finite values"):
             bind(Tape(), named, trainable=False)
 
@@ -510,15 +527,16 @@ class TestBindOnce:
         _, loaded = fresh_and_loaded(tmp_path)
         named = loaded.params.named_parameters()
         first = bind(Tape(), named, trainable=False)
-        named["fusion.raw"] = freeze(np.ones((1, 1)), "fusion.raw")
+        named["whole.dec.b"] = freeze(np.ones_like(named["whole.dec.b"]), "whole.dec.b")
         second = bind(Tape(), named, trainable=False)
-        assert second["fusion.raw"] is not first["fusion.raw"]
-        assert second["fusion.raw"].values is named["fusion.raw"]
-        assert all(second[k] is first[k] for k in named if k != "fusion.raw")
+        assert second["whole.dec.b"] is not first["whole.dec.b"]
+        assert second["whole.dec.b"].values is named["whole.dec.b"]
+        assert all(second[k] is first[k] for k in named if k != "whole.dec.b")
 
     def test_a_writeable_array_binds_the_dict_to_the_tape(self, tmp_path):
         _, loaded = fresh_and_loaded(tmp_path)
-        named = {**loaded.params.named_parameters(), "fusion.raw": np.zeros((1, 1))}
+        named = loaded.params.named_parameters()
+        named = {**named, "whole.dec.b": named["whole.dec.b"].copy()}
         tape = Tape()
         tensors = bind(tape, named, trainable=False)
         assert all(tape.tensors[t.tid] is t for t in tensors.values())
@@ -526,7 +544,7 @@ class TestBindOnce:
     def test_only_the_last_frozen_dict_is_kept(self, tmp_path):
         # binding model after model keeps no earlier model's arrays alive
         _, first = fresh_and_loaded(tmp_path, seed=50)
-        kept = weakref.ref(first.params.arrays["fusion.raw"])
+        kept = weakref.ref(first.params.arrays["whole.dec.b"])
         bind(Tape(), first.params.named_parameters(), trainable=False)
         _, second = fresh_and_loaded(tmp_path, seed=51)
         bind(Tape(), second.params.named_parameters(), trainable=False)

@@ -651,8 +651,9 @@ class TestBatchedInference:
 
 class TestTrainAndEvaluateGolden:
     """Bytes of a seeded train_predictor + evaluate whose policies take mixed
-    exits, pinned at the commit before inference was batched. They change if
-    routing, the error metric, or the order of its sums change."""
+    exits, pinned when the whole and part branches began to be blended by a
+    fixed mean in place of a learned weight. They change if training, routing,
+    the error metric, or the order of its sums change."""
 
     def test_history_report_and_flops(self):
         model, _, data = routed_model(seed=46, n_seqs=82)
@@ -666,7 +667,7 @@ class TestTrainAndEvaluateGolden:
                    for text in (result.history_csv(), report.to_csv(),
                                 report.flops.to_csv())]
         assert digests == [
-            "e43cb030f25f42aa917ed1db86c434c1803573335118c6c19024d719b90b0e72",
-            "1395c43fce4de1689b0e894a518a8f60f826022c75564085692317b2933d50b7",
+            "ed28fc6f166e93e63f746d9a3e5b105c93f6caf152334141df5129a934c74060",
+            "24d18eefb6bd757d8c2ffc2b9ee74294de621427125b367ac2a6b6044a104e32",
             "6db71e36ec13477b4ebcf9915645126d722d8f60d20b4398e94b207200691007",
         ]

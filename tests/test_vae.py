@@ -7,7 +7,7 @@ from gradcheck import grad_check
 from moticomp import vae
 from moticomp.autodiff import Tape
 from moticomp.dct import DctCoeffs, dct_encode
-from moticomp.errors import ShapeError
+from moticomp.errors import ConfigError, ShapeError
 from moticomp.layers import bind
 from moticomp.motion import MotionSequence, PartLayout, Skeleton
 from moticomp.training import AdamState, adam_step
@@ -103,6 +103,22 @@ class TestEncodeDecode:
         s_m, s_n = make_sequences(rng, 2)
         with pytest.raises(ShapeError):
             synthesize_composite(params, s_m, s_n, BodyMask(m=np.ones(COLS)), F + 1)
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("coeff_rows", 0, "coeff_rows must be >= 1, got 0"),
+        ("coeff_cols", -1, "coeff_cols must be >= 1, got -1"),
+        ("latent_dim", 0, "latent_dim must be >= 1, got 0"),
+        ("hidden_dims", (10, 0), r"hidden_dims entries must be >= 1, got \[10, 0\]")])
+    def test_non_positive_sizes_named(self, key, value, match):
+        sizes = dict(coeff_rows=F, coeff_cols=COLS, latent_dim=LATENT, hidden_dims=(10,))
+        with pytest.raises(ConfigError, match=match):
+            init_vae(np.random.default_rng(0), original_length=LENGTH, **{**sizes, key: value})
+
+    def test_no_hidden_layers_allowed(self):
+        params = init_vae(np.random.default_rng(0), coeff_rows=F, coeff_cols=COLS,
+                          original_length=LENGTH, latent_dim=LATENT, hidden_dims=())
+        assert params.hidden_dims == [] and list(params.arrays) == [
+            "enc0.w", "enc0.b", "dec0.w", "dec0.b"]
 
 
 def reparameterize(mu, log_var, noise):
