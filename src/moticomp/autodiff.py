@@ -5,6 +5,13 @@ topological order by construction) and replays it backwards to accumulate
 gradients. Every forward output is finite: each kind checks the values it
 could make non-finite, and leaves and scale factors are checked on entry.
 
+A node keeps backward state only when a gradient can flow into it, that is
+when one of its inputs requires a gradient. Otherwise its `backward_fn` is
+None, and `gc_block`'s layers build no backward and keep no intermediate for
+one. So a tape whose inputs are all constants, as at inference, holds only
+forward values, and `backward` skips such nodes, which could pass no
+gradient on.
+
 One kind of constant is not re-checked, and belongs to no tape:
 `shared_constant` wraps an array that `freeze` made (read-only, C-contiguous
 float64) once, and any tape may read it, as `bind` does with a loaded
@@ -111,13 +118,17 @@ def _gc_layer(name: str, hv: Array, av: Array, wv: Array, need_h: bool, na: bool
               nw: bool):
     """The graph convolution tanh((adj @ h) @ wgt): its value, a backward that
     maps the output gradient to those of h, adj and wgt (None where not
-    needed), and its MACs. Checks the pre-tanh product, which tanh would hide."""
+    needed; itself None when none is), and its MACs. Checks the pre-tanh
+    product, which tanh would hide."""
     _check_matmul(name, av.shape, hv.shape)
     ah = av @ hv
     _check_matmul(name, ah.shape, wv.shape)
     pre = ah @ wv
     _require_finite(pre, f"{name} pre-tanh product")
     y = np.tanh(pre)
+    macs = ah.size * av.shape[-1] + pre.size * wv.shape[-2]
+    if not (need_h or na or nw):
+        return y, None, macs
 
     def bwd(g):
         g_ah, g_w = _matmul_grads(g * (1.0 - y * y), ah, wv, na or need_h, nw)
@@ -126,7 +137,7 @@ def _gc_layer(name: str, hv: Array, av: Array, wv: Array, need_h: bool, na: bool
         g_adj, g_h = _matmul_grads(g_ah, av, hv, na, need_h)
         return g_h, g_adj, g_w
 
-    return y, bwd, ah.size * av.shape[-1] + pre.size * wv.shape[-2]
+    return y, bwd, macs
 
 
 def _attention(name: str, hv: Array, ws: Sequence[Array], heads: int, need_h: bool,
@@ -134,7 +145,8 @@ def _attention(name: str, hv: Array, ws: Sequence[Array], heads: int, need_h: bo
     """Residual multi-head self-attention for ws = (wq, wk, wv, wo), with the
     heads on one stacked axis of each product: its value, a backward that maps
     the output gradient to those of h and the four projections (None where not
-    needed), and its MACs. Checks each head's scaled scores and the output."""
+    needed; itself None when none is), and its MACs. Checks each head's scaled
+    scores and the output."""
     f = hv.shape[-1]
     if hv.ndim not in (2, 3) or heads < 1 or f % heads:
         raise ShapeError(f"{name} of {hv.shape} in {heads} heads")
@@ -161,6 +173,8 @@ def _attention(name: str, hv: Array, ws: Sequence[Array], heads: int, need_h: bo
     out = hv + ctx @ wov
     _require_finite(out, f"{name} output")
     macs = 3 * hv.size * f + scores.size * dh + ctx.size * attn.shape[-1] + out.size * f
+    if not (need_h or any(need_w)):
+        return out, None, macs
 
     def bwd(g):
         g_ctx, g_wo = _matmul_grads(g, ctx, wov, need_h or any(need_w[:3]), need_w[3])
@@ -241,7 +255,8 @@ class Tensor:
 
 
 class Node:
-    """One recorded operation: ids of its operands and its backward closure."""
+    """One recorded operation: ids of its operands and its backward closure,
+    which is None when the output needs no gradient."""
 
     __slots__ = ("kind", "input_ids", "output_id", "backward_fn", "macs")
 
@@ -284,7 +299,8 @@ class Tape:
     def _emit(self, kind: str, inputs: Sequence[Tensor], values: Array,
               backward_fn: Callable, macs: int = 0, check: bool = True) -> Tensor:
         """Record one node; check=False where finite inputs give finite values.
-        Each input is this tape's or a shared constant."""
+        Each input is this tape's or a shared constant. The node keeps
+        backward_fn only when its output requires a gradient."""
         for t in inputs:
             if t.tid != SHARED and not (t.tid < len(self.tensors)
                                         and self.tensors[t.tid] is t):
@@ -293,7 +309,7 @@ class Tape:
             _require_finite(values, kind)
         out = self._push(values, any(t.requires_grad for t in inputs))
         self.nodes.append(Node(kind, tuple(t.tid for t in inputs), out.tid,
-                               backward_fn, macs))
+                               backward_fn if out.requires_grad else None, macs))
         self.mac_count += macs
         return out
 
@@ -489,7 +505,8 @@ class Tape:
         def bwd(g):  # each step's backward, last step first
             g_ops = []  # the gradients of the steps' operands, in order
             for back, n in reversed(backs):
-                # g is None once nothing before this step needs a gradient
+                # g is None once nothing before this step needs a gradient,
+                # so a step that kept no backward is never called
                 g, *g_step = back(g) if g is not None else (None,) * (1 + n)
                 g_ops[:0] = g_step
             return g, *g_ops
@@ -512,7 +529,7 @@ class Tape:
         grads[loss.tid] = np.ones_like(loss.values)
         for node in reversed(self.nodes):
             g = grads[node.output_id]
-            if g is None:
+            if g is None or node.backward_fn is None:
                 continue
             for tid, ig in zip(node.input_ids, node.backward_fn(g)):
                 if ig is None or tid == SHARED or not self.tensors[tid].requires_grad:

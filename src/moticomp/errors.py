@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one positive-value check."""
 
 
 class ShapeError(ValueError):
@@ -23,3 +23,12 @@ class CheckpointError(RuntimeError):
 
 class ManifestError(ValueError):
     """Dataset manifest is inconsistent (e.g. overlapping split seeds)."""
+
+
+def require_positive_finite(config, *keys: str) -> None:
+    """Raise ConfigError naming the first of keys whose value in config is
+    not finite and > 0; NaN and inf fail."""
+    for key in keys:
+        value = getattr(config, key)
+        if not 0 < value < float("inf"):
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")

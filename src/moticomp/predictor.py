@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, shared_constant
 from .dct import dct_encode, idct_basis
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_positive_finite
 from .layers import bind, init_linear, linear
 from .motion import MotionSequence, PartLayout
 
@@ -60,8 +60,7 @@ class PredictorConfig:
             )
         if self.n_blocks < 1 or self.layers_per_block < 1 or self.attention_every < 1:
             raise ConfigError("block structure sizes must be positive")
-        if self.coeff_scale <= 0:
-            raise ConfigError("coeff_scale must be positive")
+        require_positive_finite(self, "coeff_scale")
         n, t = self.input_frames, self.output_frames
         if self.n_windows < 1:
             raise ConfigError(

@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, require_positive_finite
 from .exits import (FlopsReport, _gumbel_softmax_st, _policy_forward,
                     _tendency_loss_soft, count_flops, init_policy)
 from .layers import bind, require_writeable
@@ -216,14 +216,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or not 0 < self.lr_decay_per_epoch <= 1:
-            raise ConfigError("lr must be positive and decay in (0, 1]")
+        require_positive_finite(self, "lr", "temperature")
+        if not 0 < self.lr_decay_per_epoch <= 1:
+            raise ConfigError("lr_decay_per_epoch must lie in (0, 1]")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size >= 1 and epochs >= 0 required")
         if not 0 <= self.constrain_epochs <= self.epochs:
             raise ConfigError("constrain_epochs must lie within 0..epochs")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
 
 
 @dataclass
@@ -303,28 +302,19 @@ def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor
     return pred, np.stack(chosen, axis=1), softs
 
 
-# At full depth and default size, an inference tape peaks at 67 MB for 32
-# histories and 117 MB for 56, and a batch-32 training step at 132 MB
-# (tracemalloc); at 32 histories per tape, inference stays below training.
-_INFERENCE_CHUNK = 32
-
-
 def _routed_batch(model: PredictorModel,
                   histories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Policy-routed deterministic predictions of histories (B, N, E): the
-    (B, N+T, E) predictions and the (B, branches) exits they used. Each chunk
-    of at most _INFERENCE_CHUNK histories runs on one tape; every op acts on
-    each history alone, so the chunking does not change a bit."""
-    preds, exits = [], []
-    for start in range(0, len(histories), _INFERENCE_CHUNK):
-        chunk = histories[start:start + _INFERENCE_CHUNK]
-        tape = Tape()
-        tensors = bind(tape, model.named_parameters(), trainable=False)
-        noise = np.zeros((len(chunk), len(BRANCH_KINDS), model.params.config.n_blocks))
-        pred, chosen, _ = _routed_forward(tape, model, tensors, chunk, noise, 1.0)
-        preds.append(pred.values)
-        exits.append(chosen)
-    return np.concatenate(preds), np.concatenate(exits)
+    """Policy-routed deterministic predictions of histories (B, N, E) on one
+    tape: the (B, N+T, E) predictions and the (B, branches) exits they used.
+    Every op acts on each history alone, so a batch gives each history's
+    prediction bit for bit. An inference tape keeps no backward state: at
+    default size and full depth, a tape of the 56 default test histories
+    peaks at 8.1 MB (tracemalloc), against 64 MB when it kept one."""
+    tape = Tape()
+    tensors = bind(tape, model.named_parameters(), trainable=False)
+    noise = np.zeros((len(histories), len(BRANCH_KINDS), model.params.config.n_blocks))
+    pred, chosen, _ = _routed_forward(tape, model, tensors, histories, noise, 1.0)
+    return pred.values, chosen
 
 
 def routed_prediction(model: PredictorModel,

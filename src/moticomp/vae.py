@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, freeze
 from .dct import DctCoeffs, dct_encode, idct_decode
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_positive_finite
 from .layers import bind, init_linear, mlp
 from .motion import MotionSequence, PartLayout
 
@@ -67,7 +67,8 @@ class VaeParams:
 def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
              original_length: int, latent_dim: int = 16,
              hidden_dims: tuple[int, ...] = (256, 256)) -> VaeParams:
-    sizes = {"coeff_rows": coeff_rows, "coeff_cols": coeff_cols, "latent_dim": latent_dim}
+    sizes = {"original_length": original_length, "coeff_rows": coeff_rows,
+             "coeff_cols": coeff_cols, "latent_dim": latent_dim}
     for key, size in sizes.items():
         if size < 1:
             raise ConfigError(f"{key} must be >= 1, got {size}")
@@ -228,12 +229,11 @@ class CagTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ConfigError("epochs >= 0, batch_size >= 1, lr > 0 required")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ConfigError("epochs >= 0 and batch_size >= 1 required")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
-        if self.normalization_margin <= 0:
-            raise ConfigError("normalization_margin must be positive")
+        require_positive_finite(self, "lr", "normalization_margin")
 
 
 @dataclass

@@ -179,6 +179,15 @@ VAE_SIZES = [("latent_dim", 0), ("latent_dim", -1), ("coeff_rows", 0), ("coeff_r
              ("original_length", -1), ("hidden_dims", [0]), ("hidden_dims", [-1])]
 
 
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_original_length_named(tmp_path, saved_vae, value):
+    """Named before the range check of coeff_rows, which reads it."""
+    path = tmp_path / "fuzzed.json"
+    path.write_text(edited(saved_vae, lambda doc: doc["config"].update(original_length=value)))
+    with pytest.raises(CheckpointError, match=f"original_length must be >= 1, got {value}"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key,value", VAE_SIZES)
 def test_non_positive_vae_config_value(tmp_path, capsys, saved_vae, key, value):
     """Loads, or fails with a CheckpointError naming the file; no other

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 
 from test_exits import BAD_EXITS
 from moticomp.autodiff import SHARED, Tape, freeze
-from moticomp.datagen import default_skeleton, load_checkpoint, save_checkpoint
+from moticomp import predictor as predictor_module, training as training_module
+from moticomp.datagen import (build_dataset, default_manifest, default_skeleton,
+                              load_checkpoint, save_checkpoint)
 from moticomp.dct import dct_encode, idct_basis
 from moticomp.errors import ConfigError, NumericError, ShapeError
 from moticomp.exits import count_flops, policy_macs
@@ -129,6 +133,11 @@ class TestSelfAttention:
     def test_non_positive_sizes_rejected(self, key, size):
         with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {size}"):
             PredictorConfig(**{key: size})
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_coeff_scale_rejected(self, scale):
+        with pytest.raises(ConfigError, match=f"coeff_scale must be finite and > 0, got {scale}"):
+            PredictorConfig(coeff_scale=scale)
 
     @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
     def test_negative_or_non_finite_adjacency_noise_rejected(self, noise):
@@ -551,3 +560,94 @@ class TestBindOnce:
         del first
         gc.collect()
         assert kept() is None
+
+
+@pytest.fixture(scope="module")
+def default_model_and_test_histories():
+    """A default-config model with live decoders and the 56 (N, E) histories
+    of the default manifest's test split."""
+    splits = build_dataset(default_manifest())
+    layout = PartLayout.from_skeleton(default_skeleton())
+    config = PredictorConfig(zero_output_decoders=False)
+    model = init_predictor_model(np.random.default_rng(36), layout, config)
+    histories = np.stack([seq.data[:config.input_frames] for seq in splits.test])
+    assert histories.shape[0] == 56
+    return model, histories
+
+
+def recorded_tapes(monkeypatch, module):
+    """The tapes that module's bind calls register parameters on, in order."""
+    tapes = []
+    original = module.bind
+
+    def recording(tape, named, trainable):
+        tapes.append(tape)
+        return original(tape, named, trainable)
+
+    monkeypatch.setattr(module, "bind", recording)
+    return tapes
+
+
+class TestInferenceTapes:
+    """A node keeps backward state only when a gradient can flow into it, so
+    an inference tape holds forward values and nothing else."""
+
+    def test_predict_keeps_no_backward(self, monkeypatch, default_model_and_test_histories):
+        model, histories = default_model_and_test_histories
+        tapes = recorded_tapes(monkeypatch, predictor_module)
+        for exits in ((1, 1, 1), (3, 3, 3), (1, 2, 3)):
+            predict(model.params, MotionSequence(data=histories[0], fps=10.0, label="h"),
+                    exits)
+        assert len(tapes) == 3
+        for tape in tapes:
+            assert "gc_block" in {node.kind for node in tape.nodes}
+            assert all(node.backward_fn is None for node in tape.nodes)
+
+    def test_routed_batch_keeps_no_backward(self, monkeypatch,
+                                            default_model_and_test_histories):
+        model, histories = default_model_and_test_histories
+        tapes = recorded_tapes(monkeypatch, training_module)
+        _routed_batch(model, histories)
+        assert len(tapes) == 1
+        kinds = {node.kind for node in tapes[0].nodes}
+        assert {"gc_block", "straight_through", "scalar_mul"} <= kinds
+        assert all(node.backward_fn is None for node in tapes[0].nodes)
+
+    def test_trainable_weights_on_a_constant_input_keep_their_gradients(self):
+        # only the constant front end (motion attention, its transpose and the
+        # part split) drops its backward; the gradients are the bytes they were
+        # when every node kept one
+        layout = PartLayout.from_skeleton(default_skeleton())
+        config = PredictorConfig(zero_output_decoders=False)
+        params = init_predictor(np.random.default_rng(34), layout, config)
+        rng = np.random.default_rng(35)
+        hist = rng.normal(scale=30.0, size=(3, config.input_frames, layout.size))
+        gt = rng.normal(scale=30.0, size=(3, config.input_frames + config.output_frames,
+                                          layout.size))
+        tape = Tape()
+        named = params.named_parameters()
+        tensors = bind(tape, named, trainable=True)
+        pred = _forward_core(tape, params, tensors, hist, (3, 2, 1))
+        tape.backward(tape.sum_sq(tape.add(pred, tape.constant(-gt))))
+        for node in tape.nodes:
+            assert (node.backward_fn is not None) == tape.tensors[node.output_id].requires_grad
+        assert [node.kind for node in tape.nodes if node.backward_fn is None] == [
+            "add", "transpose", "gather", "gather"]
+        digest = hashlib.blake2b(digest_size=16)
+        for name in named:
+            digest.update(tensors[name].grad.tobytes())
+        assert digest.hexdigest() == "b2c8b255adf37742261883281b5ffb5b"
+
+    def test_full_depth_batch_memory(self, default_model_and_test_histories):
+        # about 8 MB; a tape that kept every backward closure and the arrays
+        # it reads peaked at 64 MB
+        model, histories = default_model_and_test_histories
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            tensors = bind(tape, model.params.named_parameters(), trainable=False)
+            _forward_core(tape, model.params, tensors, histories, (3, 3, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024

@@ -108,11 +108,14 @@ class TestEncodeDecode:
         ("coeff_rows", 0, "coeff_rows must be >= 1, got 0"),
         ("coeff_cols", -1, "coeff_cols must be >= 1, got -1"),
         ("latent_dim", 0, "latent_dim must be >= 1, got 0"),
-        ("hidden_dims", (10, 0), r"hidden_dims entries must be >= 1, got \[10, 0\]")])
+        ("hidden_dims", (10, 0), r"hidden_dims entries must be >= 1, got \[10, 0\]"),
+        ("original_length", 0, "original_length must be >= 1, got 0"),
+        ("original_length", -1, "original_length must be >= 1, got -1")])
     def test_non_positive_sizes_named(self, key, value, match):
-        sizes = dict(coeff_rows=F, coeff_cols=COLS, latent_dim=LATENT, hidden_dims=(10,))
+        sizes = dict(coeff_rows=F, coeff_cols=COLS, original_length=LENGTH,
+                     latent_dim=LATENT, hidden_dims=(10,))
         with pytest.raises(ConfigError, match=match):
-            init_vae(np.random.default_rng(0), original_length=LENGTH, **{**sizes, key: value})
+            init_vae(np.random.default_rng(0), **{**sizes, key: value})
 
     def test_no_hidden_layers_allowed(self):
         params = init_vae(np.random.default_rng(0), coeff_rows=F, coeff_cols=COLS,
@@ -423,6 +426,12 @@ class TestSynthesis:
 
 
 class TestTrainCag:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("key", ["lr", "normalization_margin"])
+    def test_non_positive_or_non_finite_rates_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite and > 0, got {value}"):
+            CagTrainConfig(**{key: value})
+
     def test_zero_epochs_returns_initial_params(self):
         rng = np.random.default_rng(17)
         data = make_sequences(rng, 6)
