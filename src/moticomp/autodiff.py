@@ -183,7 +183,7 @@ def _attention(name: str, hv: Array, ws: Sequence[Array], heads: int, need_h: bo
         g_attn, g_v = _matmul_grads(split(g_ctx), attn, v, True, True)
         g_q, g_k_t = _matmul_grads(_softmax_grad(g_attn, attn) * c, q, k_t, True, True)
         g_qkv = (join(g_q), join(np.swapaxes(g_k_t, -1, -2)), join(g_v))
-        g_h, g_w = g, [None] * 3  # into h: the residual first, then v, k and q
+        g_h, g_w = (g if need_h else None), [None] * 3  # into h: the residual, v, k, q
         for j in (2, 1, 0):
             g_hj, g_w[j] = _matmul_grads(g_qkv[j], hv, ws[j], need_h, need_w[j])
             if need_h:
@@ -505,8 +505,9 @@ class Tape:
         def bwd(g):  # each step's backward, last step first
             g_ops = []  # the gradients of the steps' operands, in order
             for back, n in reversed(backs):
-                # g is None once nothing before this step needs a gradient,
-                # so a step that kept no backward is never called
+                # g is None once nothing before this step needs a gradient
+                # (a step returns None for h then), so a step that kept no
+                # backward is never called
                 g, *g_step = back(g) if g is not None else (None,) * (1 + n)
                 g_ops[:0] = g_step
             return g, *g_ops

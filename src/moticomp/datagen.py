@@ -550,11 +550,6 @@ def _vae_params(path, config: dict, tensors: dict[str, np.ndarray]) -> VaeParams
     """The VAE a checkpoint describes, built with its normalization so VaeParams checks it."""
     types = {k: init_vae.__annotations__[k] for k in _VAE_CONFIG_KEYS}
     values = _config_values(config, types)
-    if values["original_length"] < 1:
-        raise ConfigError(f"original_length must be >= 1, got {values['original_length']}")
-    if not 1 <= values["coeff_rows"] <= values["original_length"]:
-        raise ValueError(f"config key 'coeff_rows' holds {values['coeff_rows']}, expected "
-                         f"1..original_length ({values['original_length']})")
     model = init_vae(np.random.default_rng(0), **values)
     norm = {"norm.offset": model.input_offset.copy(), "norm.scale": model.input_scale.copy()}
     _fill_parameters(path, norm, {name: tensors.pop(name) for name in norm})

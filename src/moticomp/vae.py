@@ -72,6 +72,9 @@ def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
     for key, size in sizes.items():
         if size < 1:
             raise ConfigError(f"{key} must be >= 1, got {size}")
+    if coeff_rows > original_length:
+        raise ConfigError(f"config key 'coeff_rows' holds {coeff_rows}, expected "
+                          f"1..original_length ({original_length})")
     if any(h < 1 for h in hidden_dims):
         raise ConfigError(f"hidden_dims entries must be >= 1, got {list(hidden_dims)}")
     d_in = coeff_rows * coeff_cols

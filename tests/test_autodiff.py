@@ -437,15 +437,25 @@ def test_gc_block_equals_its_composition_bit_for_bit(layout, h_shape, heads):
     _assert_block_equals_composition(layout, h_shape, heads)
 
 
-def test_gc_block_computes_only_the_gradients_needed():
-    # h and the first two steps are constants: no gradient reaches them, and
-    # the later steps' gradients still equal the composition's
-    layout = "gaga"
-    trainable = [False] * 7 + [True] * 6
-    assert len(trainable) == len(_block_shapes(layout, (3, 5, 8)))
+def _assert_only_trailing_gradients(layout, n_constant):
+    """h and the first n_constant - 1 operands are constants: no gradient
+    reaches them, and the later steps' gradients equal the composition's."""
+    trainable = [False] * n_constant
+    trainable += [True] * (len(_block_shapes(layout, (3, 5, 8))) - n_constant)
     grads = _assert_block_equals_composition(layout, (3, 5, 8), 2, trainable)
-    assert grads[:7] == [None] * 7
-    assert all(g is not None for g in grads[7:])
+    assert grads[:n_constant] == [None] * n_constant
+    assert all(g is not None for g in grads[n_constant:])
+
+
+def test_gc_block_computes_only_the_gradients_needed():
+    _assert_only_trailing_gradients("gaga", 7)
+
+
+@pytest.mark.parametrize("layout,n_constant", [("ga", 3), ("aa", 5), ("ag", 5)])
+def test_gc_block_skips_a_constant_step_before_a_trainable_one(layout, n_constant):
+    # the first trainable step right behind a constant one, on a constant h;
+    # an attention there passes no gradient back into its input
+    _assert_only_trailing_gradients(layout, n_constant)
 
 
 def test_gc_layer_raises_on_an_overflow_tanh_would_hide():

@@ -117,6 +117,12 @@ class TestEncodeDecode:
         with pytest.raises(ConfigError, match=match):
             init_vae(np.random.default_rng(0), **{**sizes, key: value})
 
+    def test_more_coeff_rows_than_frames_named(self):
+        with pytest.raises(ConfigError, match=rf"'coeff_rows' holds {LENGTH + 1}, "
+                                              rf"expected 1\.\.original_length \({LENGTH}\)"):
+            init_vae(np.random.default_rng(0), coeff_rows=LENGTH + 1, coeff_cols=COLS,
+                     original_length=LENGTH)
+
     def test_no_hidden_layers_allowed(self):
         params = init_vae(np.random.default_rng(0), coeff_rows=F, coeff_cols=COLS,
                           original_length=LENGTH, latent_dim=LATENT, hidden_dims=())
