@@ -329,17 +329,18 @@ class Tape:
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if not _broadcasts(a.shape, b.shape):
             raise ShapeError(f"add shapes {a.shape} vs {b.shape}")
-        sa, sb = a.shape, b.shape
+        sa, sb, na, nb = a.shape, b.shape, a.requires_grad, b.requires_grad
         return self._emit("add", (a, b), a.values + b.values,
-                          lambda g: (_sum_to(g, sa), _sum_to(g, sb)))
+                          lambda g: (_sum_to(g, sa) if na else None,
+                                     _sum_to(g, sb) if nb else None))
 
     def hadamard(self, a: Tensor, b: Tensor) -> Tensor:
         if not _broadcasts(a.shape, b.shape):
             raise ShapeError(f"hadamard shapes {a.shape} vs {b.shape}")
-        av, bv = a.values, b.values
+        av, bv, na, nb = a.values, b.values, a.requires_grad, b.requires_grad
         return self._emit("hadamard", (a, b), av * bv,
-                          lambda g: (_sum_to(g * bv, av.shape),
-                                     _sum_to(g * av, bv.shape)))
+                          lambda g: (_sum_to(g * bv, av.shape) if na else None,
+                                     _sum_to(g * av, bv.shape) if nb else None))
 
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.values)
@@ -358,10 +359,11 @@ class Tape:
     def div(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise ShapeError(f"div shapes {a.shape} vs {b.shape}")
-        av, bv = a.values, b.values
+        av, bv, na, nb = a.values, b.values, a.requires_grad, b.requires_grad
         with np.errstate(divide="ignore", invalid="ignore"):
             y = av / bv
-        return self._emit("div", (a, b), y, lambda g: (g / bv, -g * av / (bv * bv)))
+        return self._emit("div", (a, b), y, lambda g: (g / bv if na else None,
+                                                       -g * av / (bv * bv) if nb else None))
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         c = float(c)
@@ -372,12 +374,13 @@ class Tape:
     def scalar_mul(self, a: Tensor, s: Tensor) -> Tensor:
         """Multiply each batch row of a by its own element of s, of shape
         (B, 1, ..., 1)."""
-        av, sv = a.values, s.values
+        av, sv, na, ns = a.values, s.values, a.requires_grad, s.requires_grad
         if s.shape != av.shape[:1] + (1,) * (av.ndim - 1):
             raise ShapeError(f"scalar_mul scalar has shape {s.shape} for {a.shape}")
         axes = tuple(range(1, av.ndim))
         return self._emit("scalar_mul", (a, s), av * sv,
-                          lambda g: (g * sv, np.sum(g * av, axis=axes, keepdims=True)))
+                          lambda g: (g * sv if na else None,
+                                     np.sum(g * av, axis=axes, keepdims=True) if ns else None))
 
     def softmax_lastdim(self, a: Tensor) -> Tensor:
         y = _softmax(a.values)

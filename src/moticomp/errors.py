@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one positive-value check."""
+"""Exception types shared across the package, and the one finite-bound check."""
 
 
 class ShapeError(ValueError):
@@ -25,10 +25,11 @@ class ManifestError(ValueError):
     """Dataset manifest is inconsistent (e.g. overlapping split seeds)."""
 
 
-def require_positive_finite(config, *keys: str) -> None:
-    """Raise ConfigError naming the first of keys whose value in config is
-    not finite and > 0; NaN and inf fail."""
+def require_positive_finite(config, *keys: str, zero_ok: bool = False) -> None:
+    """Raise ConfigError naming the first of keys whose value in config is not
+    finite and > 0 (>= 0 with zero_ok, for a weight 0 turns off); NaN and inf fail."""
     for key in keys:
         value = getattr(config, key)
-        if not 0 < value < float("inf"):
-            raise ConfigError(f"{key} must be finite and > 0, got {value}")
+        if not (0 <= value < float("inf") and (zero_ok or value != 0)):
+            raise ConfigError(f"{key} must be finite and {'>=' if zero_ok else '>'} 0, "
+                              f"got {value}")

@@ -62,7 +62,7 @@ def mpjpe_metric(pred: np.ndarray, gt: np.ndarray, frame_index: int) -> float:
 # ----------------------------------------------------------------------
 # optimizer
 
-_ADAM_CHUNK = 16_384  # elements per in-place pass: two 128 KB scratch chunks stay in cache
+_ADAM_CHUNK = 16_384  # elements per in-place pass: a 128 KB scratch chunk stays in cache
 
 
 def _check_param(name: str, p: np.ndarray) -> None:
@@ -76,11 +76,12 @@ def _check_param(name: str, p: np.ndarray) -> None:
 class AdamState:
     """Adam's step count and moments for one parameter dict.
 
-    m and v are one flat float64 buffer each, in the dict's order; m[name] and
-    v[name] are views of them. The flat space is cut once into chunks of at
-    most _ADAM_CHUNK elements, each array into pieces of at most that many and
-    consecutive pieces grouped while they fit, which adam_step updates one by
-    one through two chunk-sized scratch buffers."""
+    m and v are one flat float64 buffer each, in the dict's order, holding the
+    moments over (1 - beta1) and (1 - beta2), updated as m = beta1 m + g and
+    v = beta2 v + g^2; m[name] and v[name] are views of them. The flat space is
+    cut once into chunks of at most _ADAM_CHUNK elements, each array into pieces
+    of at most that many and consecutive pieces grouped while they fit, which
+    adam_step updates one by one through one chunk-sized scratch buffer."""
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
         sizes = [int(np.prod(shape)) for shape in shapes.values()]
@@ -102,7 +103,7 @@ class AdamState:
                 else:
                     self._chunks.append((start + lo, start + hi, ((name, lo, hi),)))
         width = max((stop - start for start, stop, _ in self._chunks), default=0)
-        self._scratch = np.empty((2, width))
+        self._scratch = np.empty(width)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -128,10 +129,18 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               beta2: float = 0.999, eps: float = 1e-8):
     """One bias-corrected update, in place. Returns (params, state).
 
-    Nothing changes unless params holds exactly the state's names and shapes
-    and every gradient is present, of its parameter's shape and finite. Each
-    chunk runs the per-array formula's IEEE operations in its order, so the
-    result is bit-identical to updating array by array."""
+    Nothing changes unless lr and eps are finite and > 0, beta1 and beta2 lie
+    in [0, 1), params holds exactly the state's names and shapes and every
+    gradient is present, of its parameter's shape and finite. Bias corrections,
+    lr and eps fold into two scalars, so a chunk takes 10 elementwise passes;
+    params agree with the textbook formula within 1e-14 of each array's
+    largest magnitude, not bit for bit."""
+    for key, value in (("lr", lr), ("eps", eps)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{key} must be finite and > 0, got {value}")
+    for key, value in (("beta1", beta1), ("beta2", beta2)):
+        if not 0 <= value < 1:
+            raise ValueError(f"{key} must lie in [0, 1), got {value}")
     if params.keys() != state.m.keys():
         raise ShapeError(f"parameters {sorted(params.keys() ^ state.m.keys())} "
                          "are not the ones the Adam state was made for")
@@ -142,38 +151,32 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if g is None or g.shape != m.shape:
             raise ShapeError(f"gradient of {name} missing or mis-shaped")
         _check_param(name, p)
-    g_buf, t_buf = state._scratch
     for start, stop, pieces in state._chunks:
-        if not np.isfinite(_chunk_grad(grads, pieces, g_buf[:stop - start])).all():
+        if not np.isfinite(_chunk_grad(grads, pieces, state._scratch[:stop - start])).all():
             bad = next(name for name, _, _ in pieces if not np.isfinite(grads[name]).all())
             raise NumericError(f"non-finite gradient for {bad}")
 
     state.step += 1
-    bc1 = 1.0 - beta1 ** state.step
-    bc2 = 1.0 - beta2 ** state.step
+    # m and v hold M / (1 - beta1) and V / (1 - beta2) of the textbook moments
+    # M and V, so p -= lr * (M / bc1) / (sqrt(V / bc2) + eps) is
+    # p -= step * m / (sqrt(v) + eps / r), where r = sqrt((1 - beta2) / bc2)
+    r = np.sqrt((1.0 - beta2) / (1.0 - beta2 ** state.step))
+    step = lr * (1.0 - beta1) / ((1.0 - beta1 ** state.step) * r)
     for start, stop, pieces in state._chunks:
-        n = stop - start
-        g = _chunk_grad(grads, pieces, g_buf[:n])
-        m, v, t, u = state._m[start:stop], state._v[start:stop], t_buf[:n], g_buf[:n]
-        # m += (1 - beta1) * (g - m)
-        np.subtract(g, m, out=t)
-        t *= 1.0 - beta1
-        m += t
-        # v += (1 - beta2) * (g * g - v)
+        m, v, t = state._m[start:stop], state._v[start:stop], state._scratch[:stop - start]
+        g = _chunk_grad(grads, pieces, t)  # t itself when pieces are joined
+        m *= beta1
+        m += g
+        v *= beta2
         np.multiply(g, g, out=t)
-        t -= v
-        t *= 1.0 - beta2
         v += t
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps); u may overwrite g now
-        np.divide(v, bc2, out=t)
-        np.sqrt(t, out=t)
-        t += eps
-        np.divide(m, bc1, out=u)
-        u *= lr
-        u /= t
+        np.sqrt(v, out=t)
+        t += eps / r
+        np.divide(m, t, out=t)
+        t *= step
         at = 0
         for name, lo, hi in pieces:
-            params[name].reshape(-1)[lo:hi] -= u[at:at + hi - lo]
+            params[name].reshape(-1)[lo:hi] -= t[at:at + hi - lo]
             at += hi - lo
     return params, state
 
@@ -217,6 +220,7 @@ class TrainConfig:
 
     def __post_init__(self):
         require_positive_finite(self, "lr", "temperature")
+        require_positive_finite(self, "w_tendency", zero_ok=True)
         if not 0 < self.lr_decay_per_epoch <= 1:
             raise ConfigError("lr_decay_per_epoch must lie in (0, 1]")
         if self.batch_size < 1 or self.epochs < 0:

@@ -237,6 +237,7 @@ class CagTrainConfig:
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
         require_positive_finite(self, "lr", "normalization_margin")
+        require_positive_finite(self, "kl_weight", zero_ok=True)
 
 
 @dataclass

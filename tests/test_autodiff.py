@@ -437,6 +437,26 @@ def test_gc_block_equals_its_composition_bit_for_bit(layout, h_shape, heads):
     _assert_block_equals_composition(layout, h_shape, heads)
 
 
+# operand shapes of the two-operand elementwise kinds, broadcasts included
+BINARY_SHAPES = {"add": ((3, 4, 5), (1, 5)), "hadamard": ((4, 5), (3, 4, 5)),
+                 "scalar_mul": ((3, 4, 5), (3, 1, 1)), "div": ((4, 5), (4, 5))}
+
+
+@pytest.mark.parametrize("trainable", [(True, False), (False, True)])
+@pytest.mark.parametrize("kind", sorted(BINARY_SHAPES))
+def test_binary_kind_computes_no_gradient_for_a_constant_operand(kind, trainable):
+    rng = np.random.default_rng(24)
+    values = [rng.uniform(1.0, 2.0, size=shape) for shape in BINARY_SHAPES[kind]]
+
+    def slots(flags):
+        t = Tape()
+        out = getattr(t, kind)(*(t.leaf(v, requires_grad=f) for v, f in zip(values, flags)))
+        return t.nodes[-1].backward_fn(np.random.default_rng(25).normal(size=out.shape))
+
+    for got, want, needed in zip(slots(trainable), slots((True, True)), trainable):
+        assert (got.tobytes() == want.tobytes()) if needed else got is None
+
+
 def _assert_only_trailing_gradients(layout, n_constant):
     """h and the first n_constant - 1 operands are constants: no gradient
     reaches them, and the later steps' gradients equal the composition's."""

@@ -8,7 +8,7 @@ import pytest
 
 from moticomp import training
 from moticomp.autodiff import Tape
-from moticomp.datagen import load_checkpoint, save_checkpoint
+from moticomp.datagen import build_dataset, default_manifest, load_checkpoint, save_checkpoint
 from moticomp.errors import ConfigError, NumericError, ShapeError
 from moticomp.exits import _policy_forward, _tendency_loss_soft
 from moticomp.layers import bind
@@ -19,7 +19,7 @@ from moticomp.training import (AdamState, TrainConfig, _mean_future_error,
                                _mpjpe_loss_t, _routed_batch, _routed_forward, adam_step,
                                evaluate, init_predictor_model, mpjpe_metric,
                                routed_prediction, train_predictor)
-from moticomp.vae import init_vae
+from moticomp.vae import CagTrainConfig, init_vae, reconstruction_mpjpe, train_cag
 
 
 def tape_loss(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -127,29 +127,58 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(params, {"w": np.array([np.nan, 0.0])}, state, lr=0.1)
 
-    def test_bit_identical_to_the_per_array_formula(self):
-        chunk = training._ADAM_CHUNK
-        shapes = {"fusion": (1, 1), **{f"small{i}": (8, 16) for i in range(30)},
-                  "exact": (128, chunk // 128), "wide": (600, 256), "bias": (1, 256)}
-        assert 600 * 256 % chunk  # the wide array's last piece is short
-        rng = np.random.default_rng(81)
-        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    SHAPES = {"fusion": (1, 1), **{f"small{i}": (8, 16) for i in range(30)},
+              "exact": (128, training._ADAM_CHUNK // 128), "wide": (600, 256), "bias": (1, 256)}
+
+    def _race(self, reference, steps, seed):
+        """adam_step and a reference step side by side over steps random
+        gradients, each array's drawn at a scale from 1e-6 to 1e2: the two
+        param dicts, adam_step's state and the reference's moments."""
+        rng = np.random.default_rng(seed)
+        params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
         ref_params = {name: p.copy() for name, p in params.items()}
         state = AdamState.for_params(params)
-        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
-        plan = [[name for name, _, _ in pieces] for _, _, pieces in state._chunks]
+        ref_m = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        ref_v = {name: np.zeros(shape) for name, shape in self.SHAPES.items()}
+        for step in range(1, steps + 1):
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                     for name, shape in self.SHAPES.items()}
+            adam_step(params, grads, state, lr=0.003)
+            reference(ref_params, grads, ref_m, ref_v, step, lr=0.003)
+        assert state.step == steps
+        return params, ref_params, state, ref_m, ref_v
+
+    def test_chunked_step_bit_identical_to_the_per_array_formula(self):
+        chunk = training._ADAM_CHUNK
+        assert 600 * 256 % chunk  # the wide array's last piece is short
+        plan = [[name for name, _, _ in pieces]
+                for _, _, pieces in AdamState(self.SHAPES)._chunks]
         assert plan == [["fusion", *[f"small{i}" for i in range(30)]], ["exact"],
                         *[["wide"]] * (600 * 256 // chunk), ["wide", "bias"]]
-        for step in range(1, 7):
-            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
-                     for name, shape in shapes.items()}
-            adam_step(params, grads, state, lr=0.003)
-            reference_adam_step(ref_params, grads, ref_m, ref_v, step, lr=0.003)
-        assert state.step == 6
-        for name in shapes:
+        params, ref_params, state, ref_m, ref_v = self._race(per_array_adam_step, 6, 81)
+        for name in self.SHAPES:
             for got, want in ((params, ref_params), (state.m, ref_m), (state.v, ref_v)):
                 assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_within_rounding_of_the_textbook_formula(self, monkeypatch):
+        params, ref_params, state, ref_m, ref_v = self._race(reference_adam_step, 200, 85)
+        for name in self.SHAPES:
+            for got, want in ((params[name], ref_params[name]),
+                              (state.m[name] * (1.0 - 0.9), ref_m[name]),
+                              (state.v[name] * (1.0 - 0.999), ref_v[name])):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+        # the compose benchmark's VAE: 4 epochs over the default training split
+        splits = build_dataset(default_manifest())
+        config = CagTrainConfig(epochs=4, n_coeffs=25, hidden_dims=(256, 256), seed=0)
+        runs = [train_cag(splits.train, config)]
+        monkeypatch.setattr(training, "adam_step", textbook_adam_step)
+        runs.append(train_cag(splits.train, config))
+        (losses, errors), (ref_losses, ref_errors) = [
+            (run.loss_history, reconstruction_mpjpe(run.params, splits.test)) for run in runs]
+        assert len(losses) == 4
+        assert np.allclose(losses, ref_losses, rtol=1e-13, atol=0.0)
+        assert abs(errors - ref_errors) <= 1e-12
 
     def test_failed_check_changes_nothing(self):
         rng = np.random.default_rng(82)
@@ -180,6 +209,34 @@ class TestAdam:
         assert state.step == 2
         assert snapshot == [params[n].tobytes() + state.m[n].tobytes() + state.v[n].tobytes()
                             for n in params]
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr", np.nan), ("lr", np.inf), ("lr", 0.0), ("lr", -0.01),
+        ("eps", 0.0), ("eps", np.inf), ("eps", np.nan),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", np.nan), ("beta2", 1.0), ("beta2", np.nan),
+    ])
+    def test_hyperparameter_that_would_corrupt_params_refused(self, key, value):
+        # each of these wrote NaN or inf into the parameters when unchecked;
+        # eps = 0 did so through the zero gradient
+        params = {"w": np.array([1.0, -2.0]), "b": np.array([0.5])}
+        state = AdamState.for_params(params)
+        adam_step(params, {"w": np.array([0.3, -0.2]), "b": np.array([0.1])}, state, lr=0.01)
+        snapshot = [params[n].tobytes() + state.m[n].tobytes() + state.v[n].tobytes()
+                    for n in params]
+        zeros = {name: np.zeros_like(p) for name, p in params.items()}
+        hyper = {"lr": 0.01, key: value}
+        with pytest.raises(ValueError, match=rf"^{key} must .*, got {value}$"):
+            adam_step(params, zeros, state, **hyper)
+        assert state.step == 1
+        assert snapshot == [params[n].tobytes() + state.m[n].tobytes() + state.v[n].tobytes()
+                            for n in params]
+
+    def test_zero_betas_accepted(self):
+        params = {"w": np.array([1.0, -2.0])}
+        state = AdamState.for_params(params)
+        adam_step(params, {"w": np.array([0.5, -4.0])}, state, lr=0.1, beta1=0.0, beta2=0.0)
+        # with no averaging the step is lr * g / (|g| + eps)
+        assert np.allclose(params["w"], [0.9, -1.9], rtol=0.0, atol=1e-8)
 
     def test_parameter_an_update_would_miss_refused(self):
         w = np.zeros((4, 3))
@@ -221,8 +278,7 @@ class TestAdam:
 
 
 def reference_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam array by array, with fresh temporaries: the formula adam_step runs
-    chunk by chunk in place."""
+    """The textbook Adam step (Kingma & Ba, Algorithm 1), array by array."""
     bc1 = 1.0 - beta1 ** step
     bc2 = 1.0 - beta2 ** step
     for name, p in params.items():
@@ -230,6 +286,26 @@ def reference_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, e
         m[name] += (1.0 - beta1) * (g - m[name])
         v[name] += (1.0 - beta2) * (g * g - v[name])
         p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+def textbook_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """adam_step's signature over reference_adam_step: state.m and state.v
+    hold the textbook moments."""
+    state.step += 1
+    reference_adam_step(params, grads, state.m, state.v, state.step, lr, beta1, beta2, eps)
+    return params, state
+
+
+def per_array_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """adam_step's formula array by array, with fresh temporaries: m and v
+    hold the moments over (1 - beta1) and (1 - beta2)."""
+    r = np.sqrt((1.0 - beta2) / (1.0 - beta2 ** step))
+    size = lr * (1.0 - beta1) / ((1.0 - beta1 ** step) * r)
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = beta1 * m[name] + g
+        v[name] = beta2 * v[name] + g * g
+        p -= m[name] / (np.sqrt(v[name]) + eps / r) * size
 
 
 def tiny_setup(seed=0, n_train=12, n_val=4):
@@ -264,6 +340,14 @@ class TestTrainPredictor:
     def test_non_positive_or_non_finite_rates_named(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite and > 0, got {value}"):
             TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_negative_or_non_finite_tendency_weight_named(self, value):
+        with pytest.raises(ConfigError, match=f"w_tendency must be finite and >= 0, got {value}"):
+            TrainConfig(w_tendency=value)
+
+    def test_zero_tendency_weight_turns_the_term_off(self):
+        assert TrainConfig(w_tendency=0.0).w_tendency == 0.0
 
     def test_zero_epochs_leaves_model_unchanged(self):
         model, _, _, train, val = tiny_setup()

@@ -438,6 +438,14 @@ class TestTrainCag:
         with pytest.raises(ConfigError, match=f"{key} must be finite and > 0, got {value}"):
             CagTrainConfig(**{key: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_negative_or_non_finite_kl_weight_named(self, value):
+        with pytest.raises(ConfigError, match=f"kl_weight must be finite and >= 0, got {value}"):
+            CagTrainConfig(kl_weight=value)
+
+    def test_zero_kl_weight_turns_the_term_off(self):
+        assert CagTrainConfig(kl_weight=0.0).kl_weight == 0.0
+
     def test_zero_epochs_returns_initial_params(self):
         rng = np.random.default_rng(17)
         data = make_sequences(rng, 6)
