@@ -9,7 +9,7 @@ reverse-mode autodiff engine, CPU only, deterministic under fixed seeds.
 """
 
 from .autodiff import Tape, Tensor
-from .dct import DctCoeffs, dct_encode, idct_decode
+from .dct import dct_encode, idct_decode
 from .datagen import (ActionSpec, DatasetManifest, DatasetSplits, build_dataset,
                       compose_oracle, default_manifest, default_skeleton,
                       generate_atomic, load_checkpoint, load_motion,

@@ -47,14 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -65,24 +64,24 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate train/val/test motion splits")
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="override split seeds (train=N, val=N+1e6, test=N+2e6)")
 
     p = sub.add_parser("train-cag", help="train the composite-action VAE")
     p.add_argument("--config", required=True, help="training config JSON")
     p.add_argument("--data", required=True, help="dataset directory from gen-data")
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("synth", help="synthesize composite actions from a trained VAE")
     p.add_argument("--model", required=True, help="VAE checkpoint")
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
-    p.add_argument("--count", type=_positive_int, default=1,
+    p.add_argument("--count", type=_int_at_least(1), default=1,
                    help="composites per action pair (>= 1)")
     p.add_argument("--deterministic", action="store_true",
                    help="use the latent mean instead of sampling")
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("train-predictor", help="train the early-exit predictor")
     p.add_argument("--config", required=True, help="training config JSON")
@@ -90,7 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--synth", default=None,
                    help="directory of synthesized composites to add to training")
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("eval", help="evaluate a predictor checkpoint on the test split")
     p.add_argument("--model", required=True)

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import freeze
-from .errors import CheckpointError, ConfigError, ManifestError, ParseError, ShapeError
+from .errors import (CheckpointError, ConfigError, ManifestError, ParseError, ShapeError,
+                     require_at_least)
 from .motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from .predictor import PredictorConfig
 from .training import PredictorModel, init_predictor_model
@@ -193,6 +194,7 @@ class DatasetManifest:
                   self.val_per_composite, self.test_per_composite)
         if any(c < 0 for c in counts):
             raise ManifestError("per-split counts must be >= 0")
+        require_at_least(self, 0, "train_seed", "val_seed", "test_seed", error=ManifestError)
         ranges = sorted([
             (self.train_seed, self.train_seed + self._seeds_needed("train")),
             (self.val_seed, self.val_seed + self._seeds_needed("val")),

@@ -1,14 +1,11 @@
-"""Orthonormal DCT along the time axis of each coordinate trajectory.
-
-Type-II transform with orthonormal scaling, applied column-wise, with
-optional truncation to the first F coefficients; the inverse zero-pads
-truncated coefficients before applying the type-III transform. Direct
-matrix form, no FFT: trajectories here are a few dozen frames.
+"""Orthonormal type-II DCT along the time axis of each column of each matrix
+of a stack (..., frames, columns), optionally truncated to the first F
+coefficients; the inverse zero-pads them and applies the type-III transform.
+Each direction is one matrix product, no FFT: trajectories are a few dozen frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,46 +27,30 @@ def dct_matrix(n: int) -> np.ndarray:
     return freeze(basis, "DCT basis")
 
 
-@dataclass(frozen=True)
-class DctCoeffs:
-    """F x (3J) frequency-domain trajectory representation."""
-
-    coeffs: np.ndarray
-    original_length: int
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.float64, order="C")  # ours to freeze
-        if c.ndim != 2 or c.shape[0] < 1:
-            raise ShapeError(f"coefficients must be a 2-D matrix, got shape {c.shape}")
-        if not 1 <= c.shape[0] <= self.original_length:
-            raise ValueError(
-                f"coefficient count {c.shape[0]} outside 1..{self.original_length}"
-            )
-        object.__setattr__(self, "coeffs", freeze(c, "coefficients"))
-
-    def flat(self) -> np.ndarray:
-        return self.coeffs.reshape(-1)
-
-
-def dct_encode(seq_data: np.ndarray, n_coeffs: int) -> DctCoeffs:
-    """Encode each column and keep the first n_coeffs coefficients."""
-    x = np.asarray(seq_data, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {x.shape}")
-    n = x.shape[0]
+def dct_encode(x: np.ndarray, n_coeffs: int) -> np.ndarray:
+    """The first n_coeffs coefficients of each column of each matrix of a
+    stack (..., frames, columns), as a new (..., n_coeffs, columns) array.
+    Raises ValueError on a non-finite coefficient."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        raise ShapeError(f"expected a stack of (frames, columns) matrices, got shape {x.shape}")
+    n = x.shape[-2]
     if not 1 <= n_coeffs <= n:
         raise ValueError(f"n_coeffs {n_coeffs} outside 1..{n}")
     coeffs = dct_matrix(n)[:n_coeffs] @ x
-    return DctCoeffs(coeffs=coeffs, original_length=n)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("non-finite values in coefficients")
+    return coeffs
 
 
-def idct_decode(coeffs: DctCoeffs, out_length: int) -> np.ndarray:
-    """Invert dct_encode; truncated coefficients are zero-padded first."""
-    if out_length != coeffs.original_length:
-        raise ValueError(
-            f"out_length {out_length} != original length {coeffs.original_length}"
-        )
-    return idct_basis(coeffs.original_length, coeffs.coeffs.shape[0]) @ coeffs.coeffs
+def idct_decode(coeffs: np.ndarray, out_length: int) -> np.ndarray:
+    """Invert dct_encode for a stack (..., F, columns) of the first F of
+    out_length coefficients; the missing ones count as zero."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    if c.ndim < 2 or not 1 <= c.shape[-2] <= out_length:
+        raise ShapeError(f"coefficients of shape {c.shape} are not a stack of "
+                         f"(F, columns) matrices with F in 1..{out_length}")
+    return idct_basis(out_length, c.shape[-2]) @ c
 
 
 @lru_cache(maxsize=64)

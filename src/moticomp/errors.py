@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one finite-bound check."""
+"""Exception types shared across the package, and the config bound checks."""
 
 
 class ShapeError(ValueError):
@@ -33,3 +33,12 @@ def require_positive_finite(config, *keys: str, zero_ok: bool = False) -> None:
         if not (0 <= value < float("inf") and (zero_ok or value != 0)):
             raise ConfigError(f"{key} must be finite and {'>=' if zero_ok else '>'} 0, "
                               f"got {value}")
+
+
+def require_at_least(config, low: int, *keys: str, error: type = ConfigError) -> None:
+    """Raise error naming the first of keys whose value in config is below low;
+    a key holding None, an optional left unset, passes."""
+    for key in keys:
+        value = getattr(config, key)
+        if value is not None and value < low:
+            raise error(f"{key} must be >= {low}, got {value}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, shared_constant
 from .dct import dct_encode, idct_basis
-from .errors import ConfigError, ShapeError, require_positive_finite
+from .errors import ConfigError, ShapeError, require_at_least, require_positive_finite
 from .layers import bind, init_linear, linear
 from .motion import MotionSequence, PartLayout
 
@@ -48,9 +48,7 @@ class PredictorConfig:
     def __post_init__(self):
         if self.input_frames < 2 or self.output_frames < 1:
             raise ConfigError("need >= 2 input frames and >= 1 output frame")
-        for key in ("heads", "feature_width", "policy_hidden", "query_dim"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        require_at_least(self, 1, "heads", "feature_width", "policy_hidden", "query_dim")
         if not (np.isfinite(self.adjacency_noise) and self.adjacency_noise >= 0):
             raise ConfigError(
                 f"adjacency_noise must be finite and >= 0, got {self.adjacency_noise}")
@@ -242,21 +240,20 @@ def _motion_attention(tape: Tape, config: PredictorConfig, tensors: dict[str, Te
     batch, n, width = history.shape
     sub_len, out_frames = config.sub_len, config.output_frames
     n_windows, n_coeffs = config.n_windows, config.resolved_n_coeffs
-    values = np.array([[dct_encode(past[i:i + sub_len + out_frames], n_coeffs).flat()
-                        for i in range(n_windows)] for past in history])
+    # (B, n_windows, sub_len + out_frames, E)
+    windows = np.stack([history[:, i:i + sub_len + out_frames] for i in range(n_windows)], axis=1)
+    values = dct_encode(windows, n_coeffs).reshape(batch, n_windows, -1)
     if n_windows == 1:
         context = tape.constant(values.reshape(batch, n_coeffs, width))
     else:
         query = tape.matmul(tape.constant(history[:, n - sub_len:].reshape(batch, 1, -1)),
                             tensors["mattn.wq"])
-        keys_raw = np.stack([history[:, i:i + sub_len].reshape(batch, -1)
-                             for i in range(n_windows)], axis=1)
-        keys = tape.matmul(tape.constant(keys_raw), tensors["mattn.wk"])
+        keys = tape.matmul(tape.constant(windows[:, :, :sub_len].reshape(batch, n_windows, -1)),
+                           tensors["mattn.wk"])
         weights = tape.softmax_lastdim(tape.matmul(query, tape.transpose(keys)))
         context = tape.reshape(tape.matmul(weights, tape.constant(values)),
                                (batch, n_coeffs, width))
-    padded = pad_last_frame(history, out_frames)
-    base = tape.constant(np.array([dct_encode(p, n_coeffs).coeffs for p in padded]))
+    base = tape.constant(dct_encode(pad_last_frame(history, out_frames), n_coeffs))
     return tape.add(base, context)
 
 

@@ -15,7 +15,8 @@ from functools import reduce
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, NumericError, ShapeError, require_positive_finite
+from .errors import (ConfigError, NumericError, ShapeError, require_at_least,
+                     require_positive_finite)
 from .exits import (FlopsReport, _gumbel_softmax_st, _policy_forward,
                     _tendency_loss_soft, count_flops, init_policy)
 from .layers import bind, require_writeable
@@ -225,6 +226,7 @@ class TrainConfig:
             raise ConfigError("lr_decay_per_epoch must lie in (0, 1]")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size >= 1 and epochs >= 0 required")
+        require_at_least(self, 0, "seed")
         if not 0 <= self.constrain_epochs <= self.epochs:
             raise ConfigError("constrain_epochs must lie within 0..epochs")
 

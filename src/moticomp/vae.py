@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tape, Tensor, freeze
-from .dct import DctCoeffs, dct_encode, idct_decode
-from .errors import ConfigError, ShapeError, require_positive_finite
+from .dct import dct_encode, idct_decode
+from .errors import ConfigError, ShapeError, require_at_least, require_positive_finite
 from .layers import bind, init_linear, mlp
 from .motion import MotionSequence, PartLayout
 
@@ -162,37 +162,39 @@ def _elbo(tape: Tape, target_flat: Tensor, recon_flat: Tensor, mu: Tensor,
 # ----------------------------------------------------------------------
 # public operations
 
-def _reconstruct(params: VaeParams, coeffs: list[DctCoeffs],
-                 noise: np.ndarray) -> list[np.ndarray]:
-    """Encode each set as one row, draw z = mu + exp(log_var / 2) * noise with
-    one noise row per set, decode, and invert the DCT of each decoded row."""
-    shape, length = (params.coeff_rows, params.coeff_cols), params.original_length
-    for a in coeffs:
-        if a.coeffs.shape != shape:
-            raise ShapeError(f"coefficients {a.coeffs.shape} do not match model {shape}")
-        if a.original_length != length:
-            raise ShapeError(f"sequence of {a.original_length} frames does not match "
-                             f"the model's {length}")
+def _check_sequence(params: VaeParams, shape: tuple[int, int]) -> None:
+    """Raise ShapeError unless a (frames, 3J) sequence shape is the model's."""
+    if shape[0] != params.original_length:
+        raise ShapeError(f"sequence of {shape[0]} frames does not match "
+                         f"the model's {params.original_length}")
+    if shape[1] != params.coeff_cols:
+        raise ShapeError(f"pose width {shape[1]} does not match the model's {params.coeff_cols}")
+
+
+def _reconstruct(params: VaeParams, coeffs: np.ndarray, n_frames: int,
+                 noise: np.ndarray) -> np.ndarray:
+    """Encode each (F, 3J) matrix of coeffs (B, F, 3J) as one row, draw z = mu +
+    exp(log_var / 2) * noise, decode, and invert the DCT to (B, n_frames, 3J)."""
+    if coeffs.shape[1] != params.coeff_rows:
+        raise ShapeError(f"{coeffs.shape[1]} DCT rows do not match the model's "
+                         f"{params.coeff_rows}")
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
-    x = tape.constant(np.stack([a.flat() for a in coeffs]))
+    x = tape.constant(coeffs.reshape(len(coeffs), -1))
     mu, log_var = _encode(tape, params, tensors, x)
     recon = _decode(tape, params, tensors, _reparameterize(tape, mu, log_var, noise))
-    return [idct_decode(DctCoeffs(coeffs=row.reshape(shape), original_length=length), length)
-            for row in recon.values]
+    return idct_decode(recon.values.reshape(coeffs.shape), n_frames)
 
 
 def masked_fuse(s_m: MotionSequence, s_n: MotionSequence, mask: BodyMask,
-                n_coeffs: int) -> DctCoeffs:
-    """Combine two actions coefficient-wise: mask picks columns from the first."""
+                n_coeffs: int) -> np.ndarray:
+    """Combine two actions' (n_coeffs, 3J) DCTs: mask picks columns from the first."""
     if s_m.data.shape != s_n.data.shape:
         raise ShapeError(f"sequence shapes differ: {s_m.data.shape} vs {s_n.data.shape}")
     if mask.m.size != s_m.data.shape[1]:
         raise ShapeError(f"mask width {mask.m.size} != pose width {s_m.data.shape[1]}")
-    a_m = dct_encode(s_m.data, n_coeffs)
-    a_n = dct_encode(s_n.data, n_coeffs)
-    fused = mask.m * a_m.coeffs + mask.complement * a_n.coeffs
-    return DctCoeffs(coeffs=fused, original_length=a_m.original_length)
+    a_m, a_n = dct_encode(np.stack([s_m.data, s_n.data]), n_coeffs)
+    return mask.m * a_m + mask.complement * a_n
 
 
 def synthesize_composite(params: VaeParams, s_m: MotionSequence, s_n: MotionSequence,
@@ -206,10 +208,11 @@ def synthesize_composite(params: VaeParams, s_m: MotionSequence, s_n: MotionSequ
     if s_m.fps != s_n.fps:
         raise ValueError(f"fps differ: {s_m.fps} vs {s_n.fps}")
     fused = masked_fuse(s_m, s_n, mask, n_coeffs)
+    _check_sequence(params, s_m.data.shape)
     noise = np.zeros(params.latent_dim) if noise is None else np.asarray(noise, dtype=np.float64)
     if noise.size != params.latent_dim:
         raise ShapeError(f"noise size {noise.size} != latent_dim {params.latent_dim}")
-    (data,) = _reconstruct(params, [fused], noise.reshape(1, -1))
+    (data,) = _reconstruct(params, fused[None], s_m.frames, noise.reshape(1, -1))
     return MotionSequence(data=data, fps=s_m.fps, label=f"{s_m.label}+{s_n.label}")
 
 
@@ -234,8 +237,8 @@ class CagTrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs >= 0 and batch_size >= 1 required")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
+        require_at_least(self, 1, "latent_dim", "n_coeffs")
+        require_at_least(self, 0, "seed")
         require_positive_finite(self, "lr", "normalization_margin")
         require_positive_finite(self, "kl_weight", zero_ok=True)
 
@@ -262,13 +265,15 @@ def train_cag(dataset: list[MotionSequence], config: CagTrainConfig) -> CagTrain
             raise ShapeError(f"non-uniform dataset: {seq.data.shape} vs {shape}")
     n_frames, n_cols = shape
     n_coeffs = config.n_coeffs if config.n_coeffs is not None else n_frames
+    if n_coeffs > n_frames:
+        raise ConfigError(f"n_coeffs {n_coeffs} exceeds the {n_frames} frames of each sequence")
 
     rng = np.random.default_rng(config.seed)
     params = init_vae(rng, coeff_rows=n_coeffs, coeff_cols=n_cols,
                       original_length=n_frames, latent_dim=config.latent_dim,
                       hidden_dims=config.hidden_dims)
 
-    flats = np.stack([dct_encode(seq.data, n_coeffs).flat() for seq in dataset])
+    flats = dct_encode(np.stack([s.data for s in dataset]), n_coeffs).reshape(len(dataset), -1)
     scale = max(float(flats.std()), 1e-6) * config.normalization_margin
     params = replace(params, input_offset=flats.mean(axis=0, keepdims=True),
                      input_scale=np.full((1, flats.shape[1]), scale))
@@ -301,7 +306,10 @@ def reconstruction_mpjpe(params: VaeParams, dataset: list[MotionSequence]) -> fl
     """Mean per-joint Euclidean error of deterministic reconstructions, in mm."""
     if not dataset:
         raise ValueError("dataset is empty")
-    recons = _reconstruct(params, [dct_encode(seq.data, params.coeff_rows) for seq in dataset],
+    for seq in dataset:  # before they are stacked
+        _check_sequence(params, seq.data.shape)
+    data = np.stack([seq.data for seq in dataset])
+    recons = _reconstruct(params, dct_encode(data, params.coeff_rows), params.original_length,
                           np.zeros((len(dataset), params.latent_dim)))
     errors = [np.linalg.norm((recon - seq.data).reshape(seq.frames, -1, 3), axis=2).mean()
               for recon, seq in zip(recons, dataset)]

@@ -302,6 +302,20 @@ def test_seed_override_changes_gen_data(tiny_manifest, tmp_path):
     assert next(iter(sorted(a0))).read_text() != next(iter(sorted(b0))).read_text()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train-cag", "synth", "train-predictor"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_is_a_usage_error_naming_seed(tmp_path, capsys, command, seed):
+    # every other argument is present, so the seed alone makes the usage error
+    inputs = {"gen-data": ["--manifest", "m.json"], "synth": ["--model", "cag.json",
+                                                              "--manifest", "m.json"]}
+    args = inputs.get(command, ["--config", "c.json", "--data", "data"])
+    capsys.readouterr()
+    assert dispatch([command, *args, "--out", str(tmp_path / "out"), "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be an integer >= 0, got '{seed}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def wrong_kind_checkpoints(tmp_path):
     """A small VAE checkpoint and a small predictor checkpoint."""
     layout = PartLayout.from_skeleton(default_manifest().skeleton)

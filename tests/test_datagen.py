@@ -101,8 +101,8 @@ class TestComposeOracle:
 
     def test_commutes_with_masked_fuse(self):
         composed = compose_oracle(self.seq_u, self.seq_l, self.mask)
-        lhs = dct_encode(composed.data, 30).coeffs
-        rhs = masked_fuse(self.seq_u, self.seq_l, self.mask, 30).coeffs
+        lhs = dct_encode(composed.data, 30)
+        rhs = masked_fuse(self.seq_u, self.seq_l, self.mask, 30)
         assert np.array_equal(lhs, rhs)  # binary mask makes this exact
 
     def test_label_join(self):
@@ -629,6 +629,13 @@ class TestBuildDataset:
         doc = json.loads(manifest_to_json(default_manifest()))
         del doc["actions"][0]["noise_std"]
         assert manifest_from_json(json.dumps(doc)).actions[0].noise_std == 0.0
+
+    @pytest.mark.parametrize("key", ["train_seed", "val_seed", "test_seed"])
+    def test_negative_split_seed_named(self, key):
+        doc = json.loads(manifest_to_json(default_manifest()))
+        doc[key] = -5
+        with pytest.raises(ManifestError, match=f"{key} must be >= 0, got -5"):
+            manifest_from_json(json.dumps(doc))
 
     def test_overlapping_seed_ranges_rejected(self):
         man = default_manifest()

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from moticomp.dct import DctCoeffs, dct_encode, dct_matrix, idct_decode
+from moticomp.dct import dct_encode, dct_matrix, idct_decode
+from moticomp.errors import ShapeError
 
 
 def brute_force_dct(x: np.ndarray) -> np.ndarray:
@@ -19,18 +22,18 @@ class TestEncode:
     def test_constant_column_is_pure_dc(self):
         c = 3.25
         coeffs = dct_encode(np.full((8, 1), c), 8)
-        assert coeffs.coeffs[0, 0] == pytest.approx(c * np.sqrt(8), abs=1e-12)
-        assert np.all(np.abs(coeffs.coeffs[1:]) < 1e-12)
+        assert coeffs[0, 0] == pytest.approx(c * np.sqrt(8), abs=1e-12)
+        assert np.all(np.abs(coeffs[1:]) < 1e-12)
 
     def test_zero_matrix(self):
         coeffs = dct_encode(np.zeros((5, 4)), 5)
-        assert np.array_equal(coeffs.coeffs, np.zeros((5, 4)))
+        assert np.array_equal(coeffs, np.zeros((5, 4)))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 3))
         coeffs = dct_encode(x, 8)
-        assert np.abs(coeffs.coeffs - brute_force_dct(x)).max() < 1e-10
+        assert np.abs(coeffs - brute_force_dct(x)).max() < 1e-10
 
     def test_too_many_coeffs_rejected(self):
         with pytest.raises(ValueError):
@@ -50,7 +53,7 @@ class TestDecode:
         n = 12
         coeffs = np.zeros((n, 1))
         coeffs[0, 0] = c * np.sqrt(n)
-        out = idct_decode(DctCoeffs(coeffs=coeffs, original_length=n), n)
+        out = idct_decode(coeffs, n)
         assert np.allclose(out, c, atol=1e-12)
 
     def test_truncation_error_matches_parseval(self):
@@ -64,11 +67,6 @@ class TestDecode:
         dropped_energy = float(np.sum(full[kept:] ** 2))
         assert err_energy == pytest.approx(dropped_energy, rel=1e-8)
 
-    def test_wrong_length_rejected(self):
-        coeffs = dct_encode(np.zeros((6, 2)), 6)
-        with pytest.raises(ValueError):
-            idct_decode(coeffs, 7)
-
 
 class TestProperties:
     def test_linearity(self):
@@ -77,14 +75,14 @@ class TestProperties:
             x = rng.normal(size=(12, 4))
             y = rng.normal(size=(12, 4))
             a, b = rng.normal(size=2)
-            lhs = dct_encode(a * x + b * y, 12).coeffs
-            rhs = a * dct_encode(x, 12).coeffs + b * dct_encode(y, 12).coeffs
+            lhs = dct_encode(a * x + b * y, 12)
+            rhs = a * dct_encode(x, 12) + b * dct_encode(y, 12)
             assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_energy_preservation(self):
         rng = np.random.default_rng(4)
         x = rng.normal(scale=30.0, size=(20, 6))
-        coeffs = dct_encode(x, 20).coeffs
+        coeffs = dct_encode(x, 20)
         for col in range(6):
             assert np.sum(coeffs[:, col] ** 2) == pytest.approx(
                 np.sum(x[:, col] ** 2), rel=1e-8)
@@ -93,9 +91,9 @@ class TestProperties:
         # columns transform independently; accumulation order may differ by an ulp
         rng = np.random.default_rng(5)
         x = rng.normal(size=(9, 5))
-        whole = dct_encode(x, 9).coeffs
+        whole = dct_encode(x, 9)
         for col in range(5):
-            alone = dct_encode(x[:, col:col + 1], 9).coeffs
+            alone = dct_encode(x[:, col:col + 1], 9)
             assert np.abs(whole[:, col:col + 1] - alone).max() < 1e-12
 
     def test_basis_is_orthonormal(self):
@@ -104,11 +102,36 @@ class TestProperties:
             assert np.allclose(d @ d.T, np.eye(n), atol=1e-12)
 
 
-class TestDctCoeffs:
-    def test_callers_array_stays_writeable(self):
-        c = np.zeros((2, 6))
-        coeffs = DctCoeffs(coeffs=c, original_length=4)
-        assert c.flags.writeable
-        c[0, 0] = 1.0
-        assert coeffs.coeffs[0, 0] == 0.0
-        assert not coeffs.coeffs.flags.writeable
+
+class TestStacks:
+    def test_stack_equals_per_matrix_calls_byte_for_byte(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(scale=50.0, size=(3, 4, 14, 9))  # (B, W, L, E)
+        coeffs = dct_encode(x, 8)
+        back = idct_decode(coeffs, 14)
+        assert coeffs.shape == (3, 4, 8, 9) and back.shape == x.shape
+        for b in range(3):
+            for w in range(4):
+                alone = dct_encode(x[b, w], 8)
+                assert coeffs[b, w].tobytes() == alone.tobytes()
+                assert back[b, w].tobytes() == idct_decode(alone, 14).tobytes()
+
+    @pytest.mark.parametrize("shape,out_length", [((2, 0, 3), 5), ((2, 6, 3), 5), ((5,), 5)])
+    def test_decode_refuses_a_coefficient_count_or_rank_it_cannot_invert(self, shape, out_length):
+        with pytest.raises(ShapeError, match=rf"coefficients of shape {re.escape(str(shape))}"):
+            idct_decode(np.zeros(shape), out_length)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_refuses_non_finite_input(self, bad):
+        x = np.zeros((2, 6, 3))
+        x[1, 4, 2] = bad
+        with pytest.raises(ValueError, match="non-finite values in coefficients"):
+            dct_encode(x, 6)
+
+    def test_callers_array_stays_writeable_and_unaliased(self):
+        x = np.ones((2, 5, 3))
+        coeffs = dct_encode(x, 5)
+        assert x.flags.writeable and coeffs.flags.writeable
+        assert not np.shares_memory(coeffs, x)
+        x[:] = 7.0
+        assert np.array_equal(coeffs, dct_encode(np.ones((2, 5, 3)), 5))

@@ -150,3 +150,21 @@ def test_validation_routes_each_val_history_once(monkeypatch):
     training.train_predictor(model, seqs[:1], seqs * 2, config)
     # all 6 val histories in one call, every epoch
     assert len(calls) == 2
+
+
+def test_front_end_encodes_a_batch_in_two_calls(monkeypatch):
+    model, seqs = predictor_setup()
+    histories = np.stack([seq.data[:8] for seq in seqs * 14][:40])
+    calls = count_calls(monkeypatch, predictor, "dct_encode")
+    training._routed_batch(model, histories)
+    assert len(calls) == 2  # the windows, then the padded histories
+
+
+@pytest.mark.parametrize("case,counts", [
+    (train_cag, {"dct_encode": 1, "idct_decode": 0}),
+    (reconstruction_mpjpe, {"dct_encode": 1, "idct_decode": 1})])
+def test_vae_transforms_a_dataset_in_one_call(monkeypatch, case, counts):
+    call = case()
+    calls = {attr: count_calls(monkeypatch, vae, attr) for attr in counts}
+    call()
+    assert {attr: len(c) for attr, c in calls.items()} == counts

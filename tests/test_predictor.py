@@ -175,10 +175,10 @@ class TestMotionAttention:
         params = self.make_params(rng, sub_len, width)
         out, _ = motion_attention(history, params, output_frames=t_out, n_coeffs=n_coeffs)
         n_windows = 12 - sub_len - t_out + 1
-        values = np.stack([dct_encode(history[i:i + sub_len + t_out], n_coeffs).coeffs
+        values = np.stack([dct_encode(history[i:i + sub_len + t_out], n_coeffs)
                            for i in range(n_windows)])
         padded = pad_last_frame(history, t_out)
-        expected = dct_encode(padded, n_coeffs).coeffs + values.mean(axis=0)
+        expected = dct_encode(padded, n_coeffs) + values.mean(axis=0)
         assert np.allclose(out, expected, atol=1e-9)
 
     def test_single_window_weight_is_one(self):
@@ -187,8 +187,8 @@ class TestMotionAttention:
         width, sub_len, t_out, n_coeffs = 6, 4, 4, 6
         history = rng.normal(size=(8, width))  # exactly one value window
         out, tape = motion_attention(history, output_frames=t_out, n_coeffs=n_coeffs)
-        value = dct_encode(history[0:sub_len + t_out], n_coeffs).coeffs
-        padded_dct = dct_encode(pad_last_frame(history, t_out), n_coeffs).coeffs
+        value = dct_encode(history[0:sub_len + t_out], n_coeffs)
+        padded_dct = dct_encode(pad_last_frame(history, t_out), n_coeffs)
         assert np.array_equal(out, padded_dct + value)
         assert [node.kind for node in tape.nodes] == ["add"]
 
@@ -204,9 +204,9 @@ class TestMotionAttention:
         scores = (q @ (keys @ wk).T).reshape(-1)
         weights = np.exp(scores - scores.max())
         weights /= weights.sum()
-        values = np.stack([dct_encode(history[i:i + sub_len + t_out], n_coeffs).coeffs
+        values = np.stack([dct_encode(history[i:i + sub_len + t_out], n_coeffs)
                            for i in range(n_windows)])
-        expected = (dct_encode(pad_last_frame(history, t_out), n_coeffs).coeffs
+        expected = (dct_encode(pad_last_frame(history, t_out), n_coeffs)
                     + np.tensordot(weights, values, axes=1))
         out, _ = motion_attention(history, params, output_frames=t_out, n_coeffs=n_coeffs)
         assert np.allclose(out, expected, atol=1e-10)

@@ -349,6 +349,11 @@ class TestTrainPredictor:
     def test_zero_tendency_weight_turns_the_term_off(self):
         assert TrainConfig(w_tendency=0.0).w_tendency == 0.0
 
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+    def test_negative_seed_named(self, seed):
+        with pytest.raises(ConfigError, match=f"seed must be >= 0, got {seed}"):
+            TrainConfig(seed=seed)
+
     def test_zero_epochs_leaves_model_unchanged(self):
         model, _, _, train, val = tiny_setup()
         snapshot = {k: v.copy() for k, v in model.named_parameters().items()}

@@ -6,7 +6,7 @@ import pytest
 from gradcheck import grad_check
 from moticomp import vae
 from moticomp.autodiff import Tape
-from moticomp.dct import DctCoeffs, dct_encode
+from moticomp.dct import dct_encode
 from moticomp.errors import ConfigError, ShapeError
 from moticomp.layers import bind
 from moticomp.motion import MotionSequence, PartLayout, Skeleton
@@ -30,13 +30,13 @@ def small_params(rng, zero_encoder_head=False, zero_decoder=False):
 
 
 def random_coeffs(rng):
-    return DctCoeffs(coeffs=rng.normal(size=(F, COLS)), original_length=LENGTH)
+    return rng.normal(size=(F, COLS))
 
 
 def vae_encode(params, a):
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
-    mu, log_var = _encode(tape, params, tensors, tape.constant(a.flat().reshape(1, -1)))
+    mu, log_var = _encode(tape, params, tensors, tape.constant(a.reshape(1, -1)))
     return mu.values.reshape(-1), log_var.values.reshape(-1)
 
 
@@ -69,7 +69,7 @@ class TestEncodeDecode:
         params = small_params(rng)
         a = random_coeffs(rng)
         # oracle: explicit numpy forward through the same weights
-        h = a.flat().reshape(1, -1)
+        h = a.reshape(1, -1)
         h = (h - params.input_offset) / params.input_scale
         w = params.arrays
         h = np.tanh(h @ w["enc0.w"] + w["enc0.b"])
@@ -174,8 +174,8 @@ class TestReparameterize:
 
 def elbo_loss(a, a_prime, mu, log_var, kl_weight=1.0):
     tape = Tape()
-    return _elbo(tape, tape.constant(a.flat().reshape(1, -1)),
-                 tape.constant(a_prime.flat().reshape(1, -1)),
+    return _elbo(tape, tape.constant(a.reshape(1, -1)),
+                 tape.constant(a_prime.reshape(1, -1)),
                  tape.constant(mu.reshape(1, -1)), tape.constant(log_var.reshape(1, -1)),
                  kl_weight).item()
 
@@ -305,6 +305,15 @@ class TestBatchedRows:
             reconstruction_mpjpe(params, data)
 
 
+    def test_reconstruction_mpjpe_rejects_another_pose_width(self):
+        rng = np.random.default_rng(26)
+        params = small_params(rng)
+        data = make_sequences(rng, 2) + make_sequences(rng, 1, cols=COLS + 3)
+        with pytest.raises(ShapeError, match=f"pose width {COLS + 3} does not match "
+                                             f"the model's {COLS}"):
+            reconstruction_mpjpe(params, data)
+
+
 def per_sample_train_cag(dataset, config):
     """train_cag with one encode/decode chain per sample, summed per mini-batch."""
     rng = np.random.default_rng(config.seed)
@@ -312,7 +321,7 @@ def per_sample_train_cag(dataset, config):
     params = init_vae(rng, coeff_rows=config.n_coeffs, coeff_cols=n_cols,
                       original_length=n_frames, latent_dim=config.latent_dim,
                       hidden_dims=config.hidden_dims)
-    flats = np.stack([dct_encode(seq.data, config.n_coeffs).flat() for seq in dataset])
+    flats = np.stack([dct_encode(seq.data, config.n_coeffs).reshape(-1) for seq in dataset])
     scale = max(float(flats.std()), 1e-6) * config.normalization_margin
     params = dataclasses.replace(params, input_offset=flats.mean(axis=0, keepdims=True),
                                  input_scale=scale)
@@ -357,14 +366,14 @@ class TestMaskedFuse:
         s_m, s_n = make_sequences(rng, 2)
         mask = BodyMask(m=np.ones(COLS))
         fused = masked_fuse(s_m, s_n, mask, F)
-        assert np.array_equal(fused.coeffs, dct_encode(s_m.data, F).coeffs)
+        assert np.array_equal(fused, dct_encode(s_m.data, F))
 
     def test_equal_inputs_any_mask(self):
         rng = np.random.default_rng(13)
         (s_m,) = make_sequences(rng, 1)
         mask = BodyMask.from_layout(self.layout())
         fused = masked_fuse(s_m, s_m, mask, F)
-        assert np.array_equal(fused.coeffs, dct_encode(s_m.data, F).coeffs)
+        assert np.array_equal(fused, dct_encode(s_m.data, F))
 
     def test_commutes_with_time_domain_masking(self):
         rng = np.random.default_rng(14)
@@ -372,7 +381,7 @@ class TestMaskedFuse:
         mask = BodyMask.from_layout(self.layout())
         fused = masked_fuse(s_m, s_n, mask, F)
         direct = dct_encode(mask.m * s_m.data + (1.0 - mask.m) * s_n.data, F)
-        assert np.abs(fused.coeffs - direct.coeffs).max() < 1e-10
+        assert np.abs(fused - direct).max() < 1e-10
 
     def test_mask_requires_shared_joint_values(self):
         with pytest.raises(ValueError):
@@ -445,6 +454,24 @@ class TestTrainCag:
 
     def test_zero_kl_weight_turns_the_term_off(self):
         assert CagTrainConfig(kl_weight=0.0).kl_weight == 0.0
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+    def test_negative_seed_named(self, seed):
+        with pytest.raises(ConfigError, match=f"seed must be >= 0, got {seed}"):
+            CagTrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("n_coeffs", [0, -3])
+    def test_coefficient_count_below_one_named(self, n_coeffs):
+        with pytest.raises(ConfigError, match=f"n_coeffs must be >= 1, got {n_coeffs}"):
+            CagTrainConfig(n_coeffs=n_coeffs)
+
+    def test_more_coefficients_than_frames_names_n_coeffs(self):
+        rng = np.random.default_rng(25)
+        config = CagTrainConfig(epochs=1, latent_dim=LATENT, hidden_dims=(10,),
+                                n_coeffs=LENGTH + 1)
+        with pytest.raises(ConfigError, match=f"n_coeffs {LENGTH + 1} exceeds the "
+                                              f"{LENGTH} frames of each sequence"):
+            train_cag(make_sequences(rng, 3), config)
 
     def test_zero_epochs_returns_initial_params(self):
         rng = np.random.default_rng(17)
