@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gradcheck import grad_check
 from moticomp import vae
 from moticomp.autodiff import Tape
+from moticomp.datagen import build_dataset, default_manifest
 from moticomp.dct import dct_encode
 from moticomp.errors import ConfigError, ShapeError
 from moticomp.layers import bind
@@ -508,3 +510,19 @@ class TestTrainCag:
         seqs = make_sequences(rng, 2) + make_sequences(rng, 1, length=LENGTH + 2)
         with pytest.raises(ShapeError):
             train_cag(seqs, CagTrainConfig(epochs=1))
+
+
+class TestTrainCagGolden:
+    """Bytes of a seeded train_cag on default training sequences, pinned before
+    the VAE and the predictor came to share one minibatch driver. They change
+    if the rng draw order, the batching, the ELBO or the Adam step change."""
+
+    def test_parameters_and_loss_history(self):
+        train = build_dataset(default_manifest()).train[:40]
+        config = CagTrainConfig(epochs=3, n_coeffs=25, hidden_dims=(32,), batch_size=7,
+                                seed=4)
+        result = train_cag(train, config)
+        digest = hashlib.sha256(
+            b"".join(arr.tobytes() for arr in result.params.named_parameters().values())
+            + repr(result.loss_history).encode()).hexdigest()
+        assert digest == "2930ea89ae56c1283d571a106c96643ecc6cc8d69bcc1b0c014b86081e8bba4d"
