@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the config bound checks."""
 
+import numbers
+
 
 class ShapeError(ValueError):
     """Operand shapes do not conform."""
@@ -36,9 +38,12 @@ def require_positive_finite(config, *keys: str, zero_ok: bool = False) -> None:
 
 
 def require_at_least(config, low: int, *keys: str, error: type = ConfigError) -> None:
-    """Raise error naming the first of keys whose value in config is below low;
-    a key holding None, an optional left unset, passes."""
+    """Raise error naming the first of keys whose value in config is not an
+    integer (Python or numpy) or is below low; a key holding None, an optional
+    left unset, passes."""
     for key in keys:
         value = getattr(config, key)
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise error(f"{key} must be an integer, got {value!r}")
         if value is not None and value < low:
             raise error(f"{key} must be >= {low}, got {value}")

@@ -46,9 +46,10 @@ class PredictorConfig:
     zero_output_decoders: bool = True
 
     def __post_init__(self):
-        if self.input_frames < 2 or self.output_frames < 1:
-            raise ConfigError("need >= 2 input frames and >= 1 output frame")
-        require_at_least(self, 1, "heads", "feature_width", "policy_hidden", "query_dim")
+        require_at_least(self, 2, "input_frames")
+        require_at_least(self, 1, "output_frames", "n_coeffs", "heads", "feature_width",
+                         "n_blocks", "layers_per_block", "attention_every", "policy_hidden",
+                         "query_dim")
         if not (np.isfinite(self.adjacency_noise) and self.adjacency_noise >= 0):
             raise ConfigError(
                 f"adjacency_noise must be finite and >= 0, got {self.adjacency_noise}")
@@ -56,8 +57,6 @@ class PredictorConfig:
             raise ConfigError(
                 f"feature width {self.feature_width} not divisible by {self.heads} heads"
             )
-        if self.n_blocks < 1 or self.layers_per_block < 1 or self.attention_every < 1:
-            raise ConfigError("block structure sizes must be positive")
         require_positive_finite(self, "coeff_scale")
         n, t = self.input_frames, self.output_frames
         if self.n_windows < 1:

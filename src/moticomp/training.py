@@ -9,6 +9,8 @@ plain Euclidean per-joint distance at individual future frames.
 from __future__ import annotations
 
 import copy
+import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -182,6 +184,34 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return params, state
 
 
+def _fit(named: dict[str, np.ndarray], n_items: int, epochs: int, batch_size: int,
+         lr: float, lr_decay: float, rng: np.random.Generator,
+         objective: Callable) -> Iterator[tuple[float, float, list]]:
+    """Adam over minibatches of n_items, updating named in place; a generator.
+
+    Each epoch draws one permutation from rng and cuts it into batches of at
+    most batch_size indices. objective(tape, epoch, batch) gets a fresh tape,
+    binds named through its own module's bind (which a benchmark may replace),
+    runs the forward pass and returns (tensors, loss, total, record); total is
+    differentiated and one adam_step follows. After each epoch lr is multiplied
+    by lr_decay and (mean loss per item, lr, the epoch's records) is yielded."""
+    state = AdamState.for_params(named)
+    for epoch in range(epochs):
+        order = rng.permutation(n_items)
+        epoch_loss = 0.0
+        records = []
+        for start in range(0, n_items, batch_size):
+            batch = order[start:start + batch_size]
+            tape = Tape()
+            tensors, loss, total, record = objective(tape, epoch, batch)
+            tape.backward(total)
+            adam_step(named, {name: tensors[name].grad for name in named}, state, lr)
+            epoch_loss += loss.item() * len(batch)
+            records.append(record)
+        lr *= lr_decay
+        yield epoch_loss / n_items, lr, records
+
+
 # ----------------------------------------------------------------------
 # the model bundle and its training loop
 
@@ -224,9 +254,8 @@ class TrainConfig:
         require_positive_finite(self, "w_tendency", zero_ok=True)
         if not 0 < self.lr_decay_per_epoch <= 1:
             raise ConfigError("lr_decay_per_epoch must lie in (0, 1]")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size >= 1 and epochs >= 0 required")
-        require_at_least(self, 0, "seed")
+        require_at_least(self, 1, "batch_size")
+        require_at_least(self, 0, "epochs", "constrain_epochs", "seed")
         if not 0 <= self.constrain_epochs <= self.epochs:
             raise ConfigError("constrain_epochs must lie within 0..epochs")
 
@@ -259,15 +288,12 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _check_dataset(dataset: list[MotionSequence], frames: int,
-                   params: PredictorParams, name: str) -> None:
-    """Each sequence has `frames` frames of the model's layout; all share one fps."""
+def _check_dataset(dataset: list[MotionSequence], shape: tuple[int, int], name: str) -> None:
+    """Each sequence has the (frames, width) shape; all share one fps."""
     for i, seq in enumerate(dataset):
-        if seq.data.shape != (frames, params.layout.size):
-            raise ShapeError(
-                f"{name} sequence {i} ({seq.label!r}) has shape {seq.data.shape}, "
-                f"expected ({frames}, {params.layout.size})"
-            )
+        if seq.data.shape != shape:
+            raise ShapeError(f"{name} sequence {i} ({seq.label!r}) has shape "
+                             f"{seq.data.shape}, expected {shape}")
         if seq.fps != dataset[0].fps:
             raise ValueError(f"{name} sequence {i} ({seq.label!r}) has fps {seq.fps}, "
                              f"sequence 0 has {dataset[0].fps}")
@@ -353,67 +379,46 @@ def train_predictor(model: PredictorModel, train_set: list[MotionSequence],
     """
     if not train_set:
         raise ValueError("training set is empty")
-    params = model.params
-    n_input = params.config.input_frames
-    frames = n_input + params.config.output_frames
-    _check_dataset(train_set, frames, params, "train")
-    _check_dataset(val_set, frames, params, "val")
+    cfg = model.params.config
+    n_input, n_exits = cfg.input_frames, cfg.n_blocks
+    shape = (n_input + cfg.output_frames, model.params.layout.size)
+    _check_dataset(train_set, shape, "train")
+    _check_dataset(val_set, shape, "val")
 
     sequences = np.stack([seq.data for seq in train_set])
     rng = np.random.default_rng(config.seed)
     named = model.named_parameters()
-    state = AdamState.for_params(named)
-    lr = config.lr
-    n_exits = params.config.n_blocks
-    history: list[EpochRecord] = []
-    best = copy.deepcopy(model)
-    best_val = np.inf
 
-    for epoch in range(config.epochs):
-        in_constraint = epoch < config.constrain_epochs
-        order = rng.permutation(len(train_set))
-        epoch_loss = 0.0
-        epoch_tendency = 0.0
-        exit_counts = np.zeros(n_exits, dtype=np.int64)
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = sequences[order[start:start + config.batch_size]]
-            tape = Tape()
-            tensors = bind(tape, named, trainable=True)
-            # the same draws, in the same order, as one (branches, D) draw per sample
-            noise = rng.gumbel(size=(len(batch), len(BRANCH_KINDS), n_exits))
-            pred, chosen, softs = _routed_forward(
-                tape, model, tensors, batch[:, :n_input], noise, config.temperature)
-            exit_counts += np.bincount(chosen.reshape(-1) - 1, minlength=n_exits)
-            batch_loss = _mpjpe_loss_t(tape, pred, batch)
-            objective = batch_loss
-            batch_tendency = 0.0
-            if in_constraint and config.w_tendency != 0.0:
-                soft_sum = tape.sum_rows(reduce(tape.add, softs))
-                t_loss = _tendency_loss_soft(tape, soft_sum, config.w_tendency)
-                batch_tendency = t_loss.item()
-                objective = tape.add(batch_loss, t_loss)
-            tape.backward(objective)
-            grads = {name: tensors[name].grad for name in named}
-            adam_step(named, grads, state, lr)
-            epoch_loss += batch_loss.item() * len(batch)
-            epoch_tendency += batch_tendency
-            n_batches += 1
-        lr *= config.lr_decay_per_epoch
+    def objective(tape: Tape, epoch: int, batch: np.ndarray):
+        tensors = bind(tape, named, trainable=True)
+        data = sequences[batch]
+        # the same draws, in the same order, as one (branches, D) draw per sample
+        noise = rng.gumbel(size=(len(batch), len(BRANCH_KINDS), n_exits))
+        pred, chosen, softs = _routed_forward(
+            tape, model, tensors, data[:, :n_input], noise, config.temperature)
+        loss = _mpjpe_loss_t(tape, pred, data)
+        if epoch >= config.constrain_epochs or config.w_tendency == 0.0:
+            return tensors, loss, loss, (chosen, 0.0)
+        soft_sum = tape.sum_rows(reduce(tape.add, softs))
+        t_loss = _tendency_loss_soft(tape, soft_sum, config.w_tendency)
+        return tensors, loss, tape.add(loss, t_loss), (chosen, t_loss.item())
+
+    history: list[EpochRecord] = []
+    best, best_val = None, np.inf
+    for loss, lr, records in _fit(named, len(train_set), config.epochs, config.batch_size,
+                                  config.lr, config.lr_decay_per_epoch, rng, objective):
+        chosen, tendencies = zip(*records)
         val_error = _mean_future_error(model, val_set, n_input) if val_set else None
         if val_error is not None and val_error < best_val:
-            best_val = val_error
-            best = copy.deepcopy(model)
+            best_val, best = val_error, copy.deepcopy(model)
+        counts = np.bincount(np.concatenate(chosen).reshape(-1) - 1, minlength=n_exits)
+        # reduce, not sum: sum() compensates float sums since Python 3.12
         history.append(EpochRecord(
-            loss=epoch_loss / len(train_set),
-            lr=lr,
-            exit_counts=tuple(int(c) for c in exit_counts),
-            tendency=epoch_tendency / max(n_batches, 1),
-            val_error=val_error,
-        ))
-    if not val_set or not history:
-        best = copy.deepcopy(model)
-    return TrainResult(model=model, best=best, history=history)
+            loss=loss, lr=lr, exit_counts=tuple(counts.tolist()),
+            tendency=reduce(operator.add, tendencies, 0.0) / len(tendencies),
+            val_error=val_error))
+    return TrainResult(model=model, best=copy.deepcopy(model) if best is None else best,
+                       history=history)
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +488,7 @@ def evaluate(model: PredictorModel, test_set: list[MotionSequence],
         if not 1 <= h <= n_output:
             raise ValueError(f"horizon frame {h} outside 1..{n_output}")
 
-    _check_dataset(test_set, n_input + n_output, model.params, "test")
+    _check_dataset(test_set, (n_input + n_output, model.params.layout.size), "test")
 
     data = np.stack([seq.data for seq in test_set])
     history, future = data[:, :n_input], data[:, n_input:]

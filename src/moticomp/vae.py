@@ -17,6 +17,7 @@ from .dct import dct_encode, idct_decode
 from .errors import ConfigError, ShapeError, require_at_least, require_positive_finite
 from .layers import bind, init_linear, mlp
 from .motion import MotionSequence, PartLayout
+from .training import _check_dataset, _fit
 
 
 @dataclass
@@ -235,10 +236,8 @@ class CagTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs >= 0 and batch_size >= 1 required")
-        require_at_least(self, 1, "latent_dim", "n_coeffs")
-        require_at_least(self, 0, "seed")
+        require_at_least(self, 1, "batch_size", "latent_dim", "n_coeffs")
+        require_at_least(self, 0, "epochs", "seed")
         require_positive_finite(self, "lr", "normalization_margin")
         require_positive_finite(self, "kl_weight", zero_ok=True)
 
@@ -255,15 +254,10 @@ def train_cag(dataset: list[MotionSequence], config: CagTrainConfig) -> CagTrain
     Runs config.epochs of Adam over mini-batches of the per-sample loss, one
     tape per mini-batch; returns the fitted parameters and per-epoch mean loss.
     """
-    from .training import AdamState, adam_step
-
     if not dataset:
         raise ValueError("training dataset is empty")
-    shape = dataset[0].data.shape
-    for seq in dataset:
-        if seq.data.shape != shape:
-            raise ShapeError(f"non-uniform dataset: {seq.data.shape} vs {shape}")
-    n_frames, n_cols = shape
+    n_frames, n_cols = dataset[0].data.shape
+    _check_dataset(dataset, (n_frames, n_cols), "train")
     n_coeffs = config.n_coeffs if config.n_coeffs is not None else n_frames
     if n_coeffs > n_frames:
         raise ConfigError(f"n_coeffs {n_coeffs} exceeds the {n_frames} frames of each sequence")
@@ -277,28 +271,19 @@ def train_cag(dataset: list[MotionSequence], config: CagTrainConfig) -> CagTrain
     scale = max(float(flats.std()), 1e-6) * config.normalization_margin
     params = replace(params, input_offset=flats.mean(axis=0, keepdims=True),
                      input_scale=np.full((1, flats.shape[1]), scale))
-
     named = params.named_parameters()
-    state = AdamState.for_params(named)
-    history: list[float] = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(dataset))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            tape = Tape()
-            tensors = bind(tape, named, trainable=True)
-            x = tape.constant(flats[batch])
-            mu, log_var = _encode(tape, params, tensors, x)
-            noise = rng.standard_normal((len(batch), config.latent_dim))
-            z = _reparameterize(tape, mu, log_var, noise)
-            recon = _decode(tape, params, tensors, z)
-            batch_loss = _elbo(tape, x, recon, mu, log_var, config.kl_weight)
-            tape.backward(batch_loss)
-            grads = {name: tensors[name].grad for name in named}
-            adam_step(named, grads, state, config.lr)
-            epoch_loss += batch_loss.item() * len(batch)
-        history.append(epoch_loss / len(dataset))
+
+    def objective(tape: Tape, epoch: int, batch: np.ndarray):
+        tensors = bind(tape, named, trainable=True)
+        x = tape.constant(flats[batch])
+        mu, log_var = _encode(tape, params, tensors, x)
+        noise = rng.standard_normal((len(batch), config.latent_dim))
+        recon = _decode(tape, params, tensors, _reparameterize(tape, mu, log_var, noise))
+        loss = _elbo(tape, x, recon, mu, log_var, config.kl_weight)
+        return tensors, loss, loss, None
+
+    history = [loss for loss, _, _ in _fit(named, len(dataset), config.epochs,
+                                           config.batch_size, config.lr, 1.0, rng, objective)]
     return CagTrainResult(params=params, loss_history=history)
 
 

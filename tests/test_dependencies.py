@@ -1,5 +1,6 @@
 """The package depends on numpy alone: every module under src/moticomp imports
-only numpy, the standard library and the package itself."""
+only numpy, the standard library and the package itself, and at module level,
+so the module graph is visible and acyclic at import time."""
 
 import ast
 import sys
@@ -30,3 +31,13 @@ def test_every_module_is_checked():
 def test_imports_only_numpy_the_standard_library_and_the_package(path):
     allowed = set(sys.stdlib_module_names) | {"numpy", "moticomp"}
     assert imported_roots(path) - allowed == set()
+
+
+def test_no_module_imports_inside_a_function():
+    # a function-local import hides a dependency, and can hide an import cycle,
+    # until the function first runs
+    local = [f"{path.name}:{node.lineno}" for path in MODULES
+             for func in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []

@@ -2,6 +2,7 @@
 globals of moticomp. Each caller must look these names up at call time, so a
 replaced global has to be seen by every caller listed here."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -115,13 +116,14 @@ def test_patched_global_is_called(monkeypatch, module, attr, case):
     assert calls, f"{case.__name__} bypassed {module}.{attr}"
 
 
-# perfbench's step clock times one optimizer step from a trainable bind to the
-# adam_step after it; validation and evaluate route through _routed_batch, so a
-# span around it times them.
+# perfbench's step clock times one optimizer step from a trainable bind of the
+# model's module to the training.adam_step after it; validation and evaluate
+# route through _routed_batch, so a span around it times them.
 
-def count_calls(monkeypatch, owner, attr, keep=lambda *args, **kwargs: True):
+def count_calls(monkeypatch, owner, attr, keep=lambda *args, **kwargs: True, calls=None):
+    """Record attr in calls (a new list unless given) at each call that keep passes."""
     original = getattr(owner, attr)
-    calls = []
+    calls = [] if calls is None else calls
 
     def counted(*args, **kwargs):
         if keep(*args, **kwargs):
@@ -134,13 +136,19 @@ def count_calls(monkeypatch, owner, attr, keep=lambda *args, **kwargs: True):
 
 def test_one_trainable_bind_and_adam_step_per_minibatch(monkeypatch):
     model, seqs = predictor_setup()
-    train = seqs * 3  # 9 sequences at batch size 2: 5 steps per epoch
+    # 9 sequences at batch size 2: 5 steps per epoch
     config = training.TrainConfig(epochs=2, constrain_epochs=1, batch_size=2)
-    binds = count_calls(monkeypatch, training, "bind",
-                        lambda tape, named, trainable: trainable)
-    steps = count_calls(monkeypatch, training, "adam_step")
-    training.train_predictor(model, train, [], config)
-    assert len(binds) == len(steps) == 2 * 5
+    cag_config = dataclasses.replace(CAG_CONFIG, epochs=2)
+    runs = [(training, lambda: training.train_predictor(model, seqs * 3, [], config)),
+            (vae, lambda: vae.train_cag(vae_data() * 3, cag_config))]
+    for module, run in runs:
+        calls = []
+        count_calls(monkeypatch, module, "bind", lambda tape, named, trainable: trainable,
+                    calls)
+        count_calls(monkeypatch, training, "adam_step", calls=calls)
+        run()
+        monkeypatch.undo()
+        assert calls == ["bind", "adam_step"] * (2 * 5), module.__name__
 
 
 def test_validation_routes_each_val_history_once(monkeypatch):

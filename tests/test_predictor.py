@@ -128,11 +128,22 @@ class TestSelfAttention:
         with pytest.raises(ConfigError, match=f"heads must be >= 1, got {heads}"):
             PredictorConfig(heads=heads)
 
-    @pytest.mark.parametrize("key", ["feature_width", "policy_hidden", "query_dim"])
+    @pytest.mark.parametrize("key", ["feature_width", "policy_hidden", "query_dim",
+                                     "output_frames", "n_blocks", "layers_per_block",
+                                     "attention_every"])
     @pytest.mark.parametrize("size", [0, -1])
     def test_non_positive_sizes_rejected(self, key, size):
         with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {size}"):
             PredictorConfig(**{key: size})
+
+    def test_one_input_frame_rejected(self):
+        with pytest.raises(ConfigError, match="input_frames must be >= 2, got 1"):
+            PredictorConfig(input_frames=1)
+
+    @pytest.mark.parametrize("key", ["input_frames", "n_coeffs", "heads", "n_blocks"])
+    def test_non_integral_size_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer, got 2.0"):
+            PredictorConfig(**{key: 2.0})
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_non_positive_or_non_finite_coeff_scale_rejected(self, scale):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import re
 import tracemalloc
 from functools import reduce
 
@@ -308,6 +309,77 @@ def per_array_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, e
         p -= m[name] / (np.sqrt(v[name]) + eps / r) * size
 
 
+def toy_fit(monkeypatch, epochs, n_items=5, batch_size=2, lr=0.1, lr_decay=0.5,
+            total_scale=1.0):
+    """_fit over one parameter with loss (1 + sum of the batch's items) * |w|^2
+    and total_scale times it differentiated. The objective draws one normal
+    number per batch and records (epoch, batch, loss, draw). Returns the
+    parameter, the yields, the records and the number of Adam steps."""
+    named = {"w": np.array([1.0, -2.0])}
+    rng = np.random.default_rng(5)
+    records = []
+
+    def objective(tape, epoch, batch):
+        tensors = bind(tape, named, trainable=True)
+        loss = tape.scale(tape.sum_sq(tensors["w"]), 1.0 + float(batch.sum()))
+        records.append((epoch, batch.tolist(), loss.item(), rng.standard_normal()))
+        return tensors, loss, tape.scale(loss, total_scale), records[-1]
+
+    steps = count_adam_steps(monkeypatch)
+    yields = list(training._fit(named, n_items, epochs, batch_size, lr, lr_decay, rng,
+                                objective))
+    return named["w"], yields, records, steps
+
+
+def count_adam_steps(monkeypatch):
+    steps = []
+    original = training.adam_step
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "adam_step", counted)
+    return steps
+
+
+class TestFit:
+    """The minibatch driver both training loops share."""
+
+    def test_zero_epochs_yield_nothing_and_take_no_step(self, monkeypatch):
+        w, yields, records, steps = toy_fit(monkeypatch, epochs=0)
+        assert yields == [] and records == [] and steps == []
+        assert w.tolist() == [1.0, -2.0]
+
+    def test_one_yield_per_epoch_with_the_decayed_lr(self, monkeypatch):
+        _, yields, _, steps = toy_fit(monkeypatch, epochs=3)
+        # a decay of 0.5 is exact, so the running product equals the power
+        assert [lr for _, lr, _ in yields] == [0.1 * 0.5 ** (k + 1) for k in range(3)]
+        assert len(steps) == 3 * 3  # 5 items at batch size 2
+
+    def test_records_losses_and_draws_follow_the_permutation(self, monkeypatch):
+        _, yields, records, _ = toy_fit(monkeypatch, epochs=2)
+        # the permutation of each epoch comes first, then one draw per batch
+        rng = np.random.default_rng(5)
+        for epoch, (loss, _, epoch_records) in enumerate(yields):
+            order = rng.permutation(5)
+            batches = [order[i:i + 2].tolist() for i in range(0, 5, 2)]
+            assert [r[:2] for r in epoch_records] == [(epoch, b) for b in batches]
+            assert [r[3] for r in epoch_records] == [rng.standard_normal() for _ in batches]
+            weighted = 0.0
+            for _, batch, batch_loss, _ in epoch_records:
+                weighted += batch_loss * len(batch)
+            assert loss == weighted / 5
+        assert [r for _, _, epoch_records in yields for r in epoch_records] == records
+
+    def test_the_total_is_differentiated_and_the_loss_reported(self, monkeypatch):
+        w, yields, _, steps = toy_fit(monkeypatch, epochs=1, total_scale=0.0)
+        assert len(steps) == 3 and w.tolist() == [1.0, -2.0]  # zero gradients: no move
+        assert yields[0][0] > 0
+        w, _, _, _ = toy_fit(monkeypatch, epochs=1)
+        assert np.all(np.abs(w) < [1.0, 2.0])
+
+
 def tiny_setup(seed=0, n_train=12, n_val=4):
     sk = Skeleton(parent=(0, 0, 0, 2), part_of=(LOWER, LOWER, UPPER, UPPER))
     layout = PartLayout.from_skeleton(sk)
@@ -349,10 +421,27 @@ class TestTrainPredictor:
     def test_zero_tendency_weight_turns_the_term_off(self):
         assert TrainConfig(w_tendency=0.0).w_tendency == 0.0
 
-    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
-    def test_negative_seed_named(self, seed):
-        with pytest.raises(ConfigError, match=f"seed must be >= 0, got {seed}"):
-            TrainConfig(seed=seed)
+    @pytest.mark.parametrize("value", [-1, -(2 ** 40)])
+    @pytest.mark.parametrize("key,low", [("batch_size", 1), ("epochs", 0),
+                                         ("constrain_epochs", 0), ("seed", 0)])
+    def test_integer_key_below_its_bound_named(self, key, low, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= {low}, got {value}"):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("value", [2.5, 1.0, np.nan])
+    @pytest.mark.parametrize("key", ["batch_size", "epochs", "constrain_epochs", "seed"])
+    def test_non_integral_key_named(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, "
+                                                        f"got {value!r}")):
+            TrainConfig(**{key: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        model, _, _, train, _ = tiny_setup()
+        config = TrainConfig(epochs=np.int64(2), constrain_epochs=np.uint8(1),
+                             batch_size=np.int32(5), seed=np.int64(9))
+        result = train_predictor(model, train, [], config)
+        assert result.history_csv() == train_predictor(
+            tiny_setup()[0], train, [], tiny_train_config(batch_size=5)).history_csv()
 
     def test_zero_epochs_leaves_model_unchanged(self):
         model, _, _, train, val = tiny_setup()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -457,10 +458,19 @@ class TestTrainCag:
     def test_zero_kl_weight_turns_the_term_off(self):
         assert CagTrainConfig(kl_weight=0.0).kl_weight == 0.0
 
-    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
-    def test_negative_seed_named(self, seed):
-        with pytest.raises(ConfigError, match=f"seed must be >= 0, got {seed}"):
-            CagTrainConfig(seed=seed)
+    @pytest.mark.parametrize("value", [-1, -(2 ** 40)])
+    @pytest.mark.parametrize("key,low", [("epochs", 0), ("batch_size", 1), ("latent_dim", 1),
+                                         ("n_coeffs", 1), ("seed", 0)])
+    def test_integer_key_below_its_bound_named(self, key, low, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= {low}, got {value}"):
+            CagTrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("value", [2.5, 1.0, np.nan])
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "latent_dim", "n_coeffs", "seed"])
+    def test_non_integral_key_named(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, "
+                                                        f"got {value!r}")):
+            CagTrainConfig(**{key: value})
 
     @pytest.mark.parametrize("n_coeffs", [0, -3])
     def test_coefficient_count_below_one_named(self, n_coeffs):
@@ -509,6 +519,14 @@ class TestTrainCag:
         rng = np.random.default_rng(19)
         seqs = make_sequences(rng, 2) + make_sequences(rng, 1, length=LENGTH + 2)
         with pytest.raises(ShapeError):
+            train_cag(seqs, CagTrainConfig(epochs=1))
+
+    def test_mixed_frame_rates_rejected(self):
+        rng = np.random.default_rng(27)
+        seqs = make_sequences(rng, 3)
+        seqs[2] = MotionSequence(data=seqs[2].data, fps=25.0, label="fast")
+        with pytest.raises(ValueError, match=r"train sequence 2 \('fast'\) has fps 25.0, "
+                                             "sequence 0 has 10.0"):
             train_cag(seqs, CagTrainConfig(epochs=1))
 
 
