@@ -662,3 +662,19 @@ class TestInferenceTapes:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 1024 * 1024
+
+
+class TestPredictGolden:
+    """Bytes of predict on a seeded default-config model with live decoders, at
+    every exit triple, for atomic and composite test histories. They change if
+    the forward arithmetic or its order changes."""
+
+    def test_outputs_at_every_exit_triple(self, default_model_and_test_histories):
+        model, histories = default_model_and_test_histories
+        digest = hashlib.sha256()
+        for i in (0, 19, 20, 55):  # the first and last atomic, then composite
+            hist = MotionSequence(data=histories[i], fps=10.0, label="h")
+            for exits in itertools.product((1, 2, 3), repeat=3):
+                digest.update(predict(model.params, hist, exits).data.tobytes())
+        assert digest.hexdigest() == (
+            "a8a25b39ba1c2765ff33fbd69db5315180b82bac6a5167d7f36d99f6b78d762f")
