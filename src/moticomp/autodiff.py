@@ -58,6 +58,7 @@ tape doubles as an instrumented operation counter for cost accounting.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,9 +99,10 @@ def _matmul_grads(g: Array, av: Array, bv: Array, na: bool, nb: bool):
 
 
 def _softmax(x: Array) -> Array:
-    e = x - x.max(axis=-1, keepdims=True)  # a new array, so exp and divide in place
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    # x.max() and e.sum() as the ufunc reductions they call, less their wrappers
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)  # a new array, so exp and
+    np.exp(e, out=e)                                       # divide in place
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -109,23 +111,36 @@ def _softmax_grad(g: Array, y: Array) -> Array:
     return y * (g - dot)
 
 
+def all_finite(values: Array) -> bool:
+    """Whether every value is finite: np.isfinite(values).all(), counted, which
+    costs less than the reduction at the tape's sizes."""
+    return np.count_nonzero(np.isfinite(values)) == values.size
+
+
 def _require_finite(values: Array, what: str) -> None:
-    if not np.isfinite(values).all():
+    if not all_finite(values):
         raise NumericError(f"{what} produced non-finite values")
 
 
-def _gc_layer(name: str, hv: Array, av: Array, wv: Array, need_h: bool, na: bool,
+def _gc_layer(i: int, hv: Array, av: Array, wv: Array, need_h: bool, na: bool,
               nw: bool):
-    """The graph convolution tanh((adj @ h) @ wgt): its value, a backward that
-    maps the output gradient to those of h, adj and wgt (None where not
-    needed; itself None when none is), and its MACs. Checks the pre-tanh
-    product, which tanh would hide."""
-    _check_matmul(name, av.shape, hv.shape)
+    """The graph convolution tanh((adj @ h) @ wgt), layer gc{i} of its block:
+    its value, a backward that maps the output gradient to those of h, adj and
+    wgt (None where not needed; itself None when none is), and its MACs.
+    Checks the pre-tanh product, which tanh would hide."""
+    # one test for the usual (n, n) adjacency and (F, F') weight; any other
+    # shapes go through the matmul rule, which names the layer if they fail it
+    usual = (av.ndim == 2 == wv.ndim and hv.ndim in (2, 3)
+             and av.shape[1] == hv.shape[-2] and hv.shape[-1] == wv.shape[0])
+    if not usual:
+        _check_matmul(f"gc_block gc{i}", av.shape, hv.shape)
     ah = av @ hv
-    _check_matmul(name, ah.shape, wv.shape)
+    if not usual:
+        _check_matmul(f"gc_block gc{i}", ah.shape, wv.shape)
     pre = ah @ wv
-    _require_finite(pre, f"{name} pre-tanh product")
-    y = np.tanh(pre)
+    if not all_finite(pre):
+        raise NumericError(f"gc_block gc{i} pre-tanh product produced non-finite values")
+    y = np.tanh(pre, out=pre)  # pre is needed no more
     macs = ah.size * av.shape[-1] + pre.size * wv.shape[-2]
     if not (need_h or na or nw):
         return y, None, macs
@@ -140,39 +155,43 @@ def _gc_layer(name: str, hv: Array, av: Array, wv: Array, need_h: bool, na: bool
     return y, bwd, macs
 
 
-def _attention(name: str, hv: Array, ws: Sequence[Array], heads: int, need_h: bool,
-               need_w: Sequence[bool]):
-    """Residual multi-head self-attention for ws = (wq, wk, wv, wo), with the
-    heads on one stacked axis of each product: its value, a backward that maps
-    the output gradient to those of h and the four projections (None where not
-    needed; itself None when none is), and its MACs. Checks each head's scaled
-    scores and the output."""
+def _attention(i: int, hv: Array, step: Sequence[Tensor], heads: int, need_h: bool):
+    """Residual multi-head self-attention attn{i} of its block, for the step's
+    tensors (wq, wk, wv, wo), with the heads on one stacked axis of each
+    product: its value, a backward that maps the output gradient to those of
+    h and the four projections (None where not needed; itself None when none
+    is), and its MACs. Checks each head's scaled scores and the output."""
+    tq, tk, tv, to = step
+    wq, wk, wv, wov = ws = tq.values, tk.values, tv.values, to.values
     f = hv.shape[-1]
     if hv.ndim not in (2, 3) or heads < 1 or f % heads:
-        raise ShapeError(f"{name} of {hv.shape} in {heads} heads")
-    if any(w.shape != (f, f) for w in ws):
-        raise ShapeError(f"{name} projections must be ({f}, {f})")
+        raise ShapeError(f"gc_block attn{i} of {hv.shape} in {heads} heads")
+    if not wq.shape == wk.shape == wv.shape == wov.shape == (f, f):
+        raise ShapeError(f"gc_block attn{i} projections must be ({f}, {f})")
     dh = f // heads
-    c = float(1.0 / np.sqrt(dh))
+    c = 1.0 / math.sqrt(dh)
 
-    def split(m):  # (..., n, F) -> (..., heads, n, dh)
-        return np.ascontiguousarray(m.reshape(*m.shape[:-1], heads, dh).swapaxes(-2, -3))
+    def heads_view(m):  # (..., n, F) -> (..., heads, n, dh), a view
+        return m.reshape(*m.shape[:-1], heads, dh).swapaxes(-2, -3)
 
-    def join(m):  # the inverse; every matmul operand here is C-contiguous
+    def split(m):  # every matmul operand here is C-contiguous
+        return np.ascontiguousarray(heads_view(m))
+
+    def join(m):  # the inverse of split
         return np.ascontiguousarray(np.swapaxes(m, -2, -3)).reshape(hv.shape)
 
-    q, k, v = (split(hv @ w) for w in ws[:3])
-    k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    q, v = split(hv @ wq), split(hv @ wv)
+    k_t = np.ascontiguousarray(heads_view(hv @ wk).swapaxes(-1, -2))
     scores = (q @ k_t) * c
-    if not np.isfinite(scores).all():  # name the first head that overflowed
-        for i in range(heads):
-            _require_finite(scores[..., i, :, :], f"{name} head {i} scores")
+    if not all_finite(scores):  # name the first head that overflowed
+        for j in range(heads):
+            _require_finite(scores[..., j, :, :], f"gc_block attn{i} head {j} scores")
     attn = _softmax(scores)
     ctx = join(attn @ v)
-    wov = ws[3]
     out = hv + ctx @ wov
-    _require_finite(out, f"{name} output")
+    _require_finite(out, f"gc_block attn{i} output")
     macs = 3 * hv.size * f + scores.size * dh + ctx.size * attn.shape[-1] + out.size * f
+    need_w = (tq.requires_grad, tk.requires_grad, tv.requires_grad, to.requires_grad)
     if not (need_h or any(need_w)):
         return out, None, macs
 
@@ -200,7 +219,7 @@ def freeze(values, what: str) -> Array:
     parameter or a computed basis; a constructor keeping a caller's array
     freezes a copy of it. Raises ValueError naming what on a non-finite value."""
     v = np.ascontiguousarray(values, dtype=np.float64)
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise ValueError(f"non-finite values in {what}")
     v.flags.writeable = False
     return v
@@ -283,7 +302,7 @@ class Tape:
         v = np.asarray(values, dtype=np.float64)
         if v.ndim > 0:  # ascontiguousarray would promote 0-d scalars to 1-d
             v = np.ascontiguousarray(v)
-        if not np.isfinite(v).all():
+        if not all_finite(v):
             raise NumericError("leaf tensor contains non-finite values")
         return self._push(v, requires_grad)
 
@@ -301,15 +320,19 @@ class Tape:
         """Record one node; check=False where finite inputs give finite values.
         Each input is this tape's or a shared constant. The node keeps
         backward_fn only when its output requires a gradient."""
-        for t in inputs:
-            if t.tid != SHARED and not (t.tid < len(self.tensors)
-                                        and self.tensors[t.tid] is t):
+        tensors = self.tensors
+        ids, grad = [], False
+        for t in inputs:  # one walk: the tape check, requires_grad and the ids
+            tid = t.tid
+            if tid != SHARED and (tid >= len(tensors) or tensors[tid] is not t):
                 raise ValueError(f"{kind}: input tensor belongs to a different tape")
+            grad = grad or t.requires_grad
+            ids.append(tid)
         if check:
             _require_finite(values, kind)
-        out = self._push(values, any(t.requires_grad for t in inputs))
-        self.nodes.append(Node(kind, tuple(t.tid for t in inputs), out.tid,
-                               backward_fn if out.requires_grad else None, macs))
+        out = self._push(values, grad)
+        self.nodes.append(Node(kind, tuple(ids), out.tid, backward_fn if grad else None,
+                               macs))
         self.mac_count += macs
         return out
 
@@ -489,20 +512,20 @@ class Tape:
         hv, need, macs = h.values, h.requires_grad, 0
         n_gc = n_attn = 0
         for step in steps:
-            ws = [w.values for w in step]
-            needs = [w.requires_grad for w in step]
             if len(step) == 2:
-                hv, back, m = _gc_layer(f"gc_block gc{n_gc}", hv, *ws, need, *needs)
+                adj, wgt = step
+                hv, back, m = _gc_layer(n_gc, hv, adj.values, wgt.values, need,
+                                        adj.requires_grad, wgt.requires_grad)
                 n_gc += 1
             elif len(step) == 4:
-                hv, back, m = _attention(f"gc_block attn{n_attn}", hv, ws, heads, need, needs)
+                hv, back, m = _attention(n_attn, hv, step, heads, need)
                 n_attn += 1
             else:
                 raise ShapeError(f"gc_block step of {len(step)} operands; a graph "
                                  "convolution takes 2 and an attention 4")
             inputs += step
             backs.append((back, len(step)))
-            need = need or any(needs)
+            need = back is not None  # a step keeps a backward when a gradient reaches it
             macs += m
 
         def bwd(g):  # each step's backward, last step first

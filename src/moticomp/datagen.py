@@ -548,11 +548,21 @@ CHECKPOINT_KINDS = {PredictorModel: "predictor", VaeParams: "cag_vae"}
 _VAE_CONFIG_KEYS = ("latent_dim", "hidden_dims", "coeff_rows", "coeff_cols", "original_length")
 
 
+class _Unfilled:
+    """Stands in for the Generator of a model's init, which then allocates each
+    array by its name and shape, zero-filled, and draws nothing: a loaded
+    checkpoint overwrites every array."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 def _vae_params(path, config: dict, tensors: dict[str, np.ndarray]) -> VaeParams:
     """The VAE a checkpoint describes, built with its normalization so VaeParams checks it."""
     types = {k: init_vae.__annotations__[k] for k in _VAE_CONFIG_KEYS}
     values = _config_values(config, types)
-    model = init_vae(np.random.default_rng(0), **values)
+    model = init_vae(_Unfilled(), **values)
     norm = {"norm.offset": model.input_offset.copy(), "norm.scale": model.input_scale.copy()}
     _fill_parameters(path, norm, {name: tensors.pop(name) for name in norm})
     return replace(model, input_offset=norm["norm.offset"], input_scale=norm["norm.scale"])
@@ -609,7 +619,7 @@ def load_checkpoint(path) -> VaeParams | PredictorModel:
         elif kind == CHECKPOINT_KINDS[PredictorModel]:
             layout = PartLayout(**_config_values(config, _field_types(PartLayout)))
             model_config = PredictorConfig(**_config_values(config, _field_types(PredictorConfig)))
-            model = init_predictor_model(np.random.default_rng(0), layout, model_config)
+            model = init_predictor_model(_Unfilled(), layout, model_config)
         else:
             raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
         _fill_parameters(path, model.named_parameters(), tensors)

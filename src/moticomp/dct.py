@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import freeze
+from .autodiff import all_finite, freeze
 from .errors import ShapeError
 
 
@@ -38,7 +38,7 @@ def dct_encode(x: np.ndarray, n_coeffs: int) -> np.ndarray:
     if not 1 <= n_coeffs <= n:
         raise ValueError(f"n_coeffs {n_coeffs} outside 1..{n}")
     coeffs = dct_matrix(n)[:n_coeffs] @ x
-    if not np.isfinite(coeffs).all():
+    if not all_finite(coeffs):
         raise ValueError("non-finite values in coefficients")
     return coeffs
 

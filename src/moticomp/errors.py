@@ -37,6 +37,16 @@ def require_positive_finite(config, *keys: str, zero_ok: bool = False) -> None:
                               f"got {value}")
 
 
+def require_sizes(key: str, values) -> None:
+    """Raise ConfigError naming key unless each of values is an integer
+    (Python or numpy) >= 1."""
+    values = list(values)
+    if not all(isinstance(v, numbers.Integral) for v in values):
+        raise ConfigError(f"{key} entries must be integers, got {values}")
+    if any(v < 1 for v in values):
+        raise ConfigError(f"{key} entries must be >= 1, got {values}")
+
+
 def require_at_least(config, low: int, *keys: str, error: type = ConfigError) -> None:
     """Raise error naming the first of keys whose value in config is not an
     integer (Python or numpy) or is below low; a key holding None, an optional

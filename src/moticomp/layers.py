@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .autodiff import Tape, Tensor, is_frozen, shared_constant
@@ -58,16 +60,22 @@ def require_writeable(name: str, arr: np.ndarray) -> None:
                          "train a copy.deepcopy of the model instead")
 
 
-# The shared constants of the last all-frozen dict bound, by name: one dict's
-# at most, so that binding model after model does not grow memory.
-_shared: dict[str, Tensor] = {}
+# The last all-frozen dict bound: its names and its arrays, in order, and
+# their shared constants by name. One dict's at most, so that binding model
+# after model does not grow memory.
+_last: tuple[tuple[str, ...], tuple[np.ndarray, ...], dict[str, Tensor]] = ((), (), {})
 
 
 def _shared_constants(named: dict[str, np.ndarray]) -> dict[str, Tensor] | None:
     """Shared constants of named's arrays, or None when one is not frozen. A
-    constant of the last all-frozen dict is reused for the array it holds."""
-    global _shared
-    last, fresh = _shared, {}
+    constant of the last all-frozen dict is reused for the array it holds; when
+    named holds the same arrays under the same names, in order, one identity
+    sweep finds that and its constants are reused as they are."""
+    global _last
+    names, arrays, last = _last
+    if tuple(named) == names and all(map(operator.is_, named.values(), arrays)):
+        return dict(last)  # the caller's to extend
+    fresh = {}
     for name, arr in named.items():
         t = last.get(name)
         if t is None or t.values is not arr:
@@ -75,5 +83,5 @@ def _shared_constants(named: dict[str, np.ndarray]) -> dict[str, Tensor] | None:
                 return None
             t = shared_constant(arr)
         fresh[name] = t
-    _shared = fresh
-    return dict(fresh)  # the caller's to extend
+    _last = tuple(named), tuple(named.values()), fresh
+    return dict(fresh)

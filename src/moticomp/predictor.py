@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -156,24 +157,24 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
 # tape-level forward passes
 
 @lru_cache(maxsize=64)
-def _block_step_names(config: PredictorConfig, prefix: str) -> tuple[tuple[str, ...], ...]:
-    """Parameter names of each step of the block named prefix: its graph-conv
-    layers, each followed by an attention when its position is in
-    config.attention_positions."""
+def _block_step_getters(config: PredictorConfig, prefix: str) -> tuple[itemgetter, ...]:
+    """For each step of the block named prefix, a getter of its parameters'
+    tuple from a dict by name: its graph-conv layers, each followed by an
+    attention when its position is in config.attention_positions."""
     positions = config.attention_positions
     steps = []
     for i in range(config.layers_per_block):
-        steps.append((f"{prefix}.gc{i}.adj", f"{prefix}.gc{i}.wgt"))
+        steps.append(itemgetter(f"{prefix}.gc{i}.adj", f"{prefix}.gc{i}.wgt"))
         if i + 1 in positions:
             attn = f"{prefix}.attn{positions.index(i + 1)}"
-            steps.append(tuple(f"{attn}.{m}" for m in ATTENTION_WEIGHTS))
+            steps.append(itemgetter(*(f"{attn}.{m}" for m in ATTENTION_WEIGHTS)))
     return tuple(steps)
 
 
 def _block_forward(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
                    prefix: str, h: Tensor) -> Tensor:
     """The block named prefix as one node."""
-    steps = [tuple(tensors[n] for n in names) for names in _block_step_names(config, prefix)]
+    steps = [step(tensors) for step in _block_step_getters(config, prefix)]
     return tape.gc_block(h, steps, config.heads)
 
 
@@ -189,10 +190,10 @@ def _exit_array(exits, n_blocks: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != len(BRANCH_KINDS) or not arr.size:
         raise ValueError(f"need one exit per branch, or a (B, {len(BRANCH_KINDS)}) "
                          f"array of them; got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":  # a signed or unsigned integer type
         raise ValueError(f"exit indices must be integers, got {arr.dtype} {arr.tolist()}")
-    bad = arr[(arr < 1) | (arr > n_blocks)]
-    if bad.size:
+    if arr.min() < 1 or arr.max() > n_blocks:
+        bad = arr[(arr < 1) | (arr > n_blocks)]
         raise ValueError(f"exit index {bad[0]} outside 1..{n_blocks}")
     return arr
 
@@ -202,25 +203,28 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
     """Decode each sample of encoded features h (B, nodes, F) after its first
     exits[b] blocks; exits may also be one index for the whole batch.
 
-    Block k runs only on the samples whose exit lies deeper than k; they are
-    gathered when some samples have already left. When every sample takes the
-    same exit no gather is recorded, so one sample, or one (nodes, F) matrix,
+    Block k runs only on the samples whose exit lies deeper than k. The exits
+    are counted once: after a block that no sample leaves nothing more is
+    recorded, and a block that every remaining sample leaves is decoded whole.
+    Only a block that some but not all of them leave gathers both groups. So a
+    batch whose samples share one exit, one sample, or one (nodes, F) matrix
     records only the blocks up to its exit and the decoder.
     """
-    exits = np.broadcast_to(exits, h.shape[:-2]).reshape(-1)
+    exits = np.full(h.shape[:-2], exits).reshape(-1)
+    leaving = np.bincount(exits).tolist()  # how many samples leave after each block
     rows = np.arange(exits.size)  # the samples h holds, in batch order
     outputs, output_rows = [], []
-    for k in range(int(exits.max())):
-        h = _block_forward(tape, config, tensors, f"{kind}.blk{k}", h)
-        leaving = exits[rows] == k + 1
-        if not leaving.any():
+    for k in range(1, len(leaving)):
+        h = _block_forward(tape, config, tensors, f"{kind}.blk{k - 1}", h)
+        if not leaving[k]:
             continue
-        y = h if leaving.all() else tape.gather([h], np.flatnonzero(leaving))
+        y, out_rows = h, rows
+        if leaving[k] < rows.size:
+            left = exits[rows] == k
+            y, out_rows = tape.gather([h], np.flatnonzero(left)), rows[left]
+            h, rows = tape.gather([h], np.flatnonzero(~left)), rows[~left]
         outputs.append(linear(tape, y, tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"]))
-        output_rows.append(rows[leaving])
-        if not leaving.all():
-            h = tape.gather([h], np.flatnonzero(~leaving))
-            rows = rows[~leaving]
+        output_rows.append(out_rows)
     if len(outputs) == 1:
         return outputs[0]
     return tape.gather(outputs, np.argsort(np.concatenate(output_rows)))
@@ -233,8 +237,9 @@ def _motion_attention(tape: Tape, config: PredictorConfig, tensors: dict[str, Te
 
     Values: DCT coefficients of the config.n_windows extended windows. Query:
     projection of the newest sub_len frames; keys: of each window's first
-    sub_len. The result adds the softmax-weighted value sum, or the one value
-    whose weight would be exactly 1.0, to the DCT of the padded history.
+    sub_len. The result adds the softmax-weighted value sum to the DCT of the
+    padded history. With one window, whose weight would be exactly 1.0, it
+    adds that value in numpy and records the sum as one constant.
     """
     batch, n, width = history.shape
     sub_len, out_frames = config.sub_len, config.output_frames
@@ -242,18 +247,17 @@ def _motion_attention(tape: Tape, config: PredictorConfig, tensors: dict[str, Te
     # (B, n_windows, sub_len + out_frames, E)
     windows = np.stack([history[:, i:i + sub_len + out_frames] for i in range(n_windows)], axis=1)
     values = dct_encode(windows, n_coeffs).reshape(batch, n_windows, -1)
+    base = dct_encode(pad_last_frame(history, out_frames), n_coeffs)
     if n_windows == 1:
-        context = tape.constant(values.reshape(batch, n_coeffs, width))
-    else:
-        query = tape.matmul(tape.constant(history[:, n - sub_len:].reshape(batch, 1, -1)),
-                            tensors["mattn.wq"])
-        keys = tape.matmul(tape.constant(windows[:, :, :sub_len].reshape(batch, n_windows, -1)),
-                           tensors["mattn.wk"])
-        weights = tape.softmax_lastdim(tape.matmul(query, tape.transpose(keys)))
-        context = tape.reshape(tape.matmul(weights, tape.constant(values)),
-                               (batch, n_coeffs, width))
-    base = tape.constant(dct_encode(pad_last_frame(history, out_frames), n_coeffs))
-    return tape.add(base, context)
+        return tape.constant(base + values.reshape(batch, n_coeffs, width))
+    query = tape.matmul(tape.constant(history[:, n - sub_len:].reshape(batch, 1, -1)),
+                        tensors["mattn.wq"])
+    keys = tape.matmul(tape.constant(windows[:, :, :sub_len].reshape(batch, n_windows, -1)),
+                       tensors["mattn.wk"])
+    weights = tape.softmax_lastdim(tape.matmul(query, tape.transpose(keys)))
+    context = tape.reshape(tape.matmul(weights, tape.constant(values)),
+                           (batch, n_coeffs, width))
+    return tape.add(tape.constant(base), context)
 
 
 def pad_last_frame(history: np.ndarray, out_frames: int) -> np.ndarray:
@@ -275,9 +279,22 @@ def _prepare_branch_inputs(tape: Tape, params: PredictorParams,
             f"(B, {cfg.input_frames}, {params.layout.size})"
         )
     whole = tape.transpose(_motion_attention(tape, cfg, tensors, history / cfg.coeff_scale))
-    return {"upper": tape.gather([whole], params.layout.upper_dims, axis=-2),
-            "lower": tape.gather([whole], params.layout.lower_dims, axis=-2),
+    upper, lower, _ = _part_indices(params.layout)
+    return {"upper": tape.gather([whole], upper, axis=-2),
+            "lower": tape.gather([whole], lower, axis=-2),
             "whole": whole}
+
+
+@lru_cache(maxsize=16)
+def _part_indices(layout: PartLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper and lower dims of layout as index arrays, and the order that
+    puts the upper rows followed by the lower ones back in skeleton order."""
+    upper, lower = (np.array(dims, dtype=np.intp) for dims in
+                    (layout.upper_dims, layout.lower_dims))
+    merge = np.argsort(np.concatenate([upper, lower]))
+    for index in (upper, lower, merge):
+        index.flags.writeable = False
+    return upper, lower, merge
 
 
 def _assemble_prediction(tape: Tape, params: PredictorParams,
@@ -285,9 +302,8 @@ def _assemble_prediction(tape: Tape, params: PredictorParams,
     """Merge part corrections, take their mean with the whole branch's, decode,
     add residual; one (N+T, E) sequence per history of the batch."""
     cfg = params.config
-    layout = params.layout
     parts = tape.gather([outputs["upper"], outputs["lower"]],
-                        np.argsort(layout.upper_dims + layout.lower_dims), axis=-2)
+                        _part_indices(params.layout)[2], axis=-2)
     blend = tape.scale(tape.add(outputs["whole"], parts), 0.5)
     total = cfg.input_frames + cfg.output_frames
     correction = tape.matmul(shared_constant(idct_basis(total, cfg.resolved_n_coeffs)),

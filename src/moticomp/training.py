@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, all_finite
 from .errors import (ConfigError, NumericError, ShapeError, require_at_least,
                      require_positive_finite)
 from .exits import (FlopsReport, _gumbel_softmax_st, _policy_forward,
@@ -154,10 +154,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if g is None or g.shape != m.shape:
             raise ShapeError(f"gradient of {name} missing or mis-shaped")
         _check_param(name, p)
-    for start, stop, pieces in state._chunks:
-        if not np.isfinite(_chunk_grad(grads, pieces, state._scratch[:stop - start])).all():
-            bad = next(name for name, _, _ in pieces if not np.isfinite(grads[name]).all())
-            raise NumericError(f"non-finite gradient for {bad}")
+    for _, _, pieces in state._chunks:  # each piece's view, before anything changes
+        for name, lo, hi in pieces:
+            g = grads[name]
+            if not all_finite(g if hi - lo == g.size else g.reshape(-1)[lo:hi]):
+                raise NumericError(f"non-finite gradient for {name}")
 
     state.step += 1
     # m and v hold M / (1 - beta1) and V / (1 - beta2) of the textbook moments

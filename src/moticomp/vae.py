@@ -14,7 +14,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, freeze
 from .dct import dct_encode, idct_decode
-from .errors import ConfigError, ShapeError, require_at_least, require_positive_finite
+from .errors import (ConfigError, ShapeError, require_at_least, require_positive_finite,
+                     require_sizes)
 from .layers import bind, init_linear, mlp
 from .motion import MotionSequence, PartLayout
 from .training import _check_dataset, _fit
@@ -76,8 +77,7 @@ def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
     if coeff_rows > original_length:
         raise ConfigError(f"config key 'coeff_rows' holds {coeff_rows}, expected "
                           f"1..original_length ({original_length})")
-    if any(h < 1 for h in hidden_dims):
-        raise ConfigError(f"hidden_dims entries must be >= 1, got {list(hidden_dims)}")
+    require_sizes("hidden_dims", hidden_dims)
     d_in = coeff_rows * coeff_cols
     enc_dims = (d_in, *hidden_dims, 2 * latent_dim)
     dec_dims = (latent_dim, *hidden_dims, d_in)
@@ -237,6 +237,7 @@ class CagTrainConfig:
 
     def __post_init__(self):
         require_at_least(self, 1, "batch_size", "latent_dim", "n_coeffs")
+        require_sizes("hidden_dims", self.hidden_dims)
         require_at_least(self, 0, "epochs", "seed")
         require_positive_finite(self, "lr", "normalization_margin")
         require_positive_finite(self, "kl_weight", zero_ok=True)

@@ -251,6 +251,23 @@ class TestCheckpoints:
         for name, arr in before.items():
             assert after[name].shape == arr.shape and after[name].tobytes() == arr.tobytes(), name
 
+    @pytest.mark.parametrize("model", [
+        init_predictor_model(np.random.default_rng(3), PartLayout.from_skeleton(default_skeleton()),
+                             PredictorConfig()),
+        init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6, original_length=8)],
+        ids=["default_predictor", "vae"])
+    def test_load_draws_nothing(self, tmp_path, monkeypatch, model):
+        # every array is read from the file, so the model is allocated by name
+        # and shape, not drawn and then overwritten
+        save_checkpoint(tmp_path / "m.json", model)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = load_checkpoint(tmp_path / "m.json").named_parameters()
+        assert all(loaded[n].tobytes() == a.tobytes() for n, a in model.named_parameters().items())
+
     def test_default_predictor_size(self, tmp_path):
         """base64 costs 4/3 of the 8 bytes per value; names, shapes and config
         fit in 64 KiB."""

@@ -193,7 +193,7 @@ class TestMotionAttention:
         assert np.allclose(out, expected, atol=1e-9)
 
     def test_single_window_weight_is_one(self):
-        # one window needs no projections and records only the residual add
+        # one window needs no projections: the residual sum is one constant
         rng = np.random.default_rng(9)
         width, sub_len, t_out, n_coeffs = 6, 4, 4, 6
         history = rng.normal(size=(8, width))  # exactly one value window
@@ -201,7 +201,8 @@ class TestMotionAttention:
         value = dct_encode(history[0:sub_len + t_out], n_coeffs)
         padded_dct = dct_encode(pad_last_frame(history, t_out), n_coeffs)
         assert np.array_equal(out, padded_dct + value)
-        assert [node.kind for node in tape.nodes] == ["add"]
+        assert [node.kind for node in tape.nodes] == []
+        assert len(tape.tensors) == 1
 
     def test_weights_match_hand_computed_softmax(self):
         rng = np.random.default_rng(10)
@@ -306,6 +307,26 @@ class TestBranchForward:
         assert [node.kind for node in tape.nodes] == ["gc_block"]
         assert tape.nodes[0].input_ids == tuple(t.tid for t in expected)
 
+    @pytest.mark.parametrize("exits", [2, np.array([2, 2, 2]), np.array([3, 3, 3])],
+                             ids=["one-index", "exits-2", "exits-3"])
+    def test_uniform_exit_batch_records_no_gather(self, exits):
+        # every sample leaves after the same block: the tail records the blocks
+        # up to it and the decoder, as for one sample, and gives each sample's
+        # own output
+        params = toy_params(seed=40, zero_output_decoders=False)
+        x = np.random.default_rng(41).normal(size=(3, *branch_input_shape(params, "upper")))
+        tape = Tape()
+        tensors = bind(tape, params.named_parameters(), trainable=False)
+        encoded = _branch_encode(tape, tensors, "upper", tape.constant(x))
+        first = len(tape.nodes)
+        out = _branch_tail(tape, "upper", params.config, tensors, encoded, exits)
+        depth = int(np.max(exits))
+        assert [node.kind for node in tape.nodes[first:]] == (
+            ["gc_block"] * depth + ["matmul", "add"])
+        for b in range(3):
+            assert np.array_equal(out.values[b],
+                                  branch_forward_to_exit(params, "upper", x[b], depth))
+
     def test_strictly_fewer_macs_at_shallow_exit(self):
         from moticomp.exits import branch_exit_macs
         params = toy_params(seed=18)
@@ -367,19 +388,20 @@ class TestPredict:
         _forward_core(tape, params, tensors, hist.data[None], exits)
         return params, tape
 
-    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 26), ((3, 3, 3), 32)])
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 25), ((3, 3, 3), 31)])
     def test_default_model_node_budget(self, exits, budget):
         # one node per block, one gather per part split and one for the merge,
-        # none for the one-window motion attention's projections
+        # none for the one-window motion attention, which is one constant
         _, tape = self.default_model_tape(exits)
-        assert len(tape.nodes) <= budget
+        assert len(tape.nodes) == budget
 
     def test_default_model_tape_copies_only_what_the_history_gives(self):
-        # the motion-attention values, the DCT of the padded history and the
-        # padded history; the IDCT basis is a shared constant, built once
+        # the motion-attention output (the DCT of the padded history plus the
+        # one window's values) and the padded history; the IDCT basis is a
+        # shared constant, built once
         params, tape = self.default_model_tape((1, 1, 1))
         leaves = len(tape.tensors) - len(tape.nodes) - len(params.named_parameters())
-        assert leaves == 3
+        assert leaves == 2
 
     def test_default_model_mac_offset(self):
         # the same at every exit triple: the IDCT of the blended correction, which
@@ -625,9 +647,9 @@ class TestInferenceTapes:
         assert all(node.backward_fn is None for node in tapes[0].nodes)
 
     def test_trainable_weights_on_a_constant_input_keep_their_gradients(self):
-        # only the constant front end (motion attention, its transpose and the
-        # part split) drops its backward; the gradients are the bytes they were
-        # when every node kept one
+        # only the constant front end (the transpose of the motion-attention
+        # constant and the part split) drops its backward; the gradients are
+        # the bytes they were when every node kept one
         layout = PartLayout.from_skeleton(default_skeleton())
         config = PredictorConfig(zero_output_decoders=False)
         params = init_predictor(np.random.default_rng(34), layout, config)
@@ -643,7 +665,7 @@ class TestInferenceTapes:
         for node in tape.nodes:
             assert (node.backward_fn is not None) == tape.tensors[node.output_id].requires_grad
         assert [node.kind for node in tape.nodes if node.backward_fn is None] == [
-            "add", "transpose", "gather", "gather"]
+            "transpose", "gather", "gather"]
         digest = hashlib.blake2b(digest_size=16)
         for name in named:
             digest.update(tensors[name].grad.tobytes())

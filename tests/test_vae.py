@@ -458,6 +458,19 @@ class TestTrainCag:
     def test_zero_kl_weight_turns_the_term_off(self):
         assert CagTrainConfig(kl_weight=0.0).kl_weight == 0.0
 
+    @pytest.mark.parametrize("hidden_dims,match", [
+        ((2.5,), r"hidden_dims entries must be integers, got \[2\.5\]"),
+        ((16, 1.0), r"hidden_dims entries must be integers, got \[16, 1\.0\]"),
+        ((16, 0), r"hidden_dims entries must be >= 1, got \[16, 0\]"),
+        ((-3,), r"hidden_dims entries must be >= 1, got \[-3\]")])
+    def test_bad_hidden_dims_named_at_construction(self, hidden_dims, match):
+        # before, (2.5,) constructed and train_cag failed with a bare TypeError
+        with pytest.raises(ConfigError, match=match):
+            CagTrainConfig(hidden_dims=hidden_dims)
+
+    def test_numpy_integer_hidden_dims_accepted(self):
+        assert CagTrainConfig(hidden_dims=(np.int64(8), 4)).hidden_dims == (8, 4)
+
     @pytest.mark.parametrize("value", [-1, -(2 ** 40)])
     @pytest.mark.parametrize("key,low", [("epochs", 0), ("batch_size", 1), ("latent_dim", 1),
                                          ("n_coeffs", 1), ("seed", 0)])
