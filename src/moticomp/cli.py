@@ -106,30 +106,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_json_config(path: str) -> dict:
+def _read_config(path: str, seed: int | None, *classes) -> list:
+    """One instance of each class from the flat JSON object in path, built
+    from that class's fields; seed, unless None, overrides the file's seed."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return doc
-
-
-def _split_config(doc: dict, path: str, *classes) -> list:
-    """Build one type-checked dataclass instance per class from a flat key/value dict."""
-    fields = {}
-    for cls in classes:
-        fields.update({f.name: cls for f in dataclasses.fields(cls)})
-    unknown = set(doc) - set(fields)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    out = []
-    for cls in classes:
-        types = datagen._field_types(cls)
-        kwargs = {k: v for k, v in doc.items() if k in types}
-        out.append(cls(**datagen._check_types(kwargs, types, f"{path}: config", ConfigError)))
-    return out
+    types = {f.name: f.type for cls in classes for f in dataclasses.fields(cls)}
+    values = datagen._read_object(doc, types, (), f"{path}: config", ConfigError)
+    if seed is not None:
+        values["seed"] = seed
+    return [cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
+            for cls in classes]
 
 
 def _write_run_info(out_dir: Path, args, seed, config_echo: dict) -> None:
@@ -200,10 +189,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train_cag(args) -> int:
-    doc = _read_json_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    (config,) = _split_config(doc, args.config, CagTrainConfig)
+    (config,) = _read_config(args.config, args.seed, CagTrainConfig)
     train_set = datagen.load_split(Path(args.data) / "train")
     result = train_cag(train_set, config)
     out = _out_dir(args)
@@ -239,11 +225,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train_predictor(args) -> int:
-    doc = _read_json_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    train_config, model_config = _split_config(doc, args.config,
-                                               TrainConfig, PredictorConfig)
+    train_config, model_config = _read_config(args.config, args.seed,
+                                              TrainConfig, PredictorConfig)
     data = Path(args.data)
     train_set = datagen.load_split(data / "train")
     if args.synth is not None:
@@ -264,7 +247,8 @@ def _cmd_train_predictor(args) -> int:
     datagen.save_checkpoint(out / "predictor.json", result.model)
     datagen.save_checkpoint(out / "predictor_best.json", result.best)
     (out / "train_history.csv").write_text(result.history_csv())
-    _write_run_info(out, args, train_config.seed, doc)
+    _write_run_info(out, args, train_config.seed,
+                    {**dataclasses.asdict(train_config), **dataclasses.asdict(model_config)})
     final = result.history[-1].loss if result.history else float("nan")
     print(f"trained predictor for {train_config.epochs} epochs, final loss "
           f"{final:.4f}; checkpoints at {out}")

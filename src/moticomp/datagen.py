@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import freeze
 from .errors import (CheckpointError, ConfigError, ManifestError, ParseError, ShapeError,
-                     require_at_least)
+                     finite, require_at_least)
 from .motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from .predictor import PredictorConfig
 from .training import PredictorModel, init_predictor_model
@@ -82,11 +82,13 @@ class ActionSpec:
 
     def __post_init__(self):
         if self.part not in ACTION_PARTS:
-            raise ConfigError(f"unknown action part {self.part!r}")
-        sizes = {len(self.amplitude), len(self.frequency), len(self.phase),
-                 len(self.drift)}
-        if len(sizes) != 1:
-            raise ConfigError(f"per-joint parameter arrays of {self.name!r} differ in length")
+            raise ConfigError(f"action {self.name!r} key 'part' holds {self.part!r}, "
+                              f"expected one of {ACTION_PARTS}")
+        sizes = {key: len(getattr(self, key))
+                 for key in ("amplitude", "frequency", "phase", "drift")}
+        if len(set(sizes.values())) != 1:
+            raise ConfigError(f"per-joint parameter arrays of {self.name!r} differ in "
+                              f"length: {sizes}")
         if any(a < 0 for a in self.amplitude) or any(f < 0 for f in self.frequency):
             raise ConfigError(f"amplitudes and frequencies of {self.name!r} must be >= 0")
         if self.noise_std < 0:
@@ -195,14 +197,16 @@ class DatasetManifest:
         if any(c < 0 for c in counts):
             raise ManifestError("per-split counts must be >= 0")
         require_at_least(self, 0, "train_seed", "val_seed", "test_seed", error=ManifestError)
-        ranges = sorted([
-            (self.train_seed, self.train_seed + self._seeds_needed("train")),
-            (self.val_seed, self.val_seed + self._seeds_needed("val")),
-            (self.test_seed, self.test_seed + self._seeds_needed("test")),
-        ])
-        for (_, end), (start, _) in zip(ranges, ranges[1:]):
-            if start < end:
-                raise ManifestError("split seed ranges overlap")
+        starts = {"train": self.train_seed, "val": self.val_seed, "test": self.test_seed}
+        ranges = sorted((start, start + self._seeds_needed(split), split)
+                        for split, start in starts.items())
+        for (start, end, split), (next_start, _, next_split) in zip(ranges, ranges[1:]):
+            if next_start < end:
+                counts = {f.name: getattr(self, f.name) for f in fields(self)
+                          if f.name.startswith(f"{split}_per_")}
+                raise ManifestError(f"split seed ranges overlap: {split}_seed {start} and "
+                                    f"{counts} take {end - start} seeds, past "
+                                    f"{next_split}_seed {next_start}")
 
     @property
     def upper_actions(self) -> tuple[ActionSpec, ...]:
@@ -318,11 +322,6 @@ def default_manifest() -> DatasetManifest:
 # ----------------------------------------------------------------------
 # manifest JSON
 
-_MANIFEST_KEYS = {"format", "version", "joint_parents", "joint_parts",
-                  *(f.name for f in fields(DatasetManifest) if f.name != "skeleton")}
-_ACTION_KEYS = {f.name for f in fields(ActionSpec)}
-_REQUIRED_ACTION_KEYS = {f.name for f in fields(ActionSpec) if f.default is MISSING}
-
 # JSON value types accepted for each dataclass field annotation
 _JSON_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float),
                "bool": (bool,), "str": (str,), "ActionSpec": (dict,)}
@@ -332,52 +331,49 @@ def _field_types(cls) -> dict[str, str]:
     return {f.name: f.type for f in fields(cls)}
 
 
+def _required(cls) -> set[str]:
+    """The fields of a dataclass that have no default."""
+    return {f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING}
+
+
 def _fits(value, annotation: str) -> bool:
     """Whether a JSON value fits a field annotation: an int passes as a float, a
-    bool as nothing but a bool, a float only if finite; tuple[X, ...] is a list."""
+    bool as nothing but a bool, a number in a float field only if finite as a
+    float; tuple[X, ...] is a list."""
     if annotation.startswith("tuple["):
         item = annotation[len("tuple["):-len(", ...]")]
         return isinstance(value, list) and all(_fits(v, item) for v in value)
     return (isinstance(value, _JSON_TYPES[annotation])
             and isinstance(value, bool) == (annotation == "bool")
-            and not (isinstance(value, float) and not math.isfinite(value)))
+            and (annotation != "float" or finite(value)))
 
 
-def _check_types(values: dict, types: dict[str, str], context: str,
-                 error: type[Exception] = TypeError) -> dict:
-    """Raise error naming the first key whose value does not fit its annotation;
-    return the values, JSON lists as tuples."""
-    for key, annotation in types.items():
-        if key in values and not _fits(values[key], annotation):
-            raise error(f"{context} key {key!r} holds {values[key]!r}, expected {annotation}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
+def _read_object(doc, types: dict[str, str], required, context: str,
+                 error: type[Exception]) -> dict:
+    """The values of a JSON object as constructor kwargs, JSON lists as tuples.
 
-
-_SKELETON_TYPES = _field_types(Skeleton)
-_MANIFEST_TYPES = {"joint_parents": _SKELETON_TYPES["parent"],
-                   "joint_parts": _SKELETON_TYPES["part_of"],
-                   **_field_types(DatasetManifest)}
-
-
-def _field_values(obj) -> dict:
-    """A dataclass's fields in declaration order, tuples as JSON lists."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    Raise error, led by context, if doc is not an object, holds a key that
+    types does not annotate, lacks a key of required, or holds a value that
+    does not fit its annotation (the first such key is named).
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{context} must be a JSON object, got {type(doc).__name__}")
+    for fault, keys in (("unknown", set(doc) - set(types)), ("missing", set(required) - set(doc))):
+        if keys:
+            raise error(f"{context}: {fault} key{'s' * (len(keys) > 1)} "
+                        f"{', '.join(map(repr, sorted(keys)))}")
+    for key, value in doc.items():
+        if not _fits(value, types[key]):
+            raise error(f"{context} key {key!r} holds {value!r}, expected {types[key]}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
-    doc = {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
-        "joint_parents": list(manifest.skeleton.parent),
-        "joint_parts": list(manifest.skeleton.part_of),
-        **_field_values(manifest),
-    }
-    del doc["skeleton"]
-    doc["actions"] = [_field_values(a) for a in manifest.actions]
+    doc = asdict(manifest)
+    skeleton = doc.pop("skeleton")
+    doc = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION,
+           "joint_parents": skeleton["parent"], "joint_parts": skeleton["part_of"], **doc}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -386,34 +382,26 @@ def manifest_from_json(text: str) -> DatasetManifest:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object")
-    unknown = set(doc) - _MANIFEST_KEYS
-    if unknown:
-        raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
-    missing = _MANIFEST_KEYS - set(doc)
-    if missing:
-        raise ManifestError(f"missing manifest keys: {sorted(missing)}")
-    if doc["format"] != MANIFEST_FORMAT or doc["version"] != MANIFEST_VERSION:
-        raise ManifestError(
-            f"unsupported manifest format {doc['format']!r} v{doc['version']!r}"
-        )
-    _check_types(doc, _MANIFEST_TYPES, "manifest", ManifestError)
-    skeleton = Skeleton(parent=tuple(doc["joint_parents"]),
-                        part_of=tuple(doc["joint_parts"]))
-    actions = []
-    for entry in doc["actions"]:
-        unknown = set(entry) - _ACTION_KEYS
-        if unknown:
-            raise ManifestError(f"unknown action keys: {sorted(unknown)}")
-        missing = _REQUIRED_ACTION_KEYS - set(entry)
-        if missing:
-            raise ManifestError(f"action {entry.get('name')!r} lacks keys: {sorted(missing)}")
-        actions.append(ActionSpec(**_check_types(entry, _field_types(ActionSpec),
-                                                 f"action {entry['name']!r}", ManifestError)))
-    scalars = {f.name: doc[f.name] for f in fields(DatasetManifest)
-               if f.name not in ("skeleton", "actions")}
-    return DatasetManifest(skeleton=skeleton, actions=tuple(actions), **scalars)
+    skeleton = _field_types(Skeleton)
+    head = {"format": "str", "version": "int", "joint_parents": skeleton["parent"],
+            "joint_parts": skeleton["part_of"]}
+    types = {**head, **_field_types(DatasetManifest)}
+    del types["skeleton"]
+    values = _read_object(doc, types, {*head, *_required(DatasetManifest)} - {"skeleton"},
+                          "manifest", ManifestError)
+    for key, expected in (("format", MANIFEST_FORMAT), ("version", MANIFEST_VERSION)):
+        if values.pop(key) != expected:
+            raise ManifestError(f"manifest key {key!r} holds {doc[key]!r}, expected {expected!r}")
+    try:
+        values["skeleton"] = Skeleton(parent=values.pop("joint_parents"),
+                                      part_of=values.pop("joint_parts"))
+    except ValueError as exc:
+        raise ManifestError(f"manifest keys 'joint_parents' and 'joint_parts': {exc}") from exc
+    values["actions"] = tuple(
+        ActionSpec(**_read_object(entry, _field_types(ActionSpec), _required(ActionSpec),
+                                  f"action {entry.get('name')!r}", ManifestError))
+        for entry in values["actions"])
+    return DatasetManifest(**values)
 
 
 # ----------------------------------------------------------------------
@@ -537,11 +525,6 @@ def _read_tensors(entries) -> dict[str, np.ndarray]:
     return out
 
 
-def _config_values(config: dict, types: dict[str, str]) -> dict:
-    """The config entries named in types; KeyError or TypeError on a bad key."""
-    return _check_types({name: config[name] for name in types}, types, "config")
-
-
 # the kind a checkpoint of each model type is written and loaded as
 CHECKPOINT_KINDS = {PredictorModel: "predictor", VaeParams: "cag_vae"}
 # a VAE checkpoint's config keys, in file order: init_vae's arguments less its rng
@@ -561,8 +544,7 @@ class _Unfilled:
 def _vae_params(path, config: dict, tensors: dict[str, np.ndarray]) -> VaeParams:
     """The VAE a checkpoint describes, built with its normalization so VaeParams checks it."""
     types = {k: init_vae.__annotations__[k] for k in _VAE_CONFIG_KEYS}
-    values = _config_values(config, types)
-    model = init_vae(_Unfilled(), **values)
+    model = init_vae(_Unfilled(), **_read_object(config, types, types, "config", ValueError))
     norm = {"norm.offset": model.input_offset.copy(), "norm.scale": model.input_scale.copy()}
     _fill_parameters(path, norm, {name: tensors.pop(name) for name in norm})
     return replace(model, input_offset=norm["norm.offset"], input_scale=norm["norm.scale"])
@@ -617,9 +599,10 @@ def load_checkpoint(path) -> VaeParams | PredictorModel:
         if kind == CHECKPOINT_KINDS[VaeParams]:
             model = _vae_params(path, config, tensors)
         elif kind == CHECKPOINT_KINDS[PredictorModel]:
-            layout = PartLayout(**_config_values(config, _field_types(PartLayout)))
-            model_config = PredictorConfig(**_config_values(config, _field_types(PredictorConfig)))
-            model = init_predictor_model(_Unfilled(), layout, model_config)
+            types = {**_field_types(PredictorConfig), **_field_types(PartLayout)}
+            values = _read_object(config, types, types, "config", ValueError)
+            layout = PartLayout(**{k: values.pop(k) for k in _field_types(PartLayout)})
+            model = init_predictor_model(_Unfilled(), layout, PredictorConfig(**values))
         else:
             raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
         _fill_parameters(path, model.named_parameters(), tensors)

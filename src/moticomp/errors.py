@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the config bound checks."""
 
+import math
 import numbers
 
 
@@ -27,12 +28,21 @@ class ManifestError(ValueError):
     """Dataset manifest is inconsistent (e.g. overlapping split seeds)."""
 
 
+def finite(value) -> bool:
+    """Whether a number is finite as a float; an int too large for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def require_positive_finite(config, *keys: str, zero_ok: bool = False) -> None:
     """Raise ConfigError naming the first of keys whose value in config is not
-    finite and > 0 (>= 0 with zero_ok, for a weight 0 turns off); NaN and inf fail."""
+    finite and > 0 (>= 0 with zero_ok, for a weight 0 turns off); NaN, inf and
+    an int too large for a float fail."""
     for key in keys:
         value = getattr(config, key)
-        if not (0 <= value < float("inf") and (zero_ok or value != 0)):
+        if not (finite(value) and value >= 0 and (zero_ok or value != 0)):
             raise ConfigError(f"{key} must be finite and {'>=' if zero_ok else '>'} 0, "
                               f"got {value}")
 

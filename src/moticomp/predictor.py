@@ -51,9 +51,7 @@ class PredictorConfig:
         require_at_least(self, 1, "output_frames", "n_coeffs", "heads", "feature_width",
                          "n_blocks", "layers_per_block", "attention_every", "policy_hidden",
                          "query_dim")
-        if not (np.isfinite(self.adjacency_noise) and self.adjacency_noise >= 0):
-            raise ConfigError(
-                f"adjacency_noise must be finite and >= 0, got {self.adjacency_noise}")
+        require_positive_finite(self, "adjacency_noise", zero_ok=True)
         if self.feature_width % self.heads != 0:
             raise ConfigError(
                 f"feature width {self.feature_width} not divisible by {self.heads} heads"
@@ -63,7 +61,7 @@ class PredictorConfig:
         if self.n_windows < 1:
             raise ConfigError(
                 f"input span {n} too short for sub-sequences of {self.sub_len} "
-                f"frames extended by {t}"
+                f"frames extended by {t} (raise input_frames or lower output_frames)"
             )
         if not 1 <= self.resolved_n_coeffs <= self.sub_len + t:
             raise ConfigError(f"n_coeffs {self.resolved_n_coeffs} out of range")

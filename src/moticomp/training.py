@@ -9,6 +9,7 @@ plain Euclidean per-joint distance at individual future frames.
 from __future__ import annotations
 
 import copy
+import numbers
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -484,10 +485,12 @@ def evaluate(model: PredictorModel, test_set: list[MotionSequence],
         raise ValueError("test set is empty")
     cfg = model.params.config
     n_input, n_output = cfg.input_frames, cfg.output_frames
-    horizon_frames = tuple(int(h) for h in horizon_frames)
     for h in horizon_frames:
+        if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+            raise ValueError(f"horizon frame {h} is not an integer")
         if not 1 <= h <= n_output:
             raise ValueError(f"horizon frame {h} outside 1..{n_output}")
+    horizon_frames = tuple(int(h) for h in horizon_frames)
 
     _check_dataset(test_set, (n_input + n_output, model.params.layout.size), "test")
 

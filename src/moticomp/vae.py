@@ -9,6 +9,7 @@ encoder/decoder, and restores a time-domain sequence with the inverse DCT.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -69,11 +70,9 @@ class VaeParams:
 def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
              original_length: int, latent_dim: int = 16,
              hidden_dims: tuple[int, ...] = (256, 256)) -> VaeParams:
-    sizes = {"original_length": original_length, "coeff_rows": coeff_rows,
-             "coeff_cols": coeff_cols, "latent_dim": latent_dim}
-    for key, size in sizes.items():
-        if size < 1:
-            raise ConfigError(f"{key} must be >= 1, got {size}")
+    sizes = SimpleNamespace(original_length=original_length, coeff_rows=coeff_rows,
+                            coeff_cols=coeff_cols, latent_dim=latent_dim)
+    require_at_least(sizes, 1, *vars(sizes))
     if coeff_rows > original_length:
         raise ConfigError(f"config key 'coeff_rows' holds {coeff_rows}, expected "
                           f"1..original_length ({original_length})")

@@ -11,7 +11,7 @@ from moticomp.cli import dispatch
 from moticomp.datagen import default_manifest, load_split, manifest_to_json, save_checkpoint
 from moticomp.motion import PartLayout
 from moticomp.predictor import PredictorConfig
-from moticomp.training import init_predictor_model
+from moticomp.training import TrainConfig, init_predictor_model
 from moticomp.vae import init_vae
 
 
@@ -78,7 +78,7 @@ def test_eval_malformed_checkpoint_exits_two_with_named_error(tiny_manifest, tmp
     assert dispatch(["eval", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
-    assert "malformed checkpoint: missing key 'heads'" in err
+    assert "malformed checkpoint: config: missing key 'heads'" in err
     assert "Traceback" not in err
 
 
@@ -250,7 +250,9 @@ def test_bad_config_key_exits_two(tiny_manifest, tmp_path):
     ("train-cag", "epochs", "5"), ("train-cag", "epochs", 2.5),
     ("train-cag", "hidden_dims", 5), ("train-cag", "batch_size", True),
     ("train-predictor", "epochs", "5"), ("train-predictor", "lr", None),
-    ("train-predictor", "heads", 2.0), ("train-predictor", "zero_output_decoders", 1)])
+    ("train-predictor", "heads", 2.0), ("train-predictor", "zero_output_decoders", 1),
+    pytest.param("train-cag", "lr", 10 ** 400, id="train-cag-lr-huge_int"),
+    pytest.param("train-predictor", "lr", 10 ** 400, id="train-predictor-lr-huge_int")])
 def test_ill_typed_config_value_exits_two_naming_file_and_key(tmp_path, capsys, command,
                                                               key, value):
     cfg = tmp_path / "c.json"
@@ -262,6 +264,23 @@ def test_ill_typed_config_value_exits_two_naming_file_and_key(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"{cfg}: config key '{key}' holds {value!r}, expected " in err
     assert "Traceback" not in err
+
+
+def test_train_predictor_run_info_echoes_resolved_configs(tiny_manifest, tmp_path):
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
+    cfg = tmp_path / "pred.json"
+    knobs = {"epochs": 1, "constrain_epochs": 1, "batch_size": 8, "seed": 3,
+             "feature_width": 8, "policy_hidden": 4, "query_dim": 4}
+    cfg.write_text(json.dumps(knobs))
+    out = tmp_path / "pred"
+    assert dispatch(["train-predictor", "--config", str(cfg), "--data", str(data),
+                     "--seed", "5", "--out", str(out)]) == 0
+    info = json.loads((out / "run-info.json").read_text())
+    train = TrainConfig(epochs=1, constrain_epochs=1, batch_size=8, seed=5)
+    model = PredictorConfig(feature_width=8, policy_hidden=4, query_dim=4)
+    assert info["seed"] == 5
+    assert info["config"] == {**dataclasses.asdict(train), **dataclasses.asdict(model)}
 
 
 def test_zero_heads_exits_two_naming_heads(tmp_path, capsys):

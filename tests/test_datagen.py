@@ -345,7 +345,9 @@ class TestPredictorCheckpointErrors:
 
     @pytest.mark.parametrize("key,value", [("heads", "2"), ("heads", 2.0),
                                            ("n_coeffs", True), ("coeff_scale", None),
-                                           ("zero_output_decoders", 1)])
+                                           ("zero_output_decoders", 1),
+                                           pytest.param("coeff_scale", 10 ** 400,
+                                                        id="coeff_scale-huge_int")])
     def test_ill_typed_config_key(self, tmp_path, key, value):
         path = tmp_path / "p.json"
         doc = saved_predictor(path)
@@ -607,12 +609,13 @@ class TestBuildDataset:
         doc = json.loads(manifest_to_json(default_manifest()))
         del doc["actions"][1]["phase"]
         del doc["actions"][1]["drift"]
-        with pytest.raises(ManifestError, match=r"'nod' lacks keys: \['drift', 'phase'\]"):
+        with pytest.raises(ManifestError, match="action 'nod': missing keys 'drift', 'phase'"):
             manifest_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key,value", [("actions", [1]), ("joint_parents", 5),
                                            ("fps", "10"), ("train_per_action", 2.5),
-                                           ("train_seed", True)])
+                                           ("train_seed", True),
+                                           pytest.param("fps", 10 ** 400, id="fps-huge_int")])
     def test_ill_typed_manifest_value_named(self, key, value):
         doc = json.loads(manifest_to_json(default_manifest()))
         doc[key] = value
@@ -622,6 +625,12 @@ class TestBuildDataset:
     def test_non_numeric_amplitude_named(self):
         doc = json.loads(manifest_to_json(default_manifest()))
         doc["actions"][1]["amplitude"][2] = "big"
+        with pytest.raises(ManifestError, match="action 'nod' key 'amplitude' holds"):
+            manifest_from_json(json.dumps(doc))
+
+    def test_integer_amplitude_too_large_for_a_float_named(self):
+        doc = json.loads(manifest_to_json(default_manifest()))
+        doc["actions"][1]["amplitude"][2] = 10 ** 400
         with pytest.raises(ManifestError, match="action 'nod' key 'amplitude' holds"):
             manifest_from_json(json.dumps(doc))
 

@@ -145,12 +145,12 @@ class TestSelfAttention:
         with pytest.raises(ConfigError, match=f"{key} must be an integer, got 2.0"):
             PredictorConfig(**{key: 2.0})
 
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, pytest.param(10 ** 400, id="huge_int")])
     def test_non_positive_or_non_finite_coeff_scale_rejected(self, scale):
         with pytest.raises(ConfigError, match=f"coeff_scale must be finite and > 0, got {scale}"):
             PredictorConfig(coeff_scale=scale)
 
-    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("noise", [-0.1, np.nan, np.inf, pytest.param(10 ** 400, id="huge_int")])
     def test_negative_or_non_finite_adjacency_noise_rejected(self, noise):
         with pytest.raises(ConfigError, match="adjacency_noise must be finite and >= 0"):
             PredictorConfig(adjacency_noise=noise)

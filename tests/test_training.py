@@ -407,13 +407,13 @@ def tiny_train_config(**overrides):
 
 
 class TestTrainPredictor:
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, pytest.param(10 ** 400, id="huge_int")])
     @pytest.mark.parametrize("key", ["lr", "temperature"])
     def test_non_positive_or_non_finite_rates_named(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite and > 0, got {value}"):
             TrainConfig(**{key: value})
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, pytest.param(10 ** 400, id="huge_int")])
     def test_negative_or_non_finite_tendency_weight_named(self, value):
         with pytest.raises(ConfigError, match=f"w_tendency must be finite and >= 0, got {value}"):
             TrainConfig(w_tendency=value)
@@ -567,6 +567,19 @@ class TestBaselineAndEvaluate:
         model, _, _, _, val = tiny_setup(seed=6)
         with pytest.raises(ValueError):
             evaluate(model, val, (1, 5))
+
+    @pytest.mark.parametrize("horizons,bad", [((2.5,), "2.5"), ((True, 3), "True"),
+                                              ((1, np.float64(2.0)), "2.0")])
+    def test_non_integer_horizon_named(self, horizons, bad):
+        model, _, _, _, val = tiny_setup(seed=6)
+        with pytest.raises(ValueError, match=f"horizon frame {bad} is not an integer"):
+            evaluate(model, val, horizons)
+
+    def test_numpy_integer_horizons_accepted(self):
+        model, _, _, _, val = tiny_setup(seed=6)
+        report = evaluate(model, val, (np.int64(1), np.uint8(3)))
+        assert report.horizon_frames == (1, 3)
+        assert report.overall == evaluate(model, val, (1, 3)).overall
 
     def test_wrong_length_sequence_named(self):
         model, _, _, _, val = tiny_setup(seed=9)

@@ -126,6 +126,13 @@ class TestEncodeDecode:
             init_vae(np.random.default_rng(0), coeff_rows=LENGTH + 1, coeff_cols=COLS,
                      original_length=LENGTH)
 
+    @pytest.mark.parametrize("key", ["coeff_rows", "coeff_cols", "latent_dim",
+                                     "original_length"])
+    def test_non_integral_size_named(self, key):
+        sizes = dict(coeff_rows=F, coeff_cols=COLS, original_length=LENGTH, latent_dim=LATENT)
+        with pytest.raises(ConfigError, match=f"{key} must be an integer, got 2.5"):
+            init_vae(np.random.default_rng(0), **{**sizes, key: 2.5})
+
     def test_no_hidden_layers_allowed(self):
         params = init_vae(np.random.default_rng(0), coeff_rows=F, coeff_cols=COLS,
                           original_length=LENGTH, latent_dim=LATENT, hidden_dims=())
