@@ -38,6 +38,15 @@ tensors joined along that axis, with a scatter-add gradient. It regroups a
 batch (axis 0), splits and merges body parts (the node axis) and splits the
 VAE encoder's output into mean and log-variance (the last axis).
 
+A batched operand times a shared 2-D weight, as in every linear layer, gc
+layer weight and attention projection, takes both gradients as one GEMM over
+the batch's rows flattened: (B*n, m) @ W^T for the operand, and the flattened
+operand's transpose times the flattened gradient for the weight, which sums
+over the batch inside the product. Forward values do not depend on it. The
+gradients equal the per-sample sums, sum_b a_b^T g_b and g_b @ W^T, up to the
+rounding of the reordered sums. A 2-D times 2-D product, as in the VAE, keeps
+the per-operand transposed formula and its bytes.
+
 One kind records a whole predictor block as one node: `gc_block`, a sequence
 of graph-conv layers tanh((adj @ h) @ wgt) and residual multi-head
 attentions, which run all heads as one stacked axis of each product. Its
@@ -93,7 +102,14 @@ def _check_matmul(kind: str, a: tuple[int, ...], b: tuple[int, ...]) -> None:
 
 
 def _matmul_grads(g: Array, av: Array, bv: Array, na: bool, nb: bool):
-    """Gradients of av @ bv for the operands that need one, else None."""
+    """Gradients of av @ bv for the operands that need one, else None. A
+    batched av times a shared 2-D bv takes each as one GEMM over the batch's
+    rows flattened, which sums the weight's gradient over the batch as it goes."""
+    if av.ndim > 2 == bv.ndim:
+        k, m = bv.shape
+        g2 = g.reshape(-1, m)
+        return ((g2 @ np.ascontiguousarray(bv.T)).reshape(av.shape) if na else None,
+                av.reshape(-1, k).T @ g2 if nb else None)
     return (_sum_to(g @ np.swapaxes(bv, -1, -2), av.shape) if na else None,
             _sum_to(np.swapaxes(av, -1, -2) @ g, bv.shape) if nb else None)
 
@@ -107,8 +123,20 @@ def _softmax(x: Array) -> Array:
 
 
 def _softmax_grad(g: Array, y: Array) -> Array:
-    dot = np.sum(g * y, axis=-1, keepdims=True)
-    return y * (g - dot)
+    """y * (g - sum(g * y)) over the last axis, in one buffer."""
+    d = g * y
+    dot = np.add.reduce(d, axis=-1, keepdims=True)
+    np.subtract(g, dot, out=d)
+    d *= y
+    return d
+
+
+def _tanh_grad(g: Array, y: Array) -> Array:
+    """g * (1 - y * y) for y = tanh(x), in one buffer."""
+    d = y * y
+    np.subtract(1.0, d, out=d)
+    d *= g
+    return d
 
 
 def all_finite(values: Array) -> bool:
@@ -146,7 +174,7 @@ def _gc_layer(i: int, hv: Array, av: Array, wv: Array, need_h: bool, na: bool,
         return y, None, macs
 
     def bwd(g):
-        g_ah, g_w = _matmul_grads(g * (1.0 - y * y), ah, wv, na or need_h, nw)
+        g_ah, g_w = _matmul_grads(_tanh_grad(g, y), ah, wv, na or need_h, nw)
         if g_ah is None:
             return None, None, g_w
         g_adj, g_h = _matmul_grads(g_ah, av, hv, na, need_h)
@@ -200,7 +228,9 @@ def _attention(i: int, hv: Array, step: Sequence[Tensor], heads: int, need_h: bo
         if g_ctx is None:
             return None, None, None, None, g_wo
         g_attn, g_v = _matmul_grads(split(g_ctx), attn, v, True, True)
-        g_q, g_k_t = _matmul_grads(_softmax_grad(g_attn, attn) * c, q, k_t, True, True)
+        g_scores = _softmax_grad(g_attn, attn)
+        g_scores *= c
+        g_q, g_k_t = _matmul_grads(g_scores, q, k_t, True, True)
         g_qkv = (join(g_q), join(np.swapaxes(g_k_t, -1, -2)), join(g_v))
         g_h, g_w = (g if need_h else None), [None] * 3  # into h: the residual, v, k, q
         for j in (2, 1, 0):
@@ -367,7 +397,7 @@ class Tape:
 
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.values)
-        return self._emit("tanh", (a,), y, lambda g: (g * (1.0 - y * y),))
+        return self._emit("tanh", (a,), y, lambda g: (_tanh_grad(g, y),))
 
     def exp(self, a: Tensor) -> Tensor:
         with np.errstate(over="ignore"):

@@ -231,13 +231,13 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
 def _motion_attention(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
                       history: np.ndarray) -> Tensor:
     """Attention-enriched coefficients of each padded observation of a batch of
-    histories (B, N, E), shape (B, F, E).
+    histories (B, N, E), node-major: shape (B, E, F), one row per coordinate.
 
     Values: DCT coefficients of the config.n_windows extended windows. Query:
     projection of the newest sub_len frames; keys: of each window's first
     sub_len. The result adds the softmax-weighted value sum to the DCT of the
     padded history. With one window, whose weight would be exactly 1.0, it
-    adds that value in numpy and records the sum as one constant.
+    adds that value in numpy and records the transposed sum as one constant.
     """
     batch, n, width = history.shape
     sub_len, out_frames = config.sub_len, config.output_frames
@@ -247,7 +247,7 @@ def _motion_attention(tape: Tape, config: PredictorConfig, tensors: dict[str, Te
     values = dct_encode(windows, n_coeffs).reshape(batch, n_windows, -1)
     base = dct_encode(pad_last_frame(history, out_frames), n_coeffs)
     if n_windows == 1:
-        return tape.constant(base + values.reshape(batch, n_coeffs, width))
+        return tape.constant(np.swapaxes(base + values.reshape(batch, n_coeffs, width), -1, -2))
     query = tape.matmul(tape.constant(history[:, n - sub_len:].reshape(batch, 1, -1)),
                         tensors["mattn.wq"])
     keys = tape.matmul(tape.constant(windows[:, :, :sub_len].reshape(batch, n_windows, -1)),
@@ -255,7 +255,7 @@ def _motion_attention(tape: Tape, config: PredictorConfig, tensors: dict[str, Te
     weights = tape.softmax_lastdim(tape.matmul(query, tape.transpose(keys)))
     context = tape.reshape(tape.matmul(weights, tape.constant(values)),
                            (batch, n_coeffs, width))
-    return tape.add(tape.constant(base), context)
+    return tape.transpose(tape.add(tape.constant(base), context))
 
 
 def pad_last_frame(history: np.ndarray, out_frames: int) -> np.ndarray:
@@ -276,8 +276,11 @@ def _prepare_branch_inputs(tape: Tape, params: PredictorParams,
             f"history batch shape {history.shape} != "
             f"(B, {cfg.input_frames}, {params.layout.size})"
         )
-    whole = tape.transpose(_motion_attention(tape, cfg, tensors, history / cfg.coeff_scale))
+    whole = _motion_attention(tape, cfg, tensors, history / cfg.coeff_scale)
     upper, lower, _ = _part_indices(params.layout)
+    if cfg.n_windows == 1:  # one constant: split it in numpy, recording no node
+        return {"upper": tape.constant(whole.values[:, upper]),
+                "lower": tape.constant(whole.values[:, lower]), "whole": whole}
     return {"upper": tape.gather([whole], upper, axis=-2),
             "lower": tape.gather([whole], lower, axis=-2),
             "whole": whole}

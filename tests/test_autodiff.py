@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 from gradcheck import TestGradCheck, grad_check  # noqa: F401 (TestGradCheck runs here)
 from moticomp import predictor, training, vae
-from moticomp.autodiff import SHARED, Tape, freeze, shared_constant
+from moticomp.autodiff import (SHARED, Tape, _matmul_grads, _softmax_grad, _tanh_grad, freeze,
+                               shared_constant)
 from moticomp.errors import NumericError, ShapeError
+from moticomp.layers import linear
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 
 # every operation kind a Tape records; each has its finite-difference check below
@@ -729,6 +732,119 @@ class TestBatchAxis:
         tape = Tape()
         with pytest.raises(ShapeError, match="gather index"):
             tape.gather([tape.constant(np.zeros((3, 2)))], index)
+
+
+
+def _assert_within_rounding(got, want):
+    """Equal up to the rounding of a reordered sum: within 1e-13 of want's
+    largest magnitude."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _per_sample_step(step, h, g, seed):
+    """The input and operand gradients of a one-step gc_block on h (B, n, F)
+    under output gradient g, batched, and the same summed sample by sample:
+    each sample runs as an (n, F) matrix, whose products with the shared
+    weights are 2-D and take a_b^T g_b and g_b @ W^T."""
+    rng = np.random.default_rng(seed)
+    shapes = _block_shapes(step, h.shape)[1:]
+    operands = [rng.normal(scale=0.3, size=shape) for shape in shapes]
+
+    def grads(hv, gv):
+        t = Tape()
+        xs = [t.leaf(v, requires_grad=True) for v in (hv, *operands)]
+        t.gc_block(xs[0], _steps(step, xs[1:]), 2)
+        return t.nodes[-1].backward_fn(gv)
+
+    batched = grads(h, g)
+    samples = [grads(h[b], g[b]) for b in range(len(h))]
+    reference = [np.stack([s[0] for s in samples])]
+    reference += [sum(s[i] for s in samples) for i in range(1, len(batched))]
+    return batched, reference
+
+
+# the batched products of a training minibatch: B samples of n nodes at width F
+SHARED_WEIGHT_SHAPES = [(b, n, 32) for b in (1, 3, 32) for n in (9, 15, 24)]
+
+
+class TestSharedWeightGradients:
+    """A batched operand times a shared 2-D weight takes both gradients as one
+    product over the batch's rows flattened; they equal the per-sample
+    gradients up to the order of the sums."""
+
+    @pytest.mark.parametrize("shape", SHARED_WEIGHT_SHAPES)
+    def test_matmul_grads_equal_the_per_sample_sums(self, shape):
+        rng = np.random.default_rng(90)
+        a, w = rng.normal(size=shape), rng.normal(size=(shape[-1], 32))
+        g = rng.normal(size=shape[:-1] + (32,))
+        g_a, g_w = _matmul_grads(g, a, w, True, True)
+        _assert_within_rounding(g_a, np.stack([g_b @ w.T for g_b in g]))
+        _assert_within_rounding(g_w, sum(a_b.T @ g_b for a_b, g_b in zip(a, g)))
+
+    @pytest.mark.parametrize("shape", SHARED_WEIGHT_SHAPES)
+    def test_linear_gradients_equal_the_per_sample_sums(self, shape):
+        rng = np.random.default_rng(91)
+        t = Tape()
+        x = t.leaf(rng.normal(size=shape), requires_grad=True)
+        w = t.leaf(rng.normal(size=(shape[-1], 32)), requires_grad=True)
+        b = t.leaf(rng.normal(size=(1, 32)), requires_grad=True)
+        out = linear(t, x, w, b)
+        t.backward(t.sum_sq(out))
+        g = 2.0 * out.values
+        _assert_within_rounding(x.grad, np.stack([g_b @ w.values.T for g_b in g]))
+        _assert_within_rounding(w.grad, sum(x_b.T @ g_b for x_b, g_b in zip(x.values, g)))
+
+    @pytest.mark.parametrize("step", ["g", "a"])
+    @pytest.mark.parametrize("shape", SHARED_WEIGHT_SHAPES)
+    def test_block_step_gradients_equal_the_per_sample_sums(self, step, shape):
+        rng = np.random.default_rng(92)
+        h, g = rng.normal(size=shape), rng.normal(size=shape)
+        batched, reference = _per_sample_step(step, h, g, 93)
+        assert len(batched) == (3 if step == "g" else 5)
+        for got, want in zip(batched, reference):
+            _assert_within_rounding(got, want)
+
+    def test_two_backward_passes_are_bit_equal(self):
+        rng = np.random.default_rng(94)
+        operands = [rng.normal(scale=0.3, size=shape)
+                    for shape in _block_shapes(DEFAULT_BLOCK, (32, 24, 32))]
+        _, first, _ = _run_block(DEFAULT_BLOCK, operands, 2, True)
+        _, second, _ = _run_block(DEFAULT_BLOCK, operands, 2, True)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_two_dimensional_products_keep_the_transposed_formula(self):
+        # as in the VAE: a (batch, in) matrix times an (in, out) weight
+        rng = np.random.default_rng(95)
+        a, w, g = rng.normal(size=(32, 600)), rng.normal(size=(600, 256)), rng.normal(size=(32, 256))
+        g_a, g_w = _matmul_grads(g, a, w, True, True)
+        assert g_a.tobytes() == (g @ np.swapaxes(w, -1, -2)).tobytes()
+        assert g_w.tobytes() == (np.swapaxes(a, -1, -2) @ g).tobytes()
+
+    def test_elementwise_backward_keeps_its_bytes(self):
+        rng = np.random.default_rng(96)
+        g, y = rng.normal(size=(32, 2, 24, 24)), np.tanh(rng.normal(size=(32, 2, 24, 24)))
+        assert _tanh_grad(g, y).tobytes() == (g * (1.0 - y * y)).tobytes()
+        p = np.exp(y) / np.exp(y).sum(axis=-1, keepdims=True)
+        want = p * (g - np.sum(g * p, axis=-1, keepdims=True))
+        assert _softmax_grad(g, p).tobytes() == want.tobytes()
+
+    def test_weight_gradient_builds_no_per_sample_stack(self):
+        # a (B, F, F) stack of per-sample products would take B * F * F * 8 bytes
+        rng = np.random.default_rng(97)
+        t = Tape()
+        t.matmul(t.constant(rng.normal(size=(32, 24, 32))),
+                 t.leaf(rng.normal(size=(32, 32)), requires_grad=True))
+        backward, g = t.nodes[-1].backward_fn, rng.normal(size=(32, 24, 32))
+        tracemalloc.start()
+        try:
+            g_a, g_w = backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g_a is None and g_w.shape == (32, 32)
+        assert peak < 32 * 32 * 32 * 8
 
 
 def test_straight_through_gradient_equals_soft_gradient():

@@ -165,12 +165,12 @@ class TestSelfAttention:
 
 def motion_attention(history, projections=None, **config):
     """The front end of a config with history's frame count, on that one history;
-    returns its (F, E) output and the tape."""
+    returns its output, transposed back to (F, E), and the tape."""
     tape = Tape()
     tensors = {name: tape.constant(w) for name, w in zip(("mattn.wq", "mattn.wk"),
                                                         projections or ())}
     cfg = PredictorConfig(input_frames=len(history), **config)
-    return _motion_attention(tape, cfg, tensors, history[None]).values[0], tape
+    return _motion_attention(tape, cfg, tensors, history[None]).values[0].T, tape
 
 
 class TestMotionAttention:
@@ -388,26 +388,26 @@ class TestPredict:
         _forward_core(tape, params, tensors, hist.data[None], exits)
         return params, tape
 
-    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 25), ((3, 3, 3), 31)])
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 22), ((3, 3, 3), 28)])
     def test_default_model_node_budget(self, exits, budget):
-        # one node per block, one gather per part split and one for the merge,
-        # none for the one-window motion attention, which is one constant
+        # one node per block and one gather for the merge; none for the
+        # one-window motion attention and its part splits, which are constants
         _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) == budget
 
     def test_default_model_tape_copies_only_what_the_history_gives(self):
         # the motion-attention output (the DCT of the padded history plus the
-        # one window's values) and the padded history; the IDCT basis is a
-        # shared constant, built once
+        # one window's values), its two part splits and the padded history;
+        # the IDCT basis is a shared constant, built once
         params, tape = self.default_model_tape((1, 1, 1))
         leaves = len(tape.tensors) - len(tape.nodes) - len(params.named_parameters())
-        assert leaves == 2
+        assert leaves == 4
 
     def test_default_model_mac_offset(self):
         # the same at every exit triple: the IDCT of the blended correction, which
         # count_flops leaves out, less the exit policies, which it counts and
-        # predict does not run; the part split and merge are gathers, with no
-        # MACs, and one-window motion attention has no query/key work
+        # predict does not run; the part split is constants and the merge a
+        # gather, with no MACs, and one-window motion attention has no query/key work
         offsets = set()
         for exits in itertools.product((1, 2, 3), repeat=3):
             params, tape = self.default_model_tape(exits)
@@ -647,9 +647,8 @@ class TestInferenceTapes:
         assert all(node.backward_fn is None for node in tapes[0].nodes)
 
     def test_trainable_weights_on_a_constant_input_keep_their_gradients(self):
-        # only the constant front end (the transpose of the motion-attention
-        # constant and the part split) drops its backward; the gradients are
-        # the bytes they were when every node kept one
+        # the constant front end records no node, so every node keeps its
+        # backward; the digest pins the bytes of every parameter's gradient
         layout = PartLayout.from_skeleton(default_skeleton())
         config = PredictorConfig(zero_output_decoders=False)
         params = init_predictor(np.random.default_rng(34), layout, config)
@@ -664,12 +663,11 @@ class TestInferenceTapes:
         tape.backward(tape.sum_sq(tape.add(pred, tape.constant(-gt))))
         for node in tape.nodes:
             assert (node.backward_fn is not None) == tape.tensors[node.output_id].requires_grad
-        assert [node.kind for node in tape.nodes if node.backward_fn is None] == [
-            "transpose", "gather", "gather"]
+        assert [node.kind for node in tape.nodes if node.backward_fn is None] == []
         digest = hashlib.blake2b(digest_size=16)
         for name in named:
             digest.update(tensors[name].grad.tobytes())
-        assert digest.hexdigest() == "b2c8b255adf37742261883281b5ffb5b"
+        assert digest.hexdigest() == "39dbe28d5d390e37d5eaa66747ad44e4"
 
     def test_full_depth_batch_memory(self, default_model_and_test_histories):
         # about 8 MB; a tape that kept every backward closure and the arrays
