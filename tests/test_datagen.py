@@ -569,6 +569,34 @@ class TestSeededInitGolden:
             "23ee1369b6b867fe1ec1e7d2bc83ab8b127df01be05746060273bb7cc357f4c0")
 
 
+def dataset_digest(manifest) -> str:
+    """SHA-256 over each sequence's data bytes, label and fps, in split order."""
+    splits = build_dataset(manifest)
+    digest = hashlib.sha256()
+    for seq in splits.train + splits.val + splits.test:
+        digest.update(seq.data.tobytes())
+        digest.update(f"{seq.label}\n{float(seq.fps)!r}\n".encode())
+    return digest.hexdigest()
+
+
+class TestBuildDatasetGolden:
+    """Bytes of every generated split, pinned across refactors of the generator.
+
+    They change if a curve's arithmetic, the order of its float operations or
+    the order of the noise draws changes.
+    """
+
+    def test_default_manifest(self):
+        assert dataset_digest(default_manifest()) == (
+            "37e02d164c2c09d38ba5c74dce594574fdd9141e1517d3a8894318df0c470f0b")
+
+    def test_longer_faster_larger_test_split(self):
+        man = dataclasses.replace(default_manifest(), sequence_length=45, fps=25.0,
+                                  test_per_atomic=10, test_per_composite=10)
+        assert dataset_digest(man) == (
+            "e77babe188ed845261760c1e7a7e5dd5fe783649d1275d08acb944c3a38a216f")
+
+
 class TestBuildDataset:
     def test_default_split_composition(self):
         man = default_manifest()
