@@ -15,6 +15,7 @@ import math
 import os
 import re
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ CHECKPOINT_VERSION = 2
 
 STILL = "still"
 ACTION_PARTS = (UPPER, LOWER, STILL)
+PER_JOINT_FIELDS = ("amplitude", "frequency", "phase", "drift")  # of an ActionSpec
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +71,8 @@ class ActionSpec:
     """Per-joint sinusoid-plus-drift parameters for one atomic action.
 
     Joints of `part` oscillate; all other joints (and always the root) hold
-    the rest pose. Still specs move nothing.
+    the rest pose. Still specs move nothing. The per-joint fields are stored
+    as tuples, whatever sequence they are given as.
     """
 
     name: str
@@ -84,8 +87,9 @@ class ActionSpec:
         if self.part not in ACTION_PARTS:
             raise ConfigError(f"action {self.name!r} key 'part' holds {self.part!r}, "
                               f"expected one of {ACTION_PARTS}")
-        sizes = {key: len(getattr(self, key))
-                 for key in ("amplitude", "frequency", "phase", "drift")}
+        for key in PER_JOINT_FIELDS:  # tuples, so that a spec is hashable as a cache key
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        sizes = {key: len(getattr(self, key)) for key in PER_JOINT_FIELDS}
         if len(set(sizes.values())) != 1:
             raise ConfigError(f"per-joint parameter arrays of {self.name!r} differ in "
                               f"length: {sizes}")
@@ -102,12 +106,40 @@ class ActionSpec:
         return len(self.amplitude)
 
 
+def _track(amplitude, frequency, phase, drift, frames: np.ndarray, fps: float) -> np.ndarray:
+    """amplitude * sin(2*pi*frequency*(frame/fps) + phase) + drift*frame: one row
+    per joint for per-joint parameter columns (k, 1), one column per frame."""
+    return (amplitude * np.sin(2.0 * np.pi * frequency * (frames / fps) + phase)
+            + drift * frames)
+
+
+@lru_cache(maxsize=64)
+def _noiseless_curve(spec: ActionSpec, skeleton: Skeleton, length: int,
+                     fps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (length, 3J) rest pose plus every moving joint's track, and
+    the moving joints (those of spec's part but the root) in ascending order."""
+    moving = np.array([j for j in range(1, skeleton.joint_count)
+                       if skeleton.part_of[j] == spec.part], dtype=np.intp)
+    params = (np.asarray(getattr(spec, key), dtype=np.float64)[moving, None]
+              for key in PER_JOINT_FIELDS)
+    frames = np.arange(length, dtype=np.float64)
+    curve = np.tile(rest_pose(skeleton), (length, 1))
+    curve.reshape(length, -1, 3)[:, moving] += _track(*params, frames, fps).T[:, :, None]
+    moving.flags.writeable = False
+    return freeze(curve, "motion data"), moving
+
+
 def generate_atomic(spec: ActionSpec, skeleton: Skeleton, length: int, fps: float,
                     seed: int) -> MotionSequence:
     """One atomic sequence; root-centered by construction, seeded determinism.
 
     Moving coordinate value at frame f:
         rest + amplitude * sin(2*pi*frequency*(f/fps) + phase) + drift*f + noise
+
+    The noiseless part is one cached, read-only curve per distinct (spec,
+    skeleton, length, fps). A sequence adds one draw of
+    default_rng(seed).normal(0, noise_std, (k, length, 3)) over its k moving
+    joints in joint order, so its bytes equal a loop drawing (length, 3) per joint.
     """
     if spec.joint_count != skeleton.joint_count:
         raise ConfigError(
@@ -116,20 +148,15 @@ def generate_atomic(spec: ActionSpec, skeleton: Skeleton, length: int, fps: floa
         )
     if length < 2:
         raise ConfigError(f"sequence length must be >= 2, got {length}")
+    if not (finite(fps) and fps > 0):
+        raise ConfigError(f"fps must be finite and > 0, got {fps}")
+    curve, moving = _noiseless_curve(spec, skeleton, length, fps)
     rng = np.random.default_rng(seed)
-    data = np.tile(rest_pose(skeleton), (length, 1))
-    frames = np.arange(length, dtype=np.float64)
-    t = frames / fps
-    for j in range(skeleton.joint_count):
-        if j == 0 or skeleton.part_of[j] != spec.part:
-            continue
-        track = (spec.amplitude[j] * np.sin(2.0 * np.pi * spec.frequency[j] * t
-                                            + spec.phase[j])
-                 + spec.drift[j] * frames)
-        cols = slice(3 * j, 3 * j + 3)
-        data[:, cols] += track[:, None]
-        if spec.noise_std > 0:
-            data[:, cols] += rng.normal(0.0, spec.noise_std, size=(length, 3))
+    data = curve
+    if spec.noise_std > 0 and moving.size:
+        data = curve.copy()
+        noise = rng.normal(0.0, spec.noise_std, size=(moving.size, length, 3))
+        data.reshape(length, -1, 3)[:, moving] += noise.swapaxes(0, 1)
     return MotionSequence(data=data, fps=fps, label=spec.name)
 
 
@@ -188,15 +215,13 @@ class DatasetManifest:
                 raise ManifestError(f"action name {a.name!r} holds '/' or a line break")
             if a.joint_count != self.skeleton.joint_count:
                 raise ManifestError(f"action {a.name!r} joint count mismatch")
-        if self.sequence_length < 2:
-            raise ManifestError("sequence_length must be >= 2")
+        require_at_least(self, 2, "sequence_length", error=ManifestError)
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ManifestError(f"manifest fps must be positive and finite, got {self.fps}")
-        counts = (self.train_per_action, self.val_per_atomic, self.test_per_atomic,
-                  self.val_per_composite, self.test_per_composite)
-        if any(c < 0 for c in counts):
-            raise ManifestError("per-split counts must be >= 0")
-        require_at_least(self, 0, "train_seed", "val_seed", "test_seed", error=ManifestError)
+        require_at_least(self, 0, "train_per_action", "val_per_atomic", "test_per_atomic",
+                         "val_per_composite", "test_per_composite", error=ManifestError)
+        require_at_least(self, 0, "train_seed", "val_seed", "test_seed", error=ManifestError,
+                         high=None)
         starts = {"train": self.train_seed, "val": self.val_seed, "test": self.test_seed}
         ranges = sorted((start, start + self._seeds_needed(split), split)
                         for split, start in starts.items())

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 
 class ShapeError(ValueError):
@@ -49,21 +50,29 @@ def require_positive_finite(config, *keys: str, zero_ok: bool = False) -> None:
 
 def require_sizes(key: str, values) -> None:
     """Raise ConfigError naming key unless each of values is an integer
-    (Python or numpy) >= 1."""
+    (Python or numpy) in 1..sys.maxsize."""
     values = list(values)
     if not all(isinstance(v, numbers.Integral) for v in values):
         raise ConfigError(f"{key} entries must be integers, got {values}")
     if any(v < 1 for v in values):
         raise ConfigError(f"{key} entries must be >= 1, got {values}")
+    if any(v > sys.maxsize for v in values):
+        raise ConfigError(f"{key} entries must be <= {sys.maxsize}, got {values}")
 
 
-def require_at_least(config, low: int, *keys: str, error: type = ConfigError) -> None:
+def require_at_least(config, low: int, *keys: str, error: type = ConfigError,
+                     high: int | None = sys.maxsize) -> None:
     """Raise error naming the first of keys whose value in config is not an
-    integer (Python or numpy) or is below low; a key holding None, an optional
-    left unset, passes."""
+    integer (Python or numpy), is below low, or is above high: by default
+    sys.maxsize, the largest size or index numpy holds (a seed passes
+    high=None); a key holding None, an optional left unset, passes."""
     for key in keys:
         value = getattr(config, key)
-        if value is not None and not isinstance(value, numbers.Integral):
+        if value is None:
+            continue
+        if not isinstance(value, numbers.Integral):
             raise error(f"{key} must be an integer, got {value!r}")
-        if value is not None and value < low:
+        if value < low:
             raise error(f"{key} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise error(f"{key} must be <= {high}, got {value}")

@@ -24,12 +24,15 @@ class Skeleton:
 
     parent[j] is the index of joint j's parent; the root is its own parent.
     part_of[j] is "upper" or "lower"; together the two sets cover all joints.
+    Both are stored as tuples, whatever sequence they are given as.
     """
 
     parent: tuple[int, ...]
     part_of: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parent", tuple(self.parent))  # hashable, as a cache key
+        object.__setattr__(self, "part_of", tuple(self.part_of))
         j = len(self.parent)
         if j < 1 or len(self.part_of) != j:
             raise ValueError("parent and part_of must be non-empty and equal length")

@@ -257,7 +257,8 @@ class TrainConfig:
         if not 0 < self.lr_decay_per_epoch <= 1:
             raise ConfigError("lr_decay_per_epoch must lie in (0, 1]")
         require_at_least(self, 1, "batch_size")
-        require_at_least(self, 0, "epochs", "constrain_epochs", "seed")
+        require_at_least(self, 0, "epochs", "constrain_epochs")
+        require_at_least(self, 0, "seed", high=None)
         if not 0 <= self.constrain_epochs <= self.epochs:
             raise ConfigError("constrain_epochs must lie within 0..epochs")
 

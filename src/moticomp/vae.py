@@ -237,7 +237,8 @@ class CagTrainConfig:
     def __post_init__(self):
         require_at_least(self, 1, "batch_size", "latent_dim", "n_coeffs")
         require_sizes("hidden_dims", self.hidden_dims)
-        require_at_least(self, 0, "epochs", "seed")
+        require_at_least(self, 0, "epochs")
+        require_at_least(self, 0, "seed", high=None)
         require_positive_finite(self, "lr", "normalization_margin")
         require_positive_finite(self, "kl_weight", zero_ok=True)
 

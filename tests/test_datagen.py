@@ -16,7 +16,7 @@ from moticomp.datagen import (ActionSpec, CHECKPOINT_VERSION, build_dataset, com
 from moticomp.dct import dct_encode
 from moticomp.errors import (CheckpointError, ConfigError, ManifestError,
                              ParseError)
-from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout
+from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import PredictorConfig
 from moticomp.training import init_predictor_model
 from moticomp.vae import BodyMask, CagTrainConfig, init_vae, masked_fuse, train_cag, \
@@ -78,6 +78,125 @@ class TestGenerateAtomic:
                            phase=(0.0,), drift=(0.0,))
         with pytest.raises(ConfigError):
             generate_atomic(short, man.skeleton, 10, 10.0, 0)
+
+    @pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_fps_named_before_any_arithmetic(self, fps):
+        man = default_manifest()
+        with pytest.raises(ConfigError, match=f"fps must be finite and > 0, got {fps}"):
+            generate_atomic(man.actions[0], man.skeleton, 10, fps, 0)
+
+
+def reference_atomic(spec, skeleton, length, fps, seed) -> np.ndarray:
+    """The per-joint generator loop that generate_atomic replaces: one track and
+    one (length, 3) noise draw per moving joint, in joint order."""
+    rng = np.random.default_rng(seed)
+    data = np.tile(rest_pose(skeleton), (length, 1))
+    frames = np.arange(length, dtype=np.float64)
+    t = frames / fps
+    for j in range(skeleton.joint_count):
+        if j == 0 or skeleton.part_of[j] != spec.part:
+            continue
+        track = (spec.amplitude[j] * np.sin(2.0 * np.pi * spec.frequency[j] * t
+                                            + spec.phase[j])
+                 + spec.drift[j] * frames)
+        cols = slice(3 * j, 3 * j + 3)
+        data[:, cols] += track[:, None]
+        if spec.noise_std > 0:
+            data[:, cols] += rng.normal(0.0, spec.noise_std, size=(length, 3))
+    return data
+
+
+# joints 1, 3 and 5 are upper: an upper action moves three separated column triples
+INTERLEAVED = Skeleton(parent=(0, 0, 1, 0, 3, 4),
+                       part_of=(LOWER, UPPER, LOWER, UPPER, LOWER, UPPER))
+
+
+def upper_spec(skeleton, **overrides) -> ActionSpec:
+    """An upper action of skeleton, its per-joint fields given as lists."""
+    j = skeleton.joint_count
+    values = dict(name="osc", part=UPPER, amplitude=[10.0 + i for i in range(j)],
+                  frequency=[0.3 + 0.1 * i for i in range(j)],
+                  phase=[0.5 * i for i in range(j)], drift=[0.0] * j, noise_std=0.75)
+    return ActionSpec(**{**values, **overrides})
+
+
+def reference_cases():
+    """(id, spec, skeleton, length, fps, seed) for the byte-for-byte comparison."""
+    man = default_manifest()
+    sk = man.skeleton
+    still = next(a for a in man.actions if a.part == "still")
+    wave = man.actions[0]
+    for spec in man.actions:
+        for seed in (0, 1, 7, 1000, 2 ** 40):
+            yield f"{spec.name}-seed{seed}", spec, sk, 30, 10.0, seed
+    yield "still-with-noise", dataclasses.replace(still, noise_std=0.75), sk, 30, 10.0, 3
+    yield "no-noise", dataclasses.replace(wave, noise_std=0.0), sk, 30, 10.0, 3
+    drift = [0.0, 0.5, -1.0, 2.0, 1.5, 0.0, 3.0, -0.25]
+    yield "drift", upper_spec(sk, drift=drift), sk, 30, 10.0, 4
+    yield "length-2", wave, sk, 2, 10.0, 5
+    yield "fps-7.3", wave, sk, 30, 7.3, 6
+    yield "interleaved-joints", upper_spec(INTERLEAVED), INTERLEAVED, 17, 12.5, 8
+    yield "lists", upper_spec(sk), sk, 30, 10.0, 9
+
+
+REFERENCE_CASES = list(reference_cases())
+
+
+class TestGenerateAtomicReference:
+    """generate_atomic against the per-joint loop it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("spec,skeleton,length,fps,seed",
+                             [case[1:] for case in REFERENCE_CASES],
+                             ids=[case[0] for case in REFERENCE_CASES])
+    def test_bytes_equal_the_per_joint_loop(self, spec, skeleton, length, fps, seed):
+        seq = generate_atomic(spec, skeleton, length, fps, seed)
+        reference = reference_atomic(spec, skeleton, length, fps, seed)
+        assert seq.data.tobytes() == reference.tobytes()
+        assert (seq.label, seq.fps) == (spec.name, fps)
+
+    @pytest.mark.parametrize("skeleton", [default_skeleton(), INTERLEAVED],
+                             ids=["default", "interleaved"])
+    def test_noise_is_one_draw_over_the_moving_joints_in_joint_order(self, skeleton):
+        spec = upper_spec(skeleton)
+        length, seed = 11, 21
+        curve = generate_atomic(dataclasses.replace(spec, noise_std=0.0), skeleton,
+                                length, 10.0, seed).data.reshape(length, -1, 3)
+        data = generate_atomic(spec, skeleton, length, 10.0, seed).data.reshape(length, -1, 3)
+        moving = [j for j in range(1, skeleton.joint_count) if skeleton.part_of[j] == UPPER]
+        noise = np.random.default_rng(seed).normal(0.0, spec.noise_std,
+                                                   (len(moving), length, 3))
+        assert np.array_equal(data[:, moving], curve[:, moving] + noise.swapaxes(0, 1))
+        np.testing.assert_allclose(data[:, moving] - curve[:, moving], noise.swapaxes(0, 1),
+                                   rtol=0, atol=1e-12)
+        still = [j for j in range(skeleton.joint_count) if j not in moving]
+        assert np.array_equal(data[:, still], curve[:, still])
+
+    def test_spec_built_with_lists_equals_one_built_with_tuples(self):
+        sk = default_skeleton()
+        listed = upper_spec(sk)
+        tupled = upper_spec(sk, **{key: tuple(getattr(listed, key))
+                                   for key in ("amplitude", "frequency", "phase", "drift")})
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert isinstance(listed.amplitude, tuple)
+        assert np.array_equal(generate_atomic(listed, sk, 10, 10.0, 1).data,
+                              generate_atomic(tupled, sk, 10, 10.0, 1).data)
+
+    def test_skeleton_built_with_lists_generates(self):
+        listed = Skeleton(parent=list(INTERLEAVED.parent), part_of=list(INTERLEAVED.part_of))
+        assert listed == INTERLEAVED and hash(listed) == hash(INTERLEAVED)
+        spec = upper_spec(INTERLEAVED)
+        assert np.array_equal(generate_atomic(spec, listed, 10, 10.0, 1).data,
+                              reference_atomic(spec, INTERLEAVED, 10, 10.0, 1))
+
+    def test_sequences_own_their_data(self):
+        """The noiseless curve is shared between calls; no sequence holds it."""
+        man = default_manifest()
+        still = next(a for a in man.actions if a.part == "still")
+        for spec in (still, man.actions[0]):
+            a = generate_atomic(spec, man.skeleton, 12, 10.0, 1)
+            b = generate_atomic(spec, man.skeleton, 12, 10.0, 1)
+            assert not np.shares_memory(a.data, b.data)
+            assert not a.data.flags.writeable
 
 
 class TestComposeOracle:

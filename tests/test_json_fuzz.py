@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +157,34 @@ def test_non_object_texts_named(tmp_path, capsys, text):
     check_manifest(tmp_path, capsys, text, None)
     for command in CONFIGS:
         check_config(tmp_path, capsys, command, text, None)
+
+
+@pytest.mark.parametrize("key", ["sequence_length", "test_per_atomic"])
+def test_manifest_size_too_large_to_index_named(tmp_path, capsys, key):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(with_value(MANIFEST, key, 10 ** 400)))
+    with pytest.raises(ManifestError, match=f"^{key} must be <= {sys.maxsize}, got 1000") as info:
+        manifest_from_json(path.read_text())
+    assert_cli_refuses(tmp_path, capsys, ["gen-data", "--manifest", str(path)], info.value)
+    largest = dataclasses.replace(default_manifest(), **{key: sys.maxsize})
+    assert getattr(largest, key) == sys.maxsize
+
+
+@pytest.mark.parametrize("key", ["feature_width", "query_dim"])
+def test_predictor_size_too_large_to_index_named(tmp_path, capsys, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: 10 ** 400}))
+    with pytest.raises(ConfigError, match=f"^{key} must be <= {sys.maxsize}, got 1000") as info:
+        _read_config(str(path), None, *CONFIGS["train-predictor"])
+    assert_cli_refuses(tmp_path, capsys, ["train-predictor", "--config", str(path),
+                                          "--data", str(tmp_path / "none")], info.value)
+
+
+def test_seeds_take_any_non_negative_integer():
+    man = dataclasses.replace(default_manifest(), test_seed=10 ** 400)
+    assert man.test_seed == 10 ** 400
+    for cls in (TrainConfig, CagTrainConfig):
+        assert cls(seed=10 ** 400).seed == 10 ** 400
 
 
 def test_unknown_checkpoint_config_key_refused(tmp_path):
