@@ -36,7 +36,7 @@ CHECKPOINT_VERSION = 2
 
 STILL = "still"
 ACTION_PARTS = (UPPER, LOWER, STILL)
-PER_JOINT_FIELDS = ("amplitude", "frequency", "phase", "drift")  # of an ActionSpec
+_PER_JOINT_FIELDS = ("amplitude", "frequency", "phase", "drift")  # of an ActionSpec
 
 
 # ----------------------------------------------------------------------
@@ -87,9 +87,9 @@ class ActionSpec:
         if self.part not in ACTION_PARTS:
             raise ConfigError(f"action {self.name!r} key 'part' holds {self.part!r}, "
                               f"expected one of {ACTION_PARTS}")
-        for key in PER_JOINT_FIELDS:  # tuples, so that a spec is hashable as a cache key
+        for key in _PER_JOINT_FIELDS:  # tuples, so that a spec is hashable as a cache key
             object.__setattr__(self, key, tuple(getattr(self, key)))
-        sizes = {key: len(getattr(self, key)) for key in PER_JOINT_FIELDS}
+        sizes = {key: len(getattr(self, key)) for key in _PER_JOINT_FIELDS}
         if len(set(sizes.values())) != 1:
             raise ConfigError(f"per-joint parameter arrays of {self.name!r} differ in "
                               f"length: {sizes}")
@@ -121,7 +121,7 @@ def _noiseless_curve(spec: ActionSpec, skeleton: Skeleton, length: int,
     moving = np.array([j for j in range(1, skeleton.joint_count)
                        if skeleton.part_of[j] == spec.part], dtype=np.intp)
     params = (np.asarray(getattr(spec, key), dtype=np.float64)[moving, None]
-              for key in PER_JOINT_FIELDS)
+              for key in _PER_JOINT_FIELDS)
     frames = np.arange(length, dtype=np.float64)
     curve = np.tile(rest_pose(skeleton), (length, 1))
     curve.reshape(length, -1, 3)[:, moving] += _track(*params, frames, fps).T[:, :, None]
@@ -153,7 +153,7 @@ def generate_atomic(spec: ActionSpec, skeleton: Skeleton, length: int, fps: floa
     curve, moving = _noiseless_curve(spec, skeleton, length, fps)
     rng = np.random.default_rng(seed)
     data = curve
-    if spec.noise_std > 0 and moving.size:
+    if spec.noise_std > 0:
         data = curve.copy()
         noise = rng.normal(0.0, spec.noise_std, size=(moving.size, length, 3))
         data.reshape(length, -1, 3)[:, moving] += noise.swapaxes(0, 1)
