@@ -28,7 +28,8 @@ the axis. Shapes must match exactly, with one broadcasting rule, shared by
 (a shared parameter or constant) is used by every batch row, and a 2-D
 (1, F) row is used by every row of a (rows, F) or (B, rows, F) operand. A
 broadcast operand's gradient is summed over the batch axis first, then over
-the rows. `matmul` broadcasts a 2-D operand over the batch the same way.
+the rows. `matmul` broadcasts a 2-D operand over the batch the same way, and
+`linear`, one node for a whole layer x @ w + b, follows both rules.
 `scalar_mul` scales each batch row by its own element (shape (B, 1, 1)), and
 `scale` scales by a Python float.
 `transpose` swaps the last two axes; `softmax_lastdim` and `straight_through`
@@ -38,7 +39,7 @@ tensors joined along that axis, with a scatter-add gradient. It regroups a
 batch (axis 0), splits and merges body parts (the node axis) and splits the
 VAE encoder's output into mean and log-variance (the last axis).
 
-A batched operand times a shared 2-D weight, as in every linear layer, gc
+A batched operand times a shared 2-D weight, as in every `linear` node, gc
 layer weight and attention projection, takes both gradients as one GEMM over
 the batch's rows flattened: (B*n, m) @ W^T for the operand, and the flattened
 operand's transpose times the flattened gradient for the weight, which sums
@@ -55,7 +56,8 @@ match the primitive composition it replaces bit for bit, as the tests pin
 at the default model's sizes; the ops need not run in the composition's order.
 
 Kinds that only move or select values (`gather`, `transpose`, `reshape`,
-`straight_through`) skip the re-check. `gc_block` checks only where tanh or
+`straight_through`) skip the re-check, and `linear` checks x @ w + b alone: a
+finite bias keeps any overflow of x @ w. `gc_block` checks only where tanh or
 softmax's exp could hide an overflow: each layer's pre-tanh product, each
 head's scaled scores, and each attention's output, naming the layer (gc0,
 gc1, ..., attn0, ...); a non-finite value anywhere else reaches one of these
@@ -150,28 +152,10 @@ def _require_finite(values: Array, what: str) -> None:
         raise NumericError(f"{what} produced non-finite values")
 
 
-def _gc_layer(i: int, hv: Array, av: Array, wv: Array, need_h: bool, na: bool,
-              nw: bool):
-    """The graph convolution tanh((adj @ h) @ wgt), layer gc{i} of its block:
-    its value, a backward that maps the output gradient to those of h, adj and
-    wgt (None where not needed; itself None when none is), and its MACs.
-    Checks the pre-tanh product, which tanh would hide."""
-    # one test for the usual (n, n) adjacency and (F, F') weight; any other
-    # shapes go through the matmul rule, which names the layer if they fail it
-    usual = (av.ndim == 2 == wv.ndim and hv.ndim in (2, 3)
-             and av.shape[1] == hv.shape[-2] and hv.shape[-1] == wv.shape[0])
-    if not usual:
-        _check_matmul(f"gc_block gc{i}", av.shape, hv.shape)
-    ah = av @ hv
-    if not usual:
-        _check_matmul(f"gc_block gc{i}", ah.shape, wv.shape)
-    pre = ah @ wv
-    if not all_finite(pre):
-        raise NumericError(f"gc_block gc{i} pre-tanh product produced non-finite values")
-    y = np.tanh(pre, out=pre)  # pre is needed no more
-    macs = ah.size * av.shape[-1] + pre.size * wv.shape[-2]
-    if not (need_h or na or nw):
-        return y, None, macs
+def _gc_layer(hv: Array, av: Array, wv: Array, ah: Array, y: Array, need_h: bool,
+              na: bool, nw: bool):
+    """The backward of a graph convolution y = tanh(ah @ wv), ah = av @ hv: it
+    maps the output gradient to those of h, adj and wgt, None where not needed."""
 
     def bwd(g):
         g_ah, g_w = _matmul_grads(_tanh_grad(g, y), ah, wv, na or need_h, nw)
@@ -180,7 +164,7 @@ def _gc_layer(i: int, hv: Array, av: Array, wv: Array, need_h: bool, na: bool,
         g_adj, g_h = _matmul_grads(g_ah, av, hv, na, need_h)
         return g_h, g_adj, g_w
 
-    return y, bwd, macs
+    return bwd
 
 
 def _attention(i: int, hv: Array, step: Sequence[Tensor], heads: int, need_h: bool):
@@ -379,6 +363,20 @@ class Tape:
                           lambda g: _matmul_grads(g, av, bv, na, nb),
                           macs=out.size * av.shape[-1])
 
+    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """x @ w + b, operands as in matmul, with b broadcast as in add: one node,
+        checked once, as b is finite and so keeps any overflow of x @ w."""
+        xv, wv, bv = x.values, w.values, b.values
+        _check_matmul("linear", xv.shape, wv.shape)
+        xw = xv @ wv
+        if not _broadcasts(xw.shape, bv.shape):
+            raise ShapeError(f"linear shapes {xw.shape} vs bias {bv.shape}")
+        nx, nw, nb = x.requires_grad, w.requires_grad, b.requires_grad
+        return self._emit("linear", (x, w, b), xw + bv,
+                          lambda g: (*_matmul_grads(g, xv, wv, nx, nw),
+                                     _sum_to(g, bv.shape) if nb else None),
+                          macs=xw.size * xv.shape[-1])
+
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if not _broadcasts(a.shape, b.shape):
             raise ShapeError(f"add shapes {a.shape} vs {b.shape}")
@@ -542,11 +540,26 @@ class Tape:
         hv, need, macs = h.values, h.requires_grad, 0
         n_gc = n_attn = 0
         for step in steps:
-            if len(step) == 2:
+            if len(step) == 2:  # a graph convolution, inline: a call adds a quarter to its time
                 adj, wgt = step
-                hv, back, m = _gc_layer(n_gc, hv, adj.values, wgt.values, need,
-                                        adj.requires_grad, wgt.requires_grad)
-                n_gc += 1
+                av, wv, na, nw = adj.values, wgt.values, adj.requires_grad, wgt.requires_grad
+                # one test for the usual (n, n) adjacency and (F, F') weight; other
+                # shapes go through the matmul rule, which names the layer if they fail
+                usual = (av.ndim == 2 == wv.ndim and hv.ndim in (2, 3)
+                         and av.shape[1] == hv.shape[-2] and hv.shape[-1] == wv.shape[0])
+                if not usual:
+                    _check_matmul(f"gc_block gc{n_gc}", av.shape, hv.shape)
+                ah = av @ hv
+                if not usual:
+                    _check_matmul(f"gc_block gc{n_gc}", ah.shape, wv.shape)
+                pre = ah @ wv
+                if not all_finite(pre):  # tanh would hide an overflow
+                    raise NumericError(
+                        f"gc_block gc{n_gc} pre-tanh product produced non-finite values")
+                m = ah.size * av.shape[-1] + pre.size * wv.shape[-2]
+                y = np.tanh(pre, out=pre)  # pre is needed no more
+                back = _gc_layer(hv, av, wv, ah, y, need, na, nw) if need or na or nw else None
+                hv, n_gc = y, n_gc + 1
             elif len(step) == 4:
                 hv, back, m = _attention(n_attn, hv, step, heads, need)
                 n_attn += 1

@@ -445,8 +445,8 @@ def save_motion(path, seq: MotionSequence) -> None:
     """
     lines = [f"{MOTION_MAGIC} J={seq.joint_count} fps={float(seq.fps)!r} "
              f"frames={seq.frames} label={seq.label}"]
-    for row in seq.data:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    row_format = " ".join(["%.17g"] * seq.data.shape[1])
+    lines += [row_format % tuple(row) for row in seq.data.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -154,7 +154,7 @@ def count_flops(params: PredictorParams, exits) -> FlopsReport:
     taken: one (upper, lower, whole) triple, or one per sample as a (B, 3)
     array."""
     config = params.config
-    exits = _exit_array(exits, config.n_blocks)
+    exits = np.asarray(_exit_array(exits, config.n_blocks))
     counts = {}
     distribution = {}
     for i, (kind, n) in enumerate(branch_node_counts(params.layout).items()):

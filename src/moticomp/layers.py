@@ -21,8 +21,8 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the rows of x (rows, in) or of each sample of x (B, rows, in);
-    the bias row b (1, out) is added to every row."""
-    return tape.add(tape.matmul(x, w), b)
+    the bias row b (1, out) is added to every row. One `linear` node."""
+    return tape.linear(x, w, b)
 
 
 def mlp(tape: Tape, x: Tensor, tensors: dict[str, Tensor], prefix: str,

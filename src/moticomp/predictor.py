@@ -181,15 +181,23 @@ def _branch_encode(tape: Tape, tensors: dict[str, Tensor], prefix: str,
     return linear(tape, x, tensors[f"{prefix}.enc.w"], tensors[f"{prefix}.enc.b"])
 
 
-def _exit_array(exits, n_blocks: int) -> np.ndarray:
+def _exit_array(exits, n_blocks: int) -> np.ndarray | list[tuple[int, int, int]]:
     """Exits taken as a (B, 3) integer array, from one (upper, lower, whole)
-    triple or a (B, 3) array of them, each an integer in 1..n_blocks."""
+    triple or a (B, 3) array of them, each an integer in 1..n_blocks, not a
+    bool. A tuple or list of three such ints is checked in Python and comes
+    back as a one-triple list."""
+    if (type(exits) in (tuple, list) and len(exits) == len(BRANCH_KINDS)
+            and all(type(d) is int and 1 <= d <= n_blocks for d in exits)):
+        return [tuple(exits)]
     arr = np.atleast_2d(np.asarray(exits))
     if arr.ndim != 2 or arr.shape[1] != len(BRANCH_KINDS) or not arr.size:
         raise ValueError(f"need one exit per branch, or a (B, {len(BRANCH_KINDS)}) "
                          f"array of them; got shape {arr.shape}")
     if arr.dtype.kind not in "iu":  # a signed or unsigned integer type
         raise ValueError(f"exit indices must be integers, got {arr.dtype} {arr.tolist()}")
+    if not isinstance(exits, np.ndarray) and any(  # asarray reads a bool among ints as an int
+            isinstance(d, (bool, np.bool_)) for d in np.ravel(np.asarray(exits, object))):
+        raise ValueError(f"exit indices must be integers, got a bool in {exits}")
     if arr.min() < 1 or arr.max() > n_blocks:
         bad = arr[(arr < 1) | (arr > n_blocks)]
         raise ValueError(f"exit index {bad[0]} outside 1..{n_blocks}")
@@ -206,8 +214,14 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
     recorded, and a block that every remaining sample leaves is decoded whole.
     Only a block that some but not all of them leave gathers both groups. So a
     batch whose samples share one exit, one sample, or one (nodes, F) matrix
-    records only the blocks up to its exit and the decoder.
+    records only the blocks up to its exit and the decoder; one index, as
+    predict gives, runs them with no index arithmetic.
     """
+    decoder = tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"]
+    if isinstance(exits, (int, np.integer)):
+        for k in range(exits):
+            h = _block_forward(tape, config, tensors, f"{kind}.blk{k}", h)
+        return linear(tape, h, *decoder)
     exits = np.full(h.shape[:-2], exits).reshape(-1)
     leaving = np.bincount(exits).tolist()  # how many samples leave after each block
     rows = np.arange(exits.size)  # the samples h holds, in batch order
@@ -221,7 +235,7 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
             left = exits[rows] == k
             y, out_rows = tape.gather([h], np.flatnonzero(left)), rows[left]
             h, rows = tape.gather([h], np.flatnonzero(~left)), rows[~left]
-        outputs.append(linear(tape, y, tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"]))
+        outputs.append(linear(tape, y, *decoder))
         output_rows.append(out_rows)
     if len(outputs) == 1:
         return outputs[0]

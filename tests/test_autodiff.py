@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from gradcheck import TestGradCheck, grad_check  # noqa: F401 (TestGradCheck runs here)
-from moticomp import predictor, training, vae
+from moticomp import autodiff, predictor, training, vae
 from moticomp.autodiff import (SHARED, Tape, _matmul_grads, _softmax_grad, _tanh_grad, freeze,
                                shared_constant)
 from moticomp.errors import NumericError, ShapeError
@@ -15,7 +16,7 @@ from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 
 # every operation kind a Tape records; each has its finite-difference check below
 OP_KINDS = (
-    "matmul", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq", "scale",
+    "matmul", "linear", "add", "hadamard", "tanh", "softmax_lastdim", "mean", "sum_sq", "scale",
     "exp", "sqrt", "div", "transpose", "reshape",
     "scalar_mul", "straight_through", "gather", "sum_rows", "gc_block",
 )
@@ -168,6 +169,10 @@ def _kind_checks(kind: str):
             c = t.constant(np.linspace(-1, 1, 12).reshape(4, 3))
             return t.sum_sq(t.matmul(x, c))
         return f, lambda rng: rng_point(rng, (3, 4))
+    if kind == "linear":  # x (2, 3), w (3, 4) and the bias row b (1, 4), cut from one x
+        def f(t, x):
+            return t.sum_sq(t.tanh(t.linear(*_cut(t, x, ((2, 3), (3, 4), (1, 4))))))
+        return f, lambda rng: rng_point(rng, (1, 22))
     if kind == "add":
         def f(t, x):
             return t.sum_sq(t.add(x, t.constant(np.ones((2, 3)))))
@@ -310,6 +315,9 @@ def _batched_checks(case: str):
         return (lambda t, x: t.sum_sq(t.tanh(t.matmul(x, t.constant(c3))))), (2, 2)
     if case == "matmul_two_batched":
         return (lambda t, x: t.sum_sq(t.matmul(x, t.transpose(x)))), (3, 2, 4)
+    if case == "linear_batch":  # x (3, 2, 3) and the bias row b (1, 4) used by every row
+        return (lambda t, x: t.sum_sq(t.tanh(t.linear(
+            *_cut(t, x, ((3, 2, 3), (3, 4), (1, 4))))))), (1, 34)
     if case == "add_shared":
         return (lambda t, x: t.sum_sq(t.tanh(t.add(t.constant(c3), x)))), (2, 4)
     if case == "add_batch":
@@ -341,8 +349,8 @@ def _batched_checks(case: str):
 
 
 BATCHED_CASES = ("matmul_batch_by_shared", "matmul_shared_weight", "matmul_shared_left",
-                 "matmul_two_batched", "add_shared", "add_batch", "add_row_to_rows",
-                 "add_row_to_batch", "hadamard_row", "scalar_mul_per_row",
+                 "matmul_two_batched", "linear_batch", "add_shared", "add_batch",
+                 "add_row_to_rows", "add_row_to_batch", "hadamard_row", "scalar_mul_per_row",
                  "gc_layer_shared_weights", "self_attention_heads1", "self_attention_heads2",
                  "gc_block_gg_heads1", "gc_block_gaga_heads2", "gc_block_agg_heads4")
 
@@ -546,6 +554,122 @@ def test_gc_block_steps_checked():
     with pytest.raises(ShapeError, match=r"gc_block gc1 shapes \(4, 4\) x \(3, 4\)"):
         tape.gc_block(h, [(tape.constant(np.eye(3)), m), (m, m)], 1)
     assert tape.nodes == []
+
+
+def _gc_step_gradients(shape, trainable):
+    """h, adj and wgt gradients of a one-step graph-conv gc_block on h of this
+    shape, for the operands flagged trainable, under a random output gradient:
+    the operands of test_block_step_gradients_equal_the_per_sample_sums."""
+    rng = np.random.default_rng(92)
+    h, g = rng.normal(size=shape), rng.normal(size=shape)
+    rng = np.random.default_rng(93)
+    operands = [rng.normal(scale=0.3, size=s) for s in _block_shapes("g", shape)[1:]]
+    t = Tape()
+    h, adj, wgt = (t.leaf(v, requires_grad=r) for v, r in zip((h, *operands), trainable))
+    t.gc_block(h, [(adj, wgt)], 2)
+    return t.nodes[-1].backward_fn(g)
+
+
+GC_STEP_FLAGS = [(True, True, True), (True, False, False), (False, True, False),
+                 (False, False, True)]
+
+
+def test_gc_step_gradients_keep_their_bytes():
+    # at the default model's widths, for each operand that needs a gradient
+    # alone and for all three
+    digest = hashlib.sha256()
+    for shape in SHARED_WEIGHT_SHAPES:
+        for flags in GC_STEP_FLAGS:
+            for grad, needed in zip(_gc_step_gradients(shape, flags), flags):
+                assert (grad is not None) == needed
+                digest.update(grad.tobytes() if needed else b"none")
+    assert digest.hexdigest() == (
+        "eeff1033b25857f9320e792b8939278bfd08b81b2d5c9ee470f3093a05422bc4")
+
+
+def test_gc_step_without_gradient_keeps_no_backward_and_no_product(monkeypatch):
+    # a default block on a constant batch: no step builds a backward, and the
+    # tape keeps the output alone, not the adj @ h product of any layer
+    rng = np.random.default_rng(98)
+    operands = [rng.normal(scale=0.3, size=shape)
+                for shape in _block_shapes(DEFAULT_BLOCK, (32, 24, 32))]
+    calls = []
+    monkeypatch.setattr(autodiff, "_gc_layer", lambda *args: calls.append(args))
+    t = Tape()
+    xs = [t.constant(v) for v in operands]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = t.gc_block(xs[0], _steps(DEFAULT_BLOCK, xs[1:]), 2)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and t.nodes[-1].backward_fn is None
+    assert kept < 2 * out.values.nbytes
+    # a trainable weight in the second layer: only that layer keeps a
+    # backward, which holds its adj @ h product
+    t = Tape()
+    xs = [t.constant(v) for v in operands]
+    xs[4] = t.leaf(operands[4], requires_grad=True)  # gc1's weight
+    monkeypatch.undo()
+    t.gc_block(xs[0], _steps(DEFAULT_BLOCK, xs[1:]), 2)
+    steps = dict(zip(t.nodes[-1].backward_fn.__code__.co_freevars,
+                     (c.cell_contents for c in t.nodes[-1].backward_fn.__closure__)))
+    backs = [back for back, _ in steps["backs"]]
+    assert backs[0] is None and all(back is not None for back in backs[1:])
+    ah = operands[3] @ np.tanh((operands[1] @ operands[0]) @ operands[2])
+    held = [c.cell_contents for c in backs[1].__closure__]
+    assert any(isinstance(v, np.ndarray) and np.array_equal(v, ah) for v in held)
+
+
+class TestLinear:
+    """x @ w + b as one node: the values, gradients and MACs of the matmul
+    and add pair it replaces, checked once."""
+
+    @staticmethod
+    def run(x_shape, pair):
+        rng = np.random.default_rng(99)
+        t = Tape()
+        x = t.leaf(rng.normal(size=x_shape), requires_grad=True)
+        w = t.leaf(rng.normal(size=(x_shape[-1], 4)), requires_grad=True)
+        b = t.leaf(rng.normal(size=(1, 4)), requires_grad=True)
+        out = t.add(t.matmul(x, w), b) if pair else t.linear(x, w, b)
+        t.backward(t.sum_sq(t.tanh(out)))
+        return out.values, [v.grad for v in (x, w, b)], t
+
+    @pytest.mark.parametrize("x_shape", [(5, 3), (2, 5, 3), (32, 24, 32)])
+    def test_equals_the_matmul_add_pair_bit_for_bit(self, x_shape):
+        out, grads, tape = self.run(x_shape, False)
+        ref_out, ref_grads, ref_tape = self.run(x_shape, True)
+        assert out.tobytes() == ref_out.tobytes()
+        for g, ref in zip(grads, ref_grads):
+            assert g.tobytes() == ref.tobytes()
+        assert [n.kind for n in tape.nodes] == ["linear", "tanh", "sum_sq"]
+        assert tape.nodes[0].macs == ref_tape.nodes[0].macs == tape.mac_count > 0
+        assert ref_tape.nodes[0].kind == "matmul"
+
+    @pytest.mark.parametrize("x,w,b", [
+        ([[1e200, 1e200]], [[1e200], [1e200]], [[0.0]]),  # x @ w overflows
+        ([[1.5e308]], [[1.0]], [[1.5e308]]),                # the bias sum overflows
+    ], ids=["product", "bias-sum"])
+    def test_overflow_raises_naming_the_kind(self, x, w, b):
+        tape = Tape()
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match="linear produced non-finite values"):
+            tape.linear(*(tape.constant(np.array(v)) for v in (x, w, b)))
+        assert tape.nodes == []
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape,match", [
+        ((5, 3), (4, 4), (1, 4), r"linear shapes \(5, 3\) x \(4, 4\) do not conform"),
+        ((5, 3), (3, 4), (1, 5), r"linear shapes \(5, 4\) vs bias \(1, 5\)"),
+        ((5, 3), (3, 4), (5, 1), r"linear shapes \(5, 4\) vs bias \(5, 1\)"),
+        ((2, 5, 3), (3, 4), (2, 1, 4), r"linear shapes \(2, 5, 4\) vs bias \(2, 1, 4\)"),
+    ])
+    def test_shapes_checked_naming_the_kind(self, x_shape, w_shape, b_shape, match):
+        tape = Tape()
+        with pytest.raises(ShapeError, match=match):
+            tape.linear(*(tape.constant(np.zeros(s)) for s in (x_shape, w_shape, b_shape)))
+        assert tape.nodes == []
 
 
 GATHER_AXES = (0, -2, -1)  # the batch, node and last axes the pipeline gathers along

@@ -242,6 +242,18 @@ class TestMotionFiles:
             assert back.fps == seq.fps
             assert back.label == seq.label
 
+    def test_rows_written_as_per_value_formatting_writes_them(self, tmp_path):
+        # every value with 17 significant digits, as " ".join(f"{x:.17g}" ...)
+        specials = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                    0.1, 3.0, -42.0, 1e16]  # signed zero, subnormal, extremes, integral
+        values = specials + np.random.default_rng(4).normal(size=1000).tolist()
+        seq = MotionSequence(data=np.array(values).reshape(14, 72), fps=10.0, label="x")
+        path = tmp_path / "m.txt"
+        save_motion(path, seq)
+        rows = [" ".join(f"{x:.17g}" for x in row) for row in seq.data]
+        assert path.read_bytes().decode().split("\n")[1:] == rows + [""]
+        assert load_motion(path).data.tobytes() == seq.data.tobytes()
+
     def test_wrong_column_count_cites_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         lines = ["champlite v1 J=2 fps=10.0 frames=4 label=x"]

@@ -22,7 +22,11 @@ BAD_EXITS = [((1, 2), r"need one exit per branch.*got shape \(1, 2\)"),
              ((1, 4, 1), "exit index 4 outside 1..3"),
              ([[1, 1, 1], [2, 2, 9]], "exit index 9 outside 1..3"),
              ((2.0, 1, 1), r"exit indices must be integers, got float64 \[\[2.0, 1.0"),
-             ((1.5, 1, 1), r"exit indices must be integers, got float64 \[\[1.5, 1.0")]
+             ((1.5, 1, 1), r"exit indices must be integers, got float64 \[\[1.5, 1.0"),
+             # np.asarray reads a bool among ints as an integer
+             ((True, 2, 3), r"exit indices must be integers, got a bool in \(True, 2, 3\)"),
+             ((1, 2, np.True_), "exit indices must be integers, got a bool in"),
+             ([[1, 1, 1], [2, False, 2]], "exit indices must be integers, got a bool in")]
 
 
 def toy_layout():

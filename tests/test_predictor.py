@@ -322,10 +322,28 @@ class TestBranchForward:
         out = _branch_tail(tape, "upper", params.config, tensors, encoded, exits)
         depth = int(np.max(exits))
         assert [node.kind for node in tape.nodes[first:]] == (
-            ["gc_block"] * depth + ["matmul", "add"])
+            ["gc_block"] * depth + ["linear"])
         for b in range(3):
             assert np.array_equal(out.values[b],
                                   branch_forward_to_exit(params, "upper", x[b], depth))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_one_index_equals_a_uniform_exit_array(self, depth):
+        # one index skips the per-sample bookkeeping; it records the same
+        # values and MACs as the per-sample path given every sample that exit
+        params = toy_params(seed=42, zero_output_decoders=False)
+        x = np.random.default_rng(43).normal(size=(3, *branch_input_shape(params, "whole")))
+
+        def tail(exits):
+            tape = Tape()
+            tensors = bind(tape, params.named_parameters(), trainable=False)
+            encoded = _branch_encode(tape, tensors, "whole", tape.constant(x))
+            start = tape.mac_count
+            out = _branch_tail(tape, "whole", params.config, tensors, encoded, exits)
+            return out.values.tobytes(), tape.mac_count - start
+
+        want = tail(np.full(3, depth))
+        assert tail(depth) == tail(np.int64(depth)) == want
 
     def test_strictly_fewer_macs_at_shallow_exit(self):
         from moticomp.exits import branch_exit_macs
@@ -388,10 +406,11 @@ class TestPredict:
         _forward_core(tape, params, tensors, hist.data[None], exits)
         return params, tape
 
-    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 22), ((3, 3, 3), 28)])
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 16), ((3, 3, 3), 22)])
     def test_default_model_node_budget(self, exits, budget):
-        # one node per block and one gather for the merge; none for the
-        # one-window motion attention and its part splits, which are constants
+        # one node per block and per linear layer and one gather for the merge;
+        # none for the one-window motion attention and its part splits, which
+        # are constants
         _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) == budget
 
