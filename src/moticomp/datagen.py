@@ -438,7 +438,7 @@ _HEADER_RE = re.compile(
 
 
 def save_motion(path, seq: MotionSequence) -> None:
-    """Text format: one header line, then one line of 3J values per frame.
+    """UTF-8 text: one header line, then one line of 3J values per frame.
 
     Values are written with 17 significant digits, which round-trips IEEE
     doubles exactly.
@@ -447,40 +447,51 @@ def save_motion(path, seq: MotionSequence) -> None:
              f"frames={seq.frames} label={seq.label}"]
     row_format = " ".join(["%.17g"] * seq.data.shape[1])
     lines += [row_format % tuple(row) for row in seq.data.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_motion(path) -> MotionSequence:
-    text = Path(path).read_text()
+    """The sequence save_motion wrote to path. Any fault in the file raises a
+    ParseError naming path and, where it lies in one line, that line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = text.splitlines()
     if not lines:
         raise ParseError(f"{path}: empty motion file")
+    if not text.endswith("\n"):  # save_motion ends every line with one
+        raise ParseError(f"{path}: line {len(lines)}: no newline at its end, "
+                         "so the file may be cut short")
     match = _HEADER_RE.match(lines[0])
     if match is None:
         raise ParseError(f"{path}: line 1: bad header {lines[0]!r}")
-    joints = int(match.group(1))
+    try:
+        joints, frames = int(match.group(1)), int(match.group(3))
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"{path}: line 1: bad joint or frame count: {exc}") from exc
     try:
         fps = float(match.group(2))
     except ValueError as exc:
         raise ParseError(f"{path}: line 1: bad fps {match.group(2)!r}") from exc
-    frames = int(match.group(3))
     label = match.group(4)
-    body = [line for line in lines[1:] if line.strip()]
+    body = [(number, line) for number, line in enumerate(lines[1:], 2) if line.strip()]
     if len(body) != frames:
         raise ParseError(f"{path}: header promises {frames} frames, found {len(body)}")
-    data = np.empty((frames, 3 * joints))
-    for i, line in enumerate(body):
+    rows = []  # each row's count is checked before a (frames, 3J) array exists
+    for number, line in body:
         fields = line.split()
         if len(fields) != 3 * joints:
             raise ParseError(
-                f"{path}: line {i + 2}: expected {3 * joints} values, got {len(fields)}"
+                f"{path}: line {number}: expected {3 * joints} values, got {len(fields)}"
             )
         try:
-            data[i] = [float(f) for f in fields]
+            rows.append([float(f) for f in fields])
         except ValueError as exc:
-            raise ParseError(f"{path}: line {i + 2}: non-numeric value") from exc
+            raise ParseError(f"{path}: line {number}: non-numeric value") from exc
     try:
-        return MotionSequence(data=data, fps=fps, label=label)
+        return MotionSequence(data=np.array(rows).reshape(frames, 3 * joints), fps=fps,
+                              label=label)
     except ValueError as exc:  # too few frames, non-finite values or fps
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -563,6 +574,10 @@ class _Unfilled:
 
     @staticmethod
     def uniform(low, high, size):
+        return np.zeros(size)
+
+    @staticmethod
+    def random(size):
         return np.zeros(size)
 
 

@@ -317,7 +317,7 @@ def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor
     soft draws.
     """
     params = model.params
-    inputs = _prepare_branch_inputs(tape, params, tensors, history)
+    inputs = _prepare_branch_inputs(tape, params, history)
     outputs = {}
     chosen = []
     softs: list[Tensor] = []

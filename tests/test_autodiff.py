@@ -1038,7 +1038,7 @@ def test_op_kinds_cover_every_kind_the_pipeline_records(monkeypatch):
     layout = PartLayout.from_skeleton(Skeleton(parent=(0, 0, 0, 2),
                                                part_of=(LOWER, LOWER, UPPER, UPPER)))
     config = predictor.PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
-                                       heads=2, policy_hidden=4, query_dim=4,
+                                       heads=2, policy_hidden=4,
                                        coeff_scale=10.0, zero_output_decoders=False)
     model = training.init_predictor_model(np.random.default_rng(0), layout, config)
     rng = np.random.default_rng(1)

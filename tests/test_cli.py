@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from test_datagen import with_one_window_projections
+from test_datagen import with_front_end_projections
 from moticomp.cli import dispatch
 from moticomp.datagen import default_manifest, load_split, manifest_to_json, save_checkpoint
 from moticomp.motion import PartLayout
@@ -82,7 +82,7 @@ def test_eval_malformed_checkpoint_exits_two_with_named_error(tiny_manifest, tmp
     assert "Traceback" not in err
 
 
-def test_eval_refuses_one_window_projections(tiny_manifest, tmp_path, capsys):
+def test_eval_refuses_front_end_projections(tiny_manifest, tmp_path, capsys):
     data = tmp_path / "data"
     assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
     layout = PartLayout.from_skeleton(default_manifest().skeleton)
@@ -90,13 +90,32 @@ def test_eval_refuses_one_window_projections(tiny_manifest, tmp_path, capsys):
                                  PredictorConfig(feature_width=8, policy_hidden=4))
     path = tmp_path / "pred.json"
     save_checkpoint(path, model)
-    path.write_text(json.dumps(with_one_window_projections(json.loads(path.read_text()))))
+    path.write_text(json.dumps(with_front_end_projections(json.loads(path.read_text()))))
     capsys.readouterr()
     assert dispatch(["eval", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert ("tensor names do not match the model "
             "(missing [], unexpected ['mattn.wk', 'mattn.wq'])") in err
+    assert "Traceback" not in err
+
+
+def test_eval_refuses_a_checkpoint_holding_query_dim(tiny_manifest, tmp_path, capsys):
+    # as saved while the front end had projections of that width
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
+    layout = PartLayout.from_skeleton(default_manifest().skeleton)
+    path = tmp_path / "pred.json"
+    save_checkpoint(path, init_predictor_model(np.random.default_rng(0), layout,
+                                               PredictorConfig(feature_width=8, policy_hidden=4)))
+    doc = json.loads(path.read_text())
+    doc["config"]["query_dim"] = 16
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["eval", "--model", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: malformed checkpoint: config: unknown key 'query_dim'" in err
     assert "Traceback" not in err
 
 
@@ -212,7 +231,7 @@ def test_full_pipeline(tiny_manifest, tmp_path):
     pred_cfg = tmp_path / "pred.json"
     pred_cfg.write_text(json.dumps({
         "epochs": 1, "constrain_epochs": 1, "batch_size": 8, "seed": 0,
-        "feature_width": 8, "heads": 2, "policy_hidden": 4, "query_dim": 4,
+        "feature_width": 8, "heads": 2, "policy_hidden": 4,
         "coeff_scale": 50.0}))
     pred_out = tmp_path / "pred"
     assert dispatch(["train-predictor", "--config", str(pred_cfg),
@@ -271,14 +290,14 @@ def test_train_predictor_run_info_echoes_resolved_configs(tiny_manifest, tmp_pat
     assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
     cfg = tmp_path / "pred.json"
     knobs = {"epochs": 1, "constrain_epochs": 1, "batch_size": 8, "seed": 3,
-             "feature_width": 8, "policy_hidden": 4, "query_dim": 4}
+             "feature_width": 8, "policy_hidden": 4}
     cfg.write_text(json.dumps(knobs))
     out = tmp_path / "pred"
     assert dispatch(["train-predictor", "--config", str(cfg), "--data", str(data),
                      "--seed", "5", "--out", str(out)]) == 0
     info = json.loads((out / "run-info.json").read_text())
     train = TrainConfig(epochs=1, constrain_epochs=1, batch_size=8, seed=5)
-    model = PredictorConfig(feature_width=8, policy_hidden=4, query_dim=4)
+    model = PredictorConfig(feature_width=8, policy_hidden=4)
     assert info["seed"] == 5
     assert info["config"] == {**dataclasses.asdict(train), **dataclasses.asdict(model)}
 
@@ -296,7 +315,6 @@ def test_zero_heads_exits_two_naming_heads(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value,message", [
     ("policy_hidden", 0, "policy_hidden must be >= 1, got 0"),
-    ("query_dim", 0, "query_dim must be >= 1, got 0"),
     ("adjacency_noise", -0.1, "adjacency_noise must be finite and >= 0, got -0.1")])
 def test_bad_model_size_exits_two_naming_key(tmp_path, capsys, key, value, message):
     cfg = tmp_path / "c.json"
@@ -306,6 +324,17 @@ def test_bad_model_size_exits_two_naming_key(tmp_path, capsys, key, value, messa
                      str(tmp_path / "none"), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_query_dim_config_exits_two_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"query_dim": 16}))
+    capsys.readouterr()
+    assert dispatch(["train-predictor", "--config", str(cfg), "--data",
+                     str(tmp_path / "none"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: config: unknown key 'query_dim'" in err
     assert "Traceback" not in err
 
 

@@ -447,19 +447,19 @@ def saved_predictor(path):
     """Write a small predictor checkpoint and return its JSON document."""
     layout = PartLayout.from_skeleton(default_manifest().skeleton)
     config = PredictorConfig(feature_width=8, heads=2, n_blocks=2, layers_per_block=2,
-                             attention_every=2, policy_hidden=4, query_dim=4)
+                             attention_every=2, policy_hidden=4)
     save_checkpoint(path, init_predictor_model(np.random.default_rng(0), layout, config))
     return json.loads(path.read_text())
 
 
-def with_one_window_projections(doc):
-    """A one-window predictor checkpoint document as written when such models
-    still held motion-attention projections: mattn.wq and mattn.wk first."""
+def with_front_end_projections(doc):
+    """A predictor checkpoint document holding, first, the (sub_len * E, 16)
+    motion-attention projections mattn.wq and mattn.wk of a front end that
+    once had parameters."""
     config = doc["config"]
     rows = min(config["input_frames"] // 2, 10) * (len(config["upper_dims"])
                                                     + len(config["lower_dims"]))
-    stale = [{"name": f"mattn.{m}", "shape": [rows, config["query_dim"]],
-              "values": b64_values([0.0] * (rows * config["query_dim"]))}
+    stale = [{"name": f"mattn.{m}", "shape": [rows, 16], "values": b64_values([0.0] * rows * 16)}
              for m in ("wq", "wk")]
     return {**doc, "tensors": stale + doc["tensors"]}
 
@@ -497,9 +497,9 @@ class TestPredictorCheckpointErrors:
         with pytest.raises(CheckpointError, match=f"config key '{key}' holds"):
             load_checkpoint(path)
 
-    def test_one_window_projections_refused(self, tmp_path):
+    def test_front_end_projections_refused(self, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(with_one_window_projections(saved_predictor(path))))
+        path.write_text(json.dumps(with_front_end_projections(saved_predictor(path))))
         with pytest.raises(CheckpointError, match=re.escape(
                 "tensor names do not match the model "
                 "(missing [], unexpected ['mattn.wk', 'mattn.wq'])")):
@@ -691,7 +691,7 @@ class TestSeededInitGolden:
         layout = PartLayout.from_skeleton(default_skeleton())
         model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
         assert checkpoint_digest(tmp_path / "p.json", model) == (
-            "a57ae480ca34837cb723f313ffb3456a769e5ab4391e06ea523eb44a13572560")
+            "6eaa651f30b1c221fa8f85e2b158cb6a49d1d47e55d97f12eba0c9cf33b81ee2")
 
     def test_small_vae(self, tmp_path):
         params = init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,

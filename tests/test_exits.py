@@ -36,7 +36,7 @@ def toy_layout():
 
 def toy_config():
     return PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
-                           heads=2, policy_hidden=6, query_dim=5, coeff_scale=10.0)
+                           heads=2, policy_hidden=6, coeff_scale=10.0)
 
 
 def toy_predictor(seed=0):

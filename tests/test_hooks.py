@@ -17,7 +17,7 @@ def predictor_setup():
         Skeleton(parent=(0, 0, 0, 2), part_of=(LOWER, LOWER, UPPER, UPPER)))
     config = predictor.PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
                                        heads=2, n_blocks=2, layers_per_block=2,
-                                       attention_every=2, policy_hidden=4, query_dim=4,
+                                       attention_every=2, policy_hidden=4,
                                        coeff_scale=10.0)
     model = training.init_predictor_model(np.random.default_rng(0), layout, config)
     rng = np.random.default_rng(1)

@@ -170,7 +170,7 @@ def test_manifest_size_too_large_to_index_named(tmp_path, capsys, key):
     assert getattr(largest, key) == sys.maxsize
 
 
-@pytest.mark.parametrize("key", ["feature_width", "query_dim"])
+@pytest.mark.parametrize("key", ["feature_width", "policy_hidden"])
 def test_predictor_size_too_large_to_index_named(tmp_path, capsys, key):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({key: 10 ** 400}))

@@ -19,7 +19,7 @@ from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (ATTENTION_WEIGHTS, BRANCH_KINDS, PredictorConfig,
                                 _block_forward, _branch_encode, _branch_tail,
-                                _forward_core, _motion_attention, _prepare_branch_inputs,
+                                _forward_core, _prepare_branch_inputs,
                                 branch_node_counts, init_predictor, pad_last_frame, predict)
 from moticomp.training import _routed_batch, init_predictor_model
 
@@ -30,7 +30,7 @@ def toy_skeleton():
 
 def toy_config(**overrides):
     defaults = dict(input_frames=8, output_frames=4, feature_width=8, heads=2,
-                    policy_hidden=6, query_dim=5, coeff_scale=10.0)
+                    policy_hidden=6, coeff_scale=10.0)
     defaults.update(overrides)
     return PredictorConfig(**defaults)
 
@@ -128,8 +128,7 @@ class TestSelfAttention:
         with pytest.raises(ConfigError, match=f"heads must be >= 1, got {heads}"):
             PredictorConfig(heads=heads)
 
-    @pytest.mark.parametrize("key", ["feature_width", "policy_hidden", "query_dim",
-                                     "output_frames", "n_blocks", "layers_per_block",
+    @pytest.mark.parametrize("key", ["feature_width", "policy_hidden", "output_frames", "n_blocks", "layers_per_block",
                                      "attention_every"])
     @pytest.mark.parametrize("size", [0, -1])
     def test_non_positive_sizes_rejected(self, key, size):
@@ -163,85 +162,37 @@ class TestSelfAttention:
             self_attention(rng.normal(size=(3, 4)), 3, params)
 
 
-def motion_attention(history, projections=None, **config):
-    """The front end of a config with history's frame count, on that one history;
-    returns its output, transposed back to (F, E), and the tape."""
-    tape = Tape()
-    tensors = {name: tape.constant(w) for name, w in zip(("mattn.wq", "mattn.wk"),
-                                                        projections or ())}
-    cfg = PredictorConfig(input_frames=len(history), **config)
-    return _motion_attention(tape, cfg, tensors, history[None]).values[0].T, tape
-
-
-class TestMotionAttention:
-    def make_params(self, rng, sub_len, width, qdim=4):
-        """Query and key projections (sub_len * width, qdim)."""
-        return (rng.normal(size=(sub_len * width, qdim)),
-                rng.normal(size=(sub_len * width, qdim)))
-
-    def test_constant_motion_gives_uniform_weights(self):
-        rng = np.random.default_rng(8)
-        width, sub_len, t_out, n_coeffs = 6, 6, 2, 4
-        history = np.tile(rng.normal(size=(1, width)), (12, 1))
-        params = self.make_params(rng, sub_len, width)
-        out, _ = motion_attention(history, params, output_frames=t_out, n_coeffs=n_coeffs)
-        n_windows = 12 - sub_len - t_out + 1
-        values = np.stack([dct_encode(history[i:i + sub_len + t_out], n_coeffs)
-                           for i in range(n_windows)])
-        padded = pad_last_frame(history, t_out)
-        expected = dct_encode(padded, n_coeffs) + values.mean(axis=0)
-        assert np.allclose(out, expected, atol=1e-9)
-
-    def test_single_window_weight_is_one(self):
-        # one window needs no projections: the residual sum is one constant
-        rng = np.random.default_rng(9)
-        width, sub_len, t_out, n_coeffs = 6, 4, 4, 6
-        history = rng.normal(size=(8, width))  # exactly one value window
-        out, tape = motion_attention(history, output_frames=t_out, n_coeffs=n_coeffs)
-        value = dct_encode(history[0:sub_len + t_out], n_coeffs)
-        padded_dct = dct_encode(pad_last_frame(history, t_out), n_coeffs)
-        assert np.array_equal(out, padded_dct + value)
-        assert [node.kind for node in tape.nodes] == []
-        assert len(tape.tensors) == 1
-
-    def test_weights_match_hand_computed_softmax(self):
-        rng = np.random.default_rng(10)
-        width, sub_len, t_out, n_coeffs = 3, 4, 2, 3
-        history = rng.normal(size=(8, width))  # windows start at 0..2
-        params = self.make_params(rng, sub_len, width, qdim=3)
-        wq, wk = params
-        q = history[-sub_len:].reshape(1, -1) @ wq
-        n_windows = 8 - sub_len - t_out + 1
-        keys = np.stack([history[i:i + sub_len].reshape(-1) for i in range(n_windows)])
-        scores = (q @ (keys @ wk).T).reshape(-1)
-        weights = np.exp(scores - scores.max())
-        weights /= weights.sum()
-        values = np.stack([dct_encode(history[i:i + sub_len + t_out], n_coeffs)
-                           for i in range(n_windows)])
-        expected = (dct_encode(pad_last_frame(history, t_out), n_coeffs)
-                    + np.tensordot(weights, values, axes=1))
-        out, _ = motion_attention(history, params, output_frames=t_out, n_coeffs=n_coeffs)
-        assert np.allclose(out, expected, atol=1e-10)
+class TestFrontEnd:
+    @pytest.mark.parametrize("input_frames", [8, 12], ids=["one_window", "three_windows"])
+    def test_padded_dct_plus_newest_window(self, input_frames):
+        # sub_len 4 and 6: the newest sub_len + 4 frames are the whole 8-frame
+        # history, or the last 10 of 12, where 3 such windows fit
+        params = toy_params(seed=8, input_frames=input_frames)
+        cfg, layout = params.config, params.layout
+        history = np.random.default_rng(9).normal(scale=20.0,
+                                                  size=(2, input_frames, layout.size))
+        tape = Tape()
+        inputs = _prepare_branch_inputs(tape, params, history)
+        h = history / cfg.coeff_scale
+        span, n_coeffs = cfg.sub_len + cfg.output_frames, cfg.resolved_n_coeffs
+        expected = np.swapaxes(dct_encode(pad_last_frame(h, cfg.output_frames), n_coeffs)
+                               + dct_encode(h[:, -span:], n_coeffs), -1, -2)
+        assert np.array_equal(inputs["whole"].values, expected)
+        assert np.array_equal(inputs["upper"].values, expected[:, list(layout.upper_dims)])
+        assert np.array_equal(inputs["lower"].values, expected[:, list(layout.lower_dims)])
+        assert tape.nodes == []
+        assert len(tape.tensors) == 3
 
     def test_history_too_short_rejected(self):
-        # 8 frames: sub_len 4, so 5 output frames leave no value window
+        # 8 frames: sub_len 4, so 5 output frames overrun the history
         with pytest.raises(ConfigError, match="input span 8 too short for "
                                               "sub-sequences of 4 frames extended by 5"):
             toy_config(input_frames=8, output_frames=5)
-        assert toy_config(input_frames=8, output_frames=4).n_windows == 1
 
-    def test_projections_exist_only_with_several_windows(self):
-        layout = PartLayout.from_skeleton(default_skeleton())
-        default = init_predictor(np.random.default_rng(0), layout, PredictorConfig())
-        assert default.config.n_windows == 1
-        assert not [name for name in default.arrays if name.startswith("mattn.")]
-        several = toy_params(input_frames=12, output_frames=4)
-        assert several.config.n_windows == 3
-        sub_len = several.config.sub_len
-        assert [(name, arr.shape) for name, arr in several.arrays.items()
-                if name.startswith("mattn.")] == [
-            ("mattn.wq", (sub_len * several.layout.size, 5)),
-            ("mattn.wk", (sub_len * several.layout.size, 5))]
+    @pytest.mark.parametrize("input_frames", [8, 12])
+    def test_no_front_end_parameters(self, input_frames):
+        params = toy_params(input_frames=input_frames)
+        assert {name.split(".")[0] for name in params.arrays} == set(BRANCH_KINDS)
 
 
 def branch_forward_to_exit(params, kind, x, exit_index):
@@ -373,7 +324,7 @@ class TestPredict:
         hist = make_history(np.random.default_rng(22), cfg, layout)
         tape = Tape()
         tensors = bind(tape, params.named_parameters(), trainable=False)
-        inputs = _prepare_branch_inputs(tape, params, tensors, hist.data[None])
+        inputs = _prepare_branch_inputs(tape, params, hist.data[None])
         out = {kind: _branch_tail(tape, kind, cfg, tensors,
                                   _branch_encode(tape, tensors, kind, inputs[kind]), 2).values
                for kind in BRANCH_KINDS}  # each (1, nodes, coefficients)
@@ -409,14 +360,13 @@ class TestPredict:
     @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 16), ((3, 3, 3), 22)])
     def test_default_model_node_budget(self, exits, budget):
         # one node per block and per linear layer and one gather for the merge;
-        # none for the one-window motion attention and its part splits, which
-        # are constants
+        # none for the front end and its part splits, which are constants
         _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) == budget
 
     def test_default_model_tape_copies_only_what_the_history_gives(self):
-        # the motion-attention output (the DCT of the padded history plus the
-        # one window's values), its two part splits and the padded history;
+        # the front end (the DCT of the padded history plus that of its newest
+        # window), its two part splits and the padded history;
         # the IDCT basis is a shared constant, built once
         params, tape = self.default_model_tape((1, 1, 1))
         leaves = len(tape.tensors) - len(tape.nodes) - len(params.named_parameters())
@@ -426,7 +376,7 @@ class TestPredict:
         # the same at every exit triple: the IDCT of the blended correction, which
         # count_flops leaves out, less the exit policies, which it counts and
         # predict does not run; the part split is constants and the merge a
-        # gather, with no MACs, and one-window motion attention has no query/key work
+        # gather, with no MACs, and the front end is computed outside the tape
         offsets = set()
         for exits in itertools.product((1, 2, 3), repeat=3):
             params, tape = self.default_model_tape(exits)
@@ -467,11 +417,9 @@ class TestPredict:
 
 class TestGradientFlow:
     def test_every_parameter_receives_gradient(self):
-        # config with >= 2 attention value windows so the front-end projections train
         layout = PartLayout.from_skeleton(toy_skeleton())
         config = PredictorConfig(input_frames=12, output_frames=4, feature_width=8,
-                                 heads=2, policy_hidden=6, query_dim=5,
-                                 coeff_scale=10.0, zero_output_decoders=False)
+                                 heads=2, policy_hidden=6, coeff_scale=10.0, zero_output_decoders=False)
         params = init_predictor(np.random.default_rng(28), layout, config)
         rng = np.random.default_rng(29)
         hist = rng.normal(scale=20.0, size=(config.input_frames, layout.size))
@@ -483,7 +431,6 @@ class TestGradientFlow:
         pred = _forward_core(tape, params, tensors, hist[None], (3, 3, 3))
         diff = tape.add(pred, tape.constant(-gt[None]))
         tape.backward(tape.sum_sq(diff))
-        assert {"mattn.wq", "mattn.wk"} <= set(named)
         dead = [name for name in named
                 if float(np.abs(tensors[name].grad).max()) == 0.0]
         assert dead == []

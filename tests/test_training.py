@@ -384,7 +384,7 @@ def tiny_setup(seed=0, n_train=12, n_val=4):
     sk = Skeleton(parent=(0, 0, 0, 2), part_of=(LOWER, LOWER, UPPER, UPPER))
     layout = PartLayout.from_skeleton(sk)
     config = PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
-                             heads=2, policy_hidden=6, query_dim=5, coeff_scale=10.0)
+                             heads=2, policy_hidden=6, coeff_scale=10.0)
     model = init_predictor_model(np.random.default_rng(seed), layout, config)
     rng = np.random.default_rng(seed + 100)
 
@@ -615,7 +615,7 @@ class TestBaselineAndEvaluate:
             hist = MotionSequence(data=seq.data[:8], fps=10.0, label="x")
             tape = Tape()
             tensors = bind(tape, model.named_parameters(), trainable=False)
-            inputs = _prepare_branch_inputs(tape, model.params, tensors, hist.data[None])
+            inputs = _prepare_branch_inputs(tape, model.params, hist.data[None])
             expected = []
             for kind in BRANCH_KINDS:
                 encoded = _branch_encode(tape, tensors, kind, inputs[kind])
@@ -637,13 +637,14 @@ def assert_close(actual, expected, what):
 
 
 def routed_model(seed, n_seqs=12):
-    """A model with live decoders, two motion-attention windows and policies
-    whose logits vary, so every parameter trains and a batch takes different
-    exits; plus n_seqs random (16, E) sequences."""
+    """A model with live decoders, a 12-frame history whose front end reads
+    its newest 10 frames, and policies whose logits vary, so every parameter
+    trains and a batch takes different exits; plus n_seqs random (16, E)
+    sequences."""
     layout = PartLayout.from_skeleton(Skeleton(parent=(0, 0, 0, 2),
                                                part_of=(LOWER, LOWER, UPPER, UPPER)))
     config = PredictorConfig(input_frames=12, output_frames=4, feature_width=8, heads=2,
-                             policy_hidden=6, query_dim=5, coeff_scale=10.0,
+                             policy_hidden=6, coeff_scale=10.0,
                              zero_output_decoders=False)
     model = init_predictor_model(np.random.default_rng(seed), layout, config)
     rng = np.random.default_rng(seed + 50)
@@ -717,7 +718,10 @@ class TestBatchedTraining:
         singles = [training_objective(model, data[b:b + 1], noise[b:b + 1])[0]
                    for b in range(32)]
         assert batched.mac_count == sum(t.mac_count for t in singles)
-        deepest = singles[int(np.flatnonzero((exits == 3).all(axis=1))[0])]
+        full_depth = np.zeros((1, 3, config.n_blocks))
+        full_depth[..., -1] = 1e3  # every branch draws its last exit
+        deepest, *_, deepest_exits = training_objective(model, data[:1], full_depth)
+        assert deepest_exits.tolist() == [[config.n_blocks] * 3]
         per_branch = 8 * (config.n_blocks - 1) + 2
         assert len(batched.nodes) <= len(deepest.nodes) + 3 * per_branch
 
@@ -847,9 +851,9 @@ class TestBatchedInference:
 
 class TestTrainAndEvaluateGolden:
     """Bytes of a seeded train_predictor + evaluate whose policies take mixed
-    exits, pinned when the whole and part branches began to be blended by a
-    fixed mean in place of a learned weight. They change if training, routing,
-    the error metric, or the order of its sums change."""
+    exits, pinned when the front end became the DCT of the padded history plus
+    that of its newest window, with no parameters. They change if training,
+    routing, the error metric, or the order of its sums change."""
 
     def test_history_report_and_flops(self):
         model, _, data = routed_model(seed=46, n_seqs=82)
@@ -863,7 +867,7 @@ class TestTrainAndEvaluateGolden:
                    for text in (result.history_csv(), report.to_csv(),
                                 report.flops.to_csv())]
         assert digests == [
-            "ed28fc6f166e93e63f746d9a3e5b105c93f6caf152334141df5129a934c74060",
-            "24d18eefb6bd757d8c2ffc2b9ee74294de621427125b367ac2a6b6044a104e32",
-            "6db71e36ec13477b4ebcf9915645126d722d8f60d20b4398e94b207200691007",
+            "f8d2aeadc91b92a7c171705b7bf7d9c7bdb18fcdf2e346c9c2213042c33caa6d",
+            "fc4c823e6e6eebf5bee39713d897ba12d4ef30e30b822270c9facd4078d44051",
+            "d96226756945e15f17523f98e504871754b39b6e16eaa0dd61429a439ceb10cd",
         ]
