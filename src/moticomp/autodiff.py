@@ -4,6 +4,8 @@ A Tape records every forward operation in construction order (which is a
 topological order by construction) and replays it backwards to accumulate
 gradients. Every forward output is finite: each kind checks the values it
 could make non-finite, and leaves and scale factors are checked on entry.
+Every array is tested by `all_finite`, which counts its finite values with
+numpy's C count, less the Python wrapper and dispatcher of np.count_nonzero.
 
 A node keeps backward state only when a gradient can flow into it, that is
 when one of its inputs requires a gradient. Otherwise its `backward_fn` is
@@ -50,10 +52,15 @@ the per-operand transposed formula and its bytes.
 
 One kind records a whole predictor block as one node: `gc_block`, a sequence
 of graph-conv layers tanh((adj @ h) @ wgt) and residual multi-head
-attentions, which run all heads as one stacked axis of each product. Its
-backward runs each layer's backward in reverse. Values, gradients and MACs
-match the primitive composition it replaces bit for bit, as the tests pin
-at the default model's sizes; the ops need not run in the composition's order.
+attentions, which run all heads as one stacked axis of each product. An
+attention multiplies h (..., n, F) by a (heads, F, dh) view of each
+projection, so q, k and v land in the (..., heads, n, dh) layout with the
+bytes of h @ w's columns, and writes its contexts into the heads view of one
+(..., n, F) buffer, which is then the heads joined; only k is copied, into
+its transpose. The block's backward runs each layer's backward in reverse.
+Values, gradients and MACs match the primitive composition it replaces bit
+for bit, as the tests pin at the default model's sizes; the ops need not run
+in the composition's order.
 
 Kinds that only move or select values (`gather`, `transpose`, `reshape`,
 `straight_through`) skip the re-check, and `linear` checks x @ w + b alone: a
@@ -70,9 +77,15 @@ tape doubles as an instrumented operation counter for cost accounting.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
+
+try:  # the C count, less np.count_nonzero's Python wrapper and dispatcher
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
 
 from .errors import NumericError, ShapeError
 
@@ -117,9 +130,11 @@ def _matmul_grads(g: Array, av: Array, bv: Array, na: bool, nb: bool):
 
 
 def _softmax(x: Array) -> Array:
-    # x.max() and e.sum() as the ufunc reductions they call, less their wrappers
-    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)  # a new array, so exp and
-    np.exp(e, out=e)                                       # divide in place
+    # e.sum() as the ufunc reduction it calls, less its wrapper; the row max by
+    # fmax, which reduces faster than maximum and differs from it only by
+    # skipping a NaN, whose row's exp is NaN either way
+    e = x - np.fmax.reduce(x, axis=-1, keepdims=True)  # a new array, so exp and
+    np.exp(e, out=e)                                    # divide in place
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
@@ -142,14 +157,23 @@ def _tanh_grad(g: Array, y: Array) -> Array:
 
 
 def all_finite(values: Array) -> bool:
-    """Whether every value is finite: np.isfinite(values).all(), counted, which
-    costs less than the reduction at the tape's sizes."""
-    return np.count_nonzero(np.isfinite(values)) == values.size
+    """Whether every value is finite: np.isfinite(values).all(), counted by
+    numpy's C count, which costs less than the reduction at the tape's sizes."""
+    return _count_nonzero(np.isfinite(values)) == values.size
 
 
 def _require_finite(values: Array, what: str) -> None:
     if not all_finite(values):
         raise NumericError(f"{what} produced non-finite values")
+
+
+def _gc_products(name: str, av: Array, hv: Array, wv: Array) -> tuple[Array, Array]:
+    """ah = av @ hv and ah @ wv of a graph convolution, each checked by the
+    matmul rule first, which names the layer when it fails."""
+    _check_matmul(name, av.shape, hv.shape)
+    ah = av @ hv
+    _check_matmul(name, ah.shape, wv.shape)
+    return ah, ah @ wv
 
 
 def _gc_layer(hv: Array, av: Array, wv: Array, ah: Array, y: Array, need_h: bool,
@@ -183,29 +207,37 @@ def _attention(i: int, hv: Array, step: Sequence[Tensor], heads: int, need_h: bo
     dh = f // heads
     c = 1.0 / math.sqrt(dh)
 
-    def heads_view(m):  # (..., n, F) -> (..., heads, n, dh), a view
-        return m.reshape(*m.shape[:-1], heads, dh).swapaxes(-2, -3)
-
-    def split(m):  # every matmul operand here is C-contiguous
-        return np.ascontiguousarray(heads_view(m))
-
-    def join(m):  # the inverse of split
-        return np.ascontiguousarray(np.swapaxes(m, -2, -3)).reshape(hv.shape)
-
-    q, v = split(hv @ wq), split(hv @ wv)
-    k_t = np.ascontiguousarray(heads_view(hv @ wk).swapaxes(-1, -2))
-    scores = (q @ k_t) * c
+    # h against a (heads, F, dh) view of each projection: each product lands in
+    # the heads layout, every head's columns of h @ w with their bytes
+    h_rows = hv[..., None, :, :]
+    q = h_rows @ wq.reshape(f, heads, dh).swapaxes(0, 1)
+    v = h_rows @ wv.reshape(f, heads, dh).swapaxes(0, 1)
+    k_t = np.ascontiguousarray(  # a strided k would change the scores' last bits
+        (h_rows @ wk.reshape(f, heads, dh).swapaxes(0, 1)).swapaxes(-1, -2))
+    scores = q @ k_t
+    scores *= c
     if not all_finite(scores):  # name the first head that overflowed
         for j in range(heads):
             _require_finite(scores[..., j, :, :], f"gc_block attn{i} head {j} scores")
     attn = _softmax(scores)
-    ctx = join(attn @ v)
-    out = hv + ctx @ wov
+    joined = np.empty((*hv.shape[:-1], heads, dh))  # written as (..., heads, n, dh)
+    np.matmul(attn, v, out=joined.swapaxes(-2, -3))
+    ctx = joined.reshape(hv.shape)  # the heads' contexts joined, a view
+    out = ctx @ wov
+    out += hv
     _require_finite(out, f"gc_block attn{i} output")
-    macs = 3 * hv.size * f + scores.size * dh + ctx.size * attn.shape[-1] + out.size * f
+    # q, k, v and the output projections take F MACs per value of h, and the
+    # scores and the contexts n each
+    macs = hv.size * (4 * f + 2 * hv.shape[-2])
     need_w = (tq.requires_grad, tk.requires_grad, tv.requires_grad, to.requires_grad)
     if not (need_h or any(need_w)):
         return out, None, macs
+
+    def split(m):  # (..., n, F) -> (..., heads, n, dh), C-contiguous
+        return np.ascontiguousarray(m.reshape(*m.shape[:-1], heads, dh).swapaxes(-2, -3))
+
+    def join(m):  # the inverse of split
+        return np.ascontiguousarray(np.swapaxes(m, -2, -3)).reshape(hv.shape)
 
     def bwd(g):
         g_ctx, g_wo = _matmul_grads(g, ctx, wov, need_h or any(need_w[:3]), need_w[3])
@@ -536,40 +568,38 @@ class Tape:
         their order, as a block's parameters are, and every error names one."""
         if not steps:
             raise ShapeError("gc_block needs at least one step")
-        inputs, backs = [h], []
+        backs = []
         hv, need, macs = h.values, h.requires_grad, 0
         n_gc = n_attn = 0
         for step in steps:
             if len(step) == 2:  # a graph convolution, inline: a call adds a quarter to its time
                 adj, wgt = step
-                av, wv, na, nw = adj.values, wgt.values, adj.requires_grad, wgt.requires_grad
-                # one test for the usual (n, n) adjacency and (F, F') weight; other
-                # shapes go through the matmul rule, which names the layer if they fail
-                usual = (av.ndim == 2 == wv.ndim and hv.ndim in (2, 3)
-                         and av.shape[1] == hv.shape[-2] and hv.shape[-1] == wv.shape[0])
-                if not usual:
-                    _check_matmul(f"gc_block gc{n_gc}", av.shape, hv.shape)
-                ah = av @ hv
-                if not usual:
-                    _check_matmul(f"gc_block gc{n_gc}", ah.shape, wv.shape)
-                pre = ah @ wv
+                av, wv = adj.values, wgt.values
+                if av.ndim == 2 == wv.ndim and hv.ndim in (2, 3):
+                    try:  # numpy's matmul rule is the tape's at these ranks
+                        ah = av @ hv
+                        pre = ah @ wv
+                    except ValueError:  # so the tape's raises, naming the layer
+                        _gc_products(f"gc_block gc{n_gc}", av, hv, wv)
+                        raise
+                else:
+                    ah, pre = _gc_products(f"gc_block gc{n_gc}", av, hv, wv)
                 if not all_finite(pre):  # tanh would hide an overflow
                     raise NumericError(
                         f"gc_block gc{n_gc} pre-tanh product produced non-finite values")
-                m = ah.size * av.shape[-1] + pre.size * wv.shape[-2]
+                macs += ah.size * (av.shape[-1] + wv.shape[-1])
                 y = np.tanh(pre, out=pre)  # pre is needed no more
+                na, nw = adj.requires_grad, wgt.requires_grad
                 back = _gc_layer(hv, av, wv, ah, y, need, na, nw) if need or na or nw else None
                 hv, n_gc = y, n_gc + 1
             elif len(step) == 4:
                 hv, back, m = _attention(n_attn, hv, step, heads, need)
-                n_attn += 1
+                n_attn, macs = n_attn + 1, macs + m
             else:
                 raise ShapeError(f"gc_block step of {len(step)} operands; a graph "
                                  "convolution takes 2 and an attention 4")
-            inputs += step
             backs.append((back, len(step)))
             need = back is not None  # a step keeps a backward when a gradient reaches it
-            macs += m
 
         def bwd(g):  # each step's backward, last step first
             g_ops = []  # the gradients of the steps' operands, in order
@@ -581,7 +611,8 @@ class Tape:
                 g_ops[:0] = g_step
             return g, *g_ops
 
-        return self._emit("gc_block", inputs, hv, bwd, macs, check=False)
+        return self._emit("gc_block", [h, *chain.from_iterable(steps)], hv, bwd, macs,
+                          check=False)
 
     # ------------------------------------------------------------------
 

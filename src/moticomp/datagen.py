@@ -180,6 +180,13 @@ def compose_oracle(seq_upper_action: MotionSequence, seq_lower_action: MotionSeq
 # ----------------------------------------------------------------------
 # manifest
 
+def check_label(label: str, what: str, error: type = ValueError) -> None:
+    """Raise error naming what unless label can be part of a file name and of
+    a motion file's one-line header: it holds neither '/' nor a line break."""
+    if "/" in label or "".join(label.splitlines()) != label:
+        raise error(f"{what} {label!r} holds '/' or a line break")
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Everything needed to regenerate the train/val/test splits bit-exactly.
@@ -210,9 +217,7 @@ class DatasetManifest:
         if "+" in "".join(names):
             raise ManifestError("atomic action names must not contain '+'")
         for a in self.actions:
-            # a name is part of a file name and of a one-line header
-            if "/" in a.name or "".join(a.name.splitlines()) != a.name:
-                raise ManifestError(f"action name {a.name!r} holds '/' or a line break")
+            check_label(a.name, "action name", ManifestError)
             if a.joint_count != self.skeleton.joint_count:
                 raise ManifestError(f"action {a.name!r} joint count mismatch")
         require_at_least(self, 2, "sequence_length", error=ManifestError)
@@ -441,8 +446,10 @@ def save_motion(path, seq: MotionSequence) -> None:
     """UTF-8 text: one header line, then one line of 3J values per frame.
 
     Values are written with 17 significant digits, which round-trips IEEE
-    doubles exactly.
+    doubles exactly. Raises ValueError, writing nothing, for a label that
+    check_label refuses.
     """
+    check_label(seq.label, "motion label")
     lines = [f"{MOTION_MAGIC} J={seq.joint_count} fps={float(seq.fps)!r} "
              f"frames={seq.frames} label={seq.label}"]
     row_format = " ".join(["%.17g"] * seq.data.shape[1])
@@ -507,8 +514,11 @@ def check_split_target(directory) -> None:
 
 def save_split(directory, sequences: list[MotionSequence]) -> list[Path]:
     """Write one numbered motion file per sequence into a directory that holds
-    none yet (see check_split_target)."""
+    none yet (see check_split_target). Raises ValueError, creating nothing,
+    for a label that check_label refuses."""
     directory = Path(directory)
+    for seq in sequences:
+        check_label(seq.label, "motion label")
     check_split_target(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []

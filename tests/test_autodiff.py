@@ -1,15 +1,19 @@
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradcheck import TestGradCheck, grad_check  # noqa: F401 (TestGradCheck runs here)
 from moticomp import autodiff, predictor, training, vae
-from moticomp.autodiff import (SHARED, Tape, _matmul_grads, _softmax_grad, _tanh_grad, freeze,
-                               shared_constant)
+from moticomp.autodiff import (SHARED, Tape, _matmul_grads, _softmax, _softmax_grad, _tanh_grad,
+                               freeze, shared_constant)
 from moticomp.errors import NumericError, ShapeError
 from moticomp.layers import linear
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
@@ -400,12 +404,18 @@ LAYER_CASES = [("gc_layer", (5, 4), 1), ("gc_layer", (3, 5, 4), 1),
                # backward changes the last bits
                ("self_attention", (32, 24, 32), 1), ("self_attention", (32, 24, 32), 2),
                ("self_attention", (32, 24, 32), 4), ("self_attention", (24, 32), 2)]
+# the default layout's branch sizes (24 whole-body, 15 and 9 part nodes) in a
+# training batch of 32 and in a single request, where a strided operand in
+# the forward changes the last bits at 9 nodes but not at 24
+DEFAULT_SIZES = [(1, 24, 32), (1, 15, 32), (1, 9, 32), (32, 15, 32), (32, 9, 32)]
+LAYER_CASES += [("self_attention", shape, 2) for shape in DEFAULT_SIZES]
 DEFAULT_BLOCK = "ggggagggga"  # PredictorConfig(): attention after layers 4 and 8
 BLOCK_CASES = [("gg", (5, 4), 1), ("gg", (3, 5, 4), 1), ("ga", (5, 4), 2),
                ("ag", (3, 5, 8), 4), ("gaga", (3, 5, 8), 2), ("gaga", (5, 8), 4),
                ("gag", (3, 5, 8), 1),
                (DEFAULT_BLOCK, (32, 24, 32), 2), (DEFAULT_BLOCK, (24, 32), 2),
                (DEFAULT_BLOCK, (32, 24, 32), 1), (DEFAULT_BLOCK, (32, 24, 32), 4)]
+BLOCK_CASES += [(DEFAULT_BLOCK, shape, 2) for shape in DEFAULT_SIZES]
 
 
 def _run_block(layout, operands, heads, fused, trainable=None):
@@ -489,6 +499,50 @@ def test_gc_block_skips_a_constant_step_before_a_trainable_one(layout, n_constan
     _assert_only_trailing_gradients(layout, n_constant)
 
 
+def _with(values, index, value):
+    out = np.array(values, dtype=float)
+    out[index] = value
+    return out
+
+
+GRID = np.arange(12.0).reshape(3, 4)
+FINITENESS_CASES = {
+    "finite": GRID, "nan": _with(GRID, (1, 2), np.nan), "inf": _with(GRID, (0, 0), np.inf),
+    "minus-inf": _with(GRID, (2, 3), -np.inf), "empty": np.empty((0, 3)),
+    "0-d": np.array(2.5), "0-d-nan": np.array(np.nan),
+    # a strided view that skips the infinity, and one that holds it
+    "view-skipping-inf": _with(GRID, (0, 1), np.inf)[:, ::2],
+    "view-holding-inf": _with(GRID, (0, 2), np.inf)[:, ::2],
+    "transposed-nan": _with(GRID, (2, 1), np.nan).T,
+    "subnormal": np.array([5e-324, -2.2e-308]), "max": np.array([np.finfo(float).max]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINITENESS_CASES))
+def test_all_finite_agrees_with_isfinite_all(case):
+    values = FINITENESS_CASES[case]
+    assert autodiff.all_finite(values) == np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (1, 2, 24, 24), (1, 2, 9, 9), (32, 2, 15, 15)])
+def test_softmax_equals_the_textbook_formula_bit_for_bit(shape):
+    # ties and signed zeros in each row leave the row max's bytes to the reduction
+    x = np.round(np.random.default_rng(11).normal(scale=4.0, size=shape))
+    x[..., :2] = x[..., 2:4]
+    x[..., 0] = -0.0
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert np.array_equal(_softmax(x), e / e.sum(axis=-1, keepdims=True))
+
+
+def test_import_raises_no_warning():
+    # numpy 2 warns on importing numpy.core, numpy 1.x lacks numpy._core
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", "import moticomp.autodiff"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+
+
 def test_gc_layer_raises_on_an_overflow_tanh_would_hide():
     h, adj = np.full((2, 3), 1e307), np.eye(2)
     wgt = np.full((3, 3), 10.0)
@@ -553,6 +607,19 @@ def test_gc_block_steps_checked():
         tape.gc_block(h, [(m, m, m)], 1)
     with pytest.raises(ShapeError, match=r"gc_block gc1 shapes \(4, 4\) x \(3, 4\)"):
         tape.gc_block(h, [(tape.constant(np.eye(3)), m), (m, m)], 1)
+    assert tape.nodes == []
+
+
+@pytest.mark.parametrize("h_shape,adj_shape,wgt_shape", [
+    ((3, 4), (3, 3), (5, 4)),  # the weight, after a sound adj @ h
+    ((4, 3, 4), (1, 3, 3), (4, 4)),  # a batch numpy would broadcast
+    ((1, 2, 3, 4), (3, 3), (4, 4)),  # a rank the tape has no rule for
+])
+def test_gc_step_shapes_follow_the_matmul_rule(h_shape, adj_shape, wgt_shape):
+    tape = Tape()
+    h, adj, wgt = (tape.constant(np.zeros(s)) for s in (h_shape, adj_shape, wgt_shape))
+    with pytest.raises(ShapeError, match=r"gc_block gc0 shapes \("):
+        tape.gc_block(h, [(adj, wgt)], 1)
     assert tape.nodes == []
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from moticomp.cli import dispatch
-from moticomp.datagen import default_manifest, load_motion, manifest_to_json, save_motion
+from moticomp.datagen import (default_manifest, load_motion, manifest_to_json, save_motion,
+                              save_split)
 from moticomp.errors import ParseError
 from moticomp.motion import MotionSequence
 
@@ -55,6 +56,28 @@ def test_non_ascii_label_round_trips_as_utf8(tmp_path):
     save_motion(path, MotionSequence(data=np.zeros((2, 3)), fps=10.0, label="tänzer+步"))
     assert "label=tänzer+步\n".encode("utf-8") in path.read_bytes()
     assert load_motion(path).label == "tänzer+步"
+
+
+# labels that would break the one-line header or the file name save_split makes
+BAD_LABELS = ["a\nb", "a\rb", "a\r\nb", "a\u2028b", "a\x0bb", "a/b", "wave\n"]
+
+
+@pytest.mark.parametrize("label", BAD_LABELS)
+def test_label_that_breaks_the_file_is_refused_unwritten(tmp_path, label):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="holds '/' or a line break") as caught:
+        save_motion(path, MotionSequence(data=np.zeros((2, 3)), fps=10.0, label=label))
+    assert repr(label) in str(caught.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("label", BAD_LABELS)
+def test_split_checks_every_label_before_it_creates_the_directory(tmp_path, label):
+    seqs = [MotionSequence(data=np.zeros((2, 3)), fps=10.0, label=name)
+            for name in ("wave", label)]
+    with pytest.raises(ValueError, match="holds '/' or a line break"):
+        save_split(tmp_path / "split", seqs)
+    assert not (tmp_path / "split").exists()
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.01, 0.25, 0.5, 0.75, 0.99])
