@@ -50,25 +50,29 @@ gradients equal the per-sample sums, sum_b a_b^T g_b and g_b @ W^T, up to the
 rounding of the reordered sums. A 2-D times 2-D product, as in the VAE, keeps
 the per-operand transposed formula and its bytes.
 
-One kind records a whole predictor block as one node: `gc_block`, a sequence
-of graph-conv layers tanh((adj @ h) @ wgt) and residual multi-head
-attentions, which run all heads as one stacked axis of each product. An
-attention multiplies h (..., n, F) by a (heads, F, dh) view of each
-projection, so q, k and v land in the (..., heads, n, dh) layout with the
-bytes of h @ w's columns, and writes its contexts into the heads view of one
-(..., n, F) buffer, which is then the heads joined; only k is copied, into
-its transpose. The block's backward runs each layer's backward in reverse.
-Values, gradients and MACs match the primitive composition it replaces bit
-for bit, as the tests pin at the default model's sizes; the ops need not run
-in the composition's order.
+One kind records a whole predictor block as one node: `gc_block`, graph-conv
+layers tanh((adj[i] @ h) @ wgt[i]) with residual multi-head attentions after
+some of them. Its operands are h and one stack per role: the adjacencies
+(L, n, n), the weights (L, F, F) and the attention projections (A, 4, F, F),
+and each stack's gradient is one array of its shape. Their shapes are
+checked once, up front, so each layer multiplies 2-D slices, for which
+numpy's matmul rule is the tape's. An attention runs all heads as one
+stacked axis of each product: it multiplies h (..., n, F) by a (heads, F, dh)
+view of each projection, so q, k and v land in the (..., heads, n, dh)
+layout with the bytes of h @ w's columns, and writes its contexts into the
+heads view of one (..., n, F) buffer, which is then the heads joined; only k
+is copied, into its transpose. The block's backward runs each layer's
+backward in reverse. Values, gradients and MACs match the primitive
+composition it replaces bit for bit, as the tests pin at the default model's
+sizes; the ops need not run in the composition's order.
 
 Kinds that only move or select values (`gather`, `transpose`, `reshape`,
 `straight_through`) skip the re-check, and `linear` checks x @ w + b alone: a
 finite bias keeps any overflow of x @ w. `gc_block` checks only where tanh or
 softmax's exp could hide an overflow: each layer's pre-tanh product, each
 head's scaled scores, and each attention's output, naming the layer (gc0,
-gc1, ..., attn0, ...); a non-finite value anywhere else reaches one of these
-checks.
+gc1, ...), the attention (attn0, ...) and the head; a non-finite value
+anywhere else reaches one of these checks.
 
 Nodes carry the multiply-accumulate count of their matrix products, so a
 tape doubles as an instrumented operation counter for cost accounting.
@@ -77,7 +81,6 @@ tape doubles as an instrumented operation counter for cost accounting.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,43 +170,36 @@ def _require_finite(values: Array, what: str) -> None:
         raise NumericError(f"{what} produced non-finite values")
 
 
-def _gc_products(name: str, av: Array, hv: Array, wv: Array) -> tuple[Array, Array]:
-    """ah = av @ hv and ah @ wv of a graph convolution, each checked by the
-    matmul rule first, which names the layer when it fails."""
-    _check_matmul(name, av.shape, hv.shape)
-    ah = av @ hv
-    _check_matmul(name, ah.shape, wv.shape)
-    return ah, ah @ wv
+def _gc_layer(i: int, hv: Array, av: Array, wv: Array, ah: Array, y: Array, need_h: bool):
+    """The backward of graph convolution gc{i} y = tanh(ah @ wv), ah = av @ hv:
+    it maps the output gradient to that of h (None when not needed) and writes
+    those of adj and wgt into layer i of the stacks g_adj and g_wgt, each
+    where one is given."""
 
-
-def _gc_layer(hv: Array, av: Array, wv: Array, ah: Array, y: Array, need_h: bool,
-              na: bool, nw: bool):
-    """The backward of a graph convolution y = tanh(ah @ wv), ah = av @ hv: it
-    maps the output gradient to those of h, adj and wgt, None where not needed."""
-
-    def bwd(g):
-        g_ah, g_w = _matmul_grads(_tanh_grad(g, y), ah, wv, na or need_h, nw)
+    def bwd(g, g_adj, g_wgt, *_):
+        g_ah, g_w = _matmul_grads(_tanh_grad(g, y), ah, wv, need_h or g_adj is not None,
+                                  g_wgt is not None)
+        if g_wgt is not None:
+            g_wgt[i] = g_w
         if g_ah is None:
-            return None, None, g_w
-        g_adj, g_h = _matmul_grads(g_ah, av, hv, na, need_h)
-        return g_h, g_adj, g_w
+            return None
+        g_a, g_h = _matmul_grads(g_ah, av, hv, g_adj is not None, need_h)
+        if g_adj is not None:
+            g_adj[i] = g_a
+        return g_h
 
     return bwd
 
 
-def _attention(i: int, hv: Array, step: Sequence[Tensor], heads: int, need_h: bool):
-    """Residual multi-head self-attention attn{i} of its block, for the step's
-    tensors (wq, wk, wv, wo), with the heads on one stacked axis of each
-    product: its value, a backward that maps the output gradient to those of
-    h and the four projections (None where not needed; itself None when none
-    is), and its MACs. Checks each head's scaled scores and the output."""
-    tq, tk, tv, to = step
-    wq, wk, wv, wov = ws = tq.values, tk.values, tv.values, to.values
+def _attention(i: int, hv: Array, w: Array, heads: int, need_h: bool, need_w: bool):
+    """Residual multi-head self-attention attn{i} of its block, for the (4, F, F)
+    projections w = (wq, wk, wv, wo), with the heads on one stacked axis of each
+    product: its value, a backward that maps the output gradient to that of h
+    (None when not needed) and writes that of w into entry i of the stack
+    g_stack when need_w (itself None when neither is needed), and its MACs.
+    Checks each head's scaled scores and the output."""
+    wq, wk, wv, wov = w
     f = hv.shape[-1]
-    if hv.ndim not in (2, 3) or heads < 1 or f % heads:
-        raise ShapeError(f"gc_block attn{i} of {hv.shape} in {heads} heads")
-    if not wq.shape == wk.shape == wv.shape == wov.shape == (f, f):
-        raise ShapeError(f"gc_block attn{i} projections must be ({f}, {f})")
     dh = f // heads
     c = 1.0 / math.sqrt(dh)
 
@@ -229,8 +225,7 @@ def _attention(i: int, hv: Array, step: Sequence[Tensor], heads: int, need_h: bo
     # q, k, v and the output projections take F MACs per value of h, and the
     # scores and the contexts n each
     macs = hv.size * (4 * f + 2 * hv.shape[-2])
-    need_w = (tq.requires_grad, tk.requires_grad, tv.requires_grad, to.requires_grad)
-    if not (need_h or any(need_w)):
+    if not (need_h or need_w):
         return out, None, macs
 
     def split(m):  # (..., n, F) -> (..., heads, n, dh), C-contiguous
@@ -239,10 +234,8 @@ def _attention(i: int, hv: Array, step: Sequence[Tensor], heads: int, need_h: bo
     def join(m):  # the inverse of split
         return np.ascontiguousarray(np.swapaxes(m, -2, -3)).reshape(hv.shape)
 
-    def bwd(g):
-        g_ctx, g_wo = _matmul_grads(g, ctx, wov, need_h or any(need_w[:3]), need_w[3])
-        if g_ctx is None:
-            return None, None, None, None, g_wo
+    def bwd(g, _adj, _wgt, g_stack):
+        g_ctx, g_wo = _matmul_grads(g, ctx, wov, True, need_w)
         g_attn, g_v = _matmul_grads(split(g_ctx), attn, v, True, True)
         g_scores = _softmax_grad(g_attn, attn)
         g_scores *= c
@@ -250,10 +243,12 @@ def _attention(i: int, hv: Array, step: Sequence[Tensor], heads: int, need_h: bo
         g_qkv = (join(g_q), join(np.swapaxes(g_k_t, -1, -2)), join(g_v))
         g_h, g_w = (g if need_h else None), [None] * 3  # into h: the residual, v, k, q
         for j in (2, 1, 0):
-            g_hj, g_w[j] = _matmul_grads(g_qkv[j], hv, ws[j], need_h, need_w[j])
+            g_hj, g_w[j] = _matmul_grads(g_qkv[j], hv, w[j], need_h, need_w)
             if need_h:
                 g_h = g_h + g_hj
-        return g_h, *g_w, g_wo
+        if need_w:
+            g_stack[i] = (*g_w, g_wo)
+        return g_h
 
     return out, bwd, macs
 
@@ -557,62 +552,65 @@ class Tape:
     # ------------------------------------------------------------------
     # a predictor block, one node
 
-    def gc_block(self, h: Tensor, steps: Sequence[Sequence[Tensor]], heads: int) -> Tensor:
-        """One block of predictor layers over the rows of h (n, F) or (B, n, F),
-        in the order of steps: a step (adj, wgt) is a graph convolution
-        tanh((adj @ h) @ wgt), operands as in matmul; a step (wq, wk, wv, wo) of
-        (F, F) projections is the residual multi-head self-attention: q, k, v =
-        h @ wq, h @ wk, h @ wv split into heads of width dh = F / heads along the
-        last axis, then h + concat_i(softmax(q_i k_i^T / sqrt(dh)) v_i) @ wo.
-        Graph convolutions are named gc0, gc1, ... and attentions attn0, ... in
-        their order, as a block's parameters are, and every error names one."""
-        if not steps:
-            raise ShapeError("gc_block needs at least one step")
-        backs = []
-        hv, need, macs = h.values, h.requires_grad, 0
-        n_gc = n_attn = 0
-        for step in steps:
-            if len(step) == 2:  # a graph convolution, inline: a call adds a quarter to its time
-                adj, wgt = step
-                av, wv = adj.values, wgt.values
-                if av.ndim == 2 == wv.ndim and hv.ndim in (2, 3):
-                    try:  # numpy's matmul rule is the tape's at these ranks
-                        ah = av @ hv
-                        pre = ah @ wv
-                    except ValueError:  # so the tape's raises, naming the layer
-                        _gc_products(f"gc_block gc{n_gc}", av, hv, wv)
-                        raise
-                else:
-                    ah, pre = _gc_products(f"gc_block gc{n_gc}", av, hv, wv)
-                if not all_finite(pre):  # tanh would hide an overflow
-                    raise NumericError(
-                        f"gc_block gc{n_gc} pre-tanh product produced non-finite values")
-                macs += ah.size * (av.shape[-1] + wv.shape[-1])
-                y = np.tanh(pre, out=pre)  # pre is needed no more
-                na, nw = adj.requires_grad, wgt.requires_grad
-                back = _gc_layer(hv, av, wv, ah, y, need, na, nw) if need or na or nw else None
-                hv, n_gc = y, n_gc + 1
-            elif len(step) == 4:
-                hv, back, m = _attention(n_attn, hv, step, heads, need)
-                n_attn, macs = n_attn + 1, macs + m
-            else:
-                raise ShapeError(f"gc_block step of {len(step)} operands; a graph "
-                                 "convolution takes 2 and an attention 4")
-            backs.append((back, len(step)))
-            need = back is not None  # a step keeps a backward when a gradient reaches it
+    def gc_block(self, h: Tensor, adj: Tensor, wgt: Tensor, attn: Tensor | None,
+                 after: Sequence[int], heads: int) -> Tensor:
+        """One block of predictor layers over the rows of h (n, F) or (B, n, F):
+        L graph convolutions, layer i tanh((adj[i] @ h) @ wgt[i]) for the stacks
+        adj (L, n, n) and wgt (L, F, F), and A residual multi-head
+        self-attentions, attention a running after the first after[a] layers
+        (strictly increasing, each in 1..L) with the projections attn[a] =
+        (wq, wk, wv, wo) of the stack attn (A, 4, F, F), or attn None when after
+        is empty: q, k, v = h @ wq, h @ wk, h @ wv split into heads of width
+        dh = F / heads along the last axis, then
+        h + concat_j(softmax(q_j k_j^T / sqrt(dh)) v_j) @ wo. Each gradient
+        comes as one array of its stack's shape. Shapes are checked once, up
+        front; a numeric error names the layer (gc{i}), the attention (attn{a})
+        and the head (head {j})."""
+        hv, av, wv = h.values, adj.values, wgt.values
+        tv = None if attn is None else attn.values
+        n_layers, n_attn = (av.shape[0] if av.ndim == 3 else 0), len(after)
+        n, f = hv.shape[-2:] if hv.ndim in (2, 3) else (0, 0)
+        bounds = (0, *after, n_layers + 1)  # strictly increasing: after within 1..L
+        if not (n_layers and hv.ndim in (2, 3) and av.shape == (n_layers, n, n)
+                and wv.shape == (n_layers, f, f)
+                and all(a < b for a, b in zip(bounds, bounds[1:]))
+                and (tv is None if not after else tv is not None
+                     and tv.shape == (n_attn, 4, f, f) and heads >= 1 and f % heads == 0)):
+            raise ShapeError(
+                f"gc_block operands do not conform: h {hv.shape}, adj {av.shape}, "
+                f"wgt {wv.shape}, attn {None if tv is None else tv.shape} after "
+                f"{tuple(after)} in {heads} heads")
+        na, nw, nt = adj.requires_grad, wgt.requires_grad, attn is not None and attn.requires_grad
+        need, macs, steps, a = h.requires_grad, 0, [], 0  # a: the next attention
+        for i in range(n_layers):  # inline: a call adds a quarter to a layer's time
+            ai, wi = av[i], wv[i]
+            ah = ai @ hv
+            pre = ah @ wi
+            if not all_finite(pre):  # tanh would hide an overflow
+                raise NumericError(
+                    f"gc_block gc{i} pre-tanh product produced non-finite values")
+            macs += ah.size * (n + f)
+            y = np.tanh(pre, out=pre)  # pre is needed no more
+            steps.append(_gc_layer(i, hv, ai, wi, ah, y, need) if need or na or nw else None)
+            hv, need = y, steps[-1] is not None  # a backward where a gradient reaches it
+            if a < n_attn and after[a] == i + 1:
+                hv, back, m = _attention(a, hv, tv[a], heads, need, nt)
+                steps.append(back)
+                macs, need, a = macs + m, back is not None, a + 1
+        inputs = (h, adj, wgt) if attn is None else (h, adj, wgt, attn)
 
-        def bwd(g):  # each step's backward, last step first
-            g_ops = []  # the gradients of the steps' operands, in order
-            for back, n in reversed(backs):
+        def bwd(g):  # each step's backward, last step first, into one array per stack
+            grads = [np.empty(x.values.shape) if x.requires_grad else None for x in inputs[1:]]
+            for back in reversed(steps):
                 # g is None once nothing before this step needs a gradient
                 # (a step returns None for h then), so a step that kept no
                 # backward is never called
-                g, *g_step = back(g) if g is not None else (None,) * (1 + n)
-                g_ops[:0] = g_step
-            return g, *g_ops
+                if g is None:
+                    break
+                g = back(g, *grads)
+            return g, *grads
 
-        return self._emit("gc_block", [h, *chain.from_iterable(steps)], hv, bwd, macs,
-                          check=False)
+        return self._emit("gc_block", inputs, hv, bwd, macs, check=False)
 
     # ------------------------------------------------------------------
 

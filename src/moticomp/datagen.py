@@ -32,7 +32,7 @@ MOTION_MAGIC = "champlite v1"
 MANIFEST_FORMAT = "moticomp-manifest"
 CHECKPOINT_FORMAT = "moticomp-checkpoint"
 MANIFEST_VERSION = 1
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 STILL = "still"
 ACTION_PARTS = (UPPER, LOWER, STILL)
@@ -182,9 +182,9 @@ def compose_oracle(seq_upper_action: MotionSequence, seq_lower_action: MotionSeq
 
 def check_label(label: str, what: str, error: type = ValueError) -> None:
     """Raise error naming what unless label can be part of a file name and of
-    a motion file's one-line header: it holds neither '/' nor a line break."""
-    if "/" in label or "".join(label.splitlines()) != label:
-        raise error(f"{what} {label!r} holds '/' or a line break")
+    a motion file's one-line header: it holds no '/', line break or NUL byte."""
+    if "/" in label or "\x00" in label or "".join(label.splitlines()) != label:
+        raise error(f"{what} {label!r} holds '/' or a line break or a NUL byte")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .errors import ConfigError
-from .layers import linear
 from .predictor import (BRANCH_KINDS, PredictorConfig, PredictorParams, _exit_array,
                         branch_node_counts)
 
@@ -39,9 +38,8 @@ def _policy_forward(tape: Tape, tensors: dict[str, Tensor], prefix: str,
     from (nodes, F): mean-pool over the nodes, then MLP."""
     n = h.shape[-2]
     pooled = tape.matmul(tape.constant(np.full((1, n), 1.0 / n)), h)
-    hidden = tape.tanh(linear(tape, pooled, tensors[f"{prefix}.w1"],
-                              tensors[f"{prefix}.b1"]))
-    return linear(tape, hidden, tensors[f"{prefix}.w2"], tensors[f"{prefix}.b2"])
+    hidden = tape.tanh(tape.linear(pooled, tensors[f"{prefix}.w1"], tensors[f"{prefix}.b1"]))
+    return tape.linear(hidden, tensors[f"{prefix}.w2"], tensors[f"{prefix}.b2"])
 
 
 def _gumbel_softmax_st(tape: Tape, logits: Tensor, temperature: float,

@@ -19,18 +19,12 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros((1, fan_out))
 
 
-def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the rows of x (rows, in) or of each sample of x (B, rows, in);
-    the bias row b (1, out) is added to every row. One `linear` node."""
-    return tape.linear(x, w, b)
-
-
 def mlp(tape: Tape, x: Tensor, tensors: dict[str, Tensor], prefix: str,
         n_layers: int) -> Tensor:
     """Affine layers named `{prefix}{i}.w/.b` with tanh between them."""
     h = x
     for i in range(n_layers):
-        h = linear(tape, h, tensors[f"{prefix}{i}.w"], tensors[f"{prefix}{i}.b"])
+        h = tape.linear(h, tensors[f"{prefix}{i}.w"], tensors[f"{prefix}{i}.b"])
         if i < n_layers - 1:
             h = tape.tanh(h)
     return h

@@ -17,18 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, shared_constant
 from .dct import dct_encode, idct_basis
 from .errors import ConfigError, ShapeError, require_at_least, require_positive_finite
-from .layers import bind, init_linear, linear
+from .layers import bind, init_linear
 from .motion import MotionSequence, PartLayout
 
 BRANCH_KINDS = ("upper", "lower", "whole")
-ATTENTION_WEIGHTS = ("wq", "wk", "wv", "wo")  # in the order a gc_block attention step takes them
 
 
 @dataclass(frozen=True)
@@ -88,14 +86,18 @@ def branch_node_counts(layout: PartLayout) -> dict[str, int]:
 class PredictorParams:
     """All trainable arrays of the three-branch predictor, by name.
 
-    In insertion order, which checkpoints keep, for each kind in BRANCH_KINDS,
-    block k, graph-conv layer i and attention module a (which runs after
-    layer config.attention_positions[a] of its block); the front end has none:
+    In insertion order, which checkpoints keep, for each kind in BRANCH_KINDS
+    and block k. A block is one stack per role, as gc_block takes them: its
+    L = config.layers_per_block graph-conv layers and its A attention modules,
+    module a running after layer config.attention_positions[a]. The front end
+    has none.
 
-        {kind}.enc.w, {kind}.enc.b            input encoder
-        {kind}.blk{k}.gc{i}.adj, .wgt         adjacency (nodes, nodes), weight (F, F)
-        {kind}.blk{k}.attn{a}.wq/.wk/.wv/.wo  self-attention projections (F, F)
-        {kind}.dec.w, {kind}.dec.b            output decoder shared by all exits
+        {kind}.enc.w, {kind}.enc.b  input encoder
+        {kind}.blk{k}.adj           adjacencies (L, nodes, nodes)
+        {kind}.blk{k}.wgt           graph-conv weights (L, F, F)
+        {kind}.blk{k}.attn          self-attention projections (A, 4, F, F), each
+                                    (wq, wk, wv, wo); absent when A is 0
+        {kind}.dec.w, {kind}.dec.b  output decoder shared by all exits
     """
 
     arrays: dict[str, np.ndarray]
@@ -108,19 +110,21 @@ class PredictorParams:
 
 def _init_branch(rng: np.random.Generator, kind: str, node_count: int,
                  config: PredictorConfig) -> dict[str, np.ndarray]:
-    f = config.feature_width
+    f, n_layers = config.feature_width, config.layers_per_block
+    n_attn = len(config.attention_positions)
     wb = 1.0 / np.sqrt(f)
     blocks = {}
     for k in range(config.n_blocks):
         p = f"{kind}.blk{k}"
-        for i in range(config.layers_per_block):
-            blocks[f"{p}.gc{i}.adj"] = np.eye(node_count) + rng.uniform(
+        adj = blocks[f"{p}.adj"] = np.empty((n_layers, node_count, node_count))
+        wgt = blocks[f"{p}.wgt"] = np.empty((n_layers, f, f))
+        for i in range(n_layers):  # drawn layer by layer: adjacency, then weight
+            adj[i] = np.eye(node_count) + rng.uniform(
                 -config.adjacency_noise, config.adjacency_noise,
                 size=(node_count, node_count))
-            blocks[f"{p}.gc{i}.wgt"] = rng.uniform(-wb, wb, size=(f, f))
-        for a in range(len(config.attention_positions)):
-            for m in ATTENTION_WEIGHTS:
-                blocks[f"{p}.attn{a}.{m}"] = rng.uniform(-wb, wb, size=(f, f))
+            wgt[i] = rng.uniform(-wb, wb, size=(f, f))
+        if n_attn:
+            blocks[f"{p}.attn"] = rng.uniform(-wb, wb, size=(n_attn, 4, f, f))
     # the encoder and decoder are drawn after the blocks but named around them
     enc_w, enc_b = init_linear(rng, config.resolved_n_coeffs, f)
     dec_w, dec_b = init_linear(rng, f, config.resolved_n_coeffs,
@@ -144,31 +148,17 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
 # ----------------------------------------------------------------------
 # tape-level forward passes
 
-@lru_cache(maxsize=64)
-def _block_step_getters(config: PredictorConfig, prefix: str) -> tuple[itemgetter, ...]:
-    """For each step of the block named prefix, a getter of its parameters'
-    tuple from a dict by name: its graph-conv layers, each followed by an
-    attention when its position is in config.attention_positions."""
-    positions = config.attention_positions
-    steps = []
-    for i in range(config.layers_per_block):
-        steps.append(itemgetter(f"{prefix}.gc{i}.adj", f"{prefix}.gc{i}.wgt"))
-        if i + 1 in positions:
-            attn = f"{prefix}.attn{positions.index(i + 1)}"
-            steps.append(itemgetter(*(f"{attn}.{m}" for m in ATTENTION_WEIGHTS)))
-    return tuple(steps)
-
-
 def _block_forward(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
                    prefix: str, h: Tensor) -> Tensor:
     """The block named prefix as one node."""
-    steps = [step(tensors) for step in _block_step_getters(config, prefix)]
-    return tape.gc_block(h, steps, config.heads)
+    return tape.gc_block(h, tensors[f"{prefix}.adj"], tensors[f"{prefix}.wgt"],
+                         tensors.get(f"{prefix}.attn"), config.attention_positions,
+                         config.heads)
 
 
 def _branch_encode(tape: Tape, tensors: dict[str, Tensor], prefix: str,
                    x: Tensor) -> Tensor:
-    return linear(tape, x, tensors[f"{prefix}.enc.w"], tensors[f"{prefix}.enc.b"])
+    return tape.linear(x, tensors[f"{prefix}.enc.w"], tensors[f"{prefix}.enc.b"])
 
 
 def _exit_array(exits, n_blocks: int) -> np.ndarray | list[tuple[int, int, int]]:
@@ -211,7 +201,7 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
     if isinstance(exits, (int, np.integer)):
         for k in range(exits):
             h = _block_forward(tape, config, tensors, f"{kind}.blk{k}", h)
-        return linear(tape, h, *decoder)
+        return tape.linear(h, *decoder)
     exits = np.full(h.shape[:-2], exits).reshape(-1)
     leaving = np.bincount(exits).tolist()  # how many samples leave after each block
     rows = np.arange(exits.size)  # the samples h holds, in batch order
@@ -225,7 +215,7 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
             left = exits[rows] == k
             y, out_rows = tape.gather([h], np.flatnonzero(left)), rows[left]
             h, rows = tape.gather([h], np.flatnonzero(~left)), rows[~left]
-        outputs.append(linear(tape, y, *decoder))
+        outputs.append(tape.linear(y, *decoder))
         output_rows.append(out_rows)
     if len(outputs) == 1:
         return outputs[0]

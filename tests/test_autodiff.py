@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from moticomp import autodiff, predictor, training, vae
 from moticomp.autodiff import (SHARED, Tape, _matmul_grads, _softmax, _softmax_grad, _tanh_grad,
                                freeze, shared_constant)
 from moticomp.errors import NumericError, ShapeError
-from moticomp.layers import linear
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 
 # every operation kind a Tape records; each has its finite-difference check below
@@ -159,10 +159,13 @@ def test_tape_freed_by_reference_counting():
 # ----------------------------------------------------------------------
 # finite-difference coverage of every op kind
 
-# A block layout is a string of steps: "g" a graph convolution with operands
-# (n, n) adj and (F, F) wgt, "a" an attention with four (F, F) projections.
-# Each step kind is also checked on its own, as a one-step gc_block.
-LAYERS = {"gc_layer": "g", "self_attention": "a"}
+# A block layout is a string of layers: "g" a graph convolution, whose (n, n)
+# adj and (F, F) wgt are one layer of the block's stacks, and "a" an attention
+# after the graph convolutions before it, whose four (F, F) projections are one
+# (4, F, F) entry of its stack. Each layer kind is also checked on its own: a
+# graph convolution as a one-layer block, an attention behind the one graph
+# convolution a block needs.
+LAYERS = {"gc_layer": "g", "self_attention": "ga"}
 
 
 def _kind_checks(kind: str):
@@ -275,20 +278,23 @@ def _cut(t, x, shapes):
 
 def _block_shapes(layout: str, h_shape: tuple[int, ...]):
     """Operand shapes of a gc_block of this layout on h (n, F) or (B, n, F):
-    h, then each step's operands in order."""
+    h, the (L, n, n) adjacencies, the (L, F, F) weights and, when the layout
+    holds an attention, the (A, 4, F, F) projections."""
     n, f = h_shape[-2:]
-    step = {"g": ((n, n), (f, f)), "a": ((f, f),) * 4}
-    return (h_shape,) + tuple(shape for s in layout for shape in step[s])
+    n_layers, n_attn = layout.count("g"), layout.count("a")
+    return (h_shape, (n_layers, n, n), (n_layers, f, f)) + ((n_attn, 4, f, f),) * (n_attn > 0)
 
 
-def _steps(layout: str, operands):
-    """The operands after h grouped into the steps of layout."""
-    steps, start = [], 0
-    for s in layout:
-        stop = start + (2 if s == "g" else 4)
-        steps.append(tuple(operands[start:stop]))
-        start = stop
-    return steps
+def _after(layout: str) -> tuple[int, ...]:
+    """For each attention of layout, the graph convolutions before it."""
+    return tuple(layout[:i].count("g") for i, s in enumerate(layout) if s == "a")
+
+
+def _block_args(layout: str, operands):
+    """gc_block's arguments after h, for the operands after h: adj, wgt, attn
+    (None when layout holds no attention) and after."""
+    adj, wgt, *attn = operands
+    return adj, wgt, (attn[0] if attn else None), _after(layout)
 
 
 def _block_check(layout: str, h_shape: tuple[int, ...], heads: int = 1):
@@ -298,10 +304,9 @@ def _block_check(layout: str, h_shape: tuple[int, ...], heads: int = 1):
     shapes = _block_shapes(layout, h_shape)
 
     def block(t, x):
-        h, *operands = _cut(t, x, shapes)
-        steps = [step if len(step) == 2 else tuple(t.scale(w, 0.5) for w in step)
-                 for step in _steps(layout, operands)]
-        return t.sum_sq(t.gc_block(h, steps, heads))
+        h, adj, wgt, *attn = _cut(t, x, shapes)
+        attn = [t.scale(a, 0.5) for a in attn]
+        return t.sum_sq(t.gc_block(h, *_block_args(layout, [adj, wgt, *attn]), heads))
 
     return block, shapes
 
@@ -343,7 +348,7 @@ def _batched_checks(case: str):
         f, shapes = _block_check("g", (3, 2, 4))
         return f, (1, _width(shapes))
     if case.startswith("self_attention_heads"):
-        f, shapes = _block_check("a", (3, 2, 4), heads=int(case[-1]))
+        f, shapes = _block_check(LAYERS["self_attention"], (3, 2, 4), heads=int(case[-1]))
         return f, (1, _width(shapes))
     if case.startswith("gc_block_"):  # gc_block_{layout}_heads{n}
         _, _, layout, heads = case.split("_")
@@ -356,7 +361,7 @@ BATCHED_CASES = ("matmul_batch_by_shared", "matmul_shared_weight", "matmul_share
                  "matmul_two_batched", "linear_batch", "add_shared", "add_batch",
                  "add_row_to_rows", "add_row_to_batch", "hadamard_row", "scalar_mul_per_row",
                  "gc_layer_shared_weights", "self_attention_heads1", "self_attention_heads2",
-                 "gc_block_gg_heads1", "gc_block_gaga_heads2", "gc_block_agg_heads4")
+                 "gc_block_gg_heads1", "gc_block_gaga_heads2", "gc_block_gga_heads4")
 
 
 @pytest.mark.parametrize("case", BATCHED_CASES)
@@ -387,10 +392,13 @@ def self_attention_reference(t, h, wq, wk, wv, wo, heads):
     return t.add(h, t.matmul(ctx, wo))
 
 
-def gc_block_reference(t, h, steps, heads):
-    for step in steps:
-        h = (gc_layer_reference(t, h, *step) if len(step) == 2
-             else self_attention_reference(t, h, *step, heads))
+def gc_block_reference(t, h, layers, attentions, after, heads):
+    """gc_block composed of primitive kinds, for each layer's (adj, wgt) and
+    each attention's (wq, wk, wv, wo) as tensors of their own."""
+    for i, (adj, wgt) in enumerate(layers):
+        h = gc_layer_reference(t, h, adj, wgt)
+        if i + 1 in after:
+            h = self_attention_reference(t, h, *attentions[after.index(i + 1)], heads)
     return h
 
 
@@ -411,7 +419,7 @@ DEFAULT_SIZES = [(1, 24, 32), (1, 15, 32), (1, 9, 32), (32, 15, 32), (32, 9, 32)
 LAYER_CASES += [("self_attention", shape, 2) for shape in DEFAULT_SIZES]
 DEFAULT_BLOCK = "ggggagggga"  # PredictorConfig(): attention after layers 4 and 8
 BLOCK_CASES = [("gg", (5, 4), 1), ("gg", (3, 5, 4), 1), ("ga", (5, 4), 2),
-               ("ag", (3, 5, 8), 4), ("gaga", (3, 5, 8), 2), ("gaga", (5, 8), 4),
+               ("gga", (3, 5, 8), 4), ("gaga", (3, 5, 8), 2), ("gaga", (5, 8), 4),
                ("gag", (3, 5, 8), 1),
                (DEFAULT_BLOCK, (32, 24, 32), 2), (DEFAULT_BLOCK, (24, 32), 2),
                (DEFAULT_BLOCK, (32, 24, 32), 1), (DEFAULT_BLOCK, (32, 24, 32), 4)]
@@ -419,19 +427,31 @@ BLOCK_CASES += [(DEFAULT_BLOCK, shape, 2) for shape in DEFAULT_SIZES]
 
 
 def _run_block(layout, operands, heads, fused, trainable=None):
-    """Values, input gradients and the tape of a gc_block, or of its primitive
-    composition, under a loss that weights every output element. trainable
-    flags which operands are gradient leaves (all by default); the others are
-    constants and get no gradient."""
+    """Values, operand gradients and the tape of a gc_block, or of its
+    primitive composition, under a loss that weights every output element.
+    The composition takes each matrix of a stack as a leaf of its own, and
+    its gradients come back stacked. trainable flags which operands are
+    gradient leaves (all by default); the others are constants and get no
+    gradient."""
     t = Tape()
     trainable = trainable or [True] * len(operands)
-    xs = [t.leaf(v, requires_grad=r) for v, r in zip(operands, trainable)]
-    steps = _steps(layout, xs[1:])
-    out = (t.gc_block(xs[0], steps, heads) if fused
-           else gc_block_reference(t, xs[0], steps, heads))
+    h = t.leaf(operands[0], requires_grad=trainable[0])
+    if fused:
+        stacks = [t.leaf(v, requires_grad=r) for v, r in zip(operands[1:], trainable[1:])]
+        out = t.gc_block(h, *_block_args(layout, stacks), heads)
+    else:
+        stacks = [[t.leaf(m, requires_grad=r) for m in v.reshape(-1, *v.shape[-2:])]
+                  for v, r in zip(operands[1:], trainable[1:])]
+        adj, wgt, *attn = stacks
+        attn = attn[0] if attn else []
+        out = gc_block_reference(t, h, list(zip(adj, wgt)), [
+            attn[j:j + 4] for j in range(0, len(attn), 4)], _after(layout), heads)
     weight = np.random.default_rng(5).normal(size=out.shape)
     t.backward(t.sum_sq(t.hadamard(out, t.constant(weight))))
-    return out.values, [x.grad for x in xs], t
+    grads = [x.grad if fused else None if x[0].grad is None
+             else np.stack([m.grad for m in x]).reshape(v.shape)
+             for x, v in zip(stacks, operands[1:])]
+    return out.values, [h.grad, *grads], t
 
 
 def _assert_block_equals_composition(layout, h_shape, heads, trainable=None):
@@ -478,25 +498,24 @@ def test_binary_kind_computes_no_gradient_for_a_constant_operand(kind, trainable
         assert (got.tobytes() == want.tobytes()) if needed else got is None
 
 
-def _assert_only_trailing_gradients(layout, n_constant):
-    """h and the first n_constant - 1 operands are constants: no gradient
-    reaches them, and the later steps' gradients equal the composition's."""
-    trainable = [False] * n_constant
-    trainable += [True] * (len(_block_shapes(layout, (3, 5, 8))) - n_constant)
-    grads = _assert_block_equals_composition(layout, (3, 5, 8), 2, trainable)
-    assert grads[:n_constant] == [None] * n_constant
-    assert all(g is not None for g in grads[n_constant:])
+def _assert_only_trainable_gradients(layout, trainable):
+    """Only the operands flagged trainable (h, adj, wgt, attn) get a gradient,
+    and each equals the composition's."""
+    grads = _assert_block_equals_composition(layout, (3, 5, 8), 2, list(trainable))
+    assert [g is not None for g in grads] == list(trainable)
 
 
 def test_gc_block_computes_only_the_gradients_needed():
-    _assert_only_trailing_gradients("gaga", 7)
+    for trainable in itertools.product((False, True), repeat=4):
+        _assert_only_trainable_gradients("gaga", trainable)
 
 
-@pytest.mark.parametrize("layout,n_constant", [("ga", 3), ("aa", 5), ("ag", 5)])
+@pytest.mark.parametrize("layout,n_constant", [("ga", 3), ("gggag", 3)])
 def test_gc_block_skips_a_constant_step_before_a_trainable_one(layout, n_constant):
-    # the first trainable step right behind a constant one, on a constant h;
-    # an attention there passes no gradient back into its input
-    _assert_only_trailing_gradients(layout, n_constant)
+    # constant h, adj and wgt with a trainable attn: the graph convolutions
+    # before the first attention keep no backward, those after it pass the
+    # gradient back into it, and an attention there passes none into its input
+    _assert_only_trainable_gradients(layout, [False] * n_constant + [True])
 
 
 def _with(values, index, value):
@@ -550,81 +569,110 @@ def test_gc_layer_raises_on_an_overflow_tanh_would_hide():
         assert np.isfinite(np.tanh(adj @ h @ wgt)).all()  # tanh(inf) is 1
     tape = Tape()
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_block gc0 pre-tanh"):
-        tape.gc_block(tape.constant(h), [(tape.constant(adj), tape.constant(wgt))], 1)
-    identity = (tape.constant(np.eye(2)), tape.constant(np.eye(3)))
+        tape.gc_block(tape.constant(h), tape.constant(adj[None]), tape.constant(wgt[None]),
+                      None, (), 1)
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_block gc1 pre-tanh"):
         # the second layer's adj @ h overflows before its weight is applied
         tape.gc_block(tape.constant(np.ones((2, 3))),
-                      [identity, (tape.constant(np.full((2, 2), 1.5e308)), identity[1])], 1)
+                      tape.constant(np.stack([np.eye(2), np.full((2, 2), 1.5e308)])),
+                      tape.constant(np.stack([np.eye(3)] * 2)), None, (), 1)
     assert tape.nodes == []
 
 
 def test_self_attention_raises_on_an_infinite_score_exp_would_hide():
-    # node 0's query meets its own key at -inf and node 1's key at 0: the
-    # softmax of [-inf, 0] is [0, 1], so every output element stays finite
-    h = np.array([[1e155, 0.0], [0.0, 1.0]])
-    wq, wk, wv, wo = np.eye(2), np.diag([-1.0, 1.0]), np.eye(2), np.eye(2)
-    with np.errstate(all="ignore"):
-        scores = (h @ wq) @ (h @ wk).T
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        assert np.isneginf(scores[0, 0])
-        assert np.isfinite(h + (e / e.sum(axis=-1, keepdims=True)) @ (h @ wv) @ wo).all()
+    # behind identity graph convolutions, node 0's query meets its own key at
+    # -inf and node 1's key at 0: the softmax of [-inf, 0] is [0, 1], so every
+    # output element stays finite
+    h = np.array([[20.0, 0.0], [0.0, 1.0]])
+    wq, wk, wv, wo = np.diag([1e155, 1.0]), np.diag([-1e155, 1.0]), np.eye(2), np.eye(2)
+    for x in (np.tanh(h), np.tanh(np.tanh(h))):  # attn0's input, and attn1's
+        with np.errstate(all="ignore"):
+            scores = (x @ wq) @ (x @ wk).T
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            assert np.isneginf(scores[0, 0])
+            assert np.isfinite(x + (e / e.sum(axis=-1, keepdims=True)) @ (x @ wv) @ wo).all()
     tape = Tape()
+    eye = tape.constant(np.stack([np.eye(2)] * 2))
+    attn = np.stack([wq, wk, wv, wo])[None]
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="attn0 head 0 scores"):
-        tape.gc_block(tape.constant(h), [tuple(tape.constant(m) for m in (wq, wk, wv, wo))], 1)
+        tape.gc_block(tape.constant(h), eye, eye, tape.constant(attn), (1,), 1)
     # behind an attention that adds nothing, the error names the second one
-    zero = tape.constant(np.zeros((2, 2)))
+    attn = np.concatenate([np.zeros_like(attn), attn])
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="attn1 head 0 scores"):
-        tape.gc_block(tape.constant(h), [(zero,) * 4] + [
-            tuple(tape.constant(m) for m in (wq, wk, wv, wo))], 1)
+        tape.gc_block(tape.constant(h), eye, eye, tape.constant(attn), (1, 2), 1)
 
 
 def test_self_attention_checks_its_output():
     tape = Tape()
     # q, k and v are finite; the output projection overflows
-    h, wo = tape.constant(np.full((2, 2), 1e200)), tape.constant(np.eye(2) * 1e200)
-    zero, one = tape.constant(np.zeros((2, 2))), tape.constant(np.eye(2))
+    h, eye = tape.constant(np.full((2, 2), 20.0)), tape.constant(np.eye(2)[None])
+    zero, big = np.zeros((2, 2)), np.eye(2) * 1e200
+    attn = tape.constant(np.stack([zero, zero, big, big])[None])
     with np.errstate(all="ignore"), pytest.raises(
             NumericError, match="gc_block attn0 output produced non-finite values"):
-        tape.gc_block(h, [(zero, zero, one, wo)], 1)
+        tape.gc_block(h, eye, eye, attn, (1,), 1)
 
 
-@pytest.mark.parametrize("h_shape,w_shape", [((3, 4), (4, 2)), ((4,), (4, 4))])
-def test_self_attention_shapes_checked(h_shape, w_shape):
-    # a width the heads do not divide: tests/test_predictor.py
+def _refused(h_shape, adj_shape, wgt_shape, attn_shape=None, after=(), heads=1):
+    """gc_block on zero operands of these shapes raises one ShapeError naming
+    every shape, and records nothing."""
     tape = Tape()
-    with pytest.raises(ShapeError):
-        tape.gc_block(tape.constant(np.zeros(h_shape)),
-                      [(tape.constant(np.zeros(w_shape)),) * 4], 1)
+    h, adj, wgt = (tape.constant(np.zeros(s)) for s in (h_shape, adj_shape, wgt_shape))
+    attn = None if attn_shape is None else tape.constant(np.zeros(attn_shape))
+    with pytest.raises(ShapeError, match="gc_block operands do not conform") as caught:
+        tape.gc_block(h, adj, wgt, attn, after, heads)
+    assert str(caught.value) == (
+        f"gc_block operands do not conform: h {h_shape}, adj {adj_shape}, wgt {wgt_shape}, "
+        f"attn {attn_shape} after {tuple(after)} in {heads} heads")
+    assert tape.nodes == []
+
+
+@pytest.mark.parametrize("h_shape,w_shape", [((3, 4), (1, 4, 4, 2)), ((4,), (1, 4, 4, 4))])
+def test_self_attention_shapes_checked(h_shape, w_shape):
+    # the projections' stack; a width the heads do not divide: below, and
+    # tests/test_predictor.py
+    _refused(h_shape, (1, 3, 3), (1, 4, 4), w_shape, (1,))
 
 
 def test_gc_block_steps_checked():
-    tape = Tape()
-    h, m = tape.constant(np.zeros((3, 4))), tape.constant(np.zeros((4, 4)))
-    with pytest.raises(ShapeError, match="gc_block needs at least one step"):
-        tape.gc_block(h, [], 1)
-    with pytest.raises(ShapeError, match="gc_block step of 3 operands"):
-        tape.gc_block(h, [(m, m, m)], 1)
-    with pytest.raises(ShapeError, match=r"gc_block gc1 shapes \(4, 4\) x \(3, 4\)"):
-        tape.gc_block(h, [(tape.constant(np.eye(3)), m), (m, m)], 1)
-    assert tape.nodes == []
+    # no layer, and a layer's matrices without their stack axis
+    _refused((3, 4), (0, 3, 3), (0, 4, 4))
+    _refused((3, 4), (3, 3), (4, 4))
+    _refused((3, 4), (2, 3, 3), (2, 4, 4), (4, 4), (1,))
+
+
+BLOCK_SHAPE_FAULTS = {
+    "adj-of-another-depth": ((3, 4), (2, 3, 3), (3, 4, 4)),
+    "wgt-of-another-depth": ((3, 4), (3, 3, 3), (2, 4, 4)),
+    "attn-of-another-count": ((3, 4), (2, 3, 3), (2, 4, 4), (2, 4, 4, 4), (1,)),
+    "attn-of-another-count-of-projections": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 3, 4, 4), (1,)),
+    "attn-with-empty-after": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), ()),
+    "after-without-attn": ((3, 4), (2, 3, 3), (2, 4, 4), None, (1,)),
+    "after-before-the-first-layer": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), (0,)),
+    "after-past-the-last-layer": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), (3,)),
+    "after-unsorted": ((3, 4), (2, 3, 3), (2, 4, 4), (2, 4, 4, 4), (2, 1)),
+    "after-repeated": ((3, 4), (2, 3, 3), (2, 4, 4), (2, 4, 4, 4), (1, 1)),
+    "heads-not-dividing-the-width": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), (1,), 3),
+    "no-heads": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), (1,), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_SHAPE_FAULTS))
+def test_gc_block_operands_checked_up_front(case):
+    _refused(*BLOCK_SHAPE_FAULTS[case])
 
 
 @pytest.mark.parametrize("h_shape,adj_shape,wgt_shape", [
-    ((3, 4), (3, 3), (5, 4)),  # the weight, after a sound adj @ h
-    ((4, 3, 4), (1, 3, 3), (4, 4)),  # a batch numpy would broadcast
-    ((1, 2, 3, 4), (3, 3), (4, 4)),  # a rank the tape has no rule for
+    ((3, 4), (1, 3, 3), (1, 5, 4)),  # the weight, after a sound adj @ h
+    ((4, 3, 4), (1, 1, 3, 3), (1, 4, 4)),  # a batch numpy would broadcast
+    ((1, 2, 3, 4), (1, 3, 3), (1, 4, 4)),  # a rank the tape has no rule for
 ])
 def test_gc_step_shapes_follow_the_matmul_rule(h_shape, adj_shape, wgt_shape):
-    tape = Tape()
-    h, adj, wgt = (tape.constant(np.zeros(s)) for s in (h_shape, adj_shape, wgt_shape))
-    with pytest.raises(ShapeError, match=r"gc_block gc0 shapes \("):
-        tape.gc_block(h, [(adj, wgt)], 1)
-    assert tape.nodes == []
+    _refused(h_shape, adj_shape, wgt_shape)
 
 
 def _gc_step_gradients(shape, trainable):
-    """h, adj and wgt gradients of a one-step graph-conv gc_block on h of this
+    """h, adj and wgt gradients of a one-layer graph-conv gc_block on h of this
     shape, for the operands flagged trainable, under a random output gradient:
     the operands of test_block_step_gradients_equal_the_per_sample_sums."""
     rng = np.random.default_rng(92)
@@ -633,7 +681,7 @@ def _gc_step_gradients(shape, trainable):
     operands = [rng.normal(scale=0.3, size=s) for s in _block_shapes("g", shape)[1:]]
     t = Tape()
     h, adj, wgt = (t.leaf(v, requires_grad=r) for v, r in zip((h, *operands), trainable))
-    t.gc_block(h, [(adj, wgt)], 2)
+    t.gc_block(h, adj, wgt, None, (), 2)
     return t.nodes[-1].backward_fn(g)
 
 
@@ -667,25 +715,30 @@ def test_gc_step_without_gradient_keeps_no_backward_and_no_product(monkeypatch):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = t.gc_block(xs[0], _steps(DEFAULT_BLOCK, xs[1:]), 2)
+        out = t.gc_block(xs[0], *_block_args(DEFAULT_BLOCK, xs[1:]), 2)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert calls == [] and t.nodes[-1].backward_fn is None
     assert kept < 2 * out.values.nbytes
-    # a trainable weight in the second layer: only that layer keeps a
-    # backward, which holds its adj @ h product
+    # trainable attention projections: the four layers before the first
+    # attention keep no backward, and each step from it on keeps one; the
+    # layer behind it holds its adj @ h product
     t = Tape()
     xs = [t.constant(v) for v in operands]
-    xs[4] = t.leaf(operands[4], requires_grad=True)  # gc1's weight
+    xs[3] = t.leaf(operands[3], requires_grad=True)
     monkeypatch.undo()
-    t.gc_block(xs[0], _steps(DEFAULT_BLOCK, xs[1:]), 2)
-    steps = dict(zip(t.nodes[-1].backward_fn.__code__.co_freevars,
+    t.gc_block(xs[0], *_block_args(DEFAULT_BLOCK, xs[1:]), 2)
+    cells = dict(zip(t.nodes[-1].backward_fn.__code__.co_freevars,
                      (c.cell_contents for c in t.nodes[-1].backward_fn.__closure__)))
-    backs = [back for back, _ in steps["backs"]]
-    assert backs[0] is None and all(back is not None for back in backs[1:])
-    ah = operands[3] @ np.tanh((operands[1] @ operands[0]) @ operands[2])
-    held = [c.cell_contents for c in backs[1].__closure__]
+    backs = cells["steps"]
+    assert backs[:4] == [None] * 4 and all(back is not None for back in backs[4:])
+    adj, wgt, attn = operands[1:]
+    t = Tape()  # the first four layers and the attention behind them
+    first = t.gc_block(*(t.constant(v) for v in (operands[0], adj[:4], wgt[:4], attn[:1])),
+                       (4,), 2)
+    ah = adj[4] @ first.values
+    held = [c.cell_contents for c in backs[5].__closure__]
     assert any(isinstance(v, np.ndarray) and np.array_equal(v, ah) for v in held)
 
 
@@ -934,18 +987,19 @@ def _assert_within_rounding(got, want):
 
 
 def _per_sample_step(step, h, g, seed):
-    """The input and operand gradients of a one-step gc_block on h (B, n, F)
-    under output gradient g, batched, and the same summed sample by sample:
-    each sample runs as an (n, F) matrix, whose products with the shared
-    weights are 2-D and take a_b^T g_b and g_b @ W^T."""
+    """The input and operand gradients of a one-layer gc_block on h (B, n, F)
+    of the layer kind step under output gradient g, batched, and the same
+    summed sample by sample: each sample runs as an (n, F) matrix, whose
+    products with the shared weights are 2-D and take a_b^T g_b and g_b @ W^T."""
     rng = np.random.default_rng(seed)
-    shapes = _block_shapes(step, h.shape)[1:]
+    layout = LAYERS["gc_layer" if step == "g" else "self_attention"]
+    shapes = _block_shapes(layout, h.shape)[1:]
     operands = [rng.normal(scale=0.3, size=shape) for shape in shapes]
 
     def grads(hv, gv):
         t = Tape()
         xs = [t.leaf(v, requires_grad=True) for v in (hv, *operands)]
-        t.gc_block(xs[0], _steps(step, xs[1:]), 2)
+        t.gc_block(xs[0], *_block_args(layout, xs[1:]), 2)
         return t.nodes[-1].backward_fn(gv)
 
     batched = grads(h, g)
@@ -980,7 +1034,7 @@ class TestSharedWeightGradients:
         x = t.leaf(rng.normal(size=shape), requires_grad=True)
         w = t.leaf(rng.normal(size=(shape[-1], 32)), requires_grad=True)
         b = t.leaf(rng.normal(size=(1, 32)), requires_grad=True)
-        out = linear(t, x, w, b)
+        out = t.linear(x, w, b)
         t.backward(t.sum_sq(out))
         g = 2.0 * out.values
         _assert_within_rounding(x.grad, np.stack([g_b @ w.values.T for g_b in g]))
@@ -992,7 +1046,7 @@ class TestSharedWeightGradients:
         rng = np.random.default_rng(92)
         h, g = rng.normal(size=shape), rng.normal(size=shape)
         batched, reference = _per_sample_step(step, h, g, 93)
-        assert len(batched) == (3 if step == "g" else 5)
+        assert len(batched) == (3 if step == "g" else 4)
         for got, want in zip(batched, reference):
             _assert_within_rounding(got, want)
 

@@ -9,15 +9,16 @@ import json
 import numpy as np
 import pytest
 
-from test_datagen import b64_values, edit_values, saved_predictor
+from test_datagen import b64_values, edit_values, per_layer_order, saved_predictor
 from moticomp.cli import dispatch
 from moticomp.datagen import default_manifest, load_checkpoint, manifest_to_json, save_checkpoint
 from moticomp.errors import CheckpointError
 from moticomp.predictor import PredictorConfig
 from moticomp.vae import init_vae
 
-# the fuzzed tensor: one in the middle of the file, 2-D, so a shape has two entries
-TENSOR = "whole.blk0.gc0.wgt"
+# the fuzzed tensor: one in the middle of the file, a block's (L, F, F) stack of
+# graph-conv weights, so a shape has three entries
+TENSOR = "whole.blk0.wgt"
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ def assert_eval_refuses(tmp_path, capsys, data, text, *named):
 def test_sound_checkpoint_evaluates(tmp_path, capsys, data, saved):
     path = tmp_path / "p.json"
     path.write_text(saved)
-    assert tensor(json.loads(saved))["shape"] == [8, 8]
+    assert tensor(json.loads(saved))["shape"] == [2, 8, 8]
     assert dispatch(["eval", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 0
 
@@ -90,13 +91,36 @@ def test_non_base64_character(tmp_path, capsys, data, saved, char):
                         f"tensor {TENSOR} values are not base64")
 
 
-@pytest.mark.parametrize("change,count", [(lambda flat: flat[:-1], 63),
-                                          (lambda flat: np.r_[flat, 0.0], 65)],
+@pytest.mark.parametrize("change,count", [(lambda flat: flat[:-1], 127),
+                                          (lambda flat: np.r_[flat, 0.0], 129)],
                          ids=["one_short", "one_long"])
 def test_payload_one_float_off(tmp_path, capsys, data, saved, change, count):
     assert_eval_refuses(tmp_path, capsys, data,
                         edited(saved, lambda doc: edit_values(tensor(doc), change)),
-                        f"tensor {TENSOR} holds {8 * count} bytes, expected 512 for shape (8, 8)")
+                        f"tensor {TENSOR} holds {8 * count} bytes, expected 1024 for shape "
+                        f"(2, 8, 8)")
+
+
+@pytest.mark.parametrize("name,shape", [
+    (TENSOR, [1, 8, 8]), (TENSOR, [3, 8, 8]),  # a block of another depth
+    (TENSOR, [16, 8]), (TENSOR, [2, 1, 8, 8]),  # the same values, another rank
+    ("whole.blk0.adj", [3, 24, 24]),
+    ("whole.blk0.attn", [2, 4, 8, 8]), ("whole.blk0.attn", [4, 8, 8]),  # attentions
+    ("whole.blk0.attn", [1, 3, 8, 8]),  # three projections, not four
+], ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)))
+def test_stack_of_another_shape(tmp_path, capsys, data, saved, name, shape):
+    """A stack's payload and shape agree, but the shape is not the model's."""
+    def reshape(doc):
+        entry = tensor(doc, name)
+        expected = tuple(entry["shape"])
+        edit_values(entry, lambda flat: np.resize(flat, int(np.prod(shape))))
+        entry["shape"] = shape
+        return expected
+
+    doc = json.loads(saved)
+    expected = reshape(doc)
+    assert_eval_refuses(tmp_path, capsys, data, json.dumps(doc),
+                        f"tensor {name} has shape {tuple(shape)}, expected {expected}")
 
 
 @pytest.mark.parametrize("shape", [[-8, -8], [8, -1], [8.0, 8], [4.5, 16], ["8", 8],
@@ -140,7 +164,23 @@ def test_v1_file(tmp_path, capsys, data, saved):
             as_decimal_list(entry)
 
     assert_eval_refuses(tmp_path, capsys, data, edited(saved, as_v1),
-                        "checkpoint version 1 is not supported (expected 2)")
+                        "checkpoint version 1 is not supported (expected 3)")
+
+
+def test_v2_file(tmp_path, capsys, data, saved):
+    """The file a version-2 writer made of the same model: one tensor per
+    layer's adjacency and weight, and per attention projection."""
+    def as_v2(doc):
+        doc["version"] = 2
+        stacks = {e["name"]: np.frombuffer(base64.b64decode(e["values"]), "<f8")
+                  .reshape(e["shape"]) for e in doc["tensors"]}
+        doc["tensors"] = [{"name": name, "shape": list(arr.shape), "values": b64_values(arr)}
+                          for name, arr in per_layer_order(stacks)]
+
+    text = edited(saved, as_v2)
+    assert '"whole.blk0.gc1.wgt"' in text and '"whole.blk0.attn0.wo"' in text
+    assert_eval_refuses(tmp_path, capsys, data, text,
+                        "checkpoint version 2 is not supported (expected 3)")
 
 
 def test_pre_blend_fusion_tensor(tmp_path, capsys, data, saved):

@@ -418,7 +418,7 @@ def test_synth_rejects_atomics_of_another_length_than_the_model(tiny_manifest, t
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["wave\nx", "wave\rx", "wave\u2028x", "wa/ve"])
+@pytest.mark.parametrize("name", ["wave\nx", "wave\rx", "wave\u2028x", "wa/ve", "wa\x00ve"])
 def test_gen_data_rejects_an_action_name_a_file_cannot_hold(tiny_manifest, tmp_path, capsys,
                                                             name):
     doc = json.loads(tiny_manifest.read_text())

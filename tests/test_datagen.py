@@ -537,11 +537,11 @@ class TestCheckpointTensors:
     def test_mis_shaped_predictor_tensor_named(self, tmp_path):
         path = tmp_path / "p.json"
         doc = saved_predictor(path)
-        entry = next(e for e in doc["tensors"] if e["name"] == "upper.blk0.gc0.adj")
-        entry["shape"] = [1, 225]
+        entry = next(e for e in doc["tensors"] if e["name"] == "upper.blk0.adj")
+        entry["shape"] = [2, 225]
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=r"tensor upper\.blk0\.gc0\.adj has shape "
-                                                  r"\(1, 225\), expected \(15, 15\)"):
+        with pytest.raises(CheckpointError, match=r"tensor upper\.blk0\.adj has shape "
+                                                  r"\(2, 225\), expected \(2, 15, 15\)"):
             load_checkpoint(path)
 
     def test_renamed_predictor_tensor_named(self, tmp_path):
@@ -680,6 +680,26 @@ def checkpoint_digest(path, model):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def per_layer_order(named: dict[str, np.ndarray]):
+    """(name, array) pairs of a predictor's dict by name (its parameters, or
+    their gradients) under the names and in the order of the layout of
+    version-2 checkpoints, one array per layer: each block's layers i as
+    gc{i}.adj and gc{i}.wgt, then its attentions a as attn{a}.wq, .wk, .wv
+    and .wo."""
+    for name, arr in named.items():
+        block, _, role = name.rpartition(".")
+        if role == "wgt":
+            for i, (adj, wgt) in enumerate(zip(named[f"{block}.adj"], arr)):
+                yield f"{block}.gc{i}.adj", adj
+                yield f"{block}.gc{i}.wgt", wgt
+        elif role == "attn":
+            for a, module in enumerate(arr):
+                for m, w in zip(("wq", "wk", "wv", "wo"), module):
+                    yield f"{block}.attn{a}.{m}", w
+        elif role != "adj":  # an adjacency comes with its weight
+            yield name, arr
+
+
 class TestSeededInitGolden:
     """Checkpoint bytes of freshly initialised models, pinned across refactors.
 
@@ -687,17 +707,30 @@ class TestSeededInitGolden:
     insertion order change.
     """
 
+    def test_default_predictor_draws_as_one_array_per_layer(self):
+        # the value is that of the per-layer layout, hashed over its
+        # named_parameters() in dict order: the stacks draw the same numbers
+        # in the same order
+        layout = PartLayout.from_skeleton(default_skeleton())
+        model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
+        digest = hashlib.sha256()
+        for _, arr in per_layer_order(model.named_parameters()):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "1ad0823440be4f9348e0dae2729640c593c07a317fbf153b2539b9308ebdc336")
+
     def test_default_predictor(self, tmp_path):
         layout = PartLayout.from_skeleton(default_skeleton())
         model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
         assert checkpoint_digest(tmp_path / "p.json", model) == (
-            "6eaa651f30b1c221fa8f85e2b158cb6a49d1d47e55d97f12eba0c9cf33b81ee2")
+            "17ded1382d67d29e3e6d8f9765d513621f8020c2cc9dd8460c37d9b0ce30e772")
 
     def test_small_vae(self, tmp_path):
+        # the file holds the checkpoint version, so a new version moves this too
         params = init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,
                           original_length=8, latent_dim=3, hidden_dims=(10,))
         assert checkpoint_digest(tmp_path / "v.json", params) == (
-            "23ee1369b6b867fe1ec1e7d2bc83ab8b127df01be05746060273bb7cc357f4c0")
+            "2cb86e57e18ae92be1237d735eb7175881a131b7ee3e759975859290a9184f99")
 
 
 def dataset_digest(manifest) -> str:

@@ -11,7 +11,7 @@ import pytest
 from moticomp.cli import dispatch
 from moticomp.datagen import (default_manifest, load_motion, manifest_to_json, save_motion,
                               save_split)
-from moticomp.errors import ParseError
+from moticomp.errors import ManifestError, ParseError
 from moticomp.motion import MotionSequence
 
 HEADER = "champlite v1 J=2 fps=10.0 frames=4 label=wave"
@@ -59,7 +59,8 @@ def test_non_ascii_label_round_trips_as_utf8(tmp_path):
 
 
 # labels that would break the one-line header or the file name save_split makes
-BAD_LABELS = ["a\nb", "a\rb", "a\r\nb", "a\u2028b", "a\x0bb", "a/b", "wave\n"]
+# (open refuses a path holding a NUL byte)
+BAD_LABELS = ["a\nb", "a\rb", "a\r\nb", "a\u2028b", "a\x0bb", "a/b", "wave\n", "a\x00b"]
 
 
 @pytest.mark.parametrize("label", BAD_LABELS)
@@ -189,6 +190,14 @@ def test_non_numeric_value_names_the_line(tmp_path, saved, value):
 ], ids=["empty", "blank", "header-only"])
 def test_empty_files(tmp_path, content, reason):
     assert_refused(tmp_path, content, reason)
+
+
+def test_manifest_action_name_holding_a_nul_is_refused():
+    # gen-data's exit code: tests/test_cli.py
+    manifest = default_manifest()
+    action = dataclasses.replace(manifest.actions[0], name="wa\x00ve")
+    with pytest.raises(ManifestError, match="holds '/' or a line break or a NUL byte"):
+        dataclasses.replace(manifest, actions=(action, *manifest.actions[1:]))
 
 
 def test_train_predictor_exits_two_on_a_bad_file(tmp_path, capsys):

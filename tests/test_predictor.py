@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from test_datagen import per_layer_order
 from test_exits import BAD_EXITS
 from moticomp.autodiff import SHARED, Tape, freeze
 from moticomp import predictor as predictor_module, training as training_module
@@ -17,7 +18,7 @@ from moticomp.errors import ConfigError, NumericError, ShapeError
 from moticomp.exits import count_flops, policy_macs
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
-from moticomp.predictor import (ATTENTION_WEIGHTS, BRANCH_KINDS, PredictorConfig,
+from moticomp.predictor import (BRANCH_KINDS, PredictorConfig,
                                 _block_forward, _branch_encode, _branch_tail,
                                 _forward_core, _prepare_branch_inputs,
                                 branch_node_counts, init_predictor, pad_last_frame, predict)
@@ -42,8 +43,8 @@ def toy_params(seed=0, **overrides):
 
 def gc_layer_forward(h, adjacency, weight):
     tape = Tape()
-    return tape.gc_block(tape.constant(h), [(tape.constant(adjacency),
-                                             tape.constant(weight))], 1).values
+    return tape.gc_block(tape.constant(h), tape.constant(adjacency[None]),
+                         tape.constant(weight[None]), None, (), 1).values
 
 
 class TestGcLayer:
@@ -76,9 +77,14 @@ class TestGcLayer:
 
 
 def self_attention(h, heads, params):
+    """The attention of params (wq, wk, wv, wo) behind the one graph
+    convolution a block needs, an identity one: on h, it reads tanh(h)."""
     tape = Tape()
-    weights = tuple(tape.constant(params[m]) for m in ATTENTION_WEIGHTS)
-    return tape.gc_block(tape.constant(h), [weights], heads).values
+    n, f = h.shape
+    weights = np.stack([params[m] for m in ("wq", "wk", "wv", "wo")])[None]
+    return tape.gc_block(tape.constant(h), tape.constant(np.eye(n)[None]),
+                         tape.constant(np.eye(f)[None]), tape.constant(weights), (1,),
+                         heads).values
 
 
 class TestSelfAttention:
@@ -92,14 +98,15 @@ class TestSelfAttention:
         rng = np.random.default_rng(4)
         params = self.make_params(rng, 4, 2, zero_output=True)
         h = rng.normal(size=(3, 4))
-        assert np.array_equal(self_attention(h, 2, params), h)
+        assert np.array_equal(self_attention(h, 2, params), np.tanh(h))
 
     def test_single_node_single_head(self):
         rng = np.random.default_rng(5)
         params = self.make_params(rng, 4, 1)
         h = rng.normal(size=(1, 4))
+        x = np.tanh(h)
         # softmax over a singleton is exactly 1, so context = value projection
-        expected = h + (h @ params["wv"]) @ params["wo"]
+        expected = x + (x @ params["wv"]) @ params["wo"]
         assert np.allclose(self_attention(h, 1, params), expected, atol=1e-12)
 
     def test_matches_per_head_brute_force(self):
@@ -107,7 +114,8 @@ class TestSelfAttention:
         heads, n, width = 2, 3, 6
         params = self.make_params(rng, width, heads)
         h = rng.normal(size=(n, width))
-        q, k, v = h @ params["wq"], h @ params["wk"], h @ params["wv"]
+        x = np.tanh(h)
+        q, k, v = x @ params["wq"], x @ params["wk"], x @ params["wv"]
         dh = width // heads
         ctx = np.zeros((n, width))
         for hd in range(heads):
@@ -116,7 +124,7 @@ class TestSelfAttention:
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             attn = e / e.sum(axis=1, keepdims=True)
             ctx[:, sl] = attn @ v[:, sl]
-        expected = h + ctx @ params["wo"]
+        expected = x + ctx @ params["wo"]
         assert np.allclose(self_attention(h, heads, params), expected, atol=1e-12)
 
     def test_indivisible_width_rejected(self):
@@ -158,7 +166,8 @@ class TestSelfAttention:
         # PredictorConfig refuses such a width; the tape kind refuses the shapes
         rng = np.random.default_rng(7)
         params = self.make_params(rng, 4, 2)
-        with pytest.raises(ShapeError, match=r"gc_block attn0 of \(3, 4\) in 3 heads"):
+        with pytest.raises(ShapeError, match=r"gc_block operands do not conform: h \(3, 4\), "
+                                             r".* in 3 heads"):
             self_attention(rng.normal(size=(3, 4)), 3, params)
 
 
@@ -223,9 +232,8 @@ class TestBranchForward:
         x = rng.normal(size=branch_input_shape(params, "upper"))
         before = branch_forward_to_exit(params, "upper", x, 2)
         # wreck block 3; exits 1 and 2 must not notice
-        for i in range(params.config.layers_per_block):
-            params.arrays[f"upper.blk2.gc{i}.adj"][:] = 1e9
-            params.arrays[f"upper.blk2.gc{i}.wgt"][:] = -1e9
+        params.arrays["upper.blk2.adj"][:] = 1e9
+        params.arrays["upper.blk2.wgt"][:] = -1e9
         after = branch_forward_to_exit(params, "upper", x, 2)
         assert np.array_equal(before, after)
 
@@ -237,10 +245,10 @@ class TestBranchForward:
                                   np.zeros_like(x))
 
     @pytest.mark.parametrize("overrides", [{}, dict(layers_per_block=5, attention_every=2,
-                                                    heads=1)])
+                                                    heads=1), dict(attention_every=9)])
     def test_block_records_one_node(self, overrides):
-        # its operands: h, then each layer's adj and wgt, each followed by an
-        # attention's projections where config.attention_positions puts one
+        # its operands: h, then the block's stacks of adjacencies, weights and,
+        # where config.attention_positions puts any, attention projections
         params = toy_params(seed=30, **overrides)
         cfg = params.config
         tape = Tape()
@@ -248,13 +256,10 @@ class TestBranchForward:
         h = tape.constant(np.random.default_rng(31).normal(
             size=(3, branch_node_counts(params.layout)["whole"], cfg.feature_width)))
         _block_forward(tape, cfg, tensors, "whole.blk0", h)
-        expected = [h]
-        for i in range(cfg.layers_per_block):
-            expected += [tensors[f"whole.blk0.gc{i}.{m}"] for m in ("adj", "wgt")]
-            if i + 1 in cfg.attention_positions:
-                a = cfg.attention_positions.index(i + 1)
-                expected += [tensors[f"whole.blk0.attn{a}.{m}"] for m in ATTENTION_WEIGHTS]
-        assert len(expected) == 1 + 2 * cfg.layers_per_block + 4 * len(cfg.attention_positions)
+        expected = [h, tensors["whole.blk0.adj"], tensors["whole.blk0.wgt"]]
+        if cfg.attention_positions:
+            expected.append(tensors["whole.blk0.attn"])
+        assert ("whole.blk0.attn" in tensors) == bool(cfg.attention_positions)
         assert [node.kind for node in tape.nodes] == ["gc_block"]
         assert tape.nodes[0].input_ids == tuple(t.tid for t in expected)
 
@@ -364,6 +369,19 @@ class TestPredict:
         _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) == budget
 
+    def test_default_model_holds_one_array_per_block_role(self):
+        # per branch the encoder's two, three per block and the decoder's two;
+        # the exit policies add four each
+        layout = PartLayout.from_skeleton(default_skeleton())
+        model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
+        named = model.params.named_parameters()
+        assert len(named) == 3 * (2 + 3 * 3 + 2) == 39
+        assert len(model.named_parameters()) == 39 + 3 * 4 == 51
+        assert [(name, arr.shape) for name, arr in named.items() if ".blk1." in name
+                and name.startswith("whole")] == [
+            ("whole.blk1.adj", (8, 24, 24)), ("whole.blk1.wgt", (8, 32, 32)),
+            ("whole.blk1.attn", (2, 4, 32, 32))]
+
     def test_default_model_tape_copies_only_what_the_history_gives(self):
         # the front end (the DCT of the padded history plus that of its newest
         # window), its two part splits and the padded history;
@@ -410,7 +428,7 @@ class TestPredict:
             parts = tuple(UPPER if i >= upper_from else LOWER for i in range(4))
             layout = PartLayout.from_skeleton(Skeleton(parent=parents, part_of=parts))
             params = init_predictor(np.random.default_rng(27), layout, toy_config())
-            up, lo, wh = (params.arrays[f"{kind}.blk0.gc0.adj"].shape[0]
+            up, lo, wh = (params.arrays[f"{kind}.blk0.adj"].shape[1]
                           for kind in BRANCH_KINDS)
             assert up + lo == wh == layout.size
 
@@ -431,8 +449,10 @@ class TestGradientFlow:
         pred = _forward_core(tape, params, tensors, hist[None], (3, 3, 3))
         diff = tape.add(pred, tape.constant(-gt[None]))
         tape.backward(tape.sum_sq(diff))
-        dead = [name for name in named
-                if float(np.abs(tensors[name].grad).max()) == 0.0]
+        # each matrix of a stack on its own: one layer's adjacency, say
+        dead = [(name, i) for name in named for i, grad in enumerate(
+                    tensors[name].grad.reshape(-1, *named[name].shape[-2:]))
+                if float(np.abs(grad).max()) == 0.0]
         assert dead == []
 
 
@@ -631,8 +651,8 @@ class TestInferenceTapes:
             assert (node.backward_fn is not None) == tape.tensors[node.output_id].requires_grad
         assert [node.kind for node in tape.nodes if node.backward_fn is None] == []
         digest = hashlib.blake2b(digest_size=16)
-        for name in named:
-            digest.update(tensors[name].grad.tobytes())
+        for _, grad in per_layer_order({name: tensors[name].grad for name in named}):
+            digest.update(grad.tobytes())
         assert digest.hexdigest() == "39dbe28d5d390e37d5eaa66747ad44e4"
 
     def test_full_depth_batch_memory(self, default_model_and_test_histories):
