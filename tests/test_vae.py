@@ -8,7 +8,7 @@ import pytest
 from gradcheck import grad_check
 from moticomp import vae
 from moticomp.autodiff import Tape
-from moticomp.datagen import build_dataset, default_manifest
+from moticomp.datagen import build_dataset, composite_sources, default_manifest
 from moticomp.dct import dct_encode
 from moticomp.errors import ConfigError, ShapeError
 from moticomp.layers import bind
@@ -564,3 +564,28 @@ class TestTrainCagGolden:
             b"".join(arr.tobytes() for arr in result.params.named_parameters().values())
             + repr(result.loss_history).encode()).hexdigest()
         assert digest == "2930ea89ae56c1283d571a106c96643ecc6cc8d69bcc1b0c014b86081e8bba4d"
+
+
+class TestSynthesisGolden:
+    """Bytes of masked_fuse at 10, 25 and 30 coefficients and of a noisy
+    synthesize_composite for the 18 default (upper, lower) pairs, plus
+    reconstruction_mpjpe, on a small seeded train_cag model. Pinned before the
+    fusion came to share one implementation with compose_oracle; they change if
+    the fusion, the DCT, the VAE forward or the error's reduction order change."""
+
+    def test_fusions_syntheses_and_reconstruction_error(self):
+        manifest = default_manifest()
+        train = build_dataset(manifest).train[:40]
+        params = train_cag(train, CagTrainConfig(epochs=2, n_coeffs=25, hidden_dims=(16,),
+                                                 batch_size=8, seed=5)).params
+        mask = BodyMask.from_layout(PartLayout.from_skeleton(manifest.skeleton))
+        noise_rng = np.random.default_rng(6)
+        chunks = []
+        for s_m, s_n in composite_sources(manifest, 1, 900):
+            chunks += [masked_fuse(s_m, s_n, mask, n).tobytes() for n in (10, 25, 30)]
+            noise = noise_rng.standard_normal(params.latent_dim)
+            chunks.append(synthesize_composite(params, s_m, s_n, mask, 25, noise).data.tobytes())
+        chunks.append(repr(reconstruction_mpjpe(params, train)).encode())
+        digest = hashlib.sha256(b"".join(chunks)).hexdigest()
+        assert len(chunks) == 18 * 4 + 1
+        assert digest == "0b27e8314f294135ca837ede33d64592d2a05dce8150f9697d60a2160aff2d60"
