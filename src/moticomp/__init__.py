@@ -11,17 +11,16 @@ reverse-mode autodiff engine, CPU only, deterministic under fixed seeds.
 from .autodiff import Tape, Tensor
 from .dct import dct_encode, idct_decode
 from .datagen import (ActionSpec, DatasetManifest, DatasetSplits, build_dataset,
-                      compose_oracle, default_manifest, default_skeleton,
-                      generate_atomic, load_checkpoint, load_motion,
-                      manifest_from_json, manifest_to_json, save_checkpoint,
-                      save_motion)
+                      default_manifest, default_skeleton, generate_atomic,
+                      load_checkpoint, load_motion, manifest_from_json,
+                      manifest_to_json, save_checkpoint, save_motion)
 from .exits import FlopsReport, count_flops
 from .motion import MotionSequence, PartLayout, Skeleton
 from .predictor import PredictorConfig, PredictorParams, init_predictor, predict
 from .training import (AdamState, EvalReport, PredictorModel, TrainConfig,
                        TrainResult, adam_step, evaluate, init_predictor_model,
                        mpjpe_metric, train_predictor)
-from .vae import (BodyMask, CagTrainConfig, VaeParams, init_vae, masked_fuse,
-                  reconstruction_mpjpe, synthesize_composite, train_cag)
+from .vae import (BodyMask, CagTrainConfig, VaeParams, compose_oracle, init_vae,
+                  masked_fuse, reconstruction_mpjpe, synthesize_composite, train_cag)
 
 __version__ = "0.1.0"

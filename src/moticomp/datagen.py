@@ -21,12 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import freeze
-from .errors import (CheckpointError, ConfigError, ManifestError, ParseError, ShapeError,
+from .errors import (CheckpointError, ConfigError, ManifestError, ParseError,
                      finite, require_at_least)
 from .motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from .predictor import PredictorConfig
 from .training import PredictorModel, init_predictor_model
-from .vae import BodyMask, VaeParams, init_vae
+from .vae import BodyMask, VaeParams, compose_oracle, init_vae
 
 MOTION_MAGIC = "champlite v1"
 MANIFEST_FORMAT = "moticomp-manifest"
@@ -158,23 +158,6 @@ def generate_atomic(spec: ActionSpec, skeleton: Skeleton, length: int, fps: floa
         noise = rng.normal(0.0, spec.noise_std, size=(moving.size, length, 3))
         data.reshape(length, -1, 3)[:, moving] += noise.swapaxes(0, 1)
     return MotionSequence(data=data, fps=fps, label=spec.name)
-
-
-def compose_oracle(seq_upper_action: MotionSequence, seq_lower_action: MotionSequence,
-                   mask: BodyMask) -> MotionSequence:
-    """Exact time-domain composite: mask picks coordinates from the first input."""
-    if seq_upper_action.data.shape != seq_lower_action.data.shape:
-        raise ShapeError(
-            f"sequence shapes differ: {seq_upper_action.data.shape} vs "
-            f"{seq_lower_action.data.shape}"
-        )
-    if mask.m.size != seq_upper_action.data.shape[1]:
-        raise ShapeError("mask width does not match the sequences")
-    if seq_upper_action.fps != seq_lower_action.fps:
-        raise ValueError("fps differ between the two sequences")
-    data = mask.m * seq_upper_action.data + mask.complement * seq_lower_action.data
-    label = f"{seq_upper_action.label}+{seq_lower_action.label}"
-    return MotionSequence(data=data, fps=seq_upper_action.fps, label=label)
 
 
 # ----------------------------------------------------------------------

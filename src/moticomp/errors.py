@@ -48,31 +48,23 @@ def require_positive_finite(config, *keys: str, zero_ok: bool = False) -> None:
                               f"got {value}")
 
 
-def require_sizes(key: str, values) -> None:
-    """Raise ConfigError naming key unless each of values is an integer
-    (Python or numpy) in 1..sys.maxsize."""
-    values = list(values)
-    if not all(isinstance(v, numbers.Integral) for v in values):
-        raise ConfigError(f"{key} entries must be integers, got {values}")
-    if any(v < 1 for v in values):
-        raise ConfigError(f"{key} entries must be >= 1, got {values}")
-    if any(v > sys.maxsize for v in values):
-        raise ConfigError(f"{key} entries must be <= {sys.maxsize}, got {values}")
-
-
 def require_at_least(config, low: int, *keys: str, error: type = ConfigError,
                      high: int | None = sys.maxsize) -> None:
-    """Raise error naming the first of keys whose value in config is not an
-    integer (Python or numpy), is below low, or is above high: by default
-    sys.maxsize, the largest size or index numpy holds (a seed passes
-    high=None); a key holding None, an optional left unset, passes."""
+    """Raise error naming the first of keys whose value in config, or any entry
+    of a tuple or list value, is not an integer (Python or numpy; a bool is
+    not one), is below low, or is above high: by default sys.maxsize, the
+    largest size or index numpy holds (a seed passes high=None); a key holding
+    None, an optional left unset, passes."""
     for key in keys:
         value = getattr(config, key)
         if value is None:
             continue
-        if not isinstance(value, numbers.Integral):
-            raise error(f"{key} must be an integer, got {value!r}")
-        if value < low:
-            raise error(f"{key} must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise error(f"{key} must be <= {high}, got {value}")
+        entries = ([(f"{key}[{i}]", v) for i, v in enumerate(value)]
+                   if isinstance(value, (tuple, list)) else [(key, value)])
+        for name, v in entries:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise error(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise error(f"{name} must be >= {low}, got {v}")
+            if high is not None and v > high:
+                raise error(f"{name} must be <= {high}, got {v}")

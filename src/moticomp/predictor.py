@@ -135,6 +135,10 @@ def _init_branch(rng: np.random.Generator, kind: str, node_count: int,
 
 def init_predictor(rng: np.random.Generator, layout: PartLayout,
                    config: PredictorConfig) -> PredictorParams:
+    for kind, node_count in branch_node_counts(layout).items():
+        if not node_count:
+            raise ConfigError(f"the layout's {kind} body part is empty: "
+                              f"the {kind} branch needs at least one coordinate")
     # the draws of the two (sub_len * E, 16) projections that a learned front
     # end once made first: skipping them would change every seeded model, and
     # so every digest and benchmark figure pinned on one
@@ -269,12 +273,12 @@ def _assemble_prediction(tape: Tape, params: PredictorParams,
     cfg = params.config
     parts = tape.gather([outputs["upper"], outputs["lower"]],
                         _part_indices(params.layout)[2], axis=-2)
-    blend = tape.scale(tape.add(outputs["whole"], parts), 0.5)
+    blend = tape.add(outputs["whole"], parts)  # halved with the output scale
     total = cfg.input_frames + cfg.output_frames
     correction = tape.matmul(shared_constant(idct_basis(total, cfg.resolved_n_coeffs)),
                              tape.transpose(blend))
     padded = tape.constant(pad_last_frame(history, cfg.output_frames))
-    return tape.add(padded, tape.scale(correction, cfg.coeff_scale))
+    return tape.add(padded, tape.scale(correction, 0.5 * cfg.coeff_scale))
 
 
 def _forward_core(tape: Tape, params: PredictorParams, tensors: dict[str, Tensor],

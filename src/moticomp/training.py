@@ -9,11 +9,11 @@ plain Euclidean per-joint distance at individual future frames.
 from __future__ import annotations
 
 import copy
-import numbers
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -486,12 +486,9 @@ def evaluate(model: PredictorModel, test_set: list[MotionSequence],
         raise ValueError("test set is empty")
     cfg = model.params.config
     n_input, n_output = cfg.input_frames, cfg.output_frames
-    for h in horizon_frames:
-        if isinstance(h, bool) or not isinstance(h, numbers.Integral):
-            raise ValueError(f"horizon frame {h} is not an integer")
-        if not 1 <= h <= n_output:
-            raise ValueError(f"horizon frame {h} outside 1..{n_output}")
-    horizon_frames = tuple(int(h) for h in horizon_frames)
+    horizons = SimpleNamespace(horizon_frames=tuple(horizon_frames))
+    require_at_least(horizons, 1, "horizon_frames", error=ValueError, high=n_output)
+    horizon_frames = tuple(int(h) for h in horizons.horizon_frames)
 
     _check_dataset(test_set, (n_input + n_output, model.params.layout.size), "test")
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, freeze
 from .dct import dct_encode, idct_decode
-from .errors import (ConfigError, ShapeError, require_at_least, require_positive_finite,
-                     require_sizes)
+from .errors import ConfigError, ShapeError, require_at_least, require_positive_finite
 from .layers import bind, init_linear, mlp
 from .motion import MotionSequence, PartLayout
 from .training import _check_dataset, _fit
@@ -71,12 +70,12 @@ def init_vae(rng: np.random.Generator, coeff_rows: int, coeff_cols: int,
              original_length: int, latent_dim: int = 16,
              hidden_dims: tuple[int, ...] = (256, 256)) -> VaeParams:
     sizes = SimpleNamespace(original_length=original_length, coeff_rows=coeff_rows,
-                            coeff_cols=coeff_cols, latent_dim=latent_dim)
+                            coeff_cols=coeff_cols, latent_dim=latent_dim,
+                            hidden_dims=hidden_dims)
     require_at_least(sizes, 1, *vars(sizes))
     if coeff_rows > original_length:
         raise ConfigError(f"config key 'coeff_rows' holds {coeff_rows}, expected "
                           f"1..original_length ({original_length})")
-    require_sizes("hidden_dims", hidden_dims)
     d_in = coeff_rows * coeff_cols
     enc_dims = (d_in, *hidden_dims, 2 * latent_dim)
     dec_dims = (latent_dim, *hidden_dims, d_in)
@@ -115,6 +114,18 @@ class BodyMask:
     @property
     def complement(self) -> np.ndarray:
         return 1.0 - self.m
+
+
+def compose_oracle(seq_upper_action: MotionSequence, seq_lower_action: MotionSequence,
+                   mask: BodyMask) -> MotionSequence:
+    """Exact time-domain composite: mask picks coordinates from the first input."""
+    _check_dataset([seq_upper_action, seq_lower_action], seq_upper_action.data.shape, "fused")
+    if mask.m.size != seq_upper_action.data.shape[1]:
+        raise ShapeError(f"mask width {mask.m.size} != pose width "
+                         f"{seq_upper_action.data.shape[1]}")
+    data = mask.m * seq_upper_action.data + mask.complement * seq_lower_action.data
+    label = f"{seq_upper_action.label}+{seq_lower_action.label}"
+    return MotionSequence(data=data, fps=seq_upper_action.fps, label=label)
 
 
 # ----------------------------------------------------------------------
@@ -162,15 +173,6 @@ def _elbo(tape: Tape, target_flat: Tensor, recon_flat: Tensor, mu: Tensor,
 # ----------------------------------------------------------------------
 # public operations
 
-def _check_sequence(params: VaeParams, shape: tuple[int, int]) -> None:
-    """Raise ShapeError unless a (frames, 3J) sequence shape is the model's."""
-    if shape[0] != params.original_length:
-        raise ShapeError(f"sequence of {shape[0]} frames does not match "
-                         f"the model's {params.original_length}")
-    if shape[1] != params.coeff_cols:
-        raise ShapeError(f"pose width {shape[1]} does not match the model's {params.coeff_cols}")
-
-
 def _reconstruct(params: VaeParams, coeffs: np.ndarray, n_frames: int,
                  noise: np.ndarray) -> np.ndarray:
     """Encode each (F, 3J) matrix of coeffs (B, F, 3J) as one row, draw z = mu +
@@ -188,13 +190,11 @@ def _reconstruct(params: VaeParams, coeffs: np.ndarray, n_frames: int,
 
 def masked_fuse(s_m: MotionSequence, s_n: MotionSequence, mask: BodyMask,
                 n_coeffs: int) -> np.ndarray:
-    """Combine two actions' (n_coeffs, 3J) DCTs: mask picks columns from the first."""
-    if s_m.data.shape != s_n.data.shape:
-        raise ShapeError(f"sequence shapes differ: {s_m.data.shape} vs {s_n.data.shape}")
-    if mask.m.size != s_m.data.shape[1]:
-        raise ShapeError(f"mask width {mask.m.size} != pose width {s_m.data.shape[1]}")
-    a_m, a_n = dct_encode(np.stack([s_m.data, s_n.data]), n_coeffs)
-    return mask.m * a_m + mask.complement * a_n
+    """Fuse two actions in the coefficient domain: the first n_coeffs DCT
+    coefficients (n_coeffs, 3J) of their compose_oracle, which equal the mask
+    picking columns of the first action's DCT, since a 0/1 mask commutes
+    exactly with it."""
+    return dct_encode(compose_oracle(s_m, s_n, mask).data, n_coeffs)
 
 
 def synthesize_composite(params: VaeParams, s_m: MotionSequence, s_n: MotionSequence,
@@ -205,10 +205,8 @@ def synthesize_composite(params: VaeParams, s_m: MotionSequence, s_n: MotionSequ
     noise=None uses the latent mean (deterministic); otherwise the provided
     standard-normal vector drives the reparameterized draw.
     """
-    if s_m.fps != s_n.fps:
-        raise ValueError(f"fps differ: {s_m.fps} vs {s_n.fps}")
+    _check_dataset([s_m, s_n], (params.original_length, params.coeff_cols), "synthesis")
     fused = masked_fuse(s_m, s_n, mask, n_coeffs)
-    _check_sequence(params, s_m.data.shape)
     noise = np.zeros(params.latent_dim) if noise is None else np.asarray(noise, dtype=np.float64)
     if noise.size != params.latent_dim:
         raise ShapeError(f"noise size {noise.size} != latent_dim {params.latent_dim}")
@@ -235,8 +233,7 @@ class CagTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_at_least(self, 1, "batch_size", "latent_dim", "n_coeffs")
-        require_sizes("hidden_dims", self.hidden_dims)
+        require_at_least(self, 1, "batch_size", "latent_dim", "n_coeffs", "hidden_dims")
         require_at_least(self, 0, "epochs")
         require_at_least(self, 0, "seed", high=None)
         require_positive_finite(self, "lr", "normalization_margin")
@@ -292,8 +289,7 @@ def reconstruction_mpjpe(params: VaeParams, dataset: list[MotionSequence]) -> fl
     """Mean per-joint Euclidean error of deterministic reconstructions, in mm."""
     if not dataset:
         raise ValueError("dataset is empty")
-    for seq in dataset:  # before they are stacked
-        _check_sequence(params, seq.data.shape)
+    _check_dataset(dataset, (params.original_length, params.coeff_cols), "dataset")
     data = np.stack([seq.data for seq in dataset])
     recons = _reconstruct(params, dct_encode(data, params.coeff_rows), params.original_length,
                           np.zeros((len(dataset), params.latent_dim)))

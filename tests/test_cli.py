@@ -302,6 +302,25 @@ def test_train_predictor_run_info_echoes_resolved_configs(tiny_manifest, tmp_pat
     assert info["config"] == {**dataclasses.asdict(train), **dataclasses.asdict(model)}
 
 
+def test_train_predictor_on_an_all_lower_skeleton_names_the_empty_part(tiny_manifest,
+                                                                      tmp_path, capsys):
+    doc = json.loads(tiny_manifest.read_text())
+    doc["joint_parts"] = ["lower"] * len(doc["joint_parts"])
+    tiny_manifest.write_text(json.dumps(doc))
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
+    cfg = tmp_path / "pred.json"
+    cfg.write_text(json.dumps({"epochs": 1, "constrain_epochs": 1, "feature_width": 8,
+                               "policy_hidden": 4}))
+    capsys.readouterr()
+    assert dispatch(["train-predictor", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "pred")]) == 2
+    err = capsys.readouterr().err
+    assert "the layout's upper body part is empty" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "pred").exists()
+
+
 def test_zero_heads_exits_two_naming_heads(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"heads": 0}))
@@ -414,7 +433,8 @@ def test_synth_rejects_atomics_of_another_length_than_the_model(tiny_manifest, t
     assert dispatch(["synth", "--model", str(vae_path), "--manifest", str(tiny_manifest),
                      "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "sequence of 40 frames does not match the model's 30" in err
+    assert "synthesis sequence 0 (" in err
+    assert "has shape (40, 24), expected (30, 24)" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from moticomp.datagen import (ActionSpec, CHECKPOINT_VERSION, build_dataset, compose_oracle, default_manifest,
+from moticomp.datagen import (ActionSpec, CHECKPOINT_VERSION, build_dataset, default_manifest,
                               composite_sources, default_skeleton, generate_atomic,
                               load_checkpoint, load_motion, load_split, manifest_from_json,
                               manifest_to_json, rest_pose, save_checkpoint,
@@ -19,8 +19,8 @@ from moticomp.errors import (CheckpointError, ConfigError, ManifestError,
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import PredictorConfig
 from moticomp.training import init_predictor_model
-from moticomp.vae import BodyMask, CagTrainConfig, init_vae, masked_fuse, train_cag, \
-    synthesize_composite
+from moticomp.vae import BodyMask, CagTrainConfig, compose_oracle, init_vae, masked_fuse, \
+    train_cag, synthesize_composite
 
 
 class TestGenerateAtomic:
@@ -497,6 +497,17 @@ class TestPredictorCheckpointErrors:
         with pytest.raises(CheckpointError, match=f"config key '{key}' holds"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("empty,full", [("upper", "lower"), ("lower", "upper")])
+    def test_empty_body_part_named(self, tmp_path, empty, full):
+        path = tmp_path / "p.json"
+        doc = saved_predictor(path)
+        config = doc["config"]
+        config[f"{full}_dims"] = sorted(config["upper_dims"] + config["lower_dims"])
+        config[f"{empty}_dims"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"the layout's {empty} body part is empty"):
+            load_checkpoint(path)
+
     def test_front_end_projections_refused(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(with_front_end_projections(saved_predictor(path))))
@@ -854,6 +865,15 @@ class TestBuildDataset:
         doc[key] = -5
         with pytest.raises(ManifestError, match=f"{key} must be >= 0, got -5"):
             manifest_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("key", ["sequence_length", "train_per_action", "val_per_atomic",
+                                     "test_per_atomic", "val_per_composite",
+                                     "test_per_composite", "train_seed", "val_seed",
+                                     "test_seed"])
+    def test_bool_count_named(self, key, value):
+        with pytest.raises(ManifestError, match=f"{key} must be an integer, got {value}"):
+            dataclasses.replace(default_manifest(), **{key: value})
 
     def test_overlapping_seed_ranges_rejected(self):
         man = default_manifest()

@@ -152,6 +152,15 @@ class TestSelfAttention:
         with pytest.raises(ConfigError, match=f"{key} must be an integer, got 2.0"):
             PredictorConfig(**{key: 2.0})
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("key", ["input_frames", "output_frames", "n_coeffs",
+                                     "feature_width", "heads", "n_blocks", "layers_per_block",
+                                     "attention_every", "policy_hidden"])
+    def test_bool_size_rejected(self, key, value):
+        # before, n_blocks=True constructed and init failed with a bare TypeError
+        with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value}"):
+            PredictorConfig(**{key: value})
+
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, pytest.param(10 ** 400, id="huge_int")])
     def test_non_positive_or_non_finite_coeff_scale_rejected(self, scale):
         with pytest.raises(ConfigError, match=f"coeff_scale must be finite and > 0, got {scale}"):
@@ -362,12 +371,22 @@ class TestPredict:
         _forward_core(tape, params, tensors, hist.data[None], exits)
         return params, tape
 
-    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 16), ((3, 3, 3), 22)])
+    @pytest.mark.parametrize("exits,budget", [((1, 1, 1), 15), ((3, 3, 3), 21)])
     def test_default_model_node_budget(self, exits, budget):
         # one node per block and per linear layer and one gather for the merge;
-        # none for the front end and its part splits, which are constants
+        # none for the front end and its part splits, which are constants, and
+        # none to halve the blend, which the output scale folds in
         _, tape = self.default_model_tape(exits)
         assert len(tape.nodes) == budget
+
+    @pytest.mark.parametrize("part_of,empty", [((LOWER, LOWER), "upper"),
+                                               ((UPPER, UPPER), "lower")])
+    def test_empty_body_part_named(self, part_of, empty):
+        # before, evaluate and train_predictor divided by zero in the exit
+        # policy and predict's attention reduced an empty array
+        layout = PartLayout.from_skeleton(Skeleton(parent=(0, 0), part_of=part_of))
+        with pytest.raises(ConfigError, match=f"the layout's {empty} body part is empty"):
+            init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
 
     def test_default_model_holds_one_array_per_block_role(self):
         # per branch the encoder's two, three per block and the decoder's two;

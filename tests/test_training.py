@@ -428,7 +428,7 @@ class TestTrainPredictor:
         with pytest.raises(ConfigError, match=f"{key} must be >= {low}, got {value}"):
             TrainConfig(**{key: value})
 
-    @pytest.mark.parametrize("value", [2.5, 1.0, np.nan])
+    @pytest.mark.parametrize("value", [2.5, 1.0, np.nan, True, False])
     @pytest.mark.parametrize("key", ["batch_size", "epochs", "constrain_epochs", "seed"])
     def test_non_integral_key_named(self, key, value):
         with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, "
@@ -572,7 +572,8 @@ class TestBaselineAndEvaluate:
                                               ((1, np.float64(2.0)), "2.0")])
     def test_non_integer_horizon_named(self, horizons, bad):
         model, _, _, _, val = tiny_setup(seed=6)
-        with pytest.raises(ValueError, match=f"horizon frame {bad} is not an integer"):
+        with pytest.raises(ValueError, match=rf"horizon_frames\[\d\] must be an integer, "
+                                             rf"got .*{bad}"):
             evaluate(model, val, horizons)
 
     def test_numpy_integer_horizons_accepted(self):

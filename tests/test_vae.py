@@ -111,7 +111,7 @@ class TestEncodeDecode:
         ("coeff_rows", 0, "coeff_rows must be >= 1, got 0"),
         ("coeff_cols", -1, "coeff_cols must be >= 1, got -1"),
         ("latent_dim", 0, "latent_dim must be >= 1, got 0"),
-        ("hidden_dims", (10, 0), r"hidden_dims entries must be >= 1, got \[10, 0\]"),
+        ("hidden_dims", (10, 0), r"hidden_dims\[1\] must be >= 1, got 0"),
         ("original_length", 0, "original_length must be >= 1, got 0"),
         ("original_length", -1, "original_length must be >= 1, got -1")])
     def test_non_positive_sizes_named(self, key, value, match):
@@ -310,8 +310,8 @@ class TestBatchedRows:
         rng = np.random.default_rng(24)
         params = small_params(rng)
         data = make_sequences(rng, 2) + make_sequences(rng, 1, length=LENGTH - 1)
-        with pytest.raises(ShapeError, match="sequence of 7 frames does not match "
-                                             "the model's 8"):
+        with pytest.raises(ShapeError, match=r"dataset sequence 2 \('a0'\) has shape \(7, 6\), "
+                                             r"expected \(8, 6\)"):
             reconstruction_mpjpe(params, data)
 
 
@@ -319,8 +319,18 @@ class TestBatchedRows:
         rng = np.random.default_rng(26)
         params = small_params(rng)
         data = make_sequences(rng, 2) + make_sequences(rng, 1, cols=COLS + 3)
-        with pytest.raises(ShapeError, match=f"pose width {COLS + 3} does not match "
-                                             f"the model's {COLS}"):
+        with pytest.raises(ShapeError, match=rf"dataset sequence 2 \('a0'\) has shape "
+                                             rf"\({LENGTH}, {COLS + 3}\), "
+                                             rf"expected \({LENGTH}, {COLS}\)"):
+            reconstruction_mpjpe(params, data)
+
+    def test_reconstruction_mpjpe_rejects_mixed_frame_rates(self):
+        rng = np.random.default_rng(28)
+        params = small_params(rng)
+        data = make_sequences(rng, 3)
+        data[1] = MotionSequence(data=data[1].data, fps=25.0, label="fast")
+        with pytest.raises(ValueError, match=r"dataset sequence 1 \('fast'\) has fps 25.0, "
+                                             "sequence 0 has 10.0"):
             reconstruction_mpjpe(params, data)
 
 
@@ -434,8 +444,8 @@ class TestSynthesis:
         rng = np.random.default_rng(18)
         params = small_params(rng)
         s_m, s_n = make_sequences(rng, 2, length=LENGTH + 2)
-        with pytest.raises(ShapeError, match="sequence of 10 frames does not match "
-                                             "the model's 8"):
+        with pytest.raises(ShapeError, match=r"synthesis sequence 0 \('a0'\) has shape "
+                                             r"\(10, 6\), expected \(8, 6\)"):
             synthesize_composite(params, s_m, s_n, BodyMask(m=np.ones(COLS)), F)
 
     def test_fps_mismatch_raises_before_the_model_runs(self, monkeypatch):
@@ -445,7 +455,8 @@ class TestSynthesis:
         s_n = MotionSequence(data=s_n.data, fps=25.0, label=s_n.label)
         binds = []
         monkeypatch.setattr(vae, "bind", lambda *args, **kwargs: binds.append(args))
-        with pytest.raises(ValueError, match="fps differ"):
+        with pytest.raises(ValueError, match=r"synthesis sequence 1 \('a1'\) has fps 25.0, "
+                                             "sequence 0 has 10.0"):
             synthesize_composite(params, s_m, s_n, BodyMask(m=np.ones(COLS)), F)
         assert binds == []
 
@@ -466,10 +477,12 @@ class TestTrainCag:
         assert CagTrainConfig(kl_weight=0.0).kl_weight == 0.0
 
     @pytest.mark.parametrize("hidden_dims,match", [
-        ((2.5,), r"hidden_dims entries must be integers, got \[2\.5\]"),
-        ((16, 1.0), r"hidden_dims entries must be integers, got \[16, 1\.0\]"),
-        ((16, 0), r"hidden_dims entries must be >= 1, got \[16, 0\]"),
-        ((-3,), r"hidden_dims entries must be >= 1, got \[-3\]")])
+        ((2.5,), r"hidden_dims\[0\] must be an integer, got 2\.5"),
+        ((16, 1.0), r"hidden_dims\[1\] must be an integer, got 1\.0"),
+        ((True,), r"hidden_dims\[0\] must be an integer, got True"),
+        ((16, False), r"hidden_dims\[1\] must be an integer, got False"),
+        ((16, 0), r"hidden_dims\[1\] must be >= 1, got 0"),
+        ((-3,), r"hidden_dims\[0\] must be >= 1, got -3")])
     def test_bad_hidden_dims_named_at_construction(self, hidden_dims, match):
         # before, (2.5,) constructed and train_cag failed with a bare TypeError
         with pytest.raises(ConfigError, match=match):
@@ -485,7 +498,7 @@ class TestTrainCag:
         with pytest.raises(ConfigError, match=f"{key} must be >= {low}, got {value}"):
             CagTrainConfig(**{key: value})
 
-    @pytest.mark.parametrize("value", [2.5, 1.0, np.nan])
+    @pytest.mark.parametrize("value", [2.5, 1.0, np.nan, True, False])
     @pytest.mark.parametrize("key", ["epochs", "batch_size", "latent_dim", "n_coeffs", "seed"])
     def test_non_integral_key_named(self, key, value):
         with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, "
