@@ -479,10 +479,10 @@ class TestTrainCag:
     @pytest.mark.parametrize("hidden_dims,match", [
         ((2.5,), r"hidden_dims\[0\] must be an integer, got 2\.5"),
         ((16, 1.0), r"hidden_dims\[1\] must be an integer, got 1\.0"),
-        ((True,), r"hidden_dims\[0\] must be an integer, got True"),
-        ((16, False), r"hidden_dims\[1\] must be an integer, got False"),
         ((16, 0), r"hidden_dims\[1\] must be >= 1, got 0"),
-        ((-3,), r"hidden_dims\[0\] must be >= 1, got -3")])
+        ((-3,), r"hidden_dims\[0\] must be >= 1, got -3"),
+        ((True,), r"hidden_dims\[0\] must be an integer, got True"),
+        ((16, False), r"hidden_dims\[1\] must be an integer, got False")])
     def test_bad_hidden_dims_named_at_construction(self, hidden_dims, match):
         # before, (2.5,) constructed and train_cag failed with a bare TypeError
         with pytest.raises(ConfigError, match=match):
