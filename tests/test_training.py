@@ -565,7 +565,7 @@ class TestBaselineAndEvaluate:
 
     def test_horizon_out_of_span_rejected(self):
         model, _, _, _, val = tiny_setup(seed=6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"horizon_frames\[1\] must be <= 4, got 5"):
             evaluate(model, val, (1, 5))
 
     @pytest.mark.parametrize("horizons,bad", [((2.5,), "2.5"), ((True, 3), "True"),
