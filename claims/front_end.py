@@ -1,8 +1,8 @@
 """Does a learned attention over history windows beat the fixed front end?
 
-Trains the small predictor (2 graph-conv layers per block, no block
-self-attention) with sampled exits on the 1050-step schedule (lr 3e-3,
-decay 0.99, batch 32, 150 epochs over the 200 training atomics) and scores
+Trains the small predictor (2 graph-conv layers per block) with sampled
+exits on the 1050-step schedule (lr 3e-3, decay 0.99, batch 32, 150 epochs
+over the 200 training atomics) and scores
 the final model's routed error at future frame 10 on a 60-frame split with
 10 test sequences per atomic and per composite action. Three arms per seed:
 
@@ -42,7 +42,7 @@ from moticomp.predictor import PredictorConfig, _part_indices, pad_last_frame
 
 PROJECTION_WIDTH = 16  # columns of each learned projection
 SCHEDULE = dict(lr=3e-3, lr_decay_per_epoch=0.99, batch_size=32, epochs=150)
-SMALL = dict(layers_per_block=2, attention_every=3)
+SMALL = dict(layers_per_block=2)
 ARMS = ("learned", "newest", "default20")
 
 

@@ -41,38 +41,29 @@ tensors joined along that axis, with a scatter-add gradient. It regroups a
 batch (axis 0), splits and merges body parts (the node axis) and splits the
 VAE encoder's output into mean and log-variance (the last axis).
 
-A batched operand times a shared 2-D weight, as in every `linear` node, gc
-layer weight and attention projection, takes both gradients as one GEMM over
-the batch's rows flattened: (B*n, m) @ W^T for the operand, and the flattened
-operand's transpose times the flattened gradient for the weight, which sums
-over the batch inside the product. Forward values do not depend on it. The
+A batched operand times a shared 2-D weight, as in every `linear` node and gc
+layer weight, takes both gradients as one GEMM over the batch's rows
+flattened: (B*n, m) @ W^T for the operand, and the flattened operand's
+transpose times the flattened gradient for the weight, which sums over the
+batch inside the product. Forward values do not depend on it. The
 gradients equal the per-sample sums, sum_b a_b^T g_b and g_b @ W^T, up to the
 rounding of the reordered sums. A 2-D times 2-D product, as in the VAE, keeps
 the per-operand transposed formula and its bytes.
 
 One kind records a whole predictor block as one node: `gc_block`, graph-conv
-layers tanh((adj[i] @ h) @ wgt[i]) with residual multi-head attentions after
-some of them. Its operands are h and one stack per role: the adjacencies
-(L, n, n), the weights (L, F, F) and the attention projections (A, 4, F, F),
-and each stack's gradient is one array of its shape. Their shapes are
-checked once, up front, so each layer multiplies 2-D slices, for which
-numpy's matmul rule is the tape's. An attention runs all heads as one
-stacked axis of each product: it multiplies h (..., n, F) by a (heads, F, dh)
-view of each projection, so q, k and v land in the (..., heads, n, dh)
-layout with the bytes of h @ w's columns, and writes its contexts into the
-heads view of one (..., n, F) buffer, which is then the heads joined; only k
-is copied, into its transpose. The block's backward runs each layer's
-backward in reverse. Values, gradients and MACs match the primitive
-composition it replaces bit for bit, as the tests pin at the default model's
-sizes; the ops need not run in the composition's order.
+layers tanh((adj[i] @ h) @ wgt[i]). Its operands are h and one stack per
+role, the adjacencies (L, n, n) and the weights (L, F, F), and each stack's
+gradient is one array of its shape. Their shapes are checked once, up front,
+so each layer multiplies 2-D slices, for which numpy's matmul rule is the
+tape's. The block's backward runs each layer's backward in reverse. Values,
+gradients and MACs match the primitive composition it replaces bit for bit,
+as the tests pin at the default model's sizes.
 
 Kinds that only move or select values (`gather`, `transpose`, `reshape`,
 `straight_through`) skip the re-check, and `linear` checks x @ w + b alone: a
-finite bias keeps any overflow of x @ w. `gc_block` checks only where tanh or
-softmax's exp could hide an overflow: each layer's pre-tanh product, each
-head's scaled scores, and each attention's output, naming the layer (gc0,
-gc1, ...), the attention (attn0, ...) and the head; a non-finite value
-anywhere else reaches one of these checks.
+finite bias keeps any overflow of x @ w. `gc_block` checks only each layer's
+pre-tanh product, where tanh could hide an overflow, naming the layer (gc0,
+gc1, ...); a non-finite value anywhere else reaches one of these checks.
 
 Nodes carry the multiply-accumulate count of their matrix products, so a
 tape doubles as an instrumented operation counter for cost accounting.
@@ -80,7 +71,6 @@ tape doubles as an instrumented operation counter for cost accounting.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,7 +166,7 @@ def _gc_layer(i: int, hv: Array, av: Array, wv: Array, ah: Array, y: Array, need
     those of adj and wgt into layer i of the stacks g_adj and g_wgt, each
     where one is given."""
 
-    def bwd(g, g_adj, g_wgt, *_):
+    def bwd(g, g_adj, g_wgt):
         g_ah, g_w = _matmul_grads(_tanh_grad(g, y), ah, wv, need_h or g_adj is not None,
                                   g_wgt is not None)
         if g_wgt is not None:
@@ -189,68 +179,6 @@ def _gc_layer(i: int, hv: Array, av: Array, wv: Array, ah: Array, y: Array, need
         return g_h
 
     return bwd
-
-
-def _attention(i: int, hv: Array, w: Array, heads: int, need_h: bool, need_w: bool):
-    """Residual multi-head self-attention attn{i} of its block, for the (4, F, F)
-    projections w = (wq, wk, wv, wo), with the heads on one stacked axis of each
-    product: its value, a backward that maps the output gradient to that of h
-    (None when not needed) and writes that of w into entry i of the stack
-    g_stack when need_w (itself None when neither is needed), and its MACs.
-    Checks each head's scaled scores and the output."""
-    wq, wk, wv, wov = w
-    f = hv.shape[-1]
-    dh = f // heads
-    c = 1.0 / math.sqrt(dh)
-
-    # h against a (heads, F, dh) view of each projection: each product lands in
-    # the heads layout, every head's columns of h @ w with their bytes
-    h_rows = hv[..., None, :, :]
-    q = h_rows @ wq.reshape(f, heads, dh).swapaxes(0, 1)
-    v = h_rows @ wv.reshape(f, heads, dh).swapaxes(0, 1)
-    k_t = np.ascontiguousarray(  # a strided k would change the scores' last bits
-        (h_rows @ wk.reshape(f, heads, dh).swapaxes(0, 1)).swapaxes(-1, -2))
-    scores = q @ k_t
-    scores *= c
-    if not all_finite(scores):  # name the first head that overflowed
-        for j in range(heads):
-            _require_finite(scores[..., j, :, :], f"gc_block attn{i} head {j} scores")
-    attn = _softmax(scores)
-    joined = np.empty((*hv.shape[:-1], heads, dh))  # written as (..., heads, n, dh)
-    np.matmul(attn, v, out=joined.swapaxes(-2, -3))
-    ctx = joined.reshape(hv.shape)  # the heads' contexts joined, a view
-    out = ctx @ wov
-    out += hv
-    _require_finite(out, f"gc_block attn{i} output")
-    # q, k, v and the output projections take F MACs per value of h, and the
-    # scores and the contexts n each
-    macs = hv.size * (4 * f + 2 * hv.shape[-2])
-    if not (need_h or need_w):
-        return out, None, macs
-
-    def split(m):  # (..., n, F) -> (..., heads, n, dh), C-contiguous
-        return np.ascontiguousarray(m.reshape(*m.shape[:-1], heads, dh).swapaxes(-2, -3))
-
-    def join(m):  # the inverse of split
-        return np.ascontiguousarray(np.swapaxes(m, -2, -3)).reshape(hv.shape)
-
-    def bwd(g, _adj, _wgt, g_stack):
-        g_ctx, g_wo = _matmul_grads(g, ctx, wov, True, need_w)
-        g_attn, g_v = _matmul_grads(split(g_ctx), attn, v, True, True)
-        g_scores = _softmax_grad(g_attn, attn)
-        g_scores *= c
-        g_q, g_k_t = _matmul_grads(g_scores, q, k_t, True, True)
-        g_qkv = (join(g_q), join(np.swapaxes(g_k_t, -1, -2)), join(g_v))
-        g_h, g_w = (g if need_h else None), [None] * 3  # into h: the residual, v, k, q
-        for j in (2, 1, 0):
-            g_hj, g_w[j] = _matmul_grads(g_qkv[j], hv, w[j], need_h, need_w)
-            if need_h:
-                g_h = g_h + g_hj
-        if need_w:
-            g_stack[i] = (*g_w, g_wo)
-        return g_h
-
-    return out, bwd, macs
 
 
 def freeze(values, what: str) -> Array:
@@ -552,36 +480,21 @@ class Tape:
     # ------------------------------------------------------------------
     # a predictor block, one node
 
-    def gc_block(self, h: Tensor, adj: Tensor, wgt: Tensor, attn: Tensor | None,
-                 after: Sequence[int], heads: int) -> Tensor:
+    def gc_block(self, h: Tensor, adj: Tensor, wgt: Tensor) -> Tensor:
         """One block of predictor layers over the rows of h (n, F) or (B, n, F):
         L graph convolutions, layer i tanh((adj[i] @ h) @ wgt[i]) for the stacks
-        adj (L, n, n) and wgt (L, F, F), and A residual multi-head
-        self-attentions, attention a running after the first after[a] layers
-        (strictly increasing, each in 1..L) with the projections attn[a] =
-        (wq, wk, wv, wo) of the stack attn (A, 4, F, F), or attn None when after
-        is empty: q, k, v = h @ wq, h @ wk, h @ wv split into heads of width
-        dh = F / heads along the last axis, then
-        h + concat_j(softmax(q_j k_j^T / sqrt(dh)) v_j) @ wo. Each gradient
-        comes as one array of its stack's shape. Shapes are checked once, up
-        front; a numeric error names the layer (gc{i}), the attention (attn{a})
-        and the head (head {j})."""
+        adj (L, n, n) and wgt (L, F, F). Each gradient comes as one array of its
+        stack's shape. Shapes are checked once, up front; a numeric error names
+        the layer (gc{i})."""
         hv, av, wv = h.values, adj.values, wgt.values
-        tv = None if attn is None else attn.values
-        n_layers, n_attn = (av.shape[0] if av.ndim == 3 else 0), len(after)
+        n_layers = av.shape[0] if av.ndim == 3 else 0
         n, f = hv.shape[-2:] if hv.ndim in (2, 3) else (0, 0)
-        bounds = (0, *after, n_layers + 1)  # strictly increasing: after within 1..L
         if not (n_layers and hv.ndim in (2, 3) and av.shape == (n_layers, n, n)
-                and wv.shape == (n_layers, f, f)
-                and all(a < b for a, b in zip(bounds, bounds[1:]))
-                and (tv is None if not after else tv is not None
-                     and tv.shape == (n_attn, 4, f, f) and heads >= 1 and f % heads == 0)):
-            raise ShapeError(
-                f"gc_block operands do not conform: h {hv.shape}, adj {av.shape}, "
-                f"wgt {wv.shape}, attn {None if tv is None else tv.shape} after "
-                f"{tuple(after)} in {heads} heads")
-        na, nw, nt = adj.requires_grad, wgt.requires_grad, attn is not None and attn.requires_grad
-        need, macs, steps, a = h.requires_grad, 0, [], 0  # a: the next attention
+                and wv.shape == (n_layers, f, f)):
+            raise ShapeError(f"gc_block operands do not conform: h {hv.shape}, "
+                             f"adj {av.shape}, wgt {wv.shape}")
+        na, nw = adj.requires_grad, wgt.requires_grad
+        need, macs, steps = h.requires_grad, 0, []
         for i in range(n_layers):  # inline: a call adds a quarter to a layer's time
             ai, wi = av[i], wv[i]
             ah = ai @ hv
@@ -593,24 +506,19 @@ class Tape:
             y = np.tanh(pre, out=pre)  # pre is needed no more
             steps.append(_gc_layer(i, hv, ai, wi, ah, y, need) if need or na or nw else None)
             hv, need = y, steps[-1] is not None  # a backward where a gradient reaches it
-            if a < n_attn and after[a] == i + 1:
-                hv, back, m = _attention(a, hv, tv[a], heads, need, nt)
-                steps.append(back)
-                macs, need, a = macs + m, back is not None, a + 1
-        inputs = (h, adj, wgt) if attn is None else (h, adj, wgt, attn)
 
-        def bwd(g):  # each step's backward, last step first, into one array per stack
-            grads = [np.empty(x.values.shape) if x.requires_grad else None for x in inputs[1:]]
+        def bwd(g):  # each layer's backward, last layer first, into one array per stack
+            grads = [np.empty(x.values.shape) if x.requires_grad else None for x in (adj, wgt)]
             for back in reversed(steps):
-                # g is None once nothing before this step needs a gradient
-                # (a step returns None for h then), so a step that kept no
+                # g is None once nothing before this layer needs a gradient
+                # (a layer returns None for h then), so a layer that kept no
                 # backward is never called
                 if g is None:
                     break
                 g = back(g, *grads)
             return g, *grads
 
-        return self._emit("gc_block", inputs, hv, bwd, macs, check=False)
+        return self._emit("gc_block", (h, adj, wgt), hv, bwd, macs, check=False)
 
     # ------------------------------------------------------------------
 

@@ -10,6 +10,7 @@ is a pure function of (manifest, seed).
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
 import os
@@ -32,7 +33,7 @@ MOTION_MAGIC = "champlite v1"
 MANIFEST_FORMAT = "moticomp-manifest"
 CHECKPOINT_FORMAT = "moticomp-checkpoint"
 MANIFEST_VERSION = 1
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 STILL = "still"
 ACTION_PARTS = (UPPER, LOWER, STILL)
@@ -523,17 +524,22 @@ def load_split(directory) -> list[MotionSequence]:
 # checkpoints
 
 def _tensor_entries(named: dict[str, np.ndarray]) -> list[dict]:
-    """One entry per tensor: its name, its shape, and its values as base64 of
-    their little-endian float64 bytes in C order."""
-    return [{"name": name, "shape": list(arr.shape),
-             "values": base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")}
-            for name, arr in named.items()]
+    """One entry per tensor: its name, its shape, its values as base64 of their
+    little-endian float64 bytes in C order, and the SHA-256 of those bytes."""
+    entries = []
+    for name, arr in named.items():
+        raw = np.asarray(arr, dtype="<f8").tobytes()
+        entries.append({"name": name, "shape": list(arr.shape),
+                        "values": base64.b64encode(raw).decode("ascii"),
+                        "sha256": hashlib.sha256(raw).hexdigest()})
+    return entries
 
 
 def _read_tensors(entries) -> dict[str, np.ndarray]:
     """The arrays of _tensor_entries' entries; ValueError names a repeated
     tensor, a shape that is not a list of non-negative integers, values that
-    are not base64, or a byte count other than 8 x the shape's product."""
+    are not base64, a byte count other than 8 x the shape's product, or bytes
+    whose SHA-256 is not the entry's."""
     out = {}
     for entry in entries:
         name, shape = entry["name"], entry["shape"]
@@ -550,6 +556,8 @@ def _read_tensors(entries) -> dict[str, np.ndarray]:
         if len(raw) != 8 * count:
             raise ValueError(f"tensor {name} holds {len(raw)} bytes, expected "
                              f"{8 * count} for shape {tuple(shape)}")
+        if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
+            raise ValueError(f"tensor {name} values do not match their sha256")
         out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
     return out
 

@@ -75,8 +75,8 @@ class FlopsReport:
     """Cumulative MAC counts per branch and exit, plus an exit distribution.
 
     counts[branch][d-1] is the cost of running that branch to exit d
-    (input encoder, blocks 1..d with their attention modules, output
-    decoder, and the policy network). The distribution weights, one row per
+    (input encoder, the graph-conv layers of blocks 1..d, output decoder,
+    and the policy network). The distribution weights, one row per
     branch summing to 1, define the batch-weighted average.
     """
 
@@ -124,13 +124,6 @@ def gc_layer_macs(node_count: int, f_in: int, f_out: int) -> int:
     return node_count * node_count * f_in + node_count * f_in * f_out
 
 
-def attention_macs(node_count: int, width: int) -> int:
-    """Q/K/V/output projections plus per-head score and context products."""
-    proj = 4 * node_count * width * width
-    scores_and_context = 2 * node_count * node_count * width
-    return proj + scores_and_context
-
-
 def policy_macs(node_count: int, width: int, hidden: int, n_exits: int) -> int:
     return node_count * width + width * hidden + hidden * n_exits
 
@@ -142,8 +135,7 @@ def branch_exit_macs(n: int, config: PredictorConfig) -> tuple[int, ...]:
     fixed = (n * n_coeffs * f            # input encoder
              + n * f * n_coeffs          # output decoder
              + policy_macs(n, f, config.policy_hidden, config.n_blocks))
-    per_block = (config.layers_per_block * gc_layer_macs(n, f, f)
-                 + len(config.attention_positions) * attention_macs(n, f))
+    per_block = config.layers_per_block * gc_layer_macs(n, f, f)
     return tuple(fixed + (d + 1) * per_block for d in range(config.n_blocks))
 
 

@@ -3,14 +3,14 @@
 Each branch models a set of coordinate trajectories (upper part, lower part,
 or the whole skeleton) as graph nodes carrying DCT-coefficient features.
 A branch is a linear input encoder, a stack of blocks of graph-conv layers
-tanh(A @ H @ W) with trainable adjacency A, multi-head self-attention after
-every few layers, and a linear output decoder shared by all exits. Its
-input is a fixed front end computed in numpy: the DCT of the last-frame-padded
-history plus the DCT of its newest sub_len + output_frames frames. The
-network's correction is the mean of the whole branch's output and the upper
-and lower branches' outputs merged into one skeleton; the final prediction
-adds its inverse DCT to the last-frame-padded observation, so an untrained
-model with zeroed decoders predicts zero velocity.
+tanh(A @ H @ W) with trainable adjacency A, and a linear output decoder
+shared by all exits. Its input is a fixed front end computed in numpy: the
+DCT of the last-frame-padded history plus the DCT of its newest
+sub_len + output_frames frames. The network's correction is the mean of the
+whole branch's output and the upper and lower branches' outputs merged into
+one skeleton; the final prediction adds its inverse DCT to the
+last-frame-padded observation, so an untrained model with zeroed decoders
+predicts zero velocity.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ class PredictorConfig:
     output_frames: int = 10
     n_coeffs: int | None = None  # None: sub_len + T
     feature_width: int = 32
-    heads: int = 2
     n_blocks: int = 3
     layers_per_block: int = 8
-    attention_every: int = 4
     policy_hidden: int = 16
     coeff_scale: float = 100.0
     adjacency_noise: float = 0.05
@@ -46,13 +44,9 @@ class PredictorConfig:
 
     def __post_init__(self):
         require_at_least(self, 2, "input_frames")
-        require_at_least(self, 1, "output_frames", "n_coeffs", "heads", "feature_width",
-                         "n_blocks", "layers_per_block", "attention_every", "policy_hidden")
+        require_at_least(self, 1, "output_frames", "n_coeffs", "feature_width",
+                         "n_blocks", "layers_per_block", "policy_hidden")
         require_positive_finite(self, "adjacency_noise", zero_ok=True)
-        if self.feature_width % self.heads != 0:
-            raise ConfigError(
-                f"feature width {self.feature_width} not divisible by {self.heads} heads"
-            )
         require_positive_finite(self, "coeff_scale")
         n, t = self.input_frames, self.output_frames
         if n < self.sub_len + t:
@@ -71,11 +65,6 @@ class PredictorConfig:
     def resolved_n_coeffs(self) -> int:
         return self.sub_len + self.output_frames if self.n_coeffs is None else self.n_coeffs
 
-    @property
-    def attention_positions(self) -> tuple[int, ...]:
-        return tuple(p for p in range(self.attention_every, self.layers_per_block + 1,
-                                      self.attention_every))
-
 
 def branch_node_counts(layout: PartLayout) -> dict[str, int]:
     """Graph nodes of each branch, one per coordinate of its body part."""
@@ -87,16 +76,12 @@ class PredictorParams:
     """All trainable arrays of the three-branch predictor, by name.
 
     In insertion order, which checkpoints keep, for each kind in BRANCH_KINDS
-    and block k. A block is one stack per role, as gc_block takes them: its
-    L = config.layers_per_block graph-conv layers and its A attention modules,
-    module a running after layer config.attention_positions[a]. The front end
-    has none.
+    and block k. A block is one stack per role, as gc_block takes them, over
+    its L = config.layers_per_block graph-conv layers. The front end has none.
 
         {kind}.enc.w, {kind}.enc.b  input encoder
         {kind}.blk{k}.adj           adjacencies (L, nodes, nodes)
         {kind}.blk{k}.wgt           graph-conv weights (L, F, F)
-        {kind}.blk{k}.attn          self-attention projections (A, 4, F, F), each
-                                    (wq, wk, wv, wo); absent when A is 0
         {kind}.dec.w, {kind}.dec.b  output decoder shared by all exits
     """
 
@@ -111,7 +96,6 @@ class PredictorParams:
 def _init_branch(rng: np.random.Generator, kind: str, node_count: int,
                  config: PredictorConfig) -> dict[str, np.ndarray]:
     f, n_layers = config.feature_width, config.layers_per_block
-    n_attn = len(config.attention_positions)
     wb = 1.0 / np.sqrt(f)
     blocks = {}
     for k in range(config.n_blocks):
@@ -123,8 +107,6 @@ def _init_branch(rng: np.random.Generator, kind: str, node_count: int,
                 -config.adjacency_noise, config.adjacency_noise,
                 size=(node_count, node_count))
             wgt[i] = rng.uniform(-wb, wb, size=(f, f))
-        if n_attn:
-            blocks[f"{p}.attn"] = rng.uniform(-wb, wb, size=(n_attn, 4, f, f))
     # the encoder and decoder are drawn after the blocks but named around them
     enc_w, enc_b = init_linear(rng, config.resolved_n_coeffs, f)
     dec_w, dec_b = init_linear(rng, f, config.resolved_n_coeffs,
@@ -151,14 +133,6 @@ def init_predictor(rng: np.random.Generator, layout: PartLayout,
 
 # ----------------------------------------------------------------------
 # tape-level forward passes
-
-def _block_forward(tape: Tape, config: PredictorConfig, tensors: dict[str, Tensor],
-                   prefix: str, h: Tensor) -> Tensor:
-    """The block named prefix as one node."""
-    return tape.gc_block(h, tensors[f"{prefix}.adj"], tensors[f"{prefix}.wgt"],
-                         tensors.get(f"{prefix}.attn"), config.attention_positions,
-                         config.heads)
-
 
 def _branch_encode(tape: Tape, tensors: dict[str, Tensor], prefix: str,
                    x: Tensor) -> Tensor:
@@ -188,8 +162,8 @@ def _exit_array(exits, n_blocks: int) -> np.ndarray | list[tuple[int, int, int]]
     return arr
 
 
-def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
-                 tensors: dict[str, Tensor], h: Tensor, exits) -> Tensor:
+def _branch_tail(tape: Tape, kind: str, tensors: dict[str, Tensor], h: Tensor,
+                 exits) -> Tensor:
     """Decode each sample of encoded features h (B, nodes, F) after its first
     exits[b] blocks; exits may also be one index for the whole batch.
 
@@ -204,14 +178,16 @@ def _branch_tail(tape: Tape, kind: str, config: PredictorConfig,
     decoder = tensors[f"{kind}.dec.w"], tensors[f"{kind}.dec.b"]
     if isinstance(exits, (int, np.integer)):
         for k in range(exits):
-            h = _block_forward(tape, config, tensors, f"{kind}.blk{k}", h)
+            p = f"{kind}.blk{k}"
+            h = tape.gc_block(h, tensors[f"{p}.adj"], tensors[f"{p}.wgt"])
         return tape.linear(h, *decoder)
     exits = np.full(h.shape[:-2], exits).reshape(-1)
     leaving = np.bincount(exits).tolist()  # how many samples leave after each block
     rows = np.arange(exits.size)  # the samples h holds, in batch order
     outputs, output_rows = [], []
     for k in range(1, len(leaving)):
-        h = _block_forward(tape, config, tensors, f"{kind}.blk{k - 1}", h)
+        p = f"{kind}.blk{k - 1}"
+        h = tape.gc_block(h, tensors[f"{p}.adj"], tensors[f"{p}.wgt"])
         if not leaving[k]:
             continue
         y, out_rows = h, rows
@@ -289,7 +265,7 @@ def _forward_core(tape: Tape, params: PredictorParams, tensors: dict[str, Tensor
     outputs = {}
     for kind, d in zip(BRANCH_KINDS, exits):
         encoded = _branch_encode(tape, tensors, kind, inputs[kind])
-        outputs[kind] = _branch_tail(tape, kind, params.config, tensors, encoded, d)
+        outputs[kind] = _branch_tail(tape, kind, tensors, encoded, d)
     return _assemble_prediction(tape, params, outputs, history)
 
 

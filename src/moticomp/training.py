@@ -326,7 +326,7 @@ def _routed_forward(tape: Tape, model: PredictorModel, tensors: dict[str, Tensor
         logits = _policy_forward(tape, tensors, f"policy.{kind}", encoded)
         hard, soft = _gumbel_softmax_st(tape, logits, temperature, noise[:, i])
         exits = np.argmax(hard.values, axis=-1).reshape(-1) + 1
-        out = _branch_tail(tape, kind, params.config, tensors, encoded, exits)
+        out = _branch_tail(tape, kind, tensors, encoded, exits)
         batch, n_exits = hard.shape[0], hard.shape[-1]
         gate = tape.gather([tape.reshape(hard, (batch * n_exits, 1, 1))],
                            np.arange(batch) * n_exits + exits - 1)

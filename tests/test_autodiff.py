@@ -159,13 +159,9 @@ def test_tape_freed_by_reference_counting():
 # ----------------------------------------------------------------------
 # finite-difference coverage of every op kind
 
-# A block layout is a string of layers: "g" a graph convolution, whose (n, n)
-# adj and (F, F) wgt are one layer of the block's stacks, and "a" an attention
-# after the graph convolutions before it, whose four (F, F) projections are one
-# (4, F, F) entry of its stack. Each layer kind is also checked on its own: a
-# graph convolution as a one-layer block, an attention behind the one graph
-# convolution a block needs.
-LAYERS = {"gc_layer": "g", "self_attention": "ga"}
+# A block of L layers is L graph convolutions, whose (n, n) adj and (F, F) wgt
+# are one layer each of the block's stacks. A graph convolution on its own is
+# also checked, as a one-layer block.
 
 
 def _kind_checks(kind: str):
@@ -235,11 +231,8 @@ def _kind_checks(kind: str):
     if kind == "sum_rows":
         return (lambda t, x: t.sum_sq(t.sum_rows(t.tanh(x)))), \
             lambda rng: rng_point(rng, (4, 2, 3))
-    if kind == "gc_block":  # more layouts: test_batched_operands_pass_finite_differences
-        f, shapes = _block_check("gag", (3, 4), heads=2)
-        return f, lambda rng: rng_point(rng, (1, _width(shapes)))
-    if kind in LAYERS:  # one step of a gc_block on its own
-        f, shapes = _block_check(LAYERS[kind], (3, 4), heads=2)
+    if kind in ("gc_block", "gc_layer"):  # two layers, and one on its own
+        f, shapes = _block_check(2 if kind == "gc_block" else 1, (3, 4))
         return f, lambda rng: rng_point(rng, (1, _width(shapes)))
     raise AssertionError(f"no finite-difference coverage for kind {kind}")
 
@@ -254,7 +247,7 @@ def _gather_check(axis: int):
 
 
 @pytest.mark.parametrize("kind", [k for k in OP_KINDS if k != "straight_through"]
-                         + list(LAYERS))
+                         + ["gc_layer"])
 def test_every_kind_passes_finite_differences(kind):
     f, make_point = _kind_checks(kind)
     for seed in range(20):
@@ -276,39 +269,18 @@ def _cut(t, x, shapes):
     return out
 
 
-def _block_shapes(layout: str, h_shape: tuple[int, ...]):
-    """Operand shapes of a gc_block of this layout on h (n, F) or (B, n, F):
-    h, the (L, n, n) adjacencies, the (L, F, F) weights and, when the layout
-    holds an attention, the (A, 4, F, F) projections."""
+def _block_shapes(n_layers: int, h_shape: tuple[int, ...]):
+    """Operand shapes of a gc_block of n_layers layers on h (n, F) or (B, n, F):
+    h, the (L, n, n) adjacencies and the (L, F, F) weights."""
     n, f = h_shape[-2:]
-    n_layers, n_attn = layout.count("g"), layout.count("a")
-    return (h_shape, (n_layers, n, n), (n_layers, f, f)) + ((n_attn, 4, f, f),) * (n_attn > 0)
+    return h_shape, (n_layers, n, n), (n_layers, f, f)
 
 
-def _after(layout: str) -> tuple[int, ...]:
-    """For each attention of layout, the graph convolutions before it."""
-    return tuple(layout[:i].count("g") for i, s in enumerate(layout) if s == "a")
-
-
-def _block_args(layout: str, operands):
-    """gc_block's arguments after h, for the operands after h: adj, wgt, attn
-    (None when layout holds no attention) and after."""
-    adj, wgt, *attn = operands
-    return adj, wgt, (attn[0] if attn else None), _after(layout)
-
-
-def _block_check(layout: str, h_shape: tuple[int, ...], heads: int = 1):
-    """A scalar function of a flat x holding every operand of a gc_block of this
-    layout, the projections scaled down to keep the softmax away from
-    saturation. Returns it with the operand shapes."""
-    shapes = _block_shapes(layout, h_shape)
-
-    def block(t, x):
-        h, adj, wgt, *attn = _cut(t, x, shapes)
-        attn = [t.scale(a, 0.5) for a in attn]
-        return t.sum_sq(t.gc_block(h, *_block_args(layout, [adj, wgt, *attn]), heads))
-
-    return block, shapes
+def _block_check(n_layers: int, h_shape: tuple[int, ...]):
+    """A scalar function of a flat x holding every operand of a gc_block of
+    n_layers layers, and the operand shapes."""
+    shapes = _block_shapes(n_layers, h_shape)
+    return (lambda t, x: t.sum_sq(t.gc_block(*_cut(t, x, shapes)))), shapes
 
 
 def _batched_checks(case: str):
@@ -345,14 +317,10 @@ def _batched_checks(case: str):
             return t.sum_sq(t.scalar_mul(mat, s))
         return f, (3, 7)
     if case == "gc_layer_shared_weights":  # adj and wgt are used by every row
-        f, shapes = _block_check("g", (3, 2, 4))
+        f, shapes = _block_check(1, (3, 2, 4))
         return f, (1, _width(shapes))
-    if case.startswith("self_attention_heads"):
-        f, shapes = _block_check(LAYERS["self_attention"], (3, 2, 4), heads=int(case[-1]))
-        return f, (1, _width(shapes))
-    if case.startswith("gc_block_"):  # gc_block_{layout}_heads{n}
-        _, _, layout, heads = case.split("_")
-        f, shapes = _block_check(layout, (3, 2, 4), heads=int(heads[-1]))
+    if case.startswith("gc_block_"):  # gc_block_{L}_layers
+        f, shapes = _block_check(int(case.split("_")[2]), (3, 2, 4))
         return f, (1, _width(shapes))
     raise AssertionError(case)
 
@@ -360,8 +328,7 @@ def _batched_checks(case: str):
 BATCHED_CASES = ("matmul_batch_by_shared", "matmul_shared_weight", "matmul_shared_left",
                  "matmul_two_batched", "linear_batch", "add_shared", "add_batch",
                  "add_row_to_rows", "add_row_to_batch", "hadamard_row", "scalar_mul_per_row",
-                 "gc_layer_shared_weights", "self_attention_heads1", "self_attention_heads2",
-                 "gc_block_gg_heads1", "gc_block_gaga_heads2", "gc_block_gga_heads4")
+                 "gc_layer_shared_weights", "gc_block_2_layers", "gc_block_3_layers")
 
 
 @pytest.mark.parametrize("case", BATCHED_CASES)
@@ -379,54 +346,26 @@ def gc_layer_reference(t, h, adj, wgt):
     return t.tanh(t.matmul(t.matmul(adj, h), wgt))
 
 
-def self_attention_reference(t, h, wq, wk, wv, wo, heads):
-    f = h.shape[-1]
-    dh = f // heads
-    q, k, v = t.matmul(h, wq), t.matmul(h, wk), t.matmul(h, wv)
-    contexts = []
-    for i in range(heads):
-        qs, ks, vs = (t.gather([m], range(i * dh, (i + 1) * dh), axis=-1) for m in (q, k, v))
-        scores = t.scale(t.matmul(qs, t.transpose(ks)), 1.0 / np.sqrt(dh))
-        contexts.append(t.matmul(t.softmax_lastdim(scores), vs))
-    ctx = t.gather(contexts, range(f), axis=-1)  # the heads joined along the last axis
-    return t.add(h, t.matmul(ctx, wo))
-
-
-def gc_block_reference(t, h, layers, attentions, after, heads):
-    """gc_block composed of primitive kinds, for each layer's (adj, wgt) and
-    each attention's (wq, wk, wv, wo) as tensors of their own."""
-    for i, (adj, wgt) in enumerate(layers):
+def gc_block_reference(t, h, layers):
+    """gc_block composed of primitive kinds, for each layer's (adj, wgt) as
+    tensors of their own."""
+    for adj, wgt in layers:
         h = gc_layer_reference(t, h, adj, wgt)
-        if i + 1 in after:
-            h = self_attention_reference(t, h, *attentions[after.index(i + 1)], heads)
     return h
 
 
-# a one-layer block of each layer kind
-LAYER_CASES = [("gc_layer", (5, 4), 1), ("gc_layer", (3, 5, 4), 1),
-               ("self_attention", (5, 4), 1), ("self_attention", (5, 4), 2),
-               ("self_attention", (3, 5, 4), 1), ("self_attention", (3, 5, 8), 2),
-               ("self_attention", (3, 5, 8), 4),
-               # the default model's sizes: a batch of 32 whole-body branches of
-               # 24 nodes at feature width 32, where a strided operand in the
-               # backward changes the last bits
-               ("self_attention", (32, 24, 32), 1), ("self_attention", (32, 24, 32), 2),
-               ("self_attention", (32, 24, 32), 4), ("self_attention", (24, 32), 2)]
 # the default layout's branch sizes (24 whole-body, 15 and 9 part nodes) in a
-# training batch of 32 and in a single request, where a strided operand in
-# the forward changes the last bits at 9 nodes but not at 24
+# training batch of 32 and in a single request
 DEFAULT_SIZES = [(1, 24, 32), (1, 15, 32), (1, 9, 32), (32, 15, 32), (32, 9, 32)]
-LAYER_CASES += [("self_attention", shape, 2) for shape in DEFAULT_SIZES]
-DEFAULT_BLOCK = "ggggagggga"  # PredictorConfig(): attention after layers 4 and 8
-BLOCK_CASES = [("gg", (5, 4), 1), ("gg", (3, 5, 4), 1), ("ga", (5, 4), 2),
-               ("gga", (3, 5, 8), 4), ("gaga", (3, 5, 8), 2), ("gaga", (5, 8), 4),
-               ("gag", (3, 5, 8), 1),
-               (DEFAULT_BLOCK, (32, 24, 32), 2), (DEFAULT_BLOCK, (24, 32), 2),
-               (DEFAULT_BLOCK, (32, 24, 32), 1), (DEFAULT_BLOCK, (32, 24, 32), 4)]
-BLOCK_CASES += [(DEFAULT_BLOCK, shape, 2) for shape in DEFAULT_SIZES]
+DEFAULT_LAYERS = predictor.PredictorConfig().layers_per_block
+# one layer on its own, a few, and the default block at the default model's
+# sizes: a batch of 32 whole-body branches of 24 nodes at feature width 32
+BLOCK_CASES = [(1, (5, 4)), (1, (3, 5, 4)), (2, (5, 4)), (2, (3, 5, 4)), (3, (3, 5, 8)),
+               (DEFAULT_LAYERS, (32, 24, 32)), (DEFAULT_LAYERS, (24, 32))]
+BLOCK_CASES += [(DEFAULT_LAYERS, shape) for shape in DEFAULT_SIZES]
 
 
-def _run_block(layout, operands, heads, fused, trainable=None):
+def _run_block(operands, fused, trainable=None):
     """Values, operand gradients and the tape of a gc_block, or of its
     primitive composition, under a loss that weights every output element.
     The composition takes each matrix of a stack as a leaf of its own, and
@@ -438,27 +377,23 @@ def _run_block(layout, operands, heads, fused, trainable=None):
     h = t.leaf(operands[0], requires_grad=trainable[0])
     if fused:
         stacks = [t.leaf(v, requires_grad=r) for v, r in zip(operands[1:], trainable[1:])]
-        out = t.gc_block(h, *_block_args(layout, stacks), heads)
+        out = t.gc_block(h, *stacks)
     else:
-        stacks = [[t.leaf(m, requires_grad=r) for m in v.reshape(-1, *v.shape[-2:])]
+        stacks = [[t.leaf(m, requires_grad=r) for m in v]
                   for v, r in zip(operands[1:], trainable[1:])]
-        adj, wgt, *attn = stacks
-        attn = attn[0] if attn else []
-        out = gc_block_reference(t, h, list(zip(adj, wgt)), [
-            attn[j:j + 4] for j in range(0, len(attn), 4)], _after(layout), heads)
+        out = gc_block_reference(t, h, zip(*stacks))
     weight = np.random.default_rng(5).normal(size=out.shape)
     t.backward(t.sum_sq(t.hadamard(out, t.constant(weight))))
     grads = [x.grad if fused else None if x[0].grad is None
-             else np.stack([m.grad for m in x]).reshape(v.shape)
-             for x, v in zip(stacks, operands[1:])]
+             else np.stack([m.grad for m in x]) for x in stacks]
     return out.values, [h.grad, *grads], t
 
 
-def _assert_block_equals_composition(layout, h_shape, heads, trainable=None):
+def _assert_block_equals_composition(n_layers, h_shape, trainable=None):
     rng = np.random.default_rng(17)
-    operands = [rng.normal(scale=0.7, size=shape) for shape in _block_shapes(layout, h_shape)]
-    out, grads, tape = _run_block(layout, operands, heads, True, trainable)
-    ref_out, ref_grads, ref_tape = _run_block(layout, operands, heads, False, trainable)
+    operands = [rng.normal(scale=0.7, size=shape) for shape in _block_shapes(n_layers, h_shape)]
+    out, grads, tape = _run_block(operands, True, trainable)
+    ref_out, ref_grads, ref_tape = _run_block(operands, False, trainable)
     assert np.array_equal(out, ref_out)
     for g, ref in zip(grads, ref_grads):
         assert (g is None and ref is None) or np.array_equal(g, ref)
@@ -468,14 +403,9 @@ def _assert_block_equals_composition(layout, h_shape, heads, trainable=None):
     return grads
 
 
-@pytest.mark.parametrize("kind,h_shape,heads", LAYER_CASES)
-def test_layer_kind_equals_its_composition_bit_for_bit(kind, h_shape, heads):
-    _assert_block_equals_composition(LAYERS[kind], h_shape, heads)
-
-
-@pytest.mark.parametrize("layout,h_shape,heads", BLOCK_CASES)
-def test_gc_block_equals_its_composition_bit_for_bit(layout, h_shape, heads):
-    _assert_block_equals_composition(layout, h_shape, heads)
+@pytest.mark.parametrize("n_layers,h_shape", BLOCK_CASES)
+def test_gc_block_equals_its_composition_bit_for_bit(n_layers, h_shape):
+    _assert_block_equals_composition(n_layers, h_shape)
 
 
 # operand shapes of the two-operand elementwise kinds, broadcasts included
@@ -498,24 +428,12 @@ def test_binary_kind_computes_no_gradient_for_a_constant_operand(kind, trainable
         assert (got.tobytes() == want.tobytes()) if needed else got is None
 
 
-def _assert_only_trainable_gradients(layout, trainable):
-    """Only the operands flagged trainable (h, adj, wgt, attn) get a gradient,
-    and each equals the composition's."""
-    grads = _assert_block_equals_composition(layout, (3, 5, 8), 2, list(trainable))
-    assert [g is not None for g in grads] == list(trainable)
-
-
 def test_gc_block_computes_only_the_gradients_needed():
-    for trainable in itertools.product((False, True), repeat=4):
-        _assert_only_trainable_gradients("gaga", trainable)
-
-
-@pytest.mark.parametrize("layout,n_constant", [("ga", 3), ("gggag", 3)])
-def test_gc_block_skips_a_constant_step_before_a_trainable_one(layout, n_constant):
-    # constant h, adj and wgt with a trainable attn: the graph convolutions
-    # before the first attention keep no backward, those after it pass the
-    # gradient back into it, and an attention there passes none into its input
-    _assert_only_trainable_gradients(layout, [False] * n_constant + [True])
+    # only the operands flagged trainable (h, adj, wgt) get a gradient, and
+    # each equals the composition's
+    for trainable in itertools.product((False, True), repeat=3):
+        grads = _assert_block_equals_composition(2, (3, 5, 8), list(trainable))
+        assert [g is not None for g in grads] == list(trainable)
 
 
 def _with(values, index, value):
@@ -569,91 +487,36 @@ def test_gc_layer_raises_on_an_overflow_tanh_would_hide():
         assert np.isfinite(np.tanh(adj @ h @ wgt)).all()  # tanh(inf) is 1
     tape = Tape()
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_block gc0 pre-tanh"):
-        tape.gc_block(tape.constant(h), tape.constant(adj[None]), tape.constant(wgt[None]),
-                      None, (), 1)
+        tape.gc_block(tape.constant(h), tape.constant(adj[None]), tape.constant(wgt[None]))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="gc_block gc1 pre-tanh"):
         # the second layer's adj @ h overflows before its weight is applied
         tape.gc_block(tape.constant(np.ones((2, 3))),
                       tape.constant(np.stack([np.eye(2), np.full((2, 2), 1.5e308)])),
-                      tape.constant(np.stack([np.eye(3)] * 2)), None, (), 1)
+                      tape.constant(np.stack([np.eye(3)] * 2)))
     assert tape.nodes == []
 
 
-def test_self_attention_raises_on_an_infinite_score_exp_would_hide():
-    # behind identity graph convolutions, node 0's query meets its own key at
-    # -inf and node 1's key at 0: the softmax of [-inf, 0] is [0, 1], so every
-    # output element stays finite
-    h = np.array([[20.0, 0.0], [0.0, 1.0]])
-    wq, wk, wv, wo = np.diag([1e155, 1.0]), np.diag([-1e155, 1.0]), np.eye(2), np.eye(2)
-    for x in (np.tanh(h), np.tanh(np.tanh(h))):  # attn0's input, and attn1's
-        with np.errstate(all="ignore"):
-            scores = (x @ wq) @ (x @ wk).T
-            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            assert np.isneginf(scores[0, 0])
-            assert np.isfinite(x + (e / e.sum(axis=-1, keepdims=True)) @ (x @ wv) @ wo).all()
-    tape = Tape()
-    eye = tape.constant(np.stack([np.eye(2)] * 2))
-    attn = np.stack([wq, wk, wv, wo])[None]
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="attn0 head 0 scores"):
-        tape.gc_block(tape.constant(h), eye, eye, tape.constant(attn), (1,), 1)
-    # behind an attention that adds nothing, the error names the second one
-    attn = np.concatenate([np.zeros_like(attn), attn])
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="attn1 head 0 scores"):
-        tape.gc_block(tape.constant(h), eye, eye, tape.constant(attn), (1, 2), 1)
-
-
-def test_self_attention_checks_its_output():
-    tape = Tape()
-    # q, k and v are finite; the output projection overflows
-    h, eye = tape.constant(np.full((2, 2), 20.0)), tape.constant(np.eye(2)[None])
-    zero, big = np.zeros((2, 2)), np.eye(2) * 1e200
-    attn = tape.constant(np.stack([zero, zero, big, big])[None])
-    with np.errstate(all="ignore"), pytest.raises(
-            NumericError, match="gc_block attn0 output produced non-finite values"):
-        tape.gc_block(h, eye, eye, attn, (1,), 1)
-
-
-def _refused(h_shape, adj_shape, wgt_shape, attn_shape=None, after=(), heads=1):
+def _refused(h_shape, adj_shape, wgt_shape):
     """gc_block on zero operands of these shapes raises one ShapeError naming
     every shape, and records nothing."""
     tape = Tape()
-    h, adj, wgt = (tape.constant(np.zeros(s)) for s in (h_shape, adj_shape, wgt_shape))
-    attn = None if attn_shape is None else tape.constant(np.zeros(attn_shape))
     with pytest.raises(ShapeError, match="gc_block operands do not conform") as caught:
-        tape.gc_block(h, adj, wgt, attn, after, heads)
+        tape.gc_block(*(tape.constant(np.zeros(s)) for s in (h_shape, adj_shape, wgt_shape)))
     assert str(caught.value) == (
-        f"gc_block operands do not conform: h {h_shape}, adj {adj_shape}, wgt {wgt_shape}, "
-        f"attn {attn_shape} after {tuple(after)} in {heads} heads")
+        f"gc_block operands do not conform: h {h_shape}, adj {adj_shape}, wgt {wgt_shape}")
     assert tape.nodes == []
-
-
-@pytest.mark.parametrize("h_shape,w_shape", [((3, 4), (1, 4, 4, 2)), ((4,), (1, 4, 4, 4))])
-def test_self_attention_shapes_checked(h_shape, w_shape):
-    # the projections' stack; a width the heads do not divide: below, and
-    # tests/test_predictor.py
-    _refused(h_shape, (1, 3, 3), (1, 4, 4), w_shape, (1,))
 
 
 def test_gc_block_steps_checked():
     # no layer, and a layer's matrices without their stack axis
     _refused((3, 4), (0, 3, 3), (0, 4, 4))
     _refused((3, 4), (3, 3), (4, 4))
-    _refused((3, 4), (2, 3, 3), (2, 4, 4), (4, 4), (1,))
 
 
 BLOCK_SHAPE_FAULTS = {
     "adj-of-another-depth": ((3, 4), (2, 3, 3), (3, 4, 4)),
     "wgt-of-another-depth": ((3, 4), (3, 3, 3), (2, 4, 4)),
-    "attn-of-another-count": ((3, 4), (2, 3, 3), (2, 4, 4), (2, 4, 4, 4), (1,)),
-    "attn-of-another-count-of-projections": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 3, 4, 4), (1,)),
-    "attn-with-empty-after": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), ()),
-    "after-without-attn": ((3, 4), (2, 3, 3), (2, 4, 4), None, (1,)),
-    "after-before-the-first-layer": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), (0,)),
-    "after-past-the-last-layer": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), (3,)),
-    "after-unsorted": ((3, 4), (2, 3, 3), (2, 4, 4), (2, 4, 4, 4), (2, 1)),
-    "after-repeated": ((3, 4), (2, 3, 3), (2, 4, 4), (2, 4, 4, 4), (1, 1)),
-    "heads-not-dividing-the-width": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), (1,), 3),
-    "no-heads": ((3, 4), (2, 3, 3), (2, 4, 4), (1, 4, 4, 4), (1,), 0),
+    "adj-of-another-node-count": ((3, 4), (2, 4, 4), (2, 4, 4)),
 }
 
 
@@ -678,10 +541,9 @@ def _gc_step_gradients(shape, trainable):
     rng = np.random.default_rng(92)
     h, g = rng.normal(size=shape), rng.normal(size=shape)
     rng = np.random.default_rng(93)
-    operands = [rng.normal(scale=0.3, size=s) for s in _block_shapes("g", shape)[1:]]
+    operands = [rng.normal(scale=0.3, size=s) for s in _block_shapes(1, shape)[1:]]
     t = Tape()
-    h, adj, wgt = (t.leaf(v, requires_grad=r) for v, r in zip((h, *operands), trainable))
-    t.gc_block(h, adj, wgt, None, (), 2)
+    t.gc_block(*(t.leaf(v, requires_grad=r) for v, r in zip((h, *operands), trainable)))
     return t.nodes[-1].backward_fn(g)
 
 
@@ -707,38 +569,34 @@ def test_gc_step_without_gradient_keeps_no_backward_and_no_product(monkeypatch):
     # tape keeps the output alone, not the adj @ h product of any layer
     rng = np.random.default_rng(98)
     operands = [rng.normal(scale=0.3, size=shape)
-                for shape in _block_shapes(DEFAULT_BLOCK, (32, 24, 32))]
+                for shape in _block_shapes(DEFAULT_LAYERS, (32, 24, 32))]
     calls = []
     monkeypatch.setattr(autodiff, "_gc_layer", lambda *args: calls.append(args))
     t = Tape()
-    xs = [t.constant(v) for v in operands]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = t.gc_block(xs[0], *_block_args(DEFAULT_BLOCK, xs[1:]), 2)
+        out = t.gc_block(*(t.constant(v) for v in operands))
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert calls == [] and t.nodes[-1].backward_fn is None
     assert kept < 2 * out.values.nbytes
-    # trainable attention projections: the four layers before the first
-    # attention keep no backward, and each step from it on keeps one; the
-    # layer behind it holds its adj @ h product
+    # trainable weights on a constant input: every layer keeps a backward,
+    # and the second one holds its adj @ h product
     t = Tape()
-    xs = [t.constant(v) for v in operands]
-    xs[3] = t.leaf(operands[3], requires_grad=True)
     monkeypatch.undo()
-    t.gc_block(xs[0], *_block_args(DEFAULT_BLOCK, xs[1:]), 2)
+    t.gc_block(t.constant(operands[0]), t.constant(operands[1]),
+               t.leaf(operands[2], requires_grad=True))
     cells = dict(zip(t.nodes[-1].backward_fn.__code__.co_freevars,
                      (c.cell_contents for c in t.nodes[-1].backward_fn.__closure__)))
     backs = cells["steps"]
-    assert backs[:4] == [None] * 4 and all(back is not None for back in backs[4:])
-    adj, wgt, attn = operands[1:]
-    t = Tape()  # the first four layers and the attention behind them
-    first = t.gc_block(*(t.constant(v) for v in (operands[0], adj[:4], wgt[:4], attn[:1])),
-                       (4,), 2)
-    ah = adj[4] @ first.values
-    held = [c.cell_contents for c in backs[5].__closure__]
+    assert all(back is not None for back in backs)
+    h, adj, wgt = operands
+    t = Tape()  # the first layer
+    first = t.gc_block(*(t.constant(v) for v in (h, adj[:1], wgt[:1])))
+    ah = adj[1] @ first.values
+    held = [c.cell_contents for c in backs[1].__closure__]
     assert any(isinstance(v, np.ndarray) and np.array_equal(v, ah) for v in held)
 
 
@@ -986,20 +844,17 @@ def _assert_within_rounding(got, want):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def _per_sample_step(step, h, g, seed):
+def _per_sample_step(h, g, seed):
     """The input and operand gradients of a one-layer gc_block on h (B, n, F)
-    of the layer kind step under output gradient g, batched, and the same
-    summed sample by sample: each sample runs as an (n, F) matrix, whose
-    products with the shared weights are 2-D and take a_b^T g_b and g_b @ W^T."""
+    under output gradient g, batched, and the same summed sample by sample:
+    each sample runs as an (n, F) matrix, whose products with the shared
+    weights are 2-D and take a_b^T g_b and g_b @ W^T."""
     rng = np.random.default_rng(seed)
-    layout = LAYERS["gc_layer" if step == "g" else "self_attention"]
-    shapes = _block_shapes(layout, h.shape)[1:]
-    operands = [rng.normal(scale=0.3, size=shape) for shape in shapes]
+    operands = [rng.normal(scale=0.3, size=shape) for shape in _block_shapes(1, h.shape)[1:]]
 
     def grads(hv, gv):
         t = Tape()
-        xs = [t.leaf(v, requires_grad=True) for v in (hv, *operands)]
-        t.gc_block(xs[0], *_block_args(layout, xs[1:]), 2)
+        t.gc_block(*(t.leaf(v, requires_grad=True) for v in (hv, *operands)))
         return t.nodes[-1].backward_fn(gv)
 
     batched = grads(h, g)
@@ -1040,22 +895,21 @@ class TestSharedWeightGradients:
         _assert_within_rounding(x.grad, np.stack([g_b @ w.values.T for g_b in g]))
         _assert_within_rounding(w.grad, sum(x_b.T @ g_b for x_b, g_b in zip(x.values, g)))
 
-    @pytest.mark.parametrize("step", ["g", "a"])
     @pytest.mark.parametrize("shape", SHARED_WEIGHT_SHAPES)
-    def test_block_step_gradients_equal_the_per_sample_sums(self, step, shape):
+    def test_block_step_gradients_equal_the_per_sample_sums(self, shape):
         rng = np.random.default_rng(92)
         h, g = rng.normal(size=shape), rng.normal(size=shape)
-        batched, reference = _per_sample_step(step, h, g, 93)
-        assert len(batched) == (3 if step == "g" else 4)
+        batched, reference = _per_sample_step(h, g, 93)
+        assert len(batched) == 3
         for got, want in zip(batched, reference):
             _assert_within_rounding(got, want)
 
     def test_two_backward_passes_are_bit_equal(self):
         rng = np.random.default_rng(94)
         operands = [rng.normal(scale=0.3, size=shape)
-                    for shape in _block_shapes(DEFAULT_BLOCK, (32, 24, 32))]
-        _, first, _ = _run_block(DEFAULT_BLOCK, operands, 2, True)
-        _, second, _ = _run_block(DEFAULT_BLOCK, operands, 2, True)
+                    for shape in _block_shapes(DEFAULT_LAYERS, (32, 24, 32))]
+        _, first, _ = _run_block(operands, True)
+        _, second, _ = _run_block(operands, True)
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
@@ -1159,7 +1013,7 @@ def test_op_kinds_cover_every_kind_the_pipeline_records(monkeypatch):
     layout = PartLayout.from_skeleton(Skeleton(parent=(0, 0, 0, 2),
                                                part_of=(LOWER, LOWER, UPPER, UPPER)))
     config = predictor.PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
-                                       heads=2, policy_hidden=4,
+                                       policy_hidden=4,
                                        coeff_scale=10.0, zero_output_decoders=False)
     model = training.init_predictor_model(np.random.default_rng(0), layout, config)
     rng = np.random.default_rng(1)

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from test_datagen import b64_values, edit_values, per_layer_order, saved_predictor
+from test_datagen import edit_values, payload, per_layer_order, saved_predictor
 from moticomp.cli import dispatch
 from moticomp.datagen import default_manifest, load_checkpoint, manifest_to_json, save_checkpoint
 from moticomp.errors import CheckpointError
@@ -105,8 +105,6 @@ def test_payload_one_float_off(tmp_path, capsys, data, saved, change, count):
     (TENSOR, [1, 8, 8]), (TENSOR, [3, 8, 8]),  # a block of another depth
     (TENSOR, [16, 8]), (TENSOR, [2, 1, 8, 8]),  # the same values, another rank
     ("whole.blk0.adj", [3, 24, 24]),
-    ("whole.blk0.attn", [2, 4, 8, 8]), ("whole.blk0.attn", [4, 8, 8]),  # attentions
-    ("whole.blk0.attn", [1, 3, 8, 8]),  # three projections, not four
 ], ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)))
 def test_stack_of_another_shape(tmp_path, capsys, data, saved, name, shape):
     """A stack's payload and shape agree, but the shape is not the model's."""
@@ -145,6 +143,21 @@ def test_non_finite_bytes(tmp_path, capsys, data, saved, bad, where):
                         f"non-finite values in tensor {TENSOR}")
 
 
+@pytest.mark.parametrize("bit", [0, 51])  # the lowest and the highest mantissa bit
+@pytest.mark.parametrize("where", [0, 63])
+def test_flipped_bit(tmp_path, capsys, data, saved, where, bit):
+    """A payload one bit off, which still decodes to as many finite values,
+    under the checksum the writer stored."""
+    def flip(doc):
+        raw = bytearray(base64.b64decode(tensor(doc)["values"]))
+        raw[8 * where + bit // 8] ^= 1 << bit % 8
+        assert np.isfinite(np.frombuffer(bytes(raw), "<f8")).all()
+        tensor(doc)["values"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+    assert_eval_refuses(tmp_path, capsys, data, edited(saved, flip),
+                        f"tensor {TENSOR} values do not match their sha256")
+
+
 def as_decimal_list(entry):
     """Store a tensor entry's values as version 1 did: a JSON list of floats."""
     entry["values"] = np.frombuffer(base64.b64decode(entry["values"]), "<f8").tolist()
@@ -162,32 +175,59 @@ def test_v1_file(tmp_path, capsys, data, saved):
         doc["version"] = 1
         for entry in doc["tensors"]:
             as_decimal_list(entry)
+            del entry["sha256"]
 
     assert_eval_refuses(tmp_path, capsys, data, edited(saved, as_v1),
-                        "checkpoint version 1 is not supported (expected 3)")
+                        "checkpoint version 1 is not supported (expected 4)")
 
 
 def test_v2_file(tmp_path, capsys, data, saved):
     """The file a version-2 writer made of the same model: one tensor per
-    layer's adjacency and weight, and per attention projection."""
+    layer's adjacency and weight, and no checksums."""
     def as_v2(doc):
         doc["version"] = 2
         stacks = {e["name"]: np.frombuffer(base64.b64decode(e["values"]), "<f8")
                   .reshape(e["shape"]) for e in doc["tensors"]}
-        doc["tensors"] = [{"name": name, "shape": list(arr.shape), "values": b64_values(arr)}
+        doc["tensors"] = [{"name": name, "shape": list(arr.shape),
+                           "values": payload(arr)["values"]}
                           for name, arr in per_layer_order(stacks)]
 
     text = edited(saved, as_v2)
-    assert '"whole.blk0.gc1.wgt"' in text and '"whole.blk0.attn0.wo"' in text
+    assert '"whole.blk0.gc1.wgt"' in text
     assert_eval_refuses(tmp_path, capsys, data, text,
-                        "checkpoint version 2 is not supported (expected 3)")
+                        "checkpoint version 2 is not supported (expected 4)")
+
+
+def test_v3_file(tmp_path, capsys, data, saved):
+    """The file a version-3 writer made of the same model with block
+    self-attention: its heads and attention_every config keys, one (A, 4, F, F)
+    stack of attention projections after each block's weights, and no
+    checksums."""
+    def as_v3(doc):
+        doc["version"] = 3
+        config = doc["config"]
+        doc["config"] = {**config, "heads": 2, "attention_every": config["layers_per_block"]}
+        tensors = []
+        for entry in doc["tensors"]:
+            del entry["sha256"]
+            tensors.append(entry)
+            if entry["name"].endswith(".wgt"):
+                width = entry["shape"][-1]
+                tensors.append({"name": entry["name"][:-len("wgt")] + "attn",
+                                "shape": [1, 4, width, width],
+                                "values": payload(np.zeros(4 * width * width))["values"]})
+        doc["tensors"] = tensors
+
+    text = edited(saved, as_v3)
+    assert '"whole.blk0.attn"' in text and '"heads": 2' in text
+    assert_eval_refuses(tmp_path, capsys, data, text,
+                        "checkpoint version 3 is not supported (expected 4)")
 
 
 def test_pre_blend_fusion_tensor(tmp_path, capsys, data, saved):
     """A checkpoint saved while the branches were blended by a learned weight."""
     def add_fusion(doc):
-        doc["tensors"].append({"name": "fusion.raw", "shape": [1, 1],
-                               "values": b64_values([0.0])})
+        doc["tensors"].append({"name": "fusion.raw", "shape": [1, 1], **payload([0.0])})
 
     assert_eval_refuses(tmp_path, capsys, data, edited(saved, add_fusion),
                         "unexpected ['fusion.raw']")

@@ -72,13 +72,13 @@ def test_eval_malformed_checkpoint_exits_two_with_named_error(tiny_manifest, tmp
     path = tmp_path / "pred.json"
     save_checkpoint(path, model)
     doc = json.loads(path.read_text())
-    del doc["config"]["heads"]
+    del doc["config"]["n_blocks"]
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert dispatch(["eval", "--model", str(path), "--data", str(data),
                      "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
-    assert "malformed checkpoint: config: missing key 'heads'" in err
+    assert "malformed checkpoint: config: missing key 'n_blocks'" in err
     assert "Traceback" not in err
 
 
@@ -231,7 +231,7 @@ def test_full_pipeline(tiny_manifest, tmp_path):
     pred_cfg = tmp_path / "pred.json"
     pred_cfg.write_text(json.dumps({
         "epochs": 1, "constrain_epochs": 1, "batch_size": 8, "seed": 0,
-        "feature_width": 8, "heads": 2, "policy_hidden": 4,
+        "feature_width": 8, "policy_hidden": 4,
         "coeff_scale": 50.0}))
     pred_out = tmp_path / "pred"
     assert dispatch(["train-predictor", "--config", str(pred_cfg),
@@ -269,7 +269,7 @@ def test_bad_config_key_exits_two(tiny_manifest, tmp_path):
     ("train-cag", "epochs", "5"), ("train-cag", "epochs", 2.5),
     ("train-cag", "hidden_dims", 5), ("train-cag", "batch_size", True),
     ("train-predictor", "epochs", "5"), ("train-predictor", "lr", None),
-    ("train-predictor", "heads", 2.0), ("train-predictor", "zero_output_decoders", 1),
+    ("train-predictor", "n_blocks", 2.0), ("train-predictor", "zero_output_decoders", 1),
     pytest.param("train-cag", "lr", 10 ** 400, id="train-cag-lr-huge_int"),
     pytest.param("train-predictor", "lr", 10 ** 400, id="train-predictor-lr-huge_int")])
 def test_ill_typed_config_value_exits_two_naming_file_and_key(tmp_path, capsys, command,
@@ -321,17 +321,6 @@ def test_train_predictor_on_an_all_lower_skeleton_names_the_empty_part(tiny_mani
     assert not (tmp_path / "pred").exists()
 
 
-def test_zero_heads_exits_two_naming_heads(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"heads": 0}))
-    capsys.readouterr()
-    assert dispatch(["train-predictor", "--config", str(cfg), "--data",
-                     str(tmp_path / "none"), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "heads must be >= 1, got 0" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("key,value,message", [
     ("policy_hidden", 0, "policy_hidden must be >= 1, got 0"),
     ("adjacency_noise", -0.1, "adjacency_noise must be finite and >= 0, got -0.1")])
@@ -354,6 +343,19 @@ def test_query_dim_config_exits_two_naming_it(tmp_path, capsys):
                      str(tmp_path / "none"), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{cfg}: config: unknown key 'query_dim'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("heads", 2), ("attention_every", 4)])
+def test_attention_config_exits_two_naming_it(tmp_path, capsys, key, value):
+    # the knobs of the block self-attention the predictor no longer has
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    assert dispatch(["train-predictor", "--config", str(cfg), "--data",
+                     str(tmp_path / "none"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: config: unknown key '{key}'" in err
     assert "Traceback" not in err
 
 

@@ -432,22 +432,24 @@ class TestCheckpoints:
         assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
 
 
-def b64_values(values) -> str:
-    """A checkpoint tensor's values as stored: base64 of little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def payload(values) -> dict:
+    """A checkpoint tensor entry's values and sha256 fields as a writer stores
+    them: base64 of the little-endian float64 bytes, and their SHA-256."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return {"values": base64.b64encode(raw).decode("ascii"),
+            "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 def edit_values(entry, edit):
     """Decode a checkpoint tensor entry's values to a flat float64 array and
-    store in their place the array that edit returns for it."""
-    entry["values"] = b64_values(edit(np.frombuffer(base64.b64decode(entry["values"]), "<f8")))
+    store in their place the array that edit returns for it, with its checksum."""
+    entry.update(payload(edit(np.frombuffer(base64.b64decode(entry["values"]), "<f8"))))
 
 
 def saved_predictor(path):
     """Write a small predictor checkpoint and return its JSON document."""
     layout = PartLayout.from_skeleton(default_manifest().skeleton)
-    config = PredictorConfig(feature_width=8, heads=2, n_blocks=2, layers_per_block=2,
-                             attention_every=2, policy_hidden=4)
+    config = PredictorConfig(feature_width=8, n_blocks=2, layers_per_block=2, policy_hidden=4)
     save_checkpoint(path, init_predictor_model(np.random.default_rng(0), layout, config))
     return json.loads(path.read_text())
 
@@ -459,7 +461,7 @@ def with_front_end_projections(doc):
     config = doc["config"]
     rows = min(config["input_frames"] // 2, 10) * (len(config["upper_dims"])
                                                     + len(config["lower_dims"]))
-    stale = [{"name": f"mattn.{m}", "shape": [rows, 16], "values": b64_values([0.0] * rows * 16)}
+    stale = [{"name": f"mattn.{m}", "shape": [rows, 16], **payload([0.0] * rows * 16)}
              for m in ("wq", "wk")]
     return {**doc, "tensors": stale + doc["tensors"]}
 
@@ -474,7 +476,7 @@ class TestPredictorCheckpointErrors:
         with pytest.raises(CheckpointError, match=f"missing key '{key}'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key,value", [("heads", "2"), ("heads", 2.0),
+    @pytest.mark.parametrize("key,value", [("n_blocks", "2"), ("n_blocks", 2.0),
                                            ("n_coeffs", True), ("coeff_scale", None),
                                            ("zero_output_decoders", 1),
                                            pytest.param("coeff_scale", 10 ** 400,
@@ -516,12 +518,12 @@ class TestPredictorCheckpointErrors:
                 "(missing [], unexpected ['mattn.wk', 'mattn.wq'])")):
             load_checkpoint(path)
 
-    def test_zero_heads_named(self, tmp_path):
+    def test_zero_n_blocks_named(self, tmp_path):
         path = tmp_path / "p.json"
         doc = saved_predictor(path)
-        doc["config"]["heads"] = 0
+        doc["config"]["n_blocks"] = 0
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="heads must be >= 1, got 0"):
+        with pytest.raises(CheckpointError, match="n_blocks must be >= 1, got 0"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -695,18 +697,13 @@ def per_layer_order(named: dict[str, np.ndarray]):
     """(name, array) pairs of a predictor's dict by name (its parameters, or
     their gradients) under the names and in the order of the layout of
     version-2 checkpoints, one array per layer: each block's layers i as
-    gc{i}.adj and gc{i}.wgt, then its attentions a as attn{a}.wq, .wk, .wv
-    and .wo."""
+    gc{i}.adj and gc{i}.wgt."""
     for name, arr in named.items():
         block, _, role = name.rpartition(".")
         if role == "wgt":
             for i, (adj, wgt) in enumerate(zip(named[f"{block}.adj"], arr)):
                 yield f"{block}.gc{i}.adj", adj
                 yield f"{block}.gc{i}.wgt", wgt
-        elif role == "attn":
-            for a, module in enumerate(arr):
-                for m, w in zip(("wq", "wk", "wv", "wo"), module):
-                    yield f"{block}.attn{a}.{m}", w
         elif role != "adj":  # an adjacency comes with its weight
             yield name, arr
 
@@ -728,20 +725,20 @@ class TestSeededInitGolden:
         for _, arr in per_layer_order(model.named_parameters()):
             digest.update(arr.tobytes())
         assert digest.hexdigest() == (
-            "1ad0823440be4f9348e0dae2729640c593c07a317fbf153b2539b9308ebdc336")
+            "f88d0ba691dda6eebac98d03f99fddd823cbb73192d7e3c6d721452e3fe1d120")
 
     def test_default_predictor(self, tmp_path):
         layout = PartLayout.from_skeleton(default_skeleton())
         model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
         assert checkpoint_digest(tmp_path / "p.json", model) == (
-            "17ded1382d67d29e3e6d8f9765d513621f8020c2cc9dd8460c37d9b0ce30e772")
+            "76f8411c6662695202058951f7a9c6bc1de3c059034d3eedd2fac546948809f0")
 
     def test_small_vae(self, tmp_path):
         # the file holds the checkpoint version, so a new version moves this too
         params = init_vae(np.random.default_rng(0), coeff_rows=4, coeff_cols=6,
                           original_length=8, latent_dim=3, hidden_dims=(10,))
         assert checkpoint_digest(tmp_path / "v.json", params) == (
-            "2cb86e57e18ae92be1237d735eb7175881a131b7ee3e759975859290a9184f99")
+            "3ea68baa814f9a855f0d00e1f27ca48326818a807eee5177a9fc4a4a3a9ab0c6")
 
 
 def dataset_digest(manifest) -> str:

@@ -36,7 +36,7 @@ def toy_layout():
 
 def toy_config():
     return PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
-                           heads=2, policy_hidden=6, coeff_scale=10.0)
+                           policy_hidden=6, coeff_scale=10.0)
 
 
 def toy_predictor(seed=0):
@@ -262,7 +262,7 @@ class TestFlops:
                 encoded = _branch_encode(tape, tensors, kind, x)
                 _policy_forward(tape, tensors, "pol", encoded)
                 from moticomp.predictor import _branch_tail
-                _branch_tail(tape, kind, params.config, tensors, encoded, exit_index)
+                _branch_tail(tape, kind, tensors, encoded, exit_index)
                 counted = sum(node.macs for node in tape.nodes)
                 assert counted == analytic[exit_index - 1], (kind, exit_index)
 

@@ -19,7 +19,7 @@ from moticomp.exits import count_flops, policy_macs
 from moticomp.layers import bind
 from moticomp.motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
 from moticomp.predictor import (BRANCH_KINDS, PredictorConfig,
-                                _block_forward, _branch_encode, _branch_tail,
+                                _branch_encode, _branch_tail,
                                 _forward_core, _prepare_branch_inputs,
                                 branch_node_counts, init_predictor, pad_last_frame, predict)
 from moticomp.training import _routed_batch, init_predictor_model
@@ -30,7 +30,7 @@ def toy_skeleton():
 
 
 def toy_config(**overrides):
-    defaults = dict(input_frames=8, output_frames=4, feature_width=8, heads=2,
+    defaults = dict(input_frames=8, output_frames=4, feature_width=8,
                     policy_hidden=6, coeff_scale=10.0)
     defaults.update(overrides)
     return PredictorConfig(**defaults)
@@ -44,7 +44,7 @@ def toy_params(seed=0, **overrides):
 def gc_layer_forward(h, adjacency, weight):
     tape = Tape()
     return tape.gc_block(tape.constant(h), tape.constant(adjacency[None]),
-                         tape.constant(weight[None]), None, (), 1).values
+                         tape.constant(weight[None])).values
 
 
 class TestGcLayer:
@@ -76,68 +76,9 @@ class TestGcLayer:
         assert np.abs(out - expected).max() < 1e-12
 
 
-def self_attention(h, heads, params):
-    """The attention of params (wq, wk, wv, wo) behind the one graph
-    convolution a block needs, an identity one: on h, it reads tanh(h)."""
-    tape = Tape()
-    n, f = h.shape
-    weights = np.stack([params[m] for m in ("wq", "wk", "wv", "wo")])[None]
-    return tape.gc_block(tape.constant(h), tape.constant(np.eye(n)[None]),
-                         tape.constant(np.eye(f)[None]), tape.constant(weights), (1,),
-                         heads).values
-
-
-class TestSelfAttention:
-    def make_params(self, rng, width, heads, zero_output=False):
-        def mat():
-            return rng.normal(scale=0.3, size=(width, width))
-        wo = np.zeros((width, width)) if zero_output else mat()
-        return {"wq": mat(), "wk": mat(), "wv": mat(), "wo": wo}
-
-    def test_zero_output_projection_is_residual_only(self):
-        rng = np.random.default_rng(4)
-        params = self.make_params(rng, 4, 2, zero_output=True)
-        h = rng.normal(size=(3, 4))
-        assert np.array_equal(self_attention(h, 2, params), np.tanh(h))
-
-    def test_single_node_single_head(self):
-        rng = np.random.default_rng(5)
-        params = self.make_params(rng, 4, 1)
-        h = rng.normal(size=(1, 4))
-        x = np.tanh(h)
-        # softmax over a singleton is exactly 1, so context = value projection
-        expected = x + (x @ params["wv"]) @ params["wo"]
-        assert np.allclose(self_attention(h, 1, params), expected, atol=1e-12)
-
-    def test_matches_per_head_brute_force(self):
-        rng = np.random.default_rng(6)
-        heads, n, width = 2, 3, 6
-        params = self.make_params(rng, width, heads)
-        h = rng.normal(size=(n, width))
-        x = np.tanh(h)
-        q, k, v = x @ params["wq"], x @ params["wk"], x @ params["wv"]
-        dh = width // heads
-        ctx = np.zeros((n, width))
-        for hd in range(heads):
-            sl = slice(hd * dh, (hd + 1) * dh)
-            scores = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
-            e = np.exp(scores - scores.max(axis=1, keepdims=True))
-            attn = e / e.sum(axis=1, keepdims=True)
-            ctx[:, sl] = attn @ v[:, sl]
-        expected = x + ctx @ params["wo"]
-        assert np.allclose(self_attention(h, heads, params), expected, atol=1e-12)
-
-    def test_indivisible_width_rejected(self):
-        with pytest.raises(ConfigError):
-            PredictorConfig(feature_width=5, heads=2)
-
-    @pytest.mark.parametrize("heads", [0, -2])
-    def test_non_positive_heads_rejected(self, heads):
-        with pytest.raises(ConfigError, match=f"heads must be >= 1, got {heads}"):
-            PredictorConfig(heads=heads)
-
-    @pytest.mark.parametrize("key", ["feature_width", "policy_hidden", "output_frames", "n_blocks", "layers_per_block",
-                                     "attention_every"])
+class TestPredictorConfig:
+    @pytest.mark.parametrize("key", ["feature_width", "policy_hidden", "output_frames", "n_blocks",
+                                     "layers_per_block"])
     @pytest.mark.parametrize("size", [0, -1])
     def test_non_positive_sizes_rejected(self, key, size):
         with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {size}"):
@@ -147,15 +88,15 @@ class TestSelfAttention:
         with pytest.raises(ConfigError, match="input_frames must be >= 2, got 1"):
             PredictorConfig(input_frames=1)
 
-    @pytest.mark.parametrize("key", ["input_frames", "n_coeffs", "heads", "n_blocks"])
+    @pytest.mark.parametrize("key", ["input_frames", "n_coeffs", "n_blocks"])
     def test_non_integral_size_rejected(self, key):
         with pytest.raises(ConfigError, match=f"{key} must be an integer, got 2.0"):
             PredictorConfig(**{key: 2.0})
 
     @pytest.mark.parametrize("value", [True, False])
     @pytest.mark.parametrize("key", ["input_frames", "output_frames", "n_coeffs",
-                                     "feature_width", "heads", "n_blocks", "layers_per_block",
-                                     "attention_every", "policy_hidden"])
+                                     "feature_width", "n_blocks", "layers_per_block",
+                                     "policy_hidden"])
     def test_bool_size_rejected(self, key, value):
         # before, n_blocks=True constructed and init failed with a bare TypeError
         with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value}"):
@@ -170,14 +111,6 @@ class TestSelfAttention:
     def test_negative_or_non_finite_adjacency_noise_rejected(self, noise):
         with pytest.raises(ConfigError, match="adjacency_noise must be finite and >= 0"):
             PredictorConfig(adjacency_noise=noise)
-
-    def test_head_count_mismatch_rejected(self):
-        # PredictorConfig refuses such a width; the tape kind refuses the shapes
-        rng = np.random.default_rng(7)
-        params = self.make_params(rng, 4, 2)
-        with pytest.raises(ShapeError, match=r"gc_block operands do not conform: h \(3, 4\), "
-                                             r".* in 3 heads"):
-            self_attention(rng.normal(size=(3, 4)), 3, params)
 
 
 class TestFrontEnd:
@@ -218,7 +151,7 @@ def branch_forward_to_exit(params, kind, x, exit_index):
     tape = Tape()
     tensors = bind(tape, params.named_parameters(), trainable=False)
     encoded = _branch_encode(tape, tensors, kind, tape.constant(x))
-    return _branch_tail(tape, kind, params.config, tensors, encoded, exit_index).values
+    return _branch_tail(tape, kind, tensors, encoded, exit_index).values
 
 
 def branch_input_shape(params, kind):
@@ -253,24 +186,20 @@ class TestBranchForward:
             assert np.array_equal(branch_forward_to_exit(params, "lower", x, d),
                                   np.zeros_like(x))
 
-    @pytest.mark.parametrize("overrides", [{}, dict(layers_per_block=5, attention_every=2,
-                                                    heads=1), dict(attention_every=9)])
+    @pytest.mark.parametrize("overrides", [{}, dict(layers_per_block=5),
+                                           dict(layers_per_block=1)])
     def test_block_records_one_node(self, overrides):
-        # its operands: h, then the block's stacks of adjacencies, weights and,
-        # where config.attention_positions puts any, attention projections
+        # its operands: h, then the block's stacks of adjacencies and weights
         params = toy_params(seed=30, **overrides)
-        cfg = params.config
         tape = Tape()
         tensors = bind(tape, params.named_parameters(), trainable=True)
         h = tape.constant(np.random.default_rng(31).normal(
-            size=(3, branch_node_counts(params.layout)["whole"], cfg.feature_width)))
-        _block_forward(tape, cfg, tensors, "whole.blk0", h)
+            size=(3, branch_node_counts(params.layout)["whole"], params.config.feature_width)))
+        first = len(tape.nodes)
+        _branch_tail(tape, "whole", tensors, h, 1)
         expected = [h, tensors["whole.blk0.adj"], tensors["whole.blk0.wgt"]]
-        if cfg.attention_positions:
-            expected.append(tensors["whole.blk0.attn"])
-        assert ("whole.blk0.attn" in tensors) == bool(cfg.attention_positions)
-        assert [node.kind for node in tape.nodes] == ["gc_block"]
-        assert tape.nodes[0].input_ids == tuple(t.tid for t in expected)
+        assert [node.kind for node in tape.nodes[first:]] == ["gc_block", "linear"]
+        assert tape.nodes[first].input_ids == tuple(t.tid for t in expected)
 
     @pytest.mark.parametrize("exits", [2, np.array([2, 2, 2]), np.array([3, 3, 3])],
                              ids=["one-index", "exits-2", "exits-3"])
@@ -284,7 +213,7 @@ class TestBranchForward:
         tensors = bind(tape, params.named_parameters(), trainable=False)
         encoded = _branch_encode(tape, tensors, "upper", tape.constant(x))
         first = len(tape.nodes)
-        out = _branch_tail(tape, "upper", params.config, tensors, encoded, exits)
+        out = _branch_tail(tape, "upper", tensors, encoded, exits)
         depth = int(np.max(exits))
         assert [node.kind for node in tape.nodes[first:]] == (
             ["gc_block"] * depth + ["linear"])
@@ -304,7 +233,7 @@ class TestBranchForward:
             tensors = bind(tape, params.named_parameters(), trainable=False)
             encoded = _branch_encode(tape, tensors, "whole", tape.constant(x))
             start = tape.mac_count
-            out = _branch_tail(tape, "whole", params.config, tensors, encoded, exits)
+            out = _branch_tail(tape, "whole", tensors, encoded, exits)
             return out.values.tobytes(), tape.mac_count - start
 
         want = tail(np.full(3, depth))
@@ -339,7 +268,7 @@ class TestPredict:
         tape = Tape()
         tensors = bind(tape, params.named_parameters(), trainable=False)
         inputs = _prepare_branch_inputs(tape, params, hist.data[None])
-        out = {kind: _branch_tail(tape, kind, cfg, tensors,
+        out = {kind: _branch_tail(tape, kind, tensors,
                                   _branch_encode(tape, tensors, kind, inputs[kind]), 2).values
                for kind in BRANCH_KINDS}  # each (1, nodes, coefficients)
         parts = np.empty_like(out["whole"])
@@ -383,7 +312,7 @@ class TestPredict:
                                                ((UPPER, UPPER), "lower")])
     def test_empty_body_part_named(self, part_of, empty):
         # before, evaluate and train_predictor divided by zero in the exit
-        # policy and predict's attention reduced an empty array
+        # policy and predict reduced an empty array
         layout = PartLayout.from_skeleton(Skeleton(parent=(0, 0), part_of=part_of))
         with pytest.raises(ConfigError, match=f"the layout's {empty} body part is empty"):
             init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
@@ -394,12 +323,11 @@ class TestPredict:
         layout = PartLayout.from_skeleton(default_skeleton())
         model = init_predictor_model(np.random.default_rng(0), layout, PredictorConfig())
         named = model.params.named_parameters()
-        assert len(named) == 3 * (2 + 3 * 3 + 2) == 39
-        assert len(model.named_parameters()) == 39 + 3 * 4 == 51
+        assert len(named) == 3 * (2 + 3 * 2 + 2) == 30
+        assert len(model.named_parameters()) == 30 + 3 * 4 == 42
         assert [(name, arr.shape) for name, arr in named.items() if ".blk1." in name
                 and name.startswith("whole")] == [
-            ("whole.blk1.adj", (8, 24, 24)), ("whole.blk1.wgt", (8, 32, 32)),
-            ("whole.blk1.attn", (2, 4, 32, 32))]
+            ("whole.blk1.adj", (8, 24, 24)), ("whole.blk1.wgt", (8, 32, 32))]
 
     def test_default_model_tape_copies_only_what_the_history_gives(self):
         # the front end (the DCT of the padded history plus that of its newest
@@ -456,7 +384,7 @@ class TestGradientFlow:
     def test_every_parameter_receives_gradient(self):
         layout = PartLayout.from_skeleton(toy_skeleton())
         config = PredictorConfig(input_frames=12, output_frames=4, feature_width=8,
-                                 heads=2, policy_hidden=6, coeff_scale=10.0, zero_output_decoders=False)
+                                 policy_hidden=6, coeff_scale=10.0, zero_output_decoders=False)
         params = init_predictor(np.random.default_rng(28), layout, config)
         rng = np.random.default_rng(29)
         hist = rng.normal(scale=20.0, size=(config.input_frames, layout.size))
@@ -672,7 +600,7 @@ class TestInferenceTapes:
         digest = hashlib.blake2b(digest_size=16)
         for _, grad in per_layer_order({name: tensors[name].grad for name in named}):
             digest.update(grad.tobytes())
-        assert digest.hexdigest() == "39dbe28d5d390e37d5eaa66747ad44e4"
+        assert digest.hexdigest() == "7c5ee8c4ec6665314c61725b3e5bc560"
 
     def test_full_depth_batch_memory(self, default_model_and_test_histories):
         # about 8 MB; a tape that kept every backward closure and the arrays
@@ -702,4 +630,4 @@ class TestPredictGolden:
             for exits in itertools.product((1, 2, 3), repeat=3):
                 digest.update(predict(model.params, hist, exits).data.tobytes())
         assert digest.hexdigest() == (
-            "a8a25b39ba1c2765ff33fbd69db5315180b82bac6a5167d7f36d99f6b78d762f")
+            "5a2752c3f81ae2633d8a08c68c99748453fa85ddd098167265aaa507315c3e7d")

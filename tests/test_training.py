@@ -384,7 +384,7 @@ def tiny_setup(seed=0, n_train=12, n_val=4):
     sk = Skeleton(parent=(0, 0, 0, 2), part_of=(LOWER, LOWER, UPPER, UPPER))
     layout = PartLayout.from_skeleton(sk)
     config = PredictorConfig(input_frames=8, output_frames=4, feature_width=8,
-                             heads=2, policy_hidden=6, coeff_scale=10.0)
+                             policy_hidden=6, coeff_scale=10.0)
     model = init_predictor_model(np.random.default_rng(seed), layout, config)
     rng = np.random.default_rng(seed + 100)
 
@@ -644,7 +644,7 @@ def routed_model(seed, n_seqs=12):
     sequences."""
     layout = PartLayout.from_skeleton(Skeleton(parent=(0, 0, 0, 2),
                                                part_of=(LOWER, LOWER, UPPER, UPPER)))
-    config = PredictorConfig(input_frames=12, output_frames=4, feature_width=8, heads=2,
+    config = PredictorConfig(input_frames=12, output_frames=4, feature_width=8,
                              policy_hidden=6, coeff_scale=10.0,
                              zero_output_decoders=False)
     model = init_predictor_model(np.random.default_rng(seed), layout, config)
@@ -868,7 +868,7 @@ class TestTrainAndEvaluateGolden:
                    for text in (result.history_csv(), report.to_csv(),
                                 report.flops.to_csv())]
         assert digests == [
-            "f8d2aeadc91b92a7c171705b7bf7d9c7bdb18fcdf2e346c9c2213042c33caa6d",
-            "fc4c823e6e6eebf5bee39713d897ba12d4ef30e30b822270c9facd4078d44051",
-            "d96226756945e15f17523f98e504871754b39b6e16eaa0dd61429a439ceb10cd",
+            "86f29f6ed78f2ad0a84a77087e0375eb4fa26d55dddbf18afd42d61d9cf5af2e",
+            "44e0604938216f7e15da4509f25b454aa63ac0d9c8583da6e372885c8c02f698",
+            "f65ff09a3edf37274c761f788b820442d5738c33dc7c0623028c4d6c8e3c73f3",
         ]
