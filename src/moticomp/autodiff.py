@@ -9,10 +9,10 @@ numpy's C count, less the Python wrapper and dispatcher of np.count_nonzero.
 
 A node keeps backward state only when a gradient can flow into it, that is
 when one of its inputs requires a gradient. Otherwise its `backward_fn` is
-None, and `gc_block`'s layers build no backward and keep no intermediate for
-one. So a tape whose inputs are all constants, as at inference, holds only
-forward values, and `backward` skips such nodes, which could pass no
-gradient on.
+None, and a `gc_block` keeps no layer's intermediates (it keeps them all, for
+its one backward, when an operand needs a gradient). So a tape whose inputs
+are all constants, as at inference, holds only forward values, and `backward`
+skips such nodes, which could pass no gradient on.
 
 One kind of constant is not re-checked, and belongs to no tape:
 `shared_constant` wraps an array that `freeze` made (read-only, C-contiguous
@@ -158,27 +158,6 @@ def all_finite(values: Array) -> bool:
 def _require_finite(values: Array, what: str) -> None:
     if not all_finite(values):
         raise NumericError(f"{what} produced non-finite values")
-
-
-def _gc_layer(i: int, hv: Array, av: Array, wv: Array, ah: Array, y: Array, need_h: bool):
-    """The backward of graph convolution gc{i} y = tanh(ah @ wv), ah = av @ hv:
-    it maps the output gradient to that of h (None when not needed) and writes
-    those of adj and wgt into layer i of the stacks g_adj and g_wgt, each
-    where one is given."""
-
-    def bwd(g, g_adj, g_wgt):
-        g_ah, g_w = _matmul_grads(_tanh_grad(g, y), ah, wv, need_h or g_adj is not None,
-                                  g_wgt is not None)
-        if g_wgt is not None:
-            g_wgt[i] = g_w
-        if g_ah is None:
-            return None
-        g_a, g_h = _matmul_grads(g_ah, av, hv, g_adj is not None, need_h)
-        if g_adj is not None:
-            g_adj[i] = g_a
-        return g_h
-
-    return bwd
 
 
 def freeze(values, what: str) -> Array:
@@ -493,30 +472,36 @@ class Tape:
                 and wv.shape == (n_layers, f, f)):
             raise ShapeError(f"gc_block operands do not conform: h {hv.shape}, "
                              f"adj {av.shape}, wgt {wv.shape}")
-        na, nw = adj.requires_grad, wgt.requires_grad
-        need, macs, steps = h.requires_grad, 0, []
+        nh, na, nw = h.requires_grad, adj.requires_grad, wgt.requires_grad
+        saved = [] if nh or na or nw else None  # per layer: input, adj[i] @ input, output
+        macs = 0
         for i in range(n_layers):  # inline: a call adds a quarter to a layer's time
-            ai, wi = av[i], wv[i]
-            ah = ai @ hv
-            pre = ah @ wi
+            ah = av[i] @ hv
+            pre = ah @ wv[i]
             if not all_finite(pre):  # tanh would hide an overflow
                 raise NumericError(
                     f"gc_block gc{i} pre-tanh product produced non-finite values")
             macs += ah.size * (n + f)
             y = np.tanh(pre, out=pre)  # pre is needed no more
-            steps.append(_gc_layer(i, hv, ai, wi, ah, y, need) if need or na or nw else None)
-            hv, need = y, steps[-1] is not None  # a backward where a gradient reaches it
+            if saved is not None:
+                saved.append((hv, ah, y))
+            hv = y
 
-        def bwd(g):  # each layer's backward, last layer first, into one array per stack
-            grads = [np.empty(x.values.shape) if x.requires_grad else None for x in (adj, wgt)]
-            for back in reversed(steps):
-                # g is None once nothing before this layer needs a gradient
-                # (a layer returns None for h then), so a layer that kept no
-                # backward is never called
-                if g is None:
-                    break
-                g = back(g, *grads)
-            return g, *grads
+        def bwd(g):  # last layer first, into one array per stack that needs one
+            g_adj = np.empty(av.shape) if na else None
+            g_wgt = np.empty(wv.shape) if nw else None
+            for i in reversed(range(n_layers)):
+                x, ah, y = saved[i]
+                need_h = nh or i > 0  # layer 0's h gradient only when h needs one
+                g_ah, g_w = _matmul_grads(_tanh_grad(g, y), ah, wv[i], need_h or na, nw)
+                if nw:
+                    g_wgt[i] = g_w
+                if g_ah is None:  # layer 0, when wgt alone needs a gradient
+                    return None, g_adj, g_wgt
+                g_a, g = _matmul_grads(g_ah, av[i], x, na, need_h)
+                if na:
+                    g_adj[i] = g_a
+            return g, g_adj, g_wgt
 
         return self._emit("gc_block", (h, adj, wgt), hv, bwd, macs, check=False)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import freeze
+from .autodiff import all_finite, freeze
 from .errors import (CheckpointError, ConfigError, ManifestError, ParseError,
                      finite, require_at_least)
 from .motion import LOWER, UPPER, MotionSequence, PartLayout, Skeleton
@@ -125,9 +125,13 @@ def _noiseless_curve(spec: ActionSpec, skeleton: Skeleton, length: int,
               for key in _PER_JOINT_FIELDS)
     frames = np.arange(length, dtype=np.float64)
     curve = np.tile(rest_pose(skeleton), (length, 1))
-    curve.reshape(length, -1, 3)[:, moving] += _track(*params, frames, fps).T[:, :, None]
-    moving.flags.writeable = False
-    return freeze(curve, "motion data"), moving
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        curve.reshape(length, -1, 3)[:, moving] += _track(*params, frames, fps).T[:, :, None]
+    if not all_finite(curve):
+        raise ConfigError(f"action {spec.name!r} makes non-finite motion at fps {fps} "
+                          f"over {length} frames")
+    curve.flags.writeable = moving.flags.writeable = False
+    return curve, moving
 
 
 def generate_atomic(spec: ActionSpec, skeleton: Skeleton, length: int, fps: float,

@@ -66,6 +66,7 @@ def mpjpe_metric(pred: np.ndarray, gt: np.ndarray, frame_index: int) -> float:
 # ----------------------------------------------------------------------
 # optimizer
 
+_min, _max = np.minimum.reduce, np.maximum.reduce  # the ufunc reductions, less their wrappers
 _ADAM_CHUNK = 16_384  # elements per in-place pass: a 128 KB scratch chunk stays in cache
 
 
@@ -135,10 +136,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
     Nothing changes unless lr and eps are finite and > 0, beta1 and beta2 lie
     in [0, 1), params holds exactly the state's names and shapes and every
-    gradient is present, of its parameter's shape and finite. Bias corrections,
-    lr and eps fold into two scalars, so a chunk takes 10 elementwise passes;
-    params agree with the textbook formula within 1e-14 of each array's
-    largest magnitude, not bit for bit."""
+    gradient is present, of its parameter's shape, finite and at most
+    sqrt(float64 max * (1 - beta2)) in magnitude, which keeps v finite. Bias
+    corrections, lr and eps fold into two scalars, so a chunk takes 10
+    elementwise passes; params agree with the textbook formula within 1e-14 of
+    each array's largest magnitude, not bit for bit."""
     for key, value in (("lr", lr), ("eps", eps)):
         if not 0 < value < np.inf:
             raise ValueError(f"{key} must be finite and > 0, got {value}")
@@ -155,11 +157,15 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if g is None or g.shape != m.shape:
             raise ShapeError(f"gradient of {name} missing or mis-shaped")
         _check_param(name, p)
+    bound = np.sqrt(np.finfo(np.float64).max * (1.0 - beta2))  # 4.2e152 at beta2 0.999
     for _, _, pieces in state._chunks:  # each piece's view, before anything changes
         for name, lo, hi in pieces:
             g = grads[name]
-            if not all_finite(g if hi - lo == g.size else g.reshape(-1)[lo:hi]):
-                raise NumericError(f"non-finite gradient for {name}")
+            g = g if hi - lo == g.size else g.reshape(-1)[lo:hi]
+            if not -bound <= _min(g, axis=None) <= _max(g, axis=None) <= bound:  # or NaN
+                raise NumericError(f"non-finite gradient for {name}" if not all_finite(g) else
+                                   f"gradient for {name} exceeds {bound:.3g}, so Adam's v "
+                                   "would overflow")
 
     state.step += 1
     # m and v hold M / (1 - beta1) and V / (1 - beta2) of the textbook moments
@@ -259,8 +265,9 @@ class TrainConfig:
         require_at_least(self, 1, "batch_size")
         require_at_least(self, 0, "epochs", "constrain_epochs")
         require_at_least(self, 0, "seed", high=None)
-        if not 0 <= self.constrain_epochs <= self.epochs:
-            raise ConfigError("constrain_epochs must lie within 0..epochs")
+        if self.constrain_epochs > self.epochs:
+            raise ConfigError(f"constrain_epochs {self.constrain_epochs} (default "
+                              f"{TrainConfig.constrain_epochs}) exceeds epochs {self.epochs}")
 
 
 @dataclass

@@ -564,40 +564,69 @@ def test_gc_step_gradients_keep_their_bytes():
         "eeff1033b25857f9320e792b8939278bfd08b81b2d5c9ee470f3093a05422bc4")
 
 
-def test_gc_step_without_gradient_keeps_no_backward_and_no_product(monkeypatch):
-    # a default block on a constant batch: no step builds a backward, and the
-    # tape keeps the output alone, not the adj @ h product of any layer
+def _saved_layers(node):
+    """The (input, adj[i] @ input, output) list a gc_block node's backward reads."""
+    fn = node.backward_fn
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))["saved"]
+
+
+def test_gc_step_without_gradient_keeps_no_backward_and_no_product():
+    # a default block on a constant batch: the node keeps no backward, and the
+    # tape keeps the output alone, not the adj @ h product of any layer; nor
+    # does the block hold every layer's products while it runs (about 17
+    # outputs' worth), only those of the layer at hand
     rng = np.random.default_rng(98)
     operands = [rng.normal(scale=0.3, size=shape)
                 for shape in _block_shapes(DEFAULT_LAYERS, (32, 24, 32))]
-    calls = []
-    monkeypatch.setattr(autodiff, "_gc_layer", lambda *args: calls.append(args))
     t = Tape()
+    constants = [t.constant(v) for v in operands]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = t.gc_block(*(t.constant(v) for v in operands))
-        kept = tracemalloc.get_traced_memory()[0] - before
+        out = t.gc_block(*constants)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert calls == [] and t.nodes[-1].backward_fn is None
-    assert kept < 2 * out.values.nbytes
-    # trainable weights on a constant input: every layer keeps a backward,
-    # and the second one holds its adj @ h product
+    assert t.nodes[-1].backward_fn is None
+    assert kept < 2 * out.values.nbytes and peak < 4 * out.values.nbytes
+    # trainable weights on a constant input: every layer is saved, and the
+    # second one holds its adj @ h product
     t = Tape()
-    monkeypatch.undo()
     t.gc_block(t.constant(operands[0]), t.constant(operands[1]),
                t.leaf(operands[2], requires_grad=True))
-    cells = dict(zip(t.nodes[-1].backward_fn.__code__.co_freevars,
-                     (c.cell_contents for c in t.nodes[-1].backward_fn.__closure__)))
-    backs = cells["steps"]
-    assert all(back is not None for back in backs)
+    saved = _saved_layers(t.nodes[-1])
+    assert len(saved) == DEFAULT_LAYERS
     h, adj, wgt = operands
     t = Tape()  # the first layer
     first = t.gc_block(*(t.constant(v) for v in (h, adj[:1], wgt[:1])))
-    ah = adj[1] @ first.values
-    held = [c.cell_contents for c in backs[1].__closure__]
-    assert any(isinstance(v, np.ndarray) and np.array_equal(v, ah) for v in held)
+    assert np.array_equal(saved[1][0], first.values)
+    assert np.array_equal(saved[1][1], adj[1] @ first.values)
+
+
+def test_gc_block_with_only_h_trainable_makes_no_stack_gradient():
+    # one sample at the default widths: each stack outweighs every array the
+    # h gradient needs, so a stack-sized allocation shows in the peak
+    rng = np.random.default_rng(97)
+    h, adj, wgt = (rng.normal(scale=0.3, size=shape)
+                   for shape in _block_shapes(DEFAULT_LAYERS, (24, 32)))
+    g = rng.normal(size=h.shape)
+    smallest = min(adj.nbytes, wgt.nbytes)
+
+    def peak(trainable):
+        t = Tape()
+        t.gc_block(*(t.leaf(v, requires_grad=r) for v, r in zip((h, adj, wgt), trainable)))
+        tracemalloc.start()
+        try:
+            grads = t.nodes[-1].backward_fn(g)
+            return grads, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (g_h, g_adj, g_wgt), used = peak((True, False, False))
+    assert g_adj is None and g_wgt is None and g_h.shape == h.shape
+    assert used < smallest
+    _, used = peak((True, False, True))  # the peak does see a stack's gradient
+    assert used >= wgt.nbytes
 
 
 class TestLinear:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 import warnings
 
@@ -357,6 +358,64 @@ def test_attention_config_exits_two_naming_it(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert f"{cfg}: config: unknown key '{key}'" in err
     assert "Traceback" not in err
+
+
+def test_constrain_epochs_above_epochs_exits_two_naming_both(tmp_path, capsys):
+    # a short run that leaves constrain_epochs at its default of 20
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"epochs": 10}))
+    capsys.readouterr()
+    assert dispatch(["train-predictor", "--config", str(cfg), "--data",
+                     str(tmp_path / "none"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "constrain_epochs 20 (default 20) exceeds epochs 10" in err
+    assert "Traceback" not in err
+
+
+def one_error_line(capsys, command: str) -> str:
+    """The one stderr line of a failed command, checked free of warnings."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"moticomp {command}: error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("key", ["drift", "frequency"])
+def test_gen_data_overflowing_action_exits_two_naming_it(tiny_manifest, tmp_path, capsys,
+                                                        key):
+    doc = json.loads(tiny_manifest.read_text())
+    spec = next(a for a in doc["actions"] if a["name"] == "nod")
+    spec[key] = [1e308] * len(spec[key])
+    tiny_manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(["gen-data", "--manifest", str(tiny_manifest),
+                         "--out", str(tmp_path / "d")])
+    assert code == 2 and not caught
+    assert "action 'nod' makes non-finite motion at fps " in one_error_line(capsys, "gen-data")
+    assert not (tmp_path / "d").exists()
+
+
+def test_train_cag_gradient_that_would_overflow_adam_exits_two(tiny_manifest, tmp_path,
+                                                                capsys):
+    # every amplitude 1e100 times the default: the data is finite, its loss
+    # about 4e202, and the first gradient beyond what Adam's v can square
+    doc = json.loads(tiny_manifest.read_text())
+    for spec in doc["actions"]:
+        spec["amplitude"] = [a * 1e100 for a in spec["amplitude"]]
+    tiny_manifest.write_text(json.dumps(doc))
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--manifest", str(tiny_manifest), "--out", str(data)]) == 0
+    cfg = tmp_path / "cag.json"
+    cfg.write_text(json.dumps({"epochs": 3, "hidden_dims": [16]}))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(["train-cag", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "cag")])
+    assert code == 2 and not caught
+    assert re.search(r"error: gradient for \S+ exceeds 4\.24e\+152, so Adam's v would",
+                     one_error_line(capsys, "train-cag"))
 
 
 def test_seed_override_changes_gen_data(tiny_manifest, tmp_path):

@@ -86,6 +86,25 @@ class TestGenerateAtomic:
             generate_atomic(man.actions[0], man.skeleton, 10, fps, 0)
 
 
+def with_one_field_of(action: str, key: str, value: float):
+    """The default manifest with every per-joint key of action set to value."""
+    man = default_manifest()
+    actions = tuple(dataclasses.replace(a, **{key: (value,) * a.joint_count})
+                    if a.name == action else a for a in man.actions)
+    return dataclasses.replace(man, actions=actions)
+
+
+@pytest.mark.parametrize("key", ["drift", "frequency"])  # inf * frames; sin(inf)
+def test_overflowing_action_named_without_a_warning(key):
+    # pytest turns a numpy RuntimeWarning into an error, so one escaping from
+    # the curve's arithmetic fails here rather than being printed
+    man = with_one_field_of("nod", key, 1e308)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"action 'nod' makes non-finite motion at fps {man.fps} "
+            f"over {man.sequence_length} frames")):
+        build_dataset(man)
+
+
 def reference_atomic(spec, skeleton, length, fps, seed) -> np.ndarray:
     """The per-joint generator loop that generate_atomic replaces: one track and
     one (length, 3) noise draw per moving joint, in joint order."""

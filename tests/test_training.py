@@ -181,6 +181,29 @@ class TestAdam:
         assert np.allclose(losses, ref_losses, rtol=1e-13, atol=0.0)
         assert abs(errors - ref_errors) <= 1e-12
 
+    def test_gradient_that_would_overflow_v_refused(self):
+        # g * g overflows above about 1.3e154, and an inf v froze the entry for good
+        params = {"w": np.array([[1.0, 2.0]])}
+        state = AdamState.for_params(params)
+        with pytest.raises(NumericError, match=r"^gradient for w exceeds 4\.24e\+152, so "):
+            adam_step(params, {"w": np.array([[1e160, 1.0]])}, state, lr=0.01)
+        assert state.step == 0 and params["w"].tolist() == [[1.0, 2.0]]
+        assert not state.m["w"].any() and not state.v["w"].any()
+        for _ in range(3):
+            adam_step(params, {"w": np.array([[1.0, 1.0]])}, state, lr=0.01)
+        assert params["w"][0, 0] < 1.0
+        # the bound keeps v finite at any beta2, and a gradient on it passes
+        for beta2 in (0.0, 0.999):
+            bound = np.sqrt(np.finfo(np.float64).max * (1.0 - beta2))
+            state = AdamState.for_params(params)
+            for _ in range(3):
+                adam_step(params, {"w": np.array([[bound, -bound]])}, state, lr=0.01,
+                          beta2=beta2)
+            assert np.isfinite(state.v["w"]).all() and np.isfinite(params["w"]).all()
+            with pytest.raises(NumericError, match="gradient for w exceeds"):
+                adam_step(params, {"w": np.array([[0.0, -np.nextafter(bound, np.inf)]])},
+                          state, lr=0.01, beta2=beta2)
+
     def test_failed_check_changes_nothing(self):
         rng = np.random.default_rng(82)
         params = {"a": rng.normal(size=(3, 4)), "wide": rng.normal(size=(300, 100)),
@@ -198,6 +221,10 @@ class TestAdam:
         inf_wide["wide"][-1, -1] = np.inf
         with pytest.raises(NumericError, match="non-finite gradient for wide"):
             adam_step(params, inf_wide, state, lr=0.01)
+        huge_wide = {**grads, "wide": grads["wide"].copy()}
+        huge_wide["wide"][-1, -1] = -1e160  # in the last of wide's chunks
+        with pytest.raises(NumericError, match="gradient for wide exceeds"):
+            adam_step(params, huge_wide, state, lr=0.01)
         missing = {n: g for n, g in grads.items() if n != "last"}
         with pytest.raises(ShapeError, match="gradient of last missing"):
             adam_step(params, missing, state, lr=0.01)
@@ -434,6 +461,12 @@ class TestTrainPredictor:
         with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, "
                                                         f"got {value!r}")):
             TrainConfig(**{key: value})
+
+    def test_constrain_epochs_above_epochs_names_both(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "constrain_epochs 20 (default 20) exceeds epochs 10")):
+            TrainConfig(epochs=10)
+        assert TrainConfig(epochs=10, constrain_epochs=10).constrain_epochs == 10
 
     def test_numpy_integer_sizes_accepted(self):
         model, _, _, train, _ = tiny_setup()
